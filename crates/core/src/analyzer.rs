@@ -12,11 +12,34 @@
 //! This codifies the SIM-commutativity test exactly as §5.1 describes it:
 //! the specification is assumed sequentially consistent and the
 //! quantification over futures is replaced by state equivalence.
+//!
+//! Most explored paths are dead (98 % of `open ∥ open`'s), and dead paths
+//! die in families: every leaf under a refuted decision prefix is
+//! infeasible for the same reason. So each piece of work is done once per
+//! place it can differ:
+//!
+//! * the unconstrained state, the calls' argument variables and every
+//!   assumption are built once per [`AnalysisUnit`]; a path continues the
+//!   unit's variable numbering through [`SymContext::fork`], so ids and
+//!   names — and with them every case, the solver's variable order and the
+//!   corpus — are what a from-scratch build per path produced;
+//! * feasibility goes through a [`RefutedPrefixMemo`]: one solver
+//!   refutation per dead decision prefix, none for the leaves under it;
+//! * the result/state-equality obligations, by far the largest
+//!   expressions, are built for feasible leaves only, by replaying the
+//!   leaf's decisions.
+//!
+//! Every leaf is still enumerated and counted, so `paths_explored` and the
+//! classification are exactly those of one solver query per leaf (the
+//! tests keep that rule as reference code and compare).
 
 use crate::shapes::PairShape;
-use scr_model::calls::{execute, SymCall};
-use scr_model::{ModelConfig, SymState};
-use scr_symbolic::{explore, satisfiable, Domains, Expr, ExprRef, SymBool, SymContext, Var};
+use scr_model::calls::{execute, ArgSlots, SymCall, SymRet};
+use scr_model::{CallKind, ModelConfig, SymState};
+use scr_symbolic::{
+    explore, replay, satisfiable, Domains, Expr, ExprRef, PathCtx, PathResult, RefutedPrefixMemo,
+    SymBool, SymContext, Var,
+};
 
 /// One commutative case: a feasible path of the pair on which both orders
 /// can agree.
@@ -44,6 +67,14 @@ pub struct PairAnalysis {
     pub paths_explored: usize,
     /// Number of paths that were feasible but **not** commutative.
     pub non_commutative_paths: usize,
+    /// Solver queries spent deciding path feasibility (whole leaves plus
+    /// the bisection probes that locate refuted prefixes).
+    pub feasibility_queries: usize,
+    /// Paths found infeasible without a query, under a refuted prefix.
+    pub leaves_skipped: usize,
+    /// Feasible paths; each cost one more query, over its commutativity
+    /// condition (`cases.len() + non_commutative_paths`).
+    pub feasible_leaves: usize,
 }
 
 /// The integer candidate domain used throughout the analysis. Values 0–4
@@ -53,73 +84,175 @@ pub fn default_domains() -> Domains {
     Domains::new(vec![0, 1, 2, 3, 4])
 }
 
-/// Analyses one pair shape: explores both orders and classifies every path.
-pub fn analyze_pair(shape: &PairShape, cfg: &ModelConfig) -> PairAnalysis {
-    let domains = default_domains();
-    let results = explore(|path| {
+/// Argument-variable tags of a unit's calls, by position (`argA.*` etc.),
+/// recognised by TESTGEN's relevance filter and by `build_op`.
+pub(crate) const ARG_TAGS: [&str; 3] = ["argA", "argB", "argC"];
+
+/// What the paths of one analysis unit (a pair or triple shape) have in
+/// common, built once: the unconstrained state, the calls with their
+/// argument variables, every assumption, and the execution orders to
+/// compare.
+pub(crate) struct AnalysisUnit {
+    ctx: SymContext,
+    state: SymState,
+    calls: Vec<SymCall>,
+    assumptions: Vec<SymBool>,
+    /// Each order lists call indices as executed; the others must agree
+    /// with `orders[0]`.
+    orders: Vec<Vec<usize>>,
+    /// `tags[order][call]` names the oracle variables of that execution, so
+    /// the specification's nondeterministic choices may differ between
+    /// orders — SIM-commutativity quantifies over them.
+    tags: Vec<Vec<String>>,
+}
+
+/// What one path leaves behind: the context holding its variables and, per
+/// order, every call's result (by call index) and the final state.
+pub(crate) struct PathRun {
+    ctx: SymContext,
+    orders: Vec<(Vec<SymRet>, SymState)>,
+}
+
+impl PathRun {
+    /// SIM-commutativity on this path: every order agrees with the first on
+    /// each call's result and ends in an equivalent state (agreement
+    /// between any two orders follows by transitivity).
+    fn commute(&self) -> SymBool {
+        let (base_rets, base_state) = &self.orders[0];
+        let mut commute = SymBool::from_bool(true);
+        for (rets, state) in &self.orders[1..] {
+            for (base, other) in base_rets.iter().zip(rets) {
+                commute = commute.and(&base.equal(other));
+            }
+            commute = commute.and(&base_state.equivalent(state));
+        }
+        commute
+    }
+}
+
+impl AnalysisUnit {
+    /// Builds the unit's base. `tag(order, call)` names an execution.
+    pub(crate) fn new(
+        cfg: &ModelConfig,
+        calls: &[(CallKind, &ArgSlots)],
+        orders: &[&[usize]],
+        tag: impl Fn(usize, usize) -> String,
+    ) -> Self {
         let ctx = SymContext::new();
-        let (state, assumptions) = SymState::unconstrained(&ctx, *cfg);
-        for a in &assumptions {
-            path.assume(a);
-        }
-        let call_a = SymCall::build(shape.calls.0, shape.slots_a.clone(), &ctx, "argA");
-        let call_b = SymCall::build(shape.calls.1, shape.slots_b.clone(), &ctx, "argB");
-        for a in call_a
-            .argument_assumptions(cfg.file_pages)
+        let (state, mut assumptions) = SymState::unconstrained(&ctx, *cfg);
+        let calls: Vec<SymCall> = calls
             .iter()
-            .chain(call_b.argument_assumptions(cfg.file_pages).iter())
-        {
-            path.assume(a);
+            .zip(ARG_TAGS)
+            .map(|(&(kind, slots), arg_tag)| SymCall::build(kind, slots.clone(), &ctx, arg_tag))
+            .collect();
+        for call in &calls {
+            assumptions.extend(call.argument_assumptions(cfg.file_pages));
         }
-
-        // Order A;B.
-        let mut s_ab = state.clone();
-        let ra_1 = execute(&call_a, &mut s_ab, path, &ctx, "ab.a");
-        let rb_1 = execute(&call_b, &mut s_ab, path, &ctx, "ab.b");
-        // Order B;A.
-        let mut s_ba = state.clone();
-        let rb_2 = execute(&call_b, &mut s_ba, path, &ctx, "ba.b");
-        let ra_2 = execute(&call_a, &mut s_ba, path, &ctx, "ba.a");
-
-        let results_equal = ra_1.equal(&ra_2).and(&rb_1.equal(&rb_2));
-        let states_equal = s_ab.equivalent(&s_ba);
-        let commute = results_equal.and(&states_equal);
-        (commute, ctx.variables())
-    });
-
-    let paths_explored = results.len();
-    let mut cases = Vec::new();
-    let mut non_commutative_paths = 0;
-    for result in results {
-        let (commute, variables): (SymBool, Vec<Var>) = result.value;
-        let path_condition = result.branches.clone();
-        let mut condition = result.condition.clone();
-        condition.push(commute.expr().clone());
-        // Satisfiability only: the witness is never used, so the solver's
-        // fast MRV-ordered decision procedure applies. Feasibility is
-        // checked first — the path condition is a strict subset of the
-        // commutativity condition, so an infeasible path skips the check
-        // over the (much larger) result/state-equality obligations
-        // entirely, with the same classification.
-        if !satisfiable(&result.condition, &domains) {
-            continue;
-        }
-        if satisfiable(&condition, &domains) {
-            cases.push(CommutativeCase {
-                condition,
-                path_condition,
-                variables,
-                commute_expr: commute.expr().clone(),
-            });
-        } else {
-            non_commutative_paths += 1;
+        AnalysisUnit {
+            ctx,
+            state,
+            tags: (0..orders.len())
+                .map(|oi| (0..calls.len()).map(|ci| tag(oi, ci)).collect())
+                .collect(),
+            calls,
+            assumptions,
+            orders: orders.iter().map(|order| order.to_vec()).collect(),
         }
     }
+
+    /// The model closure: one path through every order, each from a copy of
+    /// the base state.
+    pub(crate) fn run(&self, path: &mut PathCtx) -> PathRun {
+        for a in &self.assumptions {
+            path.assume(a);
+        }
+        let ctx = self.ctx.fork();
+        let orders = self
+            .orders
+            .iter()
+            .zip(&self.tags)
+            .map(|(order, tags)| {
+                let mut state = self.state.clone();
+                let mut rets: Vec<(usize, SymRet)> = order
+                    .iter()
+                    .map(|&ci| {
+                        let ret = execute(&self.calls[ci], &mut state, path, &ctx, &tags[ci]);
+                        (ci, ret)
+                    })
+                    .collect();
+                rets.sort_by_key(|&(ci, _)| ci);
+                (rets.into_iter().map(|(_, ret)| ret).collect(), state)
+            })
+            .collect();
+        PathRun { ctx, orders }
+    }
+
+    /// Classifies the leaves an explorer returned for [`AnalysisUnit::run`],
+    /// in the order it returned them, into the commutative cases and the
+    /// number of feasible paths that do not commute. `feasible` decides
+    /// whether a leaf's path condition is satisfiable; the equality
+    /// obligations are built, by replaying the leaf, only when it is.
+    pub(crate) fn classify(
+        &self,
+        leaves: Vec<PathResult<()>>,
+        domains: &Domains,
+        mut feasible: impl FnMut(&PathResult<()>) -> bool,
+    ) -> (Vec<CommutativeCase>, usize) {
+        let mut cases = Vec::new();
+        let mut non_commutative_paths = 0;
+        for leaf in leaves {
+            if !feasible(&leaf) {
+                continue;
+            }
+            let run = replay(&leaf.decisions, |path| self.run(path));
+            let commute = run.commute();
+            let mut condition = leaf.condition;
+            condition.push(commute.expr().clone());
+            if satisfiable(&condition, domains) {
+                cases.push(CommutativeCase {
+                    condition,
+                    path_condition: leaf.branches,
+                    variables: run.ctx.variables(),
+                    commute_expr: commute.expr().clone(),
+                });
+            } else {
+                non_commutative_paths += 1;
+            }
+        }
+        (cases, non_commutative_paths)
+    }
+}
+
+/// Analyses one pair shape: explores both orders and classifies every path.
+pub fn analyze_pair(shape: &PairShape, cfg: &ModelConfig) -> PairAnalysis {
+    let unit = AnalysisUnit::new(
+        cfg,
+        &[
+            (shape.calls.0, &shape.slots_a),
+            (shape.calls.1, &shape.slots_b),
+        ],
+        &[&[0, 1], &[1, 0]],
+        |order, call| format!("{}.{}", ["ab", "ba"][order], ["a", "b"][call]),
+    );
+    let leaves = explore(|path| {
+        unit.run(path);
+    });
+    let paths_explored = leaves.len();
+    // Satisfiability only: no witness is ever used, so the solver's fast
+    // MRV-ordered decision procedure applies.
+    let domains = default_domains();
+    let mut memo = RefutedPrefixMemo::new();
+    let (cases, non_commutative_paths) = unit.classify(leaves, &domains, |leaf| {
+        memo.is_feasible(leaf, |condition| satisfiable(condition, &domains))
+    });
     PairAnalysis {
         shape: shape.clone(),
         cases,
         paths_explored,
         non_commutative_paths,
+        feasibility_queries: memo.queries,
+        leaves_skipped: memo.skipped,
+        feasible_leaves: memo.feasible,
     }
 }
 
@@ -158,8 +291,7 @@ fn is_range_bound(expr: &ExprRef) -> bool {
 mod tests {
     use super::*;
     use crate::shapes::enumerate_shapes;
-    use scr_model::calls::ArgSlots;
-    use scr_model::CallKind;
+    use scr_model::pair_config;
 
     fn small_cfg() -> ModelConfig {
         ModelConfig {
@@ -301,6 +433,180 @@ mod tests {
         let described = describe_condition(case);
         for line in &described {
             assert!(!line.is_empty());
+        }
+    }
+
+    /// The rule `analyze_pair` replaced, kept as the reference: state,
+    /// calls, assumptions and equality obligations rebuilt from scratch on
+    /// every path, and one feasibility query per leaf.
+    fn analyze_pair_per_leaf(shape: &PairShape, cfg: &ModelConfig) -> PairAnalysis {
+        let domains = default_domains();
+        let results = explore(|path| {
+            let ctx = SymContext::new();
+            let (state, assumptions) = SymState::unconstrained(&ctx, *cfg);
+            for a in &assumptions {
+                path.assume(a);
+            }
+            let call_a = SymCall::build(shape.calls.0, shape.slots_a.clone(), &ctx, "argA");
+            let call_b = SymCall::build(shape.calls.1, shape.slots_b.clone(), &ctx, "argB");
+            for a in call_a
+                .argument_assumptions(cfg.file_pages)
+                .iter()
+                .chain(call_b.argument_assumptions(cfg.file_pages).iter())
+            {
+                path.assume(a);
+            }
+            let mut s_ab = state.clone();
+            let ra_1 = execute(&call_a, &mut s_ab, path, &ctx, "ab.a");
+            let rb_1 = execute(&call_b, &mut s_ab, path, &ctx, "ab.b");
+            let mut s_ba = state.clone();
+            let rb_2 = execute(&call_b, &mut s_ba, path, &ctx, "ba.b");
+            let ra_2 = execute(&call_a, &mut s_ba, path, &ctx, "ba.a");
+            let results_equal = ra_1.equal(&ra_2).and(&rb_1.equal(&rb_2));
+            let commute = results_equal.and(&s_ab.equivalent(&s_ba));
+            (commute, ctx.variables())
+        });
+        let paths_explored = results.len();
+        let mut cases = Vec::new();
+        let mut non_commutative_paths = 0;
+        for result in results {
+            let (commute, variables) = result.value;
+            if !satisfiable(&result.condition, &domains) {
+                continue;
+            }
+            let mut condition = result.condition;
+            condition.push(commute.expr().clone());
+            if satisfiable(&condition, &domains) {
+                cases.push(CommutativeCase {
+                    condition,
+                    path_condition: result.branches,
+                    variables,
+                    commute_expr: commute.expr().clone(),
+                });
+            } else {
+                non_commutative_paths += 1;
+            }
+        }
+        PairAnalysis {
+            shape: shape.clone(),
+            feasible_leaves: cases.len() + non_commutative_paths,
+            cases,
+            paths_explored,
+            non_commutative_paths,
+            feasibility_queries: paths_explored,
+            leaves_skipped: 0,
+        }
+    }
+
+    /// Both rules must explore, reject and accept the same paths and
+    /// describe every case with structurally identical expressions over
+    /// identically numbered and named variables, in the same order.
+    fn assert_matches_per_leaf_rule(shape: &PairShape, cfg: &ModelConfig) -> PairAnalysis {
+        let ours = analyze_pair(shape, cfg);
+        let reference = analyze_pair_per_leaf(shape, cfg);
+        let tag = &shape.tag;
+        assert_eq!(ours.paths_explored, reference.paths_explored, "{tag}");
+        assert_eq!(
+            ours.non_commutative_paths, reference.non_commutative_paths,
+            "{tag}"
+        );
+        assert_eq!(ours.feasible_leaves, reference.feasible_leaves, "{tag}");
+        assert_eq!(ours.cases.len(), reference.cases.len(), "{tag}");
+        for (i, (a, b)) in ours.cases.iter().zip(&reference.cases).enumerate() {
+            let fp = Expr::dag_fingerprint;
+            assert_eq!(fp(&a.condition), fp(&b.condition), "{tag} case {i}");
+            assert_eq!(
+                fp(&a.path_condition),
+                fp(&b.path_condition),
+                "{tag} case {i}"
+            );
+            assert_eq!(
+                fp(std::slice::from_ref(&a.commute_expr)),
+                fp(std::slice::from_ref(&b.commute_expr)),
+                "{tag} case {i}"
+            );
+            assert_eq!(a.variables, b.variables, "{tag} case {i}");
+        }
+        // Every path the memo did not answer cost at least its own query.
+        assert!(
+            ours.feasibility_queries >= ours.paths_explored - ours.leaves_skipped,
+            "{tag}"
+        );
+        ours
+    }
+
+    fn sweep_model(a: CallKind, b: CallKind) -> ModelConfig {
+        let base = ModelConfig {
+            inodes: 2,
+            ..ModelConfig::default()
+        };
+        pair_config(&base, a, b)
+    }
+
+    #[test]
+    fn open_open_matches_the_per_leaf_rule_with_one_descriptor_slot() {
+        // The benchmark's `sweep_open` model; one shape of its four (two
+        // opens of one name in one process).
+        let cfg = ModelConfig {
+            fds_per_proc: 1,
+            ..sweep_model(CallKind::Open, CallKind::Open)
+        };
+        let shapes = enumerate_shapes(CallKind::Open, CallKind::Open, &cfg);
+        let analysis = assert_matches_per_leaf_rule(&shapes[0], &cfg);
+        assert!(
+            analysis.leaves_skipped > analysis.paths_explored / 2,
+            "most of open ∥ open's dead paths share a refuted prefix: {} of {} skipped",
+            analysis.leaves_skipped,
+            analysis.paths_explored
+        );
+        assert!(analysis.feasibility_queries < analysis.paths_explored / 2);
+    }
+
+    #[test]
+    fn open_open_matches_the_per_leaf_rule_with_two_descriptor_slots() {
+        let cfg = small_cfg();
+        for s in [
+            shape(CallKind::Open, CallKind::Open, vec![0], vec![0]),
+            shape(CallKind::Open, CallKind::Open, vec![0], vec![1]),
+        ] {
+            assert_matches_per_leaf_rule(&s, &cfg);
+        }
+    }
+
+    #[test]
+    fn rename_rename_matches_the_per_leaf_rule() {
+        let cfg = small_cfg();
+        // The chain rename(a, b) ∥ rename(b, c) and the shared destination
+        // rename(a, b) ∥ rename(c, b).
+        for (names_a, names_b) in [(vec![0, 1], vec![1, 2]), (vec![0, 1], vec![2, 1])] {
+            let s = shape(CallKind::Rename, CallKind::Rename, names_a, names_b);
+            assert_matches_per_leaf_rule(&s, &cfg);
+        }
+    }
+
+    #[test]
+    fn stat_unlink_matches_the_per_leaf_rule() {
+        let s = shape(CallKind::Stat, CallKind::Unlink, vec![0], vec![0]);
+        assert_matches_per_leaf_rule(&s, &small_cfg());
+    }
+
+    #[test]
+    fn read_write_matches_the_per_leaf_rule_on_pipe_and_file_descriptors() {
+        // Whether a descriptor is a pipe end is symbolic, so every shape
+        // carries the pipe paths next to the file paths.
+        let cfg = sweep_model(CallKind::Read, CallKind::Write);
+        for s in enumerate_shapes(CallKind::Read, CallKind::Write, &cfg) {
+            assert_matches_per_leaf_rule(&s, &cfg);
+        }
+    }
+
+    #[test]
+    fn send_recv_matches_the_per_leaf_rule_through_mid_path_assumptions() {
+        // `send` assumes room in its target queue between two decisions, so
+        // refuted prefixes here end on an assumption, not on a branch.
+        let cfg = sweep_model(CallKind::Send, CallKind::Recv);
+        for s in enumerate_shapes(CallKind::Send, CallKind::Recv, &cfg) {
+            assert_matches_per_leaf_rule(&s, &cfg);
         }
     }
 }

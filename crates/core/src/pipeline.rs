@@ -124,6 +124,15 @@ pub struct PairTiming {
     pub tests: usize,
     /// Representatives skipped for the pair.
     pub skipped: usize,
+    /// ANALYZER paths explored across the pair's shapes.
+    pub paths_explored: usize,
+    /// Solver queries the analyzer spent on path feasibility
+    /// ([`crate::PairAnalysis::feasibility_queries`], summed).
+    pub feasibility_queries: usize,
+    /// Paths the analyzer found dead under a refuted prefix, query-free.
+    pub leaves_skipped: usize,
+    /// Feasible paths, each of which cost one commutativity query.
+    pub feasible_leaves: usize,
 }
 
 /// A progress event emitted by [`run_commuter_with_progress`] as the sweep
@@ -241,6 +250,11 @@ struct UnitOutcome {
     skip_reasons: SkipHistogram,
     solve_seconds: f64,
     run_seconds: f64,
+    /// The analyzer's path and query counters for the unit.
+    paths_explored: usize,
+    feasibility_queries: usize,
+    leaves_skipped: usize,
+    feasible_leaves: usize,
     /// Solver-cache activity attributed to this unit (the claiming worker's
     /// thread-delta — exact even while other workers share the cache).
     cache: SolverCacheStats,
@@ -254,6 +268,7 @@ fn run_unit(
 ) -> UnitOutcome {
     let cache_before = solver_cache_thread_stats();
     let solve_started = std::time::Instant::now();
+    let analysis = analyze_pair(&unit.shape, &unit.model);
     let mut outcome = UnitOutcome {
         tests: Vec::new(),
         per_kernel: Vec::new(),
@@ -262,9 +277,12 @@ fn run_unit(
         skip_reasons: SkipHistogram::new(),
         solve_seconds: 0.0,
         run_seconds: 0.0,
+        paths_explored: analysis.paths_explored,
+        feasibility_queries: analysis.feasibility_queries,
+        leaves_skipped: analysis.leaves_skipped,
+        feasible_leaves: analysis.feasible_leaves,
         cache: SolverCacheStats::default(),
     };
-    let analysis = analyze_pair(&unit.shape, &unit.model);
     if analysis.cases.is_empty() {
         outcome.solve_seconds = solve_started.elapsed().as_secs_f64();
         outcome.cache = cache_delta(solver_cache_thread_stats(), cache_before);
@@ -310,6 +328,10 @@ fn empty_accum(calls: (CallKind, CallKind)) -> PairAccum {
             run_seconds: 0.0,
             tests: 0,
             skipped: 0,
+            paths_explored: 0,
+            feasibility_queries: 0,
+            leaves_skipped: 0,
+            feasible_leaves: 0,
         },
         skip_delta: SkipHistogram::new(),
         cache: SolverCacheStats::default(),
@@ -327,6 +349,10 @@ fn absorb_unit(
     accum.timing.run_seconds += outcome.run_seconds;
     accum.timing.tests += outcome.tests.len();
     accum.timing.skipped += outcome.skipped;
+    accum.timing.paths_explored += outcome.paths_explored;
+    accum.timing.feasibility_queries += outcome.feasibility_queries;
+    accum.timing.leaves_skipped += outcome.leaves_skipped;
+    accum.timing.feasible_leaves += outcome.feasible_leaves;
     accum.cache = cache_sum(accum.cache, outcome.cache);
     results.skipped += outcome.skipped;
     results.resolved += outcome.resolved;

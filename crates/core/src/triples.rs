@@ -14,13 +14,16 @@
 //! uses [`explore_pruned`]: infeasible branch alternatives are discarded
 //! from the path condition prefix before their subtrees are scheduled, and
 //! hard path/decision budgets bound the worst case (`truncated` records a
-//! cut). Generation reuses the pair materialiser through
-//! [`materialize_calls`] — no repair loop: a triple whose first witness is
-//! unconstructible is counted as skipped (see ROADMAP residue).
+//! cut). The per-unit base state and the classification of the explored
+//! leaves are the pair analyzer's own (`AnalysisUnit`): the six-order
+//! agreement is built for feasible leaves only. Generation reuses the pair
+//! materialiser through [`materialize_calls`] — no repair loop: a triple
+//! whose first witness is unconstructible is counted as skipped (see
+//! ROADMAP residue).
 
 use std::collections::BTreeSet;
 
-use crate::analyzer::{default_domains, CommutativeCase};
+use crate::analyzer::{default_domains, AnalysisUnit, CommutativeCase, ARG_TAGS};
 use crate::driver::KernelFactory;
 use crate::shapes::{first_op_assignments, second_op_assignments};
 use crate::sweep::claim_in_order;
@@ -29,9 +32,9 @@ use crate::testgen::{
     CallSpec, LazyCaseSolver, SkipHistogram,
 };
 use scr_kernel::api::{perform, SysOp, SysResult};
-use scr_model::calls::{execute, ArgSlots, SymCall, SymRet};
-use scr_model::{CallKind, ModelConfig, SymState};
-use scr_symbolic::{explore_pruned, satisfiable, signature, Expr, SymBool, SymContext, Var};
+use scr_model::calls::ArgSlots;
+use scr_model::{CallKind, ModelConfig};
+use scr_symbolic::{explore_pruned, satisfiable, signature, Expr};
 
 /// Leaf budget for one triple shape's exploration: six orders of three
 /// calls branch far more than a pair, and the budget turns a pathological
@@ -53,10 +56,6 @@ pub const TRIPLE_ORDERS: [[usize; 3]; 6] = [
     [2, 0, 1],
     [2, 1, 0],
 ];
-
-/// Argument-variable tags of the three calls (`argA.*` etc.), recognised
-/// by TESTGEN's relevance filter and by `build_op`.
-const ARG_TAGS: [&str; 3] = ["argA", "argB", "argC"];
 
 /// A fully-resolved shape for a triple of operations: which name and
 /// descriptor slots each argument refers to (the triple families touch no
@@ -176,83 +175,32 @@ pub struct TripleAnalysis {
 /// pair cases feed `generate_tests`.
 pub fn analyze_triple(shape: &TripleShape, cfg: &ModelConfig) -> TripleAnalysis {
     let domains = default_domains();
+    let kinds = [shape.calls.0, shape.calls.1, shape.calls.2];
+    let orders = TRIPLE_ORDERS.each_ref().map(|order| order.as_slice());
+    let unit = AnalysisUnit::new(
+        cfg,
+        &[0, 1, 2].map(|i| (kinds[i], &shape.slots[i])),
+        &orders,
+        |order, call| format!("o{order}.c{call}"),
+    );
     let outcome = explore_pruned(
         |path| {
-            let ctx = SymContext::new();
-            let (state, assumptions) = SymState::unconstrained(&ctx, *cfg);
-            for a in &assumptions {
-                path.assume(a);
-            }
-            let kinds = [shape.calls.0, shape.calls.1, shape.calls.2];
-            let calls: Vec<SymCall> = (0..3)
-                .map(|i| SymCall::build(kinds[i], shape.slots[i].clone(), &ctx, ARG_TAGS[i]))
-                .collect();
-            for call in &calls {
-                for a in call.argument_assumptions(cfg.file_pages).iter() {
-                    path.assume(a);
-                }
-            }
-            // Execute every order from a copy of the same state. Each
-            // (order, call) execution gets its own oracle tag, so the
-            // specification's nondeterministic choices may differ between
-            // orders — SIM-commutativity quantifies over them.
-            let mut rets: Vec<[Option<SymRet>; 3]> = Vec::with_capacity(TRIPLE_ORDERS.len());
-            let mut states: Vec<SymState> = Vec::with_capacity(TRIPLE_ORDERS.len());
-            for (oi, order) in TRIPLE_ORDERS.iter().enumerate() {
-                let mut s = state.clone();
-                let mut per_call: [Option<SymRet>; 3] = [None, None, None];
-                for &ci in order {
-                    let ret = execute(&calls[ci], &mut s, path, &ctx, &format!("o{oi}.c{ci}"));
-                    per_call[ci] = Some(ret);
-                }
-                rets.push(per_call);
-                states.push(s);
-            }
-            // Base order vs each of the other five: per-call result
-            // equality and final-state equivalence. Pairwise agreement of
-            // all six orders follows by transitivity.
-            let mut commute = SymBool::from_bool(true);
-            for oi in 1..TRIPLE_ORDERS.len() {
-                let (base_rets, other_rets) = (&rets[0], &rets[oi]);
-                for (base, other) in base_rets.iter().zip(other_rets) {
-                    let base = base.as_ref().expect("base order ran every call");
-                    let other = other.as_ref().expect("every order runs every call");
-                    commute = commute.and(&base.equal(other));
-                }
-                commute = commute.and(&states[0].equivalent(&states[oi]));
-            }
-            (commute, ctx.variables())
+            unit.run(path);
         },
         |condition| satisfiable(condition, &domains),
         TRIPLE_PATH_BUDGET,
         TRIPLE_DECISION_BUDGET,
     );
-
     let paths_explored = outcome.results.len();
-    let mut cases = Vec::new();
-    let mut non_commutative_paths = 0;
-    for result in outcome.results {
-        let (commute, variables): (SymBool, Vec<Var>) = result.value;
-        let path_condition = result.branches.clone();
-        let mut condition = result.condition.clone();
-        condition.push(commute.expr().clone());
-        // Pruning only vetted branch-alternative prefixes; the complete
-        // path (and the much larger agreement conjunction) still needs the
-        // full satisfiability classification, as in `analyze_pair`.
-        if !satisfiable(&result.condition, &domains) {
-            continue;
-        }
-        if satisfiable(&condition, &domains) {
-            cases.push(CommutativeCase {
-                condition,
-                path_condition,
-                variables,
-                commute_expr: commute.expr().clone(),
-            });
-        } else {
-            non_commutative_paths += 1;
-        }
-    }
+    // Pruning only vetted branch-alternative prefixes; the complete path
+    // (and the much larger agreement conjunction) still needs the full
+    // classification, as in `analyze_pair`. One query per leaf decides
+    // feasibility here: the pruned explorer never schedules a subtree
+    // under a refuted prefix, so no two leaves share one and a
+    // `RefutedPrefixMemo` would bisect for prefixes nobody else is under.
+    let (cases, non_commutative_paths) = unit.classify(outcome.results, &domains, |leaf| {
+        satisfiable(&leaf.condition, &domains)
+    });
     TripleAnalysis {
         shape: shape.clone(),
         cases,

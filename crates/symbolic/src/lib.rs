@@ -23,7 +23,9 @@
 //!   [`SymContext`] variable factory.
 //! * [`executor`] — replay-based path exploration: model code calls
 //!   [`executor::PathCtx::branch`] and the engine re-runs the closure once
-//!   per feasible decision vector, collecting a path condition per leaf.
+//!   per decision vector, collecting a path condition per leaf;
+//!   [`RefutedPrefixMemo`] then decides the leaves' feasibility with one
+//!   solver refutation per dead decision prefix.
 //! * [`solver`] — an indexed, propagating finite-domain model finder:
 //!   constraints compile once into a DAG arena ([`CaseSolver`]) with a
 //!   variable→constraint watch index, incremental decided-status caching,
@@ -41,7 +43,9 @@ pub mod isomorphism;
 pub mod solver;
 pub mod types;
 
-pub use executor::{explore, explore_pruned, ExploreOutcome, PathCtx, PathResult};
+pub use executor::{
+    explore, explore_pruned, replay, ExploreOutcome, PathCtx, PathResult, RefutedPrefixMemo,
+};
 pub use expr::{Expr, ExprRef, Sort, Var, VarId};
 pub use isomorphism::signature;
 pub use solver::{

@@ -150,6 +150,18 @@ impl SymContext {
         SymContext::default()
     }
 
+    /// A context that continues where this one stands: it starts with the
+    /// same variables and hands out the ids this one would hand out next,
+    /// while this one stays as it is. Building a shared prefix of variables
+    /// once and forking per use therefore numbers and names every variable
+    /// exactly as building everything from scratch each time would.
+    pub fn fork(&self) -> SymContext {
+        SymContext {
+            next_id: self.next_id.clone(),
+            created: self.created.clone(),
+        }
+    }
+
     fn fresh(&self, name: &str, sort: Sort) -> Var {
         let id = self.next_id.get();
         self.next_id.set(id + 1);
@@ -243,5 +255,25 @@ mod tests {
         assert_eq!(a.iff(&a).as_const(), Some(true));
         let picked = a.ite(&SymBool::from_bool(true), &SymBool::from_bool(true));
         assert_eq!(picked.as_const(), Some(true));
+    }
+
+    #[test]
+    fn a_forked_context_numbers_like_one_built_from_scratch() {
+        let build_base = |ctx: &SymContext| {
+            ctx.int_var("base.ino");
+            ctx.bool_var("base.exists");
+        };
+        let scratch = SymContext::new();
+        build_base(&scratch);
+        scratch.int_var("path.oracle");
+
+        let base = SymContext::new();
+        build_base(&base);
+        for _ in 0..2 {
+            let fork = base.fork();
+            fork.int_var("path.oracle");
+            assert_eq!(fork.variables(), scratch.variables());
+        }
+        assert_eq!(base.var_count(), 2, "forks leave the base as it was");
     }
 }

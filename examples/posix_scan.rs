@@ -11,25 +11,30 @@
 //!
 //! Every run also writes `BENCH_testgen.json` (override the path with
 //! `SCR_TESTGEN_JSON`): per-pair wall-clock split into the symbolic stages
-//! (ANALYZER + TESTGEN solving) and the MTRACE replays, so solver
-//! performance changes leave a recorded trajectory. CI uploads the file as
-//! an artifact. The file is stamped with run metadata (git revision, mode,
-//! cores, config) so trajectories are attributable across PRs.
+//! (ANALYZER + TESTGEN solving) and the MTRACE replays, plus the analyzer's
+//! path and solver-query counters, so performance changes leave a recorded
+//! trajectory and "where did the analyzer's time go" has an answer. CI
+//! uploads the file as an artifact. The file is stamped with run metadata
+//! (git revision, mode, cores, config) so trajectories are attributable
+//! across PRs.
 //!
 //! The sweep itself narrates progress: each pair's completion is recorded
 //! as a structured event carrying the per-pair skip-histogram delta and the
 //! solver-cache hit/miss delta. `--metrics-out <path>` exports the event
 //! stream (and the timing summary) as a JSON snapshot.
 //!
-//! Pass `--perf-gate` for the solver-performance smoke gate: the scan is
-//! restricted to the `{lseek, write, send, recv}` call set and the run
-//! fails unless the offset-arithmetic-heavy `lseek ∥ write` pair — the
-//! historical TESTGEN hot spot that took *minutes* before the indexed
-//! solver — generates its corpus within the wall-clock ceiling
+//! Pass `--perf-gate` for the performance smoke gate: the scan is
+//! restricted to the `{open, lseek, write, send, recv}` call set and the
+//! run fails unless three pairs stay under their wall-clock ceilings — the
+//! offset-arithmetic-heavy `lseek ∥ write` pair, the historical TESTGEN hot
+//! spot that took *minutes* before the indexed solver
 //! (`SCR_TESTGEN_GATE_SECONDS`, default 30; generous on purpose — the dev
-//! container does it in well under a second), and the §4 `send ∥ recv`
-//! pair within its own ceiling (`SCR_TESTGEN_EXT_GATE_SECONDS`, default
-//! 60).
+//! container does it in well under a second); the §4 `send ∥ recv` pair
+//! (`SCR_TESTGEN_EXT_GATE_SECONDS`, default 60); and full-size
+//! `open ∥ open`, the ANALYZER's largest bill (130 000 paths, 99 % of them
+//! dead), under a fixed 15 s: it took 24–37 s when the analyzer asked the
+//! solver about every dead path and takes 5 s now that each refuted
+//! decision prefix is decided once.
 //!
 //! Pass `--threads N` to sweep on N claiming workers (`0` = one per
 //! hardware thread; default 1). The corpus, the reports and the recorded
@@ -60,6 +65,11 @@ const DEFAULT_GATE_SECONDS: f64 = 30.0;
 /// regressions are distinguishable in CI output.
 const DEFAULT_EXT_GATE_SECONDS: f64 = 60.0;
 
+/// Ceiling for the full-size `open ∥ open` leg of the gate, in seconds:
+/// three times what the pair takes, under half of what it took before the
+/// analyzer's refuted-prefix memo.
+const OPEN_OPEN_GATE_SECONDS: f64 = 15.0;
+
 fn write_timing_json(
     results: &CommuterResults,
     meta: &RunMeta,
@@ -85,7 +95,8 @@ fn write_timing_json(
     for (i, timing) in results.pair_timings.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"a\": \"{}\", \"b\": \"{}\", \"threads\": {}, \"solve_seconds\": {:.4}, \
-             \"run_seconds\": {:.4}, \"tests\": {}, \"skipped\": {}}}{}\n",
+             \"run_seconds\": {:.4}, \"tests\": {}, \"skipped\": {}, \"paths_explored\": {}, \
+             \"feasibility_queries\": {}, \"leaves_skipped\": {}, \"feasible_leaves\": {}}}{}\n",
             timing.calls.0.name(),
             timing.calls.1.name(),
             threads,
@@ -93,6 +104,10 @@ fn write_timing_json(
             timing.run_seconds,
             timing.tests,
             timing.skipped,
+            timing.paths_explored,
+            timing.feasibility_queries,
+            timing.leaves_skipped,
+            timing.feasible_leaves,
             if i + 1 < results.pair_timings.len() {
                 ","
             } else {
@@ -128,12 +143,14 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
     let (mut config, mode) = if perf_gate {
-        // The historical hot spot (lseek ∥ write: minutes of solver time
-        // before the indexed engine) plus the heaviest §4 extension pair
-        // (send ∥ recv), so regressions in either solver path are
-        // unmistakable against their generous ceilings.
+        // The historical solver hot spot (lseek ∥ write: minutes before the
+        // indexed engine), the heaviest §4 extension pair (send ∥ recv) and
+        // the analyzer's largest unit (full-size open ∥ open), so a
+        // regression in any of the three is unmistakable against its
+        // ceiling.
         (
             CommuterConfig::quick(&[
+                CallKind::Open,
                 CallKind::Lseek,
                 CallKind::Write,
                 CallKind::Send,
@@ -173,7 +190,7 @@ fn main() {
         {
             println!(
                 "  [{:>3}/{}] {} ∥ {}: {} tests, {} skipped, solve {:.2}s, replay {:.2}s, \
-                 cache {}h/{}m",
+                 cache {}h/{}m, {} paths ({} feasible, {} under a refuted prefix, {} queries)",
                 index + 1,
                 total,
                 timing.calls.0.name(),
@@ -184,6 +201,10 @@ fn main() {
                 timing.run_seconds,
                 cache_delta.solution_hits + cache_delta.completion_hits,
                 cache_delta.solution_misses + cache_delta.completion_misses,
+                timing.paths_explored,
+                timing.feasible_leaves,
+                timing.leaves_skipped,
+                timing.feasibility_queries,
             );
             let skips: Vec<(String, Json)> = skip_delta
                 .iter()
@@ -200,6 +221,10 @@ fn main() {
                     ("run_seconds", timing.run_seconds.into()),
                     ("tests", timing.tests.into()),
                     ("skipped", timing.skipped.into()),
+                    ("paths_explored", timing.paths_explored.into()),
+                    ("feasibility_queries", timing.feasibility_queries.into()),
+                    ("leaves_skipped", timing.leaves_skipped.into()),
+                    ("feasible_leaves", timing.feasible_leaves.into()),
                     ("skip_delta", Json::Obj(skips)),
                     ("solution_hits", cache_delta.solution_hits.into()),
                     ("solution_misses", cache_delta.solution_misses.into()),
@@ -272,12 +297,13 @@ fn main() {
             DEFAULT_EXT_GATE_SECONDS,
         );
         // Gate on each hot pair's own solve time (the scan also covers
-        // the self-pairs; their timings land in the JSON but must not
-        // pollute the gated numbers).
+        // the call set's other pairs; their timings land in the JSON but
+        // must not pollute the gated numbers).
         let mut failed = false;
         for (pair, ceiling) in [
             ((CallKind::Lseek, CallKind::Write), ceiling),
             ((CallKind::Send, CallKind::Recv), ext_ceiling),
+            ((CallKind::Open, CallKind::Open), OPEN_OPEN_GATE_SECONDS),
         ] {
             let timing = results.pair_timings.iter().find(|t| t.calls == pair);
             let (solve_seconds, tests) = timing
@@ -294,7 +320,7 @@ fn main() {
             }
             if solve_seconds > ceiling {
                 eprintln!(
-                    "FAIL: solver perf regression on {label}: {solve_seconds:.2}s exceeds \
+                    "FAIL: perf regression on {label}: {solve_seconds:.2}s exceeds \
                      the {ceiling:.0}s ceiling"
                 );
                 failed = true;
