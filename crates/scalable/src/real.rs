@@ -21,7 +21,7 @@ use crate::percore_alloc::FdMode;
 use crossbeam::utils::CachePadded;
 use parking_lot::{Mutex, RwLock};
 use scr_hostmtrace::{HostTraceSink, LockProbe, Probe};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -411,14 +411,31 @@ impl HostFdAllocator {
 /// hash** as the traced directory so bucket placement (and therefore the
 /// "barring hash collisions" caveat) is identical between the simulated and
 /// host kernels.
+///
+/// A stripe is three things: a lock, one logical cache line (the
+/// `bucket[b].entries` probe) and a hash table of the names FNV-1a placed
+/// there. Every operation costs O(1) expected work whatever the stripe
+/// holds — ScaleFS's directories are hash tables (§6.3), so two kernels
+/// built on this type differ in how many stripes they *share*, not in how
+/// long a lookup walks. The table is private to its stripe and lives behind
+/// the stripe's lock, so how it stores its entries is invisible to the
+/// traced footprint: a lookup is one read of the entries line and an update
+/// one read-modify-write of it, exactly what the traced `HashDir` records
+/// for a bucket.
 #[derive(Debug)]
 pub struct StripedHashDir<V> {
     stripes: Vec<Stripe<V>>,
     probes: Option<DirProbes>,
 }
 
+/// The names of one stripe. All of them share `fnv1a(name) % stripes` (the
+/// low nine bits at 512 stripes), so the table hashes the name again with
+/// its own hasher instead of reusing the FNV value. An empty table owns no
+/// heap memory.
+type Entries<V> = HashMap<String, V>;
+
 /// One cache-padded, independently locked stripe of entries.
-type Stripe<V> = CachePadded<RwLock<Vec<(String, V)>>>;
+type Stripe<V> = CachePadded<RwLock<Entries<V>>>;
 
 /// Probe lines of an instrumented [`StripedHashDir`], mirroring the traced
 /// `HashDir`'s layout: one lock-word line and one entries line per bucket.
@@ -446,13 +463,23 @@ impl DirProbes {
     }
 }
 
+/// Inserts or replaces `key`, allocating the owned name only for a new entry.
+fn upsert_entry<V>(entries: &mut Entries<V>, key: &str, value: V) {
+    match entries.get_mut(key) {
+        Some(slot) => *slot = value,
+        None => {
+            entries.insert(key.to_string(), value);
+        }
+    }
+}
+
 impl<V: Clone> StripedHashDir<V> {
     /// Allocates a directory with `stripes` lock stripes.
     pub fn new(stripes: usize) -> Self {
         assert!(stripes > 0, "need at least one stripe");
         StripedHashDir {
             stripes: (0..stripes)
-                .map(|_| CachePadded::new(RwLock::new(Vec::new())))
+                .map(|_| CachePadded::new(RwLock::new(Entries::new())))
                 .collect(),
             probes: None,
         }
@@ -491,11 +518,7 @@ impl<V: Clone> StripedHashDir<V> {
         if let Some(p) = self.stripe_probes(si) {
             p.entries.read();
         }
-        let entries = self.stripes[si].read();
-        entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
+        self.stripes[si].read().get(key).cloned()
     }
 
     /// Does the key exist?
@@ -504,43 +527,19 @@ impl<V: Clone> StripedHashDir<V> {
         if let Some(p) = self.stripe_probes(si) {
             p.entries.read();
         }
-        let entries = self.stripes[si].read();
-        entries.iter().any(|(k, _)| k == key)
+        self.stripes[si].read().contains_key(key)
     }
 
     /// Inserts a key if absent. Returns `true` if inserted, `false` if the
     /// key already existed.
     pub fn insert_if_absent(&self, key: &str, value: V) -> bool {
-        let si = self.stripe_of(key);
-        let probes = self.stripe_probes(si);
-        let stripe = &self.stripes[si];
         // Optimistic read-only probe before the exclusive lock ("precede
         // pessimism with optimism"), as in the traced variant: a failed
         // insert of an existing name stays read-only.
-        if let Some(p) = probes {
-            p.entries.read();
-        }
-        if stripe.read().iter().any(|(k, _)| k == key) {
+        if self.contains(key) {
             return false;
         }
-        if let Some(p) = probes {
-            p.lock.acquire();
-            p.entries.read();
-        }
-        let mut entries = stripe.write();
-        let inserted = if entries.iter().any(|(k, _)| k == key) {
-            false
-        } else {
-            if let Some(p) = probes {
-                p.entries.rmw();
-            }
-            entries.push((key.to_string(), value));
-            true
-        };
-        if let Some(p) = probes {
-            p.lock.release();
-        }
-        inserted
+        self.insert_if_absent_pessimistic(key, value)
     }
 
     /// [`Self::insert_if_absent`] without the optimistic read-only stage —
@@ -556,13 +555,13 @@ impl<V: Clone> StripedHashDir<V> {
             p.entries.read();
         }
         let mut entries = self.stripes[si].write();
-        let inserted = if entries.iter().any(|(k, _)| k == key) {
+        let inserted = if entries.contains_key(key) {
             false
         } else {
             if let Some(p) = probes {
                 p.entries.rmw();
             }
-            entries.push((key.to_string(), value));
+            entries.insert(key.to_string(), value);
             true
         };
         drop(entries);
@@ -579,13 +578,7 @@ impl<V: Clone> StripedHashDir<V> {
             p.lock.acquire();
             p.entries.rmw();
         }
-        let mut entries = self.stripes[si].write();
-        if let Some(entry) = entries.iter_mut().find(|(k, _)| k == key) {
-            entry.1 = value;
-        } else {
-            entries.push((key.to_string(), value));
-        }
-        drop(entries);
+        upsert_entry(&mut self.stripes[si].write(), key, value);
         if let Some(p) = self.stripe_probes(si) {
             p.lock.release();
         }
@@ -594,25 +587,16 @@ impl<V: Clone> StripedHashDir<V> {
     /// Removes a key, returning its value if it was present (nothing is
     /// written when the key is absent — optimistic check first).
     pub fn remove(&self, key: &str) -> Option<V> {
-        let si = self.stripe_of(key);
-        let probes = self.stripe_probes(si);
-        let stripe = &self.stripes[si];
-        if let Some(p) = probes {
-            p.entries.read();
-        }
-        if !stripe.read().iter().any(|(k, _)| k == key) {
+        if !self.contains(key) {
             return None;
         }
+        let si = self.stripe_of(key);
+        let probes = self.stripe_probes(si);
         if let Some(p) = probes {
             p.lock.acquire();
             p.entries.rmw();
         }
-        let mut entries = stripe.write();
-        let out = entries
-            .iter()
-            .position(|(k, _)| k == key)
-            .map(|pos| entries.remove(pos).1);
-        drop(entries);
+        let out = self.stripes[si].write().remove(key);
         if let Some(p) = probes {
             p.lock.release();
         }
@@ -660,24 +644,27 @@ impl<V: Clone> StripedHashDir<V> {
     }
 }
 
-/// Exclusive access to one or two stripes of a [`StripedHashDir`], handed
-/// to [`StripedHashDir::with_pair_locked`] callbacks.
+/// Exclusive access to one or two stripes of a [`StripedHashDir`] — their
+/// write guards, and so their hash tables — handed to
+/// [`StripedHashDir::with_pair_locked`] callbacks.
 ///
 /// The recorded footprint mirrors what the traced `HashDir` records for the
 /// equivalent *unlocked* call sequence (`get`/`upsert`/`remove`), because
 /// that is what the single-threaded simulated kernel executes: the pairwise
 /// locking is a host-only concurrency-correctness measure, not a sharing
-/// difference.
+/// difference. As in the directory itself, each operation is one probe
+/// sequence on the stripe's lines plus one O(1) table operation, so the
+/// footprint does not depend on how many names the stripes hold.
 pub struct LockedPair<'a, V> {
     lo: usize,
     hi: usize,
-    first: parking_lot::RwLockWriteGuard<'a, Vec<(String, V)>>,
-    second: Option<parking_lot::RwLockWriteGuard<'a, Vec<(String, V)>>>,
+    first: parking_lot::RwLockWriteGuard<'a, Entries<V>>,
+    second: Option<parking_lot::RwLockWriteGuard<'a, Entries<V>>>,
     probes: Option<&'a DirProbes>,
 }
 
 impl<V: Clone> LockedPair<'_, V> {
-    fn entries_for(&mut self, stripe: usize) -> &mut Vec<(String, V)> {
+    fn entries_for(&mut self, stripe: usize) -> &mut Entries<V> {
         if stripe == self.lo {
             &mut self.first
         } else {
@@ -697,10 +684,7 @@ impl<V: Clone> LockedPair<'_, V> {
         if let Some(p) = self.probes_for(stripe) {
             p.entries.read();
         }
-        self.entries_for(stripe)
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
+        self.entries_for(stripe).get(key).cloned()
     }
 
     /// Inserts or replaces a key in the locked stripes.
@@ -710,12 +694,7 @@ impl<V: Clone> LockedPair<'_, V> {
             p.entries.rmw();
             p.lock.release();
         }
-        let entries = self.entries_for(stripe);
-        if let Some(entry) = entries.iter_mut().find(|(k, _)| k == key) {
-            entry.1 = value;
-        } else {
-            entries.push((key.to_string(), value));
-        }
+        upsert_entry(self.entries_for(stripe), key, value);
     }
 
     /// Removes a key from the locked stripes (read-only when absent, like
@@ -724,16 +703,15 @@ impl<V: Clone> LockedPair<'_, V> {
         if let Some(p) = self.probes_for(stripe) {
             p.entries.read();
         }
-        let pos = self
-            .entries_for(stripe)
-            .iter()
-            .position(|(k, _)| k == key)?;
+        if !self.entries_for(stripe).contains_key(key) {
+            return None;
+        }
         if let Some(p) = self.probes_for(stripe) {
             p.lock.acquire();
             p.entries.rmw();
             p.lock.release();
         }
-        Some(self.entries_for(stripe).remove(pos).1)
+        self.entries_for(stripe).remove(key)
     }
 }
 
@@ -947,6 +925,9 @@ const PROC_SEG_SIZE: usize = 512;
 /// panic, not UB.
 const PROC_SEGMENTS: usize = 4096;
 
+/// One lazily allocated chunk of a [`HostProcTable`].
+type ProcSegment<T> = Box<[OnceLock<T>]>;
+
 /// Host twin of the kernels' process tables: a lock-free, append-only
 /// indexable table.
 ///
@@ -959,9 +940,6 @@ const PROC_SEGMENTS: usize = 4096;
 /// and publishes the entry with a release store. Entries are never removed
 /// ("zombie-reaped" processes keep their pid, with an emptied descriptor
 /// table), matching the simulated kernels.
-/// One lazily allocated chunk of a [`HostProcTable`].
-type ProcSegment<T> = Box<[OnceLock<T>]>;
-
 #[derive(Debug)]
 pub struct HostProcTable<T> {
     segments: Box<[OnceLock<ProcSegment<T>>]>,
@@ -1018,17 +996,17 @@ impl<T> HostProcTable<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-impl<T: Clone> HostProcTable<T> {
-    /// Looks up an entry by index, wait-free.
-    pub fn get(&self, idx: usize) -> Option<T> {
+    /// Looks up an entry by index, wait-free. The table is append-only and
+    /// a published entry never moves or is freed before the table itself,
+    /// so the borrow lasts as long as the table's: a lookup writes nothing,
+    /// not even a reference count shared by every thread using that index.
+    pub fn get(&self, idx: usize) -> Option<&T> {
         self.segments
             .get(idx / PROC_SEG_SIZE)?
             .get()?
             .get(idx % PROC_SEG_SIZE)?
             .get()
-            .cloned()
     }
 }
 
@@ -1604,32 +1582,29 @@ mod tests {
 
     #[test]
     fn proc_table_is_dense_and_wait_free_to_read() {
-        let table: HostProcTable<Arc<String>> = HostProcTable::new();
+        let table: HostProcTable<String> = HostProcTable::new();
         assert!(table.is_empty());
-        let a = table.push_with(|pid| Arc::new(format!("proc-{pid}")));
-        let b = table.push_with(|pid| Arc::new(format!("proc-{pid}")));
+        let a = table.push_with(|pid| format!("proc-{pid}"));
+        let b = table.push_with(|pid| format!("proc-{pid}"));
         assert_eq!((a, b), (0, 1));
-        assert_eq!(table.get(0).unwrap().as_str(), "proc-0");
-        assert_eq!(table.get(1).unwrap().as_str(), "proc-1");
+        assert_eq!(table.get(0).unwrap(), "proc-0");
+        assert_eq!(table.get(1).unwrap(), "proc-1");
         assert_eq!(table.get(2), None);
         assert_eq!(table.len(), 2);
     }
 
     #[test]
     fn proc_table_concurrent_pushes_assign_unique_dense_pids() {
-        let table: Arc<HostProcTable<Arc<usize>>> = Arc::new(HostProcTable::new());
+        let table: HostProcTable<usize> = HostProcTable::new();
         let threads = 4;
         let per_thread = 200;
         let pids = std::sync::Mutex::new(Vec::new());
         std::thread::scope(|s| {
             for _ in 0..threads {
-                let table = Arc::clone(&table);
-                let pids = &pids;
-                s.spawn(move || {
-                    let mut mine = Vec::new();
-                    for _ in 0..per_thread {
-                        mine.push(table.push_with(Arc::new));
-                    }
+                s.spawn(|| {
+                    let mine: Vec<usize> = (0..per_thread)
+                        .map(|_| table.push_with(|pid| pid))
+                        .collect();
                     pids.lock().unwrap().extend(mine);
                 });
             }
@@ -1640,5 +1615,28 @@ mod tests {
         for pid in pids {
             assert_eq!(*table.get(pid).unwrap(), pid, "entry stores its own pid");
         }
+    }
+
+    #[test]
+    fn proc_table_entries_never_move() {
+        // `get` lends `&T` for the table's lifetime, which is only sound to
+        // rely on if growth never relocates a published entry: the borrow
+        // taken before 10 000 further pushes from two threads (twenty new
+        // segments) must still be the entry's address afterwards.
+        let table: HostProcTable<usize> = HostProcTable::new();
+        let first = table.push_with(|pid| pid);
+        let before: &usize = table.get(first).unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    for _ in 0..5_000 {
+                        table.push_with(|pid| pid);
+                    }
+                });
+            }
+        });
+        assert_eq!(table.len(), 10_001);
+        assert!(std::ptr::eq(before, table.get(first).unwrap()));
+        assert_eq!(*before, first);
     }
 }

@@ -25,13 +25,64 @@
 //! Exits 1 on any lost or duplicated message, any footprint divergence, or
 //! any cross-check failure. Run with
 //! `cargo run --release --example host_mail [-- --metrics-out mail.json --trace-out mail.trace.json]`.
+//!
+//! Pass `--perf-gate` for the name-path gate instead: the closed-loop
+//! `mailbench` on the linux-like kernel (one directory stripe, so every name
+//! the run has created sits in one table) at 2 000 and at 16 000 messages.
+//! Every delivered message leaves a mailbox file behind, and none of the next
+//! message's 20 syscalls may get dearer for it: the gate fails when a message
+//! of the long run costs more than twice a message of the short one (a
+//! directory that walks its entries costs four to seven times as much).
 
-use scalable_commutativity::host::workloads::{mail_pipeline_observed, MailTelemetry};
+use scalable_commutativity::host::workloads::{mail_pipeline_observed, mailbench, MailTelemetry};
 use scalable_commutativity::host::{available_threads, ext_campaign, HostMode};
 use scalable_commutativity::kernel::mail::MailConfig;
 use scalable_commutativity::obs::{metrics_out, trace_out, Json, RunMeta, SyscallKind};
 
+/// Messages per thread of the perf gate's short and long runs (two threads).
+const GATE_MESSAGES: [u64; 2] = [1_000, 8_000];
+
+/// How much dearer a message of the long run may be than one of the short
+/// run. A hash-table stripe reads 0.9–1.3 on the 2-thread box; the
+/// association list it replaced read 3.8–7.3.
+const GATE_RATIO: f64 = 2.0;
+
+/// The `--perf-gate` mode: best-of-3 µs per message at both run lengths.
+fn perf_gate() {
+    let threads = 2;
+    let [short, long] = GATE_MESSAGES.map(|per_thread| {
+        (0..3)
+            .map(|_| {
+                let point = mailbench(
+                    HostMode::Linuxlike,
+                    MailConfig::RegularApis,
+                    threads,
+                    per_thread,
+                );
+                point.elapsed_seconds * 1e6 / point.total_ops as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    });
+    let ratio = long / short;
+    println!(
+        "host mail perf gate (linux-host, RegularApis, {threads} threads, {} hardware thread(s)): \
+         {short:.1} µs/message at {} messages, {long:.1} µs/message at {} — \
+         ratio {ratio:.2}, ceiling {GATE_RATIO}",
+        available_threads(),
+        GATE_MESSAGES[0] * threads as u64,
+        GATE_MESSAGES[1] * threads as u64,
+    );
+    if ratio > GATE_RATIO {
+        eprintln!("host mail perf gate FAILED: a message gets dearer as the directory fills");
+        std::process::exit(1);
+    }
+    println!("host mail perf gate passed");
+}
+
 fn main() {
+    if std::env::args().any(|a| a == "--perf-gate") {
+        return perf_gate();
+    }
     let threads = available_threads();
     let (enqueuers, qmans, messages) = (2, 2, 100);
     let cores = enqueuers + qmans;
