@@ -133,6 +133,11 @@ pub struct PairTiming {
     pub leaves_skipped: usize,
     /// Feasible paths, each of which cost one commutativity query.
     pub feasible_leaves: usize,
+    /// Commutative cases that yielded no test
+    /// ([`crate::GeneratedTests::zero_test_cases`], summed).
+    pub zero_test_cases: usize,
+    /// TESTGEN seconds spent on those cases.
+    pub zero_test_seconds: f64,
 }
 
 /// A progress event emitted by [`run_commuter_with_progress`] as the sweep
@@ -178,6 +183,7 @@ fn cache_delta(after: SolverCacheStats, before: SolverCacheStats) -> SolverCache
             .completion_misses
             .saturating_sub(before.completion_misses),
         evictions: after.evictions.saturating_sub(before.evictions),
+        repairs_decided: after.repairs_decided.saturating_sub(before.repairs_decided),
     }
 }
 
@@ -255,6 +261,8 @@ struct UnitOutcome {
     feasibility_queries: usize,
     leaves_skipped: usize,
     feasible_leaves: usize,
+    zero_test_cases: usize,
+    zero_test_seconds: f64,
     /// Solver-cache activity attributed to this unit (the claiming worker's
     /// thread-delta — exact even while other workers share the cache).
     cache: SolverCacheStats,
@@ -281,6 +289,8 @@ fn run_unit(
         feasibility_queries: analysis.feasibility_queries,
         leaves_skipped: analysis.leaves_skipped,
         feasible_leaves: analysis.feasible_leaves,
+        zero_test_cases: 0,
+        zero_test_seconds: 0.0,
         cache: SolverCacheStats::default(),
     };
     if analysis.cases.is_empty() {
@@ -299,6 +309,8 @@ fn run_unit(
     outcome.skipped = generated.skipped;
     outcome.resolved = generated.resolved;
     outcome.skip_reasons = generated.skip_reasons;
+    outcome.zero_test_cases = generated.zero_test_cases;
+    outcome.zero_test_seconds = generated.zero_test_seconds;
     let run_started = std::time::Instant::now();
     for test in generated.tests {
         let per: Vec<bool> = kernels
@@ -332,6 +344,8 @@ fn empty_accum(calls: (CallKind, CallKind)) -> PairAccum {
             feasibility_queries: 0,
             leaves_skipped: 0,
             feasible_leaves: 0,
+            zero_test_cases: 0,
+            zero_test_seconds: 0.0,
         },
         skip_delta: SkipHistogram::new(),
         cache: SolverCacheStats::default(),
@@ -353,6 +367,8 @@ fn absorb_unit(
     accum.timing.feasibility_queries += outcome.feasibility_queries;
     accum.timing.leaves_skipped += outcome.leaves_skipped;
     accum.timing.feasible_leaves += outcome.feasible_leaves;
+    accum.timing.zero_test_cases += outcome.zero_test_cases;
+    accum.timing.zero_test_seconds += outcome.zero_test_seconds;
     accum.cache = cache_sum(accum.cache, outcome.cache);
     results.skipped += outcome.skipped;
     results.resolved += outcome.resolved;
@@ -380,6 +396,7 @@ fn cache_sum(a: SolverCacheStats, b: SolverCacheStats) -> SolverCacheStats {
         completion_hits: a.completion_hits + b.completion_hits,
         completion_misses: a.completion_misses + b.completion_misses,
         evictions: a.evictions + b.evictions,
+        repairs_decided: a.repairs_decided + b.repairs_decided,
     }
 }
 

@@ -18,10 +18,19 @@
 //! isomorphism class (same values on every variable the case constrains) is
 //! often constructible even when the solver's arbitrary first choice is not
 //! — e.g. Read∥Read over an empty pipe, where the first witness leaves the
-//! write-end slot closed but a both-ends-open representative exists. Only
-//! when no completion within the re-solve budget is constructible is the
-//! case counted as skipped, with a structured [`SkipReason`] so coverage
-//! loss stays visible instead of vanishing into a bare counter.
+//! write-end slot closed but a both-ends-open representative exists.
+//!
+//! A rejection is **final**, and no completion is searched for, when the
+//! values every completion must keep already fail one of the table checks:
+//! an `open`/`pipe` in a process whose descriptor slots those values hold
+//! open (`fd-table-full`), or a `socket`/`fork`/`posix_spawn` whose socket
+//! or child slots they all hold occupied (`socket-table-full`,
+//! `child-table-full`). The other reasons (`pipe-layout`, `pipe-endpoints`,
+//! `cross-process-pipe`, `unnamed-mapping`, ...) depend on variables the
+//! case leaves free, so they search a bounded budget of completions, and
+//! a representative is counted as skipped when that budget finds none. A
+//! skip carries a structured [`SkipReason`] so coverage loss stays visible
+//! instead of vanishing into a bare counter.
 //!
 //! Solving is organised for reuse: each case compiles one
 //! [`CaseSolver`] shared between the initial enumeration and every round
@@ -43,7 +52,9 @@ use scr_symbolic::{signature, Assignment, CaseSolver, Domains, Expr, Value, Var,
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
+use std::time::Instant;
 
 /// Base virtual page used for fixed-address mappings in generated tests.
 const VM_BASE_PAGE: u64 = 64;
@@ -198,6 +209,9 @@ pub struct SolverCacheStats {
     /// Resident entries displaced to admit new ones once a shard reached
     /// its slice of [`SOLVER_CACHE_CAP`].
     pub evictions: usize,
+    /// Rejected representatives given up without a search (or a cache
+    /// lookup): their pinned values alone fail a table check.
+    pub repairs_decided: usize,
 }
 
 impl SolverCacheStats {
@@ -207,11 +221,12 @@ impl SolverCacheStats {
         self.completion_hits += other.completion_hits;
         self.completion_misses += other.completion_misses;
         self.evictions += other.evictions;
+        self.repairs_decided += other.repairs_decided;
     }
 }
 
 /// Key of a memoized repair-loop outcome: the full semantic input of
-/// [`resolve_constructible`] minus the test identifier (which only labels
+/// [`search_completion`] minus the test identifier (which only labels
 /// the rebuilt test) and the name table (constructibility never depends on
 /// concrete file names).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -301,6 +316,9 @@ struct ShardedSolverCache {
     shards: Vec<Mutex<CacheShard>>,
     /// Per-shard entry cap (per layer).
     shard_cap: usize,
+    /// [`SolverCacheStats::repairs_decided`]: a decided repair has no key,
+    /// so no shard sees it.
+    repairs_decided: AtomicUsize,
 }
 
 impl ShardedSolverCache {
@@ -309,6 +327,7 @@ impl ShardedSolverCache {
         ShardedSolverCache {
             shards: (0..shard_count).map(|_| Mutex::default()).collect(),
             shard_cap: (total_cap / shard_count).max(4),
+            repairs_decided: AtomicUsize::new(0),
         }
     }
 
@@ -393,7 +412,10 @@ impl ShardedSolverCache {
 
     /// Sum of every shard's counters.
     fn merged_stats(&self) -> SolverCacheStats {
-        let mut total = SolverCacheStats::default();
+        let mut total = SolverCacheStats {
+            repairs_decided: self.repairs_decided.load(Ordering::Relaxed),
+            ..SolverCacheStats::default()
+        };
         for shard in &self.shards {
             total.merge(&shard.lock().stats);
         }
@@ -408,6 +430,7 @@ impl ShardedSolverCache {
         for guard in &mut guards {
             **guard = CacheShard::default();
         }
+        self.repairs_decided.store(0, Ordering::Relaxed);
     }
 }
 
@@ -426,6 +449,7 @@ thread_local! {
         completion_hits: 0,
         completion_misses: 0,
         evictions: 0,
+        repairs_decided: 0,
     }) };
 }
 
@@ -612,6 +636,10 @@ pub struct GeneratedTests {
     /// Representatives whose first witness was unconstructible but that were
     /// rescued by re-solving for an alternative completion.
     pub resolved: usize,
+    /// Commutative cases that yielded no test.
+    pub zero_test_cases: usize,
+    /// Seconds spent on the cases counted in `zero_test_cases`.
+    pub zero_test_seconds: f64,
 }
 
 /// A lookup table from variable names to solved values.
@@ -661,9 +689,32 @@ pub fn generate_tests(
     names: &[String],
     max_per_case: usize,
 ) -> GeneratedTests {
+    generate_tests_with(
+        shape,
+        cases,
+        cfg,
+        names,
+        max_per_case,
+        resolve_constructible,
+    )
+}
+
+/// [`generate_tests`] with the repair loop as a parameter, so the tests can
+/// hand every rejected representative to the unguarded reference search
+/// as well.
+fn generate_tests_with(
+    shape: &PairShape,
+    cases: &[CommutativeCase],
+    cfg: &ModelConfig,
+    names: &[String],
+    max_per_case: usize,
+    mut repair: impl FnMut(&Rejected<'_>, &mut LazyCaseSolver<'_>) -> Option<ConcreteTest>,
+) -> GeneratedTests {
     let domains = default_domains();
     let mut out = GeneratedTests::default();
     for (case_idx, case) in cases.iter().enumerate() {
+        let case_started = Instant::now();
+        let tests_before = out.tests.len();
         // One compiled solver per case: the enumeration below and every
         // re-solve round of the repair loop share the flattening, variable
         // interning and constraint compilation.
@@ -711,18 +762,18 @@ pub fn generate_tests(
                     // case (identical on every constrained variable, hence
                     // the same isomorphism signature) may be. Re-solve
                     // before giving the case up.
-                    match resolve_constructible(
+                    let rejected = Rejected {
                         shape,
                         case,
-                        &assignment,
+                        witness: &assignment,
                         cfg,
                         names,
-                        &relevant,
-                        &domains,
-                        &mut solver,
-                        &id,
+                        relevant: &relevant,
+                        domains: &domains,
+                        id: &id,
                         first_reason,
-                    ) {
+                    };
+                    match repair(&rejected, &mut solver) {
                         Some(test) => {
                             out.resolved += 1;
                             out.tests.push(test);
@@ -734,6 +785,10 @@ pub fn generate_tests(
                     }
                 }
             }
+        }
+        if out.tests.len() == tests_before {
+            out.zero_test_cases += 1;
+            out.zero_test_seconds += case_started.elapsed().as_secs_f64();
         }
     }
     out
@@ -796,15 +851,90 @@ fn child_endpoint_witnesses(
     out
 }
 
-/// Hunts for a constructible completion of a rejected representative.
+/// A representative whose first witness [`materialize`] rejected, with
+/// everything the repair loop reads to hunt for another completion of it.
+struct Rejected<'a> {
+    shape: &'a PairShape,
+    case: &'a CommutativeCase,
+    witness: &'a Assignment,
+    cfg: &'a ModelConfig,
+    names: &'a [String],
+    relevant: &'a [Var],
+    domains: &'a Domains,
+    id: &'a str,
+    first_reason: SkipReason,
+}
+
+impl Rejected<'_> {
+    /// The witness's values on every variable the case actually constrains
+    /// (path condition, equality obligations, call arguments — the same
+    /// set the isomorphism signature is computed over). Every completion
+    /// the repair loop considers keeps them, so any alternative found is a
+    /// representative of the *same* commutative case.
+    fn pinned(&self) -> Assignment {
+        let mut pinned = Assignment::new();
+        for var in self.relevant {
+            if let Some(value) = self.witness.get(var.id) {
+                pinned.set(var.id, value);
+            }
+        }
+        pinned
+    }
+}
+
+/// Hunts for a constructible completion of a rejected representative,
+/// unless its pinned values already decide that none exists.
+fn resolve_constructible(
+    rejected: &Rejected<'_>,
+    solver: &mut LazyCaseSolver<'_>,
+) -> Option<ConcreteTest> {
+    let pinned = rejected.pinned();
+    if decided_rejection(rejected, &pinned).is_some() {
+        bump_thread_stats(|s| s.repairs_decided += 1);
+        global_cache()
+            .repairs_decided
+            .fetch_add(1, Ordering::Relaxed);
+        return None;
+    }
+    search_completion(rejected, &pinned, solver)
+}
+
+/// The table check that the pinned values alone fail, if any.
 ///
-/// Every variable the case actually constrains (path condition, equality
-/// obligations, call arguments — the same set the isomorphism signature is
-/// computed over) is pinned to the original witness's value, so any
-/// alternative found is a representative of the *same* commutative case.
+/// [`materialize_calls`] runs the table checks on every completion, and
+/// every completion agrees with `pinned`. When the pins already leave too
+/// few free slots for an allocating call, every completion fails that check
+/// or one before it, so the repair loop's answer is `None` and searching
+/// for it is wasted work. Only the table checks are decided this way:
+/// they read the few slot flags an exhaustion path (EMFILE, ENOSPC,
+/// EAGAIN) branches on, while the layout checks read descriptor and
+/// mapping flags the case usually leaves free.
+fn decided_rejection(rejected: &Rejected<'_>, pinned: &Assignment) -> Option<SkipReason> {
+    let values: BTreeMap<&str, Option<Value>> = rejected
+        .case
+        .variables
+        .iter()
+        .map(|v| (v.name.as_ref(), pinned.get(v.id)))
+        .collect();
+    let flag = |name: &str| match values.get(name) {
+        Some(Some(value)) => Some(value.as_bool().unwrap_or(false)),
+        Some(None) => None,
+        // As `Solved` reads it: a variable the case lacks is false.
+        None => Some(false),
+    };
+    let calls = pair_calls(rejected.shape);
+    TABLE_REASONS.into_iter().find(|&reason| {
+        calls
+            .iter()
+            .any(|spec| table_full(reason, spec, rejected.cfg, &flag))
+    })
+}
+
+/// The bounded solve-and-repair search behind [`resolve_constructible`].
+///
 /// The variables the observed [`SkipReason`] implicates are varied first;
 /// if every completion of one round fails with a different reason, that
-/// reason's variables are tried next (a bounded solve-and-repair loop).
+/// reason's variables are tried next.
 ///
 /// The outcome is memoized per isomorphism class: the cache key is the
 /// structural fingerprint of the case plus the pinned values — which are
@@ -816,28 +946,27 @@ fn child_endpoint_witnesses(
 /// current name table and identifier; it cannot leak state across pairs
 /// because the fingerprint covers the whole condition, variable list and
 /// shape.
-#[allow(clippy::too_many_arguments)]
-fn resolve_constructible(
-    shape: &PairShape,
-    case: &CommutativeCase,
-    witness: &Assignment,
-    cfg: &ModelConfig,
-    names: &[String],
-    relevant: &[Var],
-    domains: &Domains,
+fn search_completion(
+    rejected: &Rejected<'_>,
+    pinned: &Assignment,
     solver: &mut LazyCaseSolver<'_>,
-    id: &str,
-    first_reason: SkipReason,
 ) -> Option<ConcreteTest> {
-    let mut pinned = Assignment::new();
-    for var in relevant {
-        if let Some(value) = witness.get(var.id) {
-            pinned.set(var.id, value);
-        }
-    }
+    let Rejected {
+        shape,
+        case,
+        cfg,
+        names,
+        relevant,
+        domains,
+        id,
+        first_reason,
+        ..
+    } = *rejected;
     // Mark rescued tests in their identifier so the driver's diagnostics
     // can tell first-witness tests from re-solved completions.
     let resolved_id = format!("{id}r");
+    let build =
+        |alt: &Assignment| materialize(shape, case, alt, cfg, names, relevant, &resolved_id);
     let key = CompletionKey {
         case: case_fingerprint(case),
         variables: vars_fingerprint(&case.variables),
@@ -857,9 +986,7 @@ fn resolve_constructible(
         // it would exhaust its budget). Materialization depends on the
         // name table, so it is re-run; its verdict does not, so a cached
         // completion cannot fail it.
-        return outcome.and_then(|alt| {
-            materialize(shape, case, &alt, cfg, names, relevant, &resolved_id).ok()
-        });
+        return outcome.and_then(|alt| build(&alt).ok());
     }
     let mut tried: BTreeSet<SkipReason> = BTreeSet::new();
     let mut reason = first_reason;
@@ -868,10 +995,9 @@ fn resolve_constructible(
         if !tried.insert(reason) {
             break;
         }
-        // Only unpinned targets can actually vary; when the path condition
-        // constrains them all (e.g. a genuine EMFILE path, where every open
-        // flag was branched on) no completion can escape the reason, so the
-        // round would enumerate RESOLVE_LIMIT identical failures.
+        // Only unpinned targets can vary. With none left the round has
+        // nothing to steer toward and stops; that is a budget choice, not
+        // a proof — `decided_rejection` is the proof, for the table checks.
         let vary: Vec<Var> = vary_targets(reason, shape, case, cfg)
             .into_iter()
             .filter(|v| pinned.get(v.id).is_none())
@@ -882,9 +1008,9 @@ fn resolve_constructible(
         let mut next_reason = None;
         for alt in solver
             .get()
-            .solve_with_preference(domains, &pinned, &vary, RESOLVE_LIMIT)
+            .solve_with_preference(domains, pinned, &vary, RESOLVE_LIMIT)
         {
-            match materialize(shape, case, &alt, cfg, names, relevant, &resolved_id) {
+            match build(&alt) {
                 Ok(test) => {
                     found = Some((alt, test));
                     break 'rounds;
@@ -1254,6 +1380,22 @@ pub(crate) struct CallSpec<'s> {
     pub(crate) tag: &'static str,
 }
 
+/// The two calls of a pair shape, in slot order.
+fn pair_calls(shape: &PairShape) -> [CallSpec<'_>; 2] {
+    [
+        CallSpec {
+            kind: shape.calls.0,
+            slots: &shape.slots_a,
+            tag: "argA",
+        },
+        CallSpec {
+            kind: shape.calls.1,
+            slots: &shape.slots_b,
+            tag: "argB",
+        },
+    ]
+}
+
 /// Builds the setup script and the two operations for one assignment,
 /// or the structured reason no faithful construction exists for it.
 fn materialize(
@@ -1265,20 +1407,8 @@ fn materialize(
     relevant: &[Var],
     id: &str,
 ) -> Result<ConcreteTest, SkipReason> {
-    let calls = [
-        CallSpec {
-            kind: shape.calls.0,
-            slots: &shape.slots_a,
-            tag: "argA",
-        },
-        CallSpec {
-            kind: shape.calls.1,
-            slots: &shape.slots_b,
-            tag: "argB",
-        },
-    ];
     let (setup, mut ops, procs) =
-        materialize_calls(&calls, case, assignment, cfg, names, relevant)?;
+        materialize_calls(&pair_calls(shape), case, assignment, cfg, names, relevant)?;
     let op_b = ops.pop().expect("two calls materialized");
     let op_a = ops.pop().expect("two calls materialized");
     Ok(ConcreteTest {
@@ -1296,6 +1426,59 @@ fn materialize(
 /// the number of processes the test uses.
 pub(crate) type MaterializedCalls = (Vec<(usize, SysOp)>, Vec<SysOp>, usize);
 
+/// The reasons [`table_full`] checks.
+const TABLE_REASONS: [SkipReason; 3] = [
+    SkipReason::FdTableFull,
+    SkipReason::SocketTableFull,
+    SkipReason::ChildTableFull,
+];
+
+/// One table check of [`materialize_calls`]: does `spec` allocate from a
+/// table with no room left? The kernels' tables are larger than the
+/// model's, so such an exhaustion path (EMFILE, ENOSPC, EAGAIN) is
+/// model-only. `open` needs one descriptor slot and `pipe` two;
+/// `socket` needs a socket slot; `fork`/`posix_spawn` need a child slot.
+///
+/// `flag` reads a boolean state variable by name: `Some(value)` when it is
+/// known, `None` when it is not. A table is reported full only when it is
+/// full whatever the unknown flags turn out to be. Over a complete
+/// assignment this is the materialiser's check; over a representative's
+/// pinned values it decides the check for every completion at once
+/// ([`decided_rejection`]).
+fn table_full(
+    reason: SkipReason,
+    spec: &CallSpec<'_>,
+    cfg: &ModelConfig,
+    flag: &impl Fn(&str) -> Option<bool>,
+) -> bool {
+    let occupied = |name: String| flag(&name) == Some(true);
+    match reason {
+        SkipReason::FdTableFull => {
+            let needed = match spec.kind {
+                CallKind::Open => 1,
+                CallKind::Pipe => 2,
+                _ => return false,
+            };
+            let p = spec.slots.proc;
+            let may_be_free = (0..cfg.fds_per_proc)
+                .filter(|k| !occupied(format!("p{p}.fd{k}.open")))
+                .count();
+            may_be_free < needed
+        }
+        SkipReason::SocketTableFull => {
+            spec.kind == CallKind::Socket
+                && cfg.sockets > 0
+                && (0..cfg.sockets).all(|s| occupied(format!("sock{s}.exists")))
+        }
+        SkipReason::ChildTableFull => {
+            matches!(spec.kind, CallKind::Fork | CallKind::PosixSpawn)
+                && cfg.children > 0
+                && (0..cfg.children).all(|c| occupied(format!("child{c}.occupied")))
+        }
+        _ => false,
+    }
+}
+
 /// Builds the setup script and the concrete operations (one per entry of
 /// `calls`, in slot order) for one assignment, or the structured reason no
 /// faithful construction exists for it. Shared between the pair
@@ -1311,6 +1494,7 @@ pub(crate) fn materialize_calls(
     relevant: &[Var],
 ) -> Result<MaterializedCalls, SkipReason> {
     let solved = Solved::new(&case.variables, assignment);
+    let known = |name: &str| Some(solved.bool(name));
     let mut setup: Vec<(usize, SysOp)> = Vec::new();
     let used_procs = calls.iter().map(|c| c.slots.proc).max().unwrap_or(0) + 1;
 
@@ -1363,14 +1547,10 @@ pub(crate) fn materialize_calls(
     // be reproduced (the concrete call would succeed where the analysed
     // path returned ENOSPC/EAGAIN).
     for spec in calls {
-        if spec.kind == CallKind::Socket && cfg.sockets > 0 && sock_ids.len() == cfg.sockets {
-            return Err(SkipReason::SocketTableFull);
-        }
-        if matches!(spec.kind, CallKind::Fork | CallKind::PosixSpawn)
-            && cfg.children > 0
-            && child_pids.len() == cfg.children
-        {
-            return Err(SkipReason::ChildTableFull);
+        for reason in [SkipReason::SocketTableFull, SkipReason::ChildTableFull] {
+            if table_full(reason, spec, cfg, &known) {
+                return Err(reason);
+            }
         }
     }
     // Create the sockets and pre-load their queues. An unordered socket's
@@ -1573,25 +1753,12 @@ pub(crate) fn materialize_calls(
         }
     }
     for spec in calls {
-        // `open` allocates one descriptor, `pipe` two. If the model's table
-        // cannot satisfy the allocation the analysed path is an EMFILE
-        // path, which the kernels' much larger tables cannot reproduce —
-        // worse, both real `pipe()`s would *succeed* and race over which
-        // call gets which descriptor numbers, making the results
+        // An EMFILE path cannot be reproduced by the kernels' much larger
+        // tables — worse, both real `pipe()`s would *succeed* and race over
+        // which call gets which descriptor numbers, making the results
         // schedule-dependent where the model's were not.
-        let needed = match spec.kind {
-            CallKind::Open => 1,
-            CallKind::Pipe => 2,
-            _ => 0,
-        };
-        if needed > 0 {
-            let p = spec.slots.proc;
-            let free = (0..cfg.fds_per_proc)
-                .filter(|k| !solved.bool(&format!("p{p}.fd{k}.open")))
-                .count();
-            if free < needed {
-                return Err(SkipReason::FdTableFull);
-            }
+        if table_full(SkipReason::FdTableFull, spec, cfg, &known) {
+            return Err(SkipReason::FdTableFull);
         }
     }
 
@@ -2338,6 +2505,99 @@ mod tests {
         assert_eq!(corpus_fingerprints(&cold), corpus_fingerprints(&warm));
         assert_eq!(cold.skip_reasons, warm.skip_reasons);
         assert_eq!(cold.resolved, warm.resolved);
+    }
+
+    /// Generates the corpus of every `a ∥ b` shape twice: once through the
+    /// guarded repair loop, comparing each rejected representative's
+    /// outcome with the unguarded reference search, and once through the
+    /// reference alone. Asserts the two agree and returns the guarded
+    /// corpora, with the reasons the guard decided added to `decided`.
+    fn assert_guard_matches_reference(
+        a: CallKind,
+        b: CallKind,
+        cfg: &ModelConfig,
+        decided: &mut SkipHistogram,
+    ) -> Vec<GeneratedTests> {
+        let names = default_names();
+        let outcome = |test: &Option<ConcreteTest>| {
+            test.as_ref()
+                .map(|t| format!("{} {:?} {:?} {:?}", t.id, t.setup, t.op_a, t.op_b))
+        };
+        let mut corpora = Vec::new();
+        for shape in crate::shapes::enumerate_shapes(a, b, cfg) {
+            let cases = analyze_pair(&shape, cfg).cases;
+            let guarded =
+                generate_tests_with(&shape, &cases, cfg, &names, 96, |rejected, solver| {
+                    let pinned = rejected.pinned();
+                    let reference = search_completion(rejected, &pinned, solver);
+                    if let Some(reason) = decided_rejection(rejected, &pinned) {
+                        *decided.entry(reason).or_default() += 1;
+                    }
+                    let ours = resolve_constructible(rejected, solver);
+                    assert_eq!(outcome(&ours), outcome(&reference), "{}", rejected.id);
+                    ours
+                });
+            let unguarded =
+                generate_tests_with(&shape, &cases, cfg, &names, 96, |rejected, solver| {
+                    search_completion(rejected, &rejected.pinned(), solver)
+                });
+            assert_eq!(
+                corpus_fingerprints(&guarded),
+                corpus_fingerprints(&unguarded),
+                "{}",
+                shape.tag
+            );
+            assert_eq!(
+                guarded.skip_reasons, unguarded.skip_reasons,
+                "{}",
+                shape.tag
+            );
+            assert_eq!(guarded.resolved, unguarded.resolved, "{}", shape.tag);
+            corpora.push(guarded);
+        }
+        corpora
+    }
+
+    #[test]
+    fn decided_rejections_match_the_unguarded_repair_loop() {
+        let mut decided = SkipHistogram::new();
+        for fds_per_proc in [1, 2] {
+            let cfg = ModelConfig {
+                fds_per_proc,
+                ..small_cfg()
+            };
+            assert_guard_matches_reference(CallKind::Open, CallKind::Open, &cfg, &mut decided);
+        }
+        for (a, b) in [
+            (CallKind::Open, CallKind::Pipe),
+            (CallKind::Pipe, CallKind::Pipe),
+        ] {
+            assert_guard_matches_reference(a, b, &small_cfg(), &mut decided);
+        }
+        for (a, b) in [
+            (CallKind::Socket, CallKind::Socket),
+            (CallKind::Fork, CallKind::PosixSpawn),
+        ] {
+            let cfg = scr_model::pair_config(&ModelConfig::default(), a, b);
+            assert_guard_matches_reference(a, b, &cfg, &mut decided);
+        }
+        for reason in TABLE_REASONS {
+            assert!(
+                decided.contains_key(&reason),
+                "the guard never decided {reason}: {decided:?}"
+            );
+        }
+        // The pipe-backed Read ∥ Read rejections are layout reasons: the
+        // guard stays out of the way and the search still rescues them.
+        let mut read_read = SkipHistogram::new();
+        let corpora = assert_guard_matches_reference(
+            CallKind::Read,
+            CallKind::Read,
+            &small_cfg(),
+            &mut read_read,
+        );
+        assert!(read_read.is_empty(), "{read_read:?}");
+        assert!(corpora.iter().any(|g| g.resolved > 0));
     }
 
     #[test]

@@ -91,12 +91,17 @@ fn write_timing_json(
         results.corpus_fingerprint()
     ));
     out.push_str(&format!("  \"cache_evictions\": {},\n", cache.evictions));
+    out.push_str(&format!(
+        "  \"repairs_decided\": {},\n",
+        cache.repairs_decided
+    ));
     out.push_str("  \"pairs\": [\n");
     for (i, timing) in results.pair_timings.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"a\": \"{}\", \"b\": \"{}\", \"threads\": {}, \"solve_seconds\": {:.4}, \
              \"run_seconds\": {:.4}, \"tests\": {}, \"skipped\": {}, \"paths_explored\": {}, \
-             \"feasibility_queries\": {}, \"leaves_skipped\": {}, \"feasible_leaves\": {}}}{}\n",
+             \"feasibility_queries\": {}, \"leaves_skipped\": {}, \"feasible_leaves\": {}, \
+             \"zero_test_cases\": {}, \"zero_test_seconds\": {:.4}}}{}\n",
             timing.calls.0.name(),
             timing.calls.1.name(),
             threads,
@@ -108,6 +113,8 @@ fn write_timing_json(
             timing.feasibility_queries,
             timing.leaves_skipped,
             timing.feasible_leaves,
+            timing.zero_test_cases,
+            timing.zero_test_seconds,
             if i + 1 < results.pair_timings.len() {
                 ","
             } else {
@@ -190,7 +197,8 @@ fn main() {
         {
             println!(
                 "  [{:>3}/{}] {} ∥ {}: {} tests, {} skipped, solve {:.2}s, replay {:.2}s, \
-                 cache {}h/{}m, {} paths ({} feasible, {} under a refuted prefix, {} queries)",
+                 cache {}h/{}m, {} paths ({} feasible, {} under a refuted prefix, {} queries), \
+                 {} zero-test cases ({:.2}s), {} repairs decided",
                 index + 1,
                 total,
                 timing.calls.0.name(),
@@ -205,6 +213,9 @@ fn main() {
                 timing.feasible_leaves,
                 timing.leaves_skipped,
                 timing.feasibility_queries,
+                timing.zero_test_cases,
+                timing.zero_test_seconds,
+                cache_delta.repairs_decided,
             );
             let skips: Vec<(String, Json)> = skip_delta
                 .iter()
@@ -225,12 +236,15 @@ fn main() {
                     ("feasibility_queries", timing.feasibility_queries.into()),
                     ("leaves_skipped", timing.leaves_skipped.into()),
                     ("feasible_leaves", timing.feasible_leaves.into()),
+                    ("zero_test_cases", timing.zero_test_cases.into()),
+                    ("zero_test_seconds", timing.zero_test_seconds.into()),
                     ("skip_delta", Json::Obj(skips)),
                     ("solution_hits", cache_delta.solution_hits.into()),
                     ("solution_misses", cache_delta.solution_misses.into()),
                     ("completion_hits", cache_delta.completion_hits.into()),
                     ("completion_misses", cache_delta.completion_misses.into()),
                     ("evictions", cache_delta.evictions.into()),
+                    ("repairs_decided", cache_delta.repairs_decided.into()),
                 ],
             );
         }

@@ -11,10 +11,12 @@
 //! that on live `analyze_pair` output, including a reduced-bounds
 //! `lseek ∥ write` (the offset-arithmetic-heavy hot spot; at full bounds
 //! the naive engine needs minutes, which is the reason the indexed engine
-//! exists).
+//! exists). The last test pins how many repairs the benchmark's
+//! `sweep_open` sweep decides without a search.
 
 use scalable_commutativity::commuter::{
-    analyze_pair, enumerate_shapes, generate_tests, solver_cache_clear,
+    analyze_pair, enumerate_shapes, generate_tests, run_commuter_with_progress, solver_cache_clear,
+    CommuterConfig, SweepEvent,
 };
 use scalable_commutativity::model::{CallKind, ModelConfig};
 use scalable_commutativity::symbolic::solver::naive;
@@ -130,5 +132,43 @@ fn generated_corpus_is_deterministic_across_cache_states() {
     assert_eq!(
         all_runs[0], all_runs[1],
         "warm-cache corpus must equal the cold corpus"
+    );
+}
+
+#[test]
+fn sweep_open_repairs_are_decided_without_a_search() {
+    // The benchmark's `sweep_open` sweep. Its EMFILE representatives pin
+    // the one descriptor slot open, so the repair loop gives each up
+    // without a search; only the representatives a completion might
+    // rescue reach the completion cache. A regression that searches the
+    // decided ones again shows up as completion misses.
+    let quick = CommuterConfig::quick(&[CallKind::Open]);
+    let config = CommuterConfig {
+        model: ModelConfig {
+            fds_per_proc: 1,
+            ..quick.model
+        },
+        threads: 1,
+        ..quick
+    };
+    solver_cache_clear();
+    let mut cache = None;
+    let results = run_commuter_with_progress(&config, &[], |event| {
+        if let SweepEvent::PairDone { cache_delta, .. } = event {
+            cache = Some(cache_delta);
+        }
+    });
+    let cache = cache.expect("one pair");
+    assert_eq!(
+        (results.tests.len(), results.skipped, results.resolved),
+        (246, 536, 40)
+    );
+    // Every skipped representative's pins fill the descriptor table, and
+    // every search rescues its representative.
+    assert_eq!(cache.repairs_decided, 536, "{cache:?}");
+    assert_eq!(
+        (cache.completion_misses, cache.completion_hits),
+        (40, 0),
+        "{cache:?}"
     );
 }
