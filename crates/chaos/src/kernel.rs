@@ -1,5 +1,11 @@
-//! [`FaultyKernel`]: the fault-injecting [`SyscallApi`] wrapper, and
-//! [`ReliableKernel`]: the retrying wrapper that rides on top of it.
+//! [`FaultyKernel`]: the fault-injecting layer, and [`ReliableKernel`]:
+//! the retrying layer that rides on top of it.
+//!
+//! Both are [`Layer`]s: each writes one `around` hook, and the blanket
+//! `SyscallApi` impl in `scr_kernel::api` forwards every call through it.
+//! [`FaultKind::for_call`] names the calls either layer acts on (`open`,
+//! `fork`, `posix_spawn`, `send`, `recv`); every other call passes
+//! straight through both.
 //!
 //! The injection invariant that makes retry safe: a fault is decided
 //! *before* the inner kernel is invoked, so an injected failure has **zero
@@ -18,10 +24,7 @@
 //! core label.
 
 use crate::plan::{ChaosPlan, FaultKind};
-use scr_kernel::api::{
-    Errno, Fd, KResult, MmapBacking, OpenFlags, Pid, Prot, SockId, SocketOrder, Stat, StatMask,
-    SyscallApi, Whence,
-};
+use scr_kernel::api::{Errno, KResult, Layer, SyscallApi, SyscallKind};
 use scr_kernel::retry::{Backoff, RetryPolicy};
 use scr_mtrace::CoreId;
 use scr_obs::{Counter, Histogram, MetricsRegistry};
@@ -108,7 +111,7 @@ impl CoreState {
     }
 }
 
-/// A [`SyscallApi`] wrapper injecting the faults a [`ChaosPlan`] decided.
+/// The [`Layer`] injecting the faults a [`ChaosPlan`] decided.
 ///
 /// With a disabled plan ([`ChaosPlan::none`]) every call is pure
 /// delegation — no atomics touched, no clock read, no probe footprint
@@ -158,11 +161,6 @@ impl<'k, K: SyscallApi + ?Sized> FaultyKernel<'k, K> {
         self
     }
 
-    /// The wrapped kernel.
-    pub fn inner(&self) -> &'k K {
-        self.inner
-    }
-
     /// The plan in force.
     pub fn plan(&self) -> &ChaosPlan {
         &self.plan
@@ -196,178 +194,71 @@ impl<'k, K: SyscallApi + ?Sized> FaultyKernel<'k, K> {
         }
     }
 
+    /// The failure, if any, the plan gives this attempt of a `fault` call:
+    /// a poll eaten by an active delivery hold, then the plan's errno, then
+    /// (for `recv`) the first poll of a new hold.
+    fn decide(&self, core: CoreId, state: &CoreState, fault: FaultKind) -> Option<Errno> {
+        let is_recv = fault == FaultKind::Recv;
+        if is_recv {
+            let pending = state.pending_delay.load(Ordering::Relaxed);
+            if pending > 0 {
+                state.pending_delay.store(pending - 1, Ordering::Relaxed);
+                self.count_delay_poll(core, false);
+                return Some(Errno::EAGAIN);
+            }
+        }
+        let index = state.counts[fault as usize].fetch_add(1, Ordering::Relaxed);
+        if let Some(errno) = self.plan.decide_fault(core, index, fault) {
+            self.count_injected(core, fault);
+            return Some(errno);
+        }
+        if !is_recv {
+            return None;
+        }
+        let polls = self.plan.decide_delay(core, index)?;
+        state.pending_delay.store(polls - 1, Ordering::Relaxed);
+        self.count_delay_poll(core, true);
+        Some(Errno::EAGAIN)
+    }
+}
+
+impl<K: SyscallApi + ?Sized> Layer for FaultyKernel<'_, K> {
+    type Inner = K;
+
+    fn inner(&self) -> &K {
+        self.inner
+    }
+
     #[inline]
-    fn faulted<T>(
+    fn around<T>(
         &self,
         core: CoreId,
-        kind: FaultKind,
-        f: impl FnOnce(&'k K) -> KResult<T>,
+        kind: SyscallKind,
+        call: impl Fn() -> KResult<T>,
     ) -> KResult<T> {
-        if !self.active {
-            return f(self.inner);
-        }
+        let fault = match FaultKind::for_call(kind) {
+            Some(fault) if self.active => fault,
+            _ => return call(),
+        };
         let state = &self.per_core[core];
-        let index = state.counts[kind as usize].fetch_add(1, Ordering::Relaxed);
-        if let Some(errno) = self.plan.decide_fault(core, index, kind) {
-            state.injected.store(true, Ordering::Relaxed);
-            self.count_injected(core, kind);
-            return Err(errno);
+        let injected = self.decide(core, state, fault);
+        state.injected.store(injected.is_some(), Ordering::Relaxed);
+        match injected {
+            Some(errno) => Err(errno),
+            None => call(),
         }
-        state.injected.store(false, Ordering::Relaxed);
-        f(self.inner)
     }
 }
 
-impl<K: SyscallApi + ?Sized> SyscallApi for FaultyKernel<'_, K> {
-    fn new_process(&self) -> Pid {
-        self.inner.new_process()
-    }
-
-    fn open(&self, core: CoreId, pid: Pid, name: &str, flags: OpenFlags) -> KResult<Fd> {
-        self.faulted(core, FaultKind::Open, |k| k.open(core, pid, name, flags))
-    }
-
-    fn link(&self, core: CoreId, pid: Pid, old: &str, new: &str) -> KResult<()> {
-        self.inner.link(core, pid, old, new)
-    }
-
-    fn unlink(&self, core: CoreId, pid: Pid, name: &str) -> KResult<()> {
-        self.inner.unlink(core, pid, name)
-    }
-
-    fn rename(&self, core: CoreId, pid: Pid, src: &str, dst: &str) -> KResult<()> {
-        self.inner.rename(core, pid, src, dst)
-    }
-
-    fn stat(&self, core: CoreId, pid: Pid, name: &str) -> KResult<Stat> {
-        self.inner.stat(core, pid, name)
-    }
-
-    fn fstat(&self, core: CoreId, pid: Pid, fd: Fd) -> KResult<Stat> {
-        self.inner.fstat(core, pid, fd)
-    }
-
-    fn fstatx(&self, core: CoreId, pid: Pid, fd: Fd, mask: StatMask) -> KResult<Stat> {
-        self.inner.fstatx(core, pid, fd, mask)
-    }
-
-    fn lseek(&self, core: CoreId, pid: Pid, fd: Fd, offset: i64, whence: Whence) -> KResult<u64> {
-        self.inner.lseek(core, pid, fd, offset, whence)
-    }
-
-    fn close(&self, core: CoreId, pid: Pid, fd: Fd) -> KResult<()> {
-        self.inner.close(core, pid, fd)
-    }
-
-    fn pipe(&self, core: CoreId, pid: Pid) -> KResult<(Fd, Fd)> {
-        self.inner.pipe(core, pid)
-    }
-
-    fn read(&self, core: CoreId, pid: Pid, fd: Fd, len: u64) -> KResult<Vec<u8>> {
-        self.inner.read(core, pid, fd, len)
-    }
-
-    fn write(&self, core: CoreId, pid: Pid, fd: Fd, data: &[u8]) -> KResult<u64> {
-        self.inner.write(core, pid, fd, data)
-    }
-
-    fn pread(&self, core: CoreId, pid: Pid, fd: Fd, len: u64, offset: u64) -> KResult<Vec<u8>> {
-        self.inner.pread(core, pid, fd, len, offset)
-    }
-
-    fn pwrite(&self, core: CoreId, pid: Pid, fd: Fd, data: &[u8], offset: u64) -> KResult<u64> {
-        self.inner.pwrite(core, pid, fd, data, offset)
-    }
-
-    fn mmap(
-        &self,
-        core: CoreId,
-        pid: Pid,
-        addr_hint: Option<u64>,
-        pages: u64,
-        prot: Prot,
-        backing: MmapBacking,
-    ) -> KResult<u64> {
-        self.inner.mmap(core, pid, addr_hint, pages, prot, backing)
-    }
-
-    fn munmap(&self, core: CoreId, pid: Pid, addr: u64, pages: u64) -> KResult<()> {
-        self.inner.munmap(core, pid, addr, pages)
-    }
-
-    fn mprotect(&self, core: CoreId, pid: Pid, addr: u64, pages: u64, prot: Prot) -> KResult<()> {
-        self.inner.mprotect(core, pid, addr, pages, prot)
-    }
-
-    fn memread(&self, core: CoreId, pid: Pid, addr: u64) -> KResult<u8> {
-        self.inner.memread(core, pid, addr)
-    }
-
-    fn memwrite(&self, core: CoreId, pid: Pid, addr: u64, value: u8) -> KResult<()> {
-        self.inner.memwrite(core, pid, addr, value)
-    }
-
-    fn fork(&self, core: CoreId, pid: Pid) -> KResult<Pid> {
-        self.faulted(core, FaultKind::Spawn, |k| k.fork(core, pid))
-    }
-
-    fn posix_spawn(&self, core: CoreId, pid: Pid, dup_fds: &[Fd]) -> KResult<Pid> {
-        self.faulted(core, FaultKind::Spawn, |k| {
-            k.posix_spawn(core, pid, dup_fds)
-        })
-    }
-
-    fn wait(&self, core: CoreId, pid: Pid, child: Pid) -> KResult<()> {
-        self.inner.wait(core, pid, child)
-    }
-
-    fn socket(&self, core: CoreId, order: SocketOrder) -> KResult<SockId> {
-        self.inner.socket(core, order)
-    }
-
-    fn send(&self, core: CoreId, sock: SockId, msg: &[u8]) -> KResult<()> {
-        self.faulted(core, FaultKind::Send, |k| k.send(core, sock, msg))
-    }
-
-    fn recv(&self, core: CoreId, sock: SockId) -> KResult<Vec<u8>> {
-        if !self.active {
-            return self.inner.recv(core, sock);
-        }
-        let state = &self.per_core[core];
-        // An active hold eats this poll with an injected EAGAIN.
-        let pending = state.pending_delay.load(Ordering::Relaxed);
-        if pending > 0 {
-            state.pending_delay.store(pending - 1, Ordering::Relaxed);
-            state.injected.store(true, Ordering::Relaxed);
-            self.count_delay_poll(core, false);
-            return Err(Errno::EAGAIN);
-        }
-        let index = state.counts[FaultKind::Recv as usize].fetch_add(1, Ordering::Relaxed);
-        if let Some(errno) = self.plan.decide_fault(core, index, FaultKind::Recv) {
-            state.injected.store(true, Ordering::Relaxed);
-            self.count_injected(core, FaultKind::Recv);
-            return Err(errno);
-        }
-        if let Some(polls) = self.plan.decide_delay(core, index) {
-            // This attempt is the first poll of the hold.
-            state.pending_delay.store(polls - 1, Ordering::Relaxed);
-            state.injected.store(true, Ordering::Relaxed);
-            self.count_delay_poll(core, true);
-            return Err(Errno::EAGAIN);
-        }
-        state.injected.store(false, Ordering::Relaxed);
-        self.inner.recv(core, sock)
-    }
-}
-
-/// The retrying wrapper: re-issues exactly the failures its
-/// [`FaultyKernel`] injected, under a [`RetryPolicy`] budget.
+/// The retrying layer: re-issues exactly the failures its [`FaultyKernel`]
+/// injected, under a [`RetryPolicy`] budget.
 ///
 /// Genuine kernel errors (including a genuine EAGAIN from an empty
 /// socket) pass through on the first bounce — poll loops and error
-/// handling above see the real kernel's behaviour. When the budget
-/// exhausts mid-storm, the last injected errno surfaces; the caller
-/// dead-letters or sheds, it does not lose.
+/// handling above see the real kernel's behaviour. Calls chaos never
+/// strikes are not retried at all, whatever the fault layer's flag says.
+/// When the budget exhausts mid-storm, the last injected errno surfaces;
+/// the caller dead-letters or sheds, it does not lose.
 pub struct ReliableKernel<'f, 'k, K: SyscallApi + ?Sized> {
     faulty: &'f FaultyKernel<'k, K>,
     policy: RetryPolicy,
@@ -383,14 +274,26 @@ impl<'f, 'k, K: SyscallApi + ?Sized> ReliableKernel<'f, 'k, K> {
     pub fn faulty(&self) -> &'f FaultyKernel<'k, K> {
         self.faulty
     }
+}
+
+impl<'k, K: SyscallApi + ?Sized> Layer for ReliableKernel<'_, 'k, K> {
+    type Inner = FaultyKernel<'k, K>;
+
+    fn inner(&self) -> &FaultyKernel<'k, K> {
+        self.faulty
+    }
 
     #[inline]
-    fn retried<T>(
+    fn around<T>(
         &self,
         core: CoreId,
-        f: impl Fn(&FaultyKernel<'k, K>) -> KResult<T>,
+        kind: SyscallKind,
+        call: impl Fn() -> KResult<T>,
     ) -> KResult<T> {
-        let mut result = f(self.faulty);
+        if FaultKind::for_call(kind).is_none() {
+            return call();
+        }
+        let mut result = call();
         if result.is_ok() || !self.faulty.was_injected(core) {
             return result;
         }
@@ -411,7 +314,7 @@ impl<'f, 'k, K: SyscallApi + ?Sized> ReliableKernel<'f, 'k, K> {
             if let Some(t) = telemetry {
                 t.retries.inc(core);
             }
-            result = f(self.faulty);
+            result = call();
             match &result {
                 Ok(_) => {
                     if let (Some(t), Some(at)) = (telemetry, started) {
@@ -426,116 +329,32 @@ impl<'f, 'k, K: SyscallApi + ?Sized> ReliableKernel<'f, 'k, K> {
     }
 }
 
-impl<K: SyscallApi + ?Sized> SyscallApi for ReliableKernel<'_, '_, K> {
-    fn new_process(&self) -> Pid {
-        self.faulty.new_process()
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::plan::{DelaySpec, FaultSpec};
+    use scr_kernel::api::OpenFlags;
+    use scr_kernel::Sv6Kernel;
 
-    fn open(&self, core: CoreId, pid: Pid, name: &str, flags: OpenFlags) -> KResult<Fd> {
-        self.retried(core, |k| k.open(core, pid, name, flags))
-    }
-
-    fn link(&self, core: CoreId, pid: Pid, old: &str, new: &str) -> KResult<()> {
-        self.faulty.link(core, pid, old, new)
-    }
-
-    fn unlink(&self, core: CoreId, pid: Pid, name: &str) -> KResult<()> {
-        self.faulty.unlink(core, pid, name)
-    }
-
-    fn rename(&self, core: CoreId, pid: Pid, src: &str, dst: &str) -> KResult<()> {
-        self.faulty.rename(core, pid, src, dst)
-    }
-
-    fn stat(&self, core: CoreId, pid: Pid, name: &str) -> KResult<Stat> {
-        self.faulty.stat(core, pid, name)
-    }
-
-    fn fstat(&self, core: CoreId, pid: Pid, fd: Fd) -> KResult<Stat> {
-        self.faulty.fstat(core, pid, fd)
-    }
-
-    fn fstatx(&self, core: CoreId, pid: Pid, fd: Fd, mask: StatMask) -> KResult<Stat> {
-        self.faulty.fstatx(core, pid, fd, mask)
-    }
-
-    fn lseek(&self, core: CoreId, pid: Pid, fd: Fd, offset: i64, whence: Whence) -> KResult<u64> {
-        self.faulty.lseek(core, pid, fd, offset, whence)
-    }
-
-    fn close(&self, core: CoreId, pid: Pid, fd: Fd) -> KResult<()> {
-        self.faulty.close(core, pid, fd)
-    }
-
-    fn pipe(&self, core: CoreId, pid: Pid) -> KResult<(Fd, Fd)> {
-        self.faulty.pipe(core, pid)
-    }
-
-    fn read(&self, core: CoreId, pid: Pid, fd: Fd, len: u64) -> KResult<Vec<u8>> {
-        self.faulty.read(core, pid, fd, len)
-    }
-
-    fn write(&self, core: CoreId, pid: Pid, fd: Fd, data: &[u8]) -> KResult<u64> {
-        self.faulty.write(core, pid, fd, data)
-    }
-
-    fn pread(&self, core: CoreId, pid: Pid, fd: Fd, len: u64, offset: u64) -> KResult<Vec<u8>> {
-        self.faulty.pread(core, pid, fd, len, offset)
-    }
-
-    fn pwrite(&self, core: CoreId, pid: Pid, fd: Fd, data: &[u8], offset: u64) -> KResult<u64> {
-        self.faulty.pwrite(core, pid, fd, data, offset)
-    }
-
-    fn mmap(
-        &self,
-        core: CoreId,
-        pid: Pid,
-        addr_hint: Option<u64>,
-        pages: u64,
-        prot: Prot,
-        backing: MmapBacking,
-    ) -> KResult<u64> {
-        self.faulty.mmap(core, pid, addr_hint, pages, prot, backing)
-    }
-
-    fn munmap(&self, core: CoreId, pid: Pid, addr: u64, pages: u64) -> KResult<()> {
-        self.faulty.munmap(core, pid, addr, pages)
-    }
-
-    fn mprotect(&self, core: CoreId, pid: Pid, addr: u64, pages: u64, prot: Prot) -> KResult<()> {
-        self.faulty.mprotect(core, pid, addr, pages, prot)
-    }
-
-    fn memread(&self, core: CoreId, pid: Pid, addr: u64) -> KResult<u8> {
-        self.faulty.memread(core, pid, addr)
-    }
-
-    fn memwrite(&self, core: CoreId, pid: Pid, addr: u64, value: u8) -> KResult<()> {
-        self.faulty.memwrite(core, pid, addr, value)
-    }
-
-    fn fork(&self, core: CoreId, pid: Pid) -> KResult<Pid> {
-        self.retried(core, |k| k.fork(core, pid))
-    }
-
-    fn posix_spawn(&self, core: CoreId, pid: Pid, dup_fds: &[Fd]) -> KResult<Pid> {
-        self.retried(core, |k| k.posix_spawn(core, pid, dup_fds))
-    }
-
-    fn wait(&self, core: CoreId, pid: Pid, child: Pid) -> KResult<()> {
-        self.faulty.wait(core, pid, child)
-    }
-
-    fn socket(&self, core: CoreId, order: SocketOrder) -> KResult<SockId> {
-        self.faulty.socket(core, order)
-    }
-
-    fn send(&self, core: CoreId, sock: SockId, msg: &[u8]) -> KResult<()> {
-        self.retried(core, |k| k.send(core, sock, msg))
-    }
-
-    fn recv(&self, core: CoreId, sock: SockId) -> KResult<Vec<u8>> {
-        self.retried(core, |k| k.recv(core, sock))
+    #[test]
+    fn a_stale_injection_flag_never_retries_a_call_chaos_cannot_fault() {
+        let kernel = Sv6Kernel::new(1);
+        let pid = kernel.new_process();
+        kernel.open(0, pid, "a", OpenFlags::create()).unwrap();
+        let storm = FaultSpec {
+            open_ppm: FaultSpec::MAX_PPM,
+            ..FaultSpec::default()
+        };
+        let plan = ChaosPlan::new(5, storm, DelaySpec::default(), vec![]);
+        let telemetry = ChaosTelemetry::new(&MetricsRegistry::new(1));
+        let faulty = FaultyKernel::new(&kernel, plan, 1).with_telemetry(telemetry.clone());
+        let reliable = ReliableKernel::new(&faulty, RetryPolicy::transient().with_max_retries(1));
+        // The open storm exhausts the budget and leaves the flag set...
+        assert!(reliable.open(0, pid, "b", OpenFlags::create()).is_err());
+        assert!(faulty.was_injected(0));
+        // ...and a genuine EEXIST from `link` still surfaces untried.
+        let retries = telemetry.retries.total();
+        assert_eq!(reliable.link(0, pid, "a", "a"), Err(Errno::EEXIST));
+        assert_eq!(telemetry.retries.total(), retries);
     }
 }

@@ -9,12 +9,12 @@
 //!   functions of the seed (open-loop style, like `scr-loadgen`'s arrival
 //!   schedules), so a failed chaos round reproduces from its recorded
 //!   seed alone.
-//! * [`kernel`] — [`FaultyKernel`], the `SyscallApi` wrapper that injects
-//!   the plan (mirroring `scr-obs`'s `ObservedKernel`), and
-//!   [`ReliableKernel`], the retry layer that re-issues exactly the
-//!   failures injection manufactured, under a `RetryPolicy` budget, with
-//!   [`ChaosTelemetry`] counting faults, retries, backoff sleep, and
-//!   recovery time.
+//! * [`kernel`] — two `scr_kernel::api::Layer`s, stacked like `scr-obs`'s
+//!   `ObservedKernel`: [`FaultyKernel`] injects the plan, and
+//!   [`ReliableKernel`] re-issues exactly the failures injection
+//!   manufactured, under a `RetryPolicy` budget. [`FaultKind::for_call`]
+//!   is the one list of calls both act on. [`ChaosTelemetry`] counts
+//!   faults, retries, backoff sleep, and recovery time.
 //!
 //! The crate sits between `scr-kernel` and the consumers (`scr-host`'s
 //! chaos pipeline and campaign, `scr-loadgen`'s `--chaos` leg) and

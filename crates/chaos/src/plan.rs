@@ -9,18 +9,11 @@
 //! fails identically in every run of the same plan. Crash schedules are
 //! likewise fixed data (`CrashEvent`s) chosen before any thread starts.
 
-/// SplitMix64 golden-ratio increment.
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+use scr_kernel::api::{Errno, SyscallKind};
+use scr_kernel::retry::{mix64, GOLDEN};
+
 /// A second odd constant to separate decision streams.
 const STREAM2: u64 = 0xC2B2_AE3D_27D4_EB4F;
-
-/// SplitMix64 finalizer.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(GOLDEN);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The syscalls chaos can fault. `Spawn` covers both `fork` and
 /// `posix_spawn` (one knob for "child creation failed").
@@ -37,6 +30,20 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
+    /// The knob that faults calls of `kind`, or `None` for a call chaos
+    /// never strikes. The fault layer injects and the retry layer retries
+    /// exactly the calls this maps, so a genuine error from any other call
+    /// is never re-issued.
+    pub fn for_call(kind: SyscallKind) -> Option<FaultKind> {
+        match kind {
+            SyscallKind::Send => Some(FaultKind::Send),
+            SyscallKind::Recv => Some(FaultKind::Recv),
+            SyscallKind::Open => Some(FaultKind::Open),
+            SyscallKind::Fork | SyscallKind::PosixSpawn => Some(FaultKind::Spawn),
+            _ => None,
+        }
+    }
+
     /// Stable tag folded into the decision hash.
     fn tag(self) -> u64 {
         match self {
@@ -261,13 +268,7 @@ impl ChaosPlan {
 
     /// The errno (if any) to inject for the `index`-th faultable call of
     /// `kind` on `core`. Pure: same arguments, same answer, forever.
-    pub fn decide_fault(
-        &self,
-        core: usize,
-        index: u64,
-        kind: FaultKind,
-    ) -> Option<scr_kernel::api::Errno> {
-        use scr_kernel::api::Errno;
+    pub fn decide_fault(&self, core: usize, index: u64, kind: FaultKind) -> Option<Errno> {
         let ppm = self.faults.ppm(kind);
         if ppm == 0 {
             return None;

@@ -220,13 +220,11 @@ impl CommuterResults {
     /// can diff the corpora of a single-thread and a multi-thread leg
     /// without uploading the corpora themselves.
     pub fn corpus_fingerprint(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
+        let mut h = scr_symbolic::Fnv64::default();
         for test in &self.tests {
-            for byte in format!("{test:?}").bytes() {
-                h = (h ^ byte as u64).wrapping_mul(0x100000001b3);
-            }
+            h.bytes(format!("{test:?}").as_bytes());
         }
-        h
+        h.finish()
     }
 }
 

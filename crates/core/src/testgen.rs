@@ -48,7 +48,7 @@ use scr_kernel::api::{
     Fd, MmapBacking, OpenFlags, Pid, Prot, SockId, SocketOrder, SysOp, Whence, PAGE_SIZE,
 };
 use scr_model::{CallKind, ModelConfig, SOCKET_CORES};
-use scr_symbolic::{signature, Assignment, CaseSolver, Domains, Expr, Value, Var, VarId};
+use scr_symbolic::{signature, Assignment, CaseSolver, Domains, Expr, Fnv64, Value, Var, VarId};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
@@ -482,29 +482,25 @@ pub fn solver_cache_clear() {
     THREAD_CACHE_STATS.with(|c| c.set(SolverCacheStats::default()));
 }
 
-fn fnv(h: &mut u64, v: u64) {
-    *h = (*h ^ v).wrapping_mul(0x100000001b3);
-}
-
-fn fnv_str(h: &mut u64, s: &str) {
-    for b in s.bytes() {
-        fnv(h, b as u64);
-    }
-    fnv(h, 0xff);
+/// Folds a string and a terminator, so adjacent strings cannot run
+/// together.
+fn fnv_str(h: &mut Fnv64, s: &str) {
+    h.bytes(s.as_bytes());
+    h.word(0xff);
 }
 
 /// Fingerprint of the shape (calls and slot assignments) plus the model
 /// bounds — everything besides the assignment that decides a
 /// [`materialize`] verdict and the repair loop's vary targets.
 fn shape_cfg_fingerprint(shape: &PairShape, cfg: &ModelConfig) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
+    let mut h = Fnv64::default();
     for (kind, slots) in [
         (shape.calls.0, &shape.slots_a),
         (shape.calls.1, &shape.slots_b),
     ] {
         fnv_str(&mut h, kind.name());
-        fnv(&mut h, slots.proc as u64);
-        fnv(&mut h, slots.core as u64);
+        h.word(slots.proc as u64);
+        h.word(slots.core as u64);
         for group in [
             &slots.names,
             &slots.fds,
@@ -512,9 +508,9 @@ fn shape_cfg_fingerprint(shape: &PairShape, cfg: &ModelConfig) -> u64 {
             &slots.socks,
             &slots.children,
         ] {
-            fnv(&mut h, group.len() as u64);
+            h.word(group.len() as u64);
             for &s in group.iter() {
-                fnv(&mut h, s as u64);
+                h.word(s as u64);
             }
         }
     }
@@ -529,20 +525,20 @@ fn shape_cfg_fingerprint(shape: &PairShape, cfg: &ModelConfig) -> u64 {
         cfg.queue_cap,
         cfg.children,
     ] {
-        fnv(&mut h, bound as u64);
+        h.word(bound as u64);
     }
-    h
+    h.finish()
 }
 
 /// Fingerprint of a variable list (ids, names and sorts).
 fn vars_fingerprint(vars: &[Var]) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
+    let mut h = Fnv64::default();
     for var in vars {
-        fnv(&mut h, var.id as u64);
-        fnv(&mut h, matches!(var.sort, scr_symbolic::Sort::Int) as u64);
+        h.word(var.id as u64);
+        h.word(matches!(var.sort, scr_symbolic::Sort::Int) as u64);
         fnv_str(&mut h, var.name.as_ref());
     }
-    h
+    h.finish()
 }
 
 /// Structural fingerprint of everything [`resolve_constructible`] reads

@@ -13,10 +13,11 @@
 //! allowed to cost latency and deliveries to [`DEAD_LETTER`], never
 //! messages.
 //!
-//! The kernel stack, innermost first:
+//! The kernel stack, innermost first — each wrapper a
+//! `scr_kernel::api::Layer` whose `around` hook sees every call once:
 //!
 //! ```text
-//! HostKernel → (ObservedKernel) → FaultyKernel → ReliableKernel
+//! HostKernel → (ObservedKernel: time) → FaultyKernel: inject → ReliableKernel: retry
 //! ```
 //!
 //! The observed layer sits *inside* the fault layer so the syscall

@@ -12,7 +12,7 @@
 //! host results must agree bit-for-bit, whatever schedule the hardware
 //! picks.
 
-use crate::kernel::{perform_host, HostKernel, HostMode};
+use crate::kernel::{HostKernel, HostMode};
 use scr_chaos::kernel::{FaultyKernel, ReliableKernel};
 use scr_chaos::plan::ChaosPlan;
 use scr_core::pipeline::{bucket_distinct_names, CommuterConfig};
@@ -21,11 +21,10 @@ use scr_core::{
     generate_tests, run_test_order, ConcreteReplayer, ConcreteTest, DifferentialOutcome,
     SkipHistogram, Sv6Factory,
 };
-use scr_kernel::api::SysResult;
+use scr_kernel::api::{perform, SysResult, SyscallApi};
 use scr_kernel::retry::RetryPolicy;
 use scr_model::{pair_config, CallKind};
 use scr_obs::EventLog;
-use std::sync::Arc;
 use std::sync::Barrier;
 
 /// Replays generated tests on a fresh [`HostKernel`] per test, running the
@@ -48,7 +47,7 @@ impl ConcreteReplayer for HostReplayer {
     }
 
     fn replay(&self, test: &ConcreteTest) -> (SysResult, SysResult) {
-        let kernel = Arc::new(HostKernel::new(self.cores.max(2), HostMode::Sv6));
+        let kernel = HostKernel::new(self.cores.max(2), HostMode::Sv6);
         for _ in 0..test.procs.max(2) {
             kernel.new_process();
         }
@@ -56,7 +55,7 @@ impl ConcreteReplayer for HostReplayer {
         // preloads must land on the owning core's queue), as in the
         // simulated driver.
         for (core, op) in &test.setup {
-            perform_host(&kernel, *core, op);
+            perform(&kernel, *core, op);
         }
         // The commutative pair races on two real threads.
         let barrier = Barrier::new(2);
@@ -64,11 +63,11 @@ impl ConcreteReplayer for HostReplayer {
         std::thread::scope(|scope| {
             let a = scope.spawn(move || {
                 barrier_ref.wait();
-                perform_host(kernel_ref, 0, &test.op_a)
+                perform(kernel_ref, 0, &test.op_a)
             });
             let b = scope.spawn(move || {
                 barrier_ref.wait();
-                perform_host(kernel_ref, 1, &test.op_b)
+                perform(kernel_ref, 1, &test.op_b)
             });
             (
                 a.join().expect("op_a thread"),
@@ -83,12 +82,12 @@ impl ConcreteReplayer for HostReplayer {
 /// released by one barrier. Returns the per-call results (`results[i]`
 /// belongs to `ops[i]` whatever interleaving the hardware picked).
 pub fn replay_triple_host(test: &scr_core::ConcreteTripleTest, cores: usize) -> [SysResult; 3] {
-    let kernel = Arc::new(HostKernel::new(cores.max(3), HostMode::Sv6));
+    let kernel = HostKernel::new(cores.max(3), HostMode::Sv6);
     for _ in 0..test.procs.max(2) {
         kernel.new_process();
     }
     for (core, op) in &test.setup {
-        perform_host(&kernel, *core, op);
+        perform(&kernel, *core, op);
     }
     let barrier = Barrier::new(3);
     let (kernel_ref, barrier_ref) = (&kernel, &barrier);
@@ -97,7 +96,7 @@ pub fn replay_triple_host(test: &scr_core::ConcreteTripleTest, cores: usize) -> 
             let op = &test.ops[i];
             scope.spawn(move || {
                 barrier_ref.wait();
-                perform_host(kernel_ref, i, op)
+                perform(kernel_ref, i, op)
             })
         });
         handles.map(|h| h.join().expect("triple op thread"))
@@ -141,25 +140,25 @@ impl ConcreteReplayer for ChaosReplayer {
 
     fn replay(&self, test: &ConcreteTest) -> (SysResult, SysResult) {
         let cores = self.cores.max(2);
-        let kernel = Arc::new(HostKernel::new(cores, HostMode::Sv6));
+        let kernel = HostKernel::new(cores, HostMode::Sv6);
         for _ in 0..test.procs.max(2) {
             kernel.new_process();
         }
-        let faulty = FaultyKernel::new(kernel.as_ref(), self.plan.clone(), cores);
+        let faulty = FaultyKernel::new(&kernel, self.plan.clone(), cores);
         let reliable = ReliableKernel::new(&faulty, RetryPolicy::spin().with_seed(self.plan.seed));
         for (core, op) in &test.setup {
-            scr_kernel::api::perform(&reliable, *core, op);
+            perform(&reliable, *core, op);
         }
         let barrier = Barrier::new(2);
         let (api_ref, barrier_ref) = (&reliable, &barrier);
         std::thread::scope(|scope| {
             let a = scope.spawn(move || {
                 barrier_ref.wait();
-                scr_kernel::api::perform(api_ref, 0, &test.op_a)
+                perform(api_ref, 0, &test.op_a)
             });
             let b = scope.spawn(move || {
                 barrier_ref.wait();
-                scr_kernel::api::perform(api_ref, 1, &test.op_b)
+                perform(api_ref, 1, &test.op_b)
             });
             (
                 a.join().expect("op_a thread"),

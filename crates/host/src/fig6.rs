@@ -24,7 +24,7 @@
 //! pair conflicts there, which [`HostFig6Results::assert_linux_collapses`]
 //! verifies in aggregate instead.
 
-use crate::kernel::{perform_host, HostKernel, HostMode, HostOptions};
+use crate::kernel::{HostKernel, HostMode, HostOptions};
 use scr_core::pipeline::bucket_distinct_names;
 use scr_core::{
     analyze_pair, claim_in_order, effective_threads, enumerate_shapes, generate_tests, run_test,
@@ -131,7 +131,7 @@ pub fn replay_traced_with_sink(
         kernel.new_process();
     }
     for (core, op) in &test.setup {
-        on_core(*core, || perform_host(&kernel, *core, op));
+        on_core(*core, || perform(&kernel, *core, op));
     }
     sink.begin_window();
     let results = if concurrent {
@@ -140,11 +140,11 @@ pub fn replay_traced_with_sink(
         std::thread::scope(|scope| {
             let a = scope.spawn(move || {
                 barrier_ref.wait();
-                on_core(0, || perform_host(kernel_ref, 0, &test.op_a))
+                on_core(0, || perform(kernel_ref, 0, &test.op_a))
             });
             let b = scope.spawn(move || {
                 barrier_ref.wait();
-                on_core(1, || perform_host(kernel_ref, 1, &test.op_b))
+                on_core(1, || perform(kernel_ref, 1, &test.op_b))
             });
             (
                 a.join().expect("op_a thread"),
@@ -153,8 +153,8 @@ pub fn replay_traced_with_sink(
         })
     } else {
         (
-            on_core(0, || perform_host(&kernel, 0, &test.op_a)),
-            on_core(1, || perform_host(&kernel, 1, &test.op_b)),
+            on_core(0, || perform(&kernel, 0, &test.op_a)),
+            on_core(1, || perform(&kernel, 1, &test.op_b)),
         )
     };
     let report = sink.end_window();
@@ -983,7 +983,7 @@ pub fn run_ext_host(
         kernel.new_process();
     }
     for (core, op) in &test.setup {
-        on_core(*core, || perform_host(&kernel, *core, op));
+        on_core(*core, || perform(&kernel, *core, op));
     }
     sink.begin_window();
     let results = if concurrent {
@@ -992,11 +992,11 @@ pub fn run_ext_host(
         std::thread::scope(|scope| {
             let a = scope.spawn(move || {
                 barrier_ref.wait();
-                on_core(0, || perform_host(kernel_ref, 0, &test.op_a))
+                on_core(0, || perform(kernel_ref, 0, &test.op_a))
             });
             let b = scope.spawn(move || {
                 barrier_ref.wait();
-                on_core(1, || perform_host(kernel_ref, 1, &test.op_b))
+                on_core(1, || perform(kernel_ref, 1, &test.op_b))
             });
             (
                 a.join().expect("op_a thread"),
@@ -1005,8 +1005,8 @@ pub fn run_ext_host(
         })
     } else {
         (
-            on_core(0, || perform_host(&kernel, 0, &test.op_a)),
-            on_core(1, || perform_host(&kernel, 1, &test.op_b)),
+            on_core(0, || perform(&kernel, 0, &test.op_a)),
+            on_core(1, || perform(&kernel, 1, &test.op_b)),
         )
     };
     let report = sink.end_window();

@@ -20,7 +20,7 @@ use parking_lot::{Mutex, RwLock};
 use scr_hostmtrace::{HostTraceSink, LockProbe, Probe, ProbeRadix, SeqProbe};
 use scr_kernel::api::{
     Errno, Fd, Ino, KResult, MmapBacking, OpenFlags, Pid, Prot, SockId, SocketOrder, Stat,
-    StatMask, SysOp, SysResult, SyscallApi, Whence, PAGE_SIZE,
+    StatMask, SyscallApi, Whence, PAGE_SIZE,
 };
 use scr_scalable::real::{
     HostInodeAllocator, HostProcTable, HostSocketTable, PerCoreRefcount, QueueOrder, SocketError,
@@ -491,14 +491,6 @@ impl HostKernel {
         }
     }
 
-    /// Creates a new process, returning its pid (dense from zero). The
-    /// append-only table makes this lock-free: concurrent syscalls' pid
-    /// lookups never wait behind a table construction, which is what lets
-    /// `posix_spawn`-per-message mail delivery scale.
-    pub fn new_process(&self) -> Pid {
-        self.procs.push_with(|pid| self.build_process(pid))
-    }
-
     /// Builds a process table entry; `pid` only affects probe labels and is
     /// ignored on uninstrumented kernels.
     fn build_process(&self, pid: Pid) -> Arc<Process> {
@@ -704,10 +696,68 @@ impl HostKernel {
         Ok(addr / PAGE_SIZE)
     }
 
+    /// Queued messages on a socket (untraced; for tests and the
+    /// conservation checks).
+    pub fn socket_pending_untraced(&self, sock: SockId) -> usize {
+        self.sockets.pending_untraced(sock)
+    }
+
+    /// Removes and returns every queued message (untraced; used by the
+    /// differential conservation checks).
+    pub fn socket_drain_untraced(&self, sock: SockId) -> Vec<Vec<u8>> {
+        self.sockets.drain_untraced(sock)
+    }
+}
+
+/// Adjusts a descriptor's pipe-endpoint count: duplication (fork's
+/// snapshot, posix_spawn's dup list) takes a reference (`+1`),
+/// `close`/`wait` drop one (`-1`). The counts are shared cells — the
+/// deliberate §6.4 residual conflict — and the recorded footprint is one
+/// read-modify-write of the endpoint line, mirroring the simulated
+/// kernel's `update`.
+fn adjust_pipe_endpoint(file: &OpenFile, delta: i64) {
+    match &file.obj {
+        FileObj::File(_) => {}
+        FileObj::PipeRead(pipe) => {
+            if let Some(tr) = &pipe.tr {
+                tr.readers.rmw();
+            }
+            pipe.readers.fetch_add(delta, Ordering::AcqRel);
+        }
+        FileObj::PipeWrite(pipe) => {
+            if let Some(tr) = &pipe.tr {
+                tr.writers.rmw();
+            }
+            pipe.writers.fetch_add(delta, Ordering::AcqRel);
+        }
+    }
+}
+
+/// Maps host socket-table errors onto the simulated twin's errnos.
+fn sock_errno(e: SocketError) -> Errno {
+    match e {
+        SocketError::BadSocket => Errno::EBADF,
+        SocketError::Empty => Errno::EAGAIN,
+    }
+}
+
+/// The host kernel speaks the same [`SyscallApi`] as the simulated
+/// kernels, so applications written against it — the §7.3 mail server —
+/// and the reified-`SysOp` driver (`scr_kernel::api::perform`) run on
+/// either substrate unchanged.
+impl SyscallApi for HostKernel {
+    /// Creates a new process, returning its pid (dense from zero). The
+    /// append-only table makes this lock-free: concurrent syscalls' pid
+    /// lookups never wait behind a table construction, which is what lets
+    /// `posix_spawn`-per-message mail delivery scale.
+    fn new_process(&self) -> Pid {
+        self.procs.push_with(|pid| self.build_process(pid))
+    }
+
     // --- file-name operations -------------------------------------------
 
     /// Opens (and possibly creates) `name`, returning a descriptor.
-    pub fn open(&self, core: usize, pid: Pid, name: &str, flags: OpenFlags) -> KResult<Fd> {
+    fn open(&self, core: usize, pid: Pid, name: &str, flags: OpenFlags) -> KResult<Fd> {
         let _g = self.serialise();
         let proc_ = self.proc(pid)?;
         let ino = match self.root.get(name) {
@@ -772,7 +822,7 @@ impl HostKernel {
     }
 
     /// Creates a new hard link `new` to the file `old`.
-    pub fn link(&self, core: usize, pid: Pid, old: &str, new: &str) -> KResult<()> {
+    fn link(&self, core: usize, pid: Pid, old: &str, new: &str) -> KResult<()> {
         let _g = self.serialise();
         let _ = self.proc(pid)?;
         let ino = self.root.get(old).ok_or(Errno::ENOENT)?;
@@ -807,7 +857,7 @@ impl HostKernel {
 
     /// Removes the name `name`. Reclamation of the inode is deferred to an
     /// epoch pass, as in the simulated kernel.
-    pub fn unlink(&self, core: usize, pid: Pid, name: &str) -> KResult<()> {
+    fn unlink(&self, core: usize, pid: Pid, name: &str) -> KResult<()> {
         let _g = self.serialise();
         let _ = self.proc(pid)?;
         let ino = self.root.remove(name).ok_or(Errno::ENOENT)?;
@@ -825,7 +875,7 @@ impl HostKernel {
     /// order), otherwise two concurrent renames sharing a destination can
     /// interleave their existence checks and produce a state no sequential
     /// order could (e.g. a leaked link count).
-    pub fn rename(&self, core: usize, pid: Pid, src: &str, dst: &str) -> KResult<()> {
+    fn rename(&self, core: usize, pid: Pid, src: &str, dst: &str) -> KResult<()> {
         let _g = self.serialise();
         let _ = self.proc(pid)?;
         let s_stripe = self.root.stripe_of(src);
@@ -860,7 +910,7 @@ impl HostKernel {
     }
 
     /// Returns the metadata of `name`.
-    pub fn stat(&self, _core: usize, pid: Pid, name: &str) -> KResult<Stat> {
+    fn stat(&self, _core: usize, pid: Pid, name: &str) -> KResult<Stat> {
         let _g = self.serialise();
         let _ = self.proc(pid)?;
         let ino = self.root.get(name).ok_or(Errno::ENOENT)?;
@@ -871,13 +921,13 @@ impl HostKernel {
     // --- descriptor operations ------------------------------------------
 
     /// Returns the metadata of the open file `fd`.
-    pub fn fstat(&self, core: usize, pid: Pid, fd: Fd) -> KResult<Stat> {
+    fn fstat(&self, core: usize, pid: Pid, fd: Fd) -> KResult<Stat> {
         self.fstatx(core, pid, fd, StatMask::all())
     }
 
     /// Field-selective `fstat`: the §4 commutative variant. Skipping
     /// `want_nlink` avoids touching the link counter entirely.
-    pub fn fstatx(&self, _core: usize, pid: Pid, fd: Fd, mask: StatMask) -> KResult<Stat> {
+    fn fstatx(&self, _core: usize, pid: Pid, fd: Fd, mask: StatMask) -> KResult<Stat> {
         let _g = self.serialise();
         let proc_ = self.proc(pid)?;
         let file = self.open_file(proc_, fd)?;
@@ -893,14 +943,7 @@ impl HostKernel {
     }
 
     /// Repositions the offset of `fd`.
-    pub fn lseek(
-        &self,
-        _core: usize,
-        pid: Pid,
-        fd: Fd,
-        offset: i64,
-        whence: Whence,
-    ) -> KResult<u64> {
+    fn lseek(&self, _core: usize, pid: Pid, fd: Fd, offset: i64, whence: Whence) -> KResult<u64> {
         let _g = self.serialise();
         let proc_ = self.proc(pid)?;
         let file = self.open_file(proc_, fd)?;
@@ -941,7 +984,7 @@ impl HostKernel {
     }
 
     /// Closes `fd`.
-    pub fn close(&self, _core: usize, pid: Pid, fd: Fd) -> KResult<()> {
+    fn close(&self, _core: usize, pid: Pid, fd: Fd) -> KResult<()> {
         let _g = self.serialise();
         let proc_ = self.proc(pid)?;
         if fd as usize >= proc_.fd_capacity() {
@@ -962,7 +1005,7 @@ impl HostKernel {
     }
 
     /// Creates a pipe, returning `(read_fd, write_fd)`.
-    pub fn pipe(&self, core: usize, pid: Pid) -> KResult<(Fd, Fd)> {
+    fn pipe(&self, core: usize, pid: Pid) -> KResult<(Fd, Fd)> {
         let _g = self.serialise();
         let proc_ = self.proc(pid)?;
         let trace = self.trace.as_ref();
@@ -1001,7 +1044,7 @@ impl HostKernel {
     }
 
     /// Reads up to `len` bytes at the current offset.
-    pub fn read(&self, _core: usize, pid: Pid, fd: Fd, len: u64) -> KResult<Vec<u8>> {
+    fn read(&self, _core: usize, pid: Pid, fd: Fd, len: u64) -> KResult<Vec<u8>> {
         let _g = self.serialise();
         let proc_ = self.proc(pid)?;
         let file = self.open_file(proc_, fd)?;
@@ -1051,7 +1094,7 @@ impl HostKernel {
     }
 
     /// Writes `data` at the current offset.
-    pub fn write(&self, _core: usize, pid: Pid, fd: Fd, data: &[u8]) -> KResult<u64> {
+    fn write(&self, _core: usize, pid: Pid, fd: Fd, data: &[u8]) -> KResult<u64> {
         let _g = self.serialise();
         let proc_ = self.proc(pid)?;
         let file = self.open_file(proc_, fd)?;
@@ -1088,7 +1131,7 @@ impl HostKernel {
     }
 
     /// Reads at an absolute offset (no offset update).
-    pub fn pread(&self, _core: usize, pid: Pid, fd: Fd, len: u64, offset: u64) -> KResult<Vec<u8>> {
+    fn pread(&self, _core: usize, pid: Pid, fd: Fd, len: u64, offset: u64) -> KResult<Vec<u8>> {
         let _g = self.serialise();
         let proc_ = self.proc(pid)?;
         let file = self.open_file(proc_, fd)?;
@@ -1099,7 +1142,7 @@ impl HostKernel {
     }
 
     /// Writes at an absolute offset (no offset update).
-    pub fn pwrite(&self, _core: usize, pid: Pid, fd: Fd, data: &[u8], offset: u64) -> KResult<u64> {
+    fn pwrite(&self, _core: usize, pid: Pid, fd: Fd, data: &[u8], offset: u64) -> KResult<u64> {
         let _g = self.serialise();
         let proc_ = self.proc(pid)?;
         let file = self.open_file(proc_, fd)?;
@@ -1114,7 +1157,7 @@ impl HostKernel {
     /// Maps `pages` pages, returning the mapped address. Hint-less mappings
     /// come from the per-core region, with the same address arithmetic as
     /// the simulated kernel.
-    pub fn mmap(
+    fn mmap(
         &self,
         core: usize,
         pid: Pid,
@@ -1170,7 +1213,7 @@ impl HostKernel {
     }
 
     /// Unmaps `pages` pages starting at `addr`.
-    pub fn munmap(&self, _core: usize, pid: Pid, addr: u64, pages: u64) -> KResult<()> {
+    fn munmap(&self, _core: usize, pid: Pid, addr: u64, pages: u64) -> KResult<()> {
         let _g = self.serialise();
         let proc_ = self.proc(pid)?;
         let base_vpn = Self::vpn_of(addr)?;
@@ -1185,14 +1228,7 @@ impl HostKernel {
     }
 
     /// Changes the protection of `pages` pages starting at `addr`.
-    pub fn mprotect(
-        &self,
-        _core: usize,
-        pid: Pid,
-        addr: u64,
-        pages: u64,
-        prot: Prot,
-    ) -> KResult<()> {
+    fn mprotect(&self, _core: usize, pid: Pid, addr: u64, pages: u64, prot: Prot) -> KResult<()> {
         let _g = self.serialise();
         let proc_ = self.proc(pid)?;
         let base_vpn = Self::vpn_of(addr)?;
@@ -1218,7 +1254,7 @@ impl HostKernel {
     }
 
     /// Reads one byte from mapped memory.
-    pub fn memread(&self, _core: usize, pid: Pid, addr: u64) -> KResult<u8> {
+    fn memread(&self, _core: usize, pid: Pid, addr: u64) -> KResult<u8> {
         let _g = self.serialise();
         let proc_ = self.proc(pid)?;
         let vpn = addr / PAGE_SIZE;
@@ -1251,7 +1287,7 @@ impl HostKernel {
     }
 
     /// Writes one byte to mapped memory.
-    pub fn memwrite(&self, _core: usize, pid: Pid, addr: u64, value: u8) -> KResult<()> {
+    fn memwrite(&self, _core: usize, pid: Pid, addr: u64, value: u8) -> KResult<()> {
         let _g = self.serialise();
         let proc_ = self.proc(pid)?;
         let vpn = addr / PAGE_SIZE;
@@ -1290,7 +1326,7 @@ impl HostKernel {
     /// snapshot reads *every* parent slot — recorded as such, which is what
     /// makes fork commute with almost nothing — and writes each occupied
     /// slot into the child.
-    pub fn fork(&self, _core: usize, pid: Pid) -> KResult<Pid> {
+    fn fork(&self, _core: usize, pid: Pid) -> KResult<Pid> {
         let _g = self.serialise();
         let parent = self.proc(pid)?;
         let child_pid = self.new_process();
@@ -1322,7 +1358,7 @@ impl HostKernel {
     /// Creates a child with a fresh descriptor table, duplicating only the
     /// listed descriptors (`posix_spawn`, §4 "decompose compound
     /// operations"): only those slots are ever touched.
-    pub fn posix_spawn(&self, _core: usize, pid: Pid, dup_fds: &[Fd]) -> KResult<Pid> {
+    fn posix_spawn(&self, _core: usize, pid: Pid, dup_fds: &[Fd]) -> KResult<Pid> {
         let _g = self.serialise();
         let parent = self.proc(pid)?;
         // Resolve the whole dup list first, as in the simulated kernel: a
@@ -1358,7 +1394,7 @@ impl HostKernel {
     /// state, so reaping stays O(open descriptors), not O(table size)).
     /// The pid stays valid and refers to an empty process afterwards, as
     /// in the simulated kernels.
-    pub fn wait(&self, _core: usize, _pid: Pid, child: Pid) -> KResult<()> {
+    fn wait(&self, _core: usize, _pid: Pid, child: Pid) -> KResult<()> {
         let _g = self.serialise();
         let proc_ = self.proc(child)?;
         for (chunk_idx, chunk) in proc_.fd_chunks.iter().enumerate() {
@@ -1386,7 +1422,7 @@ impl HostKernel {
     /// kernel honours the request in both modes: `HostMode` changes only
     /// the *sharing* — in `Linuxlike` mode every socket call still takes
     /// the giant lock, which is what collapses its scaling.
-    pub fn socket(&self, _core: usize, order: SocketOrder) -> KResult<SockId> {
+    fn socket(&self, _core: usize, order: SocketOrder) -> KResult<SockId> {
         let _g = self.serialise();
         Ok(self.sockets.create(match order {
             SocketOrder::Ordered => QueueOrder::Ordered,
@@ -1395,207 +1431,23 @@ impl HostKernel {
     }
 
     /// Sends a datagram on a socket.
-    pub fn send(&self, core: usize, sock: SockId, msg: &[u8]) -> KResult<()> {
+    fn send(&self, core: usize, sock: SockId, msg: &[u8]) -> KResult<()> {
         let _g = self.serialise();
         self.sockets.send(core, sock, msg).map_err(sock_errno)
     }
 
     /// Receives a datagram from a socket (`EAGAIN` when every queue the
     /// receiver may take from is empty).
-    pub fn recv(&self, core: usize, sock: SockId) -> KResult<Vec<u8>> {
+    fn recv(&self, core: usize, sock: SockId) -> KResult<Vec<u8>> {
         let _g = self.serialise();
         self.sockets.recv(core, sock).map_err(sock_errno)
     }
-
-    /// Queued messages on a socket (untraced; for tests and the
-    /// conservation checks).
-    pub fn socket_pending_untraced(&self, sock: SockId) -> usize {
-        self.sockets.pending_untraced(sock)
-    }
-
-    /// Removes and returns every queued message (untraced; used by the
-    /// differential conservation checks).
-    pub fn socket_drain_untraced(&self, sock: SockId) -> Vec<Vec<u8>> {
-        self.sockets.drain_untraced(sock)
-    }
-}
-
-/// Adjusts a descriptor's pipe-endpoint count: duplication (fork's
-/// snapshot, posix_spawn's dup list) takes a reference (`+1`),
-/// `close`/`wait` drop one (`-1`). The counts are shared cells — the
-/// deliberate §6.4 residual conflict — and the recorded footprint is one
-/// read-modify-write of the endpoint line, mirroring the simulated
-/// kernel's `update`.
-fn adjust_pipe_endpoint(file: &OpenFile, delta: i64) {
-    match &file.obj {
-        FileObj::File(_) => {}
-        FileObj::PipeRead(pipe) => {
-            if let Some(tr) = &pipe.tr {
-                tr.readers.rmw();
-            }
-            pipe.readers.fetch_add(delta, Ordering::AcqRel);
-        }
-        FileObj::PipeWrite(pipe) => {
-            if let Some(tr) = &pipe.tr {
-                tr.writers.rmw();
-            }
-            pipe.writers.fetch_add(delta, Ordering::AcqRel);
-        }
-    }
-}
-
-/// Maps host socket-table errors onto the simulated twin's errnos.
-fn sock_errno(e: SocketError) -> Errno {
-    match e {
-        SocketError::BadSocket => Errno::EBADF,
-        SocketError::Empty => Errno::EAGAIN,
-    }
-}
-
-/// The host kernel speaks the same [`SyscallApi`] as the simulated
-/// kernels, so applications written against it — the §7.3 mail server —
-/// and the reified-[`SysOp`] driver run on either substrate unchanged.
-impl SyscallApi for HostKernel {
-    fn new_process(&self) -> Pid {
-        HostKernel::new_process(self)
-    }
-
-    fn open(&self, core: usize, pid: Pid, name: &str, flags: OpenFlags) -> KResult<Fd> {
-        HostKernel::open(self, core, pid, name, flags)
-    }
-
-    fn link(&self, core: usize, pid: Pid, old: &str, new: &str) -> KResult<()> {
-        HostKernel::link(self, core, pid, old, new)
-    }
-
-    fn unlink(&self, core: usize, pid: Pid, name: &str) -> KResult<()> {
-        HostKernel::unlink(self, core, pid, name)
-    }
-
-    fn rename(&self, core: usize, pid: Pid, src: &str, dst: &str) -> KResult<()> {
-        HostKernel::rename(self, core, pid, src, dst)
-    }
-
-    fn stat(&self, core: usize, pid: Pid, name: &str) -> KResult<Stat> {
-        HostKernel::stat(self, core, pid, name)
-    }
-
-    fn fstat(&self, core: usize, pid: Pid, fd: Fd) -> KResult<Stat> {
-        HostKernel::fstat(self, core, pid, fd)
-    }
-
-    fn fstatx(&self, core: usize, pid: Pid, fd: Fd, mask: StatMask) -> KResult<Stat> {
-        HostKernel::fstatx(self, core, pid, fd, mask)
-    }
-
-    fn lseek(&self, core: usize, pid: Pid, fd: Fd, offset: i64, whence: Whence) -> KResult<u64> {
-        HostKernel::lseek(self, core, pid, fd, offset, whence)
-    }
-
-    fn close(&self, core: usize, pid: Pid, fd: Fd) -> KResult<()> {
-        HostKernel::close(self, core, pid, fd)
-    }
-
-    fn pipe(&self, core: usize, pid: Pid) -> KResult<(Fd, Fd)> {
-        HostKernel::pipe(self, core, pid)
-    }
-
-    fn read(&self, core: usize, pid: Pid, fd: Fd, len: u64) -> KResult<Vec<u8>> {
-        HostKernel::read(self, core, pid, fd, len)
-    }
-
-    fn write(&self, core: usize, pid: Pid, fd: Fd, data: &[u8]) -> KResult<u64> {
-        HostKernel::write(self, core, pid, fd, data)
-    }
-
-    fn pread(&self, core: usize, pid: Pid, fd: Fd, len: u64, offset: u64) -> KResult<Vec<u8>> {
-        HostKernel::pread(self, core, pid, fd, len, offset)
-    }
-
-    fn pwrite(&self, core: usize, pid: Pid, fd: Fd, data: &[u8], offset: u64) -> KResult<u64> {
-        HostKernel::pwrite(self, core, pid, fd, data, offset)
-    }
-
-    fn mmap(
-        &self,
-        core: usize,
-        pid: Pid,
-        addr_hint: Option<u64>,
-        pages: u64,
-        prot: Prot,
-        backing: MmapBacking,
-    ) -> KResult<u64> {
-        HostKernel::mmap(self, core, pid, addr_hint, pages, prot, backing)
-    }
-
-    fn munmap(&self, core: usize, pid: Pid, addr: u64, pages: u64) -> KResult<()> {
-        HostKernel::munmap(self, core, pid, addr, pages)
-    }
-
-    fn mprotect(&self, core: usize, pid: Pid, addr: u64, pages: u64, prot: Prot) -> KResult<()> {
-        HostKernel::mprotect(self, core, pid, addr, pages, prot)
-    }
-
-    fn memread(&self, core: usize, pid: Pid, addr: u64) -> KResult<u8> {
-        HostKernel::memread(self, core, pid, addr)
-    }
-
-    fn memwrite(&self, core: usize, pid: Pid, addr: u64, value: u8) -> KResult<()> {
-        HostKernel::memwrite(self, core, pid, addr, value)
-    }
-
-    fn fork(&self, core: usize, pid: Pid) -> KResult<Pid> {
-        HostKernel::fork(self, core, pid)
-    }
-
-    fn posix_spawn(&self, core: usize, pid: Pid, dup_fds: &[Fd]) -> KResult<Pid> {
-        HostKernel::posix_spawn(self, core, pid, dup_fds)
-    }
-
-    fn wait(&self, core: usize, pid: Pid, child: Pid) -> KResult<()> {
-        HostKernel::wait(self, core, pid, child)
-    }
-
-    fn socket(&self, core: usize, order: SocketOrder) -> KResult<SockId> {
-        HostKernel::socket(self, core, order)
-    }
-
-    fn send(&self, core: usize, sock: SockId, msg: &[u8]) -> KResult<()> {
-        HostKernel::send(self, core, sock, msg)
-    }
-
-    fn recv(&self, core: usize, sock: SockId) -> KResult<Vec<u8>> {
-        HostKernel::recv(self, core, sock)
-    }
-}
-
-/// Performs a reified operation against a host kernel on the given core.
-/// Since [`HostKernel`] implements [`SyscallApi`], this is the generic
-/// `scr_kernel::api::perform` — kept as a named entry point for the
-/// differential and Figure-6 pipelines' call sites.
-pub fn perform_host(kernel: &HostKernel, core: usize, op: &SysOp) -> SysResult {
-    scr_kernel::api::perform(kernel, core, op)
-}
-
-/// [`perform_host`] with per-call observation: when the observer is
-/// enabled, the dispatch is timed and reported with the call's family name
-/// and errno. With a disabled observer this is `perform_host` plus one
-/// branch — no clock reads.
-pub fn perform_host_observed<O>(
-    kernel: &HostKernel,
-    core: usize,
-    op: &SysOp,
-    observer: &O,
-) -> SysResult
-where
-    O: scr_kernel::api::PerformObserver + ?Sized,
-{
-    scr_kernel::api::perform_observed(kernel, core, op, observer)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scr_kernel::api::{perform, SysOp, SysResult};
 
     fn kernel_with_proc(mode: HostMode) -> (HostKernel, Pid) {
         let k = HostKernel::new(4, mode);
@@ -1786,9 +1638,9 @@ mod tests {
     }
 
     #[test]
-    fn perform_host_drives_the_kernel_via_sysops() {
+    fn perform_drives_the_host_kernel_via_sysops() {
         let (k, pid) = kernel_with_proc(HostMode::Sv6);
-        let res = perform_host(
+        let res = perform(
             &k,
             0,
             &SysOp::Open {
@@ -1798,7 +1650,7 @@ mod tests {
             },
         );
         assert!(res.is_ok());
-        match perform_host(
+        match perform(
             &k,
             0,
             &SysOp::StatPath {

@@ -63,7 +63,7 @@ pub use fig6::{
     LOWEST_FD_EXCEPTION,
 };
 pub use harness::{available_threads, LoadHarness};
-pub use kernel::{perform_host, perform_host_observed, HostKernel, HostMode, HostOptions};
+pub use kernel::{HostKernel, HostMode, HostOptions};
 pub use workloads::{
     mail_pipeline, mail_pipeline_observed, mailbench, mailbench_observed, openbench, statbench,
     statbench_observed, HostStatMode, MailPipelineReport, MailTelemetry,

@@ -13,6 +13,7 @@ use scr_host::differential::{
 use scr_host::harness::LoadHarness;
 use scr_host::kernel::{HostKernel, HostMode};
 use scr_host::workloads;
+use scr_kernel::api::SyscallApi;
 use scr_model::calls::ArgSlots;
 use scr_model::{CallKind, ModelConfig};
 use scr_scalable::real::{PerCoreCounter, SharedCounter};

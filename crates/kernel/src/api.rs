@@ -8,6 +8,12 @@
 //! extends it with access to the simulated machine, which only the traced
 //! implementations can offer.
 //!
+//! Wrappers that observe, inject faults or retry are [`Layer`]s: each
+//! writes one `around` hook, and one blanket impl forwards the whole
+//! surface through it. [`perform`] maps a [`SysOp`] onto the same surface,
+//! so a reified call through a layer stack is hooked exactly like a direct
+//! one.
+//!
 //! The interface covers the 18 calls modelled in §6.1 — `open`, `link`,
 //! `unlink`, `rename`, `stat`, `fstat`, `lseek`, `close`, `pipe`, `read`,
 //! `write`, `pread`, `pwrite`, `mmap`, `munmap`, `mprotect`, `memread`,
@@ -344,6 +350,286 @@ pub trait KernelApi: SyscallApi {
     fn machine(&self) -> &SimMachine;
 }
 
+/// Every hooked [`SyscallApi`] call, including the §4 extensions (all but
+/// `new_process`, which names no core). The discriminant is the call's
+/// index in [`SyscallKind::ALL`], so per-call tables index by `kind as
+/// usize`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SyscallKind {
+    Open,
+    Link,
+    Unlink,
+    Rename,
+    Stat,
+    Fstat,
+    Fstatx,
+    Lseek,
+    Close,
+    Pipe,
+    Read,
+    Write,
+    Pread,
+    Pwrite,
+    Mmap,
+    Munmap,
+    Mprotect,
+    Memread,
+    Memwrite,
+    Fork,
+    PosixSpawn,
+    Wait,
+    Socket,
+    Send,
+    Recv,
+}
+
+impl SyscallKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [SyscallKind; 25] = [
+        SyscallKind::Open,
+        SyscallKind::Link,
+        SyscallKind::Unlink,
+        SyscallKind::Rename,
+        SyscallKind::Stat,
+        SyscallKind::Fstat,
+        SyscallKind::Fstatx,
+        SyscallKind::Lseek,
+        SyscallKind::Close,
+        SyscallKind::Pipe,
+        SyscallKind::Read,
+        SyscallKind::Write,
+        SyscallKind::Pread,
+        SyscallKind::Pwrite,
+        SyscallKind::Mmap,
+        SyscallKind::Munmap,
+        SyscallKind::Mprotect,
+        SyscallKind::Memread,
+        SyscallKind::Memwrite,
+        SyscallKind::Fork,
+        SyscallKind::PosixSpawn,
+        SyscallKind::Wait,
+        SyscallKind::Socket,
+        SyscallKind::Send,
+        SyscallKind::Recv,
+    ];
+
+    /// The call's family name, as in [`SysOp::call_name`].
+    pub fn name(self) -> &'static str {
+        match self {
+            SyscallKind::Open => "open",
+            SyscallKind::Link => "link",
+            SyscallKind::Unlink => "unlink",
+            SyscallKind::Rename => "rename",
+            SyscallKind::Stat => "stat",
+            SyscallKind::Fstat => "fstat",
+            SyscallKind::Fstatx => "fstatx",
+            SyscallKind::Lseek => "lseek",
+            SyscallKind::Close => "close",
+            SyscallKind::Pipe => "pipe",
+            SyscallKind::Read => "read",
+            SyscallKind::Write => "write",
+            SyscallKind::Pread => "pread",
+            SyscallKind::Pwrite => "pwrite",
+            SyscallKind::Mmap => "mmap",
+            SyscallKind::Munmap => "munmap",
+            SyscallKind::Mprotect => "mprotect",
+            SyscallKind::Memread => "memread",
+            SyscallKind::Memwrite => "memwrite",
+            SyscallKind::Fork => "fork",
+            SyscallKind::PosixSpawn => "posix_spawn",
+            SyscallKind::Wait => "wait",
+            SyscallKind::Socket => "socket",
+            SyscallKind::Send => "send",
+            SyscallKind::Recv => "recv",
+        }
+    }
+}
+
+/// One policy around an inner [`SyscallApi`]: observing, injecting faults,
+/// retrying. A wrapper implements `Layer`, and the blanket `impl<L: Layer>
+/// SyscallApi for L` forwards every call through [`Layer::around`] to the
+/// same method of [`Layer::inner`]. That impl is the only method-to-method
+/// forwarding table; [`perform`] is the only [`SysOp`]-to-method one.
+pub trait Layer {
+    /// The kernel (or the next layer) underneath.
+    type Inner: SyscallApi + ?Sized;
+
+    /// The wrapped kernel.
+    fn inner(&self) -> &Self::Inner;
+
+    /// Runs one call of `kind` on `core`. `call` performs it on
+    /// [`Layer::inner`]; a layer may run it once, not at all (an injected
+    /// failure), or again (a retry).
+    fn around<T>(
+        &self,
+        core: CoreId,
+        kind: SyscallKind,
+        call: impl Fn() -> KResult<T>,
+    ) -> KResult<T>;
+}
+
+impl<L: Layer> SyscallApi for L {
+    fn new_process(&self) -> Pid {
+        // No core to attribute to: passes through unhooked.
+        self.inner().new_process()
+    }
+
+    fn open(&self, core: CoreId, pid: Pid, name: &str, flags: OpenFlags) -> KResult<Fd> {
+        self.around(core, SyscallKind::Open, || {
+            self.inner().open(core, pid, name, flags)
+        })
+    }
+
+    fn link(&self, core: CoreId, pid: Pid, old: &str, new: &str) -> KResult<()> {
+        self.around(core, SyscallKind::Link, || {
+            self.inner().link(core, pid, old, new)
+        })
+    }
+
+    fn unlink(&self, core: CoreId, pid: Pid, name: &str) -> KResult<()> {
+        self.around(core, SyscallKind::Unlink, || {
+            self.inner().unlink(core, pid, name)
+        })
+    }
+
+    fn rename(&self, core: CoreId, pid: Pid, src: &str, dst: &str) -> KResult<()> {
+        self.around(core, SyscallKind::Rename, || {
+            self.inner().rename(core, pid, src, dst)
+        })
+    }
+
+    fn stat(&self, core: CoreId, pid: Pid, name: &str) -> KResult<Stat> {
+        self.around(core, SyscallKind::Stat, || {
+            self.inner().stat(core, pid, name)
+        })
+    }
+
+    fn fstat(&self, core: CoreId, pid: Pid, fd: Fd) -> KResult<Stat> {
+        self.around(core, SyscallKind::Fstat, || {
+            self.inner().fstat(core, pid, fd)
+        })
+    }
+
+    // Forwards to the inner `fstatx`, never the trait default: the default
+    // reads the link count through `fstat`, which changes the footprint.
+    fn fstatx(&self, core: CoreId, pid: Pid, fd: Fd, mask: StatMask) -> KResult<Stat> {
+        self.around(core, SyscallKind::Fstatx, || {
+            self.inner().fstatx(core, pid, fd, mask)
+        })
+    }
+
+    fn lseek(&self, core: CoreId, pid: Pid, fd: Fd, offset: i64, whence: Whence) -> KResult<u64> {
+        self.around(core, SyscallKind::Lseek, || {
+            self.inner().lseek(core, pid, fd, offset, whence)
+        })
+    }
+
+    fn close(&self, core: CoreId, pid: Pid, fd: Fd) -> KResult<()> {
+        self.around(core, SyscallKind::Close, || {
+            self.inner().close(core, pid, fd)
+        })
+    }
+
+    fn pipe(&self, core: CoreId, pid: Pid) -> KResult<(Fd, Fd)> {
+        self.around(core, SyscallKind::Pipe, || self.inner().pipe(core, pid))
+    }
+
+    fn read(&self, core: CoreId, pid: Pid, fd: Fd, len: u64) -> KResult<Vec<u8>> {
+        self.around(core, SyscallKind::Read, || {
+            self.inner().read(core, pid, fd, len)
+        })
+    }
+
+    fn write(&self, core: CoreId, pid: Pid, fd: Fd, data: &[u8]) -> KResult<u64> {
+        self.around(core, SyscallKind::Write, || {
+            self.inner().write(core, pid, fd, data)
+        })
+    }
+
+    fn pread(&self, core: CoreId, pid: Pid, fd: Fd, len: u64, offset: u64) -> KResult<Vec<u8>> {
+        self.around(core, SyscallKind::Pread, || {
+            self.inner().pread(core, pid, fd, len, offset)
+        })
+    }
+
+    fn pwrite(&self, core: CoreId, pid: Pid, fd: Fd, data: &[u8], offset: u64) -> KResult<u64> {
+        self.around(core, SyscallKind::Pwrite, || {
+            self.inner().pwrite(core, pid, fd, data, offset)
+        })
+    }
+
+    fn mmap(
+        &self,
+        core: CoreId,
+        pid: Pid,
+        addr_hint: Option<u64>,
+        pages: u64,
+        prot: Prot,
+        backing: MmapBacking,
+    ) -> KResult<u64> {
+        self.around(core, SyscallKind::Mmap, || {
+            self.inner()
+                .mmap(core, pid, addr_hint, pages, prot, backing)
+        })
+    }
+
+    fn munmap(&self, core: CoreId, pid: Pid, addr: u64, pages: u64) -> KResult<()> {
+        self.around(core, SyscallKind::Munmap, || {
+            self.inner().munmap(core, pid, addr, pages)
+        })
+    }
+
+    fn mprotect(&self, core: CoreId, pid: Pid, addr: u64, pages: u64, prot: Prot) -> KResult<()> {
+        self.around(core, SyscallKind::Mprotect, || {
+            self.inner().mprotect(core, pid, addr, pages, prot)
+        })
+    }
+
+    fn memread(&self, core: CoreId, pid: Pid, addr: u64) -> KResult<u8> {
+        self.around(core, SyscallKind::Memread, || {
+            self.inner().memread(core, pid, addr)
+        })
+    }
+
+    fn memwrite(&self, core: CoreId, pid: Pid, addr: u64, value: u8) -> KResult<()> {
+        self.around(core, SyscallKind::Memwrite, || {
+            self.inner().memwrite(core, pid, addr, value)
+        })
+    }
+
+    fn fork(&self, core: CoreId, pid: Pid) -> KResult<Pid> {
+        self.around(core, SyscallKind::Fork, || self.inner().fork(core, pid))
+    }
+
+    fn posix_spawn(&self, core: CoreId, pid: Pid, dup_fds: &[Fd]) -> KResult<Pid> {
+        self.around(core, SyscallKind::PosixSpawn, || {
+            self.inner().posix_spawn(core, pid, dup_fds)
+        })
+    }
+
+    fn wait(&self, core: CoreId, pid: Pid, child: Pid) -> KResult<()> {
+        self.around(core, SyscallKind::Wait, || {
+            self.inner().wait(core, pid, child)
+        })
+    }
+
+    fn socket(&self, core: CoreId, order: SocketOrder) -> KResult<SockId> {
+        self.around(core, SyscallKind::Socket, || {
+            self.inner().socket(core, order)
+        })
+    }
+
+    fn send(&self, core: CoreId, sock: SockId, msg: &[u8]) -> KResult<()> {
+        self.around(core, SyscallKind::Send, || {
+            self.inner().send(core, sock, msg)
+        })
+    }
+
+    fn recv(&self, core: CoreId, sock: SockId) -> KResult<Vec<u8>> {
+        self.around(core, SyscallKind::Recv, || self.inner().recv(core, sock))
+    }
+}
+
 /// A reified system-call invocation, as emitted by TESTGEN.
 ///
 /// Each variant mirrors one `KernelApi` method; string and numeric arguments
@@ -552,31 +838,36 @@ impl SysOp {
     /// The system-call family name (used for the Figure 6 row/column
     /// labels).
     pub fn call_name(&self) -> &'static str {
+        self.kind().name()
+    }
+
+    /// The method [`perform`] dispatches the operation to.
+    pub fn kind(&self) -> SyscallKind {
         match self {
-            SysOp::Open { .. } => "open",
-            SysOp::Link { .. } => "link",
-            SysOp::Unlink { .. } => "unlink",
-            SysOp::Rename { .. } => "rename",
-            SysOp::StatPath { .. } => "stat",
-            SysOp::Fstat { .. } => "fstat",
-            SysOp::Lseek { .. } => "lseek",
-            SysOp::Close { .. } => "close",
-            SysOp::Pipe { .. } => "pipe",
-            SysOp::Read { .. } => "read",
-            SysOp::Write { .. } => "write",
-            SysOp::Pread { .. } => "pread",
-            SysOp::Pwrite { .. } => "pwrite",
-            SysOp::Mmap { .. } => "mmap",
-            SysOp::Munmap { .. } => "munmap",
-            SysOp::Mprotect { .. } => "mprotect",
-            SysOp::Memread { .. } => "memread",
-            SysOp::Memwrite { .. } => "memwrite",
-            SysOp::Socket { .. } => "socket",
-            SysOp::Send { .. } => "send",
-            SysOp::Recv { .. } => "recv",
-            SysOp::Fork { .. } => "fork",
-            SysOp::Spawn { .. } => "posix_spawn",
-            SysOp::Wait { .. } => "wait",
+            SysOp::Open { .. } => SyscallKind::Open,
+            SysOp::Link { .. } => SyscallKind::Link,
+            SysOp::Unlink { .. } => SyscallKind::Unlink,
+            SysOp::Rename { .. } => SyscallKind::Rename,
+            SysOp::StatPath { .. } => SyscallKind::Stat,
+            SysOp::Fstat { .. } => SyscallKind::Fstat,
+            SysOp::Lseek { .. } => SyscallKind::Lseek,
+            SysOp::Close { .. } => SyscallKind::Close,
+            SysOp::Pipe { .. } => SyscallKind::Pipe,
+            SysOp::Read { .. } => SyscallKind::Read,
+            SysOp::Write { .. } => SyscallKind::Write,
+            SysOp::Pread { .. } => SyscallKind::Pread,
+            SysOp::Pwrite { .. } => SyscallKind::Pwrite,
+            SysOp::Mmap { .. } => SyscallKind::Mmap,
+            SysOp::Munmap { .. } => SyscallKind::Munmap,
+            SysOp::Mprotect { .. } => SyscallKind::Mprotect,
+            SysOp::Memread { .. } => SyscallKind::Memread,
+            SysOp::Memwrite { .. } => SyscallKind::Memwrite,
+            SysOp::Socket { .. } => SyscallKind::Socket,
+            SysOp::Send { .. } => SyscallKind::Send,
+            SysOp::Recv { .. } => SyscallKind::Recv,
+            SysOp::Fork { .. } => SyscallKind::Fork,
+            SysOp::Spawn { .. } => SyscallKind::PosixSpawn,
+            SysOp::Wait { .. } => SyscallKind::Wait,
         }
     }
 
@@ -642,186 +933,84 @@ impl SysResult {
     }
 }
 
-/// Observer for `perform`-level dispatch: a telemetry hook that sees every
-/// reified call's name, outcome and wall latency.
-///
-/// The trait lives here (rather than in the telemetry crate) so the kernels
-/// stay dependency-free; `scr-obs` implements it for its per-core syscall
-/// recorder. Implementations must follow the commutativity discipline:
-/// `observe_call` runs on the calling core's thread and must only touch
-/// core-local state.
-pub trait PerformObserver {
-    /// When `false`, [`perform_observed`] skips the clock reads and the
-    /// observation entirely — the cost of a disabled observer is this one
-    /// call (for `scr-obs`, a single relaxed load).
-    fn observer_enabled(&self) -> bool {
-        true
-    }
-
-    /// One completed call: the core it ran on, its family name (as in
-    /// [`SysOp::call_name`]), the errno if it failed, and its wall latency.
-    fn observe_call(&self, core: CoreId, call: &'static str, errno: Option<Errno>, nanos: u64);
-}
-
-/// The no-op observer: [`perform_observed`] with `NoObserver` is `perform`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoObserver;
-
-impl PerformObserver for NoObserver {
-    fn observer_enabled(&self) -> bool {
-        false
-    }
-
-    fn observe_call(&self, _core: CoreId, _call: &'static str, _errno: Option<Errno>, _nanos: u64) {
-    }
-}
-
 /// Performs a reified operation against a kernel on the given core. The
-/// kernel may be any [`SyscallApi`] implementation — a simulated kernel or
-/// the real-threads host kernel.
+/// kernel may be any [`SyscallApi`] implementation — a simulated kernel,
+/// the real-threads host kernel, or a [`Layer`] stack over either.
 pub fn perform<K: SyscallApi + ?Sized>(kernel: &K, core: CoreId, op: &SysOp) -> SysResult {
-    match op {
-        SysOp::Open { pid, name, flags } => match kernel.open(core, *pid, name, *flags) {
-            Ok(fd) => SysResult::Value(fd as i64),
-            Err(e) => SysResult::Err(e),
-        },
-        SysOp::Link { pid, old, new } => match kernel.link(core, *pid, old, new) {
-            Ok(()) => SysResult::Unit,
-            Err(e) => SysResult::Err(e),
-        },
-        SysOp::Unlink { pid, name } => match kernel.unlink(core, *pid, name) {
-            Ok(()) => SysResult::Unit,
-            Err(e) => SysResult::Err(e),
-        },
-        SysOp::Rename { pid, src, dst } => match kernel.rename(core, *pid, src, dst) {
-            Ok(()) => SysResult::Unit,
-            Err(e) => SysResult::Err(e),
-        },
-        SysOp::StatPath { pid, name } => match kernel.stat(core, *pid, name) {
-            Ok(s) => SysResult::Meta(s),
-            Err(e) => SysResult::Err(e),
-        },
-        SysOp::Fstat { pid, fd } => match kernel.fstat(core, *pid, *fd) {
-            Ok(s) => SysResult::Meta(s),
-            Err(e) => SysResult::Err(e),
-        },
+    use SysResult::{Data, Meta, Unit, Value};
+    let result = match op {
+        SysOp::Open { pid, name, flags } => kernel
+            .open(core, *pid, name, *flags)
+            .map(|fd| Value(fd as i64)),
+        SysOp::Link { pid, old, new } => kernel.link(core, *pid, old, new).map(|()| Unit),
+        SysOp::Unlink { pid, name } => kernel.unlink(core, *pid, name).map(|()| Unit),
+        SysOp::Rename { pid, src, dst } => kernel.rename(core, *pid, src, dst).map(|()| Unit),
+        SysOp::StatPath { pid, name } => kernel.stat(core, *pid, name).map(Meta),
+        SysOp::Fstat { pid, fd } => kernel.fstat(core, *pid, *fd).map(Meta),
         SysOp::Lseek {
             pid,
             fd,
             offset,
             whence,
-        } => match kernel.lseek(core, *pid, *fd, *offset, *whence) {
-            Ok(off) => SysResult::Value(off as i64),
-            Err(e) => SysResult::Err(e),
-        },
-        SysOp::Close { pid, fd } => match kernel.close(core, *pid, *fd) {
-            Ok(()) => SysResult::Unit,
-            Err(e) => SysResult::Err(e),
-        },
-        SysOp::Pipe { pid } => match kernel.pipe(core, *pid) {
-            Ok((r, w)) => SysResult::Value(((w as i64) << 32) | r as i64),
-            Err(e) => SysResult::Err(e),
-        },
-        SysOp::Read { pid, fd, len } => match kernel.read(core, *pid, *fd, *len) {
-            Ok(data) => SysResult::Data(data),
-            Err(e) => SysResult::Err(e),
-        },
-        SysOp::Write { pid, fd, data } => match kernel.write(core, *pid, *fd, data) {
-            Ok(n) => SysResult::Value(n as i64),
-            Err(e) => SysResult::Err(e),
-        },
+        } => kernel
+            .lseek(core, *pid, *fd, *offset, *whence)
+            .map(|off| Value(off as i64)),
+        SysOp::Close { pid, fd } => kernel.close(core, *pid, *fd).map(|()| Unit),
+        SysOp::Pipe { pid } => kernel
+            .pipe(core, *pid)
+            .map(|(r, w)| Value(((w as i64) << 32) | r as i64)),
+        SysOp::Read { pid, fd, len } => kernel.read(core, *pid, *fd, *len).map(Data),
+        SysOp::Write { pid, fd, data } => {
+            kernel.write(core, *pid, *fd, data).map(|n| Value(n as i64))
+        }
         SysOp::Pread {
             pid,
             fd,
             len,
             offset,
-        } => match kernel.pread(core, *pid, *fd, *len, *offset) {
-            Ok(data) => SysResult::Data(data),
-            Err(e) => SysResult::Err(e),
-        },
+        } => kernel.pread(core, *pid, *fd, *len, *offset).map(Data),
         SysOp::Pwrite {
             pid,
             fd,
             data,
             offset,
-        } => match kernel.pwrite(core, *pid, *fd, data, *offset) {
-            Ok(n) => SysResult::Value(n as i64),
-            Err(e) => SysResult::Err(e),
-        },
+        } => kernel
+            .pwrite(core, *pid, *fd, data, *offset)
+            .map(|n| Value(n as i64)),
         SysOp::Mmap {
             pid,
             addr_hint,
             pages,
             prot,
             backing,
-        } => match kernel.mmap(core, *pid, *addr_hint, *pages, *prot, *backing) {
-            Ok(addr) => SysResult::Value(addr as i64),
-            Err(e) => SysResult::Err(e),
-        },
-        SysOp::Munmap { pid, addr, pages } => match kernel.munmap(core, *pid, *addr, *pages) {
-            Ok(()) => SysResult::Unit,
-            Err(e) => SysResult::Err(e),
-        },
+        } => kernel
+            .mmap(core, *pid, *addr_hint, *pages, *prot, *backing)
+            .map(|addr| Value(addr as i64)),
+        SysOp::Munmap { pid, addr, pages } => {
+            kernel.munmap(core, *pid, *addr, *pages).map(|()| Unit)
+        }
         SysOp::Mprotect {
             pid,
             addr,
             pages,
             prot,
-        } => match kernel.mprotect(core, *pid, *addr, *pages, *prot) {
-            Ok(()) => SysResult::Unit,
-            Err(e) => SysResult::Err(e),
-        },
-        SysOp::Memread { pid, addr } => match kernel.memread(core, *pid, *addr) {
-            Ok(b) => SysResult::Value(b as i64),
-            Err(e) => SysResult::Err(e),
-        },
-        SysOp::Memwrite { pid, addr, value } => match kernel.memwrite(core, *pid, *addr, *value) {
-            Ok(()) => SysResult::Unit,
-            Err(e) => SysResult::Err(e),
-        },
-        SysOp::Socket { order } => match kernel.socket(core, *order) {
-            Ok(sock) => SysResult::Value(sock as i64),
-            Err(e) => SysResult::Err(e),
-        },
-        SysOp::Send { sock, msg } => match kernel.send(core, *sock, msg) {
-            Ok(()) => SysResult::Unit,
-            Err(e) => SysResult::Err(e),
-        },
-        SysOp::Recv { sock } => match kernel.recv(core, *sock) {
-            Ok(data) => SysResult::Data(data),
-            Err(e) => SysResult::Err(e),
-        },
-        SysOp::Fork { pid } => match kernel.fork(core, *pid) {
-            Ok(child) => SysResult::Value(child as i64),
-            Err(e) => SysResult::Err(e),
-        },
-        SysOp::Spawn { pid, dup_fds } => match kernel.posix_spawn(core, *pid, dup_fds) {
-            Ok(child) => SysResult::Value(child as i64),
-            Err(e) => SysResult::Err(e),
-        },
-        SysOp::Wait { pid, child } => match kernel.wait(core, *pid, *child) {
-            Ok(()) => SysResult::Unit,
-            Err(e) => SysResult::Err(e),
-        },
-    }
-}
-
-/// [`perform`] with an observation hook: times the call and reports its
-/// outcome to `observer`. When the observer is disabled this is `perform`
-/// plus one virtual call — no clock reads.
-pub fn perform_observed<K, O>(kernel: &K, core: CoreId, op: &SysOp, observer: &O) -> SysResult
-where
-    K: SyscallApi + ?Sized,
-    O: PerformObserver + ?Sized,
-{
-    if !observer.observer_enabled() {
-        return perform(kernel, core, op);
-    }
-    let started = std::time::Instant::now();
-    let result = perform(kernel, core, op);
-    let nanos = started.elapsed().as_nanos() as u64;
-    observer.observe_call(core, op.call_name(), result.errno(), nanos);
-    result
+        } => kernel
+            .mprotect(core, *pid, *addr, *pages, *prot)
+            .map(|()| Unit),
+        SysOp::Memread { pid, addr } => kernel.memread(core, *pid, *addr).map(|b| Value(b as i64)),
+        SysOp::Memwrite { pid, addr, value } => {
+            kernel.memwrite(core, *pid, *addr, *value).map(|()| Unit)
+        }
+        SysOp::Socket { order } => kernel.socket(core, *order).map(|s| Value(s as i64)),
+        SysOp::Send { sock, msg } => kernel.send(core, *sock, msg).map(|()| Unit),
+        SysOp::Recv { sock } => kernel.recv(core, *sock).map(Data),
+        SysOp::Fork { pid } => kernel.fork(core, *pid).map(|child| Value(child as i64)),
+        SysOp::Spawn { pid, dup_fds } => kernel
+            .posix_spawn(core, *pid, dup_fds)
+            .map(|child| Value(child as i64)),
+        SysOp::Wait { pid, child } => kernel.wait(core, *pid, *child).map(|()| Unit),
+    };
+    result.unwrap_or_else(SysResult::Err)
 }
 
 #[cfg(test)]
@@ -867,10 +1056,5 @@ mod tests {
         assert!(!SysResult::Err(Errno::ENOENT).is_ok());
         assert_eq!(SysResult::Err(Errno::EAGAIN).errno(), Some(Errno::EAGAIN));
         assert_eq!(SysResult::Unit.errno(), None);
-    }
-
-    #[test]
-    fn no_observer_is_disabled() {
-        assert!(!NoObserver.observer_enabled());
     }
 }

@@ -10,6 +10,8 @@
 //!   [`api::SysOp`] so generated test cases can drive any implementation.
 //!   [`api::KernelApi`] extends it with the simulated machine handle; the
 //!   real-threads `HostKernel` of `scr-host` implements `SyscallApi` only.
+//!   [`api::Layer`] is how a wrapper (telemetry, fault injection, retry)
+//!   gets the whole surface from one `around` hook.
 //! * [`sv6`] is the ScaleFS + RadixVM-style implementation (§6.3): hash
 //!   directories with per-bucket locks, radix-array page caches and address
 //!   spaces, Refcache link counts, per-core inode and descriptor
@@ -36,8 +38,8 @@ pub mod socket;
 pub mod sv6;
 
 pub use api::{
-    Errno, Fd, Ino, KResult, KernelApi, OpenFlags, Pid, Prot, Stat, StatMask, SysOp, SysResult,
-    SyscallApi, Whence, PAGE_SIZE,
+    Errno, Fd, Ino, KResult, KernelApi, Layer, OpenFlags, Pid, Prot, Stat, StatMask, SysOp,
+    SysResult, SyscallApi, SyscallKind, Whence, PAGE_SIZE,
 };
 pub use linuxlike::LinuxLikeKernel;
 pub use retry::{is_transient, Backoff, RetryPolicy};

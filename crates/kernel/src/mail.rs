@@ -76,11 +76,11 @@ impl MailStage {
     }
 }
 
-/// Observer for mail-pipeline stages. Like
-/// [`PerformObserver`](crate::api::PerformObserver), the trait lives in the
-/// kernel crate so the server stays dependency-free; the telemetry crate
-/// adapts it onto its per-core trace log. Callbacks run on the worker
-/// thread and must only touch core-local state.
+/// Observer for mail-pipeline stages. Like [`Layer`](crate::api::Layer),
+/// the trait lives in the kernel crate so the server stays
+/// dependency-free; the telemetry crate adapts it onto its per-core trace
+/// log. Callbacks run on the worker thread and must only touch core-local
+/// state.
 pub trait MailStageObserver {
     /// When `false`, the observed entry points skip every clock read.
     fn stage_enabled(&self) -> bool {

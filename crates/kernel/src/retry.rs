@@ -17,12 +17,14 @@
 use crate::api::Errno;
 use std::time::Duration;
 
-/// SplitMix64 golden-ratio increment (same constant as `scr-loadgen`'s
-/// stream splitting, duplicated here so the kernel crate stays leaf).
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+/// SplitMix64 golden-ratio increment.
+pub const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// SplitMix64 finalizer: a stateless avalanche mix.
-fn mix64(mut z: u64) -> u64 {
+/// SplitMix64 finalizer: a stateless avalanche mix. `mix64(s)` is the
+/// first output of a SplitMix64 generator seeded with `s`. It is the one
+/// copy the workspace uses: retry jitter here, `scr-chaos` fault decisions
+/// and `scr-loadgen`'s generator.
+pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(GOLDEN);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -264,6 +266,12 @@ mod tests {
         for _ in 0..10_000 {
             assert!(backoff.step().is_some());
         }
+    }
+
+    #[test]
+    fn mix64_is_splitmix64() {
+        // The first SplitMix64 output for seed 0.
+        assert_eq!(mix64(0), 0xE220_A839_7B1D_CDAF);
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //! or arrived twice, not merely that the totals disagree.
 //!
 //! With a [`ChaosPlan`] in [`LoadConfig::chaos`], the whole pipeline runs
-//! over a [`FaultyKernel`] injecting seeded transient errnos and delivery
-//! holds, behind a persistent [`ReliableKernel`] retry surface — faults
-//! surface as latency (charged from the intended arrival, like any other
-//! queueing delay), never as lost mail.
+//! over two `scr_kernel::api::Layer`s: a [`FaultyKernel`] injecting seeded
+//! transient errnos and delivery holds, under a persistent
+//! [`ReliableKernel`] retry layer. Faults surface as latency (charged from
+//! the intended arrival, like any other queueing delay), never as lost
+//! mail.
 //!
 //! [`Delivered::body`]: scr_kernel::mail::Delivered::body
 

@@ -8,13 +8,13 @@
 //! registry access for a real RNG crate — and reproducibility is the point
 //! anyway, as with the differential campaign's xorshift.
 
+use scr_kernel::retry::{mix64, GOLDEN};
+
 /// A 64-bit SplitMix64 generator.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Rng64 {
     state: u64,
 }
-
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 impl Rng64 {
     /// A generator seeded with `seed` (any value, including 0, is fine —
@@ -28,17 +28,14 @@ impl Rng64 {
     pub fn stream(seed: u64, stream: u64) -> Rng64 {
         // Decorrelate the substream index through one SplitMix64 round
         // before mixing it into the seed.
-        let mut salt = Rng64::new(stream.wrapping_mul(GOLDEN));
-        Rng64::new(seed ^ salt.next_u64())
+        Rng64::new(seed ^ mix64(stream.wrapping_mul(GOLDEN)))
     }
 
     /// The next 64 uniformly distributed bits.
     pub fn next_u64(&mut self) -> u64 {
+        let out = mix64(self.state);
         self.state = self.state.wrapping_add(GOLDEN);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        out
     }
 
     /// A uniform `f64` in `[0, 1)` (53 mantissa bits).

@@ -16,7 +16,8 @@
 //!   `meta`-stamped schema.
 //! * [`syscall`] — [`SyscallRecorder`] and [`ObservedKernel`]: per-syscall
 //!   call counts, errno counts and wall latency over any [`SyscallApi`]
-//!   kernel; also implements the kernel crate's `PerformObserver` hook.
+//!   kernel. `ObservedKernel` is a `scr_kernel::api::Layer`, so direct
+//!   calls and reified `perform` dispatch through it are recorded alike.
 //! * [`trace`] — [`TraceLog`]: per-core span buffers for the mail pipeline
 //!   stages, exported in Chrome trace-event JSON (loads into Perfetto).
 //! * [`heat`] — [`HeatMap`]: folds `hostmtrace` conflict windows into

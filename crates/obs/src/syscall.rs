@@ -2,127 +2,22 @@
 //!
 //! [`SyscallRecorder`] pre-registers one counter, one latency histogram and
 //! one counter per errno for every call family, so the record path never
-//! touches the registry: it indexes a flat table and lands on the calling
-//! core's padded slots. [`ObservedKernel`] wraps any [`SyscallApi`]
-//! implementation and feeds the recorder; the recorder also implements
-//! [`PerformObserver`], so reified `perform_observed` dispatch uses the same
-//! sink.
+//! touches the registry: it indexes a flat table by the [`SyscallKind`] and
+//! [`Errno`] discriminants and lands on the calling core's padded slots.
+//! [`ObservedKernel`] is the [`Layer`] that feeds it: wrapped around any
+//! [`SyscallApi`] implementation, it records direct calls and reified
+//! `perform` dispatch alike.
 
 use crate::metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry};
-use scr_kernel::api::{
-    Errno, Fd, KResult, MmapBacking, OpenFlags, PerformObserver, Pid, Prot, SockId, SocketOrder,
-    Stat, StatMask, SyscallApi, Whence,
-};
+use scr_kernel::api::{Errno, KResult, Layer, SyscallApi};
 use scr_mtrace::CoreId;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Every call family the kernels expose, including the §4 extensions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SyscallKind {
-    Open,
-    Link,
-    Unlink,
-    Rename,
-    Stat,
-    Fstat,
-    Fstatx,
-    Lseek,
-    Close,
-    Pipe,
-    Read,
-    Write,
-    Pread,
-    Pwrite,
-    Mmap,
-    Munmap,
-    Mprotect,
-    Memread,
-    Memwrite,
-    Fork,
-    PosixSpawn,
-    Wait,
-    Socket,
-    Send,
-    Recv,
-}
+pub use scr_kernel::api::SyscallKind;
 
-impl SyscallKind {
-    /// Every kind, in declaration order (the recorder's table order).
-    pub const ALL: [SyscallKind; 25] = [
-        SyscallKind::Open,
-        SyscallKind::Link,
-        SyscallKind::Unlink,
-        SyscallKind::Rename,
-        SyscallKind::Stat,
-        SyscallKind::Fstat,
-        SyscallKind::Fstatx,
-        SyscallKind::Lseek,
-        SyscallKind::Close,
-        SyscallKind::Pipe,
-        SyscallKind::Read,
-        SyscallKind::Write,
-        SyscallKind::Pread,
-        SyscallKind::Pwrite,
-        SyscallKind::Mmap,
-        SyscallKind::Munmap,
-        SyscallKind::Mprotect,
-        SyscallKind::Memread,
-        SyscallKind::Memwrite,
-        SyscallKind::Fork,
-        SyscallKind::PosixSpawn,
-        SyscallKind::Wait,
-        SyscallKind::Socket,
-        SyscallKind::Send,
-        SyscallKind::Recv,
-    ];
-
-    /// The call's family name, matching [`scr_kernel::api::SysOp::call_name`]
-    /// for the 24 modelled calls.
-    pub fn name(self) -> &'static str {
-        match self {
-            SyscallKind::Open => "open",
-            SyscallKind::Link => "link",
-            SyscallKind::Unlink => "unlink",
-            SyscallKind::Rename => "rename",
-            SyscallKind::Stat => "stat",
-            SyscallKind::Fstat => "fstat",
-            SyscallKind::Fstatx => "fstatx",
-            SyscallKind::Lseek => "lseek",
-            SyscallKind::Close => "close",
-            SyscallKind::Pipe => "pipe",
-            SyscallKind::Read => "read",
-            SyscallKind::Write => "write",
-            SyscallKind::Pread => "pread",
-            SyscallKind::Pwrite => "pwrite",
-            SyscallKind::Mmap => "mmap",
-            SyscallKind::Munmap => "munmap",
-            SyscallKind::Mprotect => "mprotect",
-            SyscallKind::Memread => "memread",
-            SyscallKind::Memwrite => "memwrite",
-            SyscallKind::Fork => "fork",
-            SyscallKind::PosixSpawn => "posix_spawn",
-            SyscallKind::Wait => "wait",
-            SyscallKind::Socket => "socket",
-            SyscallKind::Send => "send",
-            SyscallKind::Recv => "recv",
-        }
-    }
-
-    /// Inverse of [`SyscallKind::name`].
-    pub fn from_name(name: &str) -> Option<SyscallKind> {
-        SyscallKind::ALL.iter().copied().find(|k| k.name() == name)
-    }
-
-    fn index(self) -> usize {
-        SyscallKind::ALL
-            .iter()
-            .position(|&k| k == self)
-            .expect("kind listed in ALL")
-    }
-}
-
-/// Every [`Errno`] the kernels return, in the recorder's table order.
+/// Every [`Errno`] the kernels return, in declaration order (the
+/// recorder's table order).
 pub const ALL_ERRNOS: [Errno; 13] = [
     Errno::ENOENT,
     Errno::EEXIST,
@@ -138,13 +33,6 @@ pub const ALL_ERRNOS: [Errno; 13] = [
     Errno::EPERM,
     Errno::EINTR,
 ];
-
-fn errno_index(errno: Errno) -> usize {
-    ALL_ERRNOS
-        .iter()
-        .position(|&e| e == errno)
-        .expect("errno listed in ALL_ERRNOS")
-}
 
 struct CallMetrics {
     count: Counter,
@@ -193,50 +81,38 @@ impl SyscallRecorder {
     /// Record one completed call from `core`.
     #[inline]
     pub fn observe(&self, core: CoreId, kind: SyscallKind, errno: Option<Errno>, nanos: u64) {
-        let call = &self.calls[kind.index()];
+        let call = &self.calls[kind as usize];
         call.count.inc(core);
         call.latency.record(core, nanos);
         if let Some(errno) = errno {
-            call.errnos[errno_index(errno)].inc(core);
+            call.errnos[errno as usize].inc(core);
         }
     }
 
     /// Total calls recorded for `kind`.
     pub fn count_of(&self, kind: SyscallKind) -> u64 {
-        self.calls[kind.index()].count.total()
+        self.calls[kind as usize].count.total()
     }
 
     /// Per-core call counts for `kind`.
     pub fn per_core_counts(&self, kind: SyscallKind) -> Vec<u64> {
-        self.calls[kind.index()].count.per_core()
+        self.calls[kind as usize].count.per_core()
     }
 
     /// Times `kind` failed with `errno`.
     pub fn errno_count(&self, kind: SyscallKind, errno: Errno) -> u64 {
-        self.calls[kind.index()].errnos[errno_index(errno)].total()
+        self.calls[kind as usize].errnos[errno as usize].total()
     }
 
     /// The merged latency distribution for `kind`.
     pub fn latency(&self, kind: SyscallKind) -> HistogramSnapshot {
-        self.calls[kind.index()].latency.merged()
+        self.calls[kind as usize].latency.merged()
     }
 }
 
-impl PerformObserver for SyscallRecorder {
-    fn observer_enabled(&self) -> bool {
-        self.is_enabled()
-    }
-
-    fn observe_call(&self, core: CoreId, call: &'static str, errno: Option<Errno>, nanos: u64) {
-        if let Some(kind) = SyscallKind::from_name(call) {
-            self.observe(core, kind, errno, nanos);
-        }
-    }
-}
-
-/// A [`SyscallApi`] wrapper that times every call into a
-/// [`SyscallRecorder`]. When the recorder's registry is disabled each call
-/// costs one relaxed load on top of the inner kernel — no clock reads.
+/// The [`Layer`] that times every call into a [`SyscallRecorder`]. When
+/// the recorder's registry is disabled each call costs one relaxed load on
+/// top of the inner kernel — no clock reads.
 pub struct ObservedKernel<'k, K: SyscallApi + ?Sized> {
     inner: &'k K,
     recorder: Arc<SyscallRecorder>,
@@ -247,163 +123,35 @@ impl<'k, K: SyscallApi + ?Sized> ObservedKernel<'k, K> {
         ObservedKernel { inner, recorder }
     }
 
-    /// The wrapped kernel.
-    pub fn inner(&self) -> &'k K {
-        self.inner
-    }
-
     /// The recorder this wrapper feeds.
     pub fn recorder(&self) -> &Arc<SyscallRecorder> {
         &self.recorder
     }
+}
+
+impl<K: SyscallApi + ?Sized> Layer for ObservedKernel<'_, K> {
+    type Inner = K;
+
+    fn inner(&self) -> &K {
+        self.inner
+    }
 
     #[inline]
-    fn timed<T>(
+    fn around<T>(
         &self,
         core: CoreId,
         kind: SyscallKind,
-        f: impl FnOnce(&'k K) -> KResult<T>,
+        call: impl Fn() -> KResult<T>,
     ) -> KResult<T> {
         if !self.recorder.is_enabled() {
-            return f(self.inner);
+            return call();
         }
         let started = Instant::now();
-        let result = f(self.inner);
+        let result = call();
         let nanos = started.elapsed().as_nanos() as u64;
         self.recorder
             .observe(core, kind, result.as_ref().err().copied(), nanos);
         result
-    }
-}
-
-impl<K: SyscallApi + ?Sized> SyscallApi for ObservedKernel<'_, K> {
-    fn new_process(&self) -> Pid {
-        // No core to attribute to; passes through unobserved.
-        self.inner.new_process()
-    }
-
-    fn open(&self, core: CoreId, pid: Pid, name: &str, flags: OpenFlags) -> KResult<Fd> {
-        self.timed(core, SyscallKind::Open, |k| k.open(core, pid, name, flags))
-    }
-
-    fn link(&self, core: CoreId, pid: Pid, old: &str, new: &str) -> KResult<()> {
-        self.timed(core, SyscallKind::Link, |k| k.link(core, pid, old, new))
-    }
-
-    fn unlink(&self, core: CoreId, pid: Pid, name: &str) -> KResult<()> {
-        self.timed(core, SyscallKind::Unlink, |k| k.unlink(core, pid, name))
-    }
-
-    fn rename(&self, core: CoreId, pid: Pid, src: &str, dst: &str) -> KResult<()> {
-        self.timed(core, SyscallKind::Rename, |k| k.rename(core, pid, src, dst))
-    }
-
-    fn stat(&self, core: CoreId, pid: Pid, name: &str) -> KResult<Stat> {
-        self.timed(core, SyscallKind::Stat, |k| k.stat(core, pid, name))
-    }
-
-    fn fstat(&self, core: CoreId, pid: Pid, fd: Fd) -> KResult<Stat> {
-        self.timed(core, SyscallKind::Fstat, |k| k.fstat(core, pid, fd))
-    }
-
-    fn fstatx(&self, core: CoreId, pid: Pid, fd: Fd, mask: StatMask) -> KResult<Stat> {
-        self.timed(core, SyscallKind::Fstatx, |k| k.fstatx(core, pid, fd, mask))
-    }
-
-    fn lseek(&self, core: CoreId, pid: Pid, fd: Fd, offset: i64, whence: Whence) -> KResult<u64> {
-        self.timed(core, SyscallKind::Lseek, |k| {
-            k.lseek(core, pid, fd, offset, whence)
-        })
-    }
-
-    fn close(&self, core: CoreId, pid: Pid, fd: Fd) -> KResult<()> {
-        self.timed(core, SyscallKind::Close, |k| k.close(core, pid, fd))
-    }
-
-    fn pipe(&self, core: CoreId, pid: Pid) -> KResult<(Fd, Fd)> {
-        self.timed(core, SyscallKind::Pipe, |k| k.pipe(core, pid))
-    }
-
-    fn read(&self, core: CoreId, pid: Pid, fd: Fd, len: u64) -> KResult<Vec<u8>> {
-        self.timed(core, SyscallKind::Read, |k| k.read(core, pid, fd, len))
-    }
-
-    fn write(&self, core: CoreId, pid: Pid, fd: Fd, data: &[u8]) -> KResult<u64> {
-        self.timed(core, SyscallKind::Write, |k| k.write(core, pid, fd, data))
-    }
-
-    fn pread(&self, core: CoreId, pid: Pid, fd: Fd, len: u64, offset: u64) -> KResult<Vec<u8>> {
-        self.timed(core, SyscallKind::Pread, |k| {
-            k.pread(core, pid, fd, len, offset)
-        })
-    }
-
-    fn pwrite(&self, core: CoreId, pid: Pid, fd: Fd, data: &[u8], offset: u64) -> KResult<u64> {
-        self.timed(core, SyscallKind::Pwrite, |k| {
-            k.pwrite(core, pid, fd, data, offset)
-        })
-    }
-
-    fn mmap(
-        &self,
-        core: CoreId,
-        pid: Pid,
-        addr_hint: Option<u64>,
-        pages: u64,
-        prot: Prot,
-        backing: MmapBacking,
-    ) -> KResult<u64> {
-        self.timed(core, SyscallKind::Mmap, |k| {
-            k.mmap(core, pid, addr_hint, pages, prot, backing)
-        })
-    }
-
-    fn munmap(&self, core: CoreId, pid: Pid, addr: u64, pages: u64) -> KResult<()> {
-        self.timed(core, SyscallKind::Munmap, |k| {
-            k.munmap(core, pid, addr, pages)
-        })
-    }
-
-    fn mprotect(&self, core: CoreId, pid: Pid, addr: u64, pages: u64, prot: Prot) -> KResult<()> {
-        self.timed(core, SyscallKind::Mprotect, |k| {
-            k.mprotect(core, pid, addr, pages, prot)
-        })
-    }
-
-    fn memread(&self, core: CoreId, pid: Pid, addr: u64) -> KResult<u8> {
-        self.timed(core, SyscallKind::Memread, |k| k.memread(core, pid, addr))
-    }
-
-    fn memwrite(&self, core: CoreId, pid: Pid, addr: u64, value: u8) -> KResult<()> {
-        self.timed(core, SyscallKind::Memwrite, |k| {
-            k.memwrite(core, pid, addr, value)
-        })
-    }
-
-    fn fork(&self, core: CoreId, pid: Pid) -> KResult<Pid> {
-        self.timed(core, SyscallKind::Fork, |k| k.fork(core, pid))
-    }
-
-    fn posix_spawn(&self, core: CoreId, pid: Pid, dup_fds: &[Fd]) -> KResult<Pid> {
-        self.timed(core, SyscallKind::PosixSpawn, |k| {
-            k.posix_spawn(core, pid, dup_fds)
-        })
-    }
-
-    fn wait(&self, core: CoreId, pid: Pid, child: Pid) -> KResult<()> {
-        self.timed(core, SyscallKind::Wait, |k| k.wait(core, pid, child))
-    }
-
-    fn socket(&self, core: CoreId, order: SocketOrder) -> KResult<SockId> {
-        self.timed(core, SyscallKind::Socket, |k| k.socket(core, order))
-    }
-
-    fn send(&self, core: CoreId, sock: SockId, msg: &[u8]) -> KResult<()> {
-        self.timed(core, SyscallKind::Send, |k| k.send(core, sock, msg))
-    }
-
-    fn recv(&self, core: CoreId, sock: SockId) -> KResult<Vec<u8>> {
-        self.timed(core, SyscallKind::Recv, |k| k.recv(core, sock))
     }
 }
 
@@ -412,11 +160,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_names_round_trip() {
-        for kind in SyscallKind::ALL {
-            assert_eq!(SyscallKind::from_name(kind.name()), Some(kind));
+    fn tables_follow_declaration_order() {
+        for (i, kind) in SyscallKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i);
         }
-        assert_eq!(SyscallKind::from_name("nonsense"), None);
+        for (i, errno) in ALL_ERRNOS.into_iter().enumerate() {
+            assert_eq!(errno as usize, i);
+        }
     }
 
     #[test]
@@ -442,7 +192,5 @@ mod tests {
         let registry = MetricsRegistry::disabled(1);
         let recorder = SyscallRecorder::new(&registry);
         assert!(!recorder.is_enabled());
-        use scr_kernel::api::PerformObserver as _;
-        assert!(!recorder.observer_enabled());
     }
 }

@@ -36,9 +36,12 @@
 //!   oracle.
 //! * [`isomorphism`] — canonical signatures of assignments, used by TESTGEN
 //!   to avoid emitting isomorphic duplicates (conflict coverage, §5.2).
+//! * [`fnv`] — [`Fnv64`], the one FNV-1a behind COMMUTER's structural
+//!   fingerprints.
 
 pub mod executor;
 pub mod expr;
+pub mod fnv;
 pub mod isomorphism;
 pub mod solver;
 pub mod types;
@@ -47,6 +50,7 @@ pub use executor::{
     explore, explore_pruned, replay, ExploreOutcome, PathCtx, PathResult, RefutedPrefixMemo,
 };
 pub use expr::{Expr, ExprRef, Sort, Var, VarId};
+pub use fnv::Fnv64;
 pub use isomorphism::signature;
 pub use solver::{
     all_solutions, eval_bool, satisfiable, solve, solve_with_preference, Assignment, CaseSolver,

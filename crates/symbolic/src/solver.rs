@@ -200,24 +200,21 @@ impl Domains {
     /// keys its cross-run solution caches on this (two domains with equal
     /// fingerprints enumerate identically).
     pub fn fingerprint(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        let mut mix = |v: u64| {
-            h = (h ^ v).wrapping_mul(0x100000001b3);
-        };
+        let mut h = crate::Fnv64::default();
         let value_bits = |v: &Value| match v {
             Value::Bool(b) => 0x1_0000_0000u64 | *b as u64,
             Value::Int(i) => 0x2_0000_0000u64 ^ *i as u64,
         };
         for v in &self.default_ints {
-            mix(value_bits(v));
+            h.word(value_bits(v));
         }
         for (var, candidates) in &self.per_var {
-            mix(0x3_0000_0000 | *var as u64);
+            h.word(0x3_0000_0000 | *var as u64);
             for v in candidates {
-                mix(value_bits(v));
+                h.word(value_bits(v));
             }
         }
-        h
+        h.finish()
     }
 
     /// The candidate values for a variable, in enumeration order. Borrowed:

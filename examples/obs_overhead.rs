@@ -5,8 +5,9 @@
 //! shares a cache line would destroy the very scalability it measures, and
 //! instrumentation that costs real time per call would push the workload
 //! off the contention profile the paper studies. `scr-obs` therefore
-//! promises that the disabled path of [`ObservedKernel`] is a handful of
-//! relaxed atomic loads — no `Instant::now`, no histogram work.
+//! promises that the disabled path of `ObservedKernel` — the observing
+//! `Layer`, whose monomorphised `around` hook every call passes through —
+//! is one relaxed atomic load: no `Instant::now`, no histogram work.
 //!
 //! This gate holds the promise: it times the statbench hot loop three ways —
 //! raw kernel, observed-with-disabled-registry, observed-with-enabled-

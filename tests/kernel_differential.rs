@@ -4,175 +4,101 @@
 //! their memory-sharing behaviour, never in semantics.
 
 use proptest::prelude::*;
-use scalable_commutativity::kernel::api::{OpenFlags, SyscallApi, Whence, PAGE_SIZE};
+use scalable_commutativity::kernel::api::{
+    perform, OpenFlags, Stat, SysOp, SysResult, SyscallApi, Whence, PAGE_SIZE,
+};
 use scalable_commutativity::kernel::{LinuxLikeKernel, Sv6Kernel};
+
+/// Every op runs in the first process either kernel creates.
+const PID: usize = 0;
+
+fn name(n: u8) -> String {
+    format!("file-{n}")
+}
+
+/// Writes are whole pages so the two kernels' size accounting (byte
+/// granular in the baseline, page granular in sv6/ScaleFS, as in the
+/// paper's model) reports the same lengths.
+fn page_of(byte: u8) -> Vec<u8> {
+    vec![byte; PAGE_SIZE as usize]
+}
 
 /// A randomly generated call. File names and descriptors are drawn from
 /// small pools so sequences regularly hit both success and error paths.
-#[derive(Clone, Debug)]
-enum Op {
-    Open {
-        name: u8,
-        create: bool,
-        excl: bool,
-        trunc: bool,
-    },
-    Close {
-        fd: u8,
-    },
-    Link {
-        old: u8,
-        new: u8,
-    },
-    Unlink {
-        name: u8,
-    },
-    Rename {
-        src: u8,
-        dst: u8,
-    },
-    Stat {
-        name: u8,
-    },
-    Fstat {
-        fd: u8,
-    },
-    Lseek {
-        fd: u8,
-        page: u8,
-        from_end: bool,
-    },
-    Read {
-        fd: u8,
-    },
-    Write {
-        fd: u8,
-        byte: u8,
-    },
-    Pread {
-        fd: u8,
-        page: u8,
-    },
-    Pwrite {
-        fd: u8,
-        page: u8,
-        byte: u8,
-    },
-    Pipe,
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn op_strategy() -> impl Strategy<Value = SysOp> {
     prop_oneof![
         (0u8..4, any::<bool>(), any::<bool>(), any::<bool>()).prop_map(
-            |(name, create, excl, trunc)| Op::Open {
-                name,
-                create,
-                excl,
-                trunc
+            |(n, create, excl, truncate)| SysOp::Open {
+                pid: PID,
+                name: name(n),
+                flags: OpenFlags {
+                    create,
+                    excl,
+                    truncate,
+                    anyfd: false
+                }
             }
         ),
-        (0u8..6).prop_map(|fd| Op::Close { fd }),
-        (0u8..4, 0u8..4).prop_map(|(old, new)| Op::Link { old, new }),
-        (0u8..4).prop_map(|name| Op::Unlink { name }),
-        (0u8..4, 0u8..4).prop_map(|(src, dst)| Op::Rename { src, dst }),
-        (0u8..4).prop_map(|name| Op::Stat { name }),
-        (0u8..6).prop_map(|fd| Op::Fstat { fd }),
-        (0u8..6, 0u8..3, any::<bool>()).prop_map(|(fd, page, from_end)| Op::Lseek {
-            fd,
-            page,
-            from_end
+        (0u32..6).prop_map(|fd| SysOp::Close { pid: PID, fd }),
+        (0u8..4, 0u8..4).prop_map(|(old, new)| SysOp::Link {
+            pid: PID,
+            old: name(old),
+            new: name(new)
         }),
-        (0u8..6).prop_map(|fd| Op::Read { fd }),
-        (0u8..6, any::<u8>()).prop_map(|(fd, byte)| Op::Write { fd, byte }),
-        (0u8..6, 0u8..3).prop_map(|(fd, page)| Op::Pread { fd, page }),
-        (0u8..6, 0u8..3, any::<u8>()).prop_map(|(fd, page, byte)| Op::Pwrite { fd, page, byte }),
-        Just(Op::Pipe),
+        (0u8..4).prop_map(|n| SysOp::Unlink {
+            pid: PID,
+            name: name(n)
+        }),
+        (0u8..4, 0u8..4).prop_map(|(src, dst)| SysOp::Rename {
+            pid: PID,
+            src: name(src),
+            dst: name(dst)
+        }),
+        (0u8..4).prop_map(|n| SysOp::StatPath {
+            pid: PID,
+            name: name(n)
+        }),
+        (0u32..6).prop_map(|fd| SysOp::Fstat { pid: PID, fd }),
+        (0u32..6, 0i64..3, any::<bool>()).prop_map(|(fd, page, from_end)| SysOp::Lseek {
+            pid: PID,
+            fd,
+            offset: page * PAGE_SIZE as i64,
+            whence: if from_end { Whence::End } else { Whence::Set }
+        }),
+        (0u32..6).prop_map(|fd| SysOp::Read {
+            pid: PID,
+            fd,
+            len: 8
+        }),
+        (0u32..6, any::<u8>()).prop_map(|(fd, byte)| SysOp::Write {
+            pid: PID,
+            fd,
+            data: page_of(byte)
+        }),
+        (0u32..6, 0u64..3).prop_map(|(fd, page)| SysOp::Pread {
+            pid: PID,
+            fd,
+            len: 8,
+            offset: page * PAGE_SIZE
+        }),
+        (0u32..6, 0u64..3, any::<u8>()).prop_map(|(fd, page, byte)| SysOp::Pwrite {
+            pid: PID,
+            fd,
+            data: page_of(byte),
+            offset: page * PAGE_SIZE
+        }),
+        Just(SysOp::Pipe { pid: PID }),
     ]
 }
 
-/// Renders a stat result for comparison. Inode numbers are implementation
+/// The observable outcome of one op. Inode numbers are implementation
 /// artefacts (sv6 never reuses them and encodes the allocating core; the
 /// baseline hands them out sequentially), so they are excluded — POSIX only
 /// promises uniqueness, which other assertions cover.
-fn show_stat(
-    result: Result<
-        scalable_commutativity::kernel::api::Stat,
-        scalable_commutativity::kernel::api::Errno,
-    >,
-) -> String {
-    match result {
-        Ok(stat) => format!(
-            "size={} nlink={} pipe={}",
-            stat.size, stat.nlink, stat.is_pipe
-        ),
-        Err(e) => format!("{e:?}"),
-    }
-}
-
-/// Applies one op and renders its observable outcome as a comparable string.
-fn apply(k: &dyn SyscallApi, pid: usize, op: &Op) -> String {
-    let name = |n: u8| format!("file-{n}");
-    match op {
-        Op::Open {
-            name: n,
-            create,
-            excl,
-            trunc,
-        } => format!(
-            "{:?}",
-            k.open(
-                0,
-                pid,
-                &name(*n),
-                OpenFlags {
-                    create: *create,
-                    excl: *excl,
-                    truncate: *trunc,
-                    anyfd: false
-                }
-            )
-        ),
-        Op::Close { fd } => format!("{:?}", k.close(0, pid, *fd as u32)),
-        Op::Link { old, new } => format!("{:?}", k.link(0, pid, &name(*old), &name(*new))),
-        Op::Unlink { name: n } => format!("{:?}", k.unlink(0, pid, &name(*n))),
-        Op::Rename { src, dst } => format!("{:?}", k.rename(0, pid, &name(*src), &name(*dst))),
-        Op::Stat { name: n } => show_stat(k.stat(0, pid, &name(*n))),
-        Op::Fstat { fd } => show_stat(k.fstat(0, pid, *fd as u32)),
-        Op::Lseek { fd, page, from_end } => format!(
-            "{:?}",
-            k.lseek(
-                0,
-                pid,
-                *fd as u32,
-                *page as i64 * PAGE_SIZE as i64,
-                if *from_end { Whence::End } else { Whence::Set }
-            )
-        ),
-        // Writes are whole pages so the two kernels' size accounting (byte
-        // granular in the baseline, page granular in sv6/ScaleFS, as in the
-        // paper's model) reports the same lengths.
-        Op::Read { fd } => format!("{:?}", k.read(0, pid, *fd as u32, 8)),
-        Op::Write { fd, byte } => format!(
-            "{:?}",
-            k.write(0, pid, *fd as u32, &vec![*byte; PAGE_SIZE as usize])
-        ),
-        Op::Pread { fd, page } => {
-            format!(
-                "{:?}",
-                k.pread(0, pid, *fd as u32, 8, *page as u64 * PAGE_SIZE)
-            )
-        }
-        Op::Pwrite { fd, page, byte } => format!(
-            "{:?}",
-            k.pwrite(
-                0,
-                pid,
-                *fd as u32,
-                &vec![*byte; PAGE_SIZE as usize],
-                *page as u64 * PAGE_SIZE
-            )
-        ),
-        Op::Pipe => format!("{:?}", k.pipe(0, pid)),
+fn apply(k: &impl SyscallApi, op: &SysOp) -> SysResult {
+    match perform(k, 0, op) {
+        SysResult::Meta(stat) => SysResult::Meta(Stat { ino: 0, ..stat }),
+        other => other,
     }
 }
 
@@ -183,11 +109,11 @@ proptest! {
     fn sv6_and_the_baseline_agree_on_observable_results(ops in proptest::collection::vec(op_strategy(), 1..30)) {
         let sv6 = Sv6Kernel::new(2);
         let linux = LinuxLikeKernel::new(2);
-        let sv6_pid = sv6.new_process();
-        let linux_pid = linux.new_process();
+        prop_assert_eq!(sv6.new_process(), PID);
+        prop_assert_eq!(linux.new_process(), PID);
         for (step, op) in ops.iter().enumerate() {
-            let a = apply(&sv6, sv6_pid, op);
-            let b = apply(&linux, linux_pid, op);
+            let a = apply(&sv6, op);
+            let b = apply(&linux, op);
             prop_assert_eq!(a, b, "divergence at step {} on {:?}", step, op);
         }
     }
