@@ -19,7 +19,7 @@
 //! place it can differ:
 //!
 //! * the unconstrained state, the calls' argument variables and every
-//!   assumption are built once per [`AnalysisUnit`]; a path continues the
+//!   assumption are built once per `AnalysisUnit`; a path continues the
 //!   unit's variable numbering through [`SymContext::fork`], so ids and
 //!   names — and with them every case, the solver's variable order and the
 //!   corpus — are what a from-scratch build per path produced;

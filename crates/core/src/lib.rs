@@ -34,8 +34,8 @@ pub use driver::{
     KernelFactory, LinuxLikeFactory, Sv6Factory, TestOutcome,
 };
 pub use pipeline::{
-    run_commuter, run_commuter_with_progress, CommuterConfig, CommuterResults, PairTiming,
-    SweepEvent,
+    run_commuter, run_commuter_with_progress, run_sweep, CommuterConfig, CommuterResults,
+    PairTiming, SweepEvent, Swept, SweptUnit,
 };
 pub use report::{Figure6Report, PairCell};
 pub use shapes::{enumerate_shapes, PairShape};

@@ -1,11 +1,17 @@
 //! The end-to-end COMMUTER pipeline: model → ANALYZER → TESTGEN → MTRACE →
 //! Figure 6.
 //!
-//! [`run_commuter`] analyses every requested pair of the 24 modelled calls,
-//! generates concrete tests for every commutative case, runs them against
-//! each requested kernel, and aggregates the outcomes into one
-//! [`Figure6Report`] per kernel. The benchmarks and the `posix_scan`
-//! example are thin wrappers around this function.
+//! [`run_sweep`] is the one sweep engine: it forms every unordered pair of
+//! the requested calls, specialises the model per pair, enumerates the
+//! argument shapes, runs ANALYZER and TESTGEN on each (pair, shape) unit,
+//! runs a caller-supplied step on every generated test, and streams each
+//! unit's tests and step results to a consumer in unit order.
+//!
+//! [`run_commuter`] is the consumer that keeps the corpus and aggregates the
+//! per-kernel outcomes into one [`Figure6Report`] per kernel. `scr-host`'s
+//! host Figure 6 and differential campaign are two more consumers of the
+//! same engine; the benchmarks and the `posix_scan` example are thin
+//! wrappers around these.
 
 use crate::analyzer::analyze_pair;
 use crate::driver::{run_test, KernelFactory};
@@ -13,10 +19,12 @@ use crate::report::Figure6Report;
 use crate::shapes::{enumerate_shapes, PairShape};
 use crate::sweep::{claim_in_order, effective_threads};
 use crate::testgen::{
-    generate_tests, solver_cache_thread_stats, ConcreteTest, SkipHistogram, SolverCacheStats,
+    generate_tests, solver_cache_thread_stats, ConcreteTest, GeneratedTests, SkipHistogram,
+    SolverCacheStats,
 };
 use scr_kernel::Sv6Kernel;
 use scr_model::{pair_config, CallKind, ModelConfig, ALL_CALLS};
+use std::time::Instant;
 
 /// Configuration of a pipeline run.
 #[derive(Clone, Debug)]
@@ -140,11 +148,43 @@ pub struct PairTiming {
     pub zero_test_seconds: f64,
 }
 
-/// A progress event emitted by [`run_commuter_with_progress`] as the sweep
-/// works through call pairs. Consumers (the `posix_scan` example, the
-/// telemetry event log) use these for live progress lines and for
-/// structured per-pair records in exported artifacts; the events carry
-/// deltas, not running totals, so they compose by summation.
+impl PairTiming {
+    fn empty(calls: (CallKind, CallKind)) -> PairTiming {
+        PairTiming {
+            calls,
+            solve_seconds: 0.0,
+            run_seconds: 0.0,
+            tests: 0,
+            skipped: 0,
+            paths_explored: 0,
+            feasibility_queries: 0,
+            leaves_skipped: 0,
+            feasible_leaves: 0,
+            zero_test_cases: 0,
+            zero_test_seconds: 0.0,
+        }
+    }
+
+    fn add(&mut self, unit: &PairTiming) {
+        self.solve_seconds += unit.solve_seconds;
+        self.run_seconds += unit.run_seconds;
+        self.tests += unit.tests;
+        self.skipped += unit.skipped;
+        self.paths_explored += unit.paths_explored;
+        self.feasibility_queries += unit.feasibility_queries;
+        self.leaves_skipped += unit.leaves_skipped;
+        self.feasible_leaves += unit.feasible_leaves;
+        self.zero_test_cases += unit.zero_test_cases;
+        self.zero_test_seconds += unit.zero_test_seconds;
+    }
+}
+
+/// A progress event emitted by [`run_sweep`] (and forwarded by
+/// [`run_commuter_with_progress`]) as the sweep works through call pairs.
+/// Consumers (the `posix_scan` example, the telemetry event log) use these
+/// for live progress lines and for structured per-pair records in exported
+/// artifacts; the events carry deltas, not running totals, so they compose
+/// by summation.
 #[derive(Clone, Debug)]
 pub enum SweepEvent<'a> {
     /// A call pair is about to be analysed.
@@ -226,12 +266,97 @@ impl CommuterResults {
         }
         h.finish()
     }
+
+    fn absorb(&mut self, unit: SweptUnit<Vec<bool>>) {
+        let (a, b) = unit.calls;
+        self.shapes_analyzed += 1;
+        self.skipped += unit.skipped;
+        self.resolved += unit.resolved;
+        for (reason, count) in &unit.skip_reasons {
+            *self.skip_reasons.entry(*reason).or_default() += count;
+        }
+        for report in &mut self.reports {
+            report.record_skips(a, b, &unit.skip_reasons);
+        }
+        for (test, per_kernel) in unit.tests.into_iter().zip(unit.results) {
+            for (report, conflict_free) in self.reports.iter_mut().zip(per_kernel) {
+                report.record(a, b, conflict_free);
+            }
+            self.tests.push(test);
+        }
+    }
 }
 
 /// Runs the full pipeline for every unordered pair of `config.calls` and
 /// every kernel in `kernels`.
 pub fn run_commuter(config: &CommuterConfig, kernels: &[&dyn KernelFactory]) -> CommuterResults {
     run_commuter_with_progress(config, kernels, |_| {})
+}
+
+/// [`run_commuter`] with a progress callback: `progress` observes one
+/// [`SweepEvent::PairStarted`] / [`SweepEvent::PairDone`] per call pair, in
+/// scan order — at every thread count, in the identical order and with
+/// identical per-pair deltas (timings aside).
+pub fn run_commuter_with_progress(
+    config: &CommuterConfig,
+    kernels: &[&dyn KernelFactory],
+    mut progress: impl FnMut(SweepEvent<'_>),
+) -> CommuterResults {
+    let mut results = CommuterResults {
+        reports: kernels
+            .iter()
+            .map(|k| Figure6Report::new(k.name()))
+            .collect(),
+        ..Default::default()
+    };
+    run_sweep(
+        config,
+        |test| {
+            kernels
+                .iter()
+                .map(|factory| run_test(*factory, test).conflict_free)
+                .collect::<Vec<bool>>()
+        },
+        |swept| match swept {
+            Swept::Unit(unit) => results.absorb(unit),
+            Swept::Event(event) => {
+                if let SweepEvent::PairDone { timing, .. } = &event {
+                    results.pair_timings.push((*timing).clone());
+                }
+                progress(event);
+            }
+        },
+    );
+    results
+}
+
+/// One (pair, shape) unit's tests, as [`run_sweep`] hands them to its
+/// consumer.
+#[derive(Clone, Debug)]
+pub struct SweptUnit<R> {
+    /// The unit's call pair.
+    pub calls: (CallKind, CallKind),
+    /// The tests TESTGEN materialised for the unit, in generation order.
+    pub tests: Vec<ConcreteTest>,
+    /// The step's result for each test: `results[i]` belongs to `tests[i]`.
+    pub results: Vec<R>,
+    /// Representatives TESTGEN could not materialise.
+    pub skipped: usize,
+    /// Why each was skipped; counts sum to `skipped`.
+    pub skip_reasons: SkipHistogram,
+    /// Representatives rescued by re-solving for a constructible completion.
+    pub resolved: usize,
+}
+
+/// What [`run_sweep`] hands its consumer, in scan order: each pair's
+/// [`SweepEvent::PairStarted`], then its units in shape order, then its
+/// [`SweepEvent::PairDone`].
+#[derive(Debug)]
+pub enum Swept<'a, R> {
+    /// One (pair, shape) unit, analysed, generated and stepped.
+    Unit(SweptUnit<R>),
+    /// A pair boundary, with the pair's accounting on `PairDone`.
+    Event(SweepEvent<'a>),
 }
 
 /// One (pair, shape) work unit of a sweep. Units carry only `Send` data
@@ -243,147 +368,62 @@ struct SweepUnit {
     model: ModelConfig,
 }
 
-/// Everything a worker produced for one unit — plain concrete data, merged
-/// into the results strictly in unit order by the calling thread.
-struct UnitOutcome {
-    tests: Vec<ConcreteTest>,
-    /// Per test, per kernel (in factory order): conflict-free?
-    per_kernel: Vec<Vec<bool>>,
-    skipped: usize,
-    resolved: usize,
-    skip_reasons: SkipHistogram,
-    solve_seconds: f64,
-    run_seconds: f64,
-    /// The analyzer's path and query counters for the unit.
-    paths_explored: usize,
-    feasibility_queries: usize,
-    leaves_skipped: usize,
-    feasible_leaves: usize,
-    zero_test_cases: usize,
-    zero_test_seconds: f64,
+/// Everything a worker produced for one unit — plain concrete data, handed
+/// on strictly in unit order by the calling thread.
+struct UnitOutcome<R> {
+    swept: SweptUnit<R>,
+    /// The unit's share of its pair's accounting.
+    timing: PairTiming,
     /// Solver-cache activity attributed to this unit (the claiming worker's
     /// thread-delta — exact even while other workers share the cache).
     cache: SolverCacheStats,
 }
 
-fn run_unit(
+fn run_unit<R>(
     unit: &SweepUnit,
-    names: &[String],
-    max_assignments_per_case: usize,
-    kernels: &[&dyn KernelFactory],
-) -> UnitOutcome {
+    config: &CommuterConfig,
+    step: &impl Fn(&ConcreteTest) -> R,
+) -> UnitOutcome<R> {
     let cache_before = solver_cache_thread_stats();
-    let solve_started = std::time::Instant::now();
+    let solve_started = Instant::now();
     let analysis = analyze_pair(&unit.shape, &unit.model);
-    let mut outcome = UnitOutcome {
-        tests: Vec::new(),
-        per_kernel: Vec::new(),
-        skipped: 0,
-        resolved: 0,
-        skip_reasons: SkipHistogram::new(),
-        solve_seconds: 0.0,
-        run_seconds: 0.0,
-        paths_explored: analysis.paths_explored,
-        feasibility_queries: analysis.feasibility_queries,
-        leaves_skipped: analysis.leaves_skipped,
-        feasible_leaves: analysis.feasible_leaves,
-        zero_test_cases: 0,
-        zero_test_seconds: 0.0,
-        cache: SolverCacheStats::default(),
+    let generated = if analysis.cases.is_empty() {
+        GeneratedTests::default()
+    } else {
+        generate_tests(
+            &unit.shape,
+            &analysis.cases,
+            &unit.model,
+            &config.names,
+            config.max_assignments_per_case,
+        )
     };
-    if analysis.cases.is_empty() {
-        outcome.solve_seconds = solve_started.elapsed().as_secs_f64();
-        outcome.cache = cache_delta(solver_cache_thread_stats(), cache_before);
-        return outcome;
-    }
-    let generated = generate_tests(
-        &unit.shape,
-        &analysis.cases,
-        &unit.model,
-        names,
-        max_assignments_per_case,
-    );
-    outcome.solve_seconds = solve_started.elapsed().as_secs_f64();
-    outcome.skipped = generated.skipped;
-    outcome.resolved = generated.resolved;
-    outcome.skip_reasons = generated.skip_reasons;
-    outcome.zero_test_cases = generated.zero_test_cases;
-    outcome.zero_test_seconds = generated.zero_test_seconds;
-    let run_started = std::time::Instant::now();
-    for test in generated.tests {
-        let per: Vec<bool> = kernels
-            .iter()
-            .map(|factory| run_test(*factory, &test).conflict_free)
-            .collect();
-        outcome.per_kernel.push(per);
-        outcome.tests.push(test);
-    }
-    outcome.run_seconds = run_started.elapsed().as_secs_f64();
-    outcome.cache = cache_delta(solver_cache_thread_stats(), cache_before);
-    outcome
-}
-
-/// Per-pair aggregation state while units stream in.
-struct PairAccum {
-    timing: PairTiming,
-    skip_delta: SkipHistogram,
-    cache: SolverCacheStats,
-}
-
-fn empty_accum(calls: (CallKind, CallKind)) -> PairAccum {
-    PairAccum {
+    let solve_seconds = solve_started.elapsed().as_secs_f64();
+    let run_started = Instant::now();
+    let results = generated.tests.iter().map(step).collect();
+    UnitOutcome {
         timing: PairTiming {
-            calls,
-            solve_seconds: 0.0,
-            run_seconds: 0.0,
-            tests: 0,
-            skipped: 0,
-            paths_explored: 0,
-            feasibility_queries: 0,
-            leaves_skipped: 0,
-            feasible_leaves: 0,
-            zero_test_cases: 0,
-            zero_test_seconds: 0.0,
+            calls: unit.shape.calls,
+            solve_seconds,
+            run_seconds: run_started.elapsed().as_secs_f64(),
+            tests: generated.tests.len(),
+            skipped: generated.skipped,
+            paths_explored: analysis.paths_explored,
+            feasibility_queries: analysis.feasibility_queries,
+            leaves_skipped: analysis.leaves_skipped,
+            feasible_leaves: analysis.feasible_leaves,
+            zero_test_cases: generated.zero_test_cases,
+            zero_test_seconds: generated.zero_test_seconds,
         },
-        skip_delta: SkipHistogram::new(),
-        cache: SolverCacheStats::default(),
-    }
-}
-
-fn absorb_unit(
-    results: &mut CommuterResults,
-    accum: &mut PairAccum,
-    pair: (CallKind, CallKind),
-    outcome: UnitOutcome,
-) {
-    results.shapes_analyzed += 1;
-    accum.timing.solve_seconds += outcome.solve_seconds;
-    accum.timing.run_seconds += outcome.run_seconds;
-    accum.timing.tests += outcome.tests.len();
-    accum.timing.skipped += outcome.skipped;
-    accum.timing.paths_explored += outcome.paths_explored;
-    accum.timing.feasibility_queries += outcome.feasibility_queries;
-    accum.timing.leaves_skipped += outcome.leaves_skipped;
-    accum.timing.feasible_leaves += outcome.feasible_leaves;
-    accum.timing.zero_test_cases += outcome.zero_test_cases;
-    accum.timing.zero_test_seconds += outcome.zero_test_seconds;
-    accum.cache = cache_sum(accum.cache, outcome.cache);
-    results.skipped += outcome.skipped;
-    results.resolved += outcome.resolved;
-    for (reason, count) in &outcome.skip_reasons {
-        *results.skip_reasons.entry(*reason).or_default() += count;
-        *accum.skip_delta.entry(*reason).or_default() += count;
-    }
-    if !outcome.skip_reasons.is_empty() {
-        for report in results.reports.iter_mut() {
-            report.record_skips(pair.0, pair.1, &outcome.skip_reasons);
-        }
-    }
-    for (test, per) in outcome.tests.into_iter().zip(outcome.per_kernel) {
-        for (report, conflict_free) in results.reports.iter_mut().zip(per) {
-            report.record(test.calls.0, test.calls.1, conflict_free);
-        }
-        results.tests.push(test);
+        cache: cache_delta(solver_cache_thread_stats(), cache_before),
+        swept: SweptUnit {
+            calls: unit.shape.calls,
+            tests: generated.tests,
+            results,
+            skipped: generated.skipped,
+            skip_reasons: generated.skip_reasons,
+            resolved: generated.resolved,
+        },
     }
 }
 
@@ -398,144 +438,117 @@ fn cache_sum(a: SolverCacheStats, b: SolverCacheStats) -> SolverCacheStats {
     }
 }
 
-/// Emits `PairDone` for the pair at `*pair_cursor`, advances the cursor and
-/// emits `PairStarted` for the next pair (matching the sequential sweep's
-/// event order exactly).
-fn finalize_pair(
-    results: &mut CommuterResults,
-    progress: &mut impl FnMut(SweepEvent<'_>),
-    pairs: &[(CallKind, CallKind)],
-    accum: &mut PairAccum,
-    pair_cursor: &mut usize,
-) {
-    let index = *pair_cursor;
-    let total = pairs.len();
-    let next = index + 1;
-    let next_calls = if next < total {
-        pairs[next]
-    } else {
-        pairs[index]
-    };
-    let timing = std::mem::replace(&mut accum.timing, empty_accum(next_calls).timing);
-    results.pair_timings.push(timing);
-    let skip_delta = std::mem::take(&mut accum.skip_delta);
-    let cache = accum.cache;
-    accum.cache = SolverCacheStats::default();
-    progress(SweepEvent::PairDone {
-        index,
-        total,
-        timing: results.pair_timings.last().expect("pushed above"),
-        skip_delta,
-        cache_delta: cache,
-    });
-    *pair_cursor = next;
-    if next < total {
-        progress(SweepEvent::PairStarted {
-            index: next,
+/// The in-order side of a sweep: the pair under aggregation and its
+/// accounting so far.
+struct PairCursor<'p> {
+    pairs: &'p [(CallKind, CallKind)],
+    index: usize,
+    timing: PairTiming,
+    skip_delta: SkipHistogram,
+    cache: SolverCacheStats,
+}
+
+impl PairCursor<'_> {
+    /// Emits `PairDone` for the current pair, advances, and emits
+    /// `PairStarted` for the next one (the sequential sweep's event order).
+    fn finish<R>(&mut self, consume: &mut impl FnMut(Swept<'_, R>)) {
+        let total = self.pairs.len();
+        consume(Swept::Event(SweepEvent::PairDone {
+            index: self.index,
             total,
-            calls: pairs[next],
-        });
+            timing: &self.timing,
+            skip_delta: std::mem::take(&mut self.skip_delta),
+            cache_delta: std::mem::take(&mut self.cache),
+        }));
+        self.index += 1;
+        if let Some(&calls) = self.pairs.get(self.index) {
+            self.timing = PairTiming::empty(calls);
+            consume(Swept::Event(SweepEvent::PairStarted {
+                index: self.index,
+                total,
+                calls,
+            }));
+        }
     }
 }
 
-/// [`run_commuter`] with a progress callback: `progress` observes one
-/// [`SweepEvent::PairStarted`] / [`SweepEvent::PairDone`] per call pair, in
-/// scan order — at every thread count, in the identical order and with
-/// identical per-pair deltas (timings aside).
-pub fn run_commuter_with_progress(
-    config: &CommuterConfig,
-    kernels: &[&dyn KernelFactory],
-    mut progress: impl FnMut(SweepEvent<'_>),
-) -> CommuterResults {
-    let threads = effective_threads(config.threads);
+/// The sweep engine. Forms every unordered pair of `config.calls`,
+/// specialises the model per pair with [`pair_config`], enumerates each
+/// pair's shapes, and claims the (pair, shape) units on `config.threads`
+/// workers. The claiming worker analyses and generates the unit, then runs
+/// `step` on each of its tests. `consume` receives every unit with its
+/// tests and step results, plus each pair's progress events, strictly in
+/// scan order on the calling thread — so everything it aggregates is
+/// byte-identical at every worker count. A unit's tests are `consume`'s to
+/// keep or drop: the engine holds no corpus of its own.
+pub fn run_sweep<R, S, C>(config: &CommuterConfig, step: S, mut consume: C)
+where
+    R: Send,
+    S: Fn(&ConcreteTest) -> R + Sync,
+    C: FnMut(Swept<'_, R>),
+{
     let mut pairs: Vec<(CallKind, CallKind)> = Vec::new();
     for (i, &call_a) in config.calls.iter().enumerate() {
         for &call_b in config.calls.iter().skip(i) {
             pairs.push((call_a, call_b));
         }
     }
-    let total = pairs.len();
+    let Some(&first) = pairs.first() else {
+        return;
+    };
 
     // One work unit per (pair, shape). §4 extension state (socket slots,
     // child slots) is enabled per pair; fs-only pairs keep exactly the
     // configured model, so their corpora are unchanged by the extensions.
     let mut units: Vec<SweepUnit> = Vec::new();
-    let mut pair_ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(total);
+    let mut pair_ends: Vec<usize> = Vec::with_capacity(pairs.len());
     for (pair_index, &(call_a, call_b)) in pairs.iter().enumerate() {
-        let start = units.len();
-        let pair_model = pair_config(&config.model, call_a, call_b);
-        for shape in enumerate_shapes(call_a, call_b, &pair_model) {
+        let model = pair_config(&config.model, call_a, call_b);
+        for shape in enumerate_shapes(call_a, call_b, &model) {
             units.push(SweepUnit {
                 pair_index,
                 shape,
-                model: pair_model,
+                model,
             });
         }
-        pair_ranges.push(start..units.len());
+        pair_ends.push(units.len());
     }
 
-    let mut results = CommuterResults {
-        reports: kernels
-            .iter()
-            .map(|k| Figure6Report::new(k.name()))
-            .collect(),
-        ..Default::default()
-    };
-    if total == 0 {
-        return results;
-    }
-
-    progress(SweepEvent::PairStarted {
+    consume(Swept::Event(SweepEvent::PairStarted {
         index: 0,
-        total,
-        calls: pairs[0],
-    });
-    let mut pair_cursor = 0usize;
-    let mut accum = empty_accum(pairs[0]);
+        total: pairs.len(),
+        calls: first,
+    }));
+    let mut cursor = PairCursor {
+        pairs: &pairs,
+        index: 0,
+        timing: PairTiming::empty(first),
+        skip_delta: SkipHistogram::new(),
+        cache: SolverCacheStats::default(),
+    };
     claim_in_order(
         &units,
-        threads,
-        |_, unit| {
-            run_unit(
-                unit,
-                &config.names,
-                config.max_assignments_per_case,
-                kernels,
-            )
-        },
+        effective_threads(config.threads),
+        |_, unit| run_unit(unit, config, &step),
         |idx, outcome| {
             let pair = units[idx].pair_index;
-            while pair_cursor < pair {
-                finalize_pair(
-                    &mut results,
-                    &mut progress,
-                    &pairs,
-                    &mut accum,
-                    &mut pair_cursor,
-                );
+            while cursor.index < pair {
+                cursor.finish(&mut consume);
             }
-            absorb_unit(&mut results, &mut accum, pairs[pair], outcome);
-            if idx + 1 == pair_ranges[pair].end {
-                finalize_pair(
-                    &mut results,
-                    &mut progress,
-                    &pairs,
-                    &mut accum,
-                    &mut pair_cursor,
-                );
+            cursor.timing.add(&outcome.timing);
+            cursor.cache = cache_sum(cursor.cache, outcome.cache);
+            for (reason, count) in &outcome.swept.skip_reasons {
+                *cursor.skip_delta.entry(*reason).or_default() += count;
+            }
+            consume(Swept::Unit(outcome.swept));
+            if idx + 1 == pair_ends[pair] {
+                cursor.finish(&mut consume);
             }
         },
     );
-    while pair_cursor < total {
-        finalize_pair(
-            &mut results,
-            &mut progress,
-            &pairs,
-            &mut accum,
-            &mut pair_cursor,
-        );
+    while cursor.index < pairs.len() {
+        cursor.finish(&mut consume);
     }
-    results
 }
 
 #[cfg(test)]

@@ -207,7 +207,7 @@ pub struct SolverCacheStats {
     /// Repair-loop outcomes that ran the solve-and-repair search.
     pub completion_misses: usize,
     /// Resident entries displaced to admit new ones once a shard reached
-    /// its slice of [`SOLVER_CACHE_CAP`].
+    /// its slice of `SOLVER_CACHE_CAP`.
     pub evictions: usize,
     /// Rejected representatives given up without a search (or a cache
     /// lookup): their pinned values alone fail a table check.

@@ -17,7 +17,7 @@
 //! cut). The per-unit base state and the classification of the explored
 //! leaves are the pair analyzer's own (`AnalysisUnit`): the six-order
 //! agreement is built for feasible leaves only. Generation reuses the pair
-//! materialiser through [`materialize_calls`] — no repair loop: a triple
+//! materialiser through `materialize_calls` — no repair loop: a triple
 //! whose first witness is unconstructible is counted as skipped (see
 //! ROADMAP residue).
 

@@ -10,8 +10,8 @@
 //! [`ChaosPlan`] — errno storms, delivery holds, qman crashes mid-step —
 //! every announced message ends up *exactly once* in either its mailbox
 //! or the dead-letter box. `lost` and `duplicates` stay zero; chaos is
-//! allowed to cost latency and deliveries to [`DEAD_LETTER`], never
-//! messages.
+//! allowed to cost latency and deliveries to
+//! [`DEAD_LETTER`](scr_kernel::mail::DEAD_LETTER), never messages.
 //!
 //! The kernel stack, innermost first — each wrapper a
 //! `scr_kernel::api::Layer` whose `around` hook sees every call once:

@@ -5,27 +5,31 @@
 //! simulated kernels faithfully represent what a real implementation would
 //! do. This module checks exactly that: every generated test's setup is
 //! replayed on a [`HostKernel`], the two commutative operations run
-//! concurrently on two real OS threads (synchronised by a barrier, so they
-//! genuinely race), and every observable result is compared against the
-//! simulated `Sv6Kernel`'s. Because the operations *commute*, their results
-//! must be independent of how the threads interleave — so simulated and
-//! host results must agree bit-for-bit, whatever schedule the hardware
-//! picks.
+//! concurrently on two real OS threads ([`race`], so they genuinely race),
+//! and every observable result is compared against the simulated
+//! `Sv6Kernel`'s. Because the operations *commute*, their results must be
+//! independent of how the threads interleave — so simulated and host
+//! results must agree bit-for-bit, whatever schedule the hardware picks.
+//!
+//! [`differential_campaign`] is the one campaign: a consumer of the
+//! COMMUTER sweep engine (`scr_core::run_sweep`) that pools each pair's
+//! tests, spends a seeded replay budget across the pairs, and replays the
+//! selection through any [`ConcreteReplayer`] — the plain [`HostReplayer`],
+//! or the [`ChaosReplayer`]'s fault-injecting stack.
 
+use crate::harness::race;
 use crate::kernel::{HostKernel, HostMode};
 use scr_chaos::kernel::{FaultyKernel, ReliableKernel};
 use scr_chaos::plan::ChaosPlan;
-use scr_core::pipeline::{bucket_distinct_names, CommuterConfig};
+use scr_core::pipeline::CommuterConfig;
 use scr_core::{
-    analyze_pair, claim_in_order, differential_check, effective_threads, enumerate_shapes,
-    generate_tests, run_test_order, ConcreteReplayer, ConcreteTest, DifferentialOutcome,
-    SkipHistogram, Sv6Factory,
+    run_sweep, run_test_order, ConcreteReplayer, ConcreteTest, DifferentialOutcome, SkipHistogram,
+    Sv6Factory, SweepEvent, Swept,
 };
-use scr_kernel::api::{perform, SysResult, SyscallApi};
-use scr_kernel::retry::RetryPolicy;
-use scr_model::{pair_config, CallKind};
+use scr_kernel::api::SysResult;
+use scr_kernel::retry::{mix64, RetryPolicy, GOLDEN};
+use scr_model::CallKind;
 use scr_obs::EventLog;
-use std::sync::Barrier;
 
 /// Replays generated tests on a fresh [`HostKernel`] per test, running the
 /// commutative pair on two real threads.
@@ -48,32 +52,15 @@ impl ConcreteReplayer for HostReplayer {
 
     fn replay(&self, test: &ConcreteTest) -> (SysResult, SysResult) {
         let kernel = HostKernel::new(self.cores.max(2), HostMode::Sv6);
-        for _ in 0..test.procs.max(2) {
-            kernel.new_process();
-        }
-        // Setup replays sequentially, each op on its annotated core (socket
-        // preloads must land on the owning core's queue), as in the
-        // simulated driver.
-        for (core, op) in &test.setup {
-            perform(&kernel, *core, op);
-        }
-        // The commutative pair races on two real threads.
-        let barrier = Barrier::new(2);
-        let (kernel_ref, barrier_ref) = (&kernel, &barrier);
-        std::thread::scope(|scope| {
-            let a = scope.spawn(move || {
-                barrier_ref.wait();
-                perform(kernel_ref, 0, &test.op_a)
-            });
-            let b = scope.spawn(move || {
-                barrier_ref.wait();
-                perform(kernel_ref, 1, &test.op_b)
-            });
-            (
-                a.join().expect("op_a thread"),
-                b.join().expect("op_b thread"),
-            )
-        })
+        let [a, b] = race(
+            &kernel,
+            test.procs,
+            &test.setup,
+            [&test.op_a, &test.op_b],
+            true,
+            || {},
+        );
+        (a, b)
     }
 }
 
@@ -83,24 +70,14 @@ impl ConcreteReplayer for HostReplayer {
 /// belongs to `ops[i]` whatever interleaving the hardware picked).
 pub fn replay_triple_host(test: &scr_core::ConcreteTripleTest, cores: usize) -> [SysResult; 3] {
     let kernel = HostKernel::new(cores.max(3), HostMode::Sv6);
-    for _ in 0..test.procs.max(2) {
-        kernel.new_process();
-    }
-    for (core, op) in &test.setup {
-        perform(&kernel, *core, op);
-    }
-    let barrier = Barrier::new(3);
-    let (kernel_ref, barrier_ref) = (&kernel, &barrier);
-    std::thread::scope(|scope| {
-        let handles: [_; 3] = std::array::from_fn(|i| {
-            let op = &test.ops[i];
-            scope.spawn(move || {
-                barrier_ref.wait();
-                perform(kernel_ref, i, op)
-            })
-        });
-        handles.map(|h| h.join().expect("triple op thread"))
-    })
+    race(
+        &kernel,
+        test.procs,
+        &test.setup,
+        test.ops.each_ref(),
+        true,
+        || {},
+    )
 }
 
 /// Checks a racing host replay against the simulated kernel: the result
@@ -141,30 +118,17 @@ impl ConcreteReplayer for ChaosReplayer {
     fn replay(&self, test: &ConcreteTest) -> (SysResult, SysResult) {
         let cores = self.cores.max(2);
         let kernel = HostKernel::new(cores, HostMode::Sv6);
-        for _ in 0..test.procs.max(2) {
-            kernel.new_process();
-        }
         let faulty = FaultyKernel::new(&kernel, self.plan.clone(), cores);
         let reliable = ReliableKernel::new(&faulty, RetryPolicy::spin().with_seed(self.plan.seed));
-        for (core, op) in &test.setup {
-            perform(&reliable, *core, op);
-        }
-        let barrier = Barrier::new(2);
-        let (api_ref, barrier_ref) = (&reliable, &barrier);
-        std::thread::scope(|scope| {
-            let a = scope.spawn(move || {
-                barrier_ref.wait();
-                perform(api_ref, 0, &test.op_a)
-            });
-            let b = scope.spawn(move || {
-                barrier_ref.wait();
-                perform(api_ref, 1, &test.op_b)
-            });
-            (
-                a.join().expect("op_a thread"),
-                b.join().expect("op_b thread"),
-            )
-        })
+        let [a, b] = race(
+            &reliable,
+            test.procs,
+            &test.setup,
+            [&test.op_a, &test.op_b],
+            true,
+            || {},
+        );
+        (a, b)
     }
 }
 
@@ -182,7 +146,7 @@ pub struct PairOutcome {
     pub skipped: usize,
 }
 
-/// Aggregated result of a differential run.
+/// Aggregated result of a differential campaign.
 #[derive(Clone, Debug, Default)]
 pub struct DifferentialReport {
     /// Number of distinct tests replayed.
@@ -192,10 +156,10 @@ pub struct DifferentialReport {
     /// Tests whose simulated and host results disagreed (first disagreeing
     /// schedule per test).
     pub mismatches: Vec<DifferentialOutcome>,
-    /// Per-pair budget accounting (campaign runs only).
+    /// Per-pair budget accounting, in pair order.
     pub pairs: Vec<PairOutcome>,
-    /// Aggregated TESTGEN skip reasons across every pair (campaign runs
-    /// only) — coverage the oracle could not check, by cause.
+    /// Aggregated TESTGEN skip reasons across every pair — coverage the
+    /// oracle could not check, by cause.
     pub skip_reasons: SkipHistogram,
 }
 
@@ -270,207 +234,105 @@ impl CampaignConfig {
     }
 }
 
-/// Generates tests for every shape of the given call pairs (bounded by
-/// `max_tests`, spread round-robin over the pairs) and cross-checks the
-/// host kernel against the simulated `Sv6Kernel` on each.
-pub fn differential_sample(calls: &[CallKind], max_tests: usize) -> DifferentialReport {
-    differential_campaign(&CampaignConfig::quick(calls, max_tests))
-}
-
-/// xorshift64* — a tiny deterministic generator for the campaign shuffle
-/// (no registry access for a real RNG crate, and reproducibility is the
-/// point anyway).
-fn xorshift64(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-}
-
-/// Fisher–Yates with the seeded generator.
+/// Fisher–Yates, drawing from SplitMix64 outputs of `seed`.
 fn shuffle<T>(items: &mut [T], seed: u64) {
-    // Avoid the all-zero fixed point.
-    let mut state = seed | 1;
+    let stream = mix64(seed);
     for i in (1..items.len()).rev() {
-        let j = (xorshift64(&mut state) % (i as u64 + 1)) as usize;
-        items.swap(i, j);
+        let j = mix64(stream ^ i as u64) % (i as u64 + 1);
+        items.swap(i, j as usize);
     }
 }
 
-/// Runs a seeded differential campaign: generates tests for every unordered
-/// pair of `config.calls`, spreads the replay budget round-robin across the
-/// pairs (shuffling each pair's tests deterministically), and replays every
-/// selected test `schedules_per_test` times on real threads, comparing each
-/// replay against the simulated kernel's results.
-pub fn differential_campaign(config: &CampaignConfig) -> DifferentialReport {
-    differential_campaign_observed(config, None)
-}
-
-/// [`differential_campaign`], optionally narrating itself into an
-/// [`EventLog`]: one `pair-pool` event per call pair (corpus size, skips
-/// and the per-pair shuffle seed), one `mismatch` event per disagreement
-/// (test id plus both results), and a final `campaign-done` event carrying
-/// the seed and budget. A failed run is reproducible from the exported
-/// event stream alone — the seed and config knobs are all in it.
-pub fn differential_campaign_observed(
-    config: &CampaignConfig,
-    events: Option<&EventLog>,
-) -> DifferentialReport {
-    differential_campaign_with(config, &HostReplayer { cores: 4 }, events)
-}
-
-/// The chaos leg of the campaign: the same seeded pair sweep replayed
-/// through a [`ChaosReplayer`] under `plan`'s errno injection. Since the
-/// reliable retry stack is observationally the raw kernel, every replay
-/// must still linearize against the simulated sequential orders —
-/// [`DifferentialReport::all_agree`] asserts the retry contract end to
-/// end, on every faultable call TESTGEN reaches.
-pub fn chaos_campaign(config: &CampaignConfig, plan: &ChaosPlan) -> DifferentialReport {
-    let replayer = ChaosReplayer {
-        cores: 4,
-        plan: plan.clone(),
-    };
-    differential_campaign_with(config, &replayer, None)
-}
-
-/// [`differential_campaign_observed`] over an explicit replayer: the
-/// generation, budgeting and linearization phases are replayer-agnostic,
-/// so the plain host stack and the chaos stack share one campaign body.
-pub fn differential_campaign_with(
+/// Runs a seeded differential campaign through `replayer`: pools the tests
+/// of every unordered pair of `config.calls` from the sweep engine, spreads
+/// the replay budget round-robin across the pairs (shuffling each pool
+/// deterministically), and replays every selected test
+/// `schedules_per_test` times, comparing each replay against the simulated
+/// kernel's results. Pass a [`HostReplayer`] for the plain host kernel, or
+/// a [`ChaosReplayer`] to replay through the fault layer: since its retry
+/// stack is observationally the raw kernel, every replay must still
+/// linearize, which asserts the retry contract end to end.
+///
+/// With `events`, the campaign narrates itself: one `pair-pool` event per
+/// call pair (corpus size, skips and the per-pair shuffle seed), one
+/// `mismatch` event per disagreement (test id plus both results), and a
+/// final `campaign-done` event carrying the seed and budget. A failed run
+/// is reproducible from the exported event stream alone — the seed and
+/// config knobs are all in it.
+pub fn differential_campaign(
     config: &CampaignConfig,
     replayer: &dyn ConcreteReplayer,
     events: Option<&EventLog>,
 ) -> DifferentialReport {
-    let base_model = CommuterConfig::quick(&config.calls).model;
-    let names = bucket_distinct_names(8);
-
-    // Phase 1: generate per-pair test pools (and skip accounting). Every
-    // pair's corpus is generated in full even when `max_tests` would cover
-    // only a fraction — deliberately: the skip-reason histogram (which the
-    // CI baseline gates on) and the seeded sampling are only meaningful
-    // over the complete pool, and generation cost is paid once per pair.
-    //
-    // Generation work-steals over (pair, shape) units; pools are assembled
-    // strictly in pair order on this thread, because each pair's shuffle
-    // seed is derived from its position in `pools` — aggregation order IS
-    // the determinism contract.
-    struct PoolUnit {
-        pair_index: usize,
-        shape: scr_core::PairShape,
-        model: scr_model::ModelConfig,
-    }
-    let mut pairs: Vec<(CallKind, CallKind)> = Vec::new();
-    for (i, &call_a) in config.calls.iter().enumerate() {
-        for &call_b in config.calls.iter().skip(i) {
-            pairs.push((call_a, call_b));
-        }
-    }
-    let mut units: Vec<PoolUnit> = Vec::new();
-    let mut pair_ranges: Vec<std::ops::Range<usize>> = Vec::new();
-    for (pair_index, &(call_a, call_b)) in pairs.iter().enumerate() {
-        // Per-pair model specialisation: extension pairs get socket and
-        // child-table bounds, pure-socket pairs shed the file-system
-        // dimensions, fs-only pairs keep the base model unchanged.
-        let model = pair_config(&base_model, call_a, call_b);
-        let start = units.len();
-        for shape in enumerate_shapes(call_a, call_b, &model) {
-            units.push(PoolUnit {
-                pair_index,
-                shape,
-                model,
-            });
-        }
-        pair_ranges.push(start..units.len());
-    }
-    let mut pools: Vec<(CallKind, CallKind, Vec<ConcreteTest>, usize)> = Vec::new();
-    let mut skip_reasons = SkipHistogram::new();
-    let mut pending_pool: Vec<ConcreteTest> = Vec::new();
-    let mut pending_skipped = 0usize;
-    // A deterministic per-pair shuffle so the budget samples the pair's
-    // shapes instead of always replaying the first ones.
-    let finalize_pair = |pools: &mut Vec<(CallKind, CallKind, Vec<ConcreteTest>, usize)>,
-                         mut pool: Vec<ConcreteTest>,
-                         skipped: usize| {
-        let (call_a, call_b) = pairs[pools.len()];
-        let pair_seed = config
-            .seed
-            .wrapping_add((pools.len() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        shuffle(&mut pool, pair_seed);
-        if let Some(events) = events {
-            events.emit_kv(
-                "pair-pool",
-                vec![
-                    ("call_a", call_a.name().into()),
-                    ("call_b", call_b.name().into()),
-                    ("generated", pool.len().into()),
-                    ("skipped", skipped.into()),
-                    ("pair_seed", pair_seed.into()),
-                ],
-            );
-        }
-        pools.push((call_a, call_b, pool, skipped));
+    let sweep = CommuterConfig {
+        max_assignments_per_case: config.max_assignments_per_case,
+        threads: config.threads,
+        ..CommuterConfig::quick(&config.calls)
     };
-    claim_in_order(
-        &units,
-        effective_threads(config.threads),
-        |_, unit| {
-            let analysis = analyze_pair(&unit.shape, &unit.model);
-            if analysis.cases.is_empty() {
-                return None;
-            }
-            Some(generate_tests(
-                &unit.shape,
-                &analysis.cases,
-                &unit.model,
-                &names,
-                config.max_assignments_per_case,
-            ))
-        },
-        |idx, generated| {
-            let pair = units[idx].pair_index;
-            while pools.len() < pair {
-                finalize_pair(
-                    &mut pools,
-                    std::mem::take(&mut pending_pool),
-                    std::mem::take(&mut pending_skipped),
-                );
-            }
-            if let Some(generated) = generated {
-                pending_skipped += generated.skipped;
-                for (reason, count) in &generated.skip_reasons {
-                    *skip_reasons.entry(*reason).or_default() += count;
+    let mut report = DifferentialReport::default();
+
+    // Phase 1: pool each pair's tests. Every pair's corpus is generated in
+    // full even when `max_tests` would cover only a fraction — deliberately:
+    // the skip-reason histogram (which the CI baseline gates on) and the
+    // seeded sampling are only meaningful over the complete pool. Each
+    // pair's shuffle seed derives from its index, and the engine hands
+    // pairs over in pair order, so the pools are byte-identical at every
+    // worker count.
+    let mut pools: Vec<Vec<ConcreteTest>> = Vec::new();
+    let mut pending: Vec<ConcreteTest> = Vec::new();
+    run_sweep(
+        &sweep,
+        |_| (),
+        |swept| match swept {
+            Swept::Unit(unit) => pending.extend(unit.tests),
+            Swept::Event(SweepEvent::PairDone {
+                index,
+                timing,
+                skip_delta,
+                ..
+            }) => {
+                for (reason, count) in skip_delta {
+                    *report.skip_reasons.entry(reason).or_default() += count;
                 }
-                pending_pool.extend(generated.tests);
+                let mut pool = std::mem::take(&mut pending);
+                let pair_seed = config
+                    .seed
+                    .wrapping_add((index as u64).wrapping_mul(GOLDEN));
+                shuffle(&mut pool, pair_seed);
+                if let Some(events) = events {
+                    events.emit_kv(
+                        "pair-pool",
+                        vec![
+                            ("call_a", timing.calls.0.name().into()),
+                            ("call_b", timing.calls.1.name().into()),
+                            ("generated", pool.len().into()),
+                            ("skipped", timing.skipped.into()),
+                            ("pair_seed", pair_seed.into()),
+                        ],
+                    );
+                }
+                report.pairs.push(PairOutcome {
+                    calls: timing.calls,
+                    generated: pool.len(),
+                    replayed: 0,
+                    skipped: timing.skipped,
+                });
+                pools.push(pool);
             }
-            if idx + 1 == pair_ranges[pair].end {
-                finalize_pair(
-                    &mut pools,
-                    std::mem::take(&mut pending_pool),
-                    std::mem::take(&mut pending_skipped),
-                );
-            }
+            Swept::Event(SweepEvent::PairStarted { .. }) => {}
         },
     );
-    // Pairs with no shapes at all (and any tail after the last unit) still
-    // get their (empty) pool entries, in order.
-    while pools.len() < pairs.len() {
-        finalize_pair(&mut pools, Vec::new(), 0);
-    }
 
     // Phase 2: spread the budget round-robin across the pairs.
-    let mut selected: Vec<(usize, ConcreteTest)> = Vec::new();
-    let mut cursors = vec![0usize; pools.len()];
-    'budget: loop {
+    let mut selected: Vec<(usize, &ConcreteTest)> = Vec::new();
+    'budget: for round in 0.. {
         let mut progressed = false;
-        for (idx, (_, _, pool, _)) in pools.iter().enumerate() {
+        for (idx, pool) in pools.iter().enumerate() {
             if selected.len() >= config.max_tests {
                 break 'budget;
             }
-            if cursors[idx] < pool.len() {
-                selected.push((idx, pool[cursors[idx]].clone()));
-                cursors[idx] += 1;
+            if let Some(test) = pool.get(round) {
+                selected.push((idx, test));
                 progressed = true;
             }
         }
@@ -481,19 +343,14 @@ pub fn differential_campaign_with(
 
     // Phase 3: replay each selected test under several schedules.
     let factory = Sv6Factory { cores: 4 };
-    let mut report = DifferentialReport {
-        skip_reasons,
-        ..DifferentialReport::default()
-    };
-    let mut replayed_per_pair = vec![0usize; pools.len()];
-    for (idx, test) in &selected {
+    for (idx, test) in selected {
         // Both sequential orders define the legal outcomes: a racing replay
         // of a commutative pair must linearise to one of them (see
         // `DifferentialOutcome::agree`).
         let simulated = run_test_order(&factory, test, true).results;
         let simulated_ba = run_test_order(&factory, test, false).results;
         report.tests_run += 1;
-        replayed_per_pair[*idx] += 1;
+        report.pairs[idx].replayed += 1;
         for _ in 0..config.schedules_per_test.max(1) {
             let replayed = replayer.replay(test);
             report.replays_run += 1;
@@ -535,16 +392,6 @@ pub fn differential_campaign_with(
             ],
         );
     }
-    report.pairs = pools
-        .iter()
-        .zip(&replayed_per_pair)
-        .map(|((a, b, pool, skipped), replayed)| PairOutcome {
-            calls: (*a, *b),
-            generated: pool.len(),
-            replayed: *replayed,
-            skipped: *skipped,
-        })
-        .collect();
     report
 }
 
@@ -582,24 +429,16 @@ pub fn ext_campaign(cores: usize, schedules: usize) -> ExtCampaignReport {
     }
 }
 
-/// Cross-checks an explicit batch of tests (single schedule each).
-pub fn run_differential(tests: &[ConcreteTest]) -> DifferentialReport {
-    let factory = Sv6Factory { cores: 4 };
-    let replayer = HostReplayer { cores: 4 };
-    let outcomes = differential_check(&factory, &replayer, tests);
-    DifferentialReport {
-        tests_run: outcomes.len(),
-        replays_run: outcomes.len(),
-        mismatches: outcomes.into_iter().filter(|o| !o.agree()).collect(),
-        ..DifferentialReport::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scr_core::differential_check;
     use scr_kernel::api::{OpenFlags, SysOp};
     use scr_obs::Json;
+
+    fn chaos(plan: ChaosPlan) -> ChaosReplayer {
+        ChaosReplayer { cores: 4, plan }
+    }
 
     #[test]
     fn manual_commutative_pair_agrees() {
@@ -619,14 +458,22 @@ mod tests {
             },
             procs: 2,
         };
-        let report = run_differential(std::slice::from_ref(&test));
-        assert_eq!(report.tests_run, 1);
-        assert!(report.all_agree(), "{}", report.describe_mismatches());
+        let outcomes = differential_check(
+            &Sv6Factory { cores: 4 },
+            &HostReplayer::default(),
+            std::slice::from_ref(&test),
+        );
+        assert_eq!(outcomes.len(), 1);
+        assert!(outcomes[0].agree(), "{:?}", outcomes[0]);
     }
 
     #[test]
     fn stat_unlink_sample_has_no_mismatches() {
-        let report = differential_sample(&[CallKind::Stat, CallKind::Unlink], 24);
+        let report = differential_campaign(
+            &CampaignConfig::quick(&[CallKind::Stat, CallKind::Unlink], 24),
+            &HostReplayer::default(),
+            None,
+        );
         assert!(report.tests_run > 0);
         assert!(report.all_agree(), "{}", report.describe_mismatches());
     }
@@ -642,7 +489,7 @@ mod tests {
             max_tests: 18,
             ..CampaignConfig::new(&[CallKind::Stat, CallKind::Unlink, CallKind::Link])
         };
-        let report = differential_campaign(&config);
+        let report = differential_campaign(&config, &HostReplayer::default(), None);
         assert_eq!(report.tests_run, 18);
         assert!(report.all_agree(), "{}", report.describe_mismatches());
         for pair in &report.pairs {
@@ -665,8 +512,8 @@ mod tests {
             max_tests: 10,
             ..CampaignConfig::new(&[CallKind::Stat, CallKind::Unlink])
         };
-        let a = differential_campaign(&config);
-        let b = differential_campaign(&config);
+        let a = differential_campaign(&config, &HostReplayer::default(), None);
+        let b = differential_campaign(&config, &HostReplayer::default(), None);
         assert_eq!(a.tests_run, b.tests_run);
         assert_eq!(
             a.pairs.iter().map(|p| p.replayed).collect::<Vec<_>>(),
@@ -684,11 +531,15 @@ mod tests {
             max_tests: 12,
             ..CampaignConfig::new(&[CallKind::Stat, CallKind::Unlink, CallKind::Link])
         };
-        let sequential = differential_campaign(&config);
-        let parallel = differential_campaign(&CampaignConfig {
-            threads: 3,
-            ..config
-        });
+        let sequential = differential_campaign(&config, &HostReplayer::default(), None);
+        let parallel = differential_campaign(
+            &CampaignConfig {
+                threads: 3,
+                ..config
+            },
+            &HostReplayer::default(),
+            None,
+        );
         assert_eq!(sequential.tests_run, parallel.tests_run);
         assert_eq!(sequential.skip_reasons, parallel.skip_reasons);
         for (s, p) in sequential.pairs.iter().zip(&parallel.pairs) {
@@ -716,7 +567,7 @@ mod tests {
             ..CampaignConfig::new(&[CallKind::Stat, CallKind::Unlink])
         };
         let events = EventLog::new();
-        let report = differential_campaign_observed(&config, Some(&events));
+        let report = differential_campaign(&config, &HostReplayer::default(), Some(&events));
         assert!(report.all_agree(), "{}", report.describe_mismatches());
         // Two calls → three unordered pairs, one pool event each.
         assert_eq!(events.of_kind("pair-pool").len(), 3);
@@ -744,7 +595,7 @@ mod tests {
                 CallKind::Recv,
             ])
         };
-        let report = chaos_campaign(&config, &ChaosPlan::errno_storm(29));
+        let report = differential_campaign(&config, &chaos(ChaosPlan::errno_storm(29)), None);
         assert!(report.tests_run > 0);
         assert!(report.all_agree(), "{}", report.describe_mismatches());
     }
@@ -756,7 +607,7 @@ mod tests {
             max_tests: 10,
             ..CampaignConfig::new(&[CallKind::Send, CallKind::Recv])
         };
-        let report = chaos_campaign(&config, &ChaosPlan::delayed_delivery(31));
+        let report = differential_campaign(&config, &chaos(ChaosPlan::delayed_delivery(31)), None);
         assert!(report.tests_run > 0);
         assert!(report.all_agree(), "{}", report.describe_mismatches());
     }
@@ -768,11 +619,11 @@ mod tests {
             max_tests: 8,
             ..CampaignConfig::new(&[CallKind::Stat, CallKind::Unlink])
         };
-        let plain = differential_campaign(&config);
-        let chaos = chaos_campaign(&config, &ChaosPlan::none());
-        assert!(plain.all_agree() && chaos.all_agree());
-        assert_eq!(plain.tests_run, chaos.tests_run);
-        assert_eq!(plain.replays_run, chaos.replays_run);
+        let plain = differential_campaign(&config, &HostReplayer::default(), None);
+        let faulty = differential_campaign(&config, &chaos(ChaosPlan::none()), None);
+        assert!(plain.all_agree() && faulty.all_agree());
+        assert_eq!(plain.tests_run, faulty.tests_run);
+        assert_eq!(plain.replays_run, faulty.replays_run);
     }
 
     #[test]
@@ -782,7 +633,7 @@ mod tests {
             max_tests: 6,
             ..CampaignConfig::new(&[CallKind::Stat, CallKind::Unlink])
         };
-        let report = differential_campaign(&config);
+        let report = differential_campaign(&config, &HostReplayer::default(), None);
         assert!(report.all_agree(), "{}", report.describe_mismatches());
         assert_eq!(report.replays_run, report.tests_run * 3);
     }

@@ -23,20 +23,26 @@
 //! line), so — exactly as in the paper's Linux column — essentially every
 //! pair conflicts there, which [`HostFig6Results::assert_linux_collapses`]
 //! verifies in aggregate instead.
+//!
+//! [`run_host_fig6`] is a consumer of the COMMUTER sweep engine
+//! (`scr_core::run_sweep`): the engine generates exactly the corpus
+//! `scr_core::run_commuter` generates for the same bounds, each test runs
+//! on the four kernels on the worker that generated it, and the consumer
+//! keeps the verdicts and drops the tests.
 
+use crate::harness::race;
 use crate::kernel::{HostKernel, HostMode, HostOptions};
 use scr_core::pipeline::bucket_distinct_names;
 use scr_core::{
-    analyze_pair, claim_in_order, effective_threads, enumerate_shapes, generate_tests, run_test,
-    ConcreteTest, Figure6Report, LinuxLikeFactory, Sv6Factory,
+    analyze_pair, enumerate_shapes, generate_tests, run_sweep, run_test, CommuterConfig,
+    ConcreteTest, Figure6Report, LinuxLikeFactory, Sv6Factory, Swept, SweptUnit, TestOutcome,
 };
-use scr_hostmtrace::{on_core, HostConflictReport, HostTraceSink};
+use scr_hostmtrace::{HostConflictReport, HostTraceSink};
 use scr_kernel::api::{perform, SockId, SocketOrder, SysOp, SysResult, SyscallApi};
 use scr_kernel::Sv6Kernel;
 use scr_model::{pair_config, CallKind, ModelConfig};
 use scr_mtrace::AccessKind;
 use scr_obs::HeatMap;
-use std::sync::Barrier;
 
 /// The exception tag for divergences fully explained by lowest-FD
 /// descriptor-table contention (every conflicting line is a `proc[p].fd[f]`
@@ -99,23 +105,12 @@ pub struct HostTestOutcome {
     pub dropped: usize,
 }
 
-/// Replays one test on an instrumented kernel: setup untraced on core 0,
-/// then the commutative pair inside a tracing window — on two real threads
-/// when `concurrent`, or back to back on the calling thread otherwise (the
+/// Replays one test on an instrumented kernel: setup untraced, then the
+/// commutative pair inside a tracing window — on two real threads when
+/// `concurrent`, or back to back on the calling thread otherwise (the
 /// deterministic mode used to validate instrumentation faithfulness).
+/// Returns the sink too, so callers can resolve every access's label.
 pub fn replay_traced(
-    mode: HostMode,
-    cores: usize,
-    test: &ConcreteTest,
-    concurrent: bool,
-) -> (HostConflictReport, (SysResult, SysResult)) {
-    let (_, report, results) = replay_traced_with_sink(mode, cores, test, concurrent);
-    (report, results)
-}
-
-/// [`replay_traced`], also returning the sink so callers can resolve every
-/// access's label (used by the instrumentation-faithfulness tests).
-pub fn replay_traced_with_sink(
     mode: HostMode,
     cores: usize,
     test: &ConcreteTest,
@@ -127,38 +122,16 @@ pub fn replay_traced_with_sink(
 ) {
     let sink = HostTraceSink::new(cores.max(2));
     let kernel = HostKernel::instrumented(cores, mode, HostOptions::default(), &sink);
-    for _ in 0..test.procs.max(2) {
-        kernel.new_process();
-    }
-    for (core, op) in &test.setup {
-        on_core(*core, || perform(&kernel, *core, op));
-    }
-    sink.begin_window();
-    let results = if concurrent {
-        let barrier = Barrier::new(2);
-        let (kernel_ref, barrier_ref) = (&kernel, &barrier);
-        std::thread::scope(|scope| {
-            let a = scope.spawn(move || {
-                barrier_ref.wait();
-                on_core(0, || perform(kernel_ref, 0, &test.op_a))
-            });
-            let b = scope.spawn(move || {
-                barrier_ref.wait();
-                on_core(1, || perform(kernel_ref, 1, &test.op_b))
-            });
-            (
-                a.join().expect("op_a thread"),
-                b.join().expect("op_b thread"),
-            )
-        })
-    } else {
-        (
-            on_core(0, || perform(&kernel, 0, &test.op_a)),
-            on_core(1, || perform(&kernel, 1, &test.op_b)),
-        )
-    };
+    let [a, b] = race(
+        &kernel,
+        test.procs,
+        &test.setup,
+        [&test.op_a, &test.op_b],
+        concurrent,
+        || sink.begin_window(),
+    );
     let report = sink.end_window();
-    (sink, report, results)
+    (sink, report, (a, b))
 }
 
 /// Normalises a pipe line label for footprint comparison: pipe *instance*
@@ -206,7 +179,7 @@ pub fn run_test_host_with(
     let mut dropped = 0;
     let mut results = (SysResult::Unit, SysResult::Unit);
     for _ in 0..schedules.max(1) {
-        let (sink, report, res) = replay_traced_with_sink(mode, cores, test, true);
+        let (sink, report, res) = replay_traced(mode, cores, test, true);
         if let Some(heat) = heat {
             heat.fold_report(&report, |line| normalize_pipe_label(&sink.label_of(line)));
         }
@@ -254,6 +227,10 @@ pub fn classify_divergence(shared_labels: &[String]) -> Option<&'static str> {
 fn is_fd_slot_label(label: &str) -> bool {
     label.starts_with("proc[") && label.contains("].fd[")
 }
+
+/// The step [`run_host_fig6`] runs on each test: simulated sv6, simulated
+/// Linux, sv6-host and linux-host, in that order.
+type Fig6Verdicts = (TestOutcome, TestOutcome, HostTestOutcome, HostTestOutcome);
 
 /// The aggregated result of a host Figure 6 run.
 #[derive(Clone, Debug)]
@@ -327,35 +304,37 @@ impl HostFig6Results {
             .collect::<Vec<_>>()
             .join("\n")
     }
-}
 
-/// One (pair, shape) work unit of the host Figure 6 sweep. A unit runs
-/// analysis, generation and the four-kernel replay of every generated test
-/// entirely on one worker; only plain concrete data comes back.
-struct Fig6Unit {
-    call_a: CallKind,
-    call_b: CallKind,
-    shape: scr_core::PairShape,
-}
-
-/// The concrete verdicts of one replayed test, ready for in-order
-/// aggregation on the calling thread.
-struct Fig6TestRecord {
-    sim_sv6: bool,
-    sim_linux: bool,
-    host_sv6: bool,
-    host_linux: bool,
-    dropped: usize,
-    divergence: Option<Fig6Divergence>,
-}
-
-/// What a [`Fig6Unit`] produces. `had_cases` mirrors the sequential
-/// pipeline's `continue` on case-less shapes: skips are recorded only for
-/// shapes the analyzer produced commutative cases for.
-struct Fig6UnitOutcome {
-    had_cases: bool,
-    skip_reasons: scr_core::SkipHistogram,
-    records: Vec<Fig6TestRecord>,
+    /// Records one swept unit's skips, four verdicts per test and its
+    /// divergences. The unit's tests are dropped here.
+    fn absorb(&mut self, unit: SweptUnit<Fig6Verdicts>) {
+        let (a, b) = unit.calls;
+        let reports = [
+            &mut self.sim_sv6,
+            &mut self.sim_linux,
+            &mut self.host_sv6,
+            &mut self.host_linux,
+        ];
+        for report in reports {
+            report.record_skips(a, b, &unit.skip_reasons);
+        }
+        for (sim_sv6, sim_linux, host_sv6, host_linux) in unit.results {
+            self.tests_run += 1;
+            self.dropped += host_sv6.dropped + host_linux.dropped;
+            self.sim_sv6.record(a, b, sim_sv6.conflict_free);
+            self.sim_linux.record(a, b, sim_linux.conflict_free);
+            self.host_sv6.record(a, b, host_sv6.conflict_free);
+            self.host_linux.record(a, b, host_linux.conflict_free);
+            if sim_sv6.conflict_free && !host_sv6.conflict_free {
+                self.divergences.push(Fig6Divergence {
+                    test_id: host_sv6.test_id,
+                    calls: (a, b),
+                    exception: classify_divergence(&host_sv6.shared_labels),
+                    shared_labels: host_sv6.shared_labels,
+                });
+            }
+        }
+    }
 }
 
 /// Runs the full host Figure 6 pipeline: generates tests for every
@@ -363,33 +342,29 @@ struct Fig6UnitOutcome {
 /// Linux kernels and on the host kernel in both modes, aggregates four
 /// heatmaps, and records every SIM↔host divergence on the sv6 pair.
 ///
-/// With `config.threads > 1` the (pair, shape) units are claimed by that
-/// many workers; outcomes are aggregated in unit order on the calling
-/// thread, so the generated corpus and the sim columns are byte-identical
-/// to a sequential run. Heat maps are folded concurrently — their
-/// per-label counters are order-independent sums.
+/// The corpus is the one `scr_core::run_commuter` generates for the same
+/// model, calls and assignment bound: both consume `scr_core::run_sweep`.
+/// With `config.threads > 1` its (pair, shape) units are claimed by that
+/// many workers and aggregated in unit order on the calling thread, so the
+/// corpus and the sim columns are byte-identical to a sequential run. Heat
+/// maps are folded concurrently — their per-label counters are
+/// order-independent sums.
 pub fn run_host_fig6(config: &HostFig6Config) -> HostFig6Results {
-    let names = bucket_distinct_names(8);
-    let sim_sv6_factory = Sv6Factory {
+    let sweep = CommuterConfig {
+        model: config.model,
+        calls: config.calls.clone(),
+        max_assignments_per_case: config.max_assignments_per_case,
+        threads: config.threads,
+        ..CommuterConfig::default()
+    };
+    let sim_sv6 = Sv6Factory {
         cores: config.cores,
     };
-    let sim_linux_factory = LinuxLikeFactory {
+    let sim_linux = LinuxLikeFactory {
         cores: config.cores,
     };
     let heat_sv6 = HeatMap::new();
     let heat_linux = HeatMap::new();
-    let mut units = Vec::new();
-    for (i, &call_a) in config.calls.iter().enumerate() {
-        for &call_b in config.calls.iter().skip(i) {
-            for shape in enumerate_shapes(call_a, call_b, &config.model) {
-                units.push(Fig6Unit {
-                    call_a,
-                    call_b,
-                    shape,
-                });
-            }
-        }
-    }
     let mut results = HostFig6Results {
         sim_sv6: Figure6Report::new("sv6"),
         sim_linux: Figure6Report::new("Linux"),
@@ -401,99 +376,31 @@ pub fn run_host_fig6(config: &HostFig6Config) -> HostFig6Results {
         heat_sv6: HeatMap::new(),
         heat_linux: HeatMap::new(),
     };
-    claim_in_order(
-        &units,
-        effective_threads(config.threads),
-        |_, unit| {
-            let analysis = analyze_pair(&unit.shape, &config.model);
-            if analysis.cases.is_empty() {
-                return Fig6UnitOutcome {
-                    had_cases: false,
-                    skip_reasons: scr_core::SkipHistogram::new(),
-                    records: Vec::new(),
-                };
-            }
-            let generated = generate_tests(
-                &unit.shape,
-                &analysis.cases,
-                &config.model,
-                &names,
-                config.max_assignments_per_case,
-            );
-            let mut records = Vec::new();
-            for test in &generated.tests {
-                let sim_sv6 = run_test(&sim_sv6_factory, test);
-                let sim_linux = run_test(&sim_linux_factory, test);
-                let host_sv6 = run_test_host_with(
+    run_sweep(
+        &sweep,
+        |test| {
+            (
+                run_test(&sim_sv6, test),
+                run_test(&sim_linux, test),
+                run_test_host_with(
                     HostMode::Sv6,
                     config.cores,
                     test,
                     config.schedules_per_test,
                     Some(&heat_sv6),
-                );
-                let host_linux = run_test_host_with(
+                ),
+                run_test_host_with(
                     HostMode::Linuxlike,
                     config.cores,
                     test,
                     config.schedules_per_test,
                     Some(&heat_linux),
-                );
-                let divergence = if sim_sv6.conflict_free && !host_sv6.conflict_free {
-                    Some(Fig6Divergence {
-                        test_id: test.id.clone(),
-                        calls: (unit.call_a, unit.call_b),
-                        exception: classify_divergence(&host_sv6.shared_labels),
-                        shared_labels: host_sv6.shared_labels.clone(),
-                    })
-                } else {
-                    None
-                };
-                records.push(Fig6TestRecord {
-                    sim_sv6: sim_sv6.conflict_free,
-                    sim_linux: sim_linux.conflict_free,
-                    host_sv6: host_sv6.conflict_free,
-                    host_linux: host_linux.conflict_free,
-                    dropped: host_sv6.dropped + host_linux.dropped,
-                    divergence,
-                });
-            }
-            Fig6UnitOutcome {
-                had_cases: true,
-                skip_reasons: generated.skip_reasons,
-                records,
-            }
+                ),
+            )
         },
-        |idx, outcome| {
-            let unit = &units[idx];
-            if !outcome.had_cases {
-                return;
-            }
-            for report in [
-                &mut results.sim_sv6,
-                &mut results.sim_linux,
-                &mut results.host_sv6,
-                &mut results.host_linux,
-            ] {
-                report.record_skips(unit.call_a, unit.call_b, &outcome.skip_reasons);
-            }
-            for record in outcome.records {
-                results.tests_run += 1;
-                results.dropped += record.dropped;
-                results
-                    .sim_sv6
-                    .record(unit.call_a, unit.call_b, record.sim_sv6);
-                results
-                    .sim_linux
-                    .record(unit.call_a, unit.call_b, record.sim_linux);
-                results
-                    .host_sv6
-                    .record(unit.call_a, unit.call_b, record.host_sv6);
-                results
-                    .host_linux
-                    .record(unit.call_a, unit.call_b, record.host_linux);
-                if let Some(divergence) = record.divergence {
-                    results.divergences.push(divergence);
-                }
+        |swept| {
+            if let Swept::Unit(unit) = swept {
+                results.absorb(unit);
             }
         },
     );
@@ -979,36 +886,14 @@ pub fn run_ext_host(
 ) -> HostExtRun {
     let sink = HostTraceSink::new(cores.max(2));
     let kernel = HostKernel::instrumented(cores, mode, HostOptions::default(), &sink);
-    for _ in 0..test.procs.max(2) {
-        kernel.new_process();
-    }
-    for (core, op) in &test.setup {
-        on_core(*core, || perform(&kernel, *core, op));
-    }
-    sink.begin_window();
-    let results = if concurrent {
-        let barrier = Barrier::new(2);
-        let (kernel_ref, barrier_ref) = (&kernel, &barrier);
-        std::thread::scope(|scope| {
-            let a = scope.spawn(move || {
-                barrier_ref.wait();
-                on_core(0, || perform(kernel_ref, 0, &test.op_a))
-            });
-            let b = scope.spawn(move || {
-                barrier_ref.wait();
-                on_core(1, || perform(kernel_ref, 1, &test.op_b))
-            });
-            (
-                a.join().expect("op_a thread"),
-                b.join().expect("op_b thread"),
-            )
-        })
-    } else {
-        (
-            on_core(0, || perform(&kernel, 0, &test.op_a)),
-            on_core(1, || perform(&kernel, 1, &test.op_b)),
-        )
-    };
+    let [a, b] = race(
+        &kernel,
+        test.procs,
+        &test.setup,
+        [&test.op_a, &test.op_b],
+        concurrent,
+        || sink.begin_window(),
+    );
     let report = sink.end_window();
     let mut footprint: Vec<_> = report
         .accesses
@@ -1021,7 +906,7 @@ pub fn run_ext_host(
         .flat_map(|s| kernel.socket_drain_untraced(s))
         .collect();
     HostExtRun {
-        results,
+        results: (a, b),
         conflict_free: report.is_conflict_free(),
         shared_labels: report.conflicting_labels(),
         footprint,

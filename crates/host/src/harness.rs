@@ -1,12 +1,18 @@
-//! The load harness: N real OS threads, a start barrier, a wall clock.
+//! Real OS threads released by one barrier: the load harness and the test
+//! race.
 //!
 //! Where `scr_mtrace::ThroughputModel` *derives* ops/sec/core from a traced
 //! access log, the harness *measures* it: each participating thread is
 //! handed its core number, runs the per-core closure `rounds` times, and
 //! the slowest thread's wall-clock time defines the point — the same
 //! "slowest core" convention the simulated model uses.
+//!
+//! [`race`] is the one replay protocol every real-threads check shares:
+//! setup in order, then a test's operations racing on cores `0..N`.
 
-use scr_mtrace::ScalingPoint;
+use scr_hostmtrace::on_core;
+use scr_kernel::api::{perform, SysOp, SysResult, SyscallApi};
+use scr_mtrace::{CoreId, ScalingPoint};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
@@ -70,6 +76,49 @@ impl LoadHarness {
             elapsed_seconds,
         }
     }
+}
+
+/// Replays a test on `kernel` — a plain or instrumented `HostKernel`, or a
+/// `Layer` stack over one. Creates `procs` processes (at least two), runs
+/// `setup` in order with each op on its annotated core, calls
+/// `before_race` (where a tracing window opens), then runs `ops[i]` on
+/// core `i`: on N threads released by one barrier when `concurrent`, back
+/// to back on the calling thread otherwise. Every op runs inside
+/// [`on_core`], so probes attribute it to its core. `results[i]` belongs
+/// to `ops[i]`, whatever interleaving the hardware picked.
+pub fn race<K, const N: usize>(
+    kernel: &K,
+    procs: usize,
+    setup: &[(CoreId, SysOp)],
+    ops: [&SysOp; N],
+    concurrent: bool,
+    before_race: impl FnOnce(),
+) -> [SysResult; N]
+where
+    K: SyscallApi + Sync + ?Sized,
+{
+    for _ in 0..procs.max(2) {
+        kernel.new_process();
+    }
+    for (core, op) in setup {
+        on_core(*core, || perform(kernel, *core, op));
+    }
+    before_race();
+    if !concurrent {
+        return std::array::from_fn(|core| on_core(core, || perform(kernel, core, ops[core])));
+    }
+    let barrier = Barrier::new(N);
+    let barrier = &barrier;
+    std::thread::scope(|scope| {
+        let threads: [_; N] = std::array::from_fn(|core| {
+            let op = ops[core];
+            scope.spawn(move || {
+                barrier.wait();
+                on_core(core, || perform(kernel, core, op))
+            })
+        });
+        threads.map(|thread| thread.join().expect("racing op thread"))
+    })
 }
 
 #[cfg(test)]

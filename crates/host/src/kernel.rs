@@ -1564,33 +1564,38 @@ mod tests {
         // same inode: every sequential order ends with exactly one name (b)
         // and nlink == 1. A non-atomic check-then-act can miss the
         // same-inode fast path on both sides and leak a link count.
+        let pid = 0;
+        let setup = [
+            (
+                0,
+                SysOp::Open {
+                    pid,
+                    name: "a".into(),
+                    flags: OpenFlags::create(),
+                },
+            ),
+            (
+                0,
+                SysOp::Link {
+                    pid,
+                    old: "a".into(),
+                    new: "c".into(),
+                },
+            ),
+        ];
+        let rename = |src: &str| SysOp::Rename {
+            pid,
+            src: src.into(),
+            dst: "b".into(),
+        };
+        let (rename_a, rename_c) = (rename("a"), rename("c"));
         for round in 0..200 {
-            let k = std::sync::Arc::new(HostKernel::new(4, HostMode::Sv6));
-            let pid = k.new_process();
-            let a = format!("a-{round}");
-            let b = format!("b-{round}");
-            let c = format!("c-{round}");
-            k.open(0, pid, &a, OpenFlags::create()).unwrap();
-            k.link(0, pid, &a, &c).unwrap();
-            let barrier = std::sync::Barrier::new(2);
-            let (kr, br) = (&k, &barrier);
-            std::thread::scope(|s| {
-                let (a1, b1) = (a.clone(), b.clone());
-                let t1 = s.spawn(move || {
-                    br.wait();
-                    kr.rename(0, pid, &a1, &b1)
-                });
-                let (c2, b2) = (c.clone(), b.clone());
-                let t2 = s.spawn(move || {
-                    br.wait();
-                    kr.rename(1, pid, &c2, &b2)
-                });
-                t1.join().unwrap().unwrap();
-                t2.join().unwrap().unwrap();
-            });
-            assert_eq!(k.stat(0, pid, &a), Err(Errno::ENOENT), "round {round}");
-            assert_eq!(k.stat(0, pid, &c), Err(Errno::ENOENT), "round {round}");
-            let st = k.stat(0, pid, &b).unwrap();
+            let k = HostKernel::new(4, HostMode::Sv6);
+            let results = crate::harness::race(&k, 1, &setup, [&rename_a, &rename_c], true, || {});
+            assert_eq!(results, [SysResult::Unit, SysResult::Unit], "round {round}");
+            assert_eq!(k.stat(0, pid, "a"), Err(Errno::ENOENT), "round {round}");
+            assert_eq!(k.stat(0, pid, "c"), Err(Errno::ENOENT), "round {round}");
+            let st = k.stat(0, pid, "b").unwrap();
             assert_eq!(st.nlink, 1, "round {round}: leaked link count");
         }
     }

@@ -17,6 +17,9 @@
 //!   the same code under one global kernel lock, the collapsing baseline.
 //! * [`harness::LoadHarness`] spawns N OS threads, partitions work per
 //!   thread ("core"), and measures real operations per second per core.
+//!   [`harness::race`] is the one replay protocol of every real-threads
+//!   check: a test's setup in order, then its operations racing on cores
+//!   `0..N` behind one barrier, on a plain, instrumented or layered kernel.
 //! * [`workloads`] ports the Figure-7 workloads — statbench, openbench and
 //!   the §7.3 mail server (driven through the real
 //!   `scr_kernel::mail::MailServer`, as communicating enqueue/qman
@@ -31,13 +34,18 @@
 //!   scheduled qman crashes — with bounded retries, a dead-letter
 //!   mailbox, overload shedding and supervised qman restart; its
 //!   extended exactly-once ledger (and an fd/process leak check) must
-//!   close under every `ChaosPlan`, and [`differential::chaos_campaign`]
-//!   replays the differential corpus through the same fault layer.
+//!   close under every `ChaosPlan`, and [`differential::differential_campaign`]
+//!   over a [`differential::ChaosReplayer`] replays the differential corpus
+//!   through the same fault layer.
 //! * [`fig6`] replays the same tests with a `scr-hostmtrace` tracing window
 //!   around the concurrent pair and aggregates host-side Figure 6 heatmaps
 //!   (`sv6-host` / `linux-host`), cross-checking every conflict verdict
 //!   against the simulated heatmap (lowest-FD contention excepted, and
 //!   recorded explicitly).
+//!
+//! The host Figure 6 and the differential campaign do not sweep call pairs
+//! themselves: both are consumers of `scr_core::run_sweep`, the COMMUTER
+//! sweep engine `scr_core::run_commuter` also consumes.
 
 pub mod chaos_mail;
 pub mod differential;
@@ -48,19 +56,16 @@ pub mod workloads;
 
 pub use chaos_mail::{mail_pipeline_chaos, ChaosMailConfig, ChaosMailReport};
 pub use differential::{
-    chaos_campaign, differential_campaign, differential_campaign_observed,
-    differential_campaign_with, differential_sample, ext_campaign, run_differential,
-    CampaignConfig, ChaosReplayer, DifferentialReport, ExtCampaignReport, HostReplayer,
-    PairOutcome,
+    differential_campaign, ext_campaign, CampaignConfig, ChaosReplayer, DifferentialReport,
+    ExtCampaignReport, HostReplayer, PairOutcome,
 };
 pub use fig6::{
     budget_corpus, build_ext_corpus, classify_divergence, created_sockets, ext_calls, ext_corpus,
     ext_failures, ext_pair_calls, ext_signature, generated_ext_corpus, normalize_pipe_label,
-    replay_traced, replay_traced_with_sink, run_ext_corpus, run_ext_fig6, run_ext_host,
-    run_ext_sim, run_host_fig6, run_test_host, run_test_host_with, sent_messages, socket_ids,
-    ExtCorpus, ExtOutcome, Fig6Divergence, HostExtRun, HostFig6Config, HostFig6Results,
-    HostTestOutcome, SimExtRun, EXT_CORPUS_BUDGET, EXT_MAX_ASSIGNMENTS_PER_CASE,
-    LOWEST_FD_EXCEPTION,
+    replay_traced, run_ext_corpus, run_ext_fig6, run_ext_host, run_ext_sim, run_host_fig6,
+    run_test_host, run_test_host_with, sent_messages, socket_ids, ExtCorpus, ExtOutcome,
+    Fig6Divergence, HostExtRun, HostFig6Config, HostFig6Results, HostTestOutcome, SimExtRun,
+    EXT_CORPUS_BUDGET, EXT_MAX_ASSIGNMENTS_PER_CASE, LOWEST_FD_EXCEPTION,
 };
 pub use harness::{available_threads, LoadHarness};
 pub use kernel::{HostKernel, HostMode, HostOptions};

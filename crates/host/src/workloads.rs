@@ -88,12 +88,8 @@ impl MailStageObserver for MailTelemetry {
     }
 
     fn observe_stage(&self, core: CoreId, stage: MailStage, started: Instant, ended: Instant) {
-        let index = MailStage::ALL
-            .iter()
-            .position(|&s| s == stage)
-            .expect("stage listed in ALL");
         self.trace
-            .record(core, self.stage_names[index], started, ended);
+            .record(core, self.stage_names[stage as usize], started, ended);
     }
 }
 

@@ -13,16 +13,11 @@
 //!    host-conflict-free; the only tolerated divergences are the documented
 //!    lowest-FD-allocation contention cases, asserted explicitly.
 
-use scr_core::pipeline::bucket_distinct_names;
-use scr_core::{
-    analyze_pair, enumerate_shapes, generate_tests, ConcreteTest, KernelFactory, Sv6Factory,
-};
-use scr_host::fig6::{
-    normalize_pipe_label, replay_traced_with_sink, run_host_fig6, HostFig6Config,
-};
+use scr_core::{run_commuter, CommuterConfig, ConcreteTest, KernelFactory, Sv6Factory};
+use scr_host::fig6::{normalize_pipe_label, replay_traced, run_host_fig6, HostFig6Config};
 use scr_host::kernel::HostMode;
 use scr_kernel::api::perform;
-use scr_model::{CallKind, ModelConfig};
+use scr_model::CallKind;
 use scr_mtrace::AccessKind;
 
 /// The (core, label, kind) multiset a test records on the simulated sv6
@@ -61,7 +56,7 @@ fn sim_footprint(test: &ConcreteTest, cores: usize) -> Vec<(usize, String, Acces
 
 /// The same multiset recorded by a sequential traced replay on the host.
 fn host_footprint(test: &ConcreteTest, cores: usize) -> Vec<(usize, String, AccessKind)> {
-    let (sink, report, _) = replay_traced_with_sink(HostMode::Sv6, cores, test, false);
+    let (sink, report, _) = replay_traced(HostMode::Sv6, cores, test, false);
     assert_eq!(report.dropped, 0, "log overflow in {}", test.id);
     let mut out: Vec<_> = report
         .accesses
@@ -74,26 +69,12 @@ fn host_footprint(test: &ConcreteTest, cores: usize) -> Vec<(usize, String, Acce
 
 /// Generates the corpus for a call set (the quick pipeline's bounds).
 fn corpus(calls: &[CallKind], max_assignments: usize) -> Vec<ConcreteTest> {
-    let model = ModelConfig {
-        inodes: 2,
-        ..ModelConfig::default()
+    let config = CommuterConfig {
+        calls: calls.to_vec(),
+        max_assignments_per_case: max_assignments,
+        ..CommuterConfig::default()
     };
-    let names = bucket_distinct_names(8);
-    let mut tests = Vec::new();
-    for (i, &call_a) in calls.iter().enumerate() {
-        for &call_b in calls.iter().skip(i) {
-            for shape in enumerate_shapes(call_a, call_b, &model) {
-                let analysis = analyze_pair(&shape, &model);
-                if analysis.cases.is_empty() {
-                    continue;
-                }
-                tests.extend(
-                    generate_tests(&shape, &analysis.cases, &model, &names, max_assignments).tests,
-                );
-            }
-        }
-    }
-    tests
+    run_commuter(&config, &[]).tests
 }
 
 /// Compares footprints over the corpus, stride-sampling when it is large:
@@ -212,5 +193,35 @@ fn host_fig6_cross_check_has_no_unexplained_divergences() {
     assert_eq!(
         results.sim_sv6.total_conflict_free() - results.host_sv6.total_conflict_free(),
         results.divergences.len()
+    );
+}
+
+/// The host Figure 6 sweeps exactly the pipeline's corpus, §4 extension
+/// pairs included: both specialise each pair's model with `pair_config`,
+/// without which `send ∥ recv` has no socket to act on and yields no test.
+#[test]
+fn host_fig6_sweeps_the_pipeline_corpus_on_extension_pairs() {
+    let config = HostFig6Config::quick(&[CallKind::Send, CallKind::Recv]);
+    let host = run_host_fig6(&config);
+    let sim = run_commuter(
+        &CommuterConfig {
+            model: config.model,
+            calls: config.calls.clone(),
+            max_assignments_per_case: config.max_assignments_per_case,
+            ..CommuterConfig::default()
+        },
+        &[&Sv6Factory {
+            cores: config.cores,
+        }],
+    );
+    assert!(!sim.tests.is_empty());
+    assert_eq!(host.tests_run, sim.tests.len());
+    assert_eq!(host.sim_sv6.total_skipped(), sim.skipped);
+    assert_eq!(host.sim_sv6.render(), sim.reports[0].render());
+    assert_eq!(host.dropped, 0);
+    assert!(
+        host.unexplained_divergences().is_empty(),
+        "unexplained SIM↔host divergences:\n{}",
+        host.describe_divergences()
     );
 }

@@ -6,9 +6,9 @@
 //! *much worse* as threads are added, while globally-locked or shared-line
 //! structures do not get *better* — not a precise ratio.
 
-use scr_core::{analyze_pair, generate_tests, PairShape};
+use scr_core::{analyze_pair, differential_check, generate_tests, PairShape, Sv6Factory};
 use scr_host::differential::{
-    differential_campaign, differential_sample, run_differential, CampaignConfig,
+    differential_campaign, CampaignConfig, DifferentialReport, HostReplayer,
 };
 use scr_host::harness::LoadHarness;
 use scr_host::kernel::{HostKernel, HostMode};
@@ -29,9 +29,19 @@ fn skip_timing_checks() -> bool {
     cfg!(miri) || parallelism() < 4
 }
 
+/// A single-schedule campaign over `calls`, `max_tests` replays spread
+/// round-robin across the pairs.
+fn sample_campaign(calls: &[CallKind], max_tests: usize) -> DifferentialReport {
+    differential_campaign(
+        &CampaignConfig::quick(calls, max_tests),
+        &HostReplayer::default(),
+        None,
+    )
+}
+
 #[test]
 fn differential_runner_agrees_on_name_operations() {
-    let report = differential_sample(
+    let report = sample_campaign(
         &[
             CallKind::Open,
             CallKind::Stat,
@@ -54,7 +64,7 @@ fn differential_runner_agrees_on_name_operations() {
 
 #[test]
 fn differential_runner_agrees_on_descriptor_and_vm_operations() {
-    let report = differential_sample(
+    let report = sample_campaign(
         &[
             CallKind::Fstat,
             CallKind::Lseek,
@@ -75,7 +85,7 @@ fn differential_runner_agrees_on_descriptor_and_vm_operations() {
 
 #[test]
 fn differential_runner_agrees_on_pipe_operations() {
-    let report = differential_sample(
+    let report = sample_campaign(
         &[
             CallKind::Pipe,
             CallKind::Read,
@@ -146,12 +156,15 @@ fn read_read_half_closed_pipe_representatives_agree_with_the_host() {
         pipe_backed >= 2,
         "both pipe case families must materialize, got {pipe_backed}"
     );
-    let report = run_differential(&generated.tests);
-    assert_eq!(report.tests_run, generated.tests.len());
+    let outcomes = differential_check(
+        &Sv6Factory { cores: 4 },
+        &HostReplayer::default(),
+        &generated.tests,
+    );
+    let mismatches: Vec<_> = outcomes.iter().filter(|o| !o.agree()).collect();
     assert!(
-        report.all_agree(),
-        "newly materialised representatives diverged:\n{}",
-        report.describe_mismatches()
+        mismatches.is_empty(),
+        "newly materialised representatives diverged:\n{mismatches:?}"
     );
 }
 
@@ -170,7 +183,7 @@ fn scaled_campaign_over_pipe_calls_has_no_mismatches() {
             CallKind::Close,
         ])
     };
-    let report = differential_campaign(&config);
+    let report = differential_campaign(&config, &HostReplayer::default(), None);
     assert!(report.tests_run > 0);
     assert_eq!(report.replays_run, report.tests_run * 2);
     assert!(

@@ -182,7 +182,7 @@ impl HostTraceSink {
             .unwrap_or_else(|| format!("line#{}", line.0))
     }
 
-    /// Allocates a line and returns a [`Probe`] handle for it.
+    /// Allocates a line and returns a [`Probe`](crate::Probe) handle for it.
     pub fn probe(self: &Arc<Self>, label: impl Into<String>) -> super::Probe {
         super::Probe::new(Arc::clone(self), self.alloc_line(label))
     }

@@ -20,7 +20,7 @@
 //! | queue notification socket | ordered | unordered |
 //! | helper process creation | `fork` (snapshot) | `posix_spawn` |
 //!
-//! The server is written purely against [`KernelApi`], so it runs unchanged
+//! The server is written purely against [`SyscallApi`], so it runs unchanged
 //! over the sv6 kernel or the Linux-like baseline.
 
 use crate::api::{Errno, KResult, OpenFlags, Pid, SockId, SocketOrder, SyscallApi};
@@ -31,7 +31,9 @@ use std::time::Instant;
 
 /// The pipeline stages a message passes through, in order. Used by
 /// [`MailStageObserver`] to attribute wall time to pipeline phases
-/// (rendered as trace spans by `scr-obs`).
+/// (rendered as trace spans by `scr-obs`). The discriminant is the stage's
+/// index in [`MailStage::ALL`], so per-stage tables index by `stage as
+/// usize`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MailStage {
     /// `mail-enqueue` spooling the message and envelope files.
@@ -748,6 +750,10 @@ mod tests {
         // An empty queue reports EAGAIN without recording a stage.
         assert_eq!(server.qman_step_observed(1, qman, &obs), Err(Errno::EAGAIN));
         assert_eq!(obs.0.lock().unwrap().len(), MailStage::ALL.len());
+        // Observers index per-stage tables by `stage as usize`.
+        for (i, stage) in MailStage::ALL.into_iter().enumerate() {
+            assert_eq!(stage as usize, i, "{stage:?}");
+        }
     }
 
     #[test]

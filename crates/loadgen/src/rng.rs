@@ -6,7 +6,8 @@
 //! coordination (stream `k` is `seed` advanced through a golden-ratio
 //! offset, the standard SplitMix64 stream-splitting construction). No
 //! registry access for a real RNG crate — and reproducibility is the point
-//! anyway, as with the differential campaign's xorshift.
+//! anyway. The mix is `scr_kernel::retry::mix64`, the one the retry
+//! jitter, the fault plans and the differential campaign's shuffle share.
 
 use scr_kernel::retry::{mix64, GOLDEN};
 

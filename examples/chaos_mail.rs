@@ -21,7 +21,8 @@
 use scalable_commutativity::chaos::plan::ChaosPlan;
 use scalable_commutativity::host::workloads::MailTelemetry;
 use scalable_commutativity::host::{
-    chaos_campaign, mail_pipeline_chaos, CampaignConfig, ChaosMailConfig, HostMode,
+    differential_campaign, mail_pipeline_chaos, CampaignConfig, ChaosMailConfig, ChaosReplayer,
+    HostMode,
 };
 use scalable_commutativity::kernel::mail::MailConfig;
 use scalable_commutativity::model::CallKind;
@@ -145,7 +146,11 @@ fn main() {
             CallKind::Recv,
         ])
     };
-    let campaign = chaos_campaign(&config, &ChaosPlan::errno_storm(seed ^ 3));
+    let replayer = ChaosReplayer {
+        cores: 4,
+        plan: ChaosPlan::errno_storm(seed ^ 3),
+    };
+    let campaign = differential_campaign(&config, &replayer, None);
     println!(
         "  {} tests, {} racing replays: {}",
         campaign.tests_run,

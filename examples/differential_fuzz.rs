@@ -23,7 +23,7 @@
 //! mismatches that a fixed seed would never reach.
 
 use scalable_commutativity::commuter::SkipReason;
-use scalable_commutativity::host::{differential_campaign_observed, CampaignConfig};
+use scalable_commutativity::host::{differential_campaign, CampaignConfig, HostReplayer};
 use scalable_commutativity::model::CallKind;
 use scalable_commutativity::obs::{metrics_out, EventLog, MetricsRegistry, RunMeta};
 use std::collections::BTreeMap;
@@ -121,7 +121,7 @@ fn run_soak(budget: Duration) -> ! {
                 ),
             ],
         );
-        let report = differential_campaign_observed(&config, Some(&events));
+        let report = differential_campaign(&config, &HostReplayer::default(), Some(&events));
         replays += report.replays_run;
         events.emit_kv(
             "soak-round-done",
@@ -186,7 +186,7 @@ fn main() {
         config.seed
     );
     let events = EventLog::new();
-    let report = differential_campaign_observed(&config, Some(&events));
+    let report = differential_campaign(&config, &HostReplayer::default(), Some(&events));
     println!(
         "replayed {} tests ({} replays) across {} pairs; {} mismatches",
         report.tests_run,

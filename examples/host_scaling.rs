@@ -20,7 +20,7 @@
 use scalable_commutativity::bench::hostbench::{host_thread_counts, openbench_host};
 use scalable_commutativity::bench::render_table;
 use scalable_commutativity::host::available_threads;
-use scalable_commutativity::host::{differential_campaign_observed, CampaignConfig};
+use scalable_commutativity::host::{differential_campaign, CampaignConfig, HostReplayer};
 use scalable_commutativity::model::CallKind;
 use scalable_commutativity::obs::{metrics_out, EventLog, Json, MetricsRegistry, RunMeta};
 
@@ -51,7 +51,7 @@ fn main() {
 
     println!("differential campaign: replaying generated commutative tests on real threads…");
     let events = EventLog::new();
-    let report = differential_campaign_observed(
+    let report = differential_campaign(
         &CampaignConfig {
             max_tests: 200,
             schedules_per_test: 2,
@@ -63,6 +63,7 @@ fn main() {
                 CallKind::Rename,
             ])
         },
+        &HostReplayer::default(),
         Some(&events),
     );
     println!(

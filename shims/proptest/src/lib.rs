@@ -2,11 +2,12 @@
 //! has no registry access).
 //!
 //! It implements the subset of the proptest API this workspace's tests use:
-//! the [`proptest!`] macro, [`Strategy`] with `prop_map`, `any::<T>()`,
-//! range and tuple strategies, `prop_oneof!`, `Just`, and
-//! `collection::{vec, btree_set}`. Generation is random but **deterministic**
-//! (seeded from the test name), with no shrinking: a failing case panics
-//! with the case number so it can be reproduced by rerunning the test.
+//! the [`proptest!`] macro, [`Strategy`](strategy::Strategy) with
+//! `prop_map`, `any::<T>()`, range and tuple strategies, `prop_oneof!`,
+//! `Just`, and `collection::{vec, btree_set}`. Generation is random but
+//! **deterministic** (seeded from the test name), with no shrinking: a
+//! failing case panics with the case number so it can be reproduced by
+//! rerunning the test.
 
 pub mod rng {
     /// A small deterministic xorshift* generator. Not cryptographic; only
@@ -278,7 +279,7 @@ pub mod collection {
     use std::collections::BTreeSet;
     use std::ops::Range;
 
-    /// Accepted size arguments for [`vec`]/[`btree_set`]: a `usize` (exact
+    /// Accepted size arguments for [`vec()`]/[`btree_set`]: a `usize` (exact
     /// length) or a `Range<usize>`.
     pub trait SizeRange {
         /// Draws a concrete length.

@@ -20,7 +20,7 @@
 //! * [`hostmtrace`] — the real-threads sharing monitor: per-thread access
 //!   logs, probes mirroring the simulated structures' footprints, and the
 //!   conflict reports behind the host-side Figure 6 heatmap.
-//! * [`bench`] — the Figure 6/7 workload drivers (simulated and host).
+//! * [`bench`](mod@bench) — the Figure 6/7 workload drivers (simulated and host).
 //! * [`obs`] — the commutativity-aware telemetry layer: per-core metrics,
 //!   pipeline trace spans, conflict-heat reports and stamped JSON
 //!   snapshots.
