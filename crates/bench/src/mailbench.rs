@@ -9,7 +9,7 @@
 
 use crate::Series;
 use scr_kernel::api::{KernelApi, SyscallApi};
-use scr_kernel::mail::{MailConfig, MailServer};
+use scr_kernel::mail::{MailConfig, MailServer, NoMailObs};
 use scr_kernel::Sv6Kernel;
 use scr_mtrace::{ScalingParams, ThroughputModel};
 
@@ -37,7 +37,10 @@ pub fn run_mode(config: MailConfig, cores: usize, rounds: usize) -> scr_mtrace::
                 let mailbox = format!("user{core}");
                 let body = format!("message {round} from core {core}");
                 server
-                    .deliver_one(core, client, qman, &mailbox, body.as_bytes())
+                    .enqueue(core, client, &mailbox, body.as_bytes(), &NoMailObs)
+                    .expect("enqueue");
+                server
+                    .qman_step(core, qman, &NoMailObs)
                     .expect("mail delivery");
             });
         }

@@ -22,21 +22,26 @@
 //!   `0..N` behind one barrier, on a plain, instrumented or layered kernel.
 //! * [`workloads`] ports the Figure-7 workloads — statbench, openbench and
 //!   the §7.3 mail server (driven through the real
-//!   `scr_kernel::mail::MailServer`, as communicating enqueue/qman
-//!   threads) — to run against [`kernel::HostKernel`].
+//!   `scr_kernel::mail::MailServer`) — to run against
+//!   [`kernel::HostKernel`]: `mailbench` is the closed-loop capacity
+//!   harness, `mail_pipeline` the saturating front end of the pipeline
+//!   engine below.
+//! * [`pipeline`] is the one §7.3 pipeline engine: communicating
+//!   enqueue/qman threads over a message schedule, optionally behind
+//!   `scr_chaos`'s `FaultyKernel` — seeded transient errnos, delayed
+//!   delivery, scheduled qman crashes — with bounded retries, a
+//!   dead-letter mailbox, overload shedding and supervised qman restart.
+//!   Its exactly-once ledger (and an fd leak check) must close under every
+//!   `ChaosPlan`. `mail_pipeline`, `scr_loadgen`'s open loop and the chaos
+//!   gate are its front ends.
 //! * [`differential`] replays TESTGEN's `ConcreteTest`s on real threads and
 //!   cross-checks every return value against the simulated `Sv6Kernel`,
 //!   closing the loop between the symbolic pipeline and real execution;
 //!   the §4 extension corpus rides along with a linearization +
-//!   message-conservation cross-check.
-//! * [`chaos_mail`] runs the same pipeline behind `scr_chaos`'s
-//!   `FaultyKernel` — seeded transient errnos, delayed delivery,
-//!   scheduled qman crashes — with bounded retries, a dead-letter
-//!   mailbox, overload shedding and supervised qman restart; its
-//!   extended exactly-once ledger (and an fd/process leak check) must
-//!   close under every `ChaosPlan`, and [`differential::differential_campaign`]
-//!   over a [`differential::ChaosReplayer`] replays the differential corpus
-//!   through the same fault layer.
+//!   message-conservation cross-check, and
+//!   [`differential::differential_campaign`] over a
+//!   [`differential::ChaosReplayer`] replays the corpus through the
+//!   pipeline's fault layer.
 //! * [`fig6`] replays the same tests with a `scr-hostmtrace` tracing window
 //!   around the concurrent pair and aggregates host-side Figure 6 heatmaps
 //!   (`sv6-host` / `linux-host`), cross-checking every conflict verdict
@@ -47,14 +52,13 @@
 //! themselves: both are consumers of `scr_core::run_sweep`, the COMMUTER
 //! sweep engine `scr_core::run_commuter` also consumes.
 
-pub mod chaos_mail;
 pub mod differential;
 pub mod fig6;
 pub mod harness;
 pub mod kernel;
+pub mod pipeline;
 pub mod workloads;
 
-pub use chaos_mail::{mail_pipeline_chaos, ChaosMailConfig, ChaosMailReport};
 pub use differential::{
     differential_campaign, ext_campaign, CampaignConfig, ChaosReplayer, DifferentialReport,
     ExtCampaignReport, HostReplayer, PairOutcome,
@@ -69,7 +73,8 @@ pub use fig6::{
 };
 pub use harness::{available_threads, LoadHarness};
 pub use kernel::{HostKernel, HostMode, HostOptions};
+pub use pipeline::{run_pipeline, saturating_schedule, MailPipelineReport, PipelineConfig};
 pub use workloads::{
     mail_pipeline, mail_pipeline_observed, mailbench, mailbench_observed, openbench, statbench,
-    statbench_observed, HostStatMode, MailPipelineReport, MailTelemetry,
+    statbench_observed, HostStatMode, MailTelemetry,
 };

@@ -9,15 +9,17 @@
 
 use crate::harness::LoadHarness;
 use crate::kernel::{HostKernel, HostMode, HostOptions};
+use crate::pipeline::{run_pipeline, saturating_schedule, MailPipelineReport, PipelineConfig};
 use scr_kernel::api::{Errno, Fd, OpenFlags, Pid, StatMask, SyscallApi};
-use scr_kernel::mail::{MailConfig, MailServer, MailStage, MailStageObserver, NoMailObs};
+use scr_kernel::mail::{
+    MailConfig, MailServer, MailStage, MailStageObserver, MailTopology, NoMailObs,
+};
 use scr_kernel::retry::{Backoff, RetryPolicy};
 use scr_mtrace::{CoreId, ScalingPoint};
 use scr_obs::{
     Counter, Histogram, MetricsRegistry, ObservedKernel, SpanName, SyscallRecorder, TraceLog,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The telemetry bundle the observed mail workloads feed: one
@@ -39,7 +41,9 @@ pub struct MailTelemetry {
     pub enqueued: Counter,
     /// Messages the queue-manager side delivered.
     pub delivered: Counter,
-    /// `qman_step` polls that found the queue empty (`EAGAIN`).
+    /// Qman polls that found the queue empty (`EAGAIN`): an empty
+    /// `qman_step` in `mailbench`, an empty round over a pipeline qman's
+    /// shards.
     pub eagain_retries: Counter,
     /// Backoff waits (yields or short sleeps, per the shared
     /// [`RetryPolicy`]) taken on an empty queue — exactly one per counted
@@ -280,7 +284,7 @@ pub fn mailbench_observed(
         let op_start = telemetry.map(|_| Instant::now());
         let mailbox = format!("user{core}");
         server_ref
-            .enqueue_observed(
+            .enqueue(
                 core,
                 client,
                 &mailbox,
@@ -296,7 +300,7 @@ pub fn mailbench_observed(
         // counts balance, so this loop cannot starve).
         let mut backoff = Backoff::new(RetryPolicy::spin(), core as u64);
         loop {
-            match server_ref.qman_step_observed(core, qman, stages) {
+            match server_ref.qman_step(core, qman, stages) {
                 Ok(_) => {
                     if let Some(t) = telemetry {
                         t.delivered.inc(core);
@@ -330,40 +334,13 @@ pub fn mailbench_observed(
     })
 }
 
-/// Outcome of a dedicated-threads [`mail_pipeline`] run: the ledger the
-/// exactly-once assertions (tests, the CI smoke gate) check.
-#[derive(Clone, Debug)]
-pub struct MailPipelineReport {
-    /// Messages the enqueuer threads spooled and announced.
-    pub enqueued: usize,
-    /// Messages the queue-manager threads delivered.
-    pub delivered: usize,
-    /// Delivered bodies that appeared more than once.
-    pub duplicates: usize,
-    /// Enqueued bodies that never reached a mailbox.
-    pub lost: usize,
-    /// Delivered mailbox files whose contents did not match any enqueued
-    /// body (0 in any healthy run).
-    pub corrupt: usize,
-}
-
-impl MailPipelineReport {
-    /// Every message delivered exactly once, bit-intact.
-    pub fn exactly_once(&self) -> bool {
-        self.delivered == self.enqueued
-            && self.duplicates == 0
-            && self.lost == 0
-            && self.corrupt == 0
-    }
-}
-
 /// The full §7.3 pipeline as *actual communicating threads*: `enqueuers`
 /// threads run mail-enqueue, `qmans` threads run mail-qman (receiving
 /// notifications, spawning a delivery helper per message, waiting for it,
 /// cleaning the spool) — the two stages talk only through the kernel, via
-/// the notification socket and the spool files, exactly as the paper's
-/// processes do. Returns the exactly-once ledger, verified by reading
-/// every delivered mailbox file back.
+/// one notification-socket shard per qman and the spool files, exactly as
+/// the paper's processes do. Returns the exactly-once ledger, verified by
+/// reading every delivered mailbox file back.
 pub fn mail_pipeline(
     mode: HostMode,
     config: MailConfig,
@@ -374,14 +351,15 @@ pub fn mail_pipeline(
     mail_pipeline_observed(mode, config, enqueuers, qmans, messages_per_enqueuer, None)
 }
 
-/// [`mail_pipeline`] with optional telemetry. With `Some(telemetry)`:
-/// every syscall the pipeline makes is counted and timed per core, each
-/// stage (enqueue → notify → receive → spawn → deliver → reap → cleanup)
-/// becomes a trace span on its worker's core, and the qman polling loop
-/// counts its `EAGAIN` retries and yields. The exactly-once verification
-/// pass at the end reads mailboxes back through the *raw* kernel, so the
-/// recorded ledger is exactly what the pipeline itself did — which is what
-/// makes the retry-tail invariant (`recv.calls == delivered +
+/// [`mail_pipeline`] with optional telemetry: the [`run_pipeline`] engine
+/// on a saturating schedule (every message due at once), fault-free. With
+/// `Some(telemetry)`: every syscall the pipeline makes is counted and timed
+/// per core, each stage (enqueue → notify → receive → spawn → deliver →
+/// reap → cleanup) becomes a trace span on its worker's core, and the qman
+/// polling loop counts its `EAGAIN` retries and yields. The exactly-once
+/// verification at the end reads mailboxes back through the *raw* kernel,
+/// so the recorded ledger is exactly what the pipeline itself did — which
+/// is what makes the retry-tail invariant (`recv.calls == delivered +
 /// eagain_retries`) checkable from the snapshot alone.
 pub fn mail_pipeline_observed(
     mode: HostMode,
@@ -391,134 +369,11 @@ pub fn mail_pipeline_observed(
     messages_per_enqueuer: usize,
     telemetry: Option<&MailTelemetry>,
 ) -> MailPipelineReport {
-    let enqueuers = enqueuers.max(1);
-    let qmans = qmans.max(1);
-    let cores = enqueuers + qmans;
-    let total = enqueuers * messages_per_enqueuer;
-    let kernel = HostKernel::new(cores, mode);
-    let client = kernel.new_process();
-    let qman_pid = kernel.new_process();
-    let observed = telemetry.map(|t| ObservedKernel::new(&kernel, t.syscalls.clone()));
-    let api: &(dyn SyscallApi + Sync) = match observed.as_ref() {
-        Some(o) => o,
-        None => &kernel,
-    };
-    let stages: &(dyn MailStageObserver + Sync) = match telemetry {
-        Some(t) => t,
-        None => &NoMailObs,
-    };
-    let server = MailServer::new(api, config, cores).expect("mail server");
-    let delivered_names = Mutex::new(Vec::with_capacity(total));
-    let delivered_count = AtomicUsize::new(0);
-    let (server_ref, names_ref, count_ref) = (&server, &delivered_names, &delivered_count);
-    std::thread::scope(|scope| {
-        for e in 0..enqueuers {
-            scope.spawn(move || {
-                for i in 0..messages_per_enqueuer {
-                    let mailbox = format!("box{e}");
-                    let body = format!("body-{e}-{i}");
-                    server_ref
-                        .enqueue_observed(e, client, &mailbox, body.as_bytes(), stages)
-                        .expect("enqueue");
-                    if let Some(t) = telemetry {
-                        t.enqueued.inc(e);
-                    }
-                }
-            });
-        }
-        for q in 0..qmans {
-            let core = enqueuers + q;
-            scope.spawn(move || {
-                let mut backoff = Backoff::new(RetryPolicy::spin(), core as u64);
-                loop {
-                    if count_ref.load(Ordering::Acquire) >= total {
-                        break;
-                    }
-                    match server_ref.qman_step_observed(core, qman_pid, stages) {
-                        Ok(name) => {
-                            if let Some(t) = telemetry {
-                                t.delivered.inc(core);
-                            }
-                            count_ref.fetch_add(1, Ordering::AcqRel);
-                            names_ref.lock().unwrap().push(name);
-                            backoff.reset();
-                        }
-                        // Empty queue: either the enqueuers are still
-                        // filling it or another qman won the race for the
-                        // last one; back off so they get this core under
-                        // oversubscription.
-                        Err(Errno::EAGAIN) => {
-                            if let Some(t) = telemetry {
-                                t.eagain_retries.inc(core);
-                                t.yield_spins.inc(core);
-                            }
-                            backoff.wait();
-                        }
-                        Err(e) => panic!("qman step failed: {e}"),
-                    }
-                }
-            });
-        }
-    });
-    // Teardown leak check: every delivery helper was reaped and every
-    // spool descriptor closed, so no process — client, qman, or any of
-    // the helpers the run spawned — may still hold a descriptor.
-    for pid in 0..kernel.process_count() {
-        assert_eq!(
-            kernel.open_fd_count(pid),
-            Ok(0),
-            "pid {pid} leaked descriptors past pipeline teardown"
-        );
-    }
-    // Verify by reading every mailbox file back through the kernel.
-    let names = delivered_names.into_inner().unwrap();
-    let mut got: Vec<String> = names
-        .iter()
-        .map(|name| {
-            let fd = kernel
-                .open(0, qman_pid, name, OpenFlags::plain())
-                .expect("delivered file must exist");
-            let body = kernel.pread(0, qman_pid, fd, 4096, 0).expect("read body");
-            kernel.close(0, qman_pid, fd).expect("close");
-            String::from_utf8_lossy(&body).into_owned()
-        })
-        .collect();
-    got.sort();
-    let mut want: Vec<String> = (0..enqueuers)
-        .flat_map(|e| (0..messages_per_enqueuer).map(move |i| format!("body-{e}-{i}")))
-        .collect();
-    want.sort();
-    let count = |items: &[String]| {
-        let mut map = std::collections::BTreeMap::new();
-        for item in items {
-            *map.entry(item.clone()).or_insert(0usize) += 1;
-        }
-        map
-    };
-    let (got_counts, want_counts) = (count(&got), count(&want));
-    // A body that was never enqueued is *corrupt*, not a duplicate: only
-    // over-delivery of known bodies counts here, so each failure mode is
-    // attributed exactly once.
-    let duplicates = got_counts
-        .iter()
-        .filter(|(body, _)| want_counts.contains_key(*body))
-        .map(|(body, n)| n.saturating_sub(want_counts[body]))
-        .sum();
-    let lost = want_counts
-        .iter()
-        .map(|(body, n)| n.saturating_sub(*got_counts.get(body).unwrap_or(&0)))
-        .sum();
-    let corrupt = got
-        .iter()
-        .filter(|body| !want_counts.contains_key(*body))
-        .count();
-    MailPipelineReport {
-        enqueued: total,
-        delivered: names.len(),
-        duplicates,
-        lost,
-        corrupt,
-    }
+    let cfg = PipelineConfig::new(config, MailTopology::new(enqueuers, qmans));
+    let enqueuers = cfg.topology.enqueuers;
+    let schedule = saturating_schedule(enqueuers, enqueuers * messages_per_enqueuer);
+    let kernel = HostKernel::new(cfg.cores(), mode);
+    run_pipeline(&kernel, &cfg, &schedule, telemetry, |_, _, _| {})
 }
 
 #[cfg(test)]

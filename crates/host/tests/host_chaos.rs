@@ -3,14 +3,17 @@
 //! invisible to the hostmtrace probes (the chaos twin of the
 //! metrics-parity test in `host_obs.rs`), the reliable surface retries
 //! exactly the injected faults, and the chaos telemetry ledger of the
-//! supervised pipeline adds up.
+//! pipeline engine adds up.
 
 use scr_chaos::kernel::{FaultyKernel, ReliableKernel};
 use scr_chaos::plan::{ChaosPlan, DelaySpec, FaultSpec};
 use scr_host::workloads::MailTelemetry;
-use scr_host::{mail_pipeline_chaos, ChaosMailConfig, HostKernel, HostMode, HostOptions};
+use scr_host::{
+    run_pipeline, saturating_schedule, HostKernel, HostMode, HostOptions, PipelineConfig,
+};
 use scr_hostmtrace::{on_core, HostTraceSink, WindowHeat};
 use scr_kernel::api::{Errno, OpenFlags, StatMask, SyscallApi};
+use scr_kernel::mail::{MailConfig, MailTopology};
 use scr_kernel::retry::RetryPolicy;
 
 /// Runs a fixed single-threaded sequence of faultable calls under `plan`
@@ -112,14 +115,16 @@ fn reliable_surface_absorbs_injected_faults_but_not_genuine_errors() {
 /// moved while the pipeline rode out the storm.
 #[test]
 fn chaos_telemetry_counters_match_the_fault_layer() {
-    let mut cfg = ChaosMailConfig::new(ChaosPlan::errno_storm(47));
+    let mut cfg = PipelineConfig::new(MailConfig::CommutativeApis, MailTopology::new(2, 2));
+    cfg.plan = ChaosPlan::errno_storm(47);
     cfg.plan.delay = DelaySpec {
         ppm: 100_000,
         polls: 4,
     };
-    let cores = cfg.enqueuers + cfg.qmans + 1;
-    let telemetry = MailTelemetry::new(cores);
-    let report = mail_pipeline_chaos(&cfg, Some(&telemetry));
+    let kernel = HostKernel::new(cfg.cores(), HostMode::Sv6);
+    let telemetry = MailTelemetry::new(cfg.cores());
+    let schedule = saturating_schedule(2, 50);
+    let report = run_pipeline(&kernel, &cfg, &schedule, Some(&telemetry), |_, _, _| {});
     assert!(
         report.accounted(),
         "chaos ledger does not balance: {report:?}"

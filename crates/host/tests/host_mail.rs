@@ -24,7 +24,7 @@ use scr_host::fig6::{
 use scr_host::kernel::{HostKernel, HostMode};
 use scr_host::workloads::mail_pipeline;
 use scr_kernel::api::{Errno, OpenFlags, SocketOrder, SysOp, SyscallApi};
-use scr_kernel::mail::{MailConfig, MailServer};
+use scr_kernel::mail::{MailConfig, MailServer, NoMailObs};
 use scr_kernel::Sv6Kernel;
 use scr_model::CallKind;
 use scr_mtrace::AccessKind;
@@ -260,8 +260,10 @@ fn mail_server_runs_end_to_end_on_the_host_kernel() {
             let client = kernel.new_process();
             let qman = kernel.new_process();
             let server = MailServer::new(&kernel, config, 4).unwrap();
-            let env = server.enqueue(0, client, "alice", b"hello alice").unwrap();
-            let delivered = server.qman_step(1, qman).unwrap();
+            let env = server
+                .enqueue(0, client, "alice", b"hello alice", &NoMailObs)
+                .unwrap();
+            let delivered = server.qman_step(1, qman, &NoMailObs).unwrap().file;
             assert!(delivered.starts_with("mail/alice/"));
             assert_eq!(
                 kernel.stat(0, qman, &env).unwrap_err(),
@@ -311,13 +313,14 @@ fn unordered_notification_socket_keeps_local_delivery_conflict_free() {
     let qman = kernel.new_process();
     let server = MailServer::new(&kernel, MailConfig::CommutativeApis, 2).unwrap();
     for core in 0..2 {
+        let body = format!("m{core}");
         server
-            .enqueue(core, client, "bob", format!("m{core}").as_bytes())
+            .enqueue(core, client, "bob", body.as_bytes(), &NoMailObs)
             .unwrap();
     }
     // Each core's qman step finds its own notification without stealing.
     for core in 0..2 {
-        server.qman_step(core, qman).unwrap();
+        server.qman_step(core, qman, &NoMailObs).unwrap();
         assert_eq!(
             kernel.socket_pending_untraced(server.notify_socket()),
             1 - core,

@@ -84,7 +84,7 @@ impl MailStage {
 /// log. Callbacks run on the worker thread and must only touch core-local
 /// state.
 pub trait MailStageObserver {
-    /// When `false`, the observed entry points skip every clock read.
+    /// When `false`, the entry points skip every clock read.
     fn stage_enabled(&self) -> bool {
         true
     }
@@ -93,8 +93,8 @@ pub trait MailStageObserver {
     fn observe_stage(&self, core: CoreId, stage: MailStage, started: Instant, ended: Instant);
 }
 
-/// The no-op stage observer: observed entry points behave like the plain
-/// ones.
+/// The no-op stage observer, for callers that observe nothing: every stage
+/// runs without a clock read.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoMailObs;
 
@@ -391,15 +391,10 @@ impl<'k, K: SyscallApi + ?Sized> MailServer<'k, K> {
     }
 
     /// `mail-enqueue`: writes the message and envelope to the queue and
-    /// notifies the queue manager. Returns the envelope file name.
-    pub fn enqueue(&self, core: CoreId, pid: Pid, mailbox: &str, body: &[u8]) -> KResult<String> {
-        self.enqueue_observed(core, pid, mailbox, body, &NoMailObs)
-    }
-
-    /// [`MailServer::enqueue`] with stage observation: the spool writes are
-    /// reported as [`MailStage::Enqueue`], the socket send as
-    /// [`MailStage::Notify`].
-    pub fn enqueue_observed<O>(
+    /// notifies the queue manager. Returns the envelope file name. `obs`
+    /// sees the spool writes as [`MailStage::Enqueue`] and the socket send
+    /// as [`MailStage::Notify`]; pass [`NoMailObs`] to observe nothing.
+    pub fn enqueue<O>(
         &self,
         core: CoreId,
         pid: Pid,
@@ -438,78 +433,35 @@ impl<'k, K: SyscallApi + ?Sized> MailServer<'k, K> {
 
     /// One step of `mail-qman`: receive a notification, read the envelope,
     /// spawn a delivery helper, deliver the message, and clean up the queue.
-    /// Returns the mailbox file the message was delivered to, or
-    /// `Err(EAGAIN)` when no notification is pending.
-    pub fn qman_step(&self, core: CoreId, pid: Pid) -> KResult<String> {
-        self.qman_step_observed(core, pid, &NoMailObs)
-    }
-
-    /// [`MailServer::qman_step`] with stage observation. An empty queue
-    /// (`Err(EAGAIN)`) records no stage, so polling loops don't flood the
-    /// observer; a received message reports one span per pipeline stage.
-    /// Polls every shard (starting from `core`'s rotation) — with the
-    /// default single-shard topology this makes exactly one `recv` per
-    /// step, preserving the retry-tail invariant the telemetry tests pin.
-    pub fn qman_step_observed<O>(&self, core: CoreId, pid: Pid, obs: &O) -> KResult<String>
+    /// Returns the [`Delivered`] record, or `Err(EAGAIN)` when no
+    /// notification is pending.
+    ///
+    /// Polls every shard, starting from `core`'s rotation; with one shard
+    /// that is exactly one `recv` per step, the retry-tail invariant the
+    /// telemetry tests pin. `obs` sees one span per stage of a received
+    /// message and none for an empty poll, so polling loops do not flood
+    /// it. The step is composed from the public stage methods below, which
+    /// a supervised driver runs one by one so it can die between them and
+    /// resume an interrupted [`Envelope`] where it stopped.
+    pub fn qman_step<O>(&self, core: CoreId, pid: Pid, obs: &O) -> KResult<Delivered>
     where
         O: MailStageObserver + ?Sized,
     {
         let shards = self.notify.len();
         for probe in 0..shards {
             let shard = (core + probe) % shards;
-            match self.qman_step_shard(core, pid, shard, obs) {
+            let env_name = match self.recv_notification(core, shard) {
                 Err(Errno::EAGAIN) => continue,
-                other => return other.map(|d| d.file),
-            }
+                other => other?,
+            };
+            let envelope = self.read_envelope(core, pid, &env_name, shard, obs)?;
+            let helper = self.spawn_helper(core, pid, &envelope, obs)?;
+            let file = self.deliver_as_helper(core, helper, &envelope, obs)?;
+            self.reap_helper(core, pid, helper, obs)?;
+            self.cleanup_spool(core, pid, &envelope, obs)?;
+            return Ok(envelope.into_delivered(file));
         }
         Err(Errno::EAGAIN)
-    }
-
-    /// One step of `mail-qman` serving qman index `q`: polls only the
-    /// shards `q` owns under the topology, returning the full
-    /// [`Delivered`] record (body included) of the first message found, or
-    /// `Err(EAGAIN)` when all owned shards are empty.
-    pub fn qman_step_for<O>(&self, core: CoreId, pid: Pid, q: usize, obs: &O) -> KResult<Delivered>
-    where
-        O: MailStageObserver + ?Sized,
-    {
-        let owned: Vec<usize> = self.topology.shards_of_qman(q).collect();
-        for (i, _) in owned.iter().enumerate() {
-            // Rotate the polling origin by core so co-owned shards are not
-            // always drained in the same order.
-            let shard = owned[(i + core) % owned.len()];
-            match self.qman_step_shard(core, pid, shard, obs) {
-                Err(Errno::EAGAIN) => continue,
-                other => return other,
-            }
-        }
-        Err(Errno::EAGAIN)
-    }
-
-    /// The single-shard qman step: receive from `shard`'s socket, read the
-    /// envelope, spawn/deliver/reap, clean the spool.
-    ///
-    /// Composed from the public stage methods below so robust drivers
-    /// (the chaos pipeline's supervised qmans) can run the same stages
-    /// individually, pause between them, and resume an interrupted
-    /// [`Envelope`] from exactly where it stopped.
-    pub fn qman_step_shard<O>(
-        &self,
-        core: CoreId,
-        pid: Pid,
-        shard: usize,
-        obs: &O,
-    ) -> KResult<Delivered>
-    where
-        O: MailStageObserver + ?Sized,
-    {
-        let env_name = self.recv_notification(core, shard)?;
-        let envelope = self.read_envelope(core, pid, &env_name, shard, obs)?;
-        let helper = self.spawn_helper(core, pid, &envelope, obs)?;
-        let file = self.deliver_as_helper(core, helper, &envelope, obs)?;
-        self.reap_helper(core, pid, helper, obs)?;
-        self.cleanup_spool(core, pid, &envelope, obs)?;
-        Ok(envelope.into_delivered(file))
     }
 
     /// Stage 0 of the qman step: one `recv` on `shard`'s notification
@@ -648,20 +600,6 @@ impl<'k, K: SyscallApi + ?Sized> MailServer<'k, K> {
         self.kernel.close(core, pid, fd)?;
         Ok(name)
     }
-
-    /// End-to-end convenience used by the benchmarks: enqueue a message and
-    /// immediately run one queue-manager step on the same core.
-    pub fn deliver_one(
-        &self,
-        core: CoreId,
-        client_pid: Pid,
-        qman_pid: Pid,
-        mailbox: &str,
-        body: &[u8],
-    ) -> KResult<String> {
-        self.enqueue(core, client_pid, mailbox, body)?;
-        self.qman_step(core, qman_pid)
-    }
 }
 
 #[cfg(test)]
@@ -674,9 +612,11 @@ mod tests {
         let client = kernel.new_process();
         let qman = kernel.new_process();
         let server = MailServer::new(kernel, config, 4).unwrap();
-        let env = server.enqueue(0, client, "alice", b"hello alice").unwrap();
+        let env = server
+            .enqueue(0, client, "alice", b"hello alice", &NoMailObs)
+            .unwrap();
         assert!(env.starts_with("queue/env-"));
-        let delivered = server.qman_step(1, qman).unwrap();
+        let delivered = server.qman_step(1, qman, &NoMailObs).unwrap().file;
         assert!(delivered.starts_with("mail/alice/"));
         // The queue files are gone; the mailbox file holds the message.
         assert_eq!(
@@ -713,7 +653,7 @@ mod tests {
         let k = Sv6Kernel::new(2);
         let qman = k.new_process();
         let server = MailServer::new(&k, MailConfig::CommutativeApis, 2).unwrap();
-        assert_eq!(server.qman_step(0, qman), Err(Errno::EAGAIN));
+        assert_eq!(server.qman_step(0, qman, &NoMailObs), Err(Errno::EAGAIN));
     }
 
     #[test]
@@ -742,13 +682,11 @@ mod tests {
         let qman = k.new_process();
         let server = MailServer::new(&k, MailConfig::CommutativeApis, 2).unwrap();
         let obs = Collect(Mutex::new(Vec::new()));
-        server
-            .enqueue_observed(0, client, "alice", b"hi", &obs)
-            .unwrap();
-        server.qman_step_observed(1, qman, &obs).unwrap();
+        server.enqueue(0, client, "alice", b"hi", &obs).unwrap();
+        server.qman_step(1, qman, &obs).unwrap();
         assert_eq!(obs.0.lock().unwrap().as_slice(), &MailStage::ALL);
         // An empty queue reports EAGAIN without recording a stage.
-        assert_eq!(server.qman_step_observed(1, qman, &obs), Err(Errno::EAGAIN));
+        assert_eq!(server.qman_step(1, qman, &obs), Err(Errno::EAGAIN));
         assert_eq!(obs.0.lock().unwrap().len(), MailStage::ALL.len());
         // Observers index per-stage tables by `stage as usize`.
         for (i, stage) in MailStage::ALL.into_iter().enumerate() {
@@ -780,7 +718,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_server_routes_mailboxes_to_owned_qmans_only() {
+    fn sharded_server_routes_each_mailbox_through_its_shard() {
         let k = Sv6Kernel::new(6);
         let client = k.new_process();
         let qman = k.new_process();
@@ -792,24 +730,20 @@ mod tests {
         for m in 0..16 {
             let mailbox = format!("user{m}");
             shard_count[topology.shard_of(&mailbox)] += 1;
-            server.enqueue(0, client, &mailbox, b"x").unwrap();
+            server
+                .enqueue(0, client, &mailbox, b"x", &NoMailObs)
+                .unwrap();
         }
         assert!(shard_count.iter().filter(|&&n| n > 0).count() >= 2);
-        // Each qman drains exactly the shards it owns; together they drain
-        // everything, and every Delivered record names its shard.
-        let mut total = 0;
-        for q in 0..topology.qmans {
-            let mut expect: usize = topology.shards_of_qman(q).map(|s| shard_count[s]).sum();
-            while let Ok(d) = server.qman_step_for(topology.qman_core(q), qman, q, &NoMailObs) {
-                assert_eq!(topology.qman_of_shard(d.shard), q);
-                assert_eq!(topology.shard_of(&d.mailbox), d.shard);
-                assert_eq!(d.body, b"x");
-                expect -= 1;
-                total += 1;
-            }
-            assert_eq!(expect, 0, "qman {q} left owned messages behind");
+        // One qman step polls every shard, so one core drains them all, and
+        // every Delivered record names the shard its mailbox hashes to.
+        let mut drained = vec![0usize; topology.notify_shards];
+        while let Ok(d) = server.qman_step(topology.qman_core(1), qman, &NoMailObs) {
+            assert_eq!(topology.shard_of(&d.mailbox), d.shard);
+            assert_eq!(d.body, b"x");
+            drained[d.shard] += 1;
         }
-        assert_eq!(total, 16);
+        assert_eq!(drained, shard_count);
     }
 
     #[test]
@@ -828,14 +762,15 @@ mod tests {
         let server = MailServer::new(&k, MailConfig::CommutativeApis, 4).unwrap();
         for round in 0..3 {
             for core in 0..4 {
+                let body = format!("m{round}-{core}");
                 server
-                    .enqueue(core, client, "bob", format!("m{round}-{core}").as_bytes())
+                    .enqueue(core, client, "bob", body.as_bytes(), &NoMailObs)
                     .unwrap();
             }
         }
         let mut delivered = 0;
         for core in 0..4 {
-            while server.qman_step(core, qman).is_ok() {
+            while server.qman_step(core, qman, &NoMailObs).is_ok() {
                 delivered += 1;
             }
         }

@@ -17,15 +17,15 @@
 //!   notification socket.
 //! * [`schedule`] — fixed-rate and Poisson arrival schedules, decided in
 //!   full before the first worker thread starts.
-//! * [`openloop`] — the runner: enqueuers release messages at their
-//!   intended arrival times against a [`MailServer`] topology of N
-//!   enqueuers × M qmans over sharded notification sockets; qmans measure
-//!   delivery latency *from the intended arrival*, via a timestamp stamped
-//!   into the message body.
+//! * [`openloop`] — the runner, a front end of `scr_host`'s pipeline
+//!   engine: enqueuers release messages at their intended arrival times
+//!   against a [`MailServer`] topology of N enqueuers × M qmans over
+//!   sharded notification sockets, and the per-delivery hook measures
+//!   latency *from the intended arrival*, via a timestamp stamped into the
+//!   message body.
 //! * [`sweep`] — the (pairs, rate, skew) × (sv6-host, linux-host) sweep,
 //!   an instrumented conflict-heat pass per cell, and the
-//!   `BENCH_mail.json` document (`examples/mail_loadgen.rs` writes it,
-//!   `examples/bench_diff.rs` compares two of them).
+//!   `BENCH_mail.json` document `examples/mail_loadgen.rs` writes.
 //!
 //! [`MailServer`]: scr_kernel::mail::MailServer
 

@@ -1,44 +1,43 @@
 //! The open-loop runner: a fixed arrival schedule against a live pipeline.
 //!
 //! Every message's arrival time is decided before the first thread starts
-//! ([`arrival_offsets`]); enqueuer threads release messages *at* those
-//! times, and latency is measured **from the intended arrival** to the
-//! moment the qman finishes delivery. When the pipeline falls behind, the
-//! wait in its queues is part of the number — the coordinated-omission-safe
-//! convention (Tene's "How NOT to Measure Latency") that closed-loop
-//! harnesses like [`LoadHarness`](scr_host::harness::LoadHarness) cannot
-//! give, because their next request waits for the previous reply.
+//! ([`arrival_offsets`]); the enqueuers of the [`run_pipeline`] engine
+//! release messages *at* those times, and latency is measured **from the
+//! intended arrival** to the moment the qman finishes delivery. When the
+//! pipeline falls behind, the wait in its queues is part of the number —
+//! the coordinated-omission-safe convention (Tene's "How NOT to Measure
+//! Latency") that closed-loop harnesses like
+//! [`LoadHarness`](scr_host::harness::LoadHarness) cannot give, because
+//! their next request waits for the previous reply.
 //!
-//! The intended-arrival timestamp rides *inside the message body*
-//! (`t=<ns>;i=<index>;m=<mailbox>`), so it crosses the pipeline the same
-//! way the payload does and the qman side needs no side-channel to compute
-//! end-to-end latency: [`Delivered::body`] hands the stamp back at zero
-//! extra syscall cost. The `i=` field is the message's global schedule
-//! index, which lets the ledger say exactly *which* messages went missing
-//! or arrived twice, not merely that the totals disagree.
+//! This module is a front end: it builds the schedule (due time and
+//! zipf-sampled mailbox per message) and records latency and per-shard
+//! histograms in the engine's per-delivery hook. The intended-arrival
+//! timestamp rides *inside the message body* ([`stamp`]), so it crosses
+//! the pipeline the same way the payload does and the hook computes
+//! end-to-end latency from [`Delivered::body`] at zero extra syscall cost.
+//! The engine's ledger keys each body by its schedule index, so the report
+//! says exactly how many messages went missing or arrived twice.
 //!
-//! With a [`ChaosPlan`] in [`LoadConfig::chaos`], the whole pipeline runs
-//! over two `scr_kernel::api::Layer`s: a [`FaultyKernel`] injecting seeded
-//! transient errnos and delivery holds, under a persistent
-//! [`ReliableKernel`] retry layer. Faults surface as latency (charged from
-//! the intended arrival, like any other queueing delay), never as lost
-//! mail.
+//! With a [`ChaosPlan`] in [`LoadConfig::chaos`] the engine runs the
+//! pipeline over its fault layers with a never-give-up retry budget, so
+//! injected errnos and delivery holds surface as latency (charged from the
+//! intended arrival, like any other queueing delay), and scheduled qman
+//! crashes as supervised restarts — never as lost mail.
 //!
 //! [`Delivered::body`]: scr_kernel::mail::Delivered::body
+//! [`stamp`]: scr_host::pipeline::stamp
 
 use crate::rng::Rng64;
 use crate::schedule::{arrival_offsets, Arrival};
 use crate::zipf::ZipfSampler;
-use scr_chaos::kernel::{FaultyKernel, ReliableKernel};
 use scr_chaos::plan::ChaosPlan;
 use scr_host::kernel::{HostKernel, HostMode};
-use scr_kernel::api::{Errno, Pid, SyscallApi};
-use scr_kernel::mail::{MailConfig, MailServer, MailTopology, NoMailObs, DEAD_LETTER};
-use scr_kernel::retry::{Backoff, RetryPolicy};
+pub use scr_host::pipeline::{parse_stamp, parse_stamp_index};
+use scr_host::pipeline::{run_pipeline, PipelineConfig};
+use scr_kernel::mail::{Delivered, MailConfig, MailTopology};
+use scr_kernel::retry::RetryPolicy;
 use scr_obs::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Barrier, OnceLock};
-use std::time::{Duration, Instant};
 
 /// One open-loop cell: what to offer the pipeline and how to shape it.
 #[derive(Clone, Debug)]
@@ -67,9 +66,10 @@ pub struct LoadConfig {
     /// latency grows with the backlog.
     pub qman_stall_ns: u64,
     /// Fault-injection plan. [`ChaosPlan::none()`] (the default cells) runs
-    /// the kernel bare; an enabled plan wraps it in a
-    /// [`FaultyKernel`]+[`ReliableKernel`] stack so every injected errno
-    /// and delivery hold shows up as open-loop latency.
+    /// the kernel bare; an enabled plan wraps it in the engine's
+    /// fault-and-retry layers, so every injected errno and delivery hold
+    /// shows up as open-loop latency, and every scheduled qman crash as a
+    /// supervised restart.
     pub chaos: ChaosPlan,
 }
 
@@ -128,7 +128,8 @@ pub struct ShardStats {
 pub struct LoadReport {
     /// Messages the enqueuers released (always `config.messages`).
     pub enqueued: u64,
-    /// Messages delivered (equals `enqueued` — the run drains the queue).
+    /// Messages delivered to their mailboxes (equals `enqueued` — the run
+    /// drains the queue).
     pub delivered: u64,
     /// Schedule indices that were enqueued but never delivered. Always 0
     /// on a healthy run, chaos or not; the exactly-once exit gate.
@@ -144,7 +145,11 @@ pub struct LoadReport {
     pub injected_faults: u64,
     /// Recv polls eaten by injected delivery holds (0 without chaos).
     pub delayed_polls: u64,
-    /// Empty-queue polls on the qman side.
+    /// Scheduled qman deaths that fired (0 without a crash plan).
+    pub crashes: u64,
+    /// Qman incarnations the supervisor restarted after those deaths.
+    pub restarts: u64,
+    /// Empty-queue polling rounds on the qman side.
     pub eagain_retries: u64,
     /// Wall time from epoch to last delivery, seconds.
     pub elapsed_seconds: f64,
@@ -154,8 +159,9 @@ pub struct LoadReport {
     pub latency: HistogramSnapshot,
     /// Per-shard traffic and latency.
     pub shards: Vec<ShardStats>,
-    /// The full metrics snapshot (same counter/histogram names the
-    /// closed-loop `MailTelemetry` path uses), for artifact export.
+    /// The hook's metrics (`mail.latency_ns` and `mail.delivered`, the
+    /// names the closed-loop `MailTelemetry` path uses, plus the per-shard
+    /// slices), for artifact export.
     pub snapshot: MetricsSnapshot,
 }
 
@@ -171,231 +177,94 @@ impl LoadReport {
     }
 }
 
-/// Intended-arrival stamp carried in the message body, tagged with the
-/// message's global schedule index for the exactly-once ledger.
-fn stamp(due_ns: u64, index: usize, mailbox: &str) -> String {
-    format!("t={due_ns};i={index};m={mailbox}")
-}
-
-/// Recover the intended-arrival ns from a delivered body.
-pub fn parse_stamp(body: &[u8]) -> Option<u64> {
-    let text = std::str::from_utf8(body).ok()?;
-    let rest = text.strip_prefix("t=")?;
-    let end = rest.find(';')?;
-    rest[..end].parse().ok()
-}
-
-/// Recover the schedule index from a delivered body.
-pub fn parse_stamp_index(body: &[u8]) -> Option<usize> {
-    let text = std::str::from_utf8(body).ok()?;
-    let rest = &text[text.find(";i=")? + 3..];
-    let end = rest.find(';')?;
-    rest[..end].parse().ok()
-}
-
-/// Sleep (coarse) then yield (fine) until `due_ns` after `epoch`. Never
-/// spins without yielding, so an oversubscribed host (CI's single
-/// hardware thread running several pipeline threads) keeps making progress.
-fn wait_until(epoch: Instant, due_ns: u64) {
-    loop {
-        let now = epoch.elapsed().as_nanos() as u64;
-        if now >= due_ns {
-            return;
-        }
-        let gap = due_ns - now;
-        if gap > 500_000 {
-            // Leave the last ~200µs to the yield loop: sleep overshoot
-            // would delay the *release*, not the schedule, and the latency
-            // clock charges any release delay to the system — keep it small.
-            std::thread::sleep(Duration::from_nanos(gap - 200_000));
-        } else {
-            std::thread::yield_now();
-        }
+/// The engine configuration of one cell. The open loop retries every
+/// injected fault persistently: faults cost latency, never a dead letter.
+fn pipeline_config(config: &LoadConfig) -> PipelineConfig {
+    PipelineConfig {
+        plan: config.chaos.clone(),
+        retry: RetryPolicy::spin(),
+        qman_stall_ns: config.qman_stall_ns,
+        ..PipelineConfig::new(config.mail, config.topology)
     }
 }
 
 /// Run one open-loop cell on a fresh kernel built from `config.mode`.
 pub fn run_open_loop(config: &LoadConfig) -> LoadReport {
-    let kernel = HostKernel::new(config.topology.cores(), config.mode);
+    let kernel = HostKernel::new(pipeline_config(config).cores(), config.mode);
     run_open_loop_on(&kernel, config)
 }
 
 /// Run one open-loop cell against an existing kernel (the conflict-heat
 /// pass hands in an instrumented one; timed cells use [`run_open_loop`]).
 ///
-/// The kernel must have at least `config.topology.cores()` cores. When
-/// `config.chaos` is enabled the run happens through a
-/// [`FaultyKernel`]+[`ReliableKernel`] stack over `kernel`: injected
-/// faults are decided *before* the inner call executes, so retrying them
-/// persistently is always safe and the exactly-once ledger must still
-/// close.
+/// The kernel must have at least `config.topology.cores()` cores, plus one
+/// for the supervisor when `config.chaos` schedules qman crashes.
 pub fn run_open_loop_on(kernel: &HostKernel, config: &LoadConfig) -> LoadReport {
-    let client = kernel.new_process();
-    let qman_pid = kernel.new_process();
-    if config.chaos.enabled() {
-        let cores = config.topology.cores();
-        let faulty = FaultyKernel::new(kernel, config.chaos.clone(), cores);
-        let reliable =
-            ReliableKernel::new(&faulty, RetryPolicy::spin().with_seed(config.chaos.seed));
-        let mut report = open_loop_inner(&reliable, client, qman_pid, config);
-        report.injected_faults = faulty.injected_total();
-        report.delayed_polls = faulty.delayed_polls_total();
-        report
-    } else {
-        open_loop_inner(kernel, client, qman_pid, config)
-    }
-}
-
-/// The generic open-loop engine: any [`SyscallApi`] (bare host kernel or
-/// the chaos stack) with the client/qman processes already created.
-fn open_loop_inner<K: SyscallApi + Sync + ?Sized>(
-    kernel: &K,
-    client: Pid,
-    qman_pid: Pid,
-    config: &LoadConfig,
-) -> LoadReport {
-    let topology = config.topology;
-    let cores = topology.cores();
-    let total = config.messages;
+    let cfg = pipeline_config(config);
+    let shards = config.topology.notify_shards;
 
     // The whole schedule is decided here, before any worker exists:
-    // message i is due at offsets[i] and addressed to mailbox ranks[i].
-    let offsets = arrival_offsets(config.arrival, config.rate_per_sec, total, config.seed);
+    // message i is due at offsets[i] and addressed to a zipf-ranked mailbox.
+    let offsets = arrival_offsets(
+        config.arrival,
+        config.rate_per_sec,
+        config.messages,
+        config.seed,
+    );
     let sampler = ZipfSampler::new(config.mailboxes.max(1), config.zipf_s);
     let mut popularity = Rng64::stream(config.seed, 0x21BF);
-    let mailboxes: Vec<String> = (0..total)
-        .map(|_| format!("box{:04}", sampler.sample(&mut popularity)))
+    let schedule: Vec<(u64, String)> = offsets
+        .into_iter()
+        .map(|due| (due, format!("box{:04}", sampler.sample(&mut popularity))))
         .collect();
 
-    let server =
-        MailServer::with_topology(kernel, config.mail, topology, cores).expect("mail server");
-
-    let registry = MetricsRegistry::new(cores);
+    let registry = MetricsRegistry::new(cfg.cores());
     let latency = registry.histogram("mail.latency_ns");
-    let enqueued = registry.counter("mail.enqueued");
     let delivered = registry.counter("mail.delivered");
-    let eagain = registry.counter("mail.eagain_retries");
-    let shard_latency: Vec<Histogram> = (0..topology.notify_shards)
+    let shard_latency: Vec<Histogram> = (0..shards)
         .map(|s| registry.histogram(&format!("mail.shard[{s}].latency_ns")))
         .collect();
-    let shard_delivered: Vec<Counter> = (0..topology.notify_shards)
+    let shard_delivered: Vec<Counter> = (0..shards)
         .map(|s| registry.counter(&format!("mail.shard[{s}].delivered")))
         .collect();
 
-    let done = AtomicU64::new(0);
-    let barrier = Barrier::new(cores);
-    let epoch_cell: OnceLock<Instant> = OnceLock::new();
-    let stall = config.qman_stall_ns;
+    let ledger = run_pipeline(
+        kernel,
+        &cfg,
+        &schedule,
+        None,
+        |core, d: &Delivered, at_ns| {
+            let due = parse_stamp(&d.body).expect("stamped body");
+            let waited = at_ns.saturating_sub(due);
+            latency.record(core, waited);
+            shard_latency[d.shard].record(core, waited);
+            shard_delivered[d.shard].inc(core);
+            delivered.inc(core);
+        },
+    );
 
-    // Exactly-once ledger: how many times each schedule index arrived.
-    let delivery_counts: Vec<AtomicU32> = (0..total).map(|_| AtomicU32::new(0)).collect();
-    let dead_lettered = AtomicU64::new(0);
-
-    let (server_ref, offsets_ref, boxes_ref) = (&server, &offsets, &mailboxes);
-    let (done_ref, barrier_ref, epoch_ref) = (&done, &barrier, &epoch_cell);
-    let (counts_ref, dead_ref) = (&delivery_counts, &dead_lettered);
-    let (latency_ref, shard_lat_ref, shard_del_ref) = (&latency, &shard_latency, &shard_delivered);
-    let (enq_ref, del_ref, eagain_ref) = (&enqueued, &delivered, &eagain);
-    std::thread::scope(|scope| {
-        for e in 0..topology.enqueuers {
-            scope.spawn(move || {
-                barrier_ref.wait();
-                // The first thread past the barrier starts the clock; all
-                // others read the same instant, so one epoch anchors both
-                // the release schedule and the latency measurements.
-                let epoch = *epoch_ref.get_or_init(Instant::now);
-                let core = topology.enqueuer_core(e);
-                // Message i belongs to enqueuer i mod enqueuers; the global
-                // schedule is nondecreasing, so each slice is too.
-                let mut i = e;
-                while i < total {
-                    let due = offsets_ref[i];
-                    let mailbox = &boxes_ref[i];
-                    wait_until(epoch, due);
-                    let body = stamp(due, i, mailbox);
-                    server_ref
-                        .enqueue(core, client, mailbox, body.as_bytes())
-                        .expect("enqueue");
-                    enq_ref.inc(core);
-                    i += topology.enqueuers;
-                }
-            });
-        }
-        for q in 0..topology.qmans {
-            scope.spawn(move || {
-                barrier_ref.wait();
-                let epoch = *epoch_ref.get_or_init(Instant::now);
-                let core = topology.qman_core(q);
-                let mut idle = Backoff::new(RetryPolicy::spin(), core as u64);
-                loop {
-                    if done_ref.load(Ordering::Acquire) >= total as u64 {
-                        break;
-                    }
-                    if stall > 0 {
-                        // Deliberate service-rate cap (see LoadConfig docs).
-                        std::thread::sleep(Duration::from_nanos(stall));
-                    }
-                    match server_ref.qman_step_for(core, qman_pid, q, &NoMailObs) {
-                        Ok(d) => {
-                            let now = epoch.elapsed().as_nanos() as u64;
-                            let due = parse_stamp(&d.body).expect("stamped body");
-                            let index = parse_stamp_index(&d.body).expect("indexed body");
-                            let waited = now.saturating_sub(due);
-                            latency_ref.record(core, waited);
-                            shard_lat_ref[d.shard].record(core, waited);
-                            shard_del_ref[d.shard].inc(core);
-                            counts_ref[index].fetch_add(1, Ordering::AcqRel);
-                            if d.mailbox == DEAD_LETTER {
-                                dead_ref.fetch_add(1, Ordering::AcqRel);
-                            }
-                            del_ref.inc(core);
-                            done_ref.fetch_add(1, Ordering::AcqRel);
-                            idle.reset();
-                        }
-                        Err(Errno::EAGAIN) => {
-                            eagain_ref.inc(core);
-                            idle.wait();
-                        }
-                        Err(e) => panic!("qman step failed: {e}"),
-                    }
-                }
-            });
-        }
-    });
-
-    let elapsed_seconds = epoch_cell
-        .get()
-        .map(|epoch| epoch.elapsed().as_secs_f64())
-        .unwrap_or(0.0);
-    let shards = (0..topology.notify_shards)
-        .map(|s| ShardStats {
-            shard: s,
-            qman: topology.qman_of_shard(s),
-            delivered: shard_delivered[s].total(),
-            latency: shard_latency[s].merged(),
-        })
-        .collect();
-    // Close the ledger: every schedule index delivered exactly once.
-    let (mut lost, mut duplicates) = (0u64, 0u64);
-    for count in &delivery_counts {
-        match count.load(Ordering::Acquire) {
-            0 => lost += 1,
-            n => duplicates += u64::from(n - 1),
-        }
-    }
     LoadReport {
-        enqueued: enqueued.total(),
-        delivered: delivered.total(),
-        lost,
-        duplicates,
-        dead_lettered: dead_lettered.load(Ordering::Acquire),
-        injected_faults: 0,
-        delayed_polls: 0,
-        eagain_retries: eagain.total(),
-        elapsed_seconds,
+        enqueued: ledger.enqueued as u64,
+        delivered: ledger.delivered as u64,
+        lost: ledger.lost as u64,
+        duplicates: ledger.duplicates as u64,
+        dead_lettered: ledger.dead_lettered as u64,
+        injected_faults: ledger.injected_faults,
+        delayed_polls: ledger.delayed_polls,
+        crashes: ledger.crashes as u64,
+        restarts: ledger.restarts as u64,
+        eagain_retries: ledger.eagain_retries,
+        elapsed_seconds: ledger.elapsed.as_secs_f64(),
         offered_rate: config.rate_per_sec,
         latency: latency.merged(),
-        shards,
+        shards: (0..shards)
+            .map(|s| ShardStats {
+                shard: s,
+                qman: config.topology.qman_of_shard(s),
+                delivered: shard_delivered[s].total(),
+                latency: shard_latency[s].merged(),
+            })
+            .collect(),
         snapshot: registry.snapshot(),
     }
 }
@@ -403,16 +272,6 @@ fn open_loop_inner<K: SyscallApi + Sync + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stamps_round_trip() {
-        let body = stamp(123_456_789, 42, "box0007");
-        assert_eq!(parse_stamp(body.as_bytes()), Some(123_456_789));
-        assert_eq!(parse_stamp_index(body.as_bytes()), Some(42));
-        assert_eq!(parse_stamp(b"garbage"), None);
-        assert_eq!(parse_stamp(b"t=;i=0;m=x"), None);
-        assert_eq!(parse_stamp_index(b"t=5;m=x"), None);
-    }
 
     #[test]
     fn open_loop_smoke_delivers_everything_exactly_once() {
@@ -473,6 +332,22 @@ mod tests {
         assert_eq!(a.injected_faults, b.injected_faults);
         assert!(a.injected_faults > 0, "plan injected nothing");
         assert_eq!(a.lost + b.lost, 0);
+    }
+
+    #[test]
+    fn open_loop_honours_the_crash_plan() {
+        // Each of qman 0's first three incarnations dies at its third
+        // message; 60 messages leave every one of them enough traffic.
+        let mut config = LoadConfig::smoke();
+        config.messages = 60;
+        config.chaos = ChaosPlan::qman_crash(9);
+        let report = run_open_loop(&config);
+        assert_eq!(report.crashes, 3, "{report:?}");
+        assert_eq!(report.restarts, 3, "{report:?}");
+        assert_eq!(report.lost, 0, "{report:?}");
+        assert_eq!(report.duplicates, 0, "{report:?}");
+        assert_eq!(report.delivered, 60, "{report:?}");
+        assert_eq!(report.latency.count, 60, "one latency sample per delivery");
     }
 
     #[test]

@@ -45,9 +45,9 @@ pub struct SweepSpec {
     pub seed: u64,
     /// When set, every timed cell also runs a chaos twin — the same
     /// schedule over a fault-injecting kernel stack — keyed with a
-    /// `/chaos` suffix so `bench_diff` compares the latency tax of the
-    /// injected faults across runs. The twin skips the heat pass (fault
-    /// retries would pollute the conflict attribution).
+    /// `/chaos` suffix, so the trajectory file carries the latency tax of
+    /// the injected faults next to the clean cell. The twin skips the heat
+    /// pass (fault retries would pollute the conflict attribution).
     pub chaos: Option<ChaosPlan>,
 }
 
@@ -127,7 +127,8 @@ pub struct BenchCell {
 }
 
 impl BenchCell {
-    /// The cell's identity key: what `bench_diff` matches cells on.
+    /// The cell's identity key in `BENCH_mail.json`: mode, pairs, rate,
+    /// skew and the `/chaos` suffix.
     pub fn key(&self) -> String {
         format!(
             "{}/pairs{}/rate{:.0}/skew{:.2}{}",

@@ -2,7 +2,7 @@
 //! mail pipeline, plus a fault-injected differential campaign.
 //!
 //! Every canned [`ChaosPlan`] — fault-free baseline, errno storm, delayed
-//! delivery, scheduled qman crashes — runs the supervised pipeline in both
+//! delivery, scheduled qman crashes — runs the pipeline engine in both
 //! (host mode, API family) columns and must close the extended
 //! exactly-once ledger: each announced message lands exactly once in its
 //! mailbox or the dead-letter box, no descriptors leak past teardown, and
@@ -21,10 +21,10 @@
 use scalable_commutativity::chaos::plan::ChaosPlan;
 use scalable_commutativity::host::workloads::MailTelemetry;
 use scalable_commutativity::host::{
-    differential_campaign, mail_pipeline_chaos, CampaignConfig, ChaosMailConfig, ChaosReplayer,
-    HostMode,
+    differential_campaign, run_pipeline, saturating_schedule, CampaignConfig, ChaosReplayer,
+    HostKernel, HostMode, PipelineConfig,
 };
-use scalable_commutativity::kernel::mail::MailConfig;
+use scalable_commutativity::kernel::mail::{MailConfig, MailTopology};
 use scalable_commutativity::model::CallKind;
 use scalable_commutativity::obs::{arg_value, Json, RunMeta};
 
@@ -63,19 +63,23 @@ fn main() {
     let mut run_json: Vec<Json> = Vec::new();
     for (plan_name, plan) in &plans {
         for (mode, mail, mode_label) in modes {
-            let mut cfg = ChaosMailConfig::new(plan.clone());
-            cfg.mode = mode;
-            cfg.config = mail;
-            if *plan_name == "qman-crash" {
-                // One qman slot: every shard drains through slot 0, so the
-                // scheduled deaths of its first three incarnations all
-                // fire regardless of shard hashing.
-                cfg.qmans = 1;
-                cfg.messages_per_enqueuer = 30;
-            }
-            let cores = cfg.enqueuers + cfg.qmans + 1;
-            let telemetry = MailTelemetry::new(cores);
-            let report = mail_pipeline_chaos(&cfg, Some(&telemetry));
+            // 2 x 2, 25 messages per enqueuer. The crash plan gets one qman
+            // slot: every shard drains through slot 0, so the scheduled
+            // deaths of its first three incarnations all fire regardless
+            // of shard hashing.
+            let (qmans, per_enqueuer) = if *plan_name == "qman-crash" {
+                (1, 30)
+            } else {
+                (2, 25)
+            };
+            let cfg = PipelineConfig {
+                plan: plan.clone(),
+                ..PipelineConfig::new(mail, MailTopology::new(2, qmans))
+            };
+            let kernel = HostKernel::new(cfg.cores(), mode);
+            let telemetry = MailTelemetry::new(cfg.cores());
+            let schedule = saturating_schedule(2, 2 * per_enqueuer);
+            let report = run_pipeline(&kernel, &cfg, &schedule, Some(&telemetry), |_, _, _| {});
             let ok = report.accounted();
             println!(
                 "  {:<18} {:<12} {:>5} {:>5} {:>5} {:>5} {:>7} {:>7} {:>8}  {}",

@@ -12,7 +12,7 @@
 //! Run with `cargo run --release --example mailserver`.
 
 use scalable_commutativity::kernel::api::{KernelApi, OpenFlags, SyscallApi};
-use scalable_commutativity::kernel::mail::{MailConfig, MailServer};
+use scalable_commutativity::kernel::mail::{MailConfig, MailServer, NoMailObs};
 use scalable_commutativity::kernel::Sv6Kernel;
 use scalable_commutativity::mtrace::{ScalingParams, ThroughputModel};
 use scalable_commutativity::obs::{metrics_out, Json, MetricsRegistry, RunMeta};
@@ -27,15 +27,17 @@ fn run(cores: usize, rounds: usize, config: MailConfig) -> f64 {
     for round in 0..rounds {
         for core in 0..cores {
             machine.on_core(core, || {
+                let body = format!("round {round}");
                 server
-                    .deliver_one(
+                    .enqueue(
                         core,
                         client,
-                        qman,
                         &format!("user{core}"),
-                        format!("round {round}").as_bytes(),
+                        body.as_bytes(),
+                        &NoMailObs,
                     )
                     .unwrap();
+                server.qman_step(core, qman, &NoMailObs).unwrap();
             });
         }
     }
@@ -52,9 +54,9 @@ fn main() {
     let qman = kernel.new_process();
     let server = MailServer::new(&kernel, MailConfig::CommutativeApis, 4).unwrap();
     server
-        .enqueue(0, client, "alice", b"hello from the example")
+        .enqueue(0, client, "alice", b"hello from the example", &NoMailObs)
         .unwrap();
-    let delivered = server.qman_step(1, qman).unwrap();
+    let delivered = server.qman_step(1, qman, &NoMailObs).unwrap().file;
     let fd = kernel
         .open(0, qman, &delivered, OpenFlags::plain())
         .unwrap();
