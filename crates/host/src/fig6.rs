@@ -103,6 +103,9 @@ pub struct HostTestOutcome {
     pub results: (SysResult, SysResult),
     /// Accesses dropped by log overflow (0 in any healthy run).
     pub dropped: usize,
+    /// The most accesses one core recorded in any schedule's window: the
+    /// log headroom the test used.
+    pub max_window_accesses: usize,
 }
 
 /// Replays one test on an instrumented kernel: setup untraced, then the
@@ -177,6 +180,7 @@ pub fn run_test_host_with(
     let mut shared_labels = Vec::new();
     let mut conflict_free = true;
     let mut dropped = 0;
+    let mut max_window_accesses = 0;
     let mut results = (SysResult::Unit, SysResult::Unit);
     for _ in 0..schedules.max(1) {
         let (sink, report, res) = replay_traced(mode, cores, test, true);
@@ -186,6 +190,7 @@ pub fn run_test_host_with(
         conflict_free &= report.is_conflict_free();
         shared_labels.extend(report.conflicting_labels());
         dropped += report.dropped;
+        max_window_accesses = max_window_accesses.max(report.max_core_accesses());
         results = res;
     }
     shared_labels.sort();
@@ -196,6 +201,7 @@ pub fn run_test_host_with(
         shared_labels,
         results,
         dropped,
+        max_window_accesses,
     }
 }
 
@@ -247,6 +253,9 @@ pub struct HostFig6Results {
     pub tests_run: usize,
     /// Accesses dropped across every traced window (0 in a healthy run).
     pub dropped: usize,
+    /// The most accesses one core recorded in any traced window, against
+    /// `scr_hostmtrace::DEFAULT_LOG_CAPACITY` slots per core.
+    pub max_window_accesses: usize,
     /// Per-line access/conflict heat over every sv6-host traced window.
     pub heat_sv6: HeatMap,
     /// Per-line access/conflict heat over every linux-host traced window.
@@ -321,6 +330,10 @@ impl HostFig6Results {
         for (sim_sv6, sim_linux, host_sv6, host_linux) in unit.results {
             self.tests_run += 1;
             self.dropped += host_sv6.dropped + host_linux.dropped;
+            self.max_window_accesses = self
+                .max_window_accesses
+                .max(host_sv6.max_window_accesses)
+                .max(host_linux.max_window_accesses);
             self.sim_sv6.record(a, b, sim_sv6.conflict_free);
             self.sim_linux.record(a, b, sim_linux.conflict_free);
             self.host_sv6.record(a, b, host_sv6.conflict_free);
@@ -373,6 +386,7 @@ pub fn run_host_fig6(config: &HostFig6Config) -> HostFig6Results {
         divergences: Vec::new(),
         tests_run: 0,
         dropped: 0,
+        max_window_accesses: 0,
         heat_sv6: HeatMap::new(),
         heat_linux: HeatMap::new(),
     };

@@ -17,7 +17,7 @@
 //!   threads are added, no matter how fast each individual call is.
 
 use parking_lot::{Mutex, RwLock};
-use scr_hostmtrace::{HostTraceSink, LockProbe, Probe, ProbeRadix, SeqProbe};
+use scr_hostmtrace::{HostTraceSink, Probe, ProbeBlock, ProbeRadix, SeqProbe};
 use scr_kernel::api::{
     Errno, Fd, Ino, KResult, MmapBacking, OpenFlags, Pid, Prot, SockId, SocketOrder, Stat,
     StatMask, SyscallApi, Whence, PAGE_SIZE,
@@ -228,14 +228,16 @@ struct Process {
     /// Per-core mmap bump allocators, lazily allocated like the slots
     /// (helper processes never map memory).
     next_vpn: Vec<OnceLock<crossbeam::utils::CachePadded<AtomicU64>>>,
-    /// One probe per descriptor slot (`proc[p].fd[f]`), when traced.
-    /// Probes are eager: instrumented kernels are built one per traced
-    /// test, never on a process-churning hot path.
-    fd_probes: Option<Vec<Probe>>,
+    /// One line per descriptor slot (`proc[p].fd[f]`), when traced. The
+    /// block is allocated with the process but names no line until a
+    /// report asks, so a traced process costs O(1) whatever its table
+    /// size — instrumented kernels do churn processes (the loadgen heat
+    /// pass spawns one helper per message).
+    fd_probes: Option<ProbeBlock>,
     /// Address-space radix mirror (`proc[p].as`), when traced.
     vm_probes: Option<ProbeRadix>,
     /// Per-core mmap bump-allocator lines (`proc[p].next_vpn[c]`).
-    vpn_probes: Option<Vec<Probe>>,
+    vpn_probes: Option<ProbeBlock>,
 }
 
 impl Process {
@@ -280,10 +282,10 @@ struct KernelTrace {
     /// read-modify-write (and release as a write), so in `Linuxlike` mode
     /// every pair of calls conflicts on this written line — the Linux
     /// column of Figure 6.
-    giant: LockProbe,
+    giant: Probe,
     /// Per-core deferred-reclamation queue lines
     /// (`scalefs.inode_gc.defer[c]`).
-    defer: Vec<Probe>,
+    defer: ProbeBlock,
     /// Distinguishes the pipes created during one window (label suffix
     /// only; the simulated kernel uses its access counter the same way).
     next_pipe_id: AtomicU64,
@@ -387,10 +389,8 @@ impl HostKernel {
                 .collect(),
             trace: sink.map(|sink| KernelTrace {
                 sink: Arc::clone(sink),
-                giant: LockProbe::new(sink, "kernel.giant_lock"),
-                defer: (0..cores)
-                    .map(|c| sink.probe(format!("scalefs.inode_gc.defer[{c}]")))
-                    .collect(),
+                giant: sink.probe("kernel.giant_lock"),
+                defer: sink.probe_block(cores, |c| format!("scalefs.inode_gc.defer[{c}]")),
                 next_pipe_id: AtomicU64::new(0),
             }),
         }
@@ -400,7 +400,7 @@ impl HostKernel {
     /// only that core's queue line, as in the simulated `DeferQueue`).
     fn defer_reclaim(&self, core: usize, ino: Ino) {
         if let Some(t) = &self.trace {
-            t.defer[core % self.cores].rmw();
+            t.defer.at(core % self.cores).rmw();
         }
         self.defer[core % self.cores].lock().push(ino);
     }
@@ -411,7 +411,7 @@ impl HostKernel {
     /// inodes reclaimed.
     pub fn reclaim_core(&self, core: usize) -> usize {
         if let Some(t) = &self.trace {
-            t.defer[core % self.cores].rmw();
+            t.defer.at(core % self.cores).rmw();
         }
         let pending = std::mem::take(&mut *self.defer[core % self.cores].lock());
         let mut reclaimed = 0;
@@ -482,8 +482,8 @@ impl HostKernel {
         match self.mode {
             HostMode::Linuxlike => {
                 if let Some(t) = &self.trace {
-                    t.giant.acquire();
-                    t.giant.release();
+                    t.giant.handle().acquire();
+                    t.giant.handle().release();
                 }
                 Some(self.giant.lock())
             }
@@ -500,15 +500,13 @@ impl HostKernel {
             vm_pages: RwLock::new(BTreeMap::new()),
             next_vpn: (0..self.cores).map(|_| OnceLock::new()).collect(),
             fd_probes: sink.map(|sink| {
-                (0..self.cores * FDS_PER_CORE)
-                    .map(|fd| sink.probe(format!("proc[{pid}].fd[{fd}]")))
-                    .collect()
+                sink.probe_block(self.cores * FDS_PER_CORE, move |fd| {
+                    format!("proc[{pid}].fd[{fd}]")
+                })
             }),
             vm_probes: sink.map(|sink| ProbeRadix::new(sink, &format!("proc[{pid}].as"))),
             vpn_probes: sink.map(|sink| {
-                (0..self.cores)
-                    .map(|c| sink.probe(format!("proc[{pid}].next_vpn[{c}]")))
-                    .collect()
+                sink.probe_block(self.cores, move |c| format!("proc[{pid}].next_vpn[{c}]"))
             }),
         })
     }
@@ -551,7 +549,7 @@ impl HostKernel {
             return Err(Errno::EBADF);
         }
         if let Some(p) = &proc_.fd_probes {
-            p[fd as usize].read();
+            p.at(fd as usize).read();
         }
         // An unallocated partition is an empty slot (recorded as the read
         // above, like the simulated `slot.get()` of a None slot).
@@ -581,14 +579,14 @@ impl HostKernel {
         };
         for fd in start..end {
             if let Some(p) = &proc_.fd_probes {
-                p[fd].read();
+                p.at(fd).read();
             }
             // The scan stops at the first free slot, so materialising the
             // partition here only ever allocates the chunk being claimed.
             let mut slot = proc_.fd_slot(fd).expect("fd within capacity").lock();
             if slot.is_none() {
                 if let Some(p) = &proc_.fd_probes {
-                    p[fd].write();
+                    p.at(fd).write();
                 }
                 *slot = Some(file);
                 return Ok(fd as Fd);
@@ -991,14 +989,14 @@ impl SyscallApi for HostKernel {
             return Err(Errno::EBADF);
         }
         if let Some(p) = &proc_.fd_probes {
-            p[fd as usize].read();
+            p.at(fd as usize).read();
         }
         let slot = proc_
             .fd_slot_if_allocated(fd as usize)
             .ok_or(Errno::EBADF)?;
         let file = slot.lock().take().ok_or(Errno::EBADF)?;
         if let Some(p) = &proc_.fd_probes {
-            p[fd as usize].write();
+            p.at(fd as usize).write();
         }
         adjust_pipe_endpoint(&file, -1);
         Ok(())
@@ -1177,7 +1175,7 @@ impl SyscallApi for HostKernel {
                 // Per-core region allocation: no shared allocation state.
                 let shard = core % self.cores;
                 if let Some(p) = &proc_.vpn_probes {
-                    p[shard].rmw();
+                    p.at(shard).rmw();
                 }
                 proc_.next_vpn(shard).fetch_add(pages, Ordering::Relaxed)
             }
@@ -1333,7 +1331,7 @@ impl SyscallApi for HostKernel {
         let child = self.proc(child_pid)?;
         for fd in 0..parent.fd_capacity() {
             if let Some(p) = &parent.fd_probes {
-                p[fd].read();
+                p.at(fd).read();
             }
             // An unallocated partition reads as all-empty without being
             // materialised (the probe read above still mirrors the
@@ -1347,7 +1345,7 @@ impl SyscallApi for HostKernel {
                 // close/wait), exactly as in the simulated kernel.
                 adjust_pipe_endpoint(&file, 1);
                 if let Some(p) = &child.fd_probes {
-                    p[fd].write();
+                    p.at(fd).write();
                 }
                 *child.fd_slot(fd).expect("fd within capacity").lock() = Some(file);
             }
@@ -1381,7 +1379,7 @@ impl SyscallApi for HostKernel {
         for (fd, file) in files {
             adjust_pipe_endpoint(&file, 1);
             if let Some(p) = &child.fd_probes {
-                p[fd as usize].write();
+                p.at(fd as usize).write();
             }
             *child.fd_slot(fd as usize).expect("open fd in range").lock() = Some(file);
         }
@@ -1408,8 +1406,8 @@ impl SyscallApi for HostKernel {
                 // process-private state): a read and the emptying write.
                 let Some(file) = file else { continue };
                 if let Some(p) = &proc_.fd_probes {
-                    p[fd].read();
-                    p[fd].write();
+                    p.at(fd).read();
+                    p.at(fd).write();
                 }
                 adjust_pipe_endpoint(&file, -1);
             }

@@ -20,9 +20,16 @@
 //!   Instrumented structures call [`Probe::read`]/[`Probe::write`]/
 //!   [`Probe::rmw`] next to their real atomic operations, mirroring the
 //!   footprint their `TracedCell` twins record on the simulator.
-//! * [`LockProbe`], [`SeqProbe`] and [`ProbeRadix`] mirror the footprints
-//!   of `scr_scalable`'s `TracedLock`, `SeqLock` and `RadixArray`, so a
-//!   host structure can reproduce its simulated twin's access pattern
+//! * [`ProbeBlock`] is a structure's per-index lines (directory stripes,
+//!   descriptor slots, per-core shards) as one block of consecutive ids.
+//!   The sink keeps one naming function per block and formats a label only
+//!   when a report asks for it, so instrumenting a structure costs one
+//!   allocation whatever its line count; [`ProbeBlock::at`] lends a
+//!   [`ProbeRef`] that records like a [`Probe`].
+//! * A lock word's [`ProbeRef::acquire`]/[`ProbeRef::release`],
+//!   [`SeqProbe`] and [`ProbeRadix`] mirror the footprints of
+//!   `scr_scalable`'s `TracedLock`, `SeqLock` and `RadixArray`, so a host
+//!   structure can reproduce its simulated twin's access pattern
 //!   line-for-line.
 //! * [`HostConflictReport`] applies the §3.3 conflict definition (a line
 //!   touched by ≥ 2 threads with ≥ 1 write) to a traced window, reusing
@@ -37,7 +44,7 @@ mod probe;
 mod radix;
 mod sink;
 
-pub use probe::{LockProbe, Probe, SeqProbe};
+pub use probe::{Probe, ProbeBlock, ProbeRef, SeqProbe};
 pub use radix::ProbeRadix;
 pub use sink::{
     current_core, on_core, AccessLog, HostConflictReport, HostTraceSink, WindowHeat,

@@ -8,7 +8,7 @@
 //! array would have populated and records the exact line footprint each
 //! radix operation would produce.
 
-use crate::probe::Probe;
+use crate::probe::ProbeBlock;
 use crate::sink::HostTraceSink;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -20,12 +20,13 @@ pub(crate) const FANOUT: usize = 64;
 
 /// Probe mirror of a two-level radix array.
 pub struct ProbeRadix {
-    sink: Arc<HostTraceSink>,
-    label: String,
-    interior: Vec<Probe>,
-    /// Leaf probe tables, created when an index under the interior slot is
-    /// first stored — exactly when `RadixArray::ensure_leaf` populates one.
-    leaves: Mutex<HashMap<usize, Vec<Probe>>>,
+    label: Arc<str>,
+    interior: ProbeBlock,
+    /// Leaf probe blocks, allocated when an index under the interior slot
+    /// is first stored — exactly when `RadixArray::ensure_leaf` populates
+    /// one. Allocating a block formats no label, so a racing `set` holds
+    /// this mutex only for one block allocation.
+    leaves: Mutex<HashMap<usize, ProbeBlock>>,
 }
 
 impl ProbeRadix {
@@ -35,12 +36,11 @@ impl ProbeRadix {
     /// Allocates the interior lines (the simulated array allocates its
     /// interior cells eagerly too).
     pub fn new(sink: &Arc<HostTraceSink>, label: &str) -> Self {
+        let label: Arc<str> = label.into();
+        let names = Arc::clone(&label);
         ProbeRadix {
-            sink: Arc::clone(sink),
-            label: label.to_string(),
-            interior: (0..FANOUT)
-                .map(|i| sink.probe(format!("{label}.interior[{i}]")))
-                .collect(),
+            interior: sink.probe_block(FANOUT, move |i| format!("{names}.interior[{i}]")),
+            label,
             leaves: Mutex::new(HashMap::new()),
         }
     }
@@ -54,9 +54,9 @@ impl ProbeRadix {
     /// slot is read only if the leaf table exists.
     pub fn get(&self, index: usize) {
         let (hi, lo) = Self::split(index);
-        self.interior[hi].read();
+        self.interior.at(hi).read();
         if let Some(leaf) = self.leaves.lock().get(&hi) {
-            leaf[lo].read();
+            leaf.at(lo).read();
         }
     }
 
@@ -65,19 +65,21 @@ impl ProbeRadix {
     /// slot is written.
     pub fn set(&self, index: usize) {
         let (hi, lo) = Self::split(index);
-        self.interior[hi].read();
+        self.interior.at(hi).read();
         let mut leaves = self.leaves.lock();
         let leaf = match leaves.get(&hi) {
             Some(leaf) => leaf,
             None => {
-                let table: Vec<Probe> = (0..FANOUT)
-                    .map(|l| self.sink.probe(format!("{}.leaf[{hi}][{l}]", self.label)))
-                    .collect();
-                self.interior[hi].write();
+                let label = Arc::clone(&self.label);
+                let table = self
+                    .interior
+                    .sink()
+                    .probe_block(FANOUT, move |l| format!("{label}.leaf[{hi}][{l}]"));
+                self.interior.at(hi).write();
                 leaves.entry(hi).or_insert(table)
             }
         };
-        leaf[lo].write();
+        leaf.at(lo).write();
     }
 
     /// Records a `RadixArray::take`: interior read; if the leaf exists its
@@ -85,11 +87,12 @@ impl ProbeRadix {
     /// (`present` — the caller knows whether the real map held the index).
     pub fn take(&self, index: usize, present: bool) {
         let (hi, lo) = Self::split(index);
-        self.interior[hi].read();
+        self.interior.at(hi).read();
         if let Some(leaf) = self.leaves.lock().get(&hi) {
-            leaf[lo].read();
+            let slot = leaf.at(lo);
+            slot.read();
             if present {
-                leaf[lo].write();
+                slot.write();
             }
         } else {
             debug_assert!(!present, "value present but leaf never populated");

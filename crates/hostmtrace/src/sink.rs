@@ -35,10 +35,11 @@ pub fn current_core() -> usize {
     CURRENT_CORE.with(|c| c.get())
 }
 
-/// Default per-thread log capacity (slots, one access each). Generated
-/// tests record a few hundred accesses per window; the default leaves two
-/// orders of magnitude of headroom.
-pub const DEFAULT_LOG_CAPACITY: usize = 1 << 14;
+/// Default per-thread log capacity (slots, one access each). The largest
+/// traced window of the `fig6_wide` benchmark corpus records 19 accesses on
+/// one core, so the default leaves ~50× headroom while a window clears and
+/// scans only 8 KB per log. Overflow is counted, never silently lost.
+pub const DEFAULT_LOG_CAPACITY: usize = 1 << 10;
 
 /// Bit layout of one encoded log slot (an `AtomicU64`):
 /// bit 0 = present, bit 1 = write?, bits 2..48 = line id,
@@ -132,12 +133,30 @@ impl AccessLog {
     }
 }
 
+/// Names the lines of one block from their index within it.
+type LineNames = Box<dyn Fn(usize) -> String + Send + Sync>;
+
+/// A run of consecutive line ids allocated together, named on demand.
+struct LineBlock {
+    first: u64,
+    len: u64,
+    names: LineNames,
+}
+
 /// The sharing monitor: labelled logical lines, per-thread logs, and an
 /// epoch-windowed tracing gate.
+///
+/// Lines are handed out in contiguous blocks, one per instrumented
+/// structure (a directory's stripes, a process's descriptor slots, …), and
+/// each block keeps one naming function instead of a label per line. A
+/// label is formatted only when something asks for it — a shared line in a
+/// conflict report or a heat row — so instrumenting a structure costs one
+/// allocation, not one per line.
 pub struct HostTraceSink {
     enabled: AtomicBool,
     epoch: AtomicU64,
-    labels: Mutex<Vec<String>>,
+    /// Blocks in allocation order, so sorted by `first`.
+    blocks: Mutex<Vec<LineBlock>>,
     logs: Vec<CachePadded<AccessLog>>,
 }
 
@@ -152,7 +171,7 @@ impl HostTraceSink {
         Arc::new(HostTraceSink {
             enabled: AtomicBool::new(false),
             epoch: AtomicU64::new(0),
-            labels: Mutex::new(Vec::new()),
+            blocks: Mutex::new(Vec::new()),
             logs: (0..cores.max(1))
                 .map(|_| CachePadded::new(AccessLog::new(capacity_per_thread)))
                 .collect(),
@@ -165,26 +184,68 @@ impl HostTraceSink {
     }
 
     /// Allocates a fresh labelled logical line (mirrors
-    /// `SimMachine::alloc_line`). Allocation never records an access.
+    /// `SimMachine::alloc_line`): a one-line block. Allocation never records
+    /// an access.
     pub fn alloc_line(&self, label: impl Into<String>) -> LineId {
-        let mut labels = self.labels.lock();
-        let id = LineId(labels.len() as u64);
-        labels.push(label.into());
-        id
+        let label = label.into();
+        self.alloc_lines(1, move |_| label.clone())
     }
 
-    /// The label attached to a line at allocation time.
+    /// Allocates `len` consecutive lines and returns the first; line
+    /// `first + i` is labelled `names(i)`, formatted only when
+    /// [`Self::label_of`] asks for it. Allocation never records an access.
+    pub fn alloc_lines(
+        &self,
+        len: usize,
+        names: impl Fn(usize) -> String + Send + Sync + 'static,
+    ) -> LineId {
+        let mut blocks = self.blocks.lock();
+        let first = blocks.last().map_or(0, |b| b.first + b.len);
+        if len > 0 {
+            blocks.push(LineBlock {
+                first,
+                len: len as u64,
+                names: Box::new(names),
+            });
+        }
+        LineId(first)
+    }
+
+    /// The label of a line: its block's name for it, or `line#N` for an id
+    /// no block holds.
     pub fn label_of(&self, line: LineId) -> String {
-        self.labels
-            .lock()
-            .get(line.0 as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("line#{}", line.0))
+        let blocks = self.blocks.lock();
+        let idx = blocks.partition_point(|b| b.first + b.len <= line.0);
+        match blocks.get(idx) {
+            Some(b) if b.first <= line.0 => (b.names)((line.0 - b.first) as usize),
+            _ => format!("line#{}", line.0),
+        }
+    }
+
+    /// Lines allocated so far.
+    pub fn line_count(&self) -> u64 {
+        self.blocks.lock().last().map_or(0, |b| b.first + b.len)
+    }
+
+    /// Blocks allocated so far (a single line is a block of one).
+    pub fn block_count(&self) -> usize {
+        self.blocks.lock().len()
     }
 
     /// Allocates a line and returns a [`Probe`](crate::Probe) handle for it.
     pub fn probe(self: &Arc<Self>, label: impl Into<String>) -> super::Probe {
         super::Probe::new(Arc::clone(self), self.alloc_line(label))
+    }
+
+    /// Allocates a block of `len` lines named by `names` (see
+    /// [`Self::alloc_lines`]) and returns a [`ProbeBlock`](crate::ProbeBlock)
+    /// over it.
+    pub fn probe_block(
+        self: &Arc<Self>,
+        len: usize,
+        names: impl Fn(usize) -> String + Send + Sync + 'static,
+    ) -> super::ProbeBlock {
+        super::ProbeBlock::new(Arc::clone(self), self.alloc_lines(len, names), len)
     }
 
     /// Is a tracing window currently open?
@@ -270,6 +331,17 @@ impl HostConflictReport {
     /// Labels of the conflicting lines (deduplicated, sorted).
     pub fn conflicting_labels(&self) -> Vec<String> {
         self.report.conflicting_labels()
+    }
+
+    /// The most accesses one core recorded in this window: how much of a
+    /// log's capacity the window used (appends past it are in `dropped`).
+    pub fn max_core_accesses(&self) -> usize {
+        // Collection is core-major, so each core's accesses are one run.
+        self.accesses
+            .chunk_by(|a, b| a.core == b.core)
+            .map(<[Access]>::len)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Digests this window for heat accumulation: per-label read/write
@@ -457,5 +529,36 @@ mod tests {
     fn unknown_line_label_falls_back() {
         let sink = HostTraceSink::new(1);
         assert_eq!(sink.label_of(LineId(99)), "line#99");
+    }
+
+    #[test]
+    fn blocks_and_single_lines_interleave_and_name_on_demand() {
+        let sink = HostTraceSink::new(1);
+        let a = sink.alloc_line("a");
+        let block = sink.alloc_lines(3, |i| format!("b[{i}]"));
+        let empty = sink.alloc_lines(0, |_| unreachable!("an empty block names nothing"));
+        let c = sink.alloc_line("c");
+        assert_eq!(
+            (a, block, empty, c),
+            (LineId(0), LineId(1), LineId(4), LineId(4))
+        );
+        let labels: Vec<String> = (0..6).map(|l| sink.label_of(LineId(l))).collect();
+        assert_eq!(labels, ["a", "b[0]", "b[1]", "b[2]", "c", "line#5"]);
+        assert_eq!((sink.line_count(), sink.block_count()), (5, 3));
+    }
+
+    #[test]
+    fn max_core_accesses_is_the_fullest_log() {
+        let sink = HostTraceSink::new(2);
+        let probe = sink.probe("x");
+        sink.begin_window();
+        on_core(0, || probe.read());
+        on_core(1, || {
+            probe.read();
+            probe.rmw();
+        });
+        assert_eq!(sink.end_window().max_core_accesses(), 3);
+        sink.begin_window();
+        assert_eq!(sink.end_window().max_core_accesses(), 0);
     }
 }

@@ -14,13 +14,16 @@
 //! one logical line per bucket / per-core shard / lock word, with the same
 //! labels and the same read/write multiset per operation. That mirroring is
 //! what lets the host-side Figure 6 pipeline cross-check its conflict
-//! reports against the simulated heatmap. Uninstrumented twins record
-//! nothing and pay only an `Option` check.
+//! reports against the simulated heatmap. A twin's per-index lines are one
+//! [`ProbeBlock`] whose labels are formatted only when a report asks, so
+//! instrumenting a 512-stripe directory costs one allocation, not 1 024
+//! label strings. Uninstrumented twins record nothing and pay only an
+//! `Option` check.
 
 use crate::percore_alloc::FdMode;
 use crossbeam::utils::CachePadded;
 use parking_lot::{Mutex, RwLock};
-use scr_hostmtrace::{HostTraceSink, LockProbe, Probe};
+use scr_hostmtrace::{HostTraceSink, Probe, ProbeBlock, ProbeRef};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -102,7 +105,7 @@ impl PerCoreCounter {
 #[derive(Debug)]
 struct RefcountProbes {
     global: Probe,
-    deltas: Vec<Probe>,
+    deltas: ProbeBlock,
     epoch: Probe,
 }
 
@@ -136,12 +139,11 @@ impl PerCoreRefcount {
         label: &str,
     ) -> Self {
         let cores = cores.max(1);
+        let names = label.to_string();
         PerCoreRefcount {
             probes: Some(RefcountProbes {
                 global: sink.probe(format!("{label}.global")),
-                deltas: (0..cores)
-                    .map(|c| sink.probe(format!("{label}.delta[{c}]")))
-                    .collect(),
+                deltas: sink.probe_block(cores, move |c| format!("{names}.delta[{c}]")),
                 epoch: sink.probe(format!("{label}.epoch")),
             }),
             ..Self::new(cores, initial)
@@ -152,7 +154,7 @@ impl PerCoreRefcount {
     pub fn inc(&self, core: usize) {
         let shard = core % self.deltas.len();
         if let Some(p) = &self.probes {
-            p.deltas[shard].rmw();
+            p.deltas.at(shard).rmw();
         }
         self.deltas[shard].fetch_add(1, Ordering::Relaxed);
     }
@@ -161,7 +163,7 @@ impl PerCoreRefcount {
     pub fn dec(&self, core: usize) {
         let shard = core % self.deltas.len();
         if let Some(p) = &self.probes {
-            p.deltas[shard].rmw();
+            p.deltas.at(shard).rmw();
         }
         self.deltas[shard].fetch_sub(1, Ordering::Relaxed);
     }
@@ -175,9 +177,10 @@ impl PerCoreRefcount {
         for (shard, delta) in self.deltas.iter().enumerate() {
             let d = delta.swap(0, Ordering::Relaxed);
             if let Some(p) = &self.probes {
-                p.deltas[shard].read();
+                let line = p.deltas.at(shard);
+                line.read();
                 if d != 0 {
-                    p.deltas[shard].write();
+                    line.write();
                 }
             }
             sum += d;
@@ -193,8 +196,8 @@ impl PerCoreRefcount {
     /// the expensive `st_nlink` reconciliation path of §7.2.
     pub fn read_exact(&self) -> i64 {
         if let Some(p) = &self.probes {
-            for delta in &p.deltas {
-                delta.read();
+            for shard in 0..p.deltas.len() {
+                p.deltas.at(shard).read();
             }
             p.global.read();
         }
@@ -224,7 +227,7 @@ impl PerCoreRefcount {
 #[derive(Debug)]
 pub struct HostInodeAllocator {
     counters: Vec<CachePadded<AtomicU64>>,
-    probes: Option<Vec<Probe>>,
+    probes: Option<ProbeBlock>,
 }
 
 impl HostInodeAllocator {
@@ -242,12 +245,9 @@ impl HostInodeAllocator {
     /// (lines `{label}.next_ino[c]`).
     pub fn instrumented(cores: usize, sink: &Arc<HostTraceSink>, label: &str) -> Self {
         let cores = cores.max(1);
+        let label = label.to_string();
         HostInodeAllocator {
-            probes: Some(
-                (0..cores)
-                    .map(|c| sink.probe(format!("{label}.next_ino[{c}]")))
-                    .collect(),
-            ),
+            probes: Some(sink.probe_block(cores, move |c| format!("{label}.next_ino[{c}]"))),
             ..Self::new(cores)
         }
     }
@@ -260,7 +260,7 @@ impl HostInodeAllocator {
         let cores = self.counters.len() as u64;
         let core = core as u64 % cores;
         if let Some(p) = &self.probes {
-            p[core as usize].rmw();
+            p.at(core as usize).rmw();
         }
         let count = self.counters[core as usize].fetch_add(1, Ordering::Relaxed) + 1;
         (count << 8) | core
@@ -278,7 +278,7 @@ impl HostInodeAllocator {
 #[derive(Debug)]
 struct FdProbes {
     shared: Probe,
-    per_core: Vec<Probe>,
+    per_core: ProbeBlock,
 }
 
 #[derive(Debug)]
@@ -316,12 +316,11 @@ impl HostFdAllocator {
         label: &str,
     ) -> Self {
         let cores = cores.max(1);
+        let names = label.to_string();
         HostFdAllocator {
             probes: Some(FdProbes {
                 shared: sink.probe(format!("{label}.fd_bitmap")),
-                per_core: (0..cores)
-                    .map(|c| sink.probe(format!("{label}.fd_partition[{c}]")))
-                    .collect(),
+                per_core: sink.probe_block(cores, move |c| format!("{names}.fd_partition[{c}]")),
             }),
             ..Self::new(cores, partition, mode)
         }
@@ -353,7 +352,7 @@ impl HostFdAllocator {
             FdMode::Any => {
                 let core = core % self.per_core.len();
                 if let Some(p) = &self.probes {
-                    p.per_core[core].rmw();
+                    p.per_core.at(core).rmw();
                 }
                 let mut bitmap = self.per_core[core].lock();
                 let slot = bitmap.iter().position(|used| !used)?;
@@ -382,7 +381,7 @@ impl HostFdAllocator {
             FdMode::Any => {
                 let core = fd / self.partition;
                 if let Some(p) = &self.probes {
-                    p.per_core[core].rmw();
+                    p.per_core.at(core).rmw();
                 }
                 let mut bitmap = self.per_core[core].lock();
                 let slot = fd % self.partition;
@@ -438,27 +437,32 @@ type Entries<V> = HashMap<String, V>;
 type Stripe<V> = CachePadded<RwLock<Entries<V>>>;
 
 /// Probe lines of an instrumented [`StripedHashDir`], mirroring the traced
-/// `HashDir`'s layout: one lock-word line and one entries line per bucket.
+/// `HashDir`'s layout: one lock-word line and one entries line per bucket,
+/// allocated as one block in the traced order (`bucket[b].lock` is line
+/// `2b`, `bucket[b].entries` line `2b + 1`).
 #[derive(Debug)]
-pub struct DirProbes {
-    stripes: Vec<DirStripeProbes>,
-}
+pub struct DirProbes(ProbeBlock);
 
-#[derive(Debug)]
-struct DirStripeProbes {
-    lock: LockProbe,
-    entries: Probe,
+/// One stripe's two lines, borrowed from its directory's [`DirProbes`].
+#[derive(Clone, Copy)]
+struct DirStripeProbes<'a> {
+    lock: ProbeRef<'a>,
+    entries: ProbeRef<'a>,
 }
 
 impl DirProbes {
     fn new(sink: &Arc<HostTraceSink>, label: &str, stripes: usize) -> Self {
-        DirProbes {
-            stripes: (0..stripes)
-                .map(|b| DirStripeProbes {
-                    lock: LockProbe::new(sink, format!("{label}.bucket[{b}].lock")),
-                    entries: sink.probe(format!("{label}.bucket[{b}].entries")),
-                })
-                .collect(),
+        let label = label.to_string();
+        DirProbes(sink.probe_block(2 * stripes, move |i| {
+            let line = ["lock", "entries"][i % 2];
+            format!("{label}.bucket[{}].{line}", i / 2)
+        }))
+    }
+
+    fn stripe(&self, stripe: usize) -> DirStripeProbes<'_> {
+        DirStripeProbes {
+            lock: self.0.at(2 * stripe),
+            entries: self.0.at(2 * stripe + 1),
         }
     }
 }
@@ -494,8 +498,8 @@ impl<V: Clone> StripedHashDir<V> {
         }
     }
 
-    fn stripe_probes(&self, stripe: usize) -> Option<&DirStripeProbes> {
-        self.probes.as_ref().map(|p| &p.stripes[stripe])
+    fn stripe_probes(&self, stripe: usize) -> Option<DirStripeProbes<'_>> {
+        self.probes.as_ref().map(|p| p.stripe(stripe))
     }
 
     /// Number of stripes.
@@ -663,7 +667,7 @@ pub struct LockedPair<'a, V> {
     probes: Option<&'a DirProbes>,
 }
 
-impl<V: Clone> LockedPair<'_, V> {
+impl<'a, V: Clone> LockedPair<'a, V> {
     fn entries_for(&mut self, stripe: usize) -> &mut Entries<V> {
         if stripe == self.lo {
             &mut self.first
@@ -675,8 +679,8 @@ impl<V: Clone> LockedPair<'_, V> {
         }
     }
 
-    fn probes_for(&self, stripe: usize) -> Option<&DirStripeProbes> {
-        self.probes.map(|p| &p.stripes[stripe])
+    fn probes_for(&self, stripe: usize) -> Option<DirStripeProbes<'a>> {
+        self.probes.map(|p| p.stripe(stripe))
     }
 
     /// Looks up a key in the locked stripes.
@@ -749,7 +753,7 @@ enum HostSocket {
     /// steal from others.
     Unordered {
         queues: Vec<CachePadded<Mutex<VecDeque<Vec<u8>>>>>,
-        probes: Option<Vec<Probe>>,
+        probes: Option<ProbeBlock>,
     },
 }
 
@@ -809,9 +813,7 @@ impl HostSocketTable {
                     .map(|_| CachePadded::new(Mutex::new(VecDeque::new())))
                     .collect(),
                 probes: self.sink.as_ref().map(|sink| {
-                    (0..self.cores)
-                        .map(|c| sink.probe(format!("socket[{id}].queue[{c}]")))
-                        .collect()
+                    sink.probe_block(self.cores, move |c| format!("socket[{id}].queue[{c}]"))
                 }),
             },
         };
@@ -840,7 +842,7 @@ impl HostSocketTable {
             HostSocket::Unordered { queues, probes } => {
                 let local = core % queues.len();
                 if let Some(p) = probes {
-                    p[local].rmw();
+                    p.at(local).rmw();
                 }
                 queues[local].lock().push_back(msg.to_vec());
             }
@@ -866,7 +868,7 @@ impl HostSocketTable {
             HostSocket::Unordered { queues, probes } => {
                 let local = core % queues.len();
                 if let Some(p) = probes {
-                    p[local].rmw();
+                    p.at(local).rmw();
                 }
                 if let Some(msg) = queues[local].lock().pop_front() {
                     return Ok(msg);
@@ -881,11 +883,11 @@ impl HostSocketTable {
                     // escape to a racing receiver.
                     let mut q = queue.lock();
                     if let Some(p) = probes {
-                        p[i].read();
+                        p.at(i).read();
                     }
                     if let Some(msg) = q.pop_front() {
                         if let Some(p) = probes {
-                            p[i].rmw();
+                            p.at(i).rmw();
                         }
                         return Ok(msg);
                     }

@@ -26,6 +26,7 @@ use scalable_commutativity::commuter::{CommuterConfig, Figure6Report};
 use scalable_commutativity::host::{
     available_threads, ext_failures, run_ext_fig6, run_host_fig6, HostFig6Config,
 };
+use scalable_commutativity::hostmtrace::DEFAULT_LOG_CAPACITY;
 use scalable_commutativity::model::ALL_CALLS;
 use scalable_commutativity::obs::{metrics_out, Json, MetricsRegistry, RunMeta};
 
@@ -56,10 +57,13 @@ fn main() {
     let started = std::time::Instant::now();
     let results = run_host_fig6(&config);
     println!(
-        "ran {} tests on 4 kernels in {:.1?} ({} dropped accesses)\n",
+        "ran {} tests on 4 kernels in {:.1?} ({} dropped accesses, \
+         fullest window {} of {} log slots per core)\n",
         results.tests_run,
         started.elapsed(),
-        results.dropped
+        results.dropped,
+        results.max_window_accesses,
+        DEFAULT_LOG_CAPACITY
     );
     println!("{}", results.sim_linux);
     println!();
@@ -97,6 +101,16 @@ fn main() {
         eprintln!(
             "FAIL: {} accesses dropped — raise the log capacity",
             results.dropped
+        );
+        failed = true;
+    }
+    // Keep a 4× margin below the log size, so a footprint that grows
+    // fails here before it starts dropping accesses.
+    if results.max_window_accesses > DEFAULT_LOG_CAPACITY / 4 {
+        eprintln!(
+            "FAIL: a traced window recorded {} accesses on one core, over a quarter of \
+             the {DEFAULT_LOG_CAPACITY}-slot log",
+            results.max_window_accesses
         );
         failed = true;
     }
