@@ -6,24 +6,26 @@
 //! counter versus a per-core (cache-line padded) counter, and the cost of a
 //! Refcache-style exact read (which must sum every per-core delta) versus a
 //! plain read — the reason `fstat` with `st_nlink` is several times more
-//! expensive than `fstatx` without it. The `striped_dir/lookup` pair times a
-//! lookup in a one-stripe directory (the linux-like kernel's) at 1 000 and at
-//! 32 000 entries: a stripe is a hash table, so the two read alike.
+//! expensive than `fstatx` without it. The `hash_dir/lookup` pair times a
+//! lookup in a one-bucket directory (the linux-like kernel's) at 1 000 and at
+//! 32 000 entries: a bucket is a hash table, so the two read alike. The
+//! structures run uninstrumented, as in the host kernel's timed paths.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use scr_scalable::percore_alloc::FdMode;
-use scr_scalable::real::{
-    HostFdAllocator, PerCoreCounter, PerCoreRefcount, SharedCounter, StripedHashDir,
-};
+use scr_hostmtrace::HostTraceSink;
+use scr_scalable::{HashDir, PerCoreCounter, Refcache, SharedCounter};
 use std::sync::Arc;
 use std::thread;
+
+/// The substrate type of an uninstrumented host structure.
+type Host = Arc<HostTraceSink>;
 
 fn counter_increment(c: &mut Criterion) {
     let mut group = c.benchmark_group("counter_increment_4_threads");
     let threads = 4;
     group.bench_function("shared_atomic", |b| {
         b.iter_batched(
-            || Arc::new(SharedCounter::new()),
+            || Arc::new(SharedCounter::<Host>::new(None, "shared")),
             |counter| {
                 let handles: Vec<_> = (0..threads)
                     .map(|_| {
@@ -44,7 +46,7 @@ fn counter_increment(c: &mut Criterion) {
     });
     group.bench_function("per_core_padded", |b| {
         b.iter_batched(
-            || Arc::new(PerCoreCounter::new(threads)),
+            || Arc::new(PerCoreCounter::<Host>::new(None, "per_core", threads)),
             |counter| {
                 let handles: Vec<_> = (0..threads)
                     .map(|t| {
@@ -68,7 +70,7 @@ fn counter_increment(c: &mut Criterion) {
 
 fn refcount_reads(c: &mut Criterion) {
     let mut group = c.benchmark_group("refcount_read");
-    let rc = PerCoreRefcount::new(80, 1);
+    let rc = Refcache::<Host>::new(None, "refcount", 80, 1);
     for core in 0..80 {
         rc.inc(core);
     }
@@ -81,49 +83,13 @@ fn refcount_reads(c: &mut Criterion) {
     group.finish();
 }
 
-fn fd_allocation(c: &mut Criterion) {
-    // The openbench observation at primitive level: POSIX lowest-FD
-    // allocation funnels every thread through one bitmap lock, while the
-    // O_ANYFD per-core partitions keep allocations core-local.
-    let mut group = c.benchmark_group("fd_alloc_free_4_threads");
-    let threads = 4;
-    for (name, mode) in [
-        ("lowest_shared_bitmap", FdMode::Lowest),
-        ("anyfd_per_core", FdMode::Any),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter_batched(
-                || Arc::new(HostFdAllocator::new(threads, 64, mode)),
-                |fds| {
-                    let handles: Vec<_> = (0..threads)
-                        .map(|t| {
-                            let fds = Arc::clone(&fds);
-                            thread::spawn(move || {
-                                for _ in 0..2_000 {
-                                    let fd = fds.alloc(t).expect("fd");
-                                    fds.free(fd);
-                                }
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        h.join().unwrap();
-                    }
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    group.finish();
-}
-
-fn striped_dir_lookup(c: &mut Criterion) {
-    let mut group = c.benchmark_group("striped_dir/lookup");
+fn hash_dir_lookup(c: &mut Criterion) {
+    let mut group = c.benchmark_group("hash_dir/lookup");
     for (name, entries) in [
-        ("1k_entries_one_stripe", 1_000u64),
-        ("32k_entries_one_stripe", 32_000),
+        ("1k_entries_one_bucket", 1_000u64),
+        ("32k_entries_one_bucket", 32_000),
     ] {
-        let dir: StripedHashDir<u64> = StripedHashDir::new(1);
+        let dir: HashDir<u64, Host> = HashDir::new(None, "dir", 1);
         for seq in 0..entries {
             dir.insert_if_absent(&format!("queue/msg-{}-{seq}", seq % 2), seq);
         }
@@ -143,11 +109,5 @@ fn striped_dir_lookup(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    counter_increment,
-    refcount_reads,
-    fd_allocation,
-    striped_dir_lookup
-);
+criterion_group!(benches, counter_increment, refcount_reads, hash_dir_lookup);
 criterion_main!(benches);

@@ -8,34 +8,43 @@
 //! runner can compare return values bit-for-bit. What changes between the
 //! two configurations is only the *sharing*:
 //!
-//! * [`HostMode::Sv6`] assembles the kernel from the host twins of the
-//!   scalable primitives ([`scr_scalable::real`]): a lock-striped
-//!   directory, per-core inode counters, Refcache-style per-core link
-//!   counts, and per-slot descriptor locks.
+//! * [`HostMode::Sv6`] assembles the kernel from the scalable structures
+//!   of `scr_scalable` — the same types the simulated sv6 kernel is built
+//!   from, here over their real atomics and locks: a hash directory with
+//!   512 bucket locks, per-core inode counters, Refcache link counts,
+//!   per-core socket queues — plus per-slot descriptor locks.
 //! * [`HostMode::Linuxlike`] wraps every system call in one global kernel
 //!   lock — the sharing structure that makes the baseline collapse as real
 //!   threads are added, no matter how fast each individual call is.
+//!
+//! An instrumented kernel hands each structure the trace sink as its
+//! [`Lines`] substrate, so every operation records the line footprint the
+//! simulated kernel records.
 
+use crate::proc_table::ProcTable;
 use parking_lot::{Mutex, RwLock};
-use scr_hostmtrace::{HostTraceSink, Probe, ProbeBlock, ProbeRadix, SeqProbe};
+use scr_hostmtrace::HostTraceSink;
 use scr_kernel::api::{
     Errno, Fd, Ino, KResult, MmapBacking, OpenFlags, Pid, Prot, SockId, SocketOrder, Stat,
     StatMask, SyscallApi, Whence, PAGE_SIZE,
 };
-use scr_scalable::real::{
-    HostInodeAllocator, HostProcTable, HostSocketTable, PerCoreRefcount, QueueOrder, SocketError,
-    StripedHashDir,
+use scr_mtrace::{Block, Lines};
+use scr_scalable::{
+    DeferQueue, HashDir, InodeAllocator, LinkCounter, LockWord, RadixArray, SeqLock, SocketTable,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
+/// The line substrate of an instrumented kernel.
+type Sink = Arc<HostTraceSink>;
+
 /// Descriptors per core partition (`O_ANYFD`), mirroring the sv6 kernel.
 pub const FDS_PER_CORE: usize = 16;
 /// Virtual pages reserved per core for hint-less `mmap`, mirroring sv6.
 const VPN_REGION_PER_CORE: u64 = 256;
-/// Directory stripe count, mirroring the sv6 kernel's bucket count.
-const DIR_STRIPES: usize = 512;
+/// Directory bucket count, the sv6 kernel's.
+const DIR_BUCKETS: usize = 512;
 
 /// Which sharing structure the kernel is assembled with.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -64,97 +73,15 @@ pub struct HostOptions {
     pub shared_link_counts: bool,
 }
 
-/// A link counter in one of the two statbench representations. The
-/// per-core variant is boxed: it holds one padded cache line per core and
-/// would otherwise bloat every inode in shared-count mode too.
-enum LinkCounter {
-    /// Per-core deltas (Refcache-style).
-    Scalable(Box<PerCoreRefcount>),
-    /// One shared atomic (plus its probe when the kernel is instrumented,
-    /// mirroring the simulated `LinkCounter::Shared` cell).
-    Shared(AtomicI64, Option<Probe>),
-}
-
-impl LinkCounter {
-    fn new(cores: usize, options: HostOptions, trace: Option<(&Arc<HostTraceSink>, &str)>) -> Self {
-        if options.shared_link_counts {
-            LinkCounter::Shared(
-                AtomicI64::new(0),
-                trace.map(|(sink, label)| sink.probe(format!("{label}.shared"))),
-            )
-        } else {
-            let rc = match trace {
-                Some((sink, label)) => PerCoreRefcount::instrumented(cores, 0, sink, label),
-                None => PerCoreRefcount::new(cores, 0),
-            };
-            LinkCounter::Scalable(Box::new(rc))
-        }
-    }
-
-    fn inc(&self, core: usize) {
-        match self {
-            LinkCounter::Scalable(rc) => rc.inc(core),
-            LinkCounter::Shared(cell, probe) => {
-                if let Some(p) = probe {
-                    p.rmw();
-                }
-                cell.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn dec(&self, core: usize) {
-        match self {
-            LinkCounter::Scalable(rc) => rc.dec(core),
-            LinkCounter::Shared(cell, probe) => {
-                if let Some(p) = probe {
-                    p.rmw();
-                }
-                cell.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn read_exact(&self) -> i64 {
-        match self {
-            LinkCounter::Scalable(rc) => rc.read_exact(),
-            LinkCounter::Shared(cell, probe) => {
-                if let Some(p) = probe {
-                    p.read();
-                }
-                cell.load(Ordering::Relaxed)
-            }
-        }
-    }
-}
-
-/// Probe lines of an instrumented inode, mirroring the simulated inode's
-/// traced cells (the link counter carries its own probes).
-struct InodeTrace {
-    /// `inode[N].size` seqlock lines.
-    size: SeqProbe,
-    /// `inode[N].pages` radix lines.
-    pages: ProbeRadix,
-}
-
 /// One regular file's in-memory inode.
 struct Inode {
     ino: Ino,
-    nlink: LinkCounter,
+    nlink: LinkCounter<Sink>,
     /// File size in pages. Grown with `fetch_max`, the optimistic
     /// "grow only when extending" protocol of the simulated kernel.
-    size_pages: AtomicU64,
+    size_pages: SeqLock<Sink>,
     /// Page cache: page number → contents.
-    pages: RwLock<BTreeMap<u64, Vec<u8>>>,
-    tr: Option<InodeTrace>,
-}
-
-/// Probe lines of an instrumented pipe (three shared cells, as in the
-/// simulated kernel — the §6.4 residual non-scalable case).
-struct PipeTrace {
-    buffer: Probe,
-    readers: Probe,
-    writers: Probe,
+    pages: RadixArray<Vec<u8>, Sink>,
 }
 
 /// One pipe; endpoint counts are plain shared atomics (the §6.4 residual
@@ -163,8 +90,16 @@ struct Pipe {
     buffer: Mutex<VecDeque<u8>>,
     readers: AtomicI64,
     writers: AtomicI64,
-    tr: Option<PipeTrace>,
+    /// The `buffer`, `readers` and `writers` lines, when traced (three
+    /// shared cells, as in the simulated kernel).
+    lines: Option<Block<Sink>>,
 }
+
+/// The lines of a pipe's block.
+const PIPE_LINES: [&str; 3] = ["buffer", "readers", "writers"];
+const BUFFER: usize = 0;
+const READERS: usize = 1;
+const WRITERS: usize = 2;
 
 /// What an open descriptor refers to.
 #[derive(Clone)]
@@ -185,15 +120,15 @@ struct OpenFile {
     /// per-slot locks — real synchronisation, no recorded line.
     io: Mutex<()>,
     /// The offset cell's line (`proc[p].ofile[name].offset`), when traced.
-    offset_probe: Option<Probe>,
+    offset_line: Option<Block<Sink>>,
 }
 
 /// One page of a mapped region.
 #[derive(Clone)]
 enum PageBacking {
-    /// Anonymous memory; the probe mirrors the simulated per-page cell
+    /// Anonymous memory; the line is the simulated per-page cell
     /// `proc[p].page[vpn]`.
-    Anon(Arc<AtomicU8>, Option<Probe>),
+    Anon(Arc<AtomicU8>, Option<Block<Sink>>),
     File {
         ino: Ino,
         file_page: u64,
@@ -224,7 +159,8 @@ type FdChunk = Box<[FdSlot]>;
 /// accessors exploit without publishing the chunk.
 struct Process {
     fd_chunks: Vec<OnceLock<FdChunk>>,
-    vm_pages: RwLock<BTreeMap<u64, MappedPage>>,
+    /// Address space (`proc[p].as`), keyed by virtual page number.
+    vm_pages: RadixArray<MappedPage, Sink>,
     /// Per-core mmap bump allocators, lazily allocated like the slots
     /// (helper processes never map memory).
     next_vpn: Vec<OnceLock<crossbeam::utils::CachePadded<AtomicU64>>>,
@@ -233,11 +169,9 @@ struct Process {
     /// report asks, so a traced process costs O(1) whatever its table
     /// size — instrumented kernels do churn processes (the loadgen heat
     /// pass spawns one helper per message).
-    fd_probes: Option<ProbeBlock>,
-    /// Address-space radix mirror (`proc[p].as`), when traced.
-    vm_probes: Option<ProbeRadix>,
+    fd_lines: Option<Block<Sink>>,
     /// Per-core mmap bump-allocator lines (`proc[p].next_vpn[c]`).
-    vpn_probes: Option<ProbeBlock>,
+    vpn_lines: Option<Block<Sink>>,
 }
 
 impl Process {
@@ -277,15 +211,7 @@ impl Process {
 
 /// The monitor hook-up of an instrumented kernel.
 struct KernelTrace {
-    sink: Arc<HostTraceSink>,
-    /// The global kernel lock's line. Acquisition is recorded as a
-    /// read-modify-write (and release as a write), so in `Linuxlike` mode
-    /// every pair of calls conflicts on this written line — the Linux
-    /// column of Figure 6.
-    giant: Probe,
-    /// Per-core deferred-reclamation queue lines
-    /// (`scalefs.inode_gc.defer[c]`).
-    defer: ProbeBlock,
+    sink: Sink,
     /// Distinguishes the pipes created during one window (label suffix
     /// only; the simulated kernel uses its access counter the same way).
     next_pipe_id: AtomicU64,
@@ -298,25 +224,27 @@ pub struct HostKernel {
     mode: HostMode,
     cores: usize,
     options: HostOptions,
-    /// The global kernel lock; taken around every call in `Linuxlike` mode.
-    giant: Mutex<()>,
-    root: StripedHashDir<Ino>,
+    /// The global kernel lock (`kernel.giant_lock`); taken around every
+    /// call in `Linuxlike` mode, so there every pair of calls conflicts on
+    /// its written lock word — the Linux column of Figure 6.
+    giant: LockWord<Sink>,
+    root: HashDir<Ino, Sink>,
     /// Inode table, sharded by inode number so sv6-mode lookups of
     /// different inodes do not serialise.
     inode_shards: Vec<InodeShard>,
-    inode_alloc: HostInodeAllocator,
+    inode_alloc: InodeAllocator<Sink>,
     /// Process table: lock-free append-only (the simulated kernels' pid
     /// vector is untraced, so concurrent spawns must not serialise here).
     /// Entries are borrowed for the kernel's lifetime, never cloned: a
     /// syscall's pid lookup writes no shared line. (`Arc` only because glibc
     /// packs it better than the 16-byte-smaller `Box`, which measured +2 %
     /// peak RSS on the 100 000-process mail workload.)
-    procs: HostProcTable<Arc<Process>>,
+    procs: ProcTable<Arc<Process>>,
     /// Datagram sockets (§4 / §7.3): ordered or per-core unordered queues.
-    sockets: HostSocketTable,
+    sockets: SocketTable<Sink>,
     /// Per-core lists of inodes whose last link may be gone, drained by the
-    /// epoch passes ("defer work", as in the simulated kernel's DeferQueue).
-    defer: Vec<crossbeam::utils::CachePadded<Mutex<Vec<Ino>>>>,
+    /// epoch passes ("defer work", `scalefs.inode_gc.defer[c]`).
+    defer: DeferQueue<Ino, Sink>,
     /// The sharing monitor, when built with [`HostKernel::instrumented`].
     trace: Option<KernelTrace>,
 }
@@ -350,59 +278,34 @@ impl HostKernel {
         Self::build(cores, mode, options, Some(sink))
     }
 
-    fn build(
-        cores: usize,
-        mode: HostMode,
-        options: HostOptions,
-        sink: Option<&Arc<HostTraceSink>>,
-    ) -> Self {
+    fn build(cores: usize, mode: HostMode, options: HostOptions, sink: Option<&Sink>) -> Self {
         let cores = cores.max(2);
-        let stripes = match mode {
-            HostMode::Sv6 => DIR_STRIPES,
-            // A single stripe: every name operation shares one lock,
+        let buckets = match mode {
+            HostMode::Sv6 => DIR_BUCKETS,
+            // A single bucket: every name operation shares one lock,
             // like a directory-wide dentry lock.
             HostMode::Linuxlike => 1,
         };
+        // Field initialisers run in the order written, which is the order
+        // the structures' lines are allocated in.
         HostKernel {
             mode,
             cores,
             options,
-            giant: Mutex::new(()),
-            root: match sink {
-                Some(sink) => StripedHashDir::instrumented(stripes, sink, "scalefs.root"),
-                None => StripedHashDir::new(stripes),
-            },
+            root: HashDir::new(sink, "scalefs.root", buckets),
             inode_shards: (0..INODE_SHARDS)
                 .map(|_| crossbeam::utils::CachePadded::new(RwLock::new(BTreeMap::new())))
                 .collect(),
-            inode_alloc: match sink {
-                Some(sink) => HostInodeAllocator::instrumented(cores, sink, "scalefs"),
-                None => HostInodeAllocator::new(cores),
-            },
-            procs: HostProcTable::new(),
-            sockets: match sink {
-                Some(sink) => HostSocketTable::instrumented(cores, sink),
-                None => HostSocketTable::new(cores),
-            },
-            defer: (0..cores)
-                .map(|_| crossbeam::utils::CachePadded::new(Mutex::new(Vec::new())))
-                .collect(),
+            inode_alloc: InodeAllocator::new(sink, "scalefs", cores),
+            procs: ProcTable::new(),
+            sockets: SocketTable::new(sink, cores),
+            giant: LockWord::new(sink, "kernel.giant_lock"),
+            defer: DeferQueue::new(sink, "scalefs.inode_gc", cores),
             trace: sink.map(|sink| KernelTrace {
                 sink: Arc::clone(sink),
-                giant: sink.probe("kernel.giant_lock"),
-                defer: sink.probe_block(cores, |c| format!("scalefs.inode_gc.defer[{c}]")),
                 next_pipe_id: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// Queues an inode for deferred reclamation on `core`'s list (touches
-    /// only that core's queue line, as in the simulated `DeferQueue`).
-    fn defer_reclaim(&self, core: usize, ino: Ino) {
-        if let Some(t) = &self.trace {
-            t.defer.at(core % self.cores).rmw();
-        }
-        self.defer[core % self.cores].lock().push(ino);
     }
 
     /// Drains `core`'s deferred list, reclaiming inodes whose link count
@@ -410,10 +313,7 @@ impl HostKernel {
     /// kernel runs this from a per-core timer tick). Returns the number of
     /// inodes reclaimed.
     pub fn reclaim_core(&self, core: usize) -> usize {
-        if let Some(t) = &self.trace {
-            t.defer.at(core % self.cores).rmw();
-        }
-        let pending = std::mem::take(&mut *self.defer[core % self.cores].lock());
+        let pending = self.defer.drain(core);
         let mut reclaimed = 0;
         for ino in pending {
             // The zero check must happen inside the shard's write section:
@@ -474,19 +374,10 @@ impl HostKernel {
         Ok(open)
     }
 
-    /// Takes the global lock in `Linuxlike` mode; free in `Sv6` mode. The
-    /// acquisition is recorded as a read-modify-write of the giant lock's
-    /// line and the release as a write (recorded up front — within a
-    /// window only the access multiset matters, not its order).
+    /// Takes the global lock in `Linuxlike` mode; free in `Sv6` mode.
     fn serialise(&self) -> Option<parking_lot::MutexGuard<'_, ()>> {
         match self.mode {
-            HostMode::Linuxlike => {
-                if let Some(t) = &self.trace {
-                    t.giant.handle().acquire();
-                    t.giant.handle().release();
-                }
-                Some(self.giant.lock())
-            }
+            HostMode::Linuxlike => Some(self.giant.hold()),
             HostMode::Sv6 => None,
         }
     }
@@ -497,17 +388,15 @@ impl HostKernel {
         let sink = self.trace.as_ref().map(|t| &t.sink);
         Arc::new(Process {
             fd_chunks: (0..self.cores).map(|_| OnceLock::new()).collect(),
-            vm_pages: RwLock::new(BTreeMap::new()),
             next_vpn: (0..self.cores).map(|_| OnceLock::new()).collect(),
-            fd_probes: sink.map(|sink| {
-                sink.probe_block(self.cores * FDS_PER_CORE, move |fd| {
+            fd_lines: sink.map(|sink| {
+                sink.block(self.cores * FDS_PER_CORE, move |fd| {
                     format!("proc[{pid}].fd[{fd}]")
                 })
             }),
-            vm_probes: sink.map(|sink| ProbeRadix::new(sink, &format!("proc[{pid}].as"))),
-            vpn_probes: sink.map(|sink| {
-                sink.probe_block(self.cores, move |c| format!("proc[{pid}].next_vpn[{c}]"))
-            }),
+            vm_pages: RadixArray::new(sink, format_args!("proc[{pid}].as")),
+            vpn_lines: sink
+                .map(|sink| sink.block(self.cores, move |c| format!("proc[{pid}].next_vpn[{c}]"))),
         })
     }
 
@@ -525,18 +414,18 @@ impl HostKernel {
 
     fn new_inode(&self, core: usize) -> Arc<Inode> {
         let ino = self.inode_alloc.alloc(core);
+        // Labels are tracing-only work: none is formatted without a sink.
         let sink = self.trace.as_ref().map(|t| &t.sink);
-        // Labels are tracing-only work: none is built without a sink.
-        let nlink_label = sink.map(|_| format!("inode[{ino}].nlink"));
         let inode = Arc::new(Inode {
             ino,
-            nlink: LinkCounter::new(self.cores, self.options, sink.zip(nlink_label.as_deref())),
-            size_pages: AtomicU64::new(0),
-            pages: RwLock::new(BTreeMap::new()),
-            tr: sink.map(|sink| InodeTrace {
-                size: SeqProbe::new(sink, &format!("inode[{ino}].size")),
-                pages: ProbeRadix::new(sink, &format!("inode[{ino}].pages")),
-            }),
+            nlink: LinkCounter::new(
+                sink,
+                format_args!("inode[{ino}].nlink"),
+                self.cores,
+                self.options.shared_link_counts,
+            ),
+            size_pages: SeqLock::new(sink, format_args!("inode[{ino}].size"), 0),
+            pages: RadixArray::new(sink, format_args!("inode[{ino}].pages")),
         });
         self.inode_shard(ino)
             .write()
@@ -548,8 +437,8 @@ impl HostKernel {
         if fd as usize >= proc_.fd_capacity() {
             return Err(Errno::EBADF);
         }
-        if let Some(p) = &proc_.fd_probes {
-            p.at(fd as usize).read();
+        if let Some(p) = &proc_.fd_lines {
+            p.read(fd as usize);
         }
         // An unallocated partition is an empty slot (recorded as the read
         // above, like the simulated `slot.get()` of a None slot).
@@ -578,15 +467,15 @@ impl HostKernel {
             (0, proc_.fd_capacity())
         };
         for fd in start..end {
-            if let Some(p) = &proc_.fd_probes {
-                p.at(fd).read();
+            if let Some(p) = &proc_.fd_lines {
+                p.read(fd);
             }
             // The scan stops at the first free slot, so materialising the
             // partition here only ever allocates the chunk being claimed.
             let mut slot = proc_.fd_slot(fd).expect("fd within capacity").lock();
             if slot.is_none() {
-                if let Some(p) = &proc_.fd_probes {
-                    p.at(fd).write();
+                if let Some(p) = &proc_.fd_lines {
+                    p.write(fd);
                 }
                 *slot = Some(file);
                 return Ok(fd as Fd);
@@ -599,10 +488,7 @@ impl HostKernel {
         Stat {
             ino: if mask.want_ino { inode.ino } else { 0 },
             size: if mask.want_size {
-                if let Some(tr) = &inode.tr {
-                    tr.size.read();
-                }
-                inode.size_pages.load(Ordering::Acquire) * PAGE_SIZE
+                inode.size_pages.read() * PAGE_SIZE
             } else {
                 0
             },
@@ -624,10 +510,7 @@ impl HostKernel {
         let first_page = offset / PAGE_SIZE;
         let last_page = (offset + len - 1) / PAGE_SIZE;
         for page in first_page..=last_page {
-            if let Some(tr) = &inode.tr {
-                tr.pages.get(page as usize);
-            }
-            match pages.get(&page) {
+            match pages.get(page as usize) {
                 Some(data) => {
                     let page_start = page * PAGE_SIZE;
                     let begin = offset.max(page_start) - page_start;
@@ -657,11 +540,7 @@ impl HostKernel {
             let chunk = ((PAGE_SIZE as usize) - in_page).min(data.len() - written as usize);
             // The simulated kernel reads the page, mutates a copy and
             // stores it back — one radix get plus one radix set per chunk.
-            if let Some(tr) = &inode.tr {
-                tr.pages.get(page as usize);
-                tr.pages.set(page as usize);
-            }
-            let page_data = pages.entry(page).or_default();
+            let page_data = pages.update(page as usize);
             if page_data.len() < in_page + chunk {
                 page_data.resize(in_page + chunk, 0);
             }
@@ -672,18 +551,10 @@ impl HostKernel {
         }
         drop(pages);
         // Grow the size only when the write extends the file (the
-        // optimistic protocol): the read is always recorded, the write only
-        // when `fetch_max` actually raised the size.
-        let end_pages = (offset + written).div_ceil(PAGE_SIZE);
-        if let Some(tr) = &inode.tr {
-            tr.size.read();
-        }
-        let prev = inode.size_pages.fetch_max(end_pages, Ordering::AcqRel);
-        if prev < end_pages {
-            if let Some(tr) = &inode.tr {
-                tr.size.write();
-            }
-        }
+        // optimistic protocol).
+        inode
+            .size_pages
+            .fetch_max((offset + written).div_ceil(PAGE_SIZE));
         written
     }
 
@@ -697,13 +568,13 @@ impl HostKernel {
     /// Queued messages on a socket (untraced; for tests and the
     /// conservation checks).
     pub fn socket_pending_untraced(&self, sock: SockId) -> usize {
-        self.sockets.pending_untraced(sock)
+        self.sockets.pending(sock)
     }
 
     /// Removes and returns every queued message (untraced; used by the
     /// differential conservation checks).
     pub fn socket_drain_untraced(&self, sock: SockId) -> Vec<Vec<u8>> {
-        self.sockets.drain_untraced(sock)
+        self.sockets.drain(sock)
     }
 }
 
@@ -711,32 +582,18 @@ impl HostKernel {
 /// snapshot, posix_spawn's dup list) takes a reference (`+1`),
 /// `close`/`wait` drop one (`-1`). The counts are shared cells — the
 /// deliberate §6.4 residual conflict — and the recorded footprint is one
-/// read-modify-write of the endpoint line, mirroring the simulated
-/// kernel's `update`.
+/// read-modify-write of the endpoint line, as the simulated kernel's
+/// `update` records.
 fn adjust_pipe_endpoint(file: &OpenFile, delta: i64) {
-    match &file.obj {
-        FileObj::File(_) => {}
-        FileObj::PipeRead(pipe) => {
-            if let Some(tr) = &pipe.tr {
-                tr.readers.rmw();
-            }
-            pipe.readers.fetch_add(delta, Ordering::AcqRel);
-        }
-        FileObj::PipeWrite(pipe) => {
-            if let Some(tr) = &pipe.tr {
-                tr.writers.rmw();
-            }
-            pipe.writers.fetch_add(delta, Ordering::AcqRel);
-        }
+    let (pipe, count, line) = match &file.obj {
+        FileObj::File(_) => return,
+        FileObj::PipeRead(pipe) => (pipe, &pipe.readers, READERS),
+        FileObj::PipeWrite(pipe) => (pipe, &pipe.writers, WRITERS),
+    };
+    if let Some(lines) = &pipe.lines {
+        lines.rmw(line);
     }
-}
-
-/// Maps host socket-table errors onto the simulated twin's errnos.
-fn sock_errno(e: SocketError) -> Errno {
-    match e {
-        SocketError::BadSocket => Errno::EBADF,
-        SocketError::Empty => Errno::EAGAIN,
-    }
+    count.fetch_add(delta, Ordering::AcqRel);
 }
 
 /// The host kernel speaks the same [`SyscallApi`] as the simulated
@@ -788,33 +645,18 @@ impl SyscallApi for HostKernel {
             }
         };
         let inode = self.inode(ino).ok_or(Errno::ENOENT)?;
-        if flags.truncate {
-            if let Some(tr) = &inode.tr {
-                tr.size.read();
-            }
-            let size = inode.size_pages.load(Ordering::Acquire);
-            if size != 0 {
-                if let Some(tr) = &inode.tr {
-                    tr.size.write();
-                }
-                inode.size_pages.store(0, Ordering::Release);
-                let mut pages = inode.pages.write();
-                if let Some(tr) = &inode.tr {
-                    for page in pages.keys() {
-                        tr.pages.take(*page as usize, true);
-                    }
-                }
-                pages.clear();
-            }
+        if flags.truncate && inode.size_pages.read() != 0 {
+            inode.size_pages.write(|_| 0);
+            inode.pages.clear();
         }
         let file = Arc::new(OpenFile {
             obj: FileObj::File(inode),
             offset: AtomicU64::new(0),
             io: Mutex::new(()),
-            offset_probe: self
+            offset_line: self
                 .trace
                 .as_ref()
-                .map(|t| t.sink.probe(format!("proc[{pid}].ofile[{name}].offset"))),
+                .map(|t| t.sink.line(format!("proc[{pid}].ofile[{name}].offset"))),
         });
         self.alloc_fd(core, proc_, file, flags.anyfd)
     }
@@ -861,7 +703,7 @@ impl SyscallApi for HostKernel {
         let ino = self.root.remove(name).ok_or(Errno::ENOENT)?;
         if let Some(inode) = self.inode(ino) {
             inode.nlink.dec(core);
-            self.defer_reclaim(core, ino);
+            self.defer.defer(core, ino);
         }
         Ok(())
     }
@@ -869,40 +711,40 @@ impl SyscallApi for HostKernel {
     /// Renames `src` to `dst`, with the same observable semantics as the
     /// simulated kernel (including the same-inode fast path). Unlike the
     /// single-threaded simulator, the whole check-then-update must be
-    /// atomic here: both names' stripes are locked together (in canonical
+    /// atomic here: both names' buckets are locked together (in canonical
     /// order), otherwise two concurrent renames sharing a destination can
     /// interleave their existence checks and produce a state no sequential
     /// order could (e.g. a leaked link count).
     fn rename(&self, core: usize, pid: Pid, src: &str, dst: &str) -> KResult<()> {
         let _g = self.serialise();
         let _ = self.proc(pid)?;
-        let s_stripe = self.root.stripe_of(src);
-        let d_stripe = self.root.stripe_of(dst);
+        let s_bucket = self.root.bucket_of(src);
+        let d_bucket = self.root.bucket_of(dst);
         self.root.with_pair_locked(src, dst, |dir| {
-            let src_ino = dir.get(src, s_stripe).ok_or(Errno::ENOENT)?;
+            let src_ino = dir.get(src, s_bucket).ok_or(Errno::ENOENT)?;
             if src == dst {
                 return Ok(());
             }
-            match dir.get(dst, d_stripe) {
+            match dir.get(dst, d_bucket) {
                 Some(dst_ino) if dst_ino == src_ino => {
-                    dir.remove(src, s_stripe);
+                    dir.remove(src, s_bucket);
                     if let Some(inode) = self.inode(src_ino) {
                         inode.nlink.dec(core);
                     }
                     return Ok(());
                 }
                 Some(dst_ino) => {
-                    dir.upsert(dst, d_stripe, src_ino);
+                    dir.upsert(dst, d_bucket, src_ino);
                     if let Some(old) = self.inode(dst_ino) {
                         old.nlink.dec(core);
-                        self.defer_reclaim(core, dst_ino);
+                        self.defer.defer(core, dst_ino);
                     }
                 }
                 None => {
-                    dir.upsert(dst, d_stripe, src_ino);
+                    dir.upsert(dst, d_bucket, src_ino);
                 }
             }
-            dir.remove(src, s_stripe);
+            dir.remove(src, s_bucket);
             Ok(())
         })
     }
@@ -952,19 +794,14 @@ impl SyscallApi for HostKernel {
         let _io = file.io.lock();
         // Optimistic stage: compute the new offset read-only and return
         // early if it is invalid or equal to the current offset (§6.3).
-        if let Some(p) = &file.offset_probe {
-            p.read();
+        if let Some(p) = &file.offset_line {
+            p.read(0);
         }
         let current = file.offset.load(Ordering::Acquire);
         let base = match whence {
             Whence::Set => 0i64,
             Whence::Cur => current as i64,
-            Whence::End => {
-                if let Some(tr) = &inode.tr {
-                    tr.size.read();
-                }
-                (inode.size_pages.load(Ordering::Acquire) * PAGE_SIZE) as i64
-            }
+            Whence::End => (inode.size_pages.read() * PAGE_SIZE) as i64,
         };
         let target = base + offset;
         if target < 0 {
@@ -974,8 +811,8 @@ impl SyscallApi for HostKernel {
         if target == current {
             return Ok(target);
         }
-        if let Some(p) = &file.offset_probe {
-            p.write();
+        if let Some(p) = &file.offset_line {
+            p.write(0);
         }
         file.offset.store(target, Ordering::Release);
         Ok(target)
@@ -988,15 +825,15 @@ impl SyscallApi for HostKernel {
         if fd as usize >= proc_.fd_capacity() {
             return Err(Errno::EBADF);
         }
-        if let Some(p) = &proc_.fd_probes {
-            p.at(fd as usize).read();
+        if let Some(p) = &proc_.fd_lines {
+            p.read(fd as usize);
         }
         let slot = proc_
             .fd_slot_if_allocated(fd as usize)
             .ok_or(Errno::EBADF)?;
         let file = slot.lock().take().ok_or(Errno::EBADF)?;
-        if let Some(p) = &proc_.fd_probes {
-            p.at(fd as usize).write();
+        if let Some(p) = &proc_.fd_lines {
+            p.write(fd as usize);
         }
         adjust_pipe_endpoint(&file, -1);
         Ok(())
@@ -1006,36 +843,29 @@ impl SyscallApi for HostKernel {
     fn pipe(&self, core: usize, pid: Pid) -> KResult<(Fd, Fd)> {
         let _g = self.serialise();
         let proc_ = self.proc(pid)?;
-        let trace = self.trace.as_ref();
-        let id = trace.map(|t| t.next_pipe_id.fetch_add(1, Ordering::Relaxed));
-        let label = |suffix: &str| {
-            format!(
-                "pipe[{pid}:{}].{suffix}",
-                id.expect("labels only built when traced")
-            )
-        };
+        let trace = self
+            .trace
+            .as_ref()
+            .map(|t| (&t.sink, t.next_pipe_id.fetch_add(1, Ordering::Relaxed)));
         let pipe = Arc::new(Pipe {
             buffer: Mutex::new(VecDeque::new()),
             readers: AtomicI64::new(1),
             writers: AtomicI64::new(1),
-            tr: trace.map(|t| PipeTrace {
-                buffer: t.sink.probe(label("buffer")),
-                readers: t.sink.probe(label("readers")),
-                writers: t.sink.probe(label("writers")),
+            lines: trace.map(|(sink, id)| {
+                sink.block(3, move |i| format!("pipe[{pid}:{id}].{}", PIPE_LINES[i]))
             }),
         });
-        let read_end = Arc::new(OpenFile {
-            obj: FileObj::PipeRead(Arc::clone(&pipe)),
-            offset: AtomicU64::new(0),
-            io: Mutex::new(()),
-            offset_probe: trace.map(|t| t.sink.probe(label("roff"))),
-        });
-        let write_end = Arc::new(OpenFile {
-            obj: FileObj::PipeWrite(pipe),
-            offset: AtomicU64::new(0),
-            io: Mutex::new(()),
-            offset_probe: trace.map(|t| t.sink.probe(label("woff"))),
-        });
+        let end = |obj, suffix: &str| {
+            Arc::new(OpenFile {
+                obj,
+                offset: AtomicU64::new(0),
+                io: Mutex::new(()),
+                offset_line: trace
+                    .map(|(sink, id)| sink.line(format!("pipe[{pid}:{id}].{suffix}"))),
+            })
+        };
+        let read_end = end(FileObj::PipeRead(Arc::clone(&pipe)), "roff");
+        let write_end = end(FileObj::PipeWrite(pipe), "woff");
         let rfd = self.alloc_fd(core, proc_, read_end, false)?;
         let wfd = self.alloc_fd(core, proc_, write_end, false)?;
         Ok((rfd, wfd))
@@ -1049,14 +879,14 @@ impl SyscallApi for HostKernel {
         match &file.obj {
             FileObj::File(inode) => {
                 let _io = file.io.lock();
-                if let Some(p) = &file.offset_probe {
-                    p.read();
+                if let Some(p) = &file.offset_line {
+                    p.read(0);
                 }
                 let offset = file.offset.load(Ordering::Acquire);
                 let data = self.file_read_at(inode, offset, len);
                 if !data.is_empty() {
-                    if let Some(p) = &file.offset_probe {
-                        p.write();
+                    if let Some(p) = &file.offset_line {
+                        p.write(0);
                     }
                     file.offset
                         .store(offset + data.len() as u64, Ordering::Release);
@@ -1068,8 +898,8 @@ impl SyscallApi for HostKernel {
                 // reads and writes the buffer cell even when nothing is
                 // taken — two concurrent empty reads of one pipe conflict,
                 // deliberately (§6.4).
-                if let Some(tr) = &pipe.tr {
-                    tr.buffer.rmw();
+                if let Some(lines) = &pipe.lines {
+                    lines.rmw(BUFFER);
                 }
                 let data: Vec<u8> = {
                     let mut buf = pipe.buffer.lock();
@@ -1077,8 +907,8 @@ impl SyscallApi for HostKernel {
                     buf.drain(..take).collect()
                 };
                 if data.is_empty() {
-                    if let Some(tr) = &pipe.tr {
-                        tr.writers.read();
+                    if let Some(lines) = &pipe.lines {
+                        lines.read(WRITERS);
                     }
                     if pipe.writers.load(Ordering::Acquire) > 0 {
                         return Err(Errno::EAGAIN);
@@ -1099,27 +929,27 @@ impl SyscallApi for HostKernel {
         match &file.obj {
             FileObj::File(inode) => {
                 let _io = file.io.lock();
-                if let Some(p) = &file.offset_probe {
-                    p.read();
+                if let Some(p) = &file.offset_line {
+                    p.read(0);
                 }
                 let offset = file.offset.load(Ordering::Acquire);
                 let written = self.file_write_at(inode, offset, data);
-                if let Some(p) = &file.offset_probe {
-                    p.write();
+                if let Some(p) = &file.offset_line {
+                    p.write(0);
                 }
                 file.offset.store(offset + written, Ordering::Release);
                 Ok(written)
             }
             FileObj::PipeWrite(pipe) => {
                 // SIGPIPE check: reads the shared reader count.
-                if let Some(tr) = &pipe.tr {
-                    tr.readers.read();
+                if let Some(lines) = &pipe.lines {
+                    lines.read(READERS);
                 }
                 if pipe.readers.load(Ordering::Acquire) == 0 {
                     return Err(Errno::EPIPE);
                 }
-                if let Some(tr) = &pipe.tr {
-                    tr.buffer.rmw();
+                if let Some(lines) = &pipe.lines {
+                    lines.rmw(BUFFER);
                 }
                 pipe.buffer.lock().extend(data.iter().copied());
                 Ok(data.len() as u64)
@@ -1174,8 +1004,8 @@ impl SyscallApi for HostKernel {
             None => {
                 // Per-core region allocation: no shared allocation state.
                 let shard = core % self.cores;
-                if let Some(p) = &proc_.vpn_probes {
-                    p.at(shard).rmw();
+                if let Some(p) = &proc_.vpn_lines {
+                    p.rmw(shard);
                 }
                 proc_.next_vpn(shard).fetch_add(pages, Ordering::Relaxed)
             }
@@ -1198,14 +1028,11 @@ impl SyscallApi for HostKernel {
                     Arc::new(AtomicU8::new(0)),
                     self.trace
                         .as_ref()
-                        .map(|t| t.sink.probe(format!("proc[{pid}].page[{vpn}]"))),
+                        .map(|t| t.sink.line(format!("proc[{pid}].page[{vpn}]"))),
                 ),
                 Some(ino) => PageBacking::File { ino, file_page: i },
             };
-            if let Some(p) = &proc_.vm_probes {
-                p.set(vpn as usize);
-            }
-            vm.insert(vpn, MappedPage { prot, backing });
+            vm.set(vpn as usize, MappedPage { prot, backing });
         }
         Ok(base_vpn * PAGE_SIZE)
     }
@@ -1217,10 +1044,7 @@ impl SyscallApi for HostKernel {
         let base_vpn = Self::vpn_of(addr)?;
         let mut vm = proc_.vm_pages.write();
         for i in 0..pages {
-            let present = vm.remove(&(base_vpn + i)).is_some();
-            if let Some(p) = &proc_.vm_probes {
-                p.take((base_vpn + i) as usize, present);
-            }
+            vm.take((base_vpn + i) as usize);
         }
         Ok(())
     }
@@ -1232,20 +1056,10 @@ impl SyscallApi for HostKernel {
         let base_vpn = Self::vpn_of(addr)?;
         let mut vm = proc_.vm_pages.write();
         for i in 0..pages {
-            let vpn = base_vpn + i;
-            if let Some(p) = &proc_.vm_probes {
-                p.get(vpn as usize);
-            }
-            match vm.get_mut(&vpn) {
-                Some(page) => {
-                    // The simulated kernel reads the slot and stores the
-                    // updated mapping back.
-                    if let Some(p) = &proc_.vm_probes {
-                        p.set(vpn as usize);
-                    }
-                    page.prot = prot;
-                }
-                None => return Err(Errno::ENOMEM),
+            // The simulated kernel reads the slot and stores the updated
+            // mapping back.
+            if !vm.modify((base_vpn + i) as usize, |page| page.prot = prot) {
+                return Err(Errno::ENOMEM);
             }
         }
         Ok(())
@@ -1257,22 +1071,14 @@ impl SyscallApi for HostKernel {
         let proc_ = self.proc(pid)?;
         let vpn = addr / PAGE_SIZE;
         let in_page = addr % PAGE_SIZE;
-        if let Some(p) = &proc_.vm_probes {
-            p.get(vpn as usize);
-        }
-        let page = proc_
-            .vm_pages
-            .read()
-            .get(&vpn)
-            .cloned()
-            .ok_or(Errno::EFAULT)?;
+        let page = proc_.vm_pages.get(vpn as usize).ok_or(Errno::EFAULT)?;
         if !page.prot.read {
             return Err(Errno::EFAULT);
         }
         match &page.backing {
-            PageBacking::Anon(cell, probe) => {
-                if let Some(p) = probe {
-                    p.read();
+            PageBacking::Anon(cell, line) => {
+                if let Some(p) = line {
+                    p.read(0);
                 }
                 Ok(cell.load(Ordering::Acquire))
             }
@@ -1290,22 +1096,14 @@ impl SyscallApi for HostKernel {
         let proc_ = self.proc(pid)?;
         let vpn = addr / PAGE_SIZE;
         let in_page = addr % PAGE_SIZE;
-        if let Some(p) = &proc_.vm_probes {
-            p.get(vpn as usize);
-        }
-        let page = proc_
-            .vm_pages
-            .read()
-            .get(&vpn)
-            .cloned()
-            .ok_or(Errno::EFAULT)?;
+        let page = proc_.vm_pages.get(vpn as usize).ok_or(Errno::EFAULT)?;
         if !page.prot.write {
             return Err(Errno::EFAULT);
         }
         match &page.backing {
-            PageBacking::Anon(cell, probe) => {
-                if let Some(p) = probe {
-                    p.write();
+            PageBacking::Anon(cell, line) => {
+                if let Some(p) = line {
+                    p.write(0);
                 }
                 cell.store(value, Ordering::Release);
                 Ok(())
@@ -1330,8 +1128,8 @@ impl SyscallApi for HostKernel {
         let child_pid = self.new_process();
         let child = self.proc(child_pid)?;
         for fd in 0..parent.fd_capacity() {
-            if let Some(p) = &parent.fd_probes {
-                p.at(fd).read();
+            if let Some(p) = &parent.fd_lines {
+                p.read(fd);
             }
             // An unallocated partition reads as all-empty without being
             // materialised (the probe read above still mirrors the
@@ -1344,8 +1142,8 @@ impl SyscallApi for HostKernel {
                 // endpoint; the count grows with it (and shrinks again in
                 // close/wait), exactly as in the simulated kernel.
                 adjust_pipe_endpoint(&file, 1);
-                if let Some(p) = &child.fd_probes {
-                    p.at(fd).write();
+                if let Some(p) = &child.fd_lines {
+                    p.write(fd);
                 }
                 *child.fd_slot(fd).expect("fd within capacity").lock() = Some(file);
             }
@@ -1378,8 +1176,8 @@ impl SyscallApi for HostKernel {
         let child = self.proc(child_pid)?;
         for (fd, file) in files {
             adjust_pipe_endpoint(&file, 1);
-            if let Some(p) = &child.fd_probes {
-                p.at(fd as usize).write();
+            if let Some(p) = &child.fd_lines {
+                p.write(fd as usize);
             }
             *child.fd_slot(fd as usize).expect("open fd in range").lock() = Some(file);
         }
@@ -1405,9 +1203,9 @@ impl SyscallApi for HostKernel {
                 // for occupied slots (the exiting child's fd list is
                 // process-private state): a read and the emptying write.
                 let Some(file) = file else { continue };
-                if let Some(p) = &proc_.fd_probes {
-                    p.at(fd).read();
-                    p.at(fd).write();
+                if let Some(p) = &proc_.fd_lines {
+                    p.read(fd);
+                    p.write(fd);
                 }
                 adjust_pipe_endpoint(&file, -1);
             }
@@ -1422,23 +1220,20 @@ impl SyscallApi for HostKernel {
     /// the giant lock, which is what collapses its scaling.
     fn socket(&self, _core: usize, order: SocketOrder) -> KResult<SockId> {
         let _g = self.serialise();
-        Ok(self.sockets.create(match order {
-            SocketOrder::Ordered => QueueOrder::Ordered,
-            SocketOrder::Unordered => QueueOrder::Unordered,
-        }))
+        Ok(self.sockets.create(order))
     }
 
     /// Sends a datagram on a socket.
     fn send(&self, core: usize, sock: SockId, msg: &[u8]) -> KResult<()> {
         let _g = self.serialise();
-        self.sockets.send(core, sock, msg).map_err(sock_errno)
+        Ok(self.sockets.send(core, sock, msg)?)
     }
 
     /// Receives a datagram from a socket (`EAGAIN` when every queue the
     /// receiver may take from is empty).
     fn recv(&self, core: usize, sock: SockId) -> KResult<Vec<u8>> {
         let _g = self.serialise();
-        self.sockets.recv(core, sock).map_err(sock_errno)
+        Ok(self.sockets.recv(core, sock)?)
     }
 }
 
@@ -1546,7 +1341,7 @@ mod tests {
 
     #[test]
     fn inode_numbers_match_the_simulated_allocator() {
-        // Same (counter << 8) | core scheme as scr_scalable::InodeAllocator.
+        // The (counter << 8) | core scheme of scr_scalable::InodeAllocator.
         let (k, pid) = kernel_with_proc(HostMode::Sv6);
         k.open(0, pid, "x", OpenFlags::create()).unwrap();
         k.open(1, pid, "y", OpenFlags::create()).unwrap();

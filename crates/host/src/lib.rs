@@ -4,14 +4,15 @@
 //! `scr-mtrace`, where "cores" are labels and conflicts are counted, not
 //! paid for. This crate reproduces the paper's hardware-validation leg
 //! (§7, Figure 7): the same kernel design patterns, assembled from the
-//! host-atomics twins in `scr_scalable::real`, executed by actual OS
-//! threads, timed with a wall clock.
+//! same `scr_scalable` structures the simulated kernels use — their real
+//! atomics and locks, not only their recorded footprint — executed by
+//! actual OS threads, timed with a wall clock.
 //!
 //! * [`kernel::HostKernel`] is a thread-safe implementation of the whole
 //!   `scr_kernel::api::SyscallApi` surface — the 18 modelled `SysOp` calls
 //!   plus the §4 extensions (datagram sockets in both orderings,
 //!   `fork`/`posix_spawn`/`wait`). It comes in two configurations:
-//!   [`kernel::HostMode::Sv6`] uses the lock-striped directory, per-core
+//!   [`kernel::HostMode::Sv6`] uses the 512-bucket hash directory, per-core
 //!   inode allocation, Refcache-style link counts, per-core socket queues
 //!   and a lock-free process table; [`kernel::HostMode::Linuxlike`] runs
 //!   the same code under one global kernel lock, the collapsing baseline.
@@ -57,6 +58,7 @@ pub mod fig6;
 pub mod harness;
 pub mod kernel;
 pub mod pipeline;
+mod proc_table;
 pub mod workloads;
 
 pub use differential::{

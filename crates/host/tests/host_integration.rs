@@ -13,11 +13,15 @@ use scr_host::differential::{
 use scr_host::harness::LoadHarness;
 use scr_host::kernel::{HostKernel, HostMode};
 use scr_host::workloads;
+use scr_hostmtrace::HostTraceSink;
 use scr_kernel::api::SyscallApi;
 use scr_model::calls::ArgSlots;
 use scr_model::{CallKind, ModelConfig};
-use scr_scalable::real::{PerCoreCounter, SharedCounter};
+use scr_scalable::{PerCoreCounter, SharedCounter};
 use std::sync::Arc;
+
+/// The substrate type of an uninstrumented structure.
+type Host = Arc<HostTraceSink>;
 
 fn parallelism() -> usize {
     std::thread::available_parallelism()
@@ -220,11 +224,11 @@ fn per_core_counter_does_not_collapse_like_the_shared_one() {
     };
 
     let shared_work = || -> Box<dyn Fn(usize, u64) + Sync> {
-        let counter = Arc::new(SharedCounter::new());
+        let counter = Arc::new(SharedCounter::<Host>::new(None, "shared"));
         Box::new(move |_core, _op| counter.add(1))
     };
     let percore_work = || -> Box<dyn Fn(usize, u64) + Sync> {
-        let counter = Arc::new(PerCoreCounter::new(8));
+        let counter = Arc::new(PerCoreCounter::<Host>::new(None, "per_core", 8));
         Box::new(move |core, _op| counter.add(core, 1))
     };
 

@@ -4,7 +4,7 @@
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 use scr_mtrace::trace::{analyze, Access, AccessKind, ConflictReport};
-use scr_mtrace::LineId;
+use scr_mtrace::{LineId, LineTable, Lines};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -133,30 +133,21 @@ impl AccessLog {
     }
 }
 
-/// Names the lines of one block from their index within it.
-type LineNames = Box<dyn Fn(usize) -> String + Send + Sync>;
-
-/// A run of consecutive line ids allocated together, named on demand.
-struct LineBlock {
-    first: u64,
-    len: u64,
-    names: LineNames,
-}
-
 /// The sharing monitor: labelled logical lines, per-thread logs, and an
 /// epoch-windowed tracing gate.
 ///
-/// Lines are handed out in contiguous blocks, one per instrumented
-/// structure (a directory's stripes, a process's descriptor slots, …), and
-/// each block keeps one naming function instead of a label per line. A
-/// label is formatted only when something asks for it — a shared line in a
-/// conflict report or a heat row — so instrumenting a structure costs one
-/// allocation, not one per line.
+/// Lines are handed out in contiguous blocks through the same
+/// [`LineTable`] the simulated machine names its lines with: one naming
+/// function per block, and a label formatted only when something asks for
+/// it — a shared line in a conflict report or a heat row — so instrumenting
+/// a structure costs one allocation, not one per line. The sink is a
+/// [`Lines`] substrate, so the structures of `scr-scalable`, holding an
+/// `Arc` of it, record into it exactly what they record on the simulated
+/// machine.
 pub struct HostTraceSink {
     enabled: AtomicBool,
     epoch: AtomicU64,
-    /// Blocks in allocation order, so sorted by `first`.
-    blocks: Mutex<Vec<LineBlock>>,
+    lines: Mutex<LineTable>,
     logs: Vec<CachePadded<AccessLog>>,
 }
 
@@ -171,7 +162,7 @@ impl HostTraceSink {
         Arc::new(HostTraceSink {
             enabled: AtomicBool::new(false),
             epoch: AtomicU64::new(0),
-            blocks: Mutex::new(Vec::new()),
+            lines: Mutex::new(LineTable::default()),
             logs: (0..cores.max(1))
                 .map(|_| CachePadded::new(AccessLog::new(capacity_per_thread)))
                 .collect(),
@@ -183,9 +174,8 @@ impl HostTraceSink {
         self.logs.len()
     }
 
-    /// Allocates a fresh labelled logical line (mirrors
-    /// `SimMachine::alloc_line`): a one-line block. Allocation never records
-    /// an access.
+    /// Allocates a fresh labelled logical line (a one-line block).
+    /// Allocation never records an access.
     pub fn alloc_line(&self, label: impl Into<String>) -> LineId {
         let label = label.into();
         self.alloc_lines(1, move |_| label.clone())
@@ -199,53 +189,23 @@ impl HostTraceSink {
         len: usize,
         names: impl Fn(usize) -> String + Send + Sync + 'static,
     ) -> LineId {
-        let mut blocks = self.blocks.lock();
-        let first = blocks.last().map_or(0, |b| b.first + b.len);
-        if len > 0 {
-            blocks.push(LineBlock {
-                first,
-                len: len as u64,
-                names: Box::new(names),
-            });
-        }
-        LineId(first)
+        self.lines.lock().alloc(len, Box::new(names))
     }
 
     /// The label of a line: its block's name for it, or `line#N` for an id
     /// no block holds.
     pub fn label_of(&self, line: LineId) -> String {
-        let blocks = self.blocks.lock();
-        let idx = blocks.partition_point(|b| b.first + b.len <= line.0);
-        match blocks.get(idx) {
-            Some(b) if b.first <= line.0 => (b.names)((line.0 - b.first) as usize),
-            _ => format!("line#{}", line.0),
-        }
+        self.lines.lock().label_of(line)
     }
 
     /// Lines allocated so far.
     pub fn line_count(&self) -> u64 {
-        self.blocks.lock().last().map_or(0, |b| b.first + b.len)
+        self.lines.lock().line_count()
     }
 
     /// Blocks allocated so far (a single line is a block of one).
     pub fn block_count(&self) -> usize {
-        self.blocks.lock().len()
-    }
-
-    /// Allocates a line and returns a [`Probe`](crate::Probe) handle for it.
-    pub fn probe(self: &Arc<Self>, label: impl Into<String>) -> super::Probe {
-        super::Probe::new(Arc::clone(self), self.alloc_line(label))
-    }
-
-    /// Allocates a block of `len` lines named by `names` (see
-    /// [`Self::alloc_lines`]) and returns a [`ProbeBlock`](crate::ProbeBlock)
-    /// over it.
-    pub fn probe_block(
-        self: &Arc<Self>,
-        len: usize,
-        names: impl Fn(usize) -> String + Send + Sync + 'static,
-    ) -> super::ProbeBlock {
-        super::ProbeBlock::new(Arc::clone(self), self.alloc_lines(len, names), len)
+        self.lines.lock().block_count()
     }
 
     /// Is a tracing window currently open?
@@ -296,6 +256,20 @@ impl HostTraceSink {
         let epoch = self.epoch.load(Ordering::Relaxed);
         let core = current_core() % self.logs.len();
         self.logs[core].append(line, kind, epoch);
+    }
+}
+
+impl Lines for HostTraceSink {
+    fn alloc_lines(
+        &self,
+        len: usize,
+        names: impl Fn(usize) -> String + Send + Sync + 'static,
+    ) -> LineId {
+        HostTraceSink::alloc_lines(self, len, names)
+    }
+
+    fn record(&self, line: LineId, kind: AccessKind) {
+        HostTraceSink::record(self, line, kind);
     }
 }
 
@@ -412,9 +386,9 @@ mod tests {
     #[test]
     fn gate_closed_records_nothing() {
         let sink = HostTraceSink::new(2);
-        let probe = sink.probe("x");
-        probe.write();
-        probe.read();
+        let probe = sink.line("x");
+        probe.write(0);
+        probe.read(0);
         let report = sink.end_window();
         assert!(report.accesses.is_empty());
         assert_eq!(report.dropped, 0);
@@ -423,11 +397,11 @@ mod tests {
     #[test]
     fn window_records_reads_and_writes_with_core() {
         let sink = HostTraceSink::new(4);
-        let probe = sink.probe("ctr");
+        let probe = sink.line("ctr");
         sink.begin_window();
         on_core(3, || {
-            probe.write();
-            probe.read();
+            probe.write(0);
+            probe.read(0);
         });
         let report = sink.end_window();
         assert_eq!(report.accesses.len(), 2);
@@ -441,12 +415,12 @@ mod tests {
     #[test]
     fn cross_thread_write_conflicts_and_labels_resolve() {
         let sink = HostTraceSink::new(2);
-        let probe = sink.probe("file.refcount");
+        let probe = sink.line("file.refcount");
         sink.begin_window();
         std::thread::scope(|s| {
             for core in 0..2 {
                 let probe = probe.clone();
-                s.spawn(move || on_core(core, || probe.rmw()));
+                s.spawn(move || on_core(core, || probe.rmw(0)));
             }
         });
         let report = sink.end_window();
@@ -460,9 +434,9 @@ mod tests {
     #[test]
     fn windows_are_isolated_by_epoch() {
         let sink = HostTraceSink::new(2);
-        let probe = sink.probe("a");
+        let probe = sink.line("a");
         sink.begin_window();
-        probe.write();
+        probe.write(0);
         let first = sink.end_window();
         assert_eq!(first.accesses.len(), 1);
         sink.begin_window();
@@ -473,10 +447,10 @@ mod tests {
     #[test]
     fn overflow_is_counted_and_never_conflict_free() {
         let sink = HostTraceSink::with_capacity(1, 4);
-        let probe = sink.probe("hot");
+        let probe = sink.line("hot");
         sink.begin_window();
         for _ in 0..10 {
-            probe.read();
+            probe.read(0);
         }
         let report = sink.end_window();
         assert_eq!(report.accesses.len(), 4);
@@ -487,8 +461,8 @@ mod tests {
     #[test]
     fn window_heat_digests_accesses_and_conflicts() {
         let sink = HostTraceSink::new(2);
-        let hot = sink.probe("fd-bitmap");
-        let cold = sink.probe("inode.len");
+        let hot = sink.line("fd-bitmap");
+        let cold = sink.line("inode.len");
         sink.begin_window();
         std::thread::scope(|s| {
             for core in 0..2 {
@@ -496,8 +470,8 @@ mod tests {
                 let cold = cold.clone();
                 s.spawn(move || {
                     on_core(core, || {
-                        hot.rmw();
-                        cold.read();
+                        hot.rmw(0);
+                        cold.read(0);
                     })
                 });
             }
@@ -532,30 +506,25 @@ mod tests {
     }
 
     #[test]
-    fn blocks_and_single_lines_interleave_and_name_on_demand() {
+    fn lines_are_allocated_in_blocks_named_on_demand() {
         let sink = HostTraceSink::new(1);
         let a = sink.alloc_line("a");
         let block = sink.alloc_lines(3, |i| format!("b[{i}]"));
-        let empty = sink.alloc_lines(0, |_| unreachable!("an empty block names nothing"));
-        let c = sink.alloc_line("c");
-        assert_eq!(
-            (a, block, empty, c),
-            (LineId(0), LineId(1), LineId(4), LineId(4))
-        );
-        let labels: Vec<String> = (0..6).map(|l| sink.label_of(LineId(l))).collect();
-        assert_eq!(labels, ["a", "b[0]", "b[1]", "b[2]", "c", "line#5"]);
-        assert_eq!((sink.line_count(), sink.block_count()), (5, 3));
+        assert_eq!((a, block), (LineId(0), LineId(1)));
+        let labels: Vec<String> = (0..5).map(|l| sink.label_of(LineId(l))).collect();
+        assert_eq!(labels, ["a", "b[0]", "b[1]", "b[2]", "line#4"]);
+        assert_eq!((sink.line_count(), sink.block_count()), (4, 2));
     }
 
     #[test]
     fn max_core_accesses_is_the_fullest_log() {
         let sink = HostTraceSink::new(2);
-        let probe = sink.probe("x");
+        let probe = sink.line("x");
         sink.begin_window();
-        on_core(0, || probe.read());
+        on_core(0, || probe.read(0));
         on_core(1, || {
-            probe.read();
-            probe.rmw();
+            probe.read(0);
+            probe.rmw(0);
         });
         assert_eq!(sink.end_window().max_core_accesses(), 3);
         sink.begin_window();

@@ -25,6 +25,7 @@
 //! attribute memory accesses) and the *process* it runs in.
 
 use scr_mtrace::{CoreId, SimMachine};
+use scr_scalable::SocketError;
 use std::fmt;
 
 /// File-descriptor number.
@@ -222,15 +223,15 @@ pub enum MmapBacking {
     File(Fd),
 }
 
-/// Whether a socket preserves FIFO ordering of datagrams (§4 "permit weak
-/// ordering").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SocketOrder {
-    /// All messages pass through one ordered queue.
-    Ordered,
-    /// Messages may be delivered in any order; the implementation may use
-    /// per-core queues.
-    Unordered,
+pub use scr_scalable::SocketOrder;
+
+impl From<SocketError> for Errno {
+    fn from(e: SocketError) -> Errno {
+        match e {
+            SocketError::BadSocket => Errno::EBADF,
+            SocketError::Empty => Errno::EAGAIN,
+        }
+    }
 }
 
 /// The system-call surface shared by every kernel in the workspace — the

@@ -16,16 +16,17 @@
 //!   directories with per-bucket locks, radix-array page caches and address
 //!   spaces, Refcache link counts, per-core inode and descriptor
 //!   allocation, deferred reclamation, and optimistic check-then-update
-//!   paths. It deliberately keeps the paper's §6.4 residual non-scalable
-//!   cases (idempotent updates, pipe end reference counts).
+//!   paths. Its structures are the ones `scr-scalable` writes once for
+//!   every kernel, here recording on the simulated machine. It
+//!   deliberately keeps the paper's §6.4 residual non-scalable cases
+//!   (idempotent updates, pipe end reference counts).
 //! * [`linuxlike`] is the baseline whose sharing structure mirrors the
 //!   conflict sources §6.2 reports for Linux 3.8: dentry and `struct file`
 //!   reference counts, per-parent-directory locks, lowest-FD allocation
 //!   under a process-wide lock, a global inode counter, and an
-//!   address-space-wide `mmap_sem`.
-//! * [`socket`] provides Unix-domain datagram sockets in ordered
-//!   (single shared queue) and unordered (per-core queues) modes (§4
-//!   "permit weak ordering", used by the §7.3 mail server).
+//!   address-space-wide `mmap_sem`. Both kernels take their datagram
+//!   sockets, ordered and unordered (§4 "permit weak ordering"), from
+//!   `scr_scalable::SocketTable`.
 //! * [`mail`] is the qmail-style mail server application of §7.3, written
 //!   against [`api::KernelApi`] so it can run over either kernel and with
 //!   either the regular or the commutative API set.
@@ -34,7 +35,6 @@ pub mod api;
 pub mod linuxlike;
 pub mod mail;
 pub mod retry;
-pub mod socket;
 pub mod sv6;
 
 pub use api::{

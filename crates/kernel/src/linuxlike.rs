@@ -28,9 +28,8 @@ use crate::api::{
     Errno, Fd, Ino, KResult, KernelApi, MmapBacking, OpenFlags, Pid, Prot, SockId, SocketOrder,
     Stat, StatMask, SyscallApi, Whence, PAGE_SIZE,
 };
-use crate::socket::SocketTable;
 use scr_mtrace::{CoreId, SimMachine, TracedCell};
-use scr_scalable::{RadixArray, TracedLock};
+use scr_scalable::{LockWord, RadixArray, SocketTable};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
@@ -52,9 +51,9 @@ struct Inode {
     /// Plain shared size (bytes).
     size: TracedCell<u64>,
     /// Inode mutex guarding metadata updates.
-    lock: TracedLock,
+    lock: LockWord<SimMachine>,
     /// Page contents (the buffer cache does scale per page).
-    pages: RadixArray<Vec<u8>>,
+    pages: RadixArray<Vec<u8>, SimMachine>,
 }
 
 struct Pipe {
@@ -94,10 +93,10 @@ struct MappedPage {
 struct Process {
     /// The descriptor table: a single cell, guarded by `files_lock`.
     fd_table: TracedCell<Vec<Option<Rc<OpenFile>>>>,
-    files_lock: TracedLock,
+    files_lock: LockWord<SimMachine>,
     /// The VMA table: one cell mapping virtual page number → mapping.
     vma_table: TracedCell<BTreeMap<u64, MappedPage>>,
-    mmap_sem: TracedLock,
+    mmap_sem: LockWord<SimMachine>,
     /// Shared bump allocator for hint-less mmap placement.
     next_vpn: TracedCell<u64>,
 }
@@ -107,12 +106,12 @@ pub struct LinuxLikeKernel {
     machine: SimMachine,
     /// Root directory: entries map plus the parent-directory mutex.
     root_entries: TracedCell<BTreeMap<String, Ino>>,
-    root_lock: TracedLock,
+    root_lock: LockWord<SimMachine>,
     dentries: Rc<RefCell<HashMap<String, Rc<Dentry>>>>,
     inodes: Rc<RefCell<HashMap<Ino, Rc<Inode>>>>,
     next_ino: TracedCell<u64>,
     procs: Rc<RefCell<Vec<Rc<Process>>>>,
-    sockets: SocketTable,
+    sockets: SocketTable<SimMachine>,
 }
 
 impl LinuxLikeKernel {
@@ -127,12 +126,12 @@ impl LinuxLikeKernel {
         LinuxLikeKernel {
             machine: machine.clone(),
             root_entries: machine.cell("root.entries", BTreeMap::new()),
-            root_lock: TracedLock::new(machine, "root.i_mutex"),
+            root_lock: LockWord::new(Some(machine), "root.i_mutex"),
             dentries: Rc::new(RefCell::new(HashMap::new())),
             inodes: Rc::new(RefCell::new(HashMap::new())),
             next_ino: machine.cell("sb.next_ino", 1u64),
             procs: Rc::new(RefCell::new(Vec::new())),
-            sockets: SocketTable::new(machine, cores),
+            sockets: SocketTable::new(Some(machine), cores),
         }
     }
 
@@ -184,8 +183,8 @@ impl LinuxLikeKernel {
             ino,
             nlink: self.machine.cell(format!("inode[{ino}].i_nlink"), 0i64),
             size: self.machine.cell(format!("inode[{ino}].i_size"), 0u64),
-            lock: TracedLock::new(&self.machine, format!("inode[{ino}].i_mutex")),
-            pages: RadixArray::new(&self.machine, &format!("inode[{ino}].pagecache")),
+            lock: LockWord::new(Some(&self.machine), format_args!("inode[{ino}].i_mutex")),
+            pages: RadixArray::new(Some(&self.machine), format_args!("inode[{ino}].pagecache")),
         });
         self.inodes.borrow_mut().insert(ino, Rc::clone(&inode));
         inode
@@ -314,11 +313,14 @@ impl SyscallApi for LinuxLikeKernel {
                 format!("proc[{pid}].files.fd_array"),
                 vec![None; FD_TABLE_SIZE],
             ),
-            files_lock: TracedLock::new(&self.machine, format!("proc[{pid}].files.file_lock")),
+            files_lock: LockWord::new(
+                Some(&self.machine),
+                format_args!("proc[{pid}].files.file_lock"),
+            ),
             vma_table: self
                 .machine
                 .cell(format!("proc[{pid}].mm.vma_table"), BTreeMap::new()),
-            mmap_sem: TracedLock::new(&self.machine, format!("proc[{pid}].mm.mmap_sem")),
+            mmap_sem: LockWord::new(Some(&self.machine), format_args!("proc[{pid}].mm.mmap_sem")),
             next_vpn: self.machine.cell(format!("proc[{pid}].mm.next_vpn"), 1u64),
         });
         self.procs.borrow_mut().push(proc_);
@@ -366,9 +368,7 @@ impl SyscallApi for LinuxLikeKernel {
         if flags.truncate {
             inode.lock.with(|| {
                 inode.size.set(0);
-                for page in inode.pages.indices_untraced() {
-                    inode.pages.take(page);
-                }
+                inode.pages.clear();
             });
         }
         let file = Rc::new(OpenFile {
@@ -839,11 +839,11 @@ impl SyscallApi for LinuxLikeKernel {
     }
 
     fn send(&self, core: CoreId, sock: SockId, msg: &[u8]) -> KResult<()> {
-        self.sockets.send(core, sock, msg)
+        Ok(self.sockets.send(core, sock, msg)?)
     }
 
     fn recv(&self, core: CoreId, sock: SockId) -> KResult<Vec<u8>> {
-        self.sockets.recv(core, sock)
+        Ok(self.sockets.recv(core, sock)?)
     }
 }
 

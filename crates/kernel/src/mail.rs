@@ -127,8 +127,8 @@ where
 /// The pipeline's thread/shard topology: how many enqueuer threads feed how
 /// many queue-manager threads, over how many notification-socket shards.
 ///
-/// A mailbox is assigned to a shard by the **same FNV-1a hash** the striped
-/// directory uses for bucket placement (`scr_scalable::hash_dir::fnv1a`),
+/// A mailbox is assigned to a shard by the **same FNV-1a hash** the
+/// directory uses for bucket placement ([`scr_symbolic::Fnv64`]),
 /// so "hot shard" means the same thing to the load generator's attribution
 /// tables and to the kernel's own fan-out. Each shard is one notification
 /// socket; shard *s* is served by qman *s mod qmans*. With one shard and
@@ -188,7 +188,9 @@ impl MailTopology {
 
     /// The shard a mailbox name fans out to (FNV-1a, like the directory).
     pub fn shard_of(&self, mailbox: &str) -> usize {
-        (scr_scalable::hash_dir::fnv1a(mailbox) % self.notify_shards as u64) as usize
+        let mut h = scr_symbolic::Fnv64::default();
+        h.bytes(mailbox.as_bytes());
+        (h.finish() % self.notify_shards as u64) as usize
     }
 
     /// The qman index that owns a shard.

@@ -26,9 +26,10 @@ use crate::api::{
     Errno, Fd, Ino, KResult, KernelApi, MmapBacking, OpenFlags, Pid, Prot, SockId, SocketOrder,
     Stat, StatMask, SyscallApi, Whence, PAGE_SIZE,
 };
-use crate::socket::SocketTable;
 use scr_mtrace::{CoreId, SimMachine, TracedCell};
-use scr_scalable::{DeferQueue, HashDir, InodeAllocator, RadixArray, Refcache, SeqLock};
+use scr_scalable::{
+    DeferQueue, HashDir, InodeAllocator, LinkCounter, RadixArray, SeqLock, SocketTable,
+};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
@@ -54,68 +55,17 @@ pub struct Sv6Options {
     pub shared_link_counts: bool,
 }
 
-/// A link counter in one of the two representations the statbench ablation
-/// compares.
-enum LinkCounter {
-    /// Refcache: per-core deltas, reconciled on demand.
-    Scalable(Refcache),
-    /// A single shared cell.
-    Shared(TracedCell<i64>),
-}
-
-impl LinkCounter {
-    fn new(machine: &SimMachine, label: &str, cores: usize, options: Sv6Options) -> Self {
-        if options.shared_link_counts {
-            LinkCounter::Shared(machine.cell(format!("{label}.shared"), 0i64))
-        } else {
-            LinkCounter::Scalable(Refcache::new(machine, label, cores, 0))
-        }
-    }
-
-    fn inc(&self, core: CoreId) {
-        match self {
-            LinkCounter::Scalable(rc) => rc.inc(core),
-            LinkCounter::Shared(cell) => {
-                cell.update(|v| *v += 1);
-            }
-        }
-    }
-
-    fn dec(&self, core: CoreId) {
-        match self {
-            LinkCounter::Scalable(rc) => rc.dec(core),
-            LinkCounter::Shared(cell) => {
-                cell.update(|v| *v -= 1);
-            }
-        }
-    }
-
-    fn read_exact(&self) -> i64 {
-        match self {
-            LinkCounter::Scalable(rc) => rc.read_exact(),
-            LinkCounter::Shared(cell) => cell.get(),
-        }
-    }
-
-    fn reconcile(&self) -> i64 {
-        match self {
-            LinkCounter::Scalable(rc) => rc.flush_epoch(),
-            LinkCounter::Shared(cell) => cell.get(),
-        }
-    }
-}
-
 /// One regular file's in-memory inode.
 struct Inode {
     ino: Ino,
     /// Link count: a Refcache counter so `link`/`unlink` on different cores
     /// are conflict-free. `fstat` pays to reconcile it; `fstatx` without
     /// `st_nlink` does not touch it.
-    nlink: LinkCounter,
+    nlink: LinkCounter<SimMachine>,
     /// File size in pages, seqlock-protected metadata.
-    size_pages: SeqLock<u64>,
+    size_pages: SeqLock<SimMachine>,
     /// Page cache: page number → contents.
-    pages: RadixArray<Vec<u8>>,
+    pages: RadixArray<Vec<u8>, SimMachine>,
 }
 
 /// One pipe. The reader/writer endpoint counts are deliberately plain shared
@@ -160,7 +110,7 @@ struct MappedPage {
 /// space (radix array keyed by virtual page number).
 struct Process {
     fd_slots: Vec<TracedCell<Option<Rc<OpenFile>>>>,
-    vm_pages: RadixArray<MappedPage>,
+    vm_pages: RadixArray<MappedPage, SimMachine>,
     /// Per-core bump allocators for hint-less mmap address selection.
     next_vpn: Vec<TracedCell<u64>>,
 }
@@ -170,12 +120,12 @@ pub struct Sv6Kernel {
     machine: SimMachine,
     cores: usize,
     options: Sv6Options,
-    root: HashDir<Ino>,
+    root: HashDir<Ino, SimMachine>,
     inodes: Rc<RefCell<HashMap<Ino, Rc<Inode>>>>,
-    inode_alloc: InodeAllocator,
+    inode_alloc: InodeAllocator<SimMachine>,
     procs: Rc<RefCell<Vec<Rc<Process>>>>,
-    sockets: SocketTable,
-    defer: DeferQueue<Ino>,
+    sockets: SocketTable<SimMachine>,
+    defer: DeferQueue<Ino, SimMachine>,
 }
 
 impl Sv6Kernel {
@@ -207,12 +157,12 @@ impl Sv6Kernel {
             machine: machine.clone(),
             cores,
             options,
-            root: HashDir::new(machine, "scalefs.root", DIR_BUCKETS),
+            root: HashDir::new(Some(machine), "scalefs.root", DIR_BUCKETS),
             inodes: Rc::new(RefCell::new(HashMap::new())),
-            inode_alloc: InodeAllocator::new(machine, "scalefs", cores),
+            inode_alloc: InodeAllocator::new(Some(machine), "scalefs", cores),
             procs: Rc::new(RefCell::new(Vec::new())),
-            sockets: SocketTable::new(machine, cores),
-            defer: DeferQueue::new(machine, "scalefs.inode_gc", cores),
+            sockets: SocketTable::new(Some(machine), cores),
+            defer: DeferQueue::new(Some(machine), "scalefs.inode_gc", cores),
         }
     }
 
@@ -225,19 +175,19 @@ impl Sv6Kernel {
     /// reconciles to zero are removed from the inode table. Returns the
     /// number of inodes reclaimed.
     pub fn reclaim_epoch(&self) -> usize {
-        let inodes = Rc::clone(&self.inodes);
-        self.defer.epoch(|ino| {
-            let reclaim = {
-                let table = inodes.borrow();
-                table
-                    .get(ino)
-                    .map(|inode| inode.nlink.reconcile() <= 0)
-                    .unwrap_or(false)
-            };
-            if reclaim {
-                inodes.borrow_mut().remove(ino);
+        let mut reclaimed = 0;
+        for core in 0..self.defer.cores() {
+            for ino in self.defer.drain(core) {
+                if self
+                    .inode(ino)
+                    .is_some_and(|inode| inode.nlink.reconcile() <= 0)
+                {
+                    self.inodes.borrow_mut().remove(&ino);
+                    reclaimed += 1;
+                }
             }
-        })
+        }
+        reclaimed
     }
 
     /// Name-only existence check (the `access(F_OK)` fast path of §6.3
@@ -264,16 +214,17 @@ impl Sv6Kernel {
 
     fn new_inode(&self, core: CoreId) -> Rc<Inode> {
         let ino = self.inode_alloc.alloc(core);
+        let machine = Some(&self.machine);
         let inode = Rc::new(Inode {
             ino,
             nlink: LinkCounter::new(
-                &self.machine,
-                &format!("inode[{ino}].nlink"),
+                machine,
+                format_args!("inode[{ino}].nlink"),
                 self.cores,
-                self.options,
+                self.options.shared_link_counts,
             ),
-            size_pages: SeqLock::new(&self.machine, &format!("inode[{ino}].size"), 0u64),
-            pages: RadixArray::new(&self.machine, &format!("inode[{ino}].pages")),
+            size_pages: SeqLock::new(machine, format_args!("inode[{ino}].size"), 0),
+            pages: RadixArray::new(machine, format_args!("inode[{ino}].pages")),
         });
         self.inodes.borrow_mut().insert(ino, Rc::clone(&inode));
         inode
@@ -383,11 +334,7 @@ impl Sv6Kernel {
         // other.
         let end_pages = (offset + written).div_ceil(PAGE_SIZE);
         if inode.size_pages.read() < end_pages {
-            inode.size_pages.write(|s| {
-                if *s < end_pages {
-                    *s = end_pages;
-                }
-            });
+            inode.size_pages.write(|s| s.max(end_pages));
         }
         written
     }
@@ -431,7 +378,7 @@ impl SyscallApi for Sv6Kernel {
             fd_slots: (0..self.cores * FDS_PER_CORE)
                 .map(|fd| self.machine.cell(format!("proc[{pid}].fd[{fd}]"), None))
                 .collect(),
-            vm_pages: RadixArray::new(&self.machine, &format!("proc[{pid}].as")),
+            vm_pages: RadixArray::new(Some(&self.machine), format_args!("proc[{pid}].as")),
             next_vpn: (0..self.cores)
                 .map(|c| {
                     self.machine.cell(
@@ -476,10 +423,8 @@ impl SyscallApi for Sv6Kernel {
         if flags.truncate {
             let size = inode.size_pages.read();
             if size != 0 {
-                inode.size_pages.write(|s| *s = 0);
-                for page in inode.pages.indices_untraced() {
-                    inode.pages.take(page);
-                }
+                inode.size_pages.write(|_| 0);
+                inode.pages.clear();
             }
         }
         let file = Rc::new(OpenFile {
@@ -897,11 +842,11 @@ impl SyscallApi for Sv6Kernel {
     }
 
     fn send(&self, core: CoreId, sock: SockId, msg: &[u8]) -> KResult<()> {
-        self.sockets.send(core, sock, msg)
+        Ok(self.sockets.send(core, sock, msg)?)
     }
 
     fn recv(&self, core: CoreId, sock: SockId) -> KResult<Vec<u8>> {
-        self.sockets.recv(core, sock)
+        Ok(self.sockets.recv(core, sock)?)
     }
 }
 

@@ -11,6 +11,11 @@
 //! * [`machine::SimMachine`] is a single-process simulated multicore. Kernel
 //!   state is stored in [`machine::TracedCell`]s, each occupying its own
 //!   (labelled) cache line unless explicitly co-located.
+//! * [`lines`] is the substrate every scalable structure records its
+//!   footprint through: lines allocated in named blocks, and the
+//!   read / write / read-modify-write / lock-word accesses made on them.
+//!   [`machine::SimMachine`] implements it, and so does the real-threads
+//!   sink of `scr-hostmtrace`, so each structure is written once.
 //! * [`trace`] records per-core reads and writes while tracing is enabled
 //!   and reports **shared lines** — lines touched by two or more cores where
 //!   at least one access is a write (the conflict definition of §3.3 mapped
@@ -24,14 +29,15 @@
 //!
 //! The machine is deliberately single-threaded: "cores" are a labelling of
 //! which logical CPU performed an access, which is all that conflict
-//! detection and the coherence model need. Real-thread microbenchmarks of
-//! the scalable primitives live in `scr-scalable`.
+//! detection and the coherence model need.
 
+pub mod lines;
 pub mod machine;
 pub mod mesi;
 pub mod scaling;
 pub mod trace;
 
+pub use lines::{Block, LineNames, LineTable, Lines};
 pub use machine::{CoreId, LineId, SimMachine, TracedCell};
 pub use mesi::{CoherenceStats, MesiSimulator};
 pub use scaling::{ScalingParams, ScalingPoint, ThroughputModel};

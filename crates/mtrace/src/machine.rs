@@ -12,9 +12,9 @@
 //! which only need to know *which core* performed each access and in what
 //! order.
 
+use crate::lines::{LineTable, Lines};
 use crate::trace::{analyze, Access, AccessKind, ConflictReport};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Identifier of a simulated core.
@@ -27,11 +27,10 @@ pub struct LineId(pub u64);
 /// Shared interior state of a simulated machine.
 #[derive(Debug, Default)]
 struct MachineState {
-    next_line: u64,
+    lines: LineTable,
     current_core: CoreId,
     tracing: bool,
     accesses: Vec<Access>,
-    labels: BTreeMap<LineId, String>,
     next_seq: u64,
 }
 
@@ -53,11 +52,8 @@ impl SimMachine {
 
     /// Allocates a fresh cache line with the given label and returns its id.
     pub fn alloc_line(&self, label: impl Into<String>) -> LineId {
-        let mut st = self.state.borrow_mut();
-        let line = LineId(st.next_line);
-        st.next_line += 1;
-        st.labels.insert(line, label.into());
-        line
+        let label = label.into();
+        self.alloc_lines(1, move |_| label.clone())
     }
 
     /// Allocates a [`TracedCell`] on its own fresh cache line.
@@ -82,12 +78,7 @@ impl SimMachine {
 
     /// The label attached to a line at allocation time.
     pub fn label_of(&self, line: LineId) -> String {
-        self.state
-            .borrow()
-            .labels
-            .get(&line)
-            .cloned()
-            .unwrap_or_else(|| format!("line#{}", line.0))
+        self.state.borrow().lines.label_of(line)
     }
 
     /// Sets the core that subsequent accesses are attributed to.
@@ -173,6 +164,20 @@ impl SimMachine {
             line,
             kind,
         });
+    }
+}
+
+impl Lines for SimMachine {
+    fn alloc_lines(
+        &self,
+        len: usize,
+        names: impl Fn(usize) -> String + Send + Sync + 'static,
+    ) -> LineId {
+        self.state.borrow_mut().lines.alloc(len, Box::new(names))
+    }
+
+    fn record(&self, line: LineId, kind: AccessKind) {
+        SimMachine::record(self, line, kind);
     }
 }
 

@@ -217,14 +217,19 @@ mod tests {
 
     #[test]
     fn fold_report_bridges_a_traced_window() {
-        use scr_hostmtrace::{on_core, HostTraceSink};
+        use scr_hostmtrace::{on_core, AccessKind, HostTraceSink};
         let sink = HostTraceSink::new(2);
-        let probe = sink.probe("fd-bitmap");
+        let line = sink.alloc_line("fd-bitmap");
         sink.begin_window();
         std::thread::scope(|s| {
             for core in 0..2 {
-                let probe = probe.clone();
-                s.spawn(move || on_core(core, || probe.rmw()));
+                let sink = &sink;
+                s.spawn(move || {
+                    on_core(core, || {
+                        sink.record(line, AccessKind::Read);
+                        sink.record(line, AccessKind::Write);
+                    })
+                });
             }
         });
         let report = sink.end_window();

@@ -4,103 +4,84 @@
 //! but releasing it *immediately* requires eagerly tracking references and
 //! makes otherwise-commutative operations conflict. ScaleFS instead defers
 //! reclamation: each core appends condemned resources to its own queue, and
-//! a periodic pass (an epoch boundary) reclaims everything whose reference
-//! count reconciled to zero.
+//! a periodic pass (an epoch boundary, run per core from a timer tick)
+//! drains the queues and reclaims everything whose reference count
+//! reconciled to zero.
 //!
-//! [`DeferQueue`] is the per-core queue plus the epoch pass. It is generic
-//! over the resource identifier; the kernel uses it for inode numbers and
-//! pipe buffers.
+//! [`DeferQueue`] is the per-core queues; the kernel that drains them
+//! decides what reclaiming an item means.
 
-use scr_mtrace::{CoreId, SimMachine, TracedCell};
+use crate::block_of;
+use crossbeam::utils::CachePadded;
+use parking_lot::Mutex;
+use scr_mtrace::{Block, CoreId, Lines};
+use std::fmt::Display;
 
-/// Per-core queues of deferred reclamation work.
-#[derive(Clone, Debug)]
-pub struct DeferQueue<T: Clone + 'static> {
-    queues: Vec<TracedCell<Vec<T>>>,
-    reclaimed: TracedCell<Vec<T>>,
+/// Per-core queues of deferred reclamation work, one padded queue and one
+/// line (`{label}.defer[c]`) per core.
+#[derive(Debug)]
+pub struct DeferQueue<T, L> {
+    queues: Box<[CachePadded<Mutex<Vec<T>>>]>,
+    lines: Option<Block<L>>,
 }
 
-impl<T: Clone + 'static> DeferQueue<T> {
-    /// Allocates queues for `cores` cores.
-    pub fn new(machine: &SimMachine, label: &str, cores: usize) -> Self {
+impl<T, L: Lines + Clone> DeferQueue<T, L> {
+    /// Queues for `cores` cores.
+    pub fn new(lines: Option<&L>, label: impl Display, cores: usize) -> Self {
+        let cores = cores.max(1);
         DeferQueue {
             queues: (0..cores)
-                .map(|c| machine.cell(format!("{label}.defer[{c}]"), Vec::new()))
+                .map(|_| CachePadded::new(Mutex::new(Vec::new())))
                 .collect(),
-            reclaimed: machine.cell(format!("{label}.reclaimed"), Vec::new()),
+            lines: block_of(lines, label, cores, |label, c| {
+                format!("{label}.defer[{c}]")
+            }),
         }
     }
 
-    /// Defers reclamation of `item` on behalf of `core` (touches only that
-    /// core's queue line).
+    /// Number of per-core queues.
+    pub fn cores(&self) -> usize {
+        self.queues.len()
+    }
+
+    /// Defers reclamation of `item` on behalf of `core` (a read-modify-write
+    /// of that core's queue line only).
     pub fn defer(&self, core: CoreId, item: T) {
-        self.queues[core % self.queues.len()].update(|q| q.push(item.clone()));
-    }
-
-    /// Runs an epoch pass: drains every core's queue, passing each item to
-    /// `reclaim` and recording it. Returns the number of items reclaimed.
-    pub fn epoch(&self, mut reclaim: impl FnMut(&T)) -> usize {
-        let mut count = 0;
-        for queue in &self.queues {
-            let drained = queue.update(std::mem::take);
-            for item in drained {
-                reclaim(&item);
-                self.reclaimed.update(|r| r.push(item.clone()));
-                count += 1;
-            }
+        let q = core % self.queues.len();
+        if let Some(lines) = &self.lines {
+            lines.rmw(q);
         }
-        count
+        self.queues[q].lock().push(item);
     }
 
-    /// Number of items waiting to be reclaimed (untraced).
-    pub fn pending_untraced(&self) -> usize {
-        self.queues.iter().map(|q| q.peek(|v| v.len())).sum()
-    }
-
-    /// Items reclaimed so far (untraced).
-    pub fn reclaimed_untraced(&self) -> Vec<T> {
-        self.reclaimed.peek(|r| r.clone())
+    /// Empties `core`'s queue and returns what it held (a read-modify-write
+    /// of that core's queue line).
+    pub fn drain(&self, core: CoreId) -> Vec<T> {
+        let q = core % self.queues.len();
+        if let Some(lines) = &self.lines {
+            lines.rmw(q);
+        }
+        std::mem::take(&mut *self.queues[q].lock())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scr_mtrace::SimMachine;
 
     #[test]
-    fn defer_then_epoch_reclaims_everything() {
+    fn defers_are_conflict_free_and_a_drain_returns_its_cores_items() {
         let m = SimMachine::new();
-        let dq: DeferQueue<u64> = DeferQueue::new(&m, "inodes", 4);
-        dq.defer(0, 100);
-        dq.defer(1, 200);
-        dq.defer(1, 201);
-        assert_eq!(dq.pending_untraced(), 3);
-        let mut seen = Vec::new();
-        let n = dq.epoch(|item| seen.push(*item));
-        assert_eq!(n, 3);
-        seen.sort_unstable();
-        assert_eq!(seen, vec![100, 200, 201]);
-        assert_eq!(dq.pending_untraced(), 0);
-        assert_eq!(dq.reclaimed_untraced().len(), 3);
-    }
-
-    #[test]
-    fn defers_from_different_cores_are_conflict_free() {
-        let m = SimMachine::new();
-        let dq: DeferQueue<u64> = DeferQueue::new(&m, "inodes", 4);
+        let dq: DeferQueue<u64, SimMachine> = DeferQueue::new(Some(&m), "inodes", 4);
+        dq.defer(5, 201);
         m.start_tracing();
         for core in 0..4 {
-            m.on_core(core, || dq.defer(core, core as u64));
+            m.on_core(core, || dq.defer(core, 100 + core as u64));
         }
         assert!(m.conflict_report().is_conflict_free());
-    }
-
-    #[test]
-    fn second_epoch_is_a_no_op() {
-        let m = SimMachine::new();
-        let dq: DeferQueue<u64> = DeferQueue::new(&m, "x", 2);
-        dq.defer(0, 1);
-        assert_eq!(dq.epoch(|_| {}), 1);
-        assert_eq!(dq.epoch(|_| {}), 0);
+        assert_eq!(dq.drain(1), [201, 101]);
+        assert_eq!(dq.drain(1), Vec::<u64>::new());
+        assert_eq!(dq.drain(3), [103]);
     }
 }

@@ -1,11 +1,10 @@
-//! `StripedHashDir` against a model, under real threads, and against its own
-//! recorded footprint.
+//! `HashDir` against a model, under real threads, and against its own
+//! recorded footprint on a real-threads trace sink.
 //!
-//! A stripe stores its names in a hash table; what the directory *means*
+//! A bucket stores its names in a hash table; what the directory *means*
 //! (a string-keyed map), how it behaves under concurrent callers and which
-//! probe lines each operation touches do not depend on that. These tests pin
-//! the three next to the code: the host crate's (core, label, kind) parity
-//! batteries check the same footprints again, but only through a kernel.
+//! lines each operation touches do not depend on that. These tests pin the
+//! three next to the code.
 //!
 //! Names follow the mail pipeline's own patterns — `queue/msg-{core}-{seq}`
 //! and `mail/user{m}/new-{core}-{seq}` — because that is the population whose
@@ -13,15 +12,18 @@
 
 use scr_hostmtrace::{on_core, HostTraceSink};
 use scr_mtrace::AccessKind::{self, Read, Write};
-use scr_scalable::real::StripedHashDir;
+use scr_scalable::HashDir;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-/// Stripe counts of the linux-like kernel (1), the smallest directory with a
-/// two-stripe case (2) and the sv6 kernel (512).
+/// Bucket counts of the linux-like kernel (1), the smallest directory with a
+/// two-bucket case (2) and the sv6 kernel (512).
 const STRIPE_COUNTS: [usize; 3] = [1, 2, 512];
+
+/// A directory on a real-threads trace sink, or on none.
+type Dir = HashDir<u64, Arc<HostTraceSink>>;
 
 fn queue_name(core: u64, seq: u64) -> String {
     format!("queue/msg-{core}-{seq}")
@@ -62,7 +64,7 @@ fn directory_matches_a_btree_map_at_every_stripe_count() {
         let mut two_stripe_pairs = 0;
         for seed in 1..=8u64 {
             let mut rng = Rng(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            let dir: StripedHashDir<u64> = StripedHashDir::new(stripes);
+            let dir: Dir = HashDir::new(None, "d", stripes);
             let mut model: BTreeMap<String, u64> = BTreeMap::new();
             for step in 0..2_000u64 {
                 let key = rng.name();
@@ -89,7 +91,7 @@ fn directory_matches_a_btree_map_at_every_stripe_count() {
                         // look up the source, bind the target, unbind the
                         // source, all under both stripes' locks.
                         let target = rng.name();
-                        let (sk, st) = (dir.stripe_of(&key), dir.stripe_of(&target));
+                        let (sk, st) = (dir.bucket_of(&key), dir.bucket_of(&target));
                         if sk == st {
                             same_stripe_pairs += 1;
                         } else {
@@ -126,7 +128,7 @@ fn every_contended_insert_and_remove_is_won_exactly_once() {
     const SHARED: u64 = 300;
     const PRIVATE: u64 = 200;
     for stripes in STRIPE_COUNTS {
-        let dir: StripedHashDir<u64> = StripedHashDir::new(stripes);
+        let dir: Dir = HashDir::new(None, "d", stripes);
         let inserts_won = AtomicUsize::new(0);
         let removes_won = AtomicUsize::new(0);
         let start = Barrier::new(THREADS as usize);
@@ -220,13 +222,13 @@ fn footprints(bucket: usize) -> Footprints {
 #[test]
 fn each_operation_records_the_footprint_it_always_did() {
     let sink = HostTraceSink::new(2);
-    let dir: StripedHashDir<u64> = StripedHashDir::instrumented(8, &sink, "d");
+    let dir: Dir = HashDir::new(Some(&sink), "d", 8);
     // Enough neighbours that the key under test shares its stripe's table.
     for seq in 0..64 {
         dir.insert_if_absent(&queue_name(1, seq), seq);
     }
     let key = queue_name(0, 7);
-    let bucket = dir.stripe_of(&key);
+    let bucket = dir.bucket_of(&key);
     let Footprints {
         lookup,
         insert_won,
@@ -295,7 +297,7 @@ fn a_lost_insert_race_records_no_write_to_the_entries_line() {
     // lock word, so a core's log splits into operations unambiguously.
     const NAMES: u64 = 10_000;
     let sink = HostTraceSink::with_capacity(2, 8 * NAMES as usize);
-    let dir: StripedHashDir<u64> = StripedHashDir::instrumented(8, &sink, "d");
+    let dir: Dir = HashDir::new(Some(&sink), "d", 8);
     let names: Vec<String> = (0..NAMES).map(|seq| queue_name(0, seq)).collect();
     let start = Barrier::new(2);
     let per_core = footprint(&sink, || {
@@ -316,7 +318,7 @@ fn a_lost_insert_race_records_no_write_to_the_entries_line() {
     let mut logs = [&per_core[0][..], &per_core[1][..]];
     let mut lost_under_the_lock = 0;
     for name in &names {
-        let expect = footprints(dir.stripe_of(name));
+        let expect = footprints(dir.bucket_of(name));
         let mut winners = 0;
         for log in &mut logs {
             let op = [&expect.insert_won, &expect.insert_lost, &expect.lookup]
@@ -346,7 +348,7 @@ fn lookup_time_does_not_grow_with_the_directory() {
     // hash table costs the same. Best of five, so one slow phase of the box
     // cannot fail it, and a bound of 8 × so that only the shape is tested.
     fn ns_per_lookup(entries: u64) -> f64 {
-        let dir: StripedHashDir<u64> = StripedHashDir::new(1);
+        let dir: Dir = HashDir::new(None, "d", 1);
         for seq in 0..entries {
             assert!(dir.insert_if_absent(&queue_name(seq % 2, seq), seq));
         }

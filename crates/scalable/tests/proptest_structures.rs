@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use scr_mtrace::SimMachine;
-use scr_scalable::{HashDir, RadixArray, Refcache, ShardedCounter};
+use scr_scalable::{HashDir, PerCoreCounter, RadixArray, Refcache};
 use std::collections::BTreeMap;
 
 #[derive(Clone, Debug)]
@@ -30,7 +30,7 @@ proptest! {
     #[test]
     fn hash_dir_matches_a_plain_map(ops in proptest::collection::vec(dir_op(), 1..60)) {
         let machine = SimMachine::new();
-        let dir: HashDir<u64> = HashDir::new(&machine, "dir", 16);
+        let dir = HashDir::new(Some(&machine), "dir", 16);
         let mut reference: BTreeMap<String, u64> = BTreeMap::new();
         for op in ops {
             match op {
@@ -55,7 +55,7 @@ proptest! {
                     prop_assert_eq!(dir.get(&key), reference.get(&key).copied());
                 }
             }
-            prop_assert_eq!(dir.len_untraced(), reference.len());
+            prop_assert_eq!(dir.len(), reference.len());
         }
     }
 
@@ -64,7 +64,7 @@ proptest! {
         ops in proptest::collection::vec((0usize..300, any::<Option<u32>>()), 1..80)
     ) {
         let machine = SimMachine::new();
-        let array: RadixArray<u32> = RadixArray::new(&machine, "pages");
+        let array = RadixArray::new(Some(&machine), "pages");
         let mut reference: BTreeMap<usize, u32> = BTreeMap::new();
         for (index, value) in ops {
             match value {
@@ -80,7 +80,7 @@ proptest! {
         }
         let mut expected: Vec<usize> = reference.keys().copied().collect();
         expected.sort_unstable();
-        prop_assert_eq!(array.indices_untraced(), expected);
+        prop_assert_eq!(array.indices(), expected);
     }
 
     #[test]
@@ -89,7 +89,7 @@ proptest! {
         initial in 0i64..10
     ) {
         let machine = SimMachine::new();
-        let rc = Refcache::new(&machine, "count", 8, initial);
+        let rc = Refcache::new(Some(&machine), "count", 8, initial);
         let mut reference = initial;
         for (core, delta) in deltas {
             for _ in 0..delta.abs() {
@@ -107,11 +107,11 @@ proptest! {
     }
 
     #[test]
-    fn sharded_counter_matches_an_integer(
+    fn per_core_counter_matches_an_integer(
         adds in proptest::collection::vec((0usize..6, -10i64..10), 1..60)
     ) {
         let machine = SimMachine::new();
-        let counter = ShardedCounter::new(&machine, "ctr", 6);
+        let counter = PerCoreCounter::new(Some(&machine), "ctr", 6);
         let mut reference = 0i64;
         for (core, delta) in adds {
             counter.add(core, delta);
@@ -128,7 +128,7 @@ proptest! {
         // the Refcache delta lines stay core-private: the trace must be
         // conflict-free.
         let machine = SimMachine::new();
-        let rc = Refcache::new(&machine, "count", 4, 0);
+        let rc = Refcache::new(Some(&machine), "count", 4, 0);
         machine.start_tracing();
         for (core, delta) in updates {
             machine.on_core(core, || {
