@@ -42,7 +42,7 @@ pub fn statbench_host(threads: &[usize], ops_per_thread: u64) -> Vec<Series> {
         name: stat_mode.label().to_string(),
         points: threads
             .iter()
-            .map(|&n| workloads::statbench(HostMode::Sv6, stat_mode, n, ops_per_thread))
+            .map(|&n| workloads::statbench(HostMode::Sv6, stat_mode, n, ops_per_thread, None))
             .collect(),
     })
     .collect()

@@ -31,7 +31,7 @@
 //! keeps the verdicts and drops the tests.
 
 use crate::harness::race;
-use crate::kernel::{HostKernel, HostMode, HostOptions};
+use crate::kernel::{HostKernel, HostMode};
 use scr_core::pipeline::bucket_distinct_names;
 use scr_core::{
     analyze_pair, enumerate_shapes, generate_tests, run_sweep, run_test, CommuterConfig,
@@ -39,7 +39,7 @@ use scr_core::{
 };
 use scr_hostmtrace::{HostConflictReport, HostTraceSink};
 use scr_kernel::api::{perform, SockId, SocketOrder, SysOp, SysResult, SyscallApi};
-use scr_kernel::Sv6Kernel;
+use scr_kernel::{Sv6Kernel, Sv6Options};
 use scr_model::{pair_config, CallKind, ModelConfig};
 use scr_mtrace::AccessKind;
 use scr_obs::HeatMap;
@@ -124,7 +124,7 @@ pub fn replay_traced(
     (SysResult, SysResult),
 ) {
     let sink = HostTraceSink::new(cores.max(2));
-    let kernel = HostKernel::instrumented(cores, mode, HostOptions::default(), &sink);
+    let kernel = HostKernel::instrumented(cores, mode, Sv6Options::default(), &sink);
     let [a, b] = race(
         &kernel,
         test.procs,
@@ -138,10 +138,10 @@ pub fn replay_traced(
 }
 
 /// Normalises a pipe line label for footprint comparison: pipe *instance*
-/// ids differ between the simulated kernel (which derives them from its
-/// access counter) and the host kernel (a plain counter), so
-/// `pipe[0:17].buffer` becomes `pipe[0:#].buffer`. All other labels are
-/// returned unchanged.
+/// ids depend on the kernel (the sv6 body numbers its pipes with a
+/// per-kernel counter, the simulated Linux-like kernel with its machine's
+/// access count) and on what ran before, so `pipe[0:17].buffer` becomes
+/// `pipe[0:#].buffer`. All other labels are returned unchanged.
 pub fn normalize_pipe_label(label: &str) -> String {
     if let Some(rest) = label.strip_prefix("pipe[") {
         if let Some((head, tail)) = rest.split_once(']') {
@@ -899,7 +899,7 @@ pub fn run_ext_host(
     concurrent: bool,
 ) -> HostExtRun {
     let sink = HostTraceSink::new(cores.max(2));
-    let kernel = HostKernel::instrumented(cores, mode, HostOptions::default(), &sink);
+    let kernel = HostKernel::instrumented(cores, mode, Sv6Options::default(), &sink);
     let [a, b] = race(
         &kernel,
         test.procs,

@@ -8,14 +8,15 @@
 //! atomics and locks, not only their recorded footprint — executed by
 //! actual OS threads, timed with a wall clock.
 //!
-//! * [`kernel::HostKernel`] is a thread-safe implementation of the whole
-//!   `scr_kernel::api::SyscallApi` surface — the 18 modelled `SysOp` calls
-//!   plus the §4 extensions (datagram sockets in both orderings,
-//!   `fork`/`posix_spawn`/`wait`). It comes in two configurations:
-//!   [`kernel::HostMode::Sv6`] uses the 512-bucket hash directory, per-core
-//!   inode allocation, Refcache-style link counts, per-core socket queues
-//!   and a lock-free process table; [`kernel::HostMode::Linuxlike`] runs
-//!   the same code under one global kernel lock, the collapsing baseline.
+//! * [`kernel::HostKernel`] runs the one sv6 kernel body of
+//!   `scr_kernel::sv6` — the code the simulated `Sv6Kernel` runs — from
+//!   real threads, as a thin `scr_kernel::api::Layer` over it. It comes in
+//!   two configurations: [`kernel::HostMode::Sv6`] runs the body as it is
+//!   (512-bucket hash directory, per-core inode allocation, Refcache-style
+//!   link counts, per-core socket queues, a lock-free process table);
+//!   [`kernel::HostMode::Linuxlike`] gives the directory one bucket and
+//!   runs every call under one global kernel lock, the collapsing
+//!   baseline.
 //! * [`harness::LoadHarness`] spawns N OS threads, partitions work per
 //!   thread ("core"), and measures real operations per second per core.
 //!   [`harness::race`] is the one replay protocol of every real-threads
@@ -58,7 +59,6 @@ pub mod fig6;
 pub mod harness;
 pub mod kernel;
 pub mod pipeline;
-mod proc_table;
 pub mod workloads;
 
 pub use differential::{
@@ -74,9 +74,9 @@ pub use fig6::{
     EXT_CORPUS_BUDGET, EXT_MAX_ASSIGNMENTS_PER_CASE, LOWEST_FD_EXCEPTION,
 };
 pub use harness::{available_threads, LoadHarness};
-pub use kernel::{HostKernel, HostMode, HostOptions};
+pub use kernel::{HostKernel, HostMode};
 pub use pipeline::{run_pipeline, saturating_schedule, MailPipelineReport, PipelineConfig};
 pub use workloads::{
     mail_pipeline, mail_pipeline_observed, mailbench, mailbench_observed, openbench, statbench,
-    statbench_observed, HostStatMode, MailTelemetry,
+    HostStatMode, MailTelemetry,
 };

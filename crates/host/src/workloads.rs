@@ -8,13 +8,14 @@
 //! one that serialises them (a shared lock or a shared cache line).
 
 use crate::harness::LoadHarness;
-use crate::kernel::{HostKernel, HostMode, HostOptions};
+use crate::kernel::{HostKernel, HostMode};
 use crate::pipeline::{run_pipeline, saturating_schedule, MailPipelineReport, PipelineConfig};
 use scr_kernel::api::{Errno, Fd, OpenFlags, Pid, StatMask, SyscallApi};
 use scr_kernel::mail::{
     MailConfig, MailServer, MailStage, MailStageObserver, MailTopology, NoMailObs,
 };
 use scr_kernel::retry::{Backoff, RetryPolicy};
+use scr_kernel::sv6::Sv6Options;
 use scr_mtrace::{CoreId, ScalingPoint};
 use scr_obs::{
     Counter, Histogram, MetricsRegistry, ObservedKernel, SpanName, SyscallRecorder, TraceLog,
@@ -120,38 +121,29 @@ impl HostStatMode {
 }
 
 /// statbench on real threads: half the threads `fstat`/`fstatx` one shared
-/// file while the other half `link`/`unlink` it under fresh names.
+/// file while the other half `link`/`unlink` it under fresh names. With
+/// `telemetry` the calls go through an [`ObservedKernel`] feeding its
+/// syscall recorder; the hot loop is the same generic code either way, so
+/// the `obs_overhead` example can compare the two paths and gate the
+/// wrapper's cost.
 pub fn statbench(
     mode: HostMode,
     stat_mode: HostStatMode,
     threads: usize,
     ops_per_thread: u64,
+    telemetry: Option<&MailTelemetry>,
 ) -> ScalingPoint {
-    statbench_observed(mode, stat_mode, threads, ops_per_thread, None)
-}
-
-/// [`statbench`] with optional per-syscall recording. The hot loop is the
-/// same generic code whether the calls go straight to the [`HostKernel`]
-/// or through an [`ObservedKernel`] — so the `obs_overhead` example can
-/// compare the two paths (recorder disabled) and gate the wrapper's cost.
-pub fn statbench_observed(
-    mode: HostMode,
-    stat_mode: HostStatMode,
-    threads: usize,
-    ops_per_thread: u64,
-    recorder: Option<&Arc<SyscallRecorder>>,
-) -> ScalingPoint {
-    let options = HostOptions {
+    let options = Sv6Options {
         shared_link_counts: matches!(stat_mode, HostStatMode::FstatSharedCount),
     };
-    let kernel = Arc::new(HostKernel::with_options(threads, mode, options));
+    let kernel = HostKernel::with_options(threads, mode, options);
     let pid = kernel.new_process();
     let fd = kernel
         .open(0, pid, "statfile", OpenFlags::create())
         .expect("create statfile");
-    match recorder {
-        Some(recorder) => {
-            let observed = ObservedKernel::new(kernel.as_ref(), recorder.clone());
+    match telemetry {
+        Some(t) => {
+            let observed = ObservedKernel::new(&kernel, t.syscalls.clone());
             statbench_loop(
                 &observed,
                 &kernel,
@@ -163,7 +155,7 @@ pub fn statbench_observed(
             )
         }
         None => statbench_loop(
-            kernel.as_ref(),
+            &kernel,
             &kernel,
             stat_mode,
             threads,
@@ -177,7 +169,7 @@ pub fn statbench_observed(
 /// The statbench hot loop, generic over the syscall surface it drives.
 /// `host` is the concrete kernel, needed only for the periodic epoch pass
 /// (`reclaim_core` is not part of [`SyscallApi`]).
-fn statbench_loop<K: SyscallApi + Sync + ?Sized>(
+fn statbench_loop<K: SyscallApi + Sync>(
     api: &K,
     host: &HostKernel,
     stat_mode: HostStatMode,
@@ -387,7 +379,7 @@ mod tests {
             HostStatMode::FstatSharedCount,
             HostStatMode::FstatxNoNlink,
         ] {
-            let point = statbench(HostMode::Sv6, stat_mode, 2, 50);
+            let point = statbench(HostMode::Sv6, stat_mode, 2, 50, None);
             assert_eq!(point.total_ops, 100);
             assert!(point.ops_per_sec_per_core > 0.0);
         }
@@ -430,16 +422,16 @@ mod tests {
     }
 
     #[test]
-    fn statbench_observed_counts_every_hot_loop_call() {
-        let registry = MetricsRegistry::new(2);
-        let recorder = SyscallRecorder::new(&registry);
-        let point = statbench_observed(
+    fn observed_statbench_counts_every_hot_loop_call() {
+        let telemetry = MailTelemetry::new(2);
+        let point = statbench(
             HostMode::Sv6,
             HostStatMode::FstatRefcache,
             2,
             50,
-            Some(&recorder),
+            Some(&telemetry),
         );
+        let recorder = &telemetry.syscalls;
         assert_eq!(point.total_ops, 100);
         // Two threads split one stat / one link-unlink worker.
         use scr_obs::SyscallKind;

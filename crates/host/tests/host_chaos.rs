@@ -8,13 +8,12 @@
 use scr_chaos::kernel::{FaultyKernel, ReliableKernel};
 use scr_chaos::plan::{ChaosPlan, DelaySpec, FaultSpec};
 use scr_host::workloads::MailTelemetry;
-use scr_host::{
-    run_pipeline, saturating_schedule, HostKernel, HostMode, HostOptions, PipelineConfig,
-};
+use scr_host::{run_pipeline, saturating_schedule, HostKernel, HostMode, PipelineConfig};
 use scr_hostmtrace::{on_core, HostTraceSink, WindowHeat};
 use scr_kernel::api::{Errno, OpenFlags, StatMask, SyscallApi};
 use scr_kernel::mail::{MailConfig, MailTopology};
 use scr_kernel::retry::RetryPolicy;
+use scr_kernel::Sv6Options;
 
 /// Runs a fixed single-threaded sequence of faultable calls under `plan`
 /// and returns the observable outcome pattern plus the injection count.
@@ -52,7 +51,7 @@ fn fault_injection_is_deterministic_per_plan() {
 /// optionally behind a `FaultyKernel` carrying the *disabled* plan.
 fn traced_heat(through_chaos: bool) -> WindowHeat {
     let sink = HostTraceSink::new(2);
-    let kernel = HostKernel::instrumented(2, HostMode::Sv6, HostOptions::default(), &sink);
+    let kernel = HostKernel::instrumented(2, HostMode::Sv6, Sv6Options::default(), &sink);
     let pid = kernel.new_process();
     let fd = on_core(0, || kernel.open(0, pid, "parity", OpenFlags::create())).unwrap();
 

@@ -280,6 +280,7 @@ fn host_workloads_complete_under_minimal_parallelism() {
         workloads::HostStatMode::FstatxNoNlink,
         2,
         100,
+        None,
     );
     assert_eq!(p1.total_ops, 200);
     let p2 = workloads::mailbench(

@@ -9,9 +9,10 @@
 //! and pin that building a kernel costs a handful of blocks, not one
 //! allocation per line.
 
-use scr_host::kernel::{HostKernel, HostMode, HostOptions, FDS_PER_CORE};
+use scr_host::kernel::{HostKernel, HostMode, FDS_PER_CORE};
 use scr_hostmtrace::{HostTraceSink, LineId};
 use scr_kernel::api::{MmapBacking, OpenFlags, Prot, SocketOrder, SyscallApi};
+use scr_kernel::Sv6Options;
 use std::sync::Arc;
 
 const CORES: usize = 4;
@@ -20,7 +21,7 @@ const FANOUT: usize = 64;
 
 fn instrumented(mode: HostMode) -> (Arc<HostTraceSink>, HostKernel) {
     let sink = HostTraceSink::new(CORES);
-    let kernel = HostKernel::instrumented(CORES, mode, HostOptions::default(), &sink);
+    let kernel = HostKernel::instrumented(CORES, mode, Sv6Options::default(), &sink);
     (sink, kernel)
 }
 
@@ -69,14 +70,15 @@ fn process(labels: &mut Vec<String>, pid: usize) {
 fn eager_labels(stripes: usize) -> Vec<String> {
     let mut labels = Vec::new();
     let l = &mut labels;
-    // The kernel: root directory, inode allocator, giant lock, defer queues.
+    // The kernel: root directory, inode allocator, defer queues, then the
+    // host layer's giant lock.
     per_index(l, 2 * stripes, |i| {
         let line = if i % 2 == 0 { "lock" } else { "entries" };
         format!("scalefs.root.bucket[{}].{line}", i / 2)
     });
     per_index(l, CORES, |c| format!("scalefs.next_ino[{c}]"));
-    l.push("kernel.giant_lock".into());
     per_index(l, CORES, |c| format!("scalefs.inode_gc.defer[{c}]"));
+    l.push("kernel.giant_lock".into());
     process(l, 0);
     process(l, 1);
     // open(create): the first inode on core 0 is 1 << 8.
@@ -145,7 +147,7 @@ fn building_costs_blocks_per_structure_not_allocations_per_line() {
     // 1 024 directory lines plus 2 × (64 descriptor slots + 64 radix
     // interior slots + 4 bump allocators), and a few per-core lines.
     assert!(sink.line_count() >= 1_288, "{}", sink.line_count());
-    // Directory, inode allocator, giant lock, defer queues and three
+    // Directory, inode allocator, defer queues, giant lock and three
     // blocks per process.
     assert_eq!(sink.block_count(), 10);
 }

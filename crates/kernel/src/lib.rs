@@ -8,18 +8,18 @@
 //!   commutativity-friendly variants §4 proposes (`fstatx`, `O_ANYFD`,
 //!   unordered datagram sockets, `posix_spawn`/`wait`), and a reified
 //!   [`api::SysOp`] so generated test cases can drive any implementation.
-//!   [`api::KernelApi`] extends it with the simulated machine handle; the
-//!   real-threads `HostKernel` of `scr-host` implements `SyscallApi` only.
+//!   [`api::KernelApi`] extends it with the simulated machine handle.
 //!   [`api::Layer`] is how a wrapper (telemetry, fault injection, retry)
 //!   gets the whole surface from one `around` hook.
 //! * [`sv6`] is the ScaleFS + RadixVM-style implementation (§6.3): hash
 //!   directories with per-bucket locks, radix-array page caches and address
 //!   spaces, Refcache link counts, per-core inode and descriptor
 //!   allocation, deferred reclamation, and optimistic check-then-update
-//!   paths. Its structures are the ones `scr-scalable` writes once for
-//!   every kernel, here recording on the simulated machine. It
-//!   deliberately keeps the paper's §6.4 residual non-scalable cases
-//!   (idempotent updates, pipe end reference counts).
+//!   paths. It is written once, generic over its line substrate:
+//!   [`Sv6Kernel`] runs it on the simulated machine, and the real-threads
+//!   `HostKernel` of `scr-host` is a thin [`api::Layer`] over the same body
+//!   on a trace sink. It deliberately keeps the paper's §6.4 residual
+//!   non-scalable cases (idempotent updates, pipe end reference counts).
 //! * [`linuxlike`] is the baseline whose sharing structure mirrors the
 //!   conflict sources §6.2 reports for Linux 3.8: dentry and `struct file`
 //!   reference counts, per-parent-directory locks, lowest-FD allocation
@@ -34,6 +34,7 @@
 pub mod api;
 pub mod linuxlike;
 pub mod mail;
+mod proc_table;
 pub mod retry;
 pub mod sv6;
 

@@ -1,10 +1,10 @@
-//! The host kernel's process table: lock-free, append-only and indexable.
+//! The sv6 kernel's process table: lock-free, append-only and indexable.
 //!
-//! The simulated kernels keep processes in an untraced `RefCell<Vec<…>>`;
-//! the paper's point about `posix_spawn` is that process creation should
-//! commute with everything that does not observe the new pid, so the host
-//! table must not reintroduce a writer lock that every concurrent syscall's
-//! pid lookup would bounce on.
+//! The table is untraced, like a pid vector; the paper's point about
+//! `posix_spawn` is that process creation should commute with everything
+//! that does not observe the new pid, so on real threads the table must not
+//! introduce a writer lock that every concurrent syscall's pid lookup would
+//! bounce on.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -13,9 +13,8 @@ use std::sync::OnceLock;
 const PROC_SEG_SIZE: usize = 512;
 /// Maximum number of segments, bounding the table at 2 097 152 processes.
 /// The mail workload spawns one short-lived helper per delivered message
-/// and pids are never reused (matching the simulated kernels), so the
-/// bound must absorb a full wide benchmark sweep; exceeding it is a
-/// panic, not UB.
+/// and pids are never reused, so the bound must absorb a full wide
+/// benchmark sweep; exceeding it is a panic, not UB.
 const PROC_SEGMENTS: usize = 4096;
 
 /// One lazily allocated chunk of a [`ProcTable`].
@@ -26,7 +25,7 @@ type ProcSegment<T> = Box<[OnceLock<T>]>;
 /// allocated segment; `push_with` claims a dense pid with one `fetch_add`
 /// and publishes the entry with a release store. Entries are never removed
 /// ("zombie-reaped" processes keep their pid, with an emptied descriptor
-/// table), matching the simulated kernels.
+/// table).
 #[derive(Debug)]
 pub(crate) struct ProcTable<T> {
     segments: Box<[OnceLock<ProcSegment<T>>]>,

@@ -12,9 +12,10 @@
 use crate::openloop::{run_open_loop, run_open_loop_on, LoadConfig, LoadReport};
 use crate::schedule::Arrival;
 use scr_chaos::plan::ChaosPlan;
-use scr_host::kernel::{HostKernel, HostMode, HostOptions};
+use scr_host::kernel::{HostKernel, HostMode};
 use scr_hostmtrace::HostTraceSink;
 use scr_kernel::mail::{MailConfig, MailTopology};
+use scr_kernel::Sv6Options;
 use scr_obs::{HeatMap, Json, RunMeta, DEFAULT_QUANTILES};
 
 /// Trace-log capacity per thread for the heat pass: sized so a few hundred
@@ -177,7 +178,7 @@ fn heat_pass(spec: &SweepSpec, config: &LoadConfig) -> (Vec<ShardHeat>, Vec<(Str
     let kernel = HostKernel::instrumented(
         config.topology.cores(),
         config.mode,
-        HostOptions::default(),
+        Sv6Options::default(),
         &sink,
     );
     sink.begin_window();

@@ -14,11 +14,12 @@
 //!
 //! * on the simulated machine ([`scr_mtrace::SimMachine`]), where the
 //!   conflict detector and the MESI model read the footprint — the
-//!   simulated kernels of `scr-kernel` build every structure this way;
+//!   simulated sv6 and Linux-like kernels of `scr-kernel`;
 //! * on a real-threads trace sink (`Arc<scr_hostmtrace::HostTraceSink>`),
-//!   where the host Figure 6 reads it;
-//! * or on nothing (`None`), the uninstrumented host kernel's choice, which
-//!   costs one `Option` check per operation.
+//!   where the host Figure 6 reads it — the same sv6 kernel body, run
+//!   from OS threads as `scr-host`'s instrumented `HostKernel`;
+//! * or on nothing (`None`), the uninstrumented `HostKernel`'s choice,
+//!   which costs one `Option` check per operation.
 //!
 //! Constructors take the substrate and the label the structure's lines are
 //! named under; the label is formatted only when there is a substrate.

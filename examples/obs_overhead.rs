@@ -20,9 +20,9 @@
 //!
 //! Run with `cargo run --release --example obs_overhead`.
 
-use scalable_commutativity::host::workloads::{statbench, statbench_observed, HostStatMode};
+use scalable_commutativity::host::workloads::{statbench, HostStatMode, MailTelemetry};
 use scalable_commutativity::host::HostMode;
-use scalable_commutativity::obs::{metrics_out, Json, MetricsRegistry, RunMeta, SyscallRecorder};
+use scalable_commutativity::obs::{metrics_out, Json, MetricsRegistry, RunMeta};
 use std::time::Instant;
 
 /// Default ceiling for disabled-telemetry wall time relative to the raw
@@ -50,43 +50,27 @@ fn main() {
          best of {TRIALS} interleaved trials, ceiling {ceiling:.2}×"
     );
 
-    let disabled_registry = MetricsRegistry::disabled(THREADS);
-    let disabled_recorder = SyscallRecorder::new(&disabled_registry);
-    let enabled_registry = MetricsRegistry::new(THREADS);
-    let enabled_recorder = SyscallRecorder::new(&enabled_registry);
+    let disabled_telemetry = MailTelemetry::over(MetricsRegistry::disabled(THREADS));
+    let enabled_telemetry = MailTelemetry::new(THREADS);
+    let run = |telemetry, ops| {
+        statbench(
+            HostMode::Sv6,
+            HostStatMode::FstatxNoNlink,
+            THREADS,
+            ops,
+            telemetry,
+        );
+    };
 
     // Warm-up: fault in code paths and allocator state before timing.
-    statbench(HostMode::Sv6, HostStatMode::FstatxNoNlink, THREADS, 1_000);
+    run(None, 1_000);
 
     let (mut raw_best, mut disabled_best, mut enabled_best) = (f64::MAX, f64::MAX, f64::MAX);
     for trial in 0..TRIALS {
         // Interleaved so drift (thermal, scheduler) hits all three equally.
-        let raw = time_once(|| {
-            statbench(
-                HostMode::Sv6,
-                HostStatMode::FstatxNoNlink,
-                THREADS,
-                OPS_PER_THREAD,
-            );
-        });
-        let disabled = time_once(|| {
-            statbench_observed(
-                HostMode::Sv6,
-                HostStatMode::FstatxNoNlink,
-                THREADS,
-                OPS_PER_THREAD,
-                Some(&disabled_recorder),
-            );
-        });
-        let enabled = time_once(|| {
-            statbench_observed(
-                HostMode::Sv6,
-                HostStatMode::FstatxNoNlink,
-                THREADS,
-                OPS_PER_THREAD,
-                Some(&enabled_recorder),
-            );
-        });
+        let raw = time_once(|| run(None, OPS_PER_THREAD));
+        let disabled = time_once(|| run(Some(&disabled_telemetry), OPS_PER_THREAD));
+        let enabled = time_once(|| run(Some(&enabled_telemetry), OPS_PER_THREAD));
         println!(
             "  trial {trial}: raw {:.1} ns/op, disabled {:.1} ns/op, enabled {:.1} ns/op",
             raw * 1e9 / total_ops as f64,
@@ -100,7 +84,7 @@ fn main() {
 
     // The disabled recorder must have recorded *nothing* — otherwise the
     // "disabled" lane silently measured the enabled path.
-    let disabled_snapshot = disabled_registry.snapshot();
+    let disabled_snapshot = disabled_telemetry.registry.snapshot();
     let disabled_recorded: u64 = disabled_snapshot.counters.values().map(|c| c.total).sum();
     assert_eq!(
         disabled_recorded, 0,

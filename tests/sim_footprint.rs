@@ -13,6 +13,13 @@
 //!   socket flavours;
 //! * one short run each of statbench, openbench and mailbench at 4 cores.
 //!
+//! Each source is also folded a second way: per log, the sorted multiset
+//! of (core, label, kind) with pipe instance ids masked
+//! ([`normalize_pipe_label`]). That fold is blind to the order of accesses
+//! within a log and to how a kernel numbers its pipes, so a change that
+//! only reorders a call's accesses or renumbers pipes moves [`EXPECTED`]
+//! but not [`EXPECTED_MULTISET`].
+//!
 //! A change to how the structures are written must leave every constant
 //! unchanged; a change that means to move the footprint updates them and
 //! says why.
@@ -20,6 +27,7 @@
 use scalable_commutativity::commuter::{
     run_commuter, CommuterConfig, KernelFactory, LinuxLikeFactory, Sv6Factory,
 };
+use scalable_commutativity::host::normalize_pipe_label;
 use scalable_commutativity::kernel::api::{
     perform, KernelApi, MmapBacking, OpenFlags, Prot, SocketOrder, StatMask, SyscallApi, Whence,
     PAGE_SIZE,
@@ -54,9 +62,58 @@ fn fold_log(h: &mut Fnv64, machine: &SimMachine) {
     h.word(u64::MAX);
 }
 
+/// Folds a machine's access log into `h` as the sorted multiset of (core,
+/// label with pipe ids masked, kind).
+fn fold_multiset(h: &mut Fnv64, machine: &SimMachine) {
+    let mut labels: HashMap<LineId, String> = HashMap::new();
+    let mut accesses: Vec<(usize, &str, bool)> = Vec::new();
+    let log = machine.accesses();
+    for access in &log {
+        labels
+            .entry(access.line)
+            .or_insert_with(|| normalize_pipe_label(&machine.label_of(access.line)));
+    }
+    for access in &log {
+        let write = access.kind == AccessKind::Write;
+        accesses.push((access.core, &labels[&access.line], write));
+    }
+    accesses.sort_unstable();
+    for (core, label, write) in accesses {
+        h.word(core as u64);
+        h.word(label.len() as u64);
+        h.bytes(label.as_bytes());
+        h.word(write as u64);
+    }
+    h.word(u64::MAX);
+}
+
+/// Both folds of one source: the ordered log and the multiset.
+#[derive(Default)]
+struct Folds {
+    log: Fnv64,
+    multiset: Fnv64,
+}
+
+impl Folds {
+    fn add(&mut self, machine: &SimMachine) {
+        fold_log(&mut self.log, machine);
+        fold_multiset(&mut self.multiset, machine);
+    }
+
+    fn of(machine: &SimMachine) -> (u64, u64) {
+        let mut folds = Folds::default();
+        folds.add(machine);
+        folds.finish()
+    }
+
+    fn finish(&self) -> (u64, u64) {
+        (self.log.finish(), self.multiset.finish())
+    }
+}
+
 /// The corpus of the four calls `tests/sweep_determinism.rs` pins, each test
 /// replayed with its setup and its pair traced.
-fn corpus(factory: &dyn KernelFactory) -> u64 {
+fn corpus(factory: &dyn KernelFactory) -> (u64, u64) {
     let calls = [
         CallKind::Open,
         CallKind::Stat,
@@ -70,7 +127,7 @@ fn corpus(factory: &dyn KernelFactory) -> u64 {
     };
     let tests = run_commuter(&config, &[]).tests;
     assert!(tests.len() > 100, "{} tests", tests.len());
-    let mut h = Fnv64::default();
+    let mut folds = Folds::default();
     for test in &tests {
         let kernel = factory.build();
         let machine = kernel.machine().clone();
@@ -83,9 +140,9 @@ fn corpus(factory: &dyn KernelFactory) -> u64 {
         }
         machine.on_core(0, || perform(kernel.as_ref(), 0, &test.op_a));
         machine.on_core(1, || perform(kernel.as_ref(), 1, &test.op_b));
-        fold_log(&mut h, &machine);
+        folds.add(&machine);
     }
-    h.finish()
+    folds.finish()
 }
 
 /// Runs `f` on `core`, its result unused.
@@ -94,7 +151,7 @@ fn on<R>(m: &SimMachine, core: usize, f: impl FnOnce(usize) -> R) {
 }
 
 /// A fixed script over every structure, each call on its own core.
-fn script(factory: &dyn KernelFactory) -> u64 {
+fn script(factory: &dyn KernelFactory) -> (u64, u64) {
     let k = factory.build();
     let k = k.as_ref();
     let m = k.machine().clone();
@@ -172,14 +229,12 @@ fn script(factory: &dyn KernelFactory) -> u64 {
         on(&m, 3, |c| k.recv(c, s));
         on(&m, 2, |c| k.recv(c, s));
     }
-    let mut h = Fnv64::default();
-    fold_log(&mut h, &m);
-    h.finish()
+    Folds::of(&m)
 }
 
 /// statbench: half the cores `fstat` (or `fstatx`) one file while the other
 /// half link and unlink it.
-fn statbench(shared_link_counts: bool, fstatx: bool) -> u64 {
+fn statbench(shared_link_counts: bool, fstatx: bool) -> (u64, u64) {
     let kernel = Sv6Kernel::with_options(CORES, Sv6Options { shared_link_counts });
     let m = kernel.machine().clone();
     m.start_tracing();
@@ -206,13 +261,11 @@ fn statbench(shared_link_counts: bool, fstatx: bool) -> u64 {
             });
         }
     }
-    let mut h = Fnv64::default();
-    fold_log(&mut h, &m);
-    h.finish()
+    Folds::of(&m)
 }
 
 /// openbench: every core opens and closes its own file.
-fn openbench(anyfd: bool) -> u64 {
+fn openbench(anyfd: bool) -> (u64, u64) {
     let kernel = Sv6Kernel::new(CORES);
     let m = kernel.machine().clone();
     m.start_tracing();
@@ -238,13 +291,11 @@ fn openbench(anyfd: bool) -> u64 {
             });
         }
     }
-    let mut h = Fnv64::default();
-    fold_log(&mut h, &m);
-    h.finish()
+    Folds::of(&m)
 }
 
 /// mailbench: every core enqueues a message and runs one queue-manager step.
-fn mailbench(config: MailConfig) -> u64 {
+fn mailbench(config: MailConfig) -> (u64, u64) {
     let kernel = Sv6Kernel::new(CORES);
     let m = kernel.machine().clone();
     m.start_tracing();
@@ -268,9 +319,7 @@ fn mailbench(config: MailConfig) -> u64 {
             });
         }
     }
-    let mut h = Fnv64::default();
-    fold_log(&mut h, &m);
-    h.finish()
+    Folds::of(&m)
 }
 
 #[test]
@@ -293,28 +342,39 @@ fn simulated_footprint_is_pinned() {
             mailbench(MailConfig::CommutativeApis),
         ),
     ];
-    let rendered: Vec<String> = got
-        .iter()
-        .map(|(what, hash)| format!("{what}: {hash:016x}"))
-        .collect();
+    let render = |hash: fn(&(u64, u64)) -> u64| -> Vec<String> {
+        got.iter()
+            .map(|(what, folds)| format!("{what}: {:016x}", hash(folds)))
+            .collect()
+    };
+    let (rendered, multisets) = (render(|f| f.0), render(|f| f.1));
     let mut all = Fnv64::default();
-    for (_, hash) in &got {
+    for (_, (hash, _)) in &got {
         all.word(*hash);
     }
-    println!("{}\nfootprint: {:016x}", rendered.join("\n"), all.finish());
+    println!(
+        "{}\nfootprint: {:016x}\nmultisets:\n{}",
+        rendered.join("\n"),
+        all.finish(),
+        multisets.join("\n")
+    );
+    assert_eq!(multisets, EXPECTED_MULTISET);
     assert_eq!(rendered, EXPECTED, "footprint: {:016x}", all.finish());
     assert_eq!(all.finish(), FOOTPRINT);
 }
 
-/// Per-source hashes.
+/// Per-source hashes. `corpus sv6`, `script sv6` and the three statbench
+/// sources last moved when sv6 `link` began publishing its link-count
+/// increment before inserting the name, and sv6 pipes took their label
+/// ids from a per-kernel counter; [`EXPECTED_MULTISET`] did not move.
 const EXPECTED: [&str; 11] = [
-    "corpus sv6: fed89ee130550575",
+    "corpus sv6: 5171868d97a0dbb3",
     "corpus linux: f0de576933ceea5c",
-    "script sv6: 3827bf5f11dc408b",
+    "script sv6: c594a7f95be33dbd",
     "script linux: cb6ad836925a5c5c",
-    "statbench refcache: a81be482c542257c",
-    "statbench shared: e7f84b5b911bba7a",
-    "statbench fstatx: 55ade65f8329a5d8",
+    "statbench refcache: 5c9c51cce22b9848",
+    "statbench shared: c16537a2b0c22a2e",
+    "statbench fstatx: 352edee5edda55a0",
     "openbench lowest: 9d0a3313ac322f47",
     "openbench anyfd: ed7ef8811d4f74f3",
     "mailbench regular: 2a59eb3cb1e59136",
@@ -322,4 +382,19 @@ const EXPECTED: [&str; 11] = [
 ];
 
 /// The fold of [`EXPECTED`].
-const FOOTPRINT: u64 = 0xa28f_13c2_06c4_156b;
+const FOOTPRINT: u64 = 0x37d7_f2ce_5f88_9163;
+
+/// Per-source multiset hashes.
+const EXPECTED_MULTISET: [&str; 11] = [
+    "corpus sv6: baa4bbeb0ab9daa5",
+    "corpus linux: d1d8f931c284782e",
+    "script sv6: 8b6d017cb8ba018a",
+    "script linux: 4a8a232113611035",
+    "statbench refcache: b8547acf16f29144",
+    "statbench shared: 25696611b358d1b4",
+    "statbench fstatx: 32ef0169eac9c96b",
+    "openbench lowest: b67466cbc771a0c8",
+    "openbench anyfd: d4a6a17fe6ec1c7e",
+    "mailbench regular: 13d097010ef81234",
+    "mailbench commutative: 9e0a4e41bc55ac32",
+];
