@@ -20,12 +20,18 @@
 //! only reorders a call's accesses or renumbers pipes moves [`EXPECTED`]
 //! but not [`EXPECTED_MULTISET`].
 //!
+//! The corpus's Figure 6 verdicts on the Linux-like kernel are folded a
+//! third way ([`verdicts`]): which tests are conflict-free, and nothing
+//! else. A change that moves the Linux-like footprint on purpose must
+//! still hold that constant.
+//!
 //! A change to how the structures are written must leave every constant
 //! unchanged; a change that means to move the footprint updates them and
 //! says why.
 
 use scalable_commutativity::commuter::{
-    run_commuter, CommuterConfig, KernelFactory, LinuxLikeFactory, Sv6Factory,
+    run_commuter, run_test, CommuterConfig, ConcreteTest, KernelFactory, LinuxLikeFactory,
+    Sv6Factory,
 };
 use scalable_commutativity::host::normalize_pipe_label;
 use scalable_commutativity::kernel::api::{
@@ -111,9 +117,8 @@ impl Folds {
     }
 }
 
-/// The corpus of the four calls `tests/sweep_determinism.rs` pins, each test
-/// replayed with its setup and its pair traced.
-fn corpus(factory: &dyn KernelFactory) -> (u64, u64) {
+/// The generated tests of the four calls `tests/sweep_determinism.rs` pins.
+fn corpus_tests() -> Vec<ConcreteTest> {
     let calls = [
         CallKind::Open,
         CallKind::Stat,
@@ -127,8 +132,13 @@ fn corpus(factory: &dyn KernelFactory) -> (u64, u64) {
     };
     let tests = run_commuter(&config, &[]).tests;
     assert!(tests.len() > 100, "{} tests", tests.len());
+    tests
+}
+
+/// The corpus, each test replayed with its setup and its pair traced.
+fn corpus(factory: &dyn KernelFactory, tests: &[ConcreteTest]) -> (u64, u64) {
     let mut folds = Folds::default();
-    for test in &tests {
+    for test in tests {
         let kernel = factory.build();
         let machine = kernel.machine().clone();
         machine.start_tracing();
@@ -143,6 +153,19 @@ fn corpus(factory: &dyn KernelFactory) -> (u64, u64) {
         folds.add(&machine);
     }
     folds.finish()
+}
+
+/// The corpus's Figure 6 verdicts: the ordered sequence of (test index,
+/// conflict-free) that [`run_test`] reports on `factory`'s kernel. Unlike
+/// the footprint folds, this is blind to labels and to which lines a call
+/// touches; it moves only when a pair's conflict-freedom does.
+fn verdicts(factory: &dyn KernelFactory, tests: &[ConcreteTest]) -> u64 {
+    let mut h = Fnv64::default();
+    for (i, test) in tests.iter().enumerate() {
+        h.word(i as u64);
+        h.word(u64::from(run_test(factory, test).conflict_free));
+    }
+    h.finish()
 }
 
 /// Runs `f` on `core`, its result unused.
@@ -326,9 +349,10 @@ fn mailbench(config: MailConfig) -> (u64, u64) {
 fn simulated_footprint_is_pinned() {
     let sv6 = Sv6Factory { cores: CORES };
     let linux = LinuxLikeFactory { cores: CORES };
+    let tests = corpus_tests();
     let got = [
-        ("corpus sv6", corpus(&sv6)),
-        ("corpus linux", corpus(&linux)),
+        ("corpus sv6", corpus(&sv6, &tests)),
+        ("corpus linux", corpus(&linux, &tests)),
         ("script sv6", script(&sv6)),
         ("script linux", script(&linux)),
         ("statbench refcache", statbench(false, false)),
@@ -358,10 +382,16 @@ fn simulated_footprint_is_pinned() {
         all.finish(),
         multisets.join("\n")
     );
+    let linux_verdicts = verdicts(&linux, &tests);
+    println!("corpus linux verdicts: {linux_verdicts:016x}");
     assert_eq!(multisets, EXPECTED_MULTISET);
+    assert_eq!(linux_verdicts, LINUX_VERDICTS, "corpus linux verdicts");
     assert_eq!(rendered, EXPECTED, "footprint: {:016x}", all.finish());
     assert_eq!(all.finish(), FOOTPRINT);
 }
+
+/// The fold of [`verdicts`] on the Linux-like kernel over the corpus.
+const LINUX_VERDICTS: u64 = 0x72d4_3459_987e_4365;
 
 /// Per-source hashes. `corpus sv6`, `script sv6` and the three statbench
 /// sources last moved when sv6 `link` began publishing its link-count
