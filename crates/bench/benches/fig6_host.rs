@@ -4,8 +4,9 @@
 //! real-threads `HostKernel` with a `scr-hostmtrace` tracing window around
 //! the concurrent pair — and prints the `sv6-host` and `linux-host`
 //! heatmaps next to their simulated counterparts, plus the SIM↔host
-//! cross-check (every simulated-conflict-free test must be host-conflict-
-//! free, lowest-FD contention excepted and listed explicitly).
+//! cross-check (every test conflict-free on a simulated kernel must be
+//! conflict-free on the host kernel of the same policy, lowest-FD
+//! contention excepted and listed explicitly).
 //!
 //! Run with `cargo bench -p scr-bench --bench fig6_host`. Set
 //! `SCR_BENCH_QUICK=1` to restrict the sweep to the representative call
@@ -57,9 +58,6 @@ fn main() {
     );
     if !results.divergences.is_empty() {
         println!("{}", results.describe_divergences());
-    }
-    if let Err(err) = results.assert_linux_collapses() {
-        println!("WARNING: {err}");
     }
     assert!(
         results.unexplained_divergences().is_empty(),

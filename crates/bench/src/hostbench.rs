@@ -48,16 +48,16 @@ pub fn statbench_host(threads: &[usize], ops_per_thread: u64) -> Vec<Series> {
     .collect()
 }
 
-/// openbench on real threads: sv6-like `O_ANYFD` against the linuxlike
-/// globally-locked kernel with lowest-FD allocation.
+/// openbench on real threads: sv6-like `O_ANYFD` against the linux-like
+/// kernel with lowest-FD allocation under its `file_lock`.
 pub fn openbench_host(threads: &[usize], ops_per_thread: u64) -> Vec<Series> {
     [
-        (HostMode::Sv6, true, "sv6-like, O_ANYFD"),
-        (HostMode::Linuxlike, false, "linuxlike, lowest FD"),
+        (HostMode::Sv6, true, "O_ANYFD"),
+        (HostMode::Linuxlike, false, "lowest FD"),
     ]
     .into_iter()
-    .map(|(mode, anyfd, name)| Series {
-        name: name.to_string(),
+    .map(|(mode, anyfd, fds)| Series {
+        name: format!("{}, {fds}", mode.label()),
         points: threads
             .iter()
             .map(|&n| workloads::openbench(mode, anyfd, n, ops_per_thread))
@@ -68,13 +68,13 @@ pub fn openbench_host(threads: &[usize], ops_per_thread: u64) -> Vec<Series> {
 
 /// The §7.3 mail pipeline on real threads (enqueue → notification socket →
 /// qman → spawn/wait → deliver): commutative APIs on the sv6-like kernel
-/// against regular APIs on the linuxlike kernel — the paper's Figure 7
+/// against regular APIs on the linux-like kernel — the paper's Figure 7
 /// mail-server comparison.
 pub fn mailbench_host(threads: &[usize], ops_per_thread: u64) -> Vec<Series> {
     mail_columns()
         .into_iter()
         .map(|(mode, config, name)| Series {
-            name: name.to_string(),
+            name,
             points: threads
                 .iter()
                 .map(|&n| workloads::mailbench(mode, config, n, ops_per_thread))
@@ -84,19 +84,12 @@ pub fn mailbench_host(threads: &[usize], ops_per_thread: u64) -> Vec<Series> {
 }
 
 /// The two mailbench columns, shared by the throughput and latency sweeps.
-fn mail_columns() -> [(HostMode, MailConfig, &'static str); 2] {
+fn mail_columns() -> [(HostMode, MailConfig, String); 2] {
     [
-        (
-            HostMode::Sv6,
-            MailConfig::CommutativeApis,
-            "sv6-like, commutative APIs",
-        ),
-        (
-            HostMode::Linuxlike,
-            MailConfig::RegularApis,
-            "linuxlike, regular APIs",
-        ),
+        (HostMode::Sv6, MailConfig::CommutativeApis, "commutative"),
+        (HostMode::Linuxlike, MailConfig::RegularApis, "regular"),
     ]
+    .map(|(mode, config, apis)| (mode, config, format!("{}, {apis} APIs", mode.label())))
 }
 
 /// One row of the closed-loop mail latency table: a configuration at a
@@ -122,7 +115,7 @@ pub fn mailbench_host_latency(threads: &[usize], ops_per_thread: u64) -> Vec<Mai
             let telemetry = MailTelemetry::new(n);
             workloads::mailbench_observed(mode, config, n, ops_per_thread, Some(&telemetry));
             rows.push(MailLatencyRow {
-                name: name.to_string(),
+                name: name.clone(),
                 threads: n,
                 latency: telemetry.latency.merged(),
             });

@@ -16,7 +16,7 @@
 
 use crate::testgen::ConcreteTest;
 use scr_kernel::api::{perform, KernelApi, SysResult};
-use scr_kernel::{LinuxLikeKernel, Sv6Kernel};
+use scr_kernel::Sv6Kernel;
 
 /// Builds fresh kernel instances for test runs.
 pub trait KernelFactory: Sync {
@@ -43,7 +43,8 @@ impl KernelFactory for Sv6Factory {
     }
 }
 
-/// Factory for the Linux-like baseline kernel.
+/// Factory for the Linux-like baseline: the kernel body under
+/// [`scr_kernel::Policy::Linuxlike`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LinuxLikeFactory {
     /// Number of simulated cores to configure.
@@ -56,7 +57,7 @@ impl KernelFactory for LinuxLikeFactory {
     }
 
     fn build(&self) -> Box<dyn KernelApi> {
-        Box::new(LinuxLikeKernel::new(self.cores.max(2)))
+        Box::new(Sv6Kernel::linuxlike(self.cores.max(2)))
     }
 }
 

@@ -16,9 +16,11 @@
 //! tests, spends a seeded replay budget across the pairs, and replays the
 //! selection through any [`ConcreteReplayer`] — the plain [`HostReplayer`],
 //! or the [`ChaosReplayer`]'s fault-injecting stack.
+//!
+//! [`HostKernel`]: crate::kernel::HostKernel
 
 use crate::harness::race;
-use crate::kernel::{HostKernel, HostMode};
+use crate::kernel::{host_kernel, HostMode};
 use scr_chaos::kernel::{FaultyKernel, ReliableKernel};
 use scr_chaos::plan::ChaosPlan;
 use scr_core::pipeline::CommuterConfig;
@@ -31,7 +33,8 @@ use scr_kernel::retry::{mix64, RetryPolicy, GOLDEN};
 use scr_model::CallKind;
 use scr_obs::EventLog;
 
-/// Replays generated tests on a fresh [`HostKernel`] per test, running the
+/// Replays generated tests on a fresh
+/// [`HostKernel`](crate::kernel::HostKernel) per test, running the
 /// commutative pair on two real threads.
 #[derive(Clone, Copy, Debug)]
 pub struct HostReplayer {
@@ -51,7 +54,7 @@ impl ConcreteReplayer for HostReplayer {
     }
 
     fn replay(&self, test: &ConcreteTest) -> (SysResult, SysResult) {
-        let kernel = HostKernel::new(self.cores.max(2), HostMode::Sv6);
+        let kernel = host_kernel(self.cores.max(2), HostMode::Sv6);
         let [a, b] = race(
             &kernel,
             test.procs,
@@ -69,7 +72,7 @@ impl ConcreteReplayer for HostReplayer {
 /// released by one barrier. Returns the per-call results (`results[i]`
 /// belongs to `ops[i]` whatever interleaving the hardware picked).
 pub fn replay_triple_host(test: &scr_core::ConcreteTripleTest, cores: usize) -> [SysResult; 3] {
-    let kernel = HostKernel::new(cores.max(3), HostMode::Sv6);
+    let kernel = host_kernel(cores.max(3), HostMode::Sv6);
     race(
         &kernel,
         test.procs,
@@ -117,7 +120,7 @@ impl ConcreteReplayer for ChaosReplayer {
 
     fn replay(&self, test: &ConcreteTest) -> (SysResult, SysResult) {
         let cores = self.cores.max(2);
-        let kernel = HostKernel::new(cores, HostMode::Sv6);
+        let kernel = host_kernel(cores, HostMode::Sv6);
         let faulty = FaultyKernel::new(&kernel, self.plan.clone(), cores);
         let reliable = ReliableKernel::new(&faulty, RetryPolicy::spin().with_seed(self.plan.seed));
         let [a, b] = race(

@@ -7,22 +7,21 @@
 //! concurrent pair, producing [`Figure6Report`]s labelled `sv6-host` and
 //! `linux-host` — and cross-checks them against the simulated heatmap.
 //!
-//! The cross-check invariant is one-directional: every test that is
-//! conflict-free on the simulated sv6 kernel must be conflict-free on the
-//! host sv6 kernel too, in **every** schedule the hardware picks. The only
-//! tolerated exceptions are the documented lowest-FD-allocation contention
-//! cases (the paper's §1 example: POSIX's "lowest available descriptor"
-//! rule makes otherwise-commutative calls contend on the descriptor table).
-//! Such divergences are classified by their conflicting labels and recorded
+//! [`HostKernel`]: crate::kernel::HostKernel
+//!
+//! The cross-check invariant is one-directional, and the same for both
+//! policies: every test that is conflict-free on a simulated kernel must be
+//! conflict-free on the host kernel of the same policy too, in **every**
+//! schedule the hardware picks — simulated sv6 against `sv6-host`,
+//! simulated Linux-like against `linux-host`. Both sides run the one kernel
+//! body, so they record the same lines. The only tolerated exceptions are
+//! the documented lowest-FD-allocation contention cases (the paper's §1
+//! example: POSIX's "lowest available descriptor" rule makes
+//! otherwise-commutative calls contend on the descriptor table). Such
+//! divergences are classified by their conflicting labels and recorded
 //! explicitly in [`HostFig6Results::divergences`] with the
 //! [`LOWEST_FD_EXCEPTION`] tag — never waived silently; anything else is an
 //! unexplained divergence and fails the acceptance test.
-//!
-//! The `linux-host` column is not cross-checked per test: the host baseline
-//! serialises every call on one global kernel lock (recorded as a written
-//! line), so — exactly as in the paper's Linux column — essentially every
-//! pair conflicts there, which [`HostFig6Results::assert_linux_collapses`]
-//! verifies in aggregate instead.
 //!
 //! [`run_host_fig6`] is a consumer of the COMMUTER sweep engine
 //! (`scr_core::run_sweep`): the engine generates exactly the corpus
@@ -31,7 +30,7 @@
 //! keeps the verdicts and drops the tests.
 
 use crate::harness::race;
-use crate::kernel::{HostKernel, HostMode};
+use crate::kernel::{host_kernel_with, HostMode};
 use scr_core::pipeline::bucket_distinct_names;
 use scr_core::{
     analyze_pair, enumerate_shapes, generate_tests, run_sweep, run_test, CommuterConfig,
@@ -41,7 +40,7 @@ use scr_hostmtrace::{HostConflictReport, HostTraceSink};
 use scr_kernel::api::{perform, SockId, SocketOrder, SysOp, SysResult, SyscallApi};
 use scr_kernel::{Sv6Kernel, Sv6Options};
 use scr_model::{pair_config, CallKind, ModelConfig};
-use scr_mtrace::AccessKind;
+use scr_mtrace::{AccessKind, SimMachine};
 use scr_obs::HeatMap;
 
 /// The exception tag for divergences fully explained by lowest-FD
@@ -124,7 +123,7 @@ pub fn replay_traced(
     (SysResult, SysResult),
 ) {
     let sink = HostTraceSink::new(cores.max(2));
-    let kernel = HostKernel::instrumented(cores, mode, Sv6Options::default(), &sink);
+    let kernel = host_kernel_with(cores, mode, Sv6Options::default(), Some(&sink));
     let [a, b] = race(
         &kernel,
         test.procs,
@@ -138,10 +137,9 @@ pub fn replay_traced(
 }
 
 /// Normalises a pipe line label for footprint comparison: pipe *instance*
-/// ids depend on the kernel (the sv6 body numbers its pipes with a
-/// per-kernel counter, the simulated Linux-like kernel with its machine's
-/// access count) and on what ran before, so `pipe[0:17].buffer` becomes
-/// `pipe[0:#].buffer`. All other labels are returned unchanged.
+/// ids count the pipes a kernel made before (the body numbers them with a
+/// per-kernel counter), so `pipe[0:17].buffer` becomes `pipe[0:#].buffer`.
+/// All other labels are returned unchanged.
 pub fn normalize_pipe_label(label: &str) -> String {
     if let Some(rest) = label.strip_prefix("pipe[") {
         if let Some((head, tail)) = rest.split_once(']') {
@@ -205,12 +203,14 @@ pub fn run_test_host_with(
     }
 }
 
-/// A test where the simulated sv6 kernel was conflict-free but the host
-/// sv6 kernel conflicted in at least one schedule.
+/// A test where a simulated kernel was conflict-free but the host kernel
+/// of the same policy conflicted in at least one schedule.
 #[derive(Clone, Debug)]
 pub struct Fig6Divergence {
     /// The diverging test.
     pub test_id: String,
+    /// The host column it diverged in (`sv6-host` or `linux-host`).
+    pub kernel: &'static str,
     /// Its call pair.
     pub calls: (CallKind, CallKind),
     /// The lines the host conflicted on.
@@ -247,7 +247,8 @@ pub struct HostFig6Results {
     /// The host heatmaps.
     pub host_sv6: Figure6Report,
     pub host_linux: Figure6Report,
-    /// Every sim-free→host-conflict divergence on the sv6 pair, classified.
+    /// Every sim-free→host-conflict divergence, in either policy,
+    /// classified.
     pub divergences: Vec<Fig6Divergence>,
     /// Number of distinct tests run (each on four kernels).
     pub tests_run: usize,
@@ -279,31 +280,15 @@ impl HostFig6Results {
             .collect()
     }
 
-    /// The giant kernel lock must make essentially everything conflict in
-    /// the host baseline — the Linux column of the paper's figure. Returns
-    /// an error string when any test with at least one conflict on the
-    /// simulated Linux kernel scaled on linux-host.
-    pub fn assert_linux_collapses(&self) -> Result<(), String> {
-        if self.host_linux.total_tests() > 0
-            && self.host_linux.total_conflict_free() > self.sim_linux.total_conflict_free()
-        {
-            return Err(format!(
-                "linux-host scaled more often than simulated Linux: {} vs {}",
-                self.host_linux.total_conflict_free(),
-                self.sim_linux.total_conflict_free()
-            ));
-        }
-        Ok(())
-    }
-
     /// One line per divergence, for diagnostics and reports.
     pub fn describe_divergences(&self) -> String {
         self.divergences
             .iter()
             .map(|d| {
                 format!(
-                    "{} ({} ∥ {}): {} [{}]",
+                    "{} on {} ({} ∥ {}): {} [{}]",
                     d.test_id,
+                    d.kernel,
                     d.calls.0.name(),
                     d.calls.1.name(),
                     d.shared_labels.join(", "),
@@ -338,13 +323,19 @@ impl HostFig6Results {
             self.sim_linux.record(a, b, sim_linux.conflict_free);
             self.host_sv6.record(a, b, host_sv6.conflict_free);
             self.host_linux.record(a, b, host_linux.conflict_free);
-            if sim_sv6.conflict_free && !host_sv6.conflict_free {
-                self.divergences.push(Fig6Divergence {
-                    test_id: host_sv6.test_id,
-                    calls: (a, b),
-                    exception: classify_divergence(&host_sv6.shared_labels),
-                    shared_labels: host_sv6.shared_labels,
-                });
+            for (kernel, sim, host) in [
+                ("sv6-host", sim_sv6, host_sv6),
+                ("linux-host", sim_linux, host_linux),
+            ] {
+                if sim.conflict_free && !host.conflict_free {
+                    self.divergences.push(Fig6Divergence {
+                        test_id: host.test_id,
+                        kernel,
+                        calls: (a, b),
+                        exception: classify_divergence(&host.shared_labels),
+                        shared_labels: host.shared_labels,
+                    });
+                }
             }
         }
     }
@@ -353,7 +344,7 @@ impl HostFig6Results {
 /// Runs the full host Figure 6 pipeline: generates tests for every
 /// unordered pair of `config.calls`, runs each on the simulated sv6 and
 /// Linux kernels and on the host kernel in both modes, aggregates four
-/// heatmaps, and records every SIM↔host divergence on the sv6 pair.
+/// heatmaps, and records every SIM↔host divergence of either policy.
 ///
 /// The corpus is the one `scr_core::run_commuter` generates for the same
 /// model, calls and assignment bound: both consume `scr_core::run_sweep`.
@@ -835,8 +826,13 @@ pub struct SimExtRun {
 /// on its annotated cores, then the pair traced on cores 0 and 1, in the
 /// given order (`a_first` false replays B before A — the other
 /// linearization).
-pub fn run_ext_sim(cores: usize, test: &ConcreteTest, a_first: bool) -> SimExtRun {
-    let kernel = Sv6Kernel::new(cores.max(2));
+pub fn run_ext_sim(mode: HostMode, cores: usize, test: &ConcreteTest, a_first: bool) -> SimExtRun {
+    let kernel = Sv6Kernel::on_lines(
+        Some(&SimMachine::new()),
+        cores.max(2),
+        Sv6Options::default(),
+        mode,
+    );
     let machine = scr_kernel::api::KernelApi::machine(&kernel).clone();
     for _ in 0..test.procs.max(2) {
         kernel.new_process();
@@ -899,7 +895,7 @@ pub fn run_ext_host(
     concurrent: bool,
 ) -> HostExtRun {
     let sink = HostTraceSink::new(cores.max(2));
-    let kernel = HostKernel::instrumented(cores, mode, Sv6Options::default(), &sink);
+    let kernel = host_kernel_with(cores, mode, Sv6Options::default(), Some(&sink));
     let [a, b] = race(
         &kernel,
         test.procs,
@@ -958,8 +954,8 @@ pub fn run_ext_corpus(cores: usize, schedules: usize, corpus: &[ConcreteTest]) -
     corpus
         .iter()
         .map(|test| {
-            let sim_ab = run_ext_sim(cores, test, true);
-            let sim_ba = run_ext_sim(cores, test, false);
+            let sim_ab = run_ext_sim(HostMode::Sv6, cores, test, true);
+            let sim_ba = run_ext_sim(HostMode::Sv6, cores, test, false);
             let sent = sent_messages(test);
             let mut outcome = ExtOutcome {
                 test_id: test.id.clone(),
@@ -1079,8 +1075,8 @@ mod tests {
         let linux = run_test_host(HostMode::Linuxlike, 4, &test, 1);
         assert!(!linux.conflict_free);
         assert!(
-            linux.shared_labels.iter().any(|l| l == "kernel.giant_lock"),
-            "the giant lock must be the recorded conflict, got {:?}",
+            linux.shared_labels.iter().any(|l| l == "root.i_mutex"),
+            "the parent directory's lock must be a recorded conflict, got {:?}",
             linux.shared_labels
         );
     }
@@ -1105,11 +1101,11 @@ mod tests {
             assert!(entry.accesses() > 0);
         }
         // Two schedules were traced, so no line can be hot in more windows.
-        let giant = heat.entry("kernel.giant_lock").expect("giant lock traced");
-        assert!(giant.conflict_windows <= 2);
+        let i_mutex = heat.entry("root.i_mutex").expect("directory lock traced");
+        assert!(i_mutex.conflict_windows <= 2);
         assert!(heat
             .render_top("linux-host hottest lines", 5)
-            .contains("kernel.giant_lock"));
+            .contains("root.i_mutex"));
     }
 
     #[test]
@@ -1173,8 +1169,8 @@ mod tests {
         // results up to pid fungibility — both sequential orders agree or
         // are each other's pid swap (the linearization check's premise).
         for test in &corpus {
-            let ab = run_ext_sim(4, test, true);
-            let ba = run_ext_sim(4, test, false);
+            let ab = run_ext_sim(HostMode::Sv6, 4, test, true);
+            let ba = run_ext_sim(HostMode::Sv6, 4, test, false);
             let swapped = (ba.results.1.clone(), ba.results.0.clone());
             assert!(
                 ab.results == ba.results || (ab.results.0, ab.results.1) == swapped,
@@ -1191,7 +1187,7 @@ mod tests {
             .iter()
             .find(|t| t.id == "ext_send_recv_unordered_local")
             .unwrap();
-        let sim = run_ext_sim(4, test, true);
+        let sim = run_ext_sim(HostMode::Sv6, 4, test, true);
         assert!(sim.conflict_free, "sim must scale: {:?}", sim.footprint);
         let host = run_ext_host(HostMode::Sv6, 4, test, true);
         assert!(
@@ -1203,7 +1199,7 @@ mod tests {
             .iter()
             .find(|t| t.id == "ext_send_recv_ordered")
             .unwrap();
-        let sim = run_ext_sim(4, ordered, true);
+        let sim = run_ext_sim(HostMode::Sv6, 4, ordered, true);
         assert!(!sim.conflict_free, "ordered sockets must conflict");
         let host = run_ext_host(HostMode::Sv6, 4, ordered, true);
         assert!(!host.conflict_free);
@@ -1218,10 +1214,10 @@ mod tests {
     fn spawn_scales_beside_open_where_forks_snapshot_conflicts() {
         let corpus = ext_corpus();
         let spawn = corpus.iter().find(|t| t.id == "ext_spawn_open").unwrap();
-        assert!(run_ext_sim(4, spawn, true).conflict_free);
+        assert!(run_ext_sim(HostMode::Sv6, 4, spawn, true).conflict_free);
         assert!(run_ext_host(HostMode::Sv6, 4, spawn, true).conflict_free);
         let fork = corpus.iter().find(|t| t.id == "ext_fork_open").unwrap();
-        assert!(!run_ext_sim(4, fork, true).conflict_free);
+        assert!(!run_ext_sim(HostMode::Sv6, 4, fork, true).conflict_free);
         let host = run_ext_host(HostMode::Sv6, 4, fork, true);
         assert!(!host.conflict_free);
         assert!(
@@ -1329,6 +1325,10 @@ mod tests {
             "unexplained divergences:\n{}",
             results.describe_divergences()
         );
-        results.assert_linux_collapses().unwrap();
+        // linux-host scales exactly where simulated Linux does.
+        assert_eq!(
+            results.host_linux.total_conflict_free(),
+            results.sim_linux.total_conflict_free()
+        );
     }
 }

@@ -1,188 +1,80 @@
 //! The real-threads kernel: the execution backend the Figure-7 workloads
 //! and the differential runner drive from actual OS threads.
 //!
-//! [`HostKernel`] is not a second kernel. It is a thin
-//! [`Layer`] over the one sv6 body of `scr_kernel::sv6`, the same code the
-//! simulated `Sv6Kernel` runs, here over an optional real-threads trace
-//! sink instead of the simulated machine. What the layer adds is the
-//! choice of *sharing*:
+//! [`HostKernel`] is not a second kernel. It is the one kernel body of
+//! `scr_kernel::sv6`, the same code the simulated kernels run, here over an
+//! optional real-threads trace sink instead of the simulated machine, and
+//! built with either sharing policy ([`HostMode`] is
+//! `scr_kernel::Policy`):
 //!
-//! * [`HostMode::Sv6`] runs the body as it is: a hash directory with 512
-//!   bucket locks, per-core inode counters, Refcache link counts, per-core
-//!   socket queues, per-slot descriptor locks and a lock-free process
-//!   table.
-//! * [`HostMode::Linuxlike`] gives the directory one bucket and takes one
-//!   global kernel lock (`kernel.giant_lock`) around every call — the
-//!   sharing structure that makes the baseline collapse as real threads
-//!   are added, no matter how fast each individual call is.
+//! * [`HostMode::Sv6`] is the sv6 kernel: a hash directory with 512 bucket
+//!   locks, per-core inode counters, Refcache link counts, per-core socket
+//!   queues, per-slot descriptor locks and a lock-free process table.
+//! * [`HostMode::Linuxlike`] is the Linux-like baseline, the same body with
+//!   Linux's shared structures added: the directory's `i_mutex`, dentry and
+//!   `struct file` reference counts, `file_lock`, `mmap_sem`, one inode
+//!   counter and shared link counts. Those make the baseline collapse as
+//!   real threads are added, for the paper's reasons.
 //!
 //! An instrumented kernel hands the body the trace sink as its line
 //! substrate, so every operation records the footprint the simulated
-//! kernel records.
+//! kernel of the same policy records. What the host adds is only what is
+//! host-only: at least two thread slots, and the instrumented constructor.
 
 use scr_hostmtrace::HostTraceSink;
-use scr_kernel::api::{KResult, Layer, Pid, SockId, SyscallKind};
-use scr_kernel::sv6::{Sv6Kernel, Sv6Options, DIR_BUCKETS};
-use scr_mtrace::CoreId;
-use scr_scalable::LockWord;
+use scr_kernel::sv6::{Sv6Kernel, Sv6Options};
 use std::sync::Arc;
 
 pub use scr_kernel::sv6::FDS_PER_CORE;
-
-/// The line substrate of an instrumented kernel.
-type Sink = Arc<HostTraceSink>;
-
 /// Which sharing structure the kernel is assembled with.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum HostMode {
-    /// Per-core / striped structures; no global serialisation.
-    #[default]
-    Sv6,
-    /// One global kernel lock around every call (the collapsing baseline).
-    Linuxlike,
+pub use scr_kernel::Policy as HostMode;
+
+/// The real-threads kernel: the body over an optional trace sink. All
+/// methods take `&self` and the type is `Send + Sync`; callers drive it
+/// from as many OS threads as they like, passing the thread's "core" number
+/// exactly as the simulated kernels do. It speaks
+/// [`scr_kernel::api::SyscallApi`], so applications written against it —
+/// the §7.3 mail server — and the reified-`SysOp` driver run on either
+/// substrate unchanged.
+pub type HostKernel = Sv6Kernel<Arc<HostTraceSink>>;
+
+/// Builds an uninstrumented kernel for `cores` participating threads.
+pub fn host_kernel(cores: usize, mode: HostMode) -> HostKernel {
+    host_kernel_with(cores, mode, Sv6Options::default(), None)
 }
 
-impl HostMode {
-    /// Label used in benchmark tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            HostMode::Sv6 => "sv6-like (striped)",
-            HostMode::Linuxlike => "linuxlike (global lock)",
-        }
-    }
-}
-
-/// The real-threads kernel. All methods take `&self` and the type is
-/// `Send + Sync`; callers drive it from as many OS threads as they like,
-/// passing the thread's "core" number exactly as the simulated kernels do.
-/// It speaks [`scr_kernel::api::SyscallApi`] through its [`Layer`] impl, so
-/// applications written against it — the §7.3 mail server — and the
-/// reified-`SysOp` driver run on either substrate unchanged.
-pub struct HostKernel {
+/// Builds a kernel with `options` (the statbench ablation), wired to a
+/// sharing monitor when `sink` is given: every operation then records the
+/// same logical-line footprint its simulated counterpart records, so
+/// traced windows can be cross-checked against the simulated heatmap.
+/// Threads share core slots modulo the kernel's cores, of which there are
+/// at least two.
+pub fn host_kernel_with(
+    cores: usize,
     mode: HostMode,
-    kernel: Sv6Kernel<Sink>,
-    /// The global kernel lock; taken around every call in `Linuxlike`
-    /// mode, so there every pair of calls conflicts on its written lock
-    /// word — the Linux column of the host Figure 6.
-    giant: LockWord<Sink>,
-}
-
-impl HostKernel {
-    /// Builds a kernel for `cores` participating threads.
-    pub fn new(cores: usize, mode: HostMode) -> Self {
-        Self::with_options(cores, mode, Sv6Options::default())
-    }
-
-    /// Builds a kernel with non-default options (statbench ablation).
-    pub fn with_options(cores: usize, mode: HostMode, options: Sv6Options) -> Self {
-        Self::build(cores, mode, options, None)
-    }
-
-    /// Builds a kernel wired to a sharing monitor: every operation records
-    /// the same logical-line footprint its simulated counterpart records,
-    /// so traced windows can be cross-checked against the simulated
-    /// heatmap. The uninstrumented constructors record nothing.
-    pub fn instrumented(
-        cores: usize,
-        mode: HostMode,
-        options: Sv6Options,
-        sink: &Arc<HostTraceSink>,
-    ) -> Self {
-        Self::build(cores, mode, options, Some(sink))
-    }
-
-    fn build(cores: usize, mode: HostMode, options: Sv6Options, sink: Option<&Sink>) -> Self {
-        let cores = cores.max(2);
-        let buckets = match mode {
-            HostMode::Sv6 => DIR_BUCKETS,
-            // A single bucket: every name operation shares one lock,
-            // like a directory-wide dentry lock.
-            HostMode::Linuxlike => 1,
-        };
-        HostKernel {
-            mode,
-            kernel: Sv6Kernel::on_lines(sink, cores, options, buckets),
-            giant: LockWord::new(sink, "kernel.giant_lock"),
-        }
-    }
-
-    /// Drains `core`'s deferred list, reclaiming inodes whose link count
-    /// is zero (the per-core half of the epoch pass). Returns the number of
-    /// inodes reclaimed.
-    pub fn reclaim_core(&self, core: usize) -> usize {
-        self.kernel.reclaim_core(core)
-    }
-
-    /// Number of cores (thread slots) the kernel was configured for.
-    pub fn cores(&self) -> usize {
-        self.kernel.cores()
-    }
-
-    /// Number of processes ever created (pids are dense and never reused,
-    /// so this is also one past the highest valid pid).
-    pub fn process_count(&self) -> usize {
-        self.kernel.process_count()
-    }
-
-    /// Open descriptors currently held by `pid`. The mail pipelines use
-    /// this as their teardown leak check: a reaped helper must hold zero
-    /// descriptors, so a qman dying between `spawn` and `wait` must not
-    /// strand its helper with the spool descriptor still open.
-    pub fn open_fd_count(&self, pid: Pid) -> KResult<usize> {
-        self.kernel.open_fd_count(pid)
-    }
-
-    /// Queued messages on a socket (untraced; for tests and the
-    /// conservation checks).
-    pub fn socket_pending_untraced(&self, sock: SockId) -> usize {
-        self.kernel.socket_pending_untraced(sock)
-    }
-
-    /// Removes and returns every queued message (untraced; used by the
-    /// differential conservation checks).
-    pub fn socket_drain_untraced(&self, sock: SockId) -> Vec<Vec<u8>> {
-        self.kernel.socket_drain_untraced(sock)
-    }
-}
-
-/// Every call runs the sv6 body; in `Linuxlike` mode it runs under the
-/// giant lock. Unlike the simulated Linux baseline (which always enforces
-/// socket ordering), the host kernel honours the requested ordering in
-/// both modes: the mode changes only the sharing.
-impl Layer for HostKernel {
-    type Inner = Sv6Kernel<Sink>;
-
-    fn inner(&self) -> &Sv6Kernel<Sink> {
-        &self.kernel
-    }
-
-    fn around<T>(
-        &self,
-        _core: CoreId,
-        _kind: SyscallKind,
-        call: impl Fn() -> KResult<T>,
-    ) -> KResult<T> {
-        let _giant = (self.mode == HostMode::Linuxlike).then(|| self.giant.hold());
-        call()
-    }
+    options: Sv6Options,
+    sink: Option<&Arc<HostTraceSink>>,
+) -> HostKernel {
+    Sv6Kernel::on_lines(sink, cores.max(2), options, mode)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use scr_kernel::api::{
-        perform, Errno, MmapBacking, OpenFlags, Prot, SysOp, SysResult, SyscallApi, Whence,
+        perform, Errno, MmapBacking, OpenFlags, Pid, Prot, SysOp, SysResult, SyscallApi, Whence,
         PAGE_SIZE,
     };
 
-    /// What the semantic tests drive: the system calls, plus the sv6
-    /// body's own epoch pass and inode count.
+    /// What the semantic tests drive: the system calls, plus the body's
+    /// own epoch pass, inode count and policy.
     trait Subject: SyscallApi {
         fn epoch(&self) -> usize;
         fn inodes(&self) -> usize;
+        fn mode(&self) -> HostMode;
     }
 
-    impl Subject for Sv6Kernel {
+    impl<L: scr_mtrace::Lines + Clone> Subject for Sv6Kernel<L> {
         fn epoch(&self) -> usize {
             self.reclaim_epoch()
         }
@@ -190,25 +82,19 @@ mod tests {
         fn inodes(&self) -> usize {
             self.inode_count()
         }
-    }
 
-    impl Subject for HostKernel {
-        fn epoch(&self) -> usize {
-            self.inner().reclaim_epoch()
-        }
-
-        fn inodes(&self) -> usize {
-            self.inner().inode_count()
+        fn mode(&self) -> HostMode {
+            self.policy()
         }
     }
 
-    /// Runs `check` on the sv6 body over every substrate — the simulated
-    /// machine, and real threads in both host modes — each a fresh 4-core
-    /// kernel with one process (pid 0).
+    /// Runs `check` on the body under both policies over every substrate —
+    /// the simulated machine and real threads — each a fresh 4-core kernel
+    /// with one process (pid 0).
     fn on_every_substrate(check: impl Fn(&dyn Subject, Pid)) {
-        let sim = Sv6Kernel::new(4);
-        let hosts = [HostMode::Sv6, HostMode::Linuxlike].map(|mode| HostKernel::new(4, mode));
-        let kernels: [&dyn Subject; 3] = [&sim, &hosts[0], &hosts[1]];
+        let sims = [Sv6Kernel::new(4), Sv6Kernel::linuxlike(4)];
+        let hosts = [HostMode::Sv6, HostMode::Linuxlike].map(|mode| host_kernel(4, mode));
+        let kernels: [&dyn Subject; 4] = [&sims[0], &sims[1], &hosts[0], &hosts[1]];
         for k in kernels {
             let pid = k.new_process();
             check(k, pid);
@@ -247,15 +133,19 @@ mod tests {
     }
 
     #[test]
-    fn inode_numbers_come_from_the_per_core_allocator_on_every_substrate() {
-        // The (counter << 8) | core scheme of scr_scalable::InodeAllocator.
+    fn inode_numbers_come_from_the_policys_allocator_on_every_substrate() {
+        // The (counter << 8) | core scheme of scr_scalable::InodeAllocator:
+        // one counter per core under sv6, one for all cores under Linux.
         on_every_substrate(|k, pid| {
             k.open(0, pid, "x", OpenFlags::create()).unwrap();
             k.open(1, pid, "y", OpenFlags::create()).unwrap();
             k.open(0, pid, "z", OpenFlags::create()).unwrap();
-            assert_eq!(k.stat(0, pid, "x").unwrap().ino, 1 << 8);
-            assert_eq!(k.stat(0, pid, "y").unwrap().ino, (1 << 8) | 1);
-            assert_eq!(k.stat(0, pid, "z").unwrap().ino, 2 << 8);
+            let inos = ["x", "y", "z"].map(|name| k.stat(0, pid, name).unwrap().ino);
+            let want = match k.mode() {
+                HostMode::Sv6 => [1 << 8, (1 << 8) | 1, 2 << 8],
+                HostMode::Linuxlike => [1 << 8, 2 << 8, 3 << 8],
+            };
+            assert_eq!(inos, want);
         });
     }
 
@@ -435,7 +325,8 @@ mod tests {
         };
         let (rename_a, rename_c) = (rename("a"), rename("c"));
         for round in 0..200 {
-            let k = HostKernel::new(4, HostMode::Sv6);
+            let mode = [HostMode::Sv6, HostMode::Linuxlike][round % 2];
+            let k = host_kernel(4, mode);
             let results = crate::harness::race(&k, 1, &setup, [&rename_a, &rename_c], true, || {});
             assert_eq!(results, [SysResult::Unit, SysResult::Unit], "round {round}");
             assert_eq!(k.stat(0, pid, "a"), Err(Errno::ENOENT), "round {round}");
@@ -447,25 +338,27 @@ mod tests {
 
     #[test]
     fn concurrent_creates_from_many_threads_are_safe() {
-        let k = std::sync::Arc::new(HostKernel::new(4, HostMode::Sv6));
-        let pid = k.new_process();
-        std::thread::scope(|s| {
+        for mode in [HostMode::Sv6, HostMode::Linuxlike] {
+            let k = host_kernel(4, mode);
+            let pid = k.new_process();
+            std::thread::scope(|s| {
+                for t in 0..4 {
+                    let k = &k;
+                    s.spawn(move || {
+                        for i in 0..50 {
+                            let name = format!("t{t}-f{i}");
+                            let fd = k
+                                .open(t, pid, &name, OpenFlags::create().with_anyfd())
+                                .unwrap();
+                            k.close(t, pid, fd).unwrap();
+                        }
+                    });
+                }
+            });
             for t in 0..4 {
-                let k = std::sync::Arc::clone(&k);
-                s.spawn(move || {
-                    for i in 0..50 {
-                        let name = format!("t{t}-f{i}");
-                        let fd = k
-                            .open(t, pid, &name, OpenFlags::create().with_anyfd())
-                            .unwrap();
-                        k.close(t, pid, fd).unwrap();
-                    }
-                });
-            }
-        });
-        for t in 0..4 {
-            for i in 0..50 {
-                assert!(k.stat(0, pid, &format!("t{t}-f{i}")).is_ok());
+                for i in 0..50 {
+                    assert!(k.stat(0, pid, &format!("t{t}-f{i}")).is_ok(), "{mode:?}");
+                }
             }
         }
     }

@@ -8,15 +8,15 @@
 //! atomics and locks, not only their recorded footprint — executed by
 //! actual OS threads, timed with a wall clock.
 //!
-//! * [`kernel::HostKernel`] runs the one sv6 kernel body of
-//!   `scr_kernel::sv6` — the code the simulated `Sv6Kernel` runs — from
-//!   real threads, as a thin `scr_kernel::api::Layer` over it. It comes in
-//!   two configurations: [`kernel::HostMode::Sv6`] runs the body as it is
-//!   (512-bucket hash directory, per-core inode allocation, Refcache-style
-//!   link counts, per-core socket queues, a lock-free process table);
-//!   [`kernel::HostMode::Linuxlike`] gives the directory one bucket and
-//!   runs every call under one global kernel lock, the collapsing
-//!   baseline.
+//! * [`kernel::HostKernel`] is the one kernel body of `scr_kernel::sv6` —
+//!   the code the simulated kernels run — over an optional trace sink, run
+//!   from real threads. [`kernel::HostMode`] is the body's sharing policy:
+//!   [`kernel::HostMode::Sv6`] (512-bucket hash directory, per-core inode
+//!   allocation, Refcache-style link counts, per-core socket queues, a
+//!   lock-free process table) or [`kernel::HostMode::Linuxlike`], the
+//!   collapsing baseline, which adds Linux's shared structures (§6.2): the
+//!   directory's `i_mutex`, dentry and `struct file` reference counts,
+//!   `file_lock`, `mmap_sem`, one inode counter and shared link counts.
 //! * [`harness::LoadHarness`] spawns N OS threads, partitions work per
 //!   thread ("core"), and measures real operations per second per core.
 //!   [`harness::race`] is the one replay protocol of every real-threads
@@ -74,7 +74,7 @@ pub use fig6::{
     EXT_CORPUS_BUDGET, EXT_MAX_ASSIGNMENTS_PER_CASE, LOWEST_FD_EXCEPTION,
 };
 pub use harness::{available_threads, LoadHarness};
-pub use kernel::{HostKernel, HostMode};
+pub use kernel::{host_kernel, host_kernel_with, HostKernel, HostMode};
 pub use pipeline::{run_pipeline, saturating_schedule, MailPipelineReport, PipelineConfig};
 pub use workloads::{
     mail_pipeline, mail_pipeline_observed, mailbench, mailbench_observed, openbench, statbench,

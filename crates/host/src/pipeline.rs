@@ -820,7 +820,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::HostMode;
+    use crate::kernel::{host_kernel, HostMode};
     use scr_chaos::plan::{DelaySpec, FaultSpec};
 
     /// A 2×2 commutative-API run under `plan`.
@@ -833,7 +833,7 @@ mod tests {
 
     /// `cfg` on a fresh sv6-style kernel, `per_enqueuer` messages each.
     fn run(cfg: &PipelineConfig, per_enqueuer: usize) -> MailPipelineReport {
-        let kernel = HostKernel::new(cfg.cores(), HostMode::Sv6);
+        let kernel = host_kernel(cfg.cores(), HostMode::Sv6);
         let enqueuers = cfg.topology.enqueuers;
         let schedule = saturating_schedule(enqueuers, enqueuers * per_enqueuer);
         run_pipeline(&kernel, cfg, &schedule, None, |_, _, _| {})

@@ -8,7 +8,7 @@
 //! one that serialises them (a shared lock or a shared cache line).
 
 use crate::harness::LoadHarness;
-use crate::kernel::{HostKernel, HostMode};
+use crate::kernel::{host_kernel, host_kernel_with, HostKernel, HostMode};
 use crate::pipeline::{run_pipeline, saturating_schedule, MailPipelineReport, PipelineConfig};
 use scr_kernel::api::{Errno, Fd, OpenFlags, Pid, StatMask, SyscallApi};
 use scr_kernel::mail::{
@@ -136,7 +136,7 @@ pub fn statbench(
     let options = Sv6Options {
         shared_link_counts: matches!(stat_mode, HostStatMode::FstatSharedCount),
     };
-    let kernel = HostKernel::with_options(threads, mode, options);
+    let kernel = host_kernel_with(threads, mode, options, None);
     let pid = kernel.new_process();
     let fd = kernel
         .open(0, pid, "statfile", OpenFlags::create())
@@ -205,7 +205,7 @@ fn statbench_loop<K: SyscallApi + Sync>(
 /// openbench on real threads: every thread opens and closes its own
 /// pre-created file, with lowest-FD or `O_ANYFD` allocation.
 pub fn openbench(mode: HostMode, anyfd: bool, threads: usize, ops_per_thread: u64) -> ScalingPoint {
-    let kernel = Arc::new(HostKernel::new(threads, mode));
+    let kernel = Arc::new(host_kernel(threads, mode));
     let pid = kernel.new_process();
     for core in 0..threads {
         let fd = kernel
@@ -258,7 +258,7 @@ pub fn mailbench_observed(
     ops_per_thread: u64,
     telemetry: Option<&MailTelemetry>,
 ) -> ScalingPoint {
-    let kernel = HostKernel::new(threads, mode);
+    let kernel = host_kernel(threads, mode);
     let client = kernel.new_process();
     let qman = kernel.new_process();
     let observed = telemetry.map(|t| ObservedKernel::new(&kernel, t.syscalls.clone()));
@@ -364,7 +364,7 @@ pub fn mail_pipeline_observed(
     let cfg = PipelineConfig::new(config, MailTopology::new(enqueuers, qmans));
     let enqueuers = cfg.topology.enqueuers;
     let schedule = saturating_schedule(enqueuers, enqueuers * messages_per_enqueuer);
-    let kernel = HostKernel::new(cfg.cores(), mode);
+    let kernel = host_kernel(cfg.cores(), mode);
     run_pipeline(&kernel, &cfg, &schedule, telemetry, |_, _, _| {})
 }
 

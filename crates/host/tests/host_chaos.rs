@@ -8,7 +8,9 @@
 use scr_chaos::kernel::{FaultyKernel, ReliableKernel};
 use scr_chaos::plan::{ChaosPlan, DelaySpec, FaultSpec};
 use scr_host::workloads::MailTelemetry;
-use scr_host::{run_pipeline, saturating_schedule, HostKernel, HostMode, PipelineConfig};
+use scr_host::{
+    host_kernel, host_kernel_with, run_pipeline, saturating_schedule, HostMode, PipelineConfig,
+};
 use scr_hostmtrace::{on_core, HostTraceSink, WindowHeat};
 use scr_kernel::api::{Errno, OpenFlags, StatMask, SyscallApi};
 use scr_kernel::mail::{MailConfig, MailTopology};
@@ -18,7 +20,7 @@ use scr_kernel::Sv6Options;
 /// Runs a fixed single-threaded sequence of faultable calls under `plan`
 /// and returns the observable outcome pattern plus the injection count.
 fn storm_pattern(plan: &ChaosPlan) -> (Vec<Result<(), Errno>>, u64) {
-    let kernel = HostKernel::new(2, HostMode::Sv6);
+    let kernel = host_kernel(2, HostMode::Sv6);
     let pid = kernel.new_process();
     let faulty = FaultyKernel::new(&kernel, plan.clone(), 2);
     let pattern = (0..64)
@@ -51,7 +53,7 @@ fn fault_injection_is_deterministic_per_plan() {
 /// optionally behind a `FaultyKernel` carrying the *disabled* plan.
 fn traced_heat(through_chaos: bool) -> WindowHeat {
     let sink = HostTraceSink::new(2);
-    let kernel = HostKernel::instrumented(2, HostMode::Sv6, Sv6Options::default(), &sink);
+    let kernel = host_kernel_with(2, HostMode::Sv6, Sv6Options::default(), Some(&sink));
     let pid = kernel.new_process();
     let fd = on_core(0, || kernel.open(0, pid, "parity", OpenFlags::create())).unwrap();
 
@@ -84,7 +86,7 @@ fn disabled_chaos_layer_changes_no_hostmtrace_footprint() {
 /// kernel answers surface unchanged through the same storm.
 #[test]
 fn reliable_surface_absorbs_injected_faults_but_not_genuine_errors() {
-    let kernel = HostKernel::new(2, HostMode::Sv6);
+    let kernel = host_kernel(2, HostMode::Sv6);
     let pid = kernel.new_process();
     let plan = ChaosPlan::new(
         41,
@@ -120,7 +122,7 @@ fn chaos_telemetry_counters_match_the_fault_layer() {
         ppm: 100_000,
         polls: 4,
     };
-    let kernel = HostKernel::new(cfg.cores(), HostMode::Sv6);
+    let kernel = host_kernel(cfg.cores(), HostMode::Sv6);
     let telemetry = MailTelemetry::new(cfg.cores());
     let schedule = saturating_schedule(2, 50);
     let report = run_pipeline(&kernel, &cfg, &schedule, Some(&telemetry), |_, _, _| {});

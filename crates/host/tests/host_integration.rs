@@ -11,7 +11,7 @@ use scr_host::differential::{
     differential_campaign, CampaignConfig, DifferentialReport, HostReplayer,
 };
 use scr_host::harness::LoadHarness;
-use scr_host::kernel::{HostKernel, HostMode};
+use scr_host::kernel::{host_kernel, HostMode};
 use scr_host::workloads;
 use scr_hostmtrace::HostTraceSink;
 use scr_kernel::api::SyscallApi;
@@ -268,7 +268,7 @@ fn sv6_mode_sustains_more_concurrent_throughput_than_the_global_lock() {
     let linuxlike = best(HostMode::Linuxlike);
     assert!(
         sv6 > linuxlike,
-        "striped kernel ({sv6:.0} ops/s/core) must out-scale the globally locked one ({linuxlike:.0})"
+        "sv6 ({sv6:.0} ops/s/core) must out-scale the linux-like baseline ({linuxlike:.0})"
     );
 }
 
@@ -290,7 +290,7 @@ fn host_workloads_complete_under_minimal_parallelism() {
         20,
     );
     assert_eq!(p2.total_ops, 40);
-    let kernel = HostKernel::new(2, HostMode::Linuxlike);
+    let kernel = host_kernel(2, HostMode::Linuxlike);
     let pid = kernel.new_process();
     assert!(kernel
         .open(0, pid, "smoke", scr_kernel::api::OpenFlags::create())

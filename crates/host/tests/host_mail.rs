@@ -18,10 +18,8 @@
 //!    message exactly once across repeated schedules.
 
 use scr_core::ConcreteTest;
-use scr_host::fig6::{
-    ext_corpus, ext_failures, normalize_pipe_label, run_ext_corpus, run_ext_host, run_ext_sim,
-};
-use scr_host::kernel::{HostKernel, HostMode};
+use scr_host::fig6::{ext_corpus, ext_failures, run_ext_corpus, run_ext_host, run_ext_sim};
+use scr_host::kernel::{host_kernel, HostMode};
 use scr_host::workloads::mail_pipeline;
 use scr_kernel::api::{Errno, OpenFlags, SocketOrder, SysOp, SyscallApi};
 use scr_kernel::mail::{MailConfig, MailServer, NoMailObs};
@@ -32,21 +30,13 @@ use scr_mtrace::AccessKind;
 /// A sorted (core, label, kind) access multiset.
 type Footprint = Vec<(usize, String, AccessKind)>;
 
-/// Normalised sequential footprints of a test on both substrates. Pipe
-/// instance ids differ between the kernels (the simulator derives them
-/// from its access counter), so labels are normalised before comparison.
+/// Sorted sequential footprints of a test on both substrates: the same
+/// body, so the same labels, pipe numbers included.
 fn footprints(test: &ConcreteTest) -> (Footprint, Footprint) {
-    let normalize = |mut fp: Footprint| {
-        for entry in &mut fp {
-            entry.1 = normalize_pipe_label(&entry.1);
-        }
-        fp.sort();
-        fp
-    };
-    let sim = normalize(run_ext_sim(4, test, true).footprint);
+    let sim = run_ext_sim(HostMode::Sv6, 4, test, true).footprint;
     let host_run = run_ext_host(HostMode::Sv6, 4, test, false);
     assert_eq!(host_run.dropped, 0, "log overflow in {}", test.id);
-    (sim, normalize(host_run.footprint))
+    (sim, host_run.footprint)
 }
 
 fn assert_mirrors(test: &ConcreteTest) {
@@ -171,11 +161,12 @@ fn fork_and_spawn_mirror_the_simulated_snapshot_footprints() {
 }
 
 #[test]
-fn linuxlike_socket_calls_record_the_giant_lock_as_a_written_line() {
-    // The host baseline serialises socket calls on the global kernel lock;
-    // its acquisition is recorded as a written line, so — exactly as in the
-    // paper's Linux column — ordered *and* unordered socket pairs collapse
-    // there. The remaining accesses must still mirror the sv6 footprint.
+fn linuxlike_socket_calls_are_ordered_and_mirror_the_simulated_baseline() {
+    // The Linux-like policy orders every datagram socket (§4: "most systems
+    // order all messages sent via a local Unix domain socket"), so an
+    // unordered socket is one shared queue there, and ordered *and*
+    // unordered socket pairs collapse on it. The host and the simulator run
+    // the same body under that policy, so they record the same lines.
     for order in [SocketOrder::Ordered, SocketOrder::Unordered] {
         let test = single(
             &format!("linuxlike_send_{order:?}"),
@@ -185,29 +176,19 @@ fn linuxlike_socket_calls_record_the_giant_lock_as_a_written_line() {
         );
         let host = run_ext_host(HostMode::Linuxlike, 4, &test, false);
         assert_eq!(host.dropped, 0);
-        let giant: Vec<&AccessKind> = host
+        let queue: Vec<&AccessKind> = host
             .footprint
             .iter()
-            .filter(|(_, label, _)| label == "kernel.giant_lock")
+            .filter(|(_, label, _)| label == "socket[0].queue")
             .map(|(_, _, kind)| kind)
             .collect();
         assert!(
-            giant.contains(&&AccessKind::Write),
-            "{}: the giant lock must be recorded as a written line, got {giant:?}",
+            queue.contains(&&AccessKind::Write),
+            "{}: the one shared queue must be written, got {queue:?}",
             test.id
         );
-        // The socket lines themselves still mirror the sv6 footprint: the
-        // mode adds the lock, it does not change the queue accesses. (The
-        // directory lines differ by design — linuxlike collapses the
-        // stripes — so only socket labels are compared.)
-        let socket_lines = |fp: Footprint| -> Footprint {
-            fp.into_iter()
-                .filter(|(_, label, _)| label.starts_with("socket["))
-                .collect()
-        };
-        let rest = socket_lines(host.footprint);
-        let sim = socket_lines(run_ext_sim(4, &test, true).footprint);
-        assert_eq!(rest, sim, "{}", test.id);
+        let sim = run_ext_sim(HostMode::Linuxlike, 4, &test, true);
+        assert_eq!(host.footprint, sim.footprint, "{}", test.id);
     }
 }
 
@@ -231,7 +212,7 @@ fn ext_cross_check_under_real_concurrency_has_no_failures() {
 #[test]
 fn socket_errnos_match_the_simulated_kernel() {
     let sim = Sv6Kernel::new(2);
-    let host = HostKernel::new(2, HostMode::Sv6);
+    let host = host_kernel(2, HostMode::Sv6);
     let sim_sock = SyscallApi::socket(&sim, 0, SocketOrder::Unordered).unwrap();
     let host_sock = host.socket(0, SocketOrder::Unordered).unwrap();
     assert_eq!(sim_sock, host_sock, "socket ids are dense on both");
@@ -256,7 +237,7 @@ fn mail_server_runs_end_to_end_on_the_host_kernel() {
     // the real-threads kernel through the identical `SyscallApi` surface.
     for mode in [HostMode::Sv6, HostMode::Linuxlike] {
         for config in [MailConfig::CommutativeApis, MailConfig::RegularApis] {
-            let kernel = HostKernel::new(4, mode);
+            let kernel = host_kernel(4, mode);
             let client = kernel.new_process();
             let qman = kernel.new_process();
             let server = MailServer::new(&kernel, config, 4).unwrap();
@@ -308,7 +289,7 @@ fn unordered_notification_socket_keeps_local_delivery_conflict_free() {
     // records no cross-core socket sharing when each core consumes its own
     // queue. (The fig6 ext corpus asserts the per-pair version; this
     // drives it through the real MailServer.)
-    let kernel = HostKernel::new(2, HostMode::Sv6);
+    let kernel = host_kernel(2, HostMode::Sv6);
     let client = kernel.new_process();
     let qman = kernel.new_process();
     let server = MailServer::new(&kernel, MailConfig::CommutativeApis, 2).unwrap();
@@ -335,7 +316,7 @@ fn duplicated_pipe_endpoints_survive_child_reaping_on_the_host() {
     // take a reference on duplicated pipe endpoints, so reaping the child
     // cannot strand the parent's still-open ends.
     for mode in [HostMode::Sv6, HostMode::Linuxlike] {
-        let k = HostKernel::new(4, mode);
+        let k = host_kernel(4, mode);
         let pid = k.new_process();
         let (r, w) = k.pipe(0, pid).unwrap();
         let child = k.fork(0, pid).unwrap();
@@ -368,7 +349,7 @@ fn spawn_per_message_delivery_stays_cheap_on_wide_kernels() {
     // descriptor partitions it touches — with eager O(cores) padded-slot
     // tables, 10k helpers on a 64-core kernel would cost gigabytes and
     // minutes; lazily chunked they cost a few KB each.
-    let k = HostKernel::new(64, HostMode::Sv6);
+    let k = host_kernel(64, HostMode::Sv6);
     let pid = k.new_process();
     let fd = k
         .open(0, pid, "spool", scr_kernel::api::OpenFlags::create())
@@ -388,7 +369,7 @@ fn failed_posix_spawn_leaves_no_trace_on_the_host() {
     // Host mirror of the kernel_semantics regression: a bad descriptor in
     // the dup list fails the spawn before any endpoint reference is taken
     // or a child pid is allocated.
-    let k = HostKernel::new(4, HostMode::Sv6);
+    let k = host_kernel(4, HostMode::Sv6);
     let pid = k.new_process();
     let (r, w) = k.pipe(0, pid).unwrap();
     assert_eq!(k.posix_spawn(0, pid, &[w, 999]).unwrap_err(), Errno::EBADF);
@@ -424,7 +405,7 @@ fn same_fd_read_write_race_is_linearizable() {
     // advanced shared offset. Any non-empty read is a linearizability
     // violation of the per-open-file I/O lock.
     for round in 0..500 {
-        let k = HostKernel::new(2, HostMode::Sv6);
+        let k = host_kernel(2, HostMode::Sv6);
         let pid = k.new_process();
         let fd = k
             .open(0, pid, "f", scr_kernel::api::OpenFlags::create())

@@ -4,7 +4,7 @@
 //! not change the hostmtrace footprint), and heat-table/heatmap agreement.
 
 use scr_host::workloads::{mail_pipeline_observed, MailTelemetry};
-use scr_host::{run_host_fig6, HostFig6Config, HostKernel, HostMode};
+use scr_host::{host_kernel_with, run_host_fig6, HostFig6Config, HostMode};
 use scr_hostmtrace::{on_core, HostTraceSink, WindowHeat};
 use scr_kernel::api::{OpenFlags, StatMask, SyscallApi};
 use scr_kernel::mail::MailConfig;
@@ -89,7 +89,7 @@ fn observed_pipeline_accounts_for_every_recv_and_span() {
 /// recorder saw.
 fn traced_heat(observe: bool) -> (WindowHeat, u64) {
     let sink = HostTraceSink::new(2);
-    let kernel = HostKernel::instrumented(2, HostMode::Sv6, Sv6Options::default(), &sink);
+    let kernel = host_kernel_with(2, HostMode::Sv6, Sv6Options::default(), Some(&sink));
     let pid = kernel.new_process();
     let fd = on_core(0, || kernel.open(0, pid, "parity", OpenFlags::create())).unwrap();
 

@@ -9,7 +9,7 @@
 //! and pin that building a kernel costs a handful of blocks, not one
 //! allocation per line.
 
-use scr_host::kernel::{HostKernel, HostMode, FDS_PER_CORE};
+use scr_host::kernel::{host_kernel_with, HostKernel, HostMode, FDS_PER_CORE};
 use scr_hostmtrace::{HostTraceSink, LineId};
 use scr_kernel::api::{MmapBacking, OpenFlags, Prot, SocketOrder, SyscallApi};
 use scr_kernel::Sv6Options;
@@ -21,7 +21,7 @@ const FANOUT: usize = 64;
 
 fn instrumented(mode: HostMode) -> (Arc<HostTraceSink>, HostKernel) {
     let sink = HostTraceSink::new(CORES);
-    let kernel = HostKernel::instrumented(CORES, mode, Sv6Options::default(), &sink);
+    let kernel = host_kernel_with(CORES, mode, Sv6Options::default(), Some(&sink));
     (sink, kernel)
 }
 
@@ -56,64 +56,105 @@ fn per_index(labels: &mut Vec<String>, n: usize, label: impl Fn(usize) -> String
 }
 
 /// A process's lines: descriptor slots, address-space radix interior and
-/// per-core bump allocators.
-fn process(labels: &mut Vec<String>, pid: usize) {
+/// per-core bump allocators, then the Linux-like policy's locks and tables.
+fn process(labels: &mut Vec<String>, pid: usize, linux: bool) {
     per_index(labels, CORES * FDS_PER_CORE, |fd| {
         format!("proc[{pid}].fd[{fd}]")
     });
     per_index(labels, FANOUT, |i| format!("proc[{pid}].as.interior[{i}]"));
     per_index(labels, CORES, |c| format!("proc[{pid}].next_vpn[{c}]"));
+    if linux {
+        for line in [
+            "files.file_lock",
+            "mm.mmap_sem",
+            "files.fd_array",
+            "mm.vma_table",
+        ] {
+            labels.push(format!("proc[{pid}].{line}"));
+        }
+    }
 }
 
 /// The labels one-allocation-per-line instrumentation gives the same
 /// kernel and setup, in allocation order: each line formatted eagerly.
-fn eager_labels(stripes: usize) -> Vec<String> {
+fn eager_labels(mode: HostMode) -> Vec<String> {
+    let linux = mode == HostMode::Linuxlike;
     let mut labels = Vec::new();
     let l = &mut labels;
-    // The kernel: root directory, inode allocator, defer queues, then the
-    // host layer's giant lock.
-    per_index(l, 2 * stripes, |i| {
+    // The kernel: root directory, inode allocator (one counter under the
+    // Linux-like policy), defer queues, then the Linux-like policy's
+    // directory lock and entries.
+    per_index(l, 2 * 512, |i| {
         let line = if i % 2 == 0 { "lock" } else { "entries" };
         format!("scalefs.root.bucket[{}].{line}", i / 2)
     });
-    per_index(l, CORES, |c| format!("scalefs.next_ino[{c}]"));
+    per_index(l, if linux { 1 } else { CORES }, |c| {
+        format!("scalefs.next_ino[{c}]")
+    });
     per_index(l, CORES, |c| format!("scalefs.inode_gc.defer[{c}]"));
-    l.push("kernel.giant_lock".into());
-    process(l, 0);
-    process(l, 1);
-    // open(create): the first inode on core 0 is 1 << 8.
-    l.push("inode[256].nlink.global".into());
-    per_index(l, CORES, |c| format!("inode[256].nlink.delta[{c}]"));
-    l.push("inode[256].nlink.epoch".into());
+    if linux {
+        l.push("root.i_mutex".into());
+        l.push("root.entries".into());
+    }
+    process(l, 0, linux);
+    process(l, 1, linux);
+    // open(create): the lookup allocates the name's dentry; the first
+    // inode on core 0 is 1 << 8.
+    if linux {
+        l.push("dentry[f].d_count".into());
+        l.push("dentry[f].d_inode".into());
+        l.push("inode[256].nlink.shared".into());
+    } else {
+        l.push("inode[256].nlink.global".into());
+        per_index(l, CORES, |c| format!("inode[256].nlink.delta[{c}]"));
+        l.push("inode[256].nlink.epoch".into());
+    }
     l.push("inode[256].size.seq".into());
     l.push("inode[256].size.data".into());
     per_index(l, FANOUT, |i| format!("inode[256].pages.interior[{i}]"));
+    if linux {
+        l.push("inode[256].i_mutex".into());
+    }
     l.push("proc[0].ofile[f].offset".into());
+    if linux {
+        l.push("proc[0].ofile[f].f_count".into());
+    }
     // write: page 0 populates the first leaf.
     per_index(l, FANOUT, |i| format!("inode[256].pages.leaf[0][{i}]"));
     // pipe
-    for line in ["buffer", "readers", "writers", "roff", "woff"] {
+    for line in ["buffer", "readers", "writers"] {
         l.push(format!("pipe[0:0].{line}"));
+    }
+    for end in ["r", "w"] {
+        l.push(format!("pipe[0:0].{end}off"));
+        if linux {
+            l.push(format!("pipe[0:0].{end}count"));
+        }
     }
     // mmap: core 0's first page is vpn 1, under interior slot 0.
     l.push("proc[0].page[1]".into());
     per_index(l, FANOUT, |i| format!("proc[0].as.leaf[0][{i}]"));
-    // sockets: unordered, then ordered.
-    per_index(l, CORES, |c| format!("socket[0].queue[{c}]"));
+    // sockets: unordered (ordered under the Linux-like policy), then
+    // ordered.
+    if linux {
+        l.push("socket[0].queue".into());
+    } else {
+        per_index(l, CORES, |c| format!("socket[0].queue[{c}]"));
+    }
     l.push("socket[1].queue".into());
     // posix_spawn and fork each build a process.
-    process(l, 2);
-    process(l, 3);
+    process(l, 2, linux);
+    process(l, 3, linux);
     labels
 }
 
 #[test]
 fn lazy_labels_are_the_eager_labels_on_both_kernels() {
-    for (mode, stripes) in [(HostMode::Sv6, 512), (HostMode::Linuxlike, 1)] {
+    for mode in [HostMode::Sv6, HostMode::Linuxlike] {
         let (sink, kernel) = instrumented(mode);
         run_setup(&kernel);
         let labels = all_labels(&sink);
-        assert_eq!(labels, eager_labels(stripes), "{mode:?}");
+        assert_eq!(labels, eager_labels(mode), "{mode:?}");
         let past_the_end = sink.line_count();
         assert_eq!(
             sink.label_of(LineId(past_the_end)),
@@ -121,18 +162,25 @@ fn lazy_labels_are_the_eager_labels_on_both_kernels() {
         );
         let pinned: &[&str] = match mode {
             HostMode::Sv6 => &[
-                "scalefs.root.bucket[511].entries",
-                "scalefs.root.bucket[0].lock",
+                "inode[256].nlink.delta[2]",
+                "scalefs.next_ino[3]",
+                "socket[0].queue[1]",
             ],
-            HostMode::Linuxlike => &["scalefs.root.bucket[0].lock"],
+            HostMode::Linuxlike => &[
+                "root.i_mutex",
+                "dentry[f].d_count",
+                "proc[3].files.fd_array",
+                "proc[0].ofile[f].f_count",
+                "inode[256].i_mutex",
+            ],
         };
         for label in pinned.iter().chain(&[
+            "scalefs.root.bucket[511].entries",
+            "scalefs.root.bucket[0].lock",
             "proc[1].fd[63]",
             "proc[0].next_vpn[3]",
             "proc[0].as.interior[63]",
             "inode[256].pages.leaf[0][3]",
-            "inode[256].nlink.delta[2]",
-            "socket[0].queue[1]",
         ]) {
             assert!(labels.iter().any(|l| l == label), "{mode:?}: no {label}");
         }
@@ -147,7 +195,7 @@ fn building_costs_blocks_per_structure_not_allocations_per_line() {
     // 1 024 directory lines plus 2 × (64 descriptor slots + 64 radix
     // interior slots + 4 bump allocators), and a few per-core lines.
     assert!(sink.line_count() >= 1_288, "{}", sink.line_count());
-    // Directory, inode allocator, defer queues, giant lock and three
-    // blocks per process.
-    assert_eq!(sink.block_count(), 10);
+    // Directory, inode allocator, defer queues and three blocks per
+    // process.
+    assert_eq!(sink.block_count(), 9);
 }

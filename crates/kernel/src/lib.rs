@@ -11,29 +11,30 @@
 //!   [`api::KernelApi`] extends it with the simulated machine handle.
 //!   [`api::Layer`] is how a wrapper (telemetry, fault injection, retry)
 //!   gets the whole surface from one `around` hook.
-//! * [`sv6`] is the ScaleFS + RadixVM-style implementation (§6.3): hash
-//!   directories with per-bucket locks, radix-array page caches and address
-//!   spaces, Refcache link counts, per-core inode and descriptor
+//! * [`sv6`] is the one kernel body: ScaleFS + RadixVM-style (§6.3) hash
+//!   directories with per-bucket locks, radix-array page caches and
+//!   address spaces, Refcache link counts, per-core inode and descriptor
 //!   allocation, deferred reclamation, and optimistic check-then-update
-//!   paths. It is written once, generic over its line substrate:
-//!   [`Sv6Kernel`] runs it on the simulated machine, and the real-threads
-//!   `HostKernel` of `scr-host` is a thin [`api::Layer`] over the same body
-//!   on a trace sink. It deliberately keeps the paper's §6.4 residual
-//!   non-scalable cases (idempotent updates, pipe end reference counts).
-//! * [`linuxlike`] is the baseline whose sharing structure mirrors the
-//!   conflict sources §6.2 reports for Linux 3.8: dentry and `struct file`
-//!   reference counts, per-parent-directory locks, lowest-FD allocation
-//!   under a process-wide lock, a global inode counter, and an
-//!   address-space-wide `mmap_sem`. Both kernels take their datagram
-//!   sockets, ordered and unordered (§4 "permit weak ordering"), from
-//!   `scr_scalable::SocketTable`.
+//!   paths. It deliberately keeps the paper's §6.4 residual non-scalable
+//!   cases (idempotent updates, pipe end reference counts). It is written
+//!   once, generic over its line substrate — [`Sv6Kernel`] runs it on the
+//!   simulated machine, and the real-threads `HostKernel` of `scr-host`
+//!   runs the same body on a trace sink — and built under either sharing
+//!   [`Policy`].
+//! * [`policy`] holds the two policies. [`Policy::Linuxlike`] adds the
+//!   conflict sources §6.2 reports for Linux 3.8 to the body: dentry and
+//!   `struct file` reference counts, the parent directory's lock, lowest-FD
+//!   allocation under a process-wide lock, one inode counter, shared link
+//!   counts and an address-space-wide `mmap_sem`. Both policies take their
+//!   datagram sockets, ordered and unordered (§4 "permit weak ordering"),
+//!   from `scr_scalable::SocketTable`.
 //! * [`mail`] is the qmail-style mail server application of §7.3, written
 //!   against [`api::KernelApi`] so it can run over either kernel and with
 //!   either the regular or the commutative API set.
 
 pub mod api;
-pub mod linuxlike;
 pub mod mail;
+pub mod policy;
 mod proc_table;
 pub mod retry;
 pub mod sv6;
@@ -42,6 +43,6 @@ pub use api::{
     Errno, Fd, Ino, KResult, KernelApi, Layer, OpenFlags, Pid, Prot, Stat, StatMask, SysOp,
     SysResult, SyscallApi, SyscallKind, Whence, PAGE_SIZE,
 };
-pub use linuxlike::LinuxLikeKernel;
+pub use policy::Policy;
 pub use retry::{is_transient, Backoff, RetryPolicy};
 pub use sv6::{Sv6Kernel, Sv6Options};

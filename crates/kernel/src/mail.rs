@@ -607,7 +607,6 @@ impl<'k, K: SyscallApi + ?Sized> MailServer<'k, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::linuxlike::LinuxLikeKernel;
     use crate::sv6::Sv6Kernel;
 
     fn run_end_to_end(kernel: &dyn SyscallApi, config: MailConfig) {
@@ -646,7 +645,7 @@ mod tests {
 
     #[test]
     fn mail_pipeline_works_on_the_linux_like_baseline() {
-        let k = LinuxLikeKernel::new(4);
+        let k = Sv6Kernel::linuxlike(4);
         run_end_to_end(&k, MailConfig::RegularApis);
     }
 

@@ -1,18 +1,31 @@
-//! The sv6-style kernel: ScaleFS (in-memory file system) plus a RadixVM-like
+//! The kernel body: ScaleFS (in-memory file system) plus a RadixVM-like
 //! virtual memory system (§6.3), built from the scalable primitives of
-//! `scr-scalable`.
+//! `scr-scalable` — and, under the Linux-like [`Policy`], the same body with
+//! the sharing of Linux 3.8 (§6.2) added.
 //!
-//! The kernel is written once, generic over the [`Lines`] substrate its
-//! structures record their footprint on. [`Sv6Kernel`] (that is,
-//! `Sv6Kernel<SimMachine>`) runs it on the simulated machine, where
-//! COMMUTER checks which commutative pairs are conflict-free; the
-//! real-threads `HostKernel` of `scr-host` runs the same body over a trace
-//! sink (or over no substrate at all) from OS threads, where Figure 7 times
-//! it. The state is real storage — atomics, per-slot locks, a sharded inode
+//! The kernel is written once, in two ways at once:
+//!
+//! * **Over any line substrate.** It is generic over the [`Lines`] its
+//!   structures record their footprint on. [`Sv6Kernel`] (that is,
+//!   `Sv6Kernel<SimMachine>`) runs it on the simulated machine, where
+//!   COMMUTER checks which commutative pairs are conflict-free; the
+//!   real-threads `HostKernel` of `scr-host` runs the same body over a
+//!   trace sink (or over no substrate at all) from OS threads, where
+//!   Figure 7 times it.
+//! * **Under either sharing policy.** [`Policy::Sv6`] is the sv6 kernel;
+//!   [`Policy::Linuxlike`] is the Linux-like baseline of both Figure 6 and
+//!   Figure 7. The policy is a value chosen at construction: the Linux
+//!   structures are `Option`s the sv6 policy leaves empty, three
+//!   optimistic paths are switched by [`Policy`], and two calls branch
+//!   (`posix_spawn` and `socket`). The policy's doc lists what it shares.
+//!
+//! The state is real storage — atomics, per-slot locks, a sharded inode
 //! table, a lock-free process table — so the kernel is `Send + Sync`
 //! whenever its substrate is; on the single-threaded simulator every lock
-//! is uncontended. Locks are concurrency measures and record no line: a
-//! call records the same footprint whichever substrate it runs on.
+//! is uncontended. The body's own locks are concurrency measures and
+//! record no line, so a call records the same footprint whichever
+//! substrate it runs on; the Linux policy's coarse locks are sharing the
+//! baseline really has, so they record their lock words.
 //!
 //! Design patterns reproduced from the paper:
 //!
@@ -29,7 +42,8 @@
 //!   name-only lookup that never touches the inode, and `fstatx` without
 //!   `st_nlink` never reads the link count.
 //!
-//! Four protocols keep concurrent calls linearisable on real threads:
+//! Four protocols keep concurrent calls linearisable on real threads, under
+//! either policy:
 //! `link` publishes its link-count increment before it inserts the name;
 //! `rename` checks and updates both names under both buckets' locks; an
 //! `open(O_CREAT)` that loses a create race drops the inode it allocated;
@@ -45,16 +59,21 @@ use crate::api::{
     Errno, Fd, Ino, KResult, KernelApi, MmapBacking, OpenFlags, Pid, Prot, SockId, SocketOrder,
     Stat, StatMask, SyscallApi, Whence, PAGE_SIZE,
 };
+use crate::policy::{LinuxDir, LinuxProc};
 use crate::proc_table::ProcTable;
 use crossbeam::utils::CachePadded;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use scr_mtrace::{Block, CoreId, Lines, SimMachine};
 use scr_scalable::{
-    DeferQueue, HashDir, InodeAllocator, LinkCounter, RadixArray, SeqLock, SocketTable,
+    DeferQueue, HashDir, InodeAllocator, LinkCounter, LockWord, RadixArray, SeqLock, SharedCounter,
+    SocketTable,
 };
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
+
+pub use crate::policy::Policy;
 
 /// Descriptors per core partition (for `O_ANYFD` allocation).
 pub const FDS_PER_CORE: usize = 16;
@@ -64,7 +83,7 @@ const VPN_REGION_PER_CORE: u64 = 256;
 /// operations on different names rarely collide in one bucket; the
 /// "barring hash collisions" caveat of §1 still applies to the residual
 /// collisions.
-pub const DIR_BUCKETS: usize = 512;
+const DIR_BUCKETS: usize = 512;
 /// Shards of the inode table, so lookups of different inodes from
 /// different threads do not serialise.
 const INODE_SHARDS: usize = 64;
@@ -91,6 +110,8 @@ struct Inode<L> {
     size_pages: SeqLock<L>,
     /// Page cache: page number → contents.
     pages: RadixArray<Vec<u8>, L>,
+    /// The Linux policy's `i_mutex`, taken to change the size.
+    i_mutex: Option<Box<LockWord<L>>>,
 }
 
 /// One pipe. The reader/writer endpoint counts are deliberately plain
@@ -126,6 +147,29 @@ struct OpenFile<L> {
     io: Mutex<()>,
     /// The offset's line (`proc[p].ofile[name].offset`), when traced.
     offset_line: Option<Block<L>>,
+    /// The Linux policy's `f_count`: taken by every call that looks the
+    /// file up by descriptor, and by every descriptor that refers to it.
+    f_count: Option<SharedCounter<L>>,
+}
+
+/// A descriptor's open file for the length of one call: `fget` takes the
+/// Linux policy's `f_count` and dropping it (`fput`) drops it again.
+struct FileRef<L: Lines + Clone>(Arc<OpenFile<L>>);
+
+impl<L: Lines + Clone> Deref for FileRef<L> {
+    type Target = OpenFile<L>;
+
+    fn deref(&self) -> &OpenFile<L> {
+        &self.0
+    }
+}
+
+impl<L: Lines + Clone> Drop for FileRef<L> {
+    fn drop(&mut self) {
+        if let Some(count) = &self.0.f_count {
+            count.add(-1);
+        }
+    }
 }
 
 /// One page of a mapped region.
@@ -160,18 +204,20 @@ type FdChunk<L> = Box<[FdSlot<L>]>;
 /// partition is all-empty by definition, which the accessors exploit
 /// without allocating it.
 struct Process<L> {
-    fd_chunks: Vec<OnceLock<FdChunk<L>>>,
+    fd_chunks: Box<[OnceLock<FdChunk<L>>]>,
     /// Address space (`proc[p].as`), keyed by virtual page number.
     vm_pages: RadixArray<MappedPage<L>, L>,
     /// Per-core mmap bump allocators, lazily allocated like the slots
     /// (helper processes never map memory).
-    next_vpn: Vec<OnceLock<CachePadded<AtomicU64>>>,
+    next_vpn: Box<[OnceLock<CachePadded<AtomicU64>>]>,
     /// One line per descriptor slot (`proc[p].fd[f]`), when traced. The
     /// block names no line until a report asks, so a traced process costs
     /// O(1) whatever its table size.
     fd_lines: Option<Block<L>>,
     /// Per-core mmap bump-allocator lines (`proc[p].next_vpn[c]`).
     vpn_lines: Option<Block<L>>,
+    /// The Linux policy's `file_lock` and `mmap_sem` and their tables.
+    linux: Option<Box<LinuxProc<L>>>,
 }
 
 impl<L> Process<L> {
@@ -210,13 +256,15 @@ impl<L> Process<L> {
 /// One cache-padded shard of the inode table.
 type InodeShard<L> = CachePadded<RwLock<BTreeMap<Ino, Arc<Inode<L>>>>>;
 
-/// The sv6-style kernel (ScaleFS + RadixVM analogue) over the line
-/// substrate `L`: the simulated machine by default.
+/// The kernel body (ScaleFS + RadixVM analogue) over the line substrate
+/// `L` — the simulated machine by default — under either sharing
+/// [`Policy`].
 pub struct Sv6Kernel<L = SimMachine> {
     /// The substrate every structure records on; `None` records nothing.
     lines: Option<L>,
     cores: usize,
     options: Sv6Options,
+    policy: Policy,
     root: HashDir<Ino, L>,
     inode_shards: Box<[InodeShard<L>]>,
     inode_alloc: InodeAllocator<L>,
@@ -233,6 +281,8 @@ pub struct Sv6Kernel<L = SimMachine> {
     defer: DeferQueue<Ino, L>,
     /// Numbers pipes for their labels (`pipe[pid:id]`); untraced.
     next_pipe_id: AtomicU64,
+    /// The Linux policy's directory lock, entries line and dentry cache.
+    dir: Option<LinuxDir<L>>,
 }
 
 impl Sv6Kernel {
@@ -244,40 +294,57 @@ impl Sv6Kernel {
     /// Builds an sv6 kernel with non-default options (used by the ablation
     /// benchmarks).
     pub fn with_options(cores: usize, options: Sv6Options) -> Self {
-        Self::on_lines(Some(&SimMachine::new()), cores, options, DIR_BUCKETS)
+        Self::on_lines(Some(&SimMachine::new()), cores, options, Policy::Sv6)
+    }
+
+    /// Builds the Linux-like baseline on a fresh simulated machine.
+    pub fn linuxlike(cores: usize) -> Self {
+        Self::on_lines(
+            Some(&SimMachine::new()),
+            cores,
+            Sv6Options::default(),
+            Policy::Linuxlike,
+        )
     }
 }
 
 impl<L: Lines + Clone> Sv6Kernel<L> {
     /// Builds the kernel for `cores` cores over `lines` (`None`: record
-    /// nothing), with a root directory of `dir_buckets` buckets.
-    pub fn on_lines(
-        lines: Option<&L>,
-        cores: usize,
-        options: Sv6Options,
-        dir_buckets: usize,
-    ) -> Self {
+    /// nothing), with `policy`'s sharing. The Linux-like policy keeps link
+    /// counts in one shared count whatever `options` says.
+    pub fn on_lines(lines: Option<&L>, cores: usize, options: Sv6Options, policy: Policy) -> Self {
+        let linux = policy == Policy::Linuxlike;
         // Field initialisers run in the order written, which is the order
         // the structures' lines are allocated in.
         Sv6Kernel {
             lines: lines.cloned(),
             cores,
-            options,
-            root: HashDir::new(lines, "scalefs.root", dir_buckets),
+            options: Sv6Options {
+                shared_link_counts: options.shared_link_counts || linux,
+            },
+            policy,
+            root: HashDir::new(lines, "scalefs.root", DIR_BUCKETS),
             inode_shards: (0..INODE_SHARDS)
                 .map(|_| CachePadded::new(RwLock::new(BTreeMap::new())))
                 .collect(),
-            inode_alloc: InodeAllocator::new(lines, "scalefs", cores),
+            // Linux numbers inodes from one counter.
+            inode_alloc: InodeAllocator::new(lines, "scalefs", if linux { 1 } else { cores }),
             procs: ProcTable::new(),
             sockets: SocketTable::new(lines, cores),
             defer: DeferQueue::new(lines, "scalefs.inode_gc", cores),
             next_pipe_id: AtomicU64::new(0),
+            dir: linux.then(|| LinuxDir::new(lines)),
         }
     }
 
     /// Number of cores this kernel was configured for.
     pub fn cores(&self) -> usize {
         self.cores
+    }
+
+    /// The sharing policy this kernel was built with.
+    pub fn policy(&self) -> Policy {
+        self.policy
     }
 
     /// Drains `core`'s deferred list, reclaiming inodes whose link count
@@ -382,6 +449,10 @@ impl<L: Lines + Clone> Sv6Kernel<L> {
             ),
             size_pages: SeqLock::new(lines, format_args!("inode[{ino}].size"), 0),
             pages: RadixArray::new(lines, format_args!("inode[{ino}].pages")),
+            i_mutex: self
+                .dir
+                .is_some()
+                .then(|| Box::new(LockWord::new(lines, format_args!("inode[{ino}].i_mutex")))),
         });
         self.inode_shard(ino)
             .write()
@@ -394,7 +465,26 @@ impl<L: Lines + Clone> Sv6Kernel<L> {
         self.lines.as_ref().map(|lines| lines.line(label()))
     }
 
-    fn open_file(&self, proc_: &Process<L>, fd: Fd) -> KResult<Arc<OpenFile<L>>> {
+    /// A new open file description for `obj`, its offset and `f_count`
+    /// lines named by `label("offset")` and `label("f_count")`.
+    fn new_file(&self, obj: FileObj<L>, label: impl Fn(&str) -> String) -> Arc<OpenFile<L>> {
+        let lines = self.lines.as_ref();
+        Arc::new(OpenFile {
+            obj,
+            offset: AtomicU64::new(0),
+            io: Mutex::new(()),
+            offset_line: self.line(|| label("offset")),
+            f_count: self.dir.is_some().then(|| {
+                SharedCounter::new(lines, lines.map(|_| label("f_count")).unwrap_or_default())
+            }),
+        })
+    }
+
+    /// Looks up `fd` (`fget`).
+    fn open_file(&self, proc_: &Process<L>, fd: Fd) -> KResult<FileRef<L>> {
+        if let Some(linux) = &proc_.linux {
+            linux.read_fds();
+        }
         if fd as usize >= proc_.fd_capacity() {
             return Err(Errno::EBADF);
         }
@@ -406,7 +496,70 @@ impl<L: Lines + Clone> Sv6Kernel<L> {
         let slot = proc_
             .fd_slot_if_allocated(fd as usize)
             .ok_or(Errno::EBADF)?;
-        slot.lock().clone().ok_or(Errno::EBADF)
+        let file = slot.lock().clone().ok_or(Errno::EBADF)?;
+        if let Some(count) = &file.f_count {
+            count.add(1);
+        }
+        Ok(FileRef(file))
+    }
+
+    /// A path lookup: the directory's, plus the Linux policy's dentry.
+    fn lookup(&self, name: &str) -> Option<Ino> {
+        let ino = self.root.get(name);
+        if let Some(dir) = &self.dir {
+            dir.lookup(name, ino.is_some());
+        }
+        ino
+    }
+
+    /// Under the Linux policy, holds the directory's `i_mutex` for a call
+    /// that may add or remove a name.
+    fn lock_dir(&self) -> Option<MutexGuard<'_, ()>> {
+        self.dir.as_ref().map(LinuxDir::lock)
+    }
+
+    /// Under the Linux policy, a call that removes `name` looks it up
+    /// first, failing when it is missing, and then (when `lock`) holds the
+    /// directory's `i_mutex`.
+    fn lookup_then_lock(&self, name: &str, lock: bool) -> KResult<Option<MutexGuard<'_, ()>>> {
+        let Some(dir) = &self.dir else {
+            return Ok(None);
+        };
+        self.lookup(name).ok_or(Errno::ENOENT)?;
+        Ok(lock.then(|| dir.lock()))
+    }
+
+    /// Records, under the Linux policy, that `names` were added or removed.
+    fn dir_changed(&self, names: &[&str]) {
+        if let Some(dir) = &self.dir {
+            dir.changed(names);
+        }
+    }
+
+    /// Releases every descriptor of `proc_` that `release` selects, as
+    /// `close` does. The process's open-descriptor list is process-private
+    /// state (a real exit path walks its own fd list), so empty slots are
+    /// skipped without touching their lines; each occupied slot is read and
+    /// emptied.
+    fn release_fds(&self, proc_: &Process<L>, release: impl Fn(usize) -> bool) {
+        let _files = proc_.linux.as_ref().map(|linux| linux.files(true));
+        for (chunk_idx, chunk) in proc_.fd_chunks.iter().enumerate() {
+            let Some(chunk) = chunk.get() else { continue };
+            for (slot_idx, slot) in chunk.iter().enumerate() {
+                let fd = chunk_idx * FDS_PER_CORE + slot_idx;
+                if !release(fd) {
+                    continue;
+                }
+                let Some(file) = slot.lock().take() else {
+                    continue;
+                };
+                if let Some(p) = &proc_.fd_lines {
+                    p.read(fd);
+                    p.write(fd);
+                }
+                adjust_refs(&file, -1);
+            }
+        }
     }
 
     /// Allocates a descriptor slot. With `anyfd` the search is restricted to
@@ -421,6 +574,7 @@ impl<L: Lines + Clone> Sv6Kernel<L> {
         file: Arc<OpenFile<L>>,
         anyfd: bool,
     ) -> KResult<Fd> {
+        let _files = proc_.linux.as_ref().map(|linux| linux.files(true));
         let (start, end) = if anyfd {
             let core = core % self.cores;
             (core * FDS_PER_CORE, (core + 1) * FDS_PER_CORE)
@@ -464,7 +618,11 @@ impl<L: Lines + Clone> Sv6Kernel<L> {
 
     fn file_read_at(&self, inode: &Inode<L>, offset: u64, len: u64) -> Vec<u8> {
         // Bounds are determined by which pages exist in the radix array, so
-        // reads of different pages never conflict with size changes.
+        // reads of different pages never conflict with size changes. Linux
+        // bounds a read by the size, so there every read loads it.
+        if self.dir.is_some() {
+            inode.size_pages.read();
+        }
         let mut out = Vec::new();
         if len == 0 {
             return out;
@@ -514,7 +672,8 @@ impl<L: Lines + Clone> Sv6Kernel<L> {
         drop(pages);
         // Grow the size only when the write actually extends the file; the
         // optimistic read keeps non-extending writes conflict-free with each
-        // other.
+        // other — except on Linux, where every size update takes `i_mutex`.
+        let _i_mutex = inode.i_mutex.as_deref().map(LockWord::hold);
         inode
             .size_pages
             .fetch_max((offset + written).div_ceil(PAGE_SIZE));
@@ -529,13 +688,18 @@ impl<L: Lines + Clone> Sv6Kernel<L> {
     }
 }
 
-/// Adjusts a descriptor's pipe-endpoint count: duplicating a descriptor
-/// (fork's snapshot, posix_spawn's dup list) takes another reference
-/// (`+1`), `close`/`wait` drop one (`-1`). Keeping every adjustment on
-/// this one helper keeps EPIPE/EOF exact across process boundaries. The
-/// counts are shared — the deliberate §6.4 residual conflict — and each
-/// adjustment is a read-modify-write of the endpoint's line.
-fn adjust_pipe_endpoint<L: Lines + Clone>(file: &OpenFile<L>, delta: i64) {
+/// Adjusts the counts a descriptor holds: duplicating a descriptor (fork's
+/// snapshot, posix_spawn's dup list) takes another reference (`+1`),
+/// `close`/`wait` drop one (`-1`). A pipe end's endpoint count moves with
+/// it; keeping every adjustment on this one helper keeps EPIPE/EOF exact
+/// across process boundaries. The endpoint counts are shared — the
+/// deliberate §6.4 residual conflict — and each adjustment is a
+/// read-modify-write of the endpoint's line. Under the Linux policy the
+/// open file's `f_count` moves too.
+fn adjust_refs<L: Lines + Clone>(file: &OpenFile<L>, delta: i64) {
+    if let Some(count) = &file.f_count {
+        count.add(delta);
+    }
     let (pipe, count, line) = match &file.obj {
         FileObj::File(_) => return,
         FileObj::PipeRead(pipe) => (pipe, &pipe.readers, READERS),
@@ -573,13 +737,17 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
                 vpn_lines: lines.map(|lines| {
                     lines.block(self.cores, move |c| format!("proc[{pid}].next_vpn[{c}]"))
                 }),
+                linux: self
+                    .dir
+                    .is_some()
+                    .then(|| Box::new(LinuxProc::new(lines, pid))),
             })
         })
     }
 
     fn open(&self, core: CoreId, pid: Pid, name: &str, flags: OpenFlags) -> KResult<Fd> {
         let proc_ = self.proc(pid)?;
-        let ino = match self.root.get(name) {
+        let ino = match self.lookup(name) {
             Some(ino) => {
                 if flags.create && flags.excl {
                     return Err(Errno::EEXIST);
@@ -590,9 +758,11 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
                 if !flags.create {
                     return Err(Errno::ENOENT);
                 }
+                let _dir = self.lock_dir();
                 let inode = self.new_inode(core);
                 inode.nlink.inc(core);
                 if self.root.insert_if_absent(name, inode.ino) {
+                    self.dir_changed(&[name]);
                     inode.ino
                 } else {
                     // Lost a create race with another thread: the
@@ -609,23 +779,22 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
             }
         };
         let inode = self.inode(ino).ok_or(Errno::ENOENT)?;
-        if flags.truncate && inode.size_pages.read() != 0 {
+        if flags.truncate && (!self.policy.optimistic() || inode.size_pages.read() != 0) {
+            let _i_mutex = inode.i_mutex.as_deref().map(LockWord::hold);
             inode.size_pages.write(|_| 0);
             inode.pages.clear();
         }
-        let file = Arc::new(OpenFile {
-            obj: FileObj::File(inode),
-            offset: AtomicU64::new(0),
-            io: Mutex::new(()),
-            offset_line: self.line(|| format!("proc[{pid}].ofile[{name}].offset")),
+        let file = self.new_file(FileObj::File(inode), |line| {
+            format!("proc[{pid}].ofile[{name}].{line}")
         });
         self.alloc_fd(core, proc_, file, flags.anyfd)
     }
 
     fn link(&self, core: CoreId, pid: Pid, old: &str, new: &str) -> KResult<()> {
         self.proc(pid)?;
-        let ino = self.root.get(old).ok_or(Errno::ENOENT)?;
+        let ino = self.lookup(old).ok_or(Errno::ENOENT)?;
         let inode = self.inode(ino).ok_or(Errno::ENOENT)?;
+        let _dir = self.lock_dir();
         // Optimistic existence check first: a link to an existing name
         // must not touch the link counter at all. This check is the
         // insert's optimistic stage, so the pessimistic insert below
@@ -649,12 +818,15 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
             self.root.remove(new);
             return Err(Errno::ENOENT);
         }
+        self.dir_changed(&[new]);
         Ok(())
     }
 
     fn unlink(&self, core: CoreId, pid: Pid, name: &str) -> KResult<()> {
         self.proc(pid)?;
+        let _dir = self.lookup_then_lock(name, true)?;
         let ino = self.root.remove(name).ok_or(Errno::ENOENT)?;
+        self.dir_changed(&[name]);
         if let Some(inode) = self.inode(ino) {
             inode.nlink.dec(core);
             // Reclamation is deferred; the epoch pass frees the inode if its
@@ -670,9 +842,10 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
     /// (e.g. a leaked link count).
     fn rename(&self, core: CoreId, pid: Pid, src: &str, dst: &str) -> KResult<()> {
         self.proc(pid)?;
+        let _dir = self.lookup_then_lock(src, src != dst)?;
         let s_bucket = self.root.bucket_of(src);
         let d_bucket = self.root.bucket_of(dst);
-        self.root.with_pair_locked(src, dst, |dir| {
+        let renamed = self.root.with_pair_locked(src, dst, |dir| {
             let src_ino = dir.get(src, s_bucket).ok_or(Errno::ENOENT)?;
             if src == dst {
                 return Ok(());
@@ -702,12 +875,16 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
             }
             dir.remove(src, s_bucket);
             Ok(())
-        })
+        });
+        if renamed.is_ok() && src != dst {
+            self.dir_changed(&[src, dst]);
+        }
+        renamed
     }
 
     fn stat(&self, _core: CoreId, pid: Pid, name: &str) -> KResult<Stat> {
         self.proc(pid)?;
-        let ino = self.root.get(name).ok_or(Errno::ENOENT)?;
+        let ino = self.lookup(name).ok_or(Errno::ENOENT)?;
         let inode = self.inode(ino).ok_or(Errno::ENOENT)?;
         Ok(self.file_stat(&inode, StatMask::all()))
     }
@@ -720,6 +897,17 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
         let proc_ = self.proc(pid)?;
         let file = self.open_file(proc_, fd)?;
         match &file.obj {
+            // Without the optimistic path (Linux has no field-selective
+            // stat) every field is gathered, then masked.
+            FileObj::File(inode) if !self.policy.optimistic() => {
+                let full = self.file_stat(inode, StatMask::all());
+                Ok(Stat {
+                    ino: if mask.want_ino { full.ino } else { 0 },
+                    size: if mask.want_size { full.size } else { 0 },
+                    nlink: if mask.want_nlink { full.nlink } else { 0 },
+                    is_pipe: false,
+                })
+            }
             FileObj::File(inode) => Ok(self.file_stat(inode, mask)),
             FileObj::PipeRead(_) | FileObj::PipeWrite(_) => Ok(Stat {
                 ino: 0,
@@ -753,7 +941,7 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
             return Err(Errno::EINVAL);
         }
         let target = target as u64;
-        if target == current {
+        if target == current && self.policy.optimistic() {
             return Ok(target);
         }
         // Pessimistic stage: perform the update.
@@ -766,6 +954,7 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
 
     fn close(&self, _core: CoreId, pid: Pid, fd: Fd) -> KResult<()> {
         let proc_ = self.proc(pid)?;
+        let _files = proc_.linux.as_ref().map(|linux| linux.files(true));
         if fd as usize >= proc_.fd_capacity() {
             return Err(Errno::EBADF);
         }
@@ -779,7 +968,7 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
         if let Some(p) = &proc_.fd_lines {
             p.write(fd as usize);
         }
-        adjust_pipe_endpoint(&file, -1);
+        adjust_refs(&file, -1);
         Ok(())
     }
 
@@ -794,16 +983,15 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
                 lines.block(3, move |i| format!("pipe[{pid}:{id}].{}", PIPE_LINES[i]))
             }),
         });
-        let end = |obj, suffix: &str| {
-            Arc::new(OpenFile {
-                obj,
-                offset: AtomicU64::new(0),
-                io: Mutex::new(()),
-                offset_line: self.line(|| format!("pipe[{pid}:{id}].{suffix}")),
+        // The ends' lines are `roff`/`rcount` and `woff`/`wcount`.
+        let end = |obj, end: char| {
+            self.new_file(obj, move |line| {
+                let line = if line == "offset" { "off" } else { "count" };
+                format!("pipe[{pid}:{id}].{end}{line}")
             })
         };
-        let read_end = end(FileObj::PipeRead(Arc::clone(&pipe)), "roff");
-        let write_end = end(FileObj::PipeWrite(pipe), "woff");
+        let read_end = end(FileObj::PipeRead(Arc::clone(&pipe)), 'r');
+        let write_end = end(FileObj::PipeWrite(pipe), 'w');
         let rfd = self.alloc_fd(core, proc_, read_end, false)?;
         let wfd = self.alloc_fd(core, proc_, write_end, false)?;
         Ok((rfd, wfd))
@@ -942,6 +1130,7 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
                 _ => return Err(Errno::EBADF),
             },
         };
+        let _mm = proc_.linux.as_ref().map(|linux| linux.mm());
         let mut vm = proc_.vm_pages.write();
         for i in 0..pages {
             let vpn = base_vpn + i;
@@ -960,6 +1149,7 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
     fn munmap(&self, _core: CoreId, pid: Pid, addr: u64, pages: u64) -> KResult<()> {
         let proc_ = self.proc(pid)?;
         let base_vpn = Self::vpn_of(addr)?;
+        let _mm = proc_.linux.as_ref().map(|linux| linux.mm());
         let mut vm = proc_.vm_pages.write();
         for i in 0..pages {
             // RadixVM-style: touching only the slots being unmapped; TLB
@@ -972,6 +1162,7 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
     fn mprotect(&self, _core: CoreId, pid: Pid, addr: u64, pages: u64, prot: Prot) -> KResult<()> {
         let proc_ = self.proc(pid)?;
         let base_vpn = Self::vpn_of(addr)?;
+        let _mm = proc_.linux.as_ref().map(|linux| linux.mm());
         let mut vm = proc_.vm_pages.write();
         for i in 0..pages {
             if !vm.modify((base_vpn + i) as usize, |page| page.prot = prot) {
@@ -985,6 +1176,9 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
         let proc_ = self.proc(pid)?;
         let vpn = addr / PAGE_SIZE;
         let in_page = addr % PAGE_SIZE;
+        if let Some(linux) = &proc_.linux {
+            linux.read_vmas();
+        }
         let page = proc_.vm_pages.get(vpn as usize).ok_or(Errno::EFAULT)?;
         if !page.prot.read {
             return Err(Errno::EFAULT);
@@ -1008,6 +1202,9 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
         let proc_ = self.proc(pid)?;
         let vpn = addr / PAGE_SIZE;
         let in_page = addr % PAGE_SIZE;
+        if let Some(linux) = &proc_.linux {
+            linux.read_vmas();
+        }
         let page = proc_.vm_pages.get(vpn as usize).ok_or(Errno::EFAULT)?;
         if !page.prot.write {
             return Err(Errno::EFAULT);
@@ -1034,6 +1231,10 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
         let child = self.proc(child_pid)?;
         // fork snapshots the whole descriptor table: it must read every
         // parent slot, which is what makes it commute with almost nothing.
+        let snapshot = parent.linux.as_ref().map(|linux| linux.files(false));
+        if let Some(linux) = &child.linux {
+            linux.install_fds();
+        }
         for fd in 0..parent.fd_capacity() {
             if let Some(p) = &parent.fd_lines {
                 p.read(fd);
@@ -1048,17 +1249,18 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
                 // endpoint; the endpoint count must grow with it, or the
                 // child's exit (wait/close) would strand the parent's
                 // still-open end behind a spurious EPIPE/EOF.
-                adjust_pipe_endpoint(&file, 1);
+                adjust_refs(&file, 1);
                 if let Some(p) = &child.fd_lines {
                     p.write(fd);
                 }
                 *child.fd_slot(fd).expect("fd within capacity").lock() = Some(file);
             }
         }
+        drop(snapshot);
         Ok(child_pid)
     }
 
-    fn posix_spawn(&self, _core: CoreId, pid: Pid, dup_fds: &[Fd]) -> KResult<Pid> {
+    fn posix_spawn(&self, core: CoreId, pid: Pid, dup_fds: &[Fd]) -> KResult<Pid> {
         let parent = self.proc(pid)?;
         // Resolve the whole dup list first: a bad descriptor fails the
         // spawn before any endpoint reference is taken or a child process
@@ -1071,15 +1273,23 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
         for &fd in dup_fds {
             let file = self.open_file(parent, fd)?;
             if files.iter().all(|(kept, _)| *kept != fd) {
-                files.push((fd, file));
+                files.push((fd, Arc::clone(&file.0)));
             }
+        }
+        if self.dir.is_some() {
+            // Linux builds posix_spawn on fork: the child starts with every
+            // descriptor and closes those it does not keep.
+            let child_pid = self.fork(core, pid)?;
+            let keep = |fd: usize| files.iter().any(|(kept, _)| *kept as usize == fd);
+            self.release_fds(self.proc(child_pid)?, |fd| !keep(fd));
+            return Ok(child_pid);
         }
         let child_pid = self.new_process();
         let child = self.proc(child_pid)?;
         // posix_spawn builds the child image directly: only the explicitly
         // listed descriptors are touched.
         for (fd, file) in files {
-            adjust_pipe_endpoint(&file, 1);
+            adjust_refs(&file, 1);
             if let Some(p) = &child.fd_lines {
                 p.write(fd as usize);
             }
@@ -1088,32 +1298,21 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
         Ok(child_pid)
     }
 
-    /// Reaps a finished child. Reaping stays O(open descriptors), not
-    /// O(table size): the exiting child's open-descriptor list is
-    /// process-private state (a real exit path walks its own fd list), so
-    /// empty slots are skipped without touching their lines. Each occupied
-    /// slot is read and emptied, releasing pipe endpoints exactly as close
-    /// does. The pid stays valid and refers to an empty process afterwards.
+    /// Reaps a finished child, releasing all its descriptors. Reaping
+    /// stays O(open descriptors), not O(table size). The pid stays valid
+    /// and refers to an empty process afterwards.
     fn wait(&self, _core: CoreId, _pid: Pid, child: Pid) -> KResult<()> {
-        let proc_ = self.proc(child)?;
-        for (chunk_idx, chunk) in proc_.fd_chunks.iter().enumerate() {
-            let Some(chunk) = chunk.get() else { continue };
-            for (slot_idx, slot) in chunk.iter().enumerate() {
-                let Some(file) = slot.lock().take() else {
-                    continue;
-                };
-                if let Some(p) = &proc_.fd_lines {
-                    let fd = chunk_idx * FDS_PER_CORE + slot_idx;
-                    p.read(fd);
-                    p.write(fd);
-                }
-                adjust_pipe_endpoint(&file, -1);
-            }
-        }
+        self.release_fds(self.proc(child)?, |_| true);
         Ok(())
     }
 
     fn socket(&self, _core: CoreId, order: SocketOrder) -> KResult<SockId> {
+        // Linux orders every datagram socket.
+        let order = if self.dir.is_some() {
+            SocketOrder::Ordered
+        } else {
+            order
+        };
         Ok(self.sockets.create(order))
     }
 
@@ -1356,5 +1555,134 @@ mod tests {
         type Shared = Arc<SimMachine>;
         assert!(std::mem::size_of::<Inode<Shared>>() <= 128);
         assert!(std::mem::size_of::<Process<Shared>>() <= 144);
+    }
+
+    // --- the Linux-like policy's §6.2 conflict sources --------------------
+
+    /// Runs `a` on core 0 and `b` on core 1 of a Linux-like kernel with
+    /// processes 0 and 1, after an untraced `setup`, and returns the lines
+    /// the two calls share.
+    fn linux_shared<S, A, B>(
+        setup: impl Fn(&Sv6Kernel) -> S,
+        a: impl Fn(&Sv6Kernel, &S) -> A,
+        b: impl Fn(&Sv6Kernel, &S) -> B,
+    ) -> Vec<String> {
+        let k = Sv6Kernel::linuxlike(4);
+        k.new_process();
+        k.new_process();
+        let state = setup(&k);
+        let m = k.machine().clone();
+        m.start_tracing();
+        m.on_core(0, || {
+            a(&k, &state);
+        });
+        m.on_core(1, || {
+            b(&k, &state);
+        });
+        m.conflict_report().conflicting_labels()
+    }
+
+    fn create(k: &Sv6Kernel, core: CoreId, pid: Pid, name: &str) -> Fd {
+        k.open(core, pid, name, OpenFlags::create()).unwrap()
+    }
+
+    #[test]
+    fn linux_creates_of_different_files_conflict_on_the_parent_directory() {
+        let labels = linux_shared(
+            |_| (),
+            |k, _| create(k, 0, 0, "alpha"),
+            |k, _| create(k, 1, 1, "beta"),
+        );
+        for line in ["root.i_mutex", "root.entries", "scalefs.next_ino[0]"] {
+            assert!(labels.iter().any(|l| l == line), "{line} not in {labels:?}");
+        }
+    }
+
+    #[test]
+    fn linux_fstats_of_one_descriptor_conflict_on_f_count() {
+        let labels = linux_shared(
+            |k| create(k, 0, 0, "f"),
+            |k, fd| k.fstat(0, 0, *fd).unwrap(),
+            |k, fd| k.fstat(1, 0, *fd).unwrap(),
+        );
+        assert_eq!(labels, ["proc[0].ofile[f].f_count"]);
+        // The same holds for preads of different pages.
+        let labels = linux_shared(
+            |k| {
+                let fd = create(k, 0, 0, "data");
+                k.pwrite(0, 0, fd, b"a", 0).unwrap();
+                k.pwrite(0, 0, fd, b"b", PAGE_SIZE).unwrap();
+                fd
+            },
+            |k, fd| k.pread(0, 0, *fd, 1, 0).unwrap(),
+            |k, fd| k.pread(1, 0, *fd, 1, PAGE_SIZE).unwrap(),
+        );
+        assert_eq!(labels, ["proc[0].ofile[data].f_count"]);
+    }
+
+    #[test]
+    fn linux_stats_conflict_on_the_dentry_count_of_one_name_only() {
+        let setup = |k: &Sv6Kernel| {
+            create(k, 0, 0, "one");
+            create(k, 0, 0, "two");
+        };
+        let stat = |name: &'static str| move |k: &Sv6Kernel, _: &()| k.stat(0, 0, name);
+        let same = linux_shared(setup, stat("one"), stat("one"));
+        assert_eq!(same, ["dentry[one].d_count"]);
+        // Linux does scale for many commutative cases (§6.2).
+        assert!(linux_shared(setup, stat("one"), stat("two")).is_empty());
+    }
+
+    #[test]
+    fn linux_fstatx_reads_the_link_count_a_link_writes() {
+        let labels = linux_shared(
+            |k| create(k, 0, 0, "f"),
+            |k, fd| k.fstatx(0, 0, *fd, StatMask::all_but_nlink()).unwrap(),
+            |k, _| k.link(1, 0, "f", "f-link").unwrap(),
+        );
+        assert!(
+            labels.iter().any(|l| l.ends_with(".nlink.shared")),
+            "{labels:?}"
+        );
+    }
+
+    #[test]
+    fn linux_writes_to_different_pages_conflict_on_i_mutex() {
+        let labels = linux_shared(
+            |k| (create(k, 0, 0, "big"), create(k, 0, 1, "big")),
+            |k, fds| k.pwrite(0, 0, fds.0, b"X", 0).unwrap(),
+            |k, fds| k.pwrite(1, 1, fds.1, b"Y", PAGE_SIZE).unwrap(),
+        );
+        assert!(labels.iter().any(|l| l.ends_with(".i_mutex")), "{labels:?}");
+    }
+
+    #[test]
+    fn linux_address_space_changes_conflict_on_mmap_sem_within_a_process() {
+        let mmap = |core: CoreId, pid: Pid| {
+            move |k: &Sv6Kernel, _: &u64| {
+                k.mmap(core, pid, None, 1, Prot::rw(), MmapBacking::Anon)
+                    .unwrap();
+            }
+        };
+        let labels = linux_shared(
+            |k| {
+                k.mmap(0, 0, None, 1, Prot::rw(), MmapBacking::Anon)
+                    .unwrap()
+            },
+            mmap(0, 0),
+            |k, addr| k.memread(1, 0, *addr).unwrap(),
+        );
+        assert_eq!(labels, ["proc[0].mm.vma_table"]);
+        assert!(linux_shared(|_| 0, mmap(0, 0), mmap(1, 1)).is_empty());
+    }
+
+    #[test]
+    fn linux_fork_conflicts_with_descriptor_operations() {
+        let labels = linux_shared(
+            |k| create(k, 0, 0, "f"),
+            |k, _| k.fork(0, 0).unwrap(),
+            |k, fd| k.fstat(1, 0, *fd).unwrap(),
+        );
+        assert_eq!(labels, ["proc[0].ofile[f].f_count"]);
     }
 }

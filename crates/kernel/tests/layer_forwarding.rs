@@ -11,7 +11,7 @@ use scr_kernel::api::{
     perform, KResult, KernelApi, Layer, MmapBacking, OpenFlags, Prot, SocketOrder, StatMask, SysOp,
     SyscallApi, SyscallKind, Whence, PAGE_SIZE,
 };
-use scr_kernel::{LinuxLikeKernel, Sv6Kernel};
+use scr_kernel::Sv6Kernel;
 use scr_mtrace::{AccessKind, CoreId, SimMachine};
 use std::cell::RefCell;
 
@@ -142,5 +142,5 @@ fn sv6_behind_a_layer_is_the_bare_kernel() {
 
 #[test]
 fn linux_like_behind_a_layer_is_the_bare_kernel() {
-    check(LinuxLikeKernel::new(2), LinuxLikeKernel::new(2));
+    check(Sv6Kernel::linuxlike(2), Sv6Kernel::linuxlike(2));
 }

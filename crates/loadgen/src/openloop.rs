@@ -32,7 +32,7 @@ use crate::rng::Rng64;
 use crate::schedule::{arrival_offsets, Arrival};
 use crate::zipf::ZipfSampler;
 use scr_chaos::plan::ChaosPlan;
-use scr_host::kernel::{HostKernel, HostMode};
+use scr_host::kernel::{host_kernel, HostKernel, HostMode};
 pub use scr_host::pipeline::{parse_stamp, parse_stamp_index};
 use scr_host::pipeline::{run_pipeline, PipelineConfig};
 use scr_kernel::mail::{Delivered, MailConfig, MailTopology};
@@ -42,7 +42,7 @@ use scr_obs::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSna
 /// One open-loop cell: what to offer the pipeline and how to shape it.
 #[derive(Clone, Debug)]
 pub struct LoadConfig {
-    /// Kernel sharing structure (sv6 striped vs linuxlike global lock).
+    /// Kernel sharing policy (sv6 vs the Linux-like baseline).
     pub mode: HostMode,
     /// Mail API family (§7.3 regular vs commutative).
     pub mail: MailConfig,
@@ -190,7 +190,7 @@ fn pipeline_config(config: &LoadConfig) -> PipelineConfig {
 
 /// Run one open-loop cell on a fresh kernel built from `config.mode`.
 pub fn run_open_loop(config: &LoadConfig) -> LoadReport {
-    let kernel = HostKernel::new(pipeline_config(config).cores(), config.mode);
+    let kernel = host_kernel(pipeline_config(config).cores(), config.mode);
     run_open_loop_on(&kernel, config)
 }
 

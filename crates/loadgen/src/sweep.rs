@@ -12,7 +12,7 @@
 use crate::openloop::{run_open_loop, run_open_loop_on, LoadConfig, LoadReport};
 use crate::schedule::Arrival;
 use scr_chaos::plan::ChaosPlan;
-use scr_host::kernel::{HostKernel, HostMode};
+use scr_host::kernel::{host_kernel_with, HostMode};
 use scr_hostmtrace::HostTraceSink;
 use scr_kernel::mail::{MailConfig, MailTopology};
 use scr_kernel::Sv6Options;
@@ -175,11 +175,11 @@ fn heat_pass(spec: &SweepSpec, config: &LoadConfig) -> (Vec<ShardHeat>, Vec<(Str
     let mut heat_config = config.clone();
     heat_config.messages = spec.heat_messages;
     let sink = HostTraceSink::with_capacity(config.topology.cores(), HEAT_LOG_CAPACITY);
-    let kernel = HostKernel::instrumented(
+    let kernel = host_kernel_with(
         config.topology.cores(),
         config.mode,
         Sv6Options::default(),
-        &sink,
+        Some(&sink),
     );
     sink.begin_window();
     run_open_loop_on(&kernel, &heat_config);

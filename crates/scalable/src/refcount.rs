@@ -149,8 +149,9 @@ pub enum LinkCounter<L> {
     /// padded cache line per core and would otherwise bloat every inode in
     /// shared-count mode too.
     Scalable(Box<Refcache<L>>),
-    /// One shared count on the line `{label}.shared`.
-    Shared(SharedCounter<L>),
+    /// One shared count on the line `{label}.shared`. Boxed too, so a
+    /// counter is two words in either representation.
+    Shared(Box<SharedCounter<L>>),
 }
 
 impl<L: Lines + Clone> LinkCounter<L> {
@@ -158,7 +159,10 @@ impl<L: Lines + Clone> LinkCounter<L> {
     /// count with `shared`.
     pub fn new(lines: Option<&L>, label: impl Display, cores: usize, shared: bool) -> Self {
         if shared {
-            LinkCounter::Shared(SharedCounter::new(lines, format_args!("{label}.shared")))
+            LinkCounter::Shared(Box::new(SharedCounter::new(
+                lines,
+                format_args!("{label}.shared"),
+            )))
         } else {
             LinkCounter::Scalable(Box::new(Refcache::new(lines, label, cores, 0)))
         }

@@ -30,7 +30,7 @@ fn exercise<L: Lines + Clone>(lines: &L, run: &dyn Fn(usize, &dyn Fn())) {
     let sockets = SocketTable::new(l, CORES);
     let shards = PerCoreCounter::new(l, "ctr", CORES);
     let shared = SharedCounter::new(l, "file.refcount");
-    let giant = LockWord::new(l, "kernel.giant_lock");
+    let i_mutex = LockWord::new(l, "root.i_mutex");
 
     run(0, &|| {
         dir.insert_if_absent("a", 1);
@@ -94,11 +94,11 @@ fn exercise<L: Lines + Clone>(lines: &L, run: &dyn Fn(usize, &dyn Fn())) {
     let ordered = sockets.create(SocketOrder::Ordered);
     let unordered = sockets.create(SocketOrder::Unordered);
     run(2, &|| {
-        giant.with(|| sockets.send(2, ordered, b"o").unwrap());
+        i_mutex.with(|| sockets.send(2, ordered, b"o").unwrap());
         sockets.send(2, unordered, b"u").unwrap();
     });
     run(3, &|| {
-        drop(giant.hold());
+        drop(i_mutex.hold());
         sockets.recv(3, ordered).unwrap();
         sockets.recv(3, ordered).unwrap_err();
         sockets.recv(3, unordered).unwrap();

@@ -21,8 +21,8 @@
 use scalable_commutativity::chaos::plan::ChaosPlan;
 use scalable_commutativity::host::workloads::MailTelemetry;
 use scalable_commutativity::host::{
-    differential_campaign, run_pipeline, saturating_schedule, CampaignConfig, ChaosReplayer,
-    HostKernel, HostMode, PipelineConfig,
+    differential_campaign, host_kernel, run_pipeline, saturating_schedule, CampaignConfig,
+    ChaosReplayer, HostMode, PipelineConfig,
 };
 use scalable_commutativity::kernel::mail::{MailConfig, MailTopology};
 use scalable_commutativity::model::CallKind;
@@ -76,7 +76,7 @@ fn main() {
                 plan: plan.clone(),
                 ..PipelineConfig::new(mail, MailTopology::new(2, qmans))
             };
-            let kernel = HostKernel::new(cfg.cores(), mode);
+            let kernel = host_kernel(cfg.cores(), mode);
             let telemetry = MailTelemetry::new(cfg.cores());
             let schedule = saturating_schedule(2, 2 * per_enqueuer);
             let report = run_pipeline(&kernel, &cfg, &schedule, Some(&telemetry), |_, _, _| {});

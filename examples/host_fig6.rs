@@ -1,17 +1,19 @@
 //! Figure 6 on hardware: the host-side conflict heatmap and its SIM↔host
 //! cross-check.
 //!
-//! Replays every generated test on the real-threads `HostKernel` — sv6-like
-//! striped structures and the globally locked Linux-like baseline — with a
+//! Replays every generated test on the real-threads `HostKernel` — the one
+//! kernel body under its sv6 and its Linux-like sharing policy — with a
 //! `scr-hostmtrace` tracing window around the concurrent pair, and prints
 //! four heatmaps: the simulated `Linux`/`sv6` tables next to the measured
 //! `linux-host`/`sv6-host` ones.
 //!
-//! The cross-check then verifies the monitor against the simulator: every
-//! test that was conflict-free on simulated sv6 must be conflict-free on
-//! sv6-host in every schedule, except the documented lowest-FD-allocation
-//! contention cases (the paper's §1 example), which are listed explicitly
-//! with their conflicting labels. Any other divergence fails the run.
+//! The cross-check then verifies the monitor against the simulator, per
+//! test and per policy: every test that was conflict-free on a simulated
+//! kernel must be conflict-free on the host kernel of the same policy in
+//! every schedule, except the documented lowest-FD-allocation contention
+//! cases (the paper's §1 example), which are listed explicitly with their
+//! conflicting labels. Any other divergence, in either column, fails the
+//! run.
 //!
 //! Beside each host heatmap it prints the conflict-heat table: the top-N
 //! hottest line labels by how many traced windows they conflicted in,
@@ -112,10 +114,6 @@ fn main() {
              the {DEFAULT_LOG_CAPACITY}-slot log",
             results.max_window_accesses
         );
-        failed = true;
-    }
-    if let Err(err) = results.assert_linux_collapses() {
-        eprintln!("FAIL: {err}");
         failed = true;
     }
     // The heat tables must agree with the heatmaps they sit beside: a mode

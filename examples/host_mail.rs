@@ -27,12 +27,12 @@
 //! `cargo run --release --example host_mail [-- --metrics-out mail.json --trace-out mail.trace.json]`.
 //!
 //! Pass `--perf-gate` for the name-path gate instead: the closed-loop
-//! `mailbench` on the linux-like kernel (one directory stripe, so every name
-//! the run has created sits in one table) at 2 000 and at 16 000 messages.
-//! Every delivered message leaves a mailbox file behind, and none of the next
-//! message's 20 syscalls may get dearer for it: the gate fails when a message
-//! of the long run costs more than twice a message of the short one (a
-//! directory that walks its entries costs four to seven times as much).
+//! `mailbench` on the linux-like kernel (every create and unlink holds the
+//! one directory's `i_mutex`) at 2 000 and at 16 000 messages. Every
+//! delivered message leaves a mailbox file behind, and none of the next
+//! message's 20 syscalls may get dearer for it: the gate fails when a
+//! message of the long run costs more than twice a message of the short one
+//! (a directory that walks its entries costs four to seven times as much).
 
 use scalable_commutativity::host::workloads::{mail_pipeline_observed, mailbench, MailTelemetry};
 use scalable_commutativity::host::{available_threads, ext_campaign, HostMode};
@@ -43,7 +43,7 @@ use scalable_commutativity::obs::{metrics_out, trace_out, Json, RunMeta, Syscall
 const GATE_MESSAGES: [u64; 2] = [1_000, 8_000];
 
 /// How much dearer a message of the long run may be than one of the short
-/// run. A hash-table stripe reads 0.9–1.3 on the 2-thread box; the
+/// run. A hash-table directory reads 0.9–1.3 on the 2-thread box; the
 /// association list it replaced read 3.8–7.3.
 const GATE_RATIO: f64 = 2.0;
 

@@ -4,8 +4,9 @@
 //! 1. Sweeps the openbench workload over 1..=N OS threads on both host
 //!    kernel configurations and prints the scalable-vs-collapsing table:
 //!    the sv6-like (striped, `O_ANYFD`) kernel holds its per-core
-//!    throughput while the linuxlike (globally locked) kernel degrades as
-//!    threads are added.
+//!    throughput while the linux-like kernel (lowest FD under `file_lock`,
+//!    the directory's `i_mutex`, shared counts) degrades as threads are
+//!    added.
 //! 2. Replays a sample of TESTGEN's generated commutative tests on real
 //!    threads and cross-checks every return value against the simulated
 //!    sv6 kernel — the differential link between the symbolic pipeline and
@@ -44,8 +45,10 @@ fn main() {
     let collapse_ratio = linuxlike.points.last().unwrap().ops_per_sec_per_core
         / linuxlike.points.first().unwrap().ops_per_sec_per_core;
     println!(
-        "sv6-like keeps {:.0}% of single-thread per-core throughput; linuxlike keeps {:.0}%\n",
+        "{} keeps {:.0}% of single-thread per-core throughput; {} keeps {:.0}%\n",
+        sv6.name,
         flat_ratio * 100.0,
+        linuxlike.name,
         collapse_ratio * 100.0
     );
 

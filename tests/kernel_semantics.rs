@@ -7,14 +7,14 @@
 use scalable_commutativity::kernel::api::{
     Errno, KernelApi, MmapBacking, OpenFlags, Prot, Whence, PAGE_SIZE,
 };
-use scalable_commutativity::kernel::{LinuxLikeKernel, Sv6Kernel};
+use scalable_commutativity::kernel::Sv6Kernel;
 
 fn kernels() -> Vec<(&'static str, Box<dyn KernelApi>)> {
     vec![
         ("sv6", Box::new(Sv6Kernel::new(4)) as Box<dyn KernelApi>),
         (
             "linux",
-            Box::new(LinuxLikeKernel::new(4)) as Box<dyn KernelApi>,
+            Box::new(Sv6Kernel::linuxlike(4)) as Box<dyn KernelApi>,
         ),
     ]
 }
@@ -196,7 +196,7 @@ fn scalability_differs_even_when_semantics_agree() {
     // baseline. (One process would not even commute: POSIX lowest-FD
     // allocation makes the returned descriptors order-dependent.)
     let sv6 = Sv6Kernel::new(4);
-    let linux = LinuxLikeKernel::new(4);
+    let linux = Sv6Kernel::linuxlike(4);
     let outcomes: Vec<bool> = [&sv6 as &dyn KernelApi, &linux as &dyn KernelApi]
         .iter()
         .map(|k| {
