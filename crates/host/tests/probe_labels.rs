@@ -112,9 +112,6 @@ fn eager_labels(mode: HostMode) -> Vec<String> {
     l.push("inode[256].size.seq".into());
     l.push("inode[256].size.data".into());
     per_index(l, FANOUT, |i| format!("inode[256].pages.interior[{i}]"));
-    if linux {
-        l.push("inode[256].i_mutex".into());
-    }
     l.push("proc[0].ofile[f].offset".into());
     if linux {
         l.push("proc[0].ofile[f].f_count".into());
@@ -171,7 +168,6 @@ fn lazy_labels_are_the_eager_labels_on_both_kernels() {
                 "dentry[f].d_count",
                 "proc[3].files.fd_array",
                 "proc[0].ofile[f].f_count",
-                "inode[256].i_mutex",
             ],
         };
         for label in pinned.iter().chain(&[

@@ -9,11 +9,10 @@
 //!
 //! Each Linux structure is real: its locks really lock, on the simulator
 //! and on real threads alike, and its lines record on the kernel's
-//! substrate when it has one. The coarse locks — the directory's and an
-//! inode's `i_mutex`, a process's `file_lock` and its `mmap_sem` — are
-//! always taken before any of the body's own locks, and a call holds at
-//! most one of them at a time, so no two are ever ordered against each
-//! other.
+//! substrate when it has one. The coarse locks — the directory's
+//! `i_mutex`, a process's `file_lock` and its `mmap_sem` — are always taken
+//! before any of the body's own locks, and a call holds at most one of them
+//! at a time, so no two are ever ordered against each other.
 
 use parking_lot::{Mutex, MutexGuard};
 use scr_mtrace::{Block, Lines};
@@ -50,11 +49,11 @@ pub enum Policy {
     ///   per-process lock and rewrite one `vma_table` line, which every
     ///   page access reads.
     ///
-    /// Size updates take the inode's `i_mutex`, and reads load the size.
-    /// `lseek`, `fstatx` and `O_TRUNC` take no optimistic path (Linux has
-    /// no field-selective stat), `posix_spawn` is a fork that closes what
-    /// the child does not keep, and every socket is ordered (§4: "most
-    /// systems order all messages sent via a local Unix domain socket").
+    /// Reads load the size, which Linux bounds them by. `lseek`, `fstatx`
+    /// and `O_TRUNC` take no optimistic path (Linux has no field-selective
+    /// stat), `posix_spawn` is a fork that closes what the child does not
+    /// keep, and every socket is ordered (§4: "most systems order all
+    /// messages sent via a local Unix domain socket").
     /// Everything else — page-granular file contents, per-page anonymous
     /// memory, the directory's hash buckets — is the body's, because
     /// Linux already scales for many commutative cases, just not all.

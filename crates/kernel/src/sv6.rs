@@ -65,7 +65,7 @@ use crossbeam::utils::CachePadded;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use scr_mtrace::{Block, CoreId, Lines, SimMachine};
 use scr_scalable::{
-    DeferQueue, HashDir, InodeAllocator, LinkCounter, LockWord, RadixArray, SeqLock, SharedCounter,
+    DeferQueue, HashDir, InodeAllocator, LinkCounter, RadixArray, SeqLock, SharedCounter,
     SocketTable,
 };
 use std::collections::{BTreeMap, VecDeque};
@@ -110,8 +110,6 @@ struct Inode<L> {
     size_pages: SeqLock<L>,
     /// Page cache: page number → contents.
     pages: RadixArray<Vec<u8>, L>,
-    /// The Linux policy's `i_mutex`, taken to change the size.
-    i_mutex: Option<Box<LockWord<L>>>,
 }
 
 /// One pipe. The reader/writer endpoint counts are deliberately plain
@@ -449,10 +447,6 @@ impl<L: Lines + Clone> Sv6Kernel<L> {
             ),
             size_pages: SeqLock::new(lines, format_args!("inode[{ino}].size"), 0),
             pages: RadixArray::new(lines, format_args!("inode[{ino}].pages")),
-            i_mutex: self
-                .dir
-                .is_some()
-                .then(|| Box::new(LockWord::new(lines, format_args!("inode[{ino}].i_mutex")))),
         });
         self.inode_shard(ino)
             .write()
@@ -672,8 +666,7 @@ impl<L: Lines + Clone> Sv6Kernel<L> {
         drop(pages);
         // Grow the size only when the write actually extends the file; the
         // optimistic read keeps non-extending writes conflict-free with each
-        // other — except on Linux, where every size update takes `i_mutex`.
-        let _i_mutex = inode.i_mutex.as_deref().map(LockWord::hold);
+        // other.
         inode
             .size_pages
             .fetch_max((offset + written).div_ceil(PAGE_SIZE));
@@ -780,7 +773,6 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
         };
         let inode = self.inode(ino).ok_or(Errno::ENOENT)?;
         if flags.truncate && (!self.policy.optimistic() || inode.size_pages.read() != 0) {
-            let _i_mutex = inode.i_mutex.as_deref().map(LockWord::hold);
             inode.size_pages.write(|_| 0);
             inode.pages.clear();
         }
@@ -1644,16 +1636,6 @@ mod tests {
             labels.iter().any(|l| l.ends_with(".nlink.shared")),
             "{labels:?}"
         );
-    }
-
-    #[test]
-    fn linux_writes_to_different_pages_conflict_on_i_mutex() {
-        let labels = linux_shared(
-            |k| (create(k, 0, 0, "big"), create(k, 0, 1, "big")),
-            |k, fds| k.pwrite(0, 0, fds.0, b"X", 0).unwrap(),
-            |k, fds| k.pwrite(1, 1, fds.1, b"Y", PAGE_SIZE).unwrap(),
-        );
-        assert!(labels.iter().any(|l| l.ends_with(".i_mutex")), "{labels:?}");
     }
 
     #[test]

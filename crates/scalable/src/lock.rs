@@ -4,9 +4,8 @@
 //! acquiring it reads and writes the lock word's cache line, exactly like a
 //! real spinlock's `lock cmpxchg`, and releasing it writes the line. Two
 //! cores taking the same lock therefore conflict on that line — this is
-//! how the Linux-like policy's coarse locks (a directory's `i_mutex`, a
-//! process's `file_lock` and `mmap_sem`, an inode's `i_mutex`) show up in
-//! the Figure 6 results. The directory's per-bucket locks record the same
+//! how the Linux-like policy's coarse locks (the directory's `i_mutex`, a
+//! process's `file_lock` and `mmap_sem`) show up in the Figure 6 results. The directory's per-bucket locks record the same
 //! acquire/release pair on their bucket's lock-word line.
 
 use crate::block_of;

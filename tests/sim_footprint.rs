@@ -413,9 +413,9 @@ const LINUX_VERDICTS: u64 = 0x72d4_3459_987e_4365;
 /// and [`LINUX_VERDICTS`] did not move.
 const EXPECTED: [&str; 11] = [
     "corpus sv6: 5171868d97a0dbb3",
-    "corpus linux: 2a3e4125dc8b5849",
+    "corpus linux: 4cf9f7185aefdcfd",
     "script sv6: c594a7f95be33dbd",
-    "script linux: 1337754d21aea1cb",
+    "script linux: 63b4feed8ad0a38e",
     "statbench refcache: 5c9c51cce22b9848",
     "statbench shared: c16537a2b0c22a2e",
     "statbench fstatx: 352edee5edda55a0",
@@ -426,14 +426,14 @@ const EXPECTED: [&str; 11] = [
 ];
 
 /// The fold of [`EXPECTED`].
-const FOOTPRINT: u64 = 0x1532_b9d1_3996_f909;
+const FOOTPRINT: u64 = 0x8b97_bce9_7233_5fe0;
 
 /// Per-source multiset hashes.
 const EXPECTED_MULTISET: [&str; 11] = [
     "corpus sv6: baa4bbeb0ab9daa5",
-    "corpus linux: 3c776bf41a7df320",
+    "corpus linux: 65f0792a944b4fb4",
     "script sv6: 8b6d017cb8ba018a",
-    "script linux: 89001ae9255be0b6",
+    "script linux: 5982dbbdc2177677",
     "statbench refcache: b8547acf16f29144",
     "statbench shared: 25696611b358d1b4",
     "statbench fstatx: 32ef0169eac9c96b",
