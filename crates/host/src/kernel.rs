@@ -129,6 +129,8 @@ mod tests {
             assert_eq!(k.lseek(0, pid, fd, -1, Whence::Set), Err(Errno::EINVAL));
             k.close(0, pid, fd).unwrap();
             assert_eq!(k.read(0, pid, fd, 1), Err(Errno::EBADF));
+            // POSIX hands out the lowest free descriptor again.
+            assert_eq!(k.open(0, pid, "hello", OpenFlags::plain()), Ok(fd));
         });
     }
 

@@ -468,7 +468,7 @@ impl<L: Lines + Clone> Sv6Kernel<L> {
             offset: AtomicU64::new(0),
             io: Mutex::new(()),
             offset_line: self.line(|| label("offset")),
-            f_count: self.dir.is_some().then(|| {
+            f_count: (self.policy == Policy::Linuxlike).then(|| {
                 SharedCounter::new(lines, lines.map(|_| label("f_count")).unwrap_or_default())
             }),
         })
@@ -614,7 +614,7 @@ impl<L: Lines + Clone> Sv6Kernel<L> {
         // Bounds are determined by which pages exist in the radix array, so
         // reads of different pages never conflict with size changes. Linux
         // bounds a read by the size, so there every read loads it.
-        if self.dir.is_some() {
+        if self.policy == Policy::Linuxlike {
             inode.size_pages.read();
         }
         let mut out = Vec::new();
@@ -730,9 +730,7 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
                 vpn_lines: lines.map(|lines| {
                     lines.block(self.cores, move |c| format!("proc[{pid}].next_vpn[{c}]"))
                 }),
-                linux: self
-                    .dir
-                    .is_some()
+                linux: (self.policy == Policy::Linuxlike)
                     .then(|| Box::new(LinuxProc::new(lines, pid))),
             })
         })
@@ -1268,7 +1266,7 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
                 files.push((fd, Arc::clone(&file.0)));
             }
         }
-        if self.dir.is_some() {
+        if self.policy == Policy::Linuxlike {
             // Linux builds posix_spawn on fork: the child starts with every
             // descriptor and closes those it does not keep.
             let child_pid = self.fork(core, pid)?;
@@ -1300,7 +1298,7 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
 
     fn socket(&self, _core: CoreId, order: SocketOrder) -> KResult<SockId> {
         // Linux orders every datagram socket.
-        let order = if self.dir.is_some() {
+        let order = if self.policy == Policy::Linuxlike {
             SocketOrder::Ordered
         } else {
             order
