@@ -182,6 +182,6 @@ mod tests {
         }
         let table = render_latency_table("mail latency (ns)", &rows);
         assert!(table.contains("p99.9"));
-        assert!(table.contains("sv6-like, commutative APIs"));
+        assert!(table.contains("sv6-like (striped), commutative APIs"));
     }
 }
