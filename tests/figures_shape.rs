@@ -1,13 +1,41 @@
 //! Shape checks for the Figure 7 reproductions, run with reduced parameters
 //! so they finish quickly under `cargo test`. The full sweeps are produced
 //! by the benches in `crates/bench/benches/`.
+//!
+//! Each figure's simulated sweep is also pinned exactly: every point —
+//! series label, cores, total operations, remote transfers and the bits of
+//! ops/sec/core — is folded into one constant per figure. The simulated
+//! machine and `ThroughputModel` are deterministic, so a refactor of the
+//! workloads or their drivers must hold all three constants byte for byte.
 
-use scr_bench::{check_shape, mailbench, openbench, statbench};
+use scr_bench::{check_shape, mailbench, openbench, statbench, Series};
+use scr_symbolic::Fnv64;
+
+const FIG7A: u64 = 0x54a1_9cb2_fb18_a11c;
+const FIG7B: u64 = 0x65dc_1c6f_2b7b_af1f;
+const FIG7C: u64 = 0xefff_09b4_0cce_6ed7;
+
+/// Folds every point of `series`, in order.
+fn fingerprint(series: &[Series]) -> u64 {
+    let mut h = Fnv64::default();
+    for s in series {
+        h.word(s.name.len() as u64);
+        h.bytes(s.name.as_bytes());
+        for p in &s.points {
+            h.word(p.cores as u64);
+            h.word(p.total_ops);
+            h.word(p.remote_transfers);
+            h.word(p.ops_per_sec_per_core.to_bits());
+        }
+    }
+    h.finish()
+}
 
 #[test]
 fn figure7a_statbench_shape_holds() {
     let cores = [1usize, 8, 16];
     let series = statbench::sweep(&cores, 30);
+    assert_eq!(fingerprint(&series), FIG7A, "{:#x}", fingerprint(&series));
     // Series order: fstatx, fstat (shared), fstat (Refcache).
     let fstatx = &series[0];
     let shared = &series[1];
@@ -25,6 +53,7 @@ fn figure7a_statbench_shape_holds() {
 fn figure7b_openbench_shape_holds() {
     let cores = [1usize, 8, 16];
     let series = openbench::sweep(&cores, 30);
+    assert_eq!(fingerprint(&series), FIG7B, "{:#x}", fingerprint(&series));
     check_shape(&series[0], &series[1], 0.6)
         .expect("O_ANYFD must stay flat while lowest-FD collapses");
 }
@@ -33,6 +62,7 @@ fn figure7b_openbench_shape_holds() {
 fn figure7c_mailserver_shape_holds() {
     let cores = [1usize, 8, 16];
     let series = mailbench::sweep(&cores, 8);
+    assert_eq!(fingerprint(&series), FIG7C, "{:#x}", fingerprint(&series));
     let commutative = &series[0];
     let regular = &series[1];
     let c_last = commutative.points.last().unwrap().ops_per_sec_per_core;
