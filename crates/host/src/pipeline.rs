@@ -40,8 +40,13 @@
 //! topology's reaps the dead incarnation's orphaned helper, re-drives or
 //! finishes its in-flight envelope and restarts the slot.
 //!
+//! Every engine thread runs under `scr_hostmtrace::on_core` of its
+//! topology core (the supervisor on the core after the topology's), so an
+//! instrumented kernel files each access under the core that made it.
+//!
 //! The accounting contract: after the threads join, every accounted
-//! mailbox file is read back through the *raw* kernel and keyed by its
+//! mailbox file is read back through the *raw* kernel, outside any open
+//! tracing window, and keyed by its
 //! stamp index (`tally`), and the descriptors still open in every process
 //! are summed. Under **any** plan each announced message lands exactly once
 //! in its mailbox or the dead-letter box: `lost`, `duplicates`, `corrupt`
@@ -52,6 +57,7 @@ use crate::kernel::HostKernel;
 use crate::workloads::MailTelemetry;
 use scr_chaos::kernel::{ChaosTelemetry, FaultyKernel, ReliableKernel};
 use scr_chaos::plan::{ChaosPlan, CrashPhase};
+use scr_hostmtrace::on_core;
 use scr_kernel::api::{OpenFlags, Pid, SyscallApi};
 use scr_kernel::mail::{
     Delivered, Envelope, MailConfig, MailServer, MailStageObserver, MailTopology, NoMailObs,
@@ -322,18 +328,27 @@ where
             })
             .collect()
     };
-    let found = tally(
-        schedule,
-        &outcome.shed,
-        &read_back(&outcome.delivered),
-        &read_back(&outcome.dead_lettered),
-    );
-    // Teardown leak check: after the run (and the read-back, which closes
-    // what it opens) no process — client, qman or any helper the run
-    // spawned — may still hold a descriptor.
-    let leaked_fds = (0..kernel.process_count())
-        .map(|pid| kernel.open_fd_count(pid).unwrap_or(0))
-        .sum();
+    let ledger = || {
+        let found = tally(
+            schedule,
+            &outcome.shed,
+            &read_back(&outcome.delivered),
+            &read_back(&outcome.dead_lettered),
+        );
+        // Teardown leak check: after the run (and the read-back, which
+        // closes what it opens) no process — client, qman or any helper the
+        // run spawned — may still hold a descriptor.
+        let leaked_fds: usize = (0..kernel.process_count())
+            .map(|pid| kernel.open_fd_count(pid).unwrap_or(0))
+            .sum();
+        (found, leaked_fds)
+    };
+    // The read-back is bookkeeping, not pipeline work: a caller's open
+    // tracing window must not see it.
+    let (found, leaked_fds) = match kernel.lines() {
+        Some(sink) => sink.untraced(ledger),
+        None => ledger(),
+    };
     MailPipelineReport {
         offered: schedule.len(),
         enqueued: schedule.len() - outcome.shed.len(),
@@ -453,13 +468,14 @@ impl<H: Fn(CoreId, &Delivered, u64) + Sync> Job<'_, H> {
         std::thread::scope(|scope| {
             let run = &run;
             for e in 0..topology.enqueuers {
-                scope.spawn(move || run.enqueuer(e));
+                scope.spawn(move || on_core(topology.enqueuer_core(e), || run.enqueuer(e)));
             }
             for q in 0..topology.qmans {
-                scope.spawn(move || run.qman(q, 0));
+                scope.spawn(move || on_core(topology.qman_core(q), || run.qman(q, 0)));
             }
             if self.cfg.supervised() {
-                scope.spawn(move || run.supervise(scope, supervisor_rx));
+                let core = topology.cores();
+                scope.spawn(move || on_core(core, || run.supervise(scope, supervisor_rx)));
             }
         });
         Outcome {
@@ -766,7 +782,8 @@ where
                     let (q, generation) = (wreck.qman, wreck.generation + 1);
                     self.recover(wreck);
                     self.restarts.fetch_add(1, Ordering::Relaxed);
-                    scope.spawn(move || self.qman(q, generation));
+                    let core = self.job.cfg.topology.qman_core(q);
+                    scope.spawn(move || on_core(core, || self.qman(q, generation)));
                 }
                 Err(_) if self.done() => return,
                 Err(_) => {}

@@ -247,6 +247,16 @@ impl HostTraceSink {
         }
     }
 
+    /// Runs `f` with the gate closed, then reopens it if a window was
+    /// open: `f`'s accesses are not recorded and the window keeps what it
+    /// logged so far. The caller must have joined the traced threads.
+    pub fn untraced<R>(&self, f: impl FnOnce() -> R) -> R {
+        let open = self.enabled.swap(false, Ordering::SeqCst);
+        let out = f();
+        self.enabled.store(open, Ordering::SeqCst);
+        out
+    }
+
     /// Records one access against the calling thread's current core. The
     /// off path (no open window) is a single relaxed load.
     pub fn record(&self, line: LineId, kind: AccessKind) {
@@ -392,6 +402,17 @@ mod tests {
         let report = sink.end_window();
         assert!(report.accesses.is_empty());
         assert_eq!(report.dropped, 0);
+    }
+
+    #[test]
+    fn untraced_accesses_stay_out_of_an_open_window() {
+        let sink = HostTraceSink::new(2);
+        let probe = sink.line("x");
+        sink.begin_window();
+        probe.write(0);
+        sink.untraced(|| probe.read(0));
+        probe.write(0);
+        assert_eq!(sink.end_window().accesses.len(), 2);
     }
 
     #[test]

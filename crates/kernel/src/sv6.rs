@@ -345,6 +345,11 @@ impl<L: Lines + Clone> Sv6Kernel<L> {
         self.policy
     }
 
+    /// The line substrate the kernel records on, if any.
+    pub fn lines(&self) -> Option<&L> {
+        self.lines.as_ref()
+    }
+
     /// Drains `core`'s deferred list, reclaiming inodes whose link count
     /// is zero (the per-core half of the epoch pass; a real kernel runs
     /// this from a per-core timer tick). Returns the number of inodes

@@ -359,6 +359,22 @@ mod tests {
     }
 
     #[test]
+    fn heat_pass_sees_the_cores_that_share_a_notification_shard() {
+        let spec = SweepSpec::smoke();
+        let mut config = cell_config(&spec, HostMode::Sv6, MailConfig::CommutativeApis, 2);
+        config.rate_per_sec = 20_000.0;
+        let (shard_heat, _) = heat_pass(&spec, &config);
+        // An enqueuer's send and a qman's recv touch a shard's queue lines
+        // from two cores; with every access filed under core 0 no shard
+        // could ever conflict.
+        assert_eq!(shard_heat.len(), 2);
+        assert!(
+            shard_heat.iter().any(|h| h.conflict_windows > 0),
+            "{shard_heat:?}"
+        );
+    }
+
+    #[test]
     fn smoke_sweep_produces_every_cell_and_valid_json() {
         let mut spec = SweepSpec::smoke();
         spec.messages = 60;
