@@ -15,7 +15,7 @@ use scr_core::{run_commuter, CommuterConfig, LinuxLikeFactory, Sv6Factory};
 use scr_model::CallKind;
 
 fn main() {
-    let quick = std::env::var("SCR_BENCH_QUICK").is_ok();
+    let quick = scr_bench::quick();
     let config = if quick {
         CommuterConfig::quick(&[
             CallKind::Open,

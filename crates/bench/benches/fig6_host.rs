@@ -17,7 +17,7 @@ use scr_host::{run_host_fig6, HostFig6Config};
 use scr_model::ALL_CALLS;
 
 fn main() {
-    let quick = std::env::var("SCR_BENCH_QUICK").is_ok();
+    let quick = scr_bench::quick();
     let config = if quick {
         HostFig6Config::quick(&CommuterConfig::quick_call_set())
     } else {

@@ -6,40 +6,44 @@
 //! `SCR_BENCH_QUICK=1` for a fast low-iteration pass.
 
 use scr_bench::hostbench::{
-    host_thread_counts, mailbench_host, mailbench_host_latency, openbench_host,
-    render_latency_table, statbench_host,
+    host_thread_counts, mail_columns, mailbench_host_latency, open_columns, render_latency_table,
 };
-use scr_bench::render_table;
+use scr_bench::{quick, render_table, stat_columns, sweep};
+use scr_host::on_threads;
 
 fn main() {
-    let quick = std::env::var("SCR_BENCH_QUICK").is_ok();
-    let (fs_ops, mail_ops) = if quick { (2_000, 500) } else { (20_000, 4_000) };
+    let (fs_ops, mail_ops) = if quick() {
+        (2_000, 500)
+    } else {
+        (20_000, 4_000)
+    };
     let threads = host_thread_counts();
     println!(
         "host parallelism: {} hardware threads; sweeping {threads:?}\n",
         scr_host::available_threads()
     );
-    println!(
-        "{}",
-        render_table(
+    for (title, columns, ops) in [
+        (
             "statbench (host threads, ops/sec/core)",
-            &statbench_host(&threads, fs_ops),
-        )
-    );
-    println!(
-        "{}",
-        render_table(
+            stat_columns(),
+            fs_ops,
+        ),
+        (
             "openbench (host threads, ops/sec/core)",
-            &openbench_host(&threads, fs_ops),
-        )
-    );
-    println!(
-        "{}",
-        render_table(
+            open_columns(),
+            fs_ops,
+        ),
+        (
             "mailbench (host threads, messages/sec/core)",
-            &mailbench_host(&threads, mail_ops),
-        )
-    );
+            mail_columns(),
+            mail_ops,
+        ),
+    ] {
+        let series = sweep(&columns, &threads, |mode, workload, n| {
+            on_threads(workload, mode, n, ops, None)
+        });
+        println!("{}", render_table(title, &series));
+    }
     println!(
         "{}",
         render_latency_table(

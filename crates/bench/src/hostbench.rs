@@ -1,16 +1,17 @@
-//! Host-backed variants of the Figure-7 benchmarks: the same workload
-//! shapes as [`crate::statbench`], [`crate::openbench`] and
-//! [`crate::mailbench`], but executed by real OS threads against
-//! `scr_host::HostKernel` instead of replayed through the simulator's
-//! throughput model.
+//! The real-threads columns of Figure 7 and the closed-loop mail latency
+//! table. The workloads are the ones the simulated figures sweep
+//! (`scr_host::Workload`), run by `scr_host::on_threads`: the sv6 policy's
+//! commutative variant against the Linux-like policy's non-commutative one
+//! for openbench and the mail server, and the sv6 policy in all three stat
+//! modes ([`crate::stat_columns`]) for statbench.
 //!
 //! Thread counts are clamped to the host's available parallelism — a
 //! measured point beyond the physical core count would show scheduler
 //! artefacts, not cache-coherence behaviour.
 
-use crate::Series;
-use scr_host::workloads::{self, HostStatMode, MailTelemetry};
-use scr_host::{available_threads, HostMode};
+use crate::Column;
+use scr_host::workloads::{on_threads, MailTelemetry};
+use scr_host::{available_threads, HostMode, Workload};
 use scr_kernel::mail::MailConfig;
 use scr_obs::{HistogramSnapshot, DEFAULT_QUANTILES};
 
@@ -30,72 +31,42 @@ pub fn host_thread_counts() -> Vec<usize> {
     counts
 }
 
-/// statbench on real threads: the sv6-like kernel in all three stat modes.
-pub fn statbench_host(threads: &[usize], ops_per_thread: u64) -> Vec<Series> {
-    [
-        HostStatMode::FstatxNoNlink,
-        HostStatMode::FstatSharedCount,
-        HostStatMode::FstatRefcache,
-    ]
-    .into_iter()
-    .map(|stat_mode| Series {
-        name: stat_mode.label().to_string(),
-        points: threads
-            .iter()
-            .map(|&n| workloads::statbench(HostMode::Sv6, stat_mode, n, ops_per_thread, None))
-            .collect(),
-    })
-    .collect()
-}
-
-/// openbench on real threads: sv6-like `O_ANYFD` against the linux-like
+/// Figure 7(b) on real threads: sv6-like `O_ANYFD` against the linux-like
 /// kernel with lowest-FD allocation under its `file_lock`.
-pub fn openbench_host(threads: &[usize], ops_per_thread: u64) -> Vec<Series> {
+pub fn open_columns() -> Vec<Column> {
     [
         (HostMode::Sv6, true, "O_ANYFD"),
         (HostMode::Linuxlike, false, "lowest FD"),
     ]
-    .into_iter()
-    .map(|(mode, anyfd, fds)| Series {
-        name: format!("{}, {fds}", mode.label()),
-        points: threads
-            .iter()
-            .map(|&n| workloads::openbench(mode, anyfd, n, ops_per_thread))
-            .collect(),
+    .map(|(mode, anyfd, fds)| {
+        (
+            mode,
+            Workload::Open { anyfd },
+            format!("{}, {fds}", mode.label()),
+        )
     })
-    .collect()
+    .into()
 }
 
-/// The §7.3 mail pipeline on real threads (enqueue → notification socket →
-/// qman → spawn/wait → deliver): commutative APIs on the sv6-like kernel
-/// against regular APIs on the linux-like kernel — the paper's Figure 7
-/// mail-server comparison.
-pub fn mailbench_host(threads: &[usize], ops_per_thread: u64) -> Vec<Series> {
-    mail_columns()
-        .into_iter()
-        .map(|(mode, config, name)| Series {
-            name,
-            points: threads
-                .iter()
-                .map(|&n| workloads::mailbench(mode, config, n, ops_per_thread))
-                .collect(),
-        })
-        .collect()
-}
-
-/// The two mailbench columns, shared by the throughput and latency sweeps.
-fn mail_columns() -> [(HostMode, MailConfig, String); 2] {
+/// Figure 7(c) on real threads (enqueue → notification socket → qman →
+/// spawn/wait → deliver): commutative APIs on the sv6-like kernel against
+/// regular APIs on the linux-like kernel.
+pub fn mail_columns() -> Vec<Column> {
     [
         (HostMode::Sv6, MailConfig::CommutativeApis, "commutative"),
         (HostMode::Linuxlike, MailConfig::RegularApis, "regular"),
     ]
-    .map(|(mode, config, apis)| (mode, config, format!("{}, {apis} APIs", mode.label())))
+    .map(|(mode, config, apis)| {
+        let label = format!("{}, {apis} APIs", mode.label());
+        (mode, Workload::Mail(config), label)
+    })
+    .into()
 }
 
 /// One row of the closed-loop mail latency table: a configuration at a
 /// thread count, with its merged `mail.latency_ns` distribution.
 pub struct MailLatencyRow {
-    /// Configuration label (same legend as [`mailbench_host`]).
+    /// Configuration label (same legend as [`mail_columns`]).
     pub name: String,
     /// Worker threads in the run.
     pub threads: usize,
@@ -110,10 +81,10 @@ pub struct MailLatencyRow {
 /// open-loop sweep's intended-arrival latencies should be compared against.
 pub fn mailbench_host_latency(threads: &[usize], ops_per_thread: u64) -> Vec<MailLatencyRow> {
     let mut rows = Vec::new();
-    for (mode, config, name) in mail_columns() {
+    for (mode, workload, name) in mail_columns() {
         for &n in threads {
             let telemetry = MailTelemetry::new(n);
-            workloads::mailbench_observed(mode, config, n, ops_per_thread, Some(&telemetry));
+            on_threads(workload, mode, n, ops_per_thread, Some(&telemetry));
             rows.push(MailLatencyRow {
                 name: name.clone(),
                 threads: n,
@@ -158,11 +129,10 @@ mod tests {
     #[test]
     fn host_sweeps_produce_points_for_every_thread_count() {
         let threads = [1usize, 2];
-        for series in [
-            statbench_host(&threads, 40),
-            openbench_host(&threads, 40),
-            mailbench_host(&threads, 10),
-        ] {
+        for columns in [crate::stat_columns(), open_columns(), mail_columns()] {
+            let series = crate::sweep(&columns, &threads, |mode, workload, n| {
+                on_threads(workload, mode, n, 10, None)
+            });
             assert!(!series.is_empty());
             for s in &series {
                 assert_eq!(s.points.len(), threads.len());

@@ -22,12 +22,13 @@
 //!   [`harness::race`] is the one replay protocol of every real-threads
 //!   check: a test's setup in order, then its operations racing on cores
 //!   `0..N` behind one barrier, on a plain, instrumented or layered kernel.
-//! * [`workloads`] ports the Figure-7 workloads — statbench, openbench and
-//!   the §7.3 mail server (driven through the real
-//!   `scr_kernel::mail::MailServer`) — to run against
-//!   [`kernel::HostKernel`]: `mailbench` is the closed-loop capacity
-//!   harness, `mail_pipeline` the saturating front end of the pipeline
-//!   engine below.
+//! * [`workloads`] defines each Figure-7 workload once — statbench,
+//!   openbench and the §7.3 mail server (driven through the real
+//!   `scr_kernel::mail::MailServer`) — as a setup plus one core's
+//!   operation, with two drivers: [`workloads::simulate`] on the simulated
+//!   machine and [`workloads::on_threads`] on real threads. `mailbench` is
+//!   the closed-loop mail capacity harness, `mail_pipeline` the saturating
+//!   front end of the pipeline engine below.
 //! * [`pipeline`] is the one §7.3 pipeline engine: communicating
 //!   enqueue/qman threads over a message schedule, optionally behind
 //!   `scr_chaos`'s `FaultyKernel` — seeded transient errnos, delayed
@@ -77,6 +78,6 @@ pub use harness::{available_threads, LoadHarness};
 pub use kernel::{host_kernel, host_kernel_with, HostKernel, HostMode};
 pub use pipeline::{run_pipeline, saturating_schedule, MailPipelineReport, PipelineConfig};
 pub use workloads::{
-    mail_pipeline, mail_pipeline_observed, mailbench, mailbench_observed, openbench, statbench,
-    HostStatMode, MailTelemetry,
+    mail_pipeline, mail_pipeline_observed, mailbench, on_threads, simulate, MailTelemetry,
+    StatMode, Workload,
 };

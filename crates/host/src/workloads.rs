@@ -1,22 +1,33 @@
-//! The Figure-7 workloads ported to real threads against [`HostKernel`].
+//! The Figure 7 workloads, each defined once, and the two drivers that run
+//! them.
 //!
-//! Each workload reproduces the shape of its simulated counterpart in
-//! `scr_bench` but is driven by the [`LoadHarness`]: real threads, real
-//! atomics, wall-clock ops/sec/core. The interesting comparison is always
-//! the same one the paper makes — a configuration whose commutative
-//! operations are conflict-free (per-core / striped structures) against
-//! one that serialises them (a shared lock or a shared cache line).
+//! A [`Workload`] — statbench, openbench or the §7.3 mail server, each in
+//! its commutative and its non-commutative variant — is a setup plus what
+//! one core does in one operation ([`Prepared::op`]), over the one kernel
+//! body. The drivers differ only in execution model:
+//!
+//! * [`simulate`] runs the operations round-robin on the simulated machine
+//!   and derives ops/sec/core from the traced accesses with
+//!   `scr_mtrace::ThroughputModel`: deterministic, and as many cores as
+//!   the paper's x-axis asks for.
+//! * [`on_threads`] runs them from real OS threads under the
+//!   [`LoadHarness`] and measures wall-clock ops/sec/core, optionally
+//!   observed through [`MailTelemetry`].
+//!
+//! The comparison is always the one the paper makes: a configuration whose
+//! commutative operations are conflict-free against one that serialises
+//! them on a shared lock or cache line. [`mailbench`] is the closed-loop
+//! mail capacity harness; [`mail_pipeline`] is the saturating front end of
+//! the pipeline engine.
 
 use crate::harness::LoadHarness;
 use crate::kernel::{host_kernel, host_kernel_with, HostKernel, HostMode};
 use crate::pipeline::{run_pipeline, saturating_schedule, MailPipelineReport, PipelineConfig};
 use scr_kernel::api::{Errno, Fd, OpenFlags, Pid, StatMask, SyscallApi};
-use scr_kernel::mail::{
-    MailConfig, MailServer, MailStage, MailStageObserver, MailTopology, NoMailObs,
-};
+use scr_kernel::mail::{MailConfig, MailServer, MailStage, MailStageObserver, MailTopology};
 use scr_kernel::retry::{Backoff, RetryPolicy};
-use scr_kernel::sv6::Sv6Options;
-use scr_mtrace::{CoreId, ScalingPoint};
+use scr_kernel::sv6::{Sv6Kernel, Sv6Options};
+use scr_mtrace::{CoreId, ScalingParams, ScalingPoint, SimMachine, ThroughputModel};
 use scr_obs::{
     Counter, Histogram, MetricsRegistry, ObservedKernel, SpanName, SyscallRecorder, TraceLog,
 };
@@ -43,7 +54,7 @@ pub struct MailTelemetry {
     /// Messages the queue-manager side delivered.
     pub delivered: Counter,
     /// Qman polls that found the queue empty (`EAGAIN`): an empty
-    /// `qman_step` in `mailbench`, an empty round over a pipeline qman's
+    /// `qman_step` of [`Workload::Mail`], an empty round over a pipeline qman's
     /// shards.
     pub eagain_retries: Counter,
     /// Backoff waits (yields or short sleeps, per the shared
@@ -98,232 +109,280 @@ impl MailStageObserver for MailTelemetry {
     }
 }
 
-/// Which statbench variant to run (mirrors `scr_bench::statbench::StatMode`).
+/// Which statbench variant to run; its labels are Figure 7(a)'s legend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HostStatMode {
-    /// `fstat` with per-core (Refcache-style) link counts.
+pub enum StatMode {
+    /// `fstat` with Refcache link counts ("With Refcache st_nlink").
     FstatRefcache,
-    /// `fstat` with a single shared link count.
+    /// `fstat` with a single shared link count ("With shared st_nlink").
     FstatSharedCount,
-    /// `fstatx` without `st_nlink` (the §4 commutative variant).
+    /// `fstatx` requesting everything except the link count
+    /// ("Without st_nlink", the §4 commutative variant).
     FstatxNoNlink,
 }
 
-impl HostStatMode {
-    /// Legend label.
+impl StatMode {
+    /// The label used in the Figure 7(a) legend.
     pub fn label(&self) -> &'static str {
         match self {
-            HostStatMode::FstatRefcache => "fstat (Refcache st_nlink)",
-            HostStatMode::FstatSharedCount => "fstat (shared st_nlink)",
-            HostStatMode::FstatxNoNlink => "fstatx (without st_nlink)",
+            StatMode::FstatRefcache => "fstat (Refcache st_nlink)",
+            StatMode::FstatSharedCount => "fstat (shared st_nlink)",
+            StatMode::FstatxNoNlink => "fstatx (without st_nlink)",
         }
     }
 }
 
-/// statbench on real threads: half the threads `fstat`/`fstatx` one shared
-/// file while the other half `link`/`unlink` it under fresh names. With
+/// One Figure 7 workload: its setup plus what one core does in one
+/// operation, over the one kernel body.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Workload {
+    /// statbench, Figure 7(a): half the cores `fstat` (or `fstatx`) one
+    /// file while the other half `link` it to a fresh name and `unlink`
+    /// that name. `fstat` returns `st_nlink`, so it cannot commute with
+    /// `link`/`unlink`; `fstatx` without the link count can.
+    Stat(StatMode),
+    /// openbench, Figure 7(b): every core opens and closes its own file in
+    /// one process, with lowest-FD allocation or `O_ANYFD`.
+    Open {
+        /// Whether the opens carry `O_ANYFD`.
+        anyfd: bool,
+    },
+    /// mailbench, Figure 7(c): every core enqueues a message through the
+    /// real `scr_kernel::mail::MailServer` (spool files plus a datagram on
+    /// the notification socket), then runs queue-manager steps until one
+    /// message is delivered. The [`MailConfig`] selects the whole §7.3 API
+    /// family: descriptor allocation, socket order, and `fork` or
+    /// `posix_spawn`.
+    Mail(MailConfig),
+}
+
+impl Workload {
+    /// The options the workload's kernel is built with: statbench's
+    /// shared-link-count ablation, the default otherwise.
+    pub fn options(self) -> Sv6Options {
+        Sv6Options {
+            shared_link_counts: self == Workload::Stat(StatMode::FstatSharedCount),
+        }
+    }
+
+    /// Runs the workload's setup for `cores` cores on `kernel` and returns
+    /// it ready for [`Prepared::op`].
+    pub fn setup<K: SyscallApi + ?Sized>(self, kernel: &K, cores: usize) -> Prepared<'_, K> {
+        let pid = kernel.new_process();
+        let state = match self {
+            Workload::Stat(mode) => State::Stat {
+                mode,
+                fd: kernel
+                    .open(0, pid, "statfile", OpenFlags::create())
+                    .expect("create statfile"),
+                stat_cores: (cores / 2).max(1),
+            },
+            Workload::Open { anyfd } => {
+                // Pre-create the per-core files so the measured operations
+                // exercise only descriptor allocation.
+                for core in 0..cores {
+                    let fd = kernel
+                        .open(core, pid, &format!("openbench-{core}"), OpenFlags::create())
+                        .expect("create per-core file");
+                    kernel.close(core, pid, fd).expect("close");
+                }
+                let flags = OpenFlags::plain();
+                State::Open {
+                    flags: if anyfd { flags.with_anyfd() } else { flags },
+                }
+            }
+            Workload::Mail(config) => {
+                let qman = kernel.new_process();
+                let server = MailServer::new(kernel, config, cores).expect("mail server");
+                State::Mail { server, qman }
+            }
+        };
+        Prepared { kernel, pid, state }
+    }
+}
+
+/// A [`Workload`] set up on a kernel: what [`Prepared::op`] runs against.
+pub struct Prepared<'k, K: SyscallApi + ?Sized> {
+    kernel: &'k K,
+    /// The process every operation runs in (the mail client).
+    pid: Pid,
+    state: State<'k, K>,
+}
+
+enum State<'k, K: SyscallApi + ?Sized> {
+    Stat {
+        mode: StatMode,
+        fd: Fd,
+        stat_cores: usize,
+    },
+    Open {
+        flags: OpenFlags,
+    },
+    Mail {
+        server: MailServer<'k, K>,
+        qman: Pid,
+    },
+}
+
+impl<K: SyscallApi + ?Sized> Prepared<'_, K> {
+    /// What `core` does in its operation number `op`. With `telemetry` the
+    /// mail operation counts its enqueue, delivery and empty polls, records
+    /// its latency and traces its stages.
+    pub fn op(&self, core: CoreId, op: u64, telemetry: Option<&MailTelemetry>) {
+        let (kernel, pid) = (self.kernel, self.pid);
+        match &self.state {
+            State::Stat {
+                mode,
+                fd,
+                stat_cores,
+            } => {
+                if core < *stat_cores {
+                    if *mode == StatMode::FstatxNoNlink {
+                        kernel
+                            .fstatx(core, pid, *fd, StatMask::all_but_nlink())
+                            .expect("fstatx");
+                    } else {
+                        kernel.fstat(core, pid, *fd).expect("fstat");
+                    }
+                } else {
+                    let scratch = format!("statlink-{core}-{op}");
+                    kernel.link(core, pid, "statfile", &scratch).expect("link");
+                    kernel.unlink(core, pid, &scratch).expect("unlink");
+                }
+            }
+            State::Open { flags } => {
+                let fd = kernel
+                    .open(core, pid, &format!("openbench-{core}"), *flags)
+                    .expect("open");
+                kernel.close(core, pid, fd).expect("close");
+            }
+            State::Mail { server, qman } => {
+                let started = telemetry.map(|_| Instant::now());
+                let body = format!("m-{core}-{op}");
+                server
+                    .enqueue(
+                        core,
+                        pid,
+                        &format!("user{core}"),
+                        body.as_bytes(),
+                        &telemetry,
+                    )
+                    .expect("enqueue");
+                if let Some(t) = telemetry {
+                    t.enqueued.inc(core);
+                }
+                // Deliver one message, not necessarily this core's: another
+                // core's qman step may have taken ours first. Globally the
+                // counts balance, so this loop cannot starve; on the
+                // simulated machine the first step always delivers.
+                let mut backoff = Backoff::new(RetryPolicy::spin(), core as u64);
+                loop {
+                    match server.qman_step(core, *qman, &telemetry) {
+                        Ok(_) => break,
+                        // Back off rather than spin: a few yields first (under
+                        // oversubscription the thread holding progress may
+                        // need this core), then short sleeps up to the ceiling.
+                        Err(Errno::EAGAIN) => {
+                            if let Some(t) = telemetry {
+                                t.eagain_retries.inc(core);
+                                t.yield_spins.inc(core);
+                            }
+                            backoff.wait();
+                        }
+                        Err(e) => panic!("qman step failed: {e}"),
+                    }
+                }
+                if let (Some(t), Some(started)) = (telemetry, started) {
+                    t.delivered.inc(core);
+                    let nanos = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                    t.latency.record(core, nanos);
+                }
+            }
+        }
+    }
+}
+
+/// Runs `workload` on the simulated machine: `rounds` rounds, each core's
+/// operation in turn under `SimMachine::on_core`, on a kernel of `mode`
+/// with at least two cores. Derives ops/sec/core from the traced accesses
+/// with [`ThroughputModel`].
+pub fn simulate(workload: Workload, mode: HostMode, cores: usize, rounds: u64) -> ScalingPoint {
+    let machine = SimMachine::new();
+    let kernel = Sv6Kernel::on_lines(Some(&machine), cores.max(2), workload.options(), mode);
+    let prepared = workload.setup(&kernel, cores);
+    machine.clear_trace();
+    machine.start_tracing();
+    for op in 0..rounds {
+        for core in 0..cores {
+            machine.on_core(core, || prepared.op(core, op, None));
+        }
+    }
+    machine.stop_tracing();
+    ThroughputModel::new(ScalingParams::default()).evaluate(&machine.accesses(), cores, rounds)
+}
+
+/// Operations between a thread's epoch passes.
+const EPOCH_OPS: u64 = 64;
+
+/// Runs `workload` on `threads` real threads under the [`LoadHarness`],
+/// `ops_per_thread` operations each, on a host kernel of `mode`. With
 /// `telemetry` the calls go through an [`ObservedKernel`] feeding its
-/// syscall recorder; the hot loop is the same generic code either way, so
-/// the `obs_overhead` example can compare the two paths and gate the
-/// wrapper's cost.
-pub fn statbench(
+/// syscall recorder; the hot loop is the same monomorphised code either
+/// way. Every thread runs the per-core epoch pass every 64 operations, as
+/// a timer tick would, so unlinked inodes and their page caches are freed
+/// during long runs.
+pub fn on_threads(
+    workload: Workload,
     mode: HostMode,
-    stat_mode: HostStatMode,
     threads: usize,
     ops_per_thread: u64,
     telemetry: Option<&MailTelemetry>,
 ) -> ScalingPoint {
-    let options = Sv6Options {
-        shared_link_counts: matches!(stat_mode, HostStatMode::FstatSharedCount),
-    };
-    let kernel = host_kernel_with(threads, mode, options, None);
-    let pid = kernel.new_process();
-    let fd = kernel
-        .open(0, pid, "statfile", OpenFlags::create())
-        .expect("create statfile");
+    let kernel = host_kernel_with(threads, mode, workload.options(), None);
     match telemetry {
         Some(t) => {
             let observed = ObservedKernel::new(&kernel, t.syscalls.clone());
-            statbench_loop(
-                &observed,
+            harness(
                 &kernel,
-                stat_mode,
+                &observed,
+                workload,
                 threads,
                 ops_per_thread,
-                pid,
-                fd,
+                telemetry,
             )
         }
-        None => statbench_loop(
-            &kernel,
-            &kernel,
-            stat_mode,
-            threads,
-            ops_per_thread,
-            pid,
-            fd,
-        ),
+        None => harness(&kernel, &kernel, workload, threads, ops_per_thread, None),
     }
 }
 
-/// The statbench hot loop, generic over the syscall surface it drives.
-/// `host` is the concrete kernel, needed only for the periodic epoch pass
-/// (`reclaim_core` is not part of [`SyscallApi`]).
-fn statbench_loop<K: SyscallApi + Sync>(
+/// [`on_threads`] over the syscall surface `api` (the kernel, or a layer
+/// over it).
+fn harness<K: SyscallApi + Sync>(
+    kernel: &HostKernel,
     api: &K,
-    host: &HostKernel,
-    stat_mode: HostStatMode,
+    workload: Workload,
     threads: usize,
     ops_per_thread: u64,
-    pid: Pid,
-    fd: Fd,
+    telemetry: Option<&MailTelemetry>,
 ) -> ScalingPoint {
-    let stat_threads = (threads / 2).max(1);
-    LoadHarness::new(ops_per_thread).run(threads, move |core, op| {
-        if core < stat_threads {
-            match stat_mode {
-                HostStatMode::FstatxNoNlink => {
-                    api.fstatx(core, pid, fd, StatMask::all_but_nlink())
-                        .expect("fstatx");
-                }
-                _ => {
-                    api.fstat(core, pid, fd).expect("fstat");
-                }
-            }
-        } else {
-            let scratch = format!("statlink-{core}-{op}");
-            api.link(core, pid, "statfile", &scratch).expect("link");
-            api.unlink(core, pid, &scratch).expect("unlink");
-            // Periodic epoch pass, as a per-core timer tick would run it.
-            if op % 256 == 255 {
-                host.reclaim_core(core);
-            }
+    let prepared = workload.setup(api, threads);
+    LoadHarness::new(ops_per_thread).run(threads, |core, op| {
+        prepared.op(core, op, telemetry);
+        if op % EPOCH_OPS == EPOCH_OPS - 1 {
+            kernel.reclaim_core(core);
         }
     })
 }
 
-/// openbench on real threads: every thread opens and closes its own
-/// pre-created file, with lowest-FD or `O_ANYFD` allocation.
-pub fn openbench(mode: HostMode, anyfd: bool, threads: usize, ops_per_thread: u64) -> ScalingPoint {
-    let kernel = Arc::new(host_kernel(threads, mode));
-    let pid = kernel.new_process();
-    for core in 0..threads {
-        let fd = kernel
-            .open(core, pid, &format!("openbench-{core}"), OpenFlags::create())
-            .expect("create per-core file");
-        kernel.close(core, pid, fd).expect("close");
-    }
-    let kernel_ref = &kernel;
-    LoadHarness::new(ops_per_thread).run(threads, move |core, _op| {
-        let flags = if anyfd {
-            OpenFlags::plain().with_anyfd()
-        } else {
-            OpenFlags::plain()
-        };
-        let fd = kernel_ref
-            .open(core, pid, &format!("openbench-{core}"), flags)
-            .expect("open");
-        kernel_ref.close(core, pid, fd).expect("close");
-    })
-}
-
-/// The §7.3 mail pipeline's hot loop on real threads, driven through the
-/// *real* `scr_kernel::mail::MailServer` — notification socket, spawn,
-/// wait and all — instead of a file-system-only approximation. Each
-/// thread's operation enqueues one message (spool files + a datagram on
-/// the notification socket) and then runs queue-manager steps until one
-/// message is delivered: with the unordered socket that is usually its own
-/// (taken conflict-free from the core's local queue), with the ordered one
-/// every notification funnels through the single shared queue.
-///
-/// The [`MailConfig`] selects the whole §7.3 API family: descriptor
-/// allocation (lowest-FD vs `O_ANYFD`), socket ordering, and helper
-/// creation (`fork`'s table snapshot vs `posix_spawn`).
+/// The closed-loop mail capacity harness: [`Workload::Mail`] on real
+/// threads, unobserved.
 pub fn mailbench(
     mode: HostMode,
     config: MailConfig,
     threads: usize,
     ops_per_thread: u64,
 ) -> ScalingPoint {
-    mailbench_observed(mode, config, threads, ops_per_thread, None)
-}
-
-/// [`mailbench`] with optional telemetry: syscalls route through an
-/// [`ObservedKernel`], pipeline stages become trace spans, and the
-/// empty-queue backoff is counted per core.
-pub fn mailbench_observed(
-    mode: HostMode,
-    config: MailConfig,
-    threads: usize,
-    ops_per_thread: u64,
-    telemetry: Option<&MailTelemetry>,
-) -> ScalingPoint {
-    let kernel = host_kernel(threads, mode);
-    let client = kernel.new_process();
-    let qman = kernel.new_process();
-    let observed = telemetry.map(|t| ObservedKernel::new(&kernel, t.syscalls.clone()));
-    let api: &(dyn SyscallApi + Sync) = match observed.as_ref() {
-        Some(o) => o,
-        None => &kernel,
-    };
-    let stages: &(dyn MailStageObserver + Sync) = match telemetry {
-        Some(t) => t,
-        None => &NoMailObs,
-    };
-    let server = MailServer::new(api, config, threads).expect("mail server");
-    let (server_ref, kernel_ref) = (&server, &kernel);
-    LoadHarness::new(ops_per_thread).run(threads, move |core, op| {
-        let op_start = telemetry.map(|_| Instant::now());
-        let mailbox = format!("user{core}");
-        server_ref
-            .enqueue(
-                core,
-                client,
-                &mailbox,
-                format!("m-{core}-{op}").as_bytes(),
-                stages,
-            )
-            .expect("enqueue");
-        if let Some(t) = telemetry {
-            t.enqueued.inc(core);
-        }
-        // Deliver one message (not necessarily this thread's: another
-        // core's qman step may have stolen ours first — globally the
-        // counts balance, so this loop cannot starve).
-        let mut backoff = Backoff::new(RetryPolicy::spin(), core as u64);
-        loop {
-            match server_ref.qman_step(core, qman, stages) {
-                Ok(_) => {
-                    if let Some(t) = telemetry {
-                        t.delivered.inc(core);
-                    }
-                    break;
-                }
-                // Back off rather than spin: a few yields first (under
-                // oversubscription the thread holding progress may need
-                // this core), then short sleeps up to the ceiling.
-                Err(Errno::EAGAIN) => {
-                    if let Some(t) = telemetry {
-                        t.eagain_retries.inc(core);
-                        t.yield_spins.inc(core);
-                    }
-                    backoff.wait();
-                }
-                Err(e) => panic!("qman step failed: {e}"),
-            }
-        }
-        if let (Some(t), Some(start)) = (telemetry, op_start) {
-            t.latency.record(
-                core,
-                start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-            );
-        }
-        // Periodic epoch pass so the spool's unlinked inodes (and their
-        // page caches) are actually freed during long sweeps.
-        if op % 64 == 63 {
-            kernel_ref.reclaim_core(core);
-        }
-    })
+    on_threads(Workload::Mail(config), mode, threads, ops_per_thread, None)
 }
 
 /// The full §7.3 pipeline as *actual communicating threads*: `enqueuers`
@@ -372,36 +431,25 @@ pub fn mail_pipeline_observed(
 mod tests {
     use super::*;
 
-    #[test]
-    fn statbench_runs_all_modes_on_two_threads() {
-        for stat_mode in [
-            HostStatMode::FstatRefcache,
-            HostStatMode::FstatSharedCount,
-            HostStatMode::FstatxNoNlink,
-        ] {
-            let point = statbench(HostMode::Sv6, stat_mode, 2, 50, None);
-            assert_eq!(point.total_ops, 100);
-            assert!(point.ops_per_sec_per_core > 0.0);
-        }
-    }
+    const WORKLOADS: [Workload; 7] = [
+        Workload::Stat(StatMode::FstatRefcache),
+        Workload::Stat(StatMode::FstatSharedCount),
+        Workload::Stat(StatMode::FstatxNoNlink),
+        Workload::Open { anyfd: false },
+        Workload::Open { anyfd: true },
+        Workload::Mail(MailConfig::CommutativeApis),
+        Workload::Mail(MailConfig::RegularApis),
+    ];
 
     #[test]
-    fn openbench_runs_in_both_modes() {
-        for mode in [HostMode::Sv6, HostMode::Linuxlike] {
-            for anyfd in [false, true] {
-                let point = openbench(mode, anyfd, 2, 50);
-                assert_eq!(point.cores, 2);
+    fn every_workload_runs_on_both_drivers_under_both_policies() {
+        for workload in WORKLOADS {
+            for mode in [HostMode::Sv6, HostMode::Linuxlike] {
+                let point = on_threads(workload, mode, 2, 20, None);
+                assert_eq!(point.total_ops, 40, "{workload:?}/{mode:?}");
                 assert!(point.ops_per_sec_per_core > 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn mailbench_runs_both_configs_on_both_modes() {
-        for mode in [HostMode::Sv6, HostMode::Linuxlike] {
-            for config in [MailConfig::CommutativeApis, MailConfig::RegularApis] {
-                let point = mailbench(mode, config, 2, 20);
-                assert_eq!(point.total_ops, 40, "{mode:?}/{config:?}");
+                let point = simulate(workload, mode, 2, 5);
+                assert_eq!(point.total_ops, 10, "{workload:?}/{mode:?}");
                 assert!(point.ops_per_sec_per_core > 0.0);
             }
         }
@@ -424,13 +472,8 @@ mod tests {
     #[test]
     fn observed_statbench_counts_every_hot_loop_call() {
         let telemetry = MailTelemetry::new(2);
-        let point = statbench(
-            HostMode::Sv6,
-            HostStatMode::FstatRefcache,
-            2,
-            50,
-            Some(&telemetry),
-        );
+        let workload = Workload::Stat(StatMode::FstatRefcache);
+        let point = on_threads(workload, HostMode::Sv6, 2, 50, Some(&telemetry));
         let recorder = &telemetry.syscalls;
         assert_eq!(point.total_ops, 100);
         // Two threads split one stat / one link-unlink worker.
@@ -440,7 +483,6 @@ mod tests {
         assert_eq!(recorder.count_of(SyscallKind::Unlink), 50);
         assert_eq!(recorder.latency(SyscallKind::Fstat).count, 50);
     }
-
     #[test]
     fn observed_mail_pipeline_records_ledger_spans_and_retries() {
         use scr_obs::SyscallKind;
@@ -473,15 +515,10 @@ mod tests {
     }
 
     #[test]
-    fn mailbench_observed_records_per_op_latency() {
+    fn observed_mailbench_records_per_op_latency() {
         let telemetry = MailTelemetry::new(2);
-        let point = mailbench_observed(
-            HostMode::Sv6,
-            MailConfig::CommutativeApis,
-            2,
-            20,
-            Some(&telemetry),
-        );
+        let workload = Workload::Mail(MailConfig::CommutativeApis);
+        let point = on_threads(workload, HostMode::Sv6, 2, 20, Some(&telemetry));
         assert_eq!(point.total_ops, 40);
         let latency = telemetry.latency.merged();
         assert_eq!(latency.count, 40, "one latency sample per operation");
@@ -490,18 +527,5 @@ mod tests {
         // Exported under the same name the open-loop observatory uses.
         let json = telemetry.registry.snapshot().to_json();
         assert!(json.contains("\"mail.latency_ns\""));
-    }
-
-    #[test]
-    fn stat_mode_labels_are_distinct() {
-        let labels: std::collections::BTreeSet<_> = [
-            HostStatMode::FstatRefcache,
-            HostStatMode::FstatSharedCount,
-            HostStatMode::FstatxNoNlink,
-        ]
-        .iter()
-        .map(|m| m.label())
-        .collect();
-        assert_eq!(labels.len(), 3);
     }
 }

@@ -12,9 +12,10 @@ use scr_host::differential::{
 };
 use scr_host::harness::LoadHarness;
 use scr_host::kernel::{host_kernel, HostMode};
-use scr_host::workloads;
+use scr_host::workloads::{self, on_threads, StatMode, Workload};
 use scr_hostmtrace::HostTraceSink;
 use scr_kernel::api::SyscallApi;
+use scr_kernel::mail::MailConfig;
 use scr_model::calls::ArgSlots;
 use scr_model::{CallKind, ModelConfig};
 use scr_scalable::{PerCoreCounter, SharedCounter};
@@ -250,18 +251,19 @@ fn per_core_counter_does_not_collapse_like_the_shared_one() {
 }
 
 #[test]
-fn sv6_mode_sustains_more_concurrent_throughput_than_the_global_lock() {
+fn sv6_policy_sustains_more_concurrent_opens_than_the_linuxlike_policy() {
     if skip_timing_checks() {
         eprintln!("skipping timing-shape check: <4 hardware threads or Miri");
         return;
     }
-    // Same workload, 4 threads, both kernel configurations; best of three.
+    // openbench, 4 threads: O_ANYFD on the sv6 policy against lowest FD
+    // under the Linux-like policy's file_lock; best of three.
     let best = |mode: HostMode| -> f64 {
+        let workload = Workload::Open {
+            anyfd: mode == HostMode::Sv6,
+        };
         (0..3)
-            .map(|_| {
-                workloads::openbench(mode, matches!(mode, HostMode::Sv6), 4, 30_000)
-                    .ops_per_sec_per_core
-            })
+            .map(|_| on_threads(workload, mode, 4, 30_000, None).ops_per_sec_per_core)
             .fold(0.0f64, f64::max)
     };
     let sv6 = best(HostMode::Sv6);
@@ -275,20 +277,9 @@ fn sv6_mode_sustains_more_concurrent_throughput_than_the_global_lock() {
 #[test]
 fn host_workloads_complete_under_minimal_parallelism() {
     // Functional smoke: runs everywhere, no timing assertions.
-    let p1 = workloads::statbench(
-        HostMode::Sv6,
-        workloads::HostStatMode::FstatxNoNlink,
-        2,
-        100,
-        None,
-    );
-    assert_eq!(p1.total_ops, 200);
-    let p2 = workloads::mailbench(
-        HostMode::Linuxlike,
-        scr_kernel::mail::MailConfig::RegularApis,
-        2,
-        20,
-    );
+    let stat = Workload::Stat(StatMode::FstatxNoNlink);
+    assert_eq!(on_threads(stat, HostMode::Sv6, 2, 100, None).total_ops, 200);
+    let p2 = workloads::mailbench(HostMode::Linuxlike, MailConfig::RegularApis, 2, 20);
     assert_eq!(p2.total_ops, 40);
     let kernel = host_kernel(2, HostMode::Linuxlike);
     let pid = kernel.new_process();

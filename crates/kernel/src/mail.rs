@@ -106,6 +106,19 @@ impl MailStageObserver for NoMailObs {
     fn observe_stage(&self, _: CoreId, _: MailStage, _: Instant, _: Instant) {}
 }
 
+/// An optional observer: `None` observes nothing, like [`NoMailObs`].
+impl<O: MailStageObserver + ?Sized> MailStageObserver for Option<&O> {
+    fn stage_enabled(&self) -> bool {
+        self.is_some_and(|obs| obs.stage_enabled())
+    }
+
+    fn observe_stage(&self, core: CoreId, stage: MailStage, started: Instant, ended: Instant) {
+        if let Some(obs) = self {
+            obs.observe_stage(core, stage, started, ended);
+        }
+    }
+}
+
 fn timed<O, T>(
     obs: &O,
     core: CoreId,

@@ -18,9 +18,9 @@
 //!
 //! Run with `cargo run --release --example host_scaling`.
 
-use scalable_commutativity::bench::hostbench::{host_thread_counts, openbench_host};
-use scalable_commutativity::bench::render_table;
-use scalable_commutativity::host::available_threads;
+use scalable_commutativity::bench::hostbench::{host_thread_counts, open_columns};
+use scalable_commutativity::bench::{render_table, series_json, sweep};
+use scalable_commutativity::host::{available_threads, on_threads};
 use scalable_commutativity::host::{differential_campaign, CampaignConfig, HostReplayer};
 use scalable_commutativity::model::CallKind;
 use scalable_commutativity::obs::{metrics_out, EventLog, Json, MetricsRegistry, RunMeta};
@@ -32,7 +32,9 @@ fn main() {
         available_threads()
     );
 
-    let series = openbench_host(&threads, 30_000);
+    let series = sweep(&open_columns(), &threads, |mode, workload, n| {
+        on_threads(workload, mode, n, 30_000, None)
+    });
     println!(
         "{}",
         render_table("openbench on real threads (ops/sec/core)", &series)
@@ -90,31 +92,9 @@ fn main() {
             *threads.last().unwrap_or(&1),
             &format!("threads {threads:?}, 30000 ops, campaign 200 tests"),
         );
-        let series_json: Vec<Json> = series
-            .iter()
-            .map(|s| {
-                Json::obj(vec![
-                    ("label", s.name.as_str().into()),
-                    (
-                        "points",
-                        Json::Arr(
-                            s.points
-                                .iter()
-                                .map(|p| {
-                                    Json::obj(vec![
-                                        ("cores", p.cores.into()),
-                                        ("ops_per_sec_per_core", p.ops_per_sec_per_core.into()),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
         snapshot
             .extras
-            .push(("openbench_host".to_string(), Json::Arr(series_json)));
+            .push(("openbench_host".to_string(), series_json(&series)));
         snapshot.extras.push((
             "campaign".to_string(),
             Json::obj(vec![

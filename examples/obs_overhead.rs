@@ -20,7 +20,7 @@
 //!
 //! Run with `cargo run --release --example obs_overhead`.
 
-use scalable_commutativity::host::workloads::{statbench, HostStatMode, MailTelemetry};
+use scalable_commutativity::host::workloads::{on_threads, MailTelemetry, StatMode, Workload};
 use scalable_commutativity::host::HostMode;
 use scalable_commutativity::obs::{metrics_out, Json, MetricsRegistry, RunMeta};
 use std::time::Instant;
@@ -52,14 +52,9 @@ fn main() {
 
     let disabled_telemetry = MailTelemetry::over(MetricsRegistry::disabled(THREADS));
     let enabled_telemetry = MailTelemetry::new(THREADS);
+    let workload = Workload::Stat(StatMode::FstatxNoNlink);
     let run = |telemetry, ops| {
-        statbench(
-            HostMode::Sv6,
-            HostStatMode::FstatxNoNlink,
-            THREADS,
-            ops,
-            telemetry,
-        );
+        on_threads(workload, HostMode::Sv6, THREADS, ops, telemetry);
     };
 
     // Warm-up: fault in code paths and allocator state before timing.

@@ -1,89 +1,33 @@
-//! openbench scenario (Figure 7b) as a runnable example.
+//! openbench (Figure 7b) on the simulated machine.
 //!
 //! Every core opens and closes its own file in one shared process. With
 //! POSIX's lowest-FD rule the allocations do not commute and serialise on
 //! the descriptor table; with `O_ANYFD` they commute and sv6 allocates from
-//! per-core partitions.
+//! per-core partitions. Prints Figure 7(b) over the paper's core axis
+//! (`SCR_BENCH_QUICK=1`: 1–16 cores) and exits 1 when `O_ANYFD` does not
+//! stay flat while lowest FD collapses.
 //!
 //! `--metrics-out <path>` exports the scaling table as a stamped JSON
 //! snapshot (same schema as the `BENCH_*.json` artifacts).
 //!
 //! Run with `cargo run --release --example openbench`.
 
-use scalable_commutativity::kernel::api::{KernelApi, OpenFlags, SyscallApi};
-use scalable_commutativity::kernel::Sv6Kernel;
-use scalable_commutativity::mtrace::{ScalingParams, ThroughputModel};
-use scalable_commutativity::obs::{metrics_out, Json, MetricsRegistry, RunMeta};
-
-fn run(cores: usize, rounds: usize, anyfd: bool) -> f64 {
-    let kernel = Sv6Kernel::new(cores);
-    let machine = kernel.machine().clone();
-    let pid = kernel.new_process();
-    for core in 0..cores {
-        let fd = kernel
-            .open(core, pid, &format!("file-{core}"), OpenFlags::create())
-            .unwrap();
-        kernel.close(core, pid, fd).unwrap();
-    }
-    machine.start_tracing();
-    for _ in 0..rounds {
-        for core in 0..cores {
-            machine.on_core(core, || {
-                let flags = if anyfd {
-                    OpenFlags::plain().with_anyfd()
-                } else {
-                    OpenFlags::plain()
-                };
-                let fd = kernel
-                    .open(core, pid, &format!("file-{core}"), flags)
-                    .unwrap();
-                kernel.close(core, pid, fd).unwrap();
-            });
-        }
-    }
-    machine.stop_tracing();
-    ThroughputModel::new(ScalingParams::default())
-        .evaluate(&machine.accesses(), cores, rounds as u64)
-        .ops_per_sec_per_core
-}
+use scalable_commutativity::bench::{open_columns, quick, simulated_figure};
 
 fn main() {
-    println!("openbench on sv6 (opens/sec/core):\n");
-    println!("{:>6} {:>18} {:>18}", "cores", "lowest FD", "O_ANYFD");
-    let mut rows: Vec<(usize, f64, f64)> = Vec::new();
-    for cores in [1usize, 4, 8, 16, 32] {
-        let lowest = run(cores, 50, false);
-        let anyfd = run(cores, 50, true);
-        println!("{cores:>6} {lowest:>18.0} {anyfd:>18.0}");
-        rows.push((cores, lowest, anyfd));
-    }
+    let shape = simulated_figure(
+        "openbench",
+        "Figure 7(b) — openbench throughput (opens/sec/core)",
+        &open_columns(),
+        if quick() { 30 } else { 60 },
+        (0, 1),
+        0.6,
+    );
     println!();
     println!("The lowest-FD rule makes concurrent opens non-commutative (the returned");
     println!("descriptor depends on the order), so they cannot scale; O_ANYFD removes the");
     println!("unneeded determinism and the same workload scales linearly (§4, §7.2).");
-
-    if let Some(path) = metrics_out() {
-        let mut snapshot = MetricsRegistry::new(1).snapshot();
-        snapshot.meta = RunMeta::capture(
-            "openbench",
-            "sv6-sim",
-            32,
-            "50 rounds, lowest FD vs O_ANYFD",
-        );
-        let rows_json: Vec<Json> = rows
-            .iter()
-            .map(|(cores, lowest, anyfd)| {
-                Json::obj(vec![
-                    ("cores", (*cores).into()),
-                    ("lowest_fd_ops_per_sec_per_core", (*lowest).into()),
-                    ("anyfd_ops_per_sec_per_core", (*anyfd).into()),
-                ])
-            })
-            .collect();
-        snapshot
-            .extras
-            .push(("scaling".to_string(), Json::Arr(rows_json)));
-        snapshot.write(&path).expect("write metrics snapshot");
-        println!("metrics snapshot written to {}", path.display());
+    if shape.is_err() {
+        std::process::exit(1);
     }
 }

@@ -1,67 +1,31 @@
-//! statbench scenario (Figure 7a) as a runnable example.
+//! statbench (Figure 7a) on the simulated machine.
 //!
 //! Half the cores `fstat` one file while the other half `link`/`unlink` it.
-//! The example prints per-core throughput for the non-commutative `fstat`
-//! (which must return `st_nlink`) and the commutative `fstatx` (which does
-//! not), plus the conflict report for a single traced round, making the
-//! cause of the difference visible.
+//! Prints Figure 7(a) — per-core throughput of the commutative `fstatx`
+//! (no `st_nlink`) against `fstat` with a shared and with a Refcache link
+//! count — over the paper's core axis (`SCR_BENCH_QUICK=1`: 1–16 cores),
+//! then the conflict report for a single traced `fstat` ∥ `link`, making
+//! the cause of the difference visible. Exits 1 when `fstatx` does not stay
+//! flat while Refcache `fstat` collapses.
 //!
 //! `--metrics-out <path>` exports the scaling table as a stamped JSON
 //! snapshot (same schema as the `BENCH_*.json` artifacts).
 //!
 //! Run with `cargo run --release --example statbench`.
 
-use scalable_commutativity::kernel::api::{KernelApi, OpenFlags, StatMask, SyscallApi};
+use scalable_commutativity::bench::{quick, simulated_figure, stat_columns};
+use scalable_commutativity::kernel::api::{KernelApi, OpenFlags, SyscallApi};
 use scalable_commutativity::kernel::Sv6Kernel;
-use scalable_commutativity::mtrace::{ScalingParams, ThroughputModel};
-use scalable_commutativity::obs::{metrics_out, Json, MetricsRegistry, RunMeta};
-
-fn run(cores: usize, rounds: usize, use_fstatx: bool) -> f64 {
-    let kernel = Sv6Kernel::new(cores);
-    let machine = kernel.machine().clone();
-    let pid = kernel.new_process();
-    let fd = kernel
-        .open(0, pid, "statfile", OpenFlags::create())
-        .unwrap();
-    machine.start_tracing();
-    for round in 0..rounds {
-        for core in 0..cores {
-            machine.on_core(core, || {
-                if core < cores / 2 || cores == 1 {
-                    if use_fstatx {
-                        kernel
-                            .fstatx(core, pid, fd, StatMask::all_but_nlink())
-                            .unwrap();
-                    } else {
-                        kernel.fstat(core, pid, fd).unwrap();
-                    }
-                } else {
-                    let name = format!("l-{core}-{round}");
-                    kernel.link(core, pid, "statfile", &name).unwrap();
-                    kernel.unlink(core, pid, &name).unwrap();
-                }
-            });
-        }
-    }
-    machine.stop_tracing();
-    ThroughputModel::new(ScalingParams::default())
-        .evaluate(&machine.accesses(), cores, rounds as u64)
-        .ops_per_sec_per_core
-}
 
 fn main() {
-    println!("statbench on sv6 (ops/sec/core):\n");
-    println!(
-        "{:>6} {:>22} {:>22}",
-        "cores", "fstat (st_nlink)", "fstatx (no st_nlink)"
+    let shape = simulated_figure(
+        "statbench",
+        "Figure 7(a) — statbench throughput (fstats/sec/core)",
+        &stat_columns(),
+        if quick() { 30 } else { 60 },
+        (0, 2),
+        0.6,
     );
-    let mut rows: Vec<(usize, f64, f64)> = Vec::new();
-    for cores in [1usize, 4, 8, 16, 32] {
-        let fstat = run(cores, 50, false);
-        let fstatx = run(cores, 50, true);
-        println!("{cores:>6} {fstat:>22.0} {fstatx:>22.0}");
-        rows.push((cores, fstat, fstatx));
-    }
 
     // Show *why*: one traced round of fstat vs link on two cores.
     let kernel = Sv6Kernel::new(2);
@@ -81,24 +45,7 @@ fn main() {
     println!("{}", machine.conflict_report());
     println!("fstat must read the link count that link is updating — they do not commute,");
     println!("so no implementation can make this pair conflict-free (§4, §7.2).");
-
-    if let Some(path) = metrics_out() {
-        let mut snapshot = MetricsRegistry::new(1).snapshot();
-        snapshot.meta = RunMeta::capture("statbench", "sv6-sim", 32, "50 rounds, fstat vs fstatx");
-        let rows_json: Vec<Json> = rows
-            .iter()
-            .map(|(cores, fstat, fstatx)| {
-                Json::obj(vec![
-                    ("cores", (*cores).into()),
-                    ("fstat_ops_per_sec_per_core", (*fstat).into()),
-                    ("fstatx_ops_per_sec_per_core", (*fstatx).into()),
-                ])
-            })
-            .collect();
-        snapshot
-            .extras
-            .push(("scaling".to_string(), Json::Arr(rows_json)));
-        snapshot.write(&path).expect("write metrics snapshot");
-        println!("metrics snapshot written to {}", path.display());
+    if shape.is_err() {
+        std::process::exit(1);
     }
 }

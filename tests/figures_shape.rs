@@ -1,6 +1,6 @@
-//! Shape checks for the Figure 7 reproductions, run with reduced parameters
-//! so they finish quickly under `cargo test`. The full sweeps are produced
-//! by the benches in `crates/bench/benches/`.
+//! Shape checks for the simulated Figure 7, run with reduced parameters so
+//! they finish quickly under `cargo test`. The full sweeps are printed by
+//! the `statbench`, `openbench` and `mailserver` examples.
 //!
 //! Each figure's simulated sweep is also pinned exactly: every point —
 //! series label, cores, total operations, remote transfers and the bits of
@@ -8,8 +8,10 @@
 //! machine and `ThroughputModel` are deterministic, so a refactor of the
 //! workloads or their drivers must hold all three constants byte for byte.
 
-use scr_bench::{check_shape, mailbench, openbench, statbench, Series};
+use scr_bench::{check_shape, mail_columns, open_columns, simulated, stat_columns, Series};
 use scr_symbolic::Fnv64;
+
+const CORES: [usize; 3] = [1, 8, 16];
 
 const FIG7A: u64 = 0x54a1_9cb2_fb18_a11c;
 const FIG7B: u64 = 0x65dc_1c6f_2b7b_af1f;
@@ -33,8 +35,7 @@ fn fingerprint(series: &[Series]) -> u64 {
 
 #[test]
 fn figure7a_statbench_shape_holds() {
-    let cores = [1usize, 8, 16];
-    let series = statbench::sweep(&cores, 30);
+    let series = simulated(&stat_columns(), &CORES, 30);
     assert_eq!(fingerprint(&series), FIG7A, "{:#x}", fingerprint(&series));
     // Series order: fstatx, fstat (shared), fstat (Refcache).
     let fstatx = &series[0];
@@ -51,8 +52,7 @@ fn figure7a_statbench_shape_holds() {
 
 #[test]
 fn figure7b_openbench_shape_holds() {
-    let cores = [1usize, 8, 16];
-    let series = openbench::sweep(&cores, 30);
+    let series = simulated(&open_columns(), &CORES, 30);
     assert_eq!(fingerprint(&series), FIG7B, "{:#x}", fingerprint(&series));
     check_shape(&series[0], &series[1], 0.6)
         .expect("O_ANYFD must stay flat while lowest-FD collapses");
@@ -60,8 +60,7 @@ fn figure7b_openbench_shape_holds() {
 
 #[test]
 fn figure7c_mailserver_shape_holds() {
-    let cores = [1usize, 8, 16];
-    let series = mailbench::sweep(&cores, 8);
+    let series = simulated(&mail_columns(), &CORES, 8);
     assert_eq!(fingerprint(&series), FIG7C, "{:#x}", fingerprint(&series));
     let commutative = &series[0];
     let regular = &series[1];
