@@ -19,7 +19,8 @@
 //! real-threads columns of [`hostbench`] pit it against the Linux-like
 //! policy. The `statbench`, `openbench` and `mailserver` examples print the
 //! simulated figures; the benchmark binaries under `benches/` print the
-//! real-threads Figure 7, Figure 6 and the primitives.
+//! real-threads Figure 7, both Figure 6 sweeps, the scalable primitives
+//! and the TESTGEN solver timings.
 
 pub mod hostbench;
 

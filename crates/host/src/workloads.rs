@@ -3,8 +3,8 @@
 //!
 //! A [`Workload`] — statbench, openbench or the §7.3 mail server, each in
 //! its commutative and its non-commutative variant — is a setup plus what
-//! one core does in one operation ([`Prepared::op`]), over the one kernel
-//! body. The drivers differ only in execution model:
+//! one core does in one operation, over the one kernel body. The drivers
+//! differ only in execution model:
 //!
 //! * [`simulate`] runs the operations round-robin on the simulated machine
 //!   and derives ops/sec/core from the traced accesses with
@@ -159,7 +159,7 @@ pub enum Workload {
 impl Workload {
     /// The options the workload's kernel is built with: statbench's
     /// shared-link-count ablation, the default otherwise.
-    pub fn options(self) -> Sv6Options {
+    fn options(self) -> Sv6Options {
         Sv6Options {
             shared_link_counts: self == Workload::Stat(StatMode::FstatSharedCount),
         }
@@ -167,7 +167,7 @@ impl Workload {
 
     /// Runs the workload's setup for `cores` cores on `kernel` and returns
     /// it ready for [`Prepared::op`].
-    pub fn setup<K: SyscallApi + ?Sized>(self, kernel: &K, cores: usize) -> Prepared<'_, K> {
+    fn setup<K: SyscallApi + ?Sized>(self, kernel: &K, cores: usize) -> Prepared<'_, K> {
         let pid = kernel.new_process();
         let state = match self {
             Workload::Stat(mode) => State::Stat {
@@ -202,7 +202,7 @@ impl Workload {
 }
 
 /// A [`Workload`] set up on a kernel: what [`Prepared::op`] runs against.
-pub struct Prepared<'k, K: SyscallApi + ?Sized> {
+struct Prepared<'k, K: SyscallApi + ?Sized> {
     kernel: &'k K,
     /// The process every operation runs in (the mail client).
     pid: Pid,
@@ -228,7 +228,7 @@ impl<K: SyscallApi + ?Sized> Prepared<'_, K> {
     /// What `core` does in its operation number `op`. With `telemetry` the
     /// mail operation counts its enqueue, delivery and empty polls, records
     /// its latency and traces its stages.
-    pub fn op(&self, core: CoreId, op: u64, telemetry: Option<&MailTelemetry>) {
+    fn op(&self, core: CoreId, op: u64, telemetry: Option<&MailTelemetry>) {
         let (kernel, pid) = (self.kernel, self.pid);
         match &self.state {
             State::Stat {
@@ -321,7 +321,8 @@ pub fn simulate(workload: Workload, mode: HostMode, cores: usize, rounds: u64) -
     ThroughputModel::new(ScalingParams::default()).evaluate(&machine.accesses(), cores, rounds)
 }
 
-/// Operations between a thread's epoch passes.
+/// Operations between a thread's epoch passes. Only the thread driver runs
+/// the pass: the simulated figures are pinned without it.
 const EPOCH_OPS: u64 = 64;
 
 /// Runs `workload` on `threads` real threads under the [`LoadHarness`],

@@ -20,7 +20,8 @@
 //! * [`hostmtrace`] — the real-threads sharing monitor: per-thread access
 //!   logs, probes mirroring the simulated structures' footprints, and the
 //!   conflict reports behind the host-side Figure 6 heatmap.
-//! * [`bench`](mod@bench) — the Figure 6/7 workload drivers (simulated and host).
+//! * [`bench`](mod@bench) — the Figure 7 columns and sweep over either driver, and
+//!   the benchmark binaries.
 //! * [`obs`] — the commutativity-aware telemetry layer: per-core metrics,
 //!   pipeline trace spans, conflict-heat reports and stamped JSON
 //!   snapshots.
