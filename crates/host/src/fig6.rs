@@ -23,6 +23,21 @@
 //! [`LOWEST_FD_EXCEPTION`] tag — never waived silently; anything else is an
 //! unexplained divergence and fails the acceptance test.
 //!
+//! Two more properties are checked in every schedule of every test, under
+//! both policies, and recorded next to the divergences:
+//!
+//! * **linearisation** — the host's result pair equals the result pair of
+//!   the simulated kernel of the same policy running the two calls in some
+//!   sequential order. Several commutative pairs commute only up to
+//!   fungible values (two spawns race for the next pid; unordered receives
+//!   race for equivalent messages), so B-then-A counts as well as A-then-B;
+//! * **datagram conservation** — every message sent to a socket the setup
+//!   created is received by the pair or still queued afterwards, exactly
+//!   once.
+//!
+//! The §4 calls ([`ext_calls`]) need no pipeline of their own: their pairs
+//! are generated by the same sweep and checked by the same step.
+//!
 //! [`run_host_fig6`] is a consumer of the COMMUTER sweep engine
 //! (`scr_core::run_sweep`): the engine generates exactly the corpus
 //! `scr_core::run_commuter` generates for the same bounds, each test runs
@@ -30,17 +45,15 @@
 //! keeps the verdicts and drops the tests.
 
 use crate::harness::race;
-use crate::kernel::{host_kernel_with, HostMode};
-use scr_core::pipeline::bucket_distinct_names;
+use crate::kernel::{host_kernel_with, HostKernel, HostMode};
 use scr_core::{
-    analyze_pair, enumerate_shapes, generate_tests, run_sweep, run_test, CommuterConfig,
-    ConcreteTest, Figure6Report, LinuxLikeFactory, Sv6Factory, Swept, SweptUnit, TestOutcome,
+    run_sweep, run_test, run_test_order, CommuterConfig, ConcreteTest, Figure6Report,
+    KernelFactory, LinuxLikeFactory, Sv6Factory, Swept, SweptUnit, TestOutcome,
 };
 use scr_hostmtrace::{HostConflictReport, HostTraceSink};
-use scr_kernel::api::{perform, SockId, SocketOrder, SysOp, SysResult, SyscallApi};
-use scr_kernel::{Sv6Kernel, Sv6Options};
-use scr_model::{pair_config, CallKind, ModelConfig};
-use scr_mtrace::{AccessKind, SimMachine};
+use scr_kernel::api::{SysOp, SysResult};
+use scr_kernel::Sv6Options;
+use scr_model::{CallKind, ModelConfig};
 use scr_obs::HeatMap;
 
 /// The exception tag for divergences fully explained by lowest-FD
@@ -89,17 +102,21 @@ impl HostFig6Config {
     }
 }
 
-/// The outcome of one traced host replay.
+/// The outcome of a test's traced host replays.
 #[derive(Clone, Debug)]
 pub struct HostTestOutcome {
     /// The test's identifier.
     pub test_id: String,
-    /// Whether the traced window was conflict-free.
+    /// Whether every schedule's traced window was conflict-free.
     pub conflict_free: bool,
     /// Labels of the lines shared between the two threads.
     pub shared_labels: Vec<String>,
-    /// The results the two operations returned.
-    pub results: (SysResult, SysResult),
+    /// The results the two operations returned, one pair per schedule.
+    pub results: Vec<(SysResult, SysResult)>,
+    /// Whether every schedule conserved datagrams: each message sent to a
+    /// socket the setup created was received by the pair or is still
+    /// queued, exactly once.
+    pub conserved: bool,
     /// Accesses dropped by log overflow (0 in any healthy run).
     pub dropped: usize,
     /// The most accesses one core recorded in any schedule's window: the
@@ -111,13 +128,15 @@ pub struct HostTestOutcome {
 /// commutative pair inside a tracing window — on two real threads when
 /// `concurrent`, or back to back on the calling thread otherwise (the
 /// deterministic mode used to validate instrumentation faithfulness).
-/// Returns the sink too, so callers can resolve every access's label.
+/// Returns the kernel and the sink too, so callers can inspect what the
+/// pair left behind and resolve every access's label.
 pub fn replay_traced(
     mode: HostMode,
     cores: usize,
     test: &ConcreteTest,
     concurrent: bool,
 ) -> (
+    HostKernel,
     std::sync::Arc<HostTraceSink>,
     HostConflictReport,
     (SysResult, SysResult),
@@ -133,7 +152,46 @@ pub fn replay_traced(
         || sink.begin_window(),
     );
     let report = sink.end_window();
-    (sink, report, (a, b))
+    (kernel, sink, report, (a, b))
+}
+
+/// Whether one replay of `test` conserved datagrams: the messages it sent
+/// to sockets its setup created equal, as multisets, the messages its pair
+/// received plus those still queued on `kernel`. Sends to a socket that
+/// does not exist fail and queue nothing; generated setups never receive.
+/// Drains the test's sockets; a test whose setup creates none conserves
+/// trivially.
+fn conserves(kernel: &HostKernel, test: &ConcreteTest, results: &(SysResult, SysResult)) -> bool {
+    // Both substrates number sockets densely from 0.
+    let sockets = test
+        .setup
+        .iter()
+        .filter(|(_, op)| matches!(op, SysOp::Socket { .. }))
+        .count();
+    if sockets == 0 {
+        return true;
+    }
+    let mut sent: Vec<Vec<u8>> = test
+        .setup
+        .iter()
+        .map(|(_, op)| op)
+        .chain([&test.op_a, &test.op_b])
+        .filter_map(|op| match op {
+            SysOp::Send { sock, msg } if *sock < sockets => Some(msg.clone()),
+            _ => None,
+        })
+        .collect();
+    let mut seen: Vec<Vec<u8>> = [(&test.op_a, &results.0), (&test.op_b, &results.1)]
+        .into_iter()
+        .filter_map(|(op, result)| match (op, result) {
+            (SysOp::Recv { .. }, SysResult::Data(msg)) => Some(msg.clone()),
+            _ => None,
+        })
+        .chain((0..sockets).flat_map(|sock| kernel.socket_drain_untraced(sock)))
+        .collect();
+    sent.sort();
+    seen.sort();
+    sent == seen
 }
 
 /// Normalises a pipe line label for footprint comparison: pipe *instance*
@@ -152,8 +210,9 @@ pub fn normalize_pipe_label(label: &str) -> String {
 }
 
 /// Runs one test on real threads under `schedules` schedules; the outcome
-/// is conflict-free only if every schedule was, and the shared labels are
-/// the union over schedules.
+/// is conflict-free (and conserving) only if every schedule was, the shared
+/// labels are the union over schedules, and every schedule's results are
+/// kept.
 pub fn run_test_host(
     mode: HostMode,
     cores: usize,
@@ -177,19 +236,21 @@ pub fn run_test_host_with(
 ) -> HostTestOutcome {
     let mut shared_labels = Vec::new();
     let mut conflict_free = true;
+    let mut conserved = true;
     let mut dropped = 0;
     let mut max_window_accesses = 0;
-    let mut results = (SysResult::Unit, SysResult::Unit);
+    let mut results = Vec::new();
     for _ in 0..schedules.max(1) {
-        let (sink, report, res) = replay_traced(mode, cores, test, true);
+        let (kernel, sink, report, res) = replay_traced(mode, cores, test, true);
         if let Some(heat) = heat {
             heat.fold_report(&report, |line| normalize_pipe_label(&sink.label_of(line)));
         }
         conflict_free &= report.is_conflict_free();
+        conserved &= conserves(&kernel, test, &res);
         shared_labels.extend(report.conflicting_labels());
         dropped += report.dropped;
         max_window_accesses = max_window_accesses.max(report.max_core_accesses());
-        results = res;
+        results.push(res);
     }
     shared_labels.sort();
     shared_labels.dedup();
@@ -198,6 +259,7 @@ pub fn run_test_host_with(
         conflict_free,
         shared_labels,
         results,
+        conserved,
         dropped,
         max_window_accesses,
     }
@@ -234,9 +296,48 @@ fn is_fd_slot_label(label: &str) -> bool {
     label.starts_with("proc[") && label.contains("].fd[")
 }
 
-/// The step [`run_host_fig6`] runs on each test: simulated sv6, simulated
-/// Linux, sv6-host and linux-host, in that order.
-type Fig6Verdicts = (TestOutcome, TestOutcome, HostTestOutcome, HostTestOutcome);
+/// A test whose host runs broke linearisation or datagram conservation in
+/// at least one schedule.
+#[derive(Clone, Debug)]
+pub struct Fig6Violation {
+    /// The violating test.
+    pub test_id: String,
+    /// The host column it was found in (`sv6-host` or `linux-host`).
+    pub kernel: &'static str,
+    /// Its call pair.
+    pub calls: (CallKind, CallKind),
+    /// Every schedule's host results.
+    pub results: Vec<(SysResult, SysResult)>,
+}
+
+/// One policy's verdicts on one test: the simulated run, the host runs,
+/// and whether every host schedule linearises against the simulated kernel.
+struct PolicyVerdicts {
+    sim: TestOutcome,
+    host: HostTestOutcome,
+    linearises: bool,
+}
+
+/// Whether every schedule's host results equal the pair's results on
+/// `factory`'s simulated kernel in some sequential order: `sim` is the
+/// A-then-B run; B then A is run only when a schedule disagrees with it.
+fn linearises(
+    factory: &dyn KernelFactory,
+    test: &ConcreteTest,
+    sim: &TestOutcome,
+    host: &HostTestOutcome,
+) -> bool {
+    let mut b_first = None;
+    host.results.iter().all(|results| {
+        *results == sim.results
+            || *results
+                == *b_first.get_or_insert_with(|| run_test_order(factory, test, false).results)
+    })
+}
+
+/// The step [`run_host_fig6`] runs on each test: the sv6 policy, then the
+/// Linux-like one.
+type Fig6Verdicts = [PolicyVerdicts; 2];
 
 /// The aggregated result of a host Figure 6 run.
 #[derive(Clone, Debug)]
@@ -250,6 +351,12 @@ pub struct HostFig6Results {
     /// Every sim-free→host-conflict divergence, in either policy,
     /// classified.
     pub divergences: Vec<Fig6Divergence>,
+    /// Every test, in either policy, whose host results matched no
+    /// sequential order on the simulated kernel (none in a healthy run).
+    pub linearisation_violations: Vec<Fig6Violation>,
+    /// Every test, in either policy, whose host runs lost or duplicated a
+    /// datagram (none in a healthy run).
+    pub conservation_violations: Vec<Fig6Violation>,
     /// Number of distinct tests run (each on four kernels).
     pub tests_run: usize,
     /// Accesses dropped across every traced window (0 in a healthy run).
@@ -299,8 +406,34 @@ impl HostFig6Results {
             .join("\n")
     }
 
-    /// Records one swept unit's skips, four verdicts per test and its
-    /// divergences. The unit's tests are dropped here.
+    /// One line per linearisation or conservation violation.
+    pub fn describe_violations(&self) -> String {
+        let linearisation = self
+            .linearisation_violations
+            .iter()
+            .map(|v| ("linearisation", v));
+        let conservation = self
+            .conservation_violations
+            .iter()
+            .map(|v| ("conservation", v));
+        linearisation
+            .chain(conservation)
+            .map(|(property, v)| {
+                format!(
+                    "{} on {} ({} ∥ {}): {property} broken, host results {:?}",
+                    v.test_id,
+                    v.kernel,
+                    v.calls.0.name(),
+                    v.calls.1.name(),
+                    v.results
+                )
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    /// Records one swept unit's skips, four verdicts per test, its
+    /// divergences and its violations. The unit's tests are dropped here.
     fn absorb(&mut self, unit: SweptUnit<Fig6Verdicts>) {
         let (a, b) = unit.calls;
         let reports = [
@@ -312,29 +445,40 @@ impl HostFig6Results {
         for report in reports {
             report.record_skips(a, b, &unit.skip_reasons);
         }
-        for (sim_sv6, sim_linux, host_sv6, host_linux) in unit.results {
+        for [sv6, linux] in unit.results {
             self.tests_run += 1;
-            self.dropped += host_sv6.dropped + host_linux.dropped;
-            self.max_window_accesses = self
-                .max_window_accesses
-                .max(host_sv6.max_window_accesses)
-                .max(host_linux.max_window_accesses);
-            self.sim_sv6.record(a, b, sim_sv6.conflict_free);
-            self.sim_linux.record(a, b, sim_linux.conflict_free);
-            self.host_sv6.record(a, b, host_sv6.conflict_free);
-            self.host_linux.record(a, b, host_linux.conflict_free);
-            for (kernel, sim, host) in [
-                ("sv6-host", sim_sv6, host_sv6),
-                ("linux-host", sim_linux, host_linux),
-            ] {
+            self.sim_sv6.record(a, b, sv6.sim.conflict_free);
+            self.sim_linux.record(a, b, linux.sim.conflict_free);
+            self.host_sv6.record(a, b, sv6.host.conflict_free);
+            self.host_linux.record(a, b, linux.host.conflict_free);
+            for (kernel, verdicts) in [("sv6-host", sv6), ("linux-host", linux)] {
+                let PolicyVerdicts {
+                    sim,
+                    host,
+                    linearises,
+                } = verdicts;
+                self.dropped += host.dropped;
+                self.max_window_accesses = self.max_window_accesses.max(host.max_window_accesses);
                 if sim.conflict_free && !host.conflict_free {
                     self.divergences.push(Fig6Divergence {
-                        test_id: host.test_id,
+                        test_id: host.test_id.clone(),
                         kernel,
                         calls: (a, b),
                         exception: classify_divergence(&host.shared_labels),
-                        shared_labels: host.shared_labels,
+                        shared_labels: host.shared_labels.clone(),
                     });
+                }
+                let violation = || Fig6Violation {
+                    test_id: host.test_id.clone(),
+                    kernel,
+                    calls: (a, b),
+                    results: host.results.clone(),
+                };
+                if !linearises {
+                    self.linearisation_violations.push(violation());
+                }
+                if !host.conserved {
+                    self.conservation_violations.push(violation());
                 }
             }
         }
@@ -344,7 +488,8 @@ impl HostFig6Results {
 /// Runs the full host Figure 6 pipeline: generates tests for every
 /// unordered pair of `config.calls`, runs each on the simulated sv6 and
 /// Linux kernels and on the host kernel in both modes, aggregates four
-/// heatmaps, and records every SIM↔host divergence of either policy.
+/// heatmaps, and records every SIM↔host divergence, linearisation
+/// violation and conservation violation of either policy.
 ///
 /// The corpus is the one `scr_core::run_commuter` generates for the same
 /// model, calls and assignment bound: both consume `scr_core::run_sweep`.
@@ -369,12 +514,18 @@ pub fn run_host_fig6(config: &HostFig6Config) -> HostFig6Results {
     };
     let heat_sv6 = HeatMap::new();
     let heat_linux = HeatMap::new();
+    let policies: [(HostMode, &dyn KernelFactory, &HeatMap); 2] = [
+        (HostMode::Sv6, &sim_sv6, &heat_sv6),
+        (HostMode::Linuxlike, &sim_linux, &heat_linux),
+    ];
     let mut results = HostFig6Results {
         sim_sv6: Figure6Report::new("sv6"),
         sim_linux: Figure6Report::new("Linux"),
         host_sv6: Figure6Report::new("sv6-host"),
         host_linux: Figure6Report::new("linux-host"),
         divergences: Vec::new(),
+        linearisation_violations: Vec::new(),
+        conservation_violations: Vec::new(),
         tests_run: 0,
         dropped: 0,
         max_window_accesses: 0,
@@ -384,24 +535,22 @@ pub fn run_host_fig6(config: &HostFig6Config) -> HostFig6Results {
     run_sweep(
         &sweep,
         |test| {
-            (
-                run_test(&sim_sv6, test),
-                run_test(&sim_linux, test),
-                run_test_host_with(
-                    HostMode::Sv6,
+            policies.map(|(mode, factory, heat)| {
+                let sim = run_test(factory, test);
+                let host = run_test_host_with(
+                    mode,
                     config.cores,
                     test,
                     config.schedules_per_test,
-                    Some(&heat_sv6),
-                ),
-                run_test_host_with(
-                    HostMode::Linuxlike,
-                    config.cores,
-                    test,
-                    config.schedules_per_test,
-                    Some(&heat_linux),
-                ),
-            )
+                    Some(heat),
+                );
+                let linearises = linearises(factory, test, &sim, &host);
+                PolicyVerdicts {
+                    sim,
+                    host,
+                    linearises,
+                }
+            })
         },
         |swept| {
             if let Swept::Unit(unit) = swept {
@@ -414,43 +563,11 @@ pub fn run_host_fig6(config: &HostFig6Config) -> HostFig6Results {
     results
 }
 
-// --- §4 extension pairs: sockets and process management -------------------
-//
-// The §4 extensions — datagram `send`/`recv` with optional ordering,
-// `fork`/`posix_spawn`/`wait` — are modelled symbolically (`scr-model`'s
-// socket queues and process table), so their host cross-check corpus is
-// *generated* by TESTGEN exactly like the file-system corpus: every
-// unordered pair with at least one extension call is analysed, each
-// commutative case is materialised into a [`ConcreteTest`], and every test
-// runs through the same protocol as the rest of Figure 6 — setup untraced,
-// the pair traced on cores 0 and 1, SIM-conflict-free ⇒ host-conflict-free.
-//
-// Because several of these pairs commute only up to fungible values (two
-// spawns race for the next pid; unordered receives race for equivalent
-// messages), the result check is a linearization check — the host's racing
-// outcome must equal the simulated outcome under *some* order of the two
-// calls — plus a message conservation check: every datagram sent to an
-// existing socket is received or still queued, exactly once.
-//
-// A hand-enumerated corpus ([`ext_corpus`]) predates the generated one and
-// is kept as a regression floor: the acceptance test checks every hand
-// test appears, up to isomorphism ([`ext_signature`]), among the generated
-// tests.
-
-/// Satisfying assignments enumerated per commutative case when building
-/// the generated extension corpus (smaller than the fs pipeline's limit:
-/// extension pairs have many shapes and every test runs on four kernels).
-pub const EXT_MAX_ASSIGNMENTS_PER_CASE: usize = 12;
-
-/// Total test budget for [`run_ext_fig6`]: the generated corpus is
-/// round-robined across call pairs down to this many tests so the
-/// cross-check stays proportionate to the rest of the suite.
-pub const EXT_CORPUS_BUDGET: usize = 96;
-
-/// The calls whose pairs make up the extension corpus: every §4 extension
-/// call, plus `open` so the mixed pairs of the paper's process-management
-/// discussion (`posix_spawn ∥ open` scaling where `fork ∥ open` cannot)
-/// are covered.
+/// The §4 extension calls — datagram sockets with optional ordering and
+/// `fork`/`posix_spawn`/`wait` — plus `open`, so the mixed pairs of the
+/// paper's process-management discussion (`posix_spawn ∥ open` scaling
+/// where `fork ∥ open` cannot) are covered. Their pairs run through
+/// [`run_host_fig6`] like any other.
 pub fn ext_calls() -> Vec<CallKind> {
     vec![
         CallKind::Socket,
@@ -463,576 +580,10 @@ pub fn ext_calls() -> Vec<CallKind> {
     ]
 }
 
-/// Every unordered pair over [`ext_calls`] with at least one extension
-/// call (pure fs pairs like `open ∥ open` belong to the main pipeline).
-pub fn ext_pair_calls() -> Vec<(CallKind, CallKind)> {
-    let calls = ext_calls();
-    let mut pairs = Vec::new();
-    for (i, &a) in calls.iter().enumerate() {
-        for &b in calls.iter().skip(i) {
-            if a.is_extension() || b.is_extension() {
-                pairs.push((a, b));
-            }
-        }
-    }
-    pairs
-}
-
-/// The TESTGEN-generated extension corpus plus its skip histogram.
-#[derive(Clone, Debug)]
-pub struct ExtCorpus {
-    /// Every materialised test, in pair-enumeration order.
-    pub tests: Vec<ConcreteTest>,
-    /// Why satisfying assignments were skipped, summed over all pairs.
-    pub skip_reasons: scr_core::SkipHistogram,
-}
-
-/// Generates the extension corpus: every pair from [`ext_pair_calls`]
-/// under its own [`pair_config`] specialisation, `max_per_case`
-/// assignments per commutative case. The result is memoised for the
-/// default limit via [`generated_ext_corpus`]; call this directly to use a
-/// different limit.
-pub fn build_ext_corpus(max_per_case: usize) -> ExtCorpus {
-    let base = ModelConfig::default();
-    let names = bucket_distinct_names(8);
-    let mut tests = Vec::new();
-    let mut skip_reasons = scr_core::SkipHistogram::new();
-    for (call_a, call_b) in ext_pair_calls() {
-        let cfg = pair_config(&base, call_a, call_b);
-        for shape in enumerate_shapes(call_a, call_b, &cfg) {
-            let analysis = analyze_pair(&shape, &cfg);
-            if analysis.cases.is_empty() {
-                continue;
-            }
-            let generated = generate_tests(&shape, &analysis.cases, &cfg, &names, max_per_case);
-            for (&reason, &count) in &generated.skip_reasons {
-                *skip_reasons.entry(reason).or_default() += count;
-            }
-            tests.extend(generated.tests);
-        }
-    }
-    ExtCorpus {
-        tests,
-        skip_reasons,
-    }
-}
-
-/// The generated extension corpus at the default per-case limit, built
-/// once per process (generation runs the symbolic analyzer over 27 pairs,
-/// which is far more expensive than replaying the corpus).
-pub fn generated_ext_corpus() -> &'static ExtCorpus {
-    static CORPUS: std::sync::OnceLock<ExtCorpus> = std::sync::OnceLock::new();
-    CORPUS.get_or_init(|| build_ext_corpus(EXT_MAX_ASSIGNMENTS_PER_CASE))
-}
-
-/// Round-robins `tests` across their call pairs down to at most `budget`
-/// tests, preserving within-pair order — so a budgeted corpus still covers
-/// every pair that generated anything.
-pub fn budget_corpus(tests: &[ConcreteTest], budget: usize) -> Vec<ConcreteTest> {
-    let mut by_pair: std::collections::BTreeMap<(&str, &str), Vec<&ConcreteTest>> =
-        std::collections::BTreeMap::new();
-    for test in tests {
-        by_pair
-            .entry((test.calls.0.name(), test.calls.1.name()))
-            .or_default()
-            .push(test);
-    }
-    let mut out = Vec::new();
-    let mut round = 0;
-    while out.len() < budget.min(tests.len()) {
-        let mut advanced = false;
-        for pool in by_pair.values() {
-            if let Some(test) = pool.get(round) {
-                out.push((*test).clone());
-                advanced = true;
-                if out.len() == budget {
-                    break;
-                }
-            }
-        }
-        if !advanced {
-            break;
-        }
-        round += 1;
-    }
-    out
-}
-
-/// The hand-enumerated §4 corpus: socket pairs in both disciplines and the
-/// spawn/fork/wait pairs, every one of them SIM-commutative in its
-/// materialised state (the corpus mirrors TESTGEN's rule of only
-/// materialising commutative cases — e.g. `recv ∥ recv` on an ordered
-/// socket appears only with equal pending messages, since distinct heads
-/// do not commute). Kept as the regression floor for the generated corpus:
-/// see `generated_corpus_covers_every_hand_enumerated_test`.
-pub fn ext_corpus() -> Vec<ConcreteTest> {
-    let sock = |order| SysOp::Socket { order };
-    let send = |sock, msg: &str| SysOp::Send {
-        sock,
-        msg: msg.as_bytes().to_vec(),
-    };
-    let recv = |sock| SysOp::Recv { sock };
-    let open = |pid, name: &str| SysOp::Open {
-        pid,
-        name: name.into(),
-        flags: scr_kernel::api::OpenFlags::create(),
-    };
-    let spawn1 = |pid| SysOp::Spawn {
-        pid,
-        dup_fds: vec![0],
-    };
-    let test = |id: &str, calls, setup: Vec<(usize, SysOp)>, op_a, op_b| ConcreteTest {
-        id: id.into(),
-        calls,
-        setup,
-        op_a,
-        op_b,
-        procs: 2,
-    };
-    vec![
-        test(
-            "ext_send_send_ordered",
-            (CallKind::Send, CallKind::Send),
-            vec![(0, sock(SocketOrder::Ordered))],
-            send(0, "a0"),
-            send(0, "b1"),
-        ),
-        test(
-            "ext_send_send_unordered",
-            (CallKind::Send, CallKind::Send),
-            vec![(0, sock(SocketOrder::Unordered))],
-            send(0, "a0"),
-            send(0, "b1"),
-        ),
-        // §4's headline: with a message pending in the receiver's own
-        // queue, unordered send ∥ recv commutes AND is conflict-free.
-        test(
-            "ext_send_recv_unordered_local",
-            (CallKind::Send, CallKind::Recv),
-            vec![(0, sock(SocketOrder::Unordered)), (1, send(0, "pre"))],
-            send(0, "a0"),
-            recv(0),
-        ),
-        // POSIX ordering forces one queue: the same pair conflicts.
-        test(
-            "ext_send_recv_ordered",
-            (CallKind::Send, CallKind::Recv),
-            vec![(0, sock(SocketOrder::Ordered)), (0, send(0, "pre"))],
-            send(0, "a0"),
-            recv(0),
-        ),
-        // Ordered recv ∥ recv commutes only with equal heads.
-        test(
-            "ext_recv_recv_ordered_equal_heads",
-            (CallKind::Recv, CallKind::Recv),
-            vec![
-                (0, sock(SocketOrder::Ordered)),
-                (0, send(0, "m")),
-                (0, send(0, "m")),
-            ],
-            recv(0),
-            recv(0),
-        ),
-        test(
-            "ext_recv_recv_unordered_local_queues",
-            (CallKind::Recv, CallKind::Recv),
-            vec![
-                (0, sock(SocketOrder::Unordered)),
-                (0, send(0, "m0")),
-                (1, send(0, "m1")),
-            ],
-            recv(0),
-            recv(0),
-        ),
-        // Empty receives: commute (both EAGAIN) but the steal scan makes
-        // them conflict — on both substrates.
-        test(
-            "ext_recv_recv_unordered_empty",
-            (CallKind::Recv, CallKind::Recv),
-            vec![(0, sock(SocketOrder::Unordered))],
-            recv(0),
-            recv(0),
-        ),
-        test(
-            "ext_fork_fork",
-            (CallKind::Fork, CallKind::Fork),
-            vec![(0, open(0, "shared"))],
-            SysOp::Fork { pid: 0 },
-            SysOp::Fork { pid: 0 },
-        ),
-        test(
-            "ext_spawn_spawn",
-            (CallKind::PosixSpawn, CallKind::PosixSpawn),
-            vec![(0, open(0, "shared"))],
-            spawn1(0),
-            spawn1(0),
-        ),
-        // posix_spawn touches only the listed descriptor, so it stays
-        // conflict-free beside a lowest-FD open of a later slot…
-        test(
-            "ext_spawn_open",
-            (CallKind::PosixSpawn, CallKind::Open),
-            vec![(0, open(0, "shared"))],
-            spawn1(0),
-            open(0, "other"),
-        ),
-        // …while fork's whole-table snapshot conflicts with it.
-        test(
-            "ext_fork_open",
-            (CallKind::Fork, CallKind::Open),
-            vec![(0, open(0, "shared"))],
-            SysOp::Fork { pid: 0 },
-            open(0, "other"),
-        ),
-        test(
-            "ext_wait_spawn",
-            (CallKind::Wait, CallKind::PosixSpawn),
-            vec![(0, open(0, "shared")), (0, spawn1(0))],
-            SysOp::Wait { pid: 0, child: 2 },
-            spawn1(0),
-        ),
-        test(
-            "ext_wait_wait_same_child",
-            (CallKind::Wait, CallKind::Wait),
-            vec![(0, open(0, "shared")), (0, spawn1(0))],
-            SysOp::Wait { pid: 0, child: 2 },
-            SysOp::Wait { pid: 1, child: 2 },
-        ),
-        // A second ordering flavour of the fungible-message steal case:
-        // the receiver's local queue is empty, so it must steal the
-        // pending message or report the sent one — either way conservation
-        // holds.
-        test(
-            "ext_send_recv_unordered_steal",
-            (CallKind::Send, CallKind::Recv),
-            vec![(0, sock(SocketOrder::Unordered)), (0, send(0, "pre"))],
-            send(0, "a0"),
-            recv(0),
-        ),
-    ]
-}
-
-/// How many sockets a test's setup creates. Both kernels number sockets
-/// densely from 0, so ids `0..count` exist and anything ≥ count is a
-/// deliberate bad-socket probe.
-pub fn created_sockets(test: &ConcreteTest) -> usize {
-    test.setup
-        .iter()
-        .filter(|(_, op)| matches!(op, SysOp::Socket { .. }))
-        .count()
-}
-
-/// The socket ids a test's setup creates (the ones the conservation check
-/// drains afterwards).
-pub fn socket_ids(test: &ConcreteTest) -> Vec<SockId> {
-    (0..created_sockets(test)).collect()
-}
-
-/// Every payload the test sends to an *existing* socket (setup and pair),
-/// sorted — the "sent" side of the conservation ledger. Sends to bad
-/// socket ids fail with EBADF on both substrates and never enter a queue,
-/// so they are excluded.
-pub fn sent_messages(test: &ConcreteTest) -> Vec<Vec<u8>> {
-    let created = created_sockets(test);
-    let mut sent: Vec<Vec<u8>> = test
-        .setup
-        .iter()
-        .map(|(_, op)| op)
-        .chain([&test.op_a, &test.op_b])
-        .filter_map(|op| match op {
-            SysOp::Send { sock, msg } if *sock < created => Some(msg.clone()),
-            _ => None,
-        })
-        .collect();
-    sent.sort();
-    sent
-}
-
-/// An isomorphism signature for an extension test: what remains after
-/// erasing every fungible detail. Two tests with equal signatures exercise
-/// the same commutative scenario:
-///
-/// * payloads, file names, caller pids and concrete fd numbers are erased
-///   (all fungible — TESTGEN picks arbitrary witnesses);
-/// * socket identity within the test is kept (`s0`, `s1`, or `bad` for a
-///   nonexistent-socket probe), as is each socket's delivery discipline;
-/// * setup sends keep their sending core (unordered sockets route by
-///   core, so `send@c1` vs `send@c0` distinguishes a local-queue preload
-///   from a steal scenario);
-/// * setup spawns are counted (their dup lists are fungible: the hand
-///   corpus duplicates a file descriptor where the generated corpus
-///   duplicates pipe endpoints, but either way the child is reapable);
-/// * the traced ops keep their target socket / child pid / spawn dup
-///   arity; other setup ops (opens, pipes) are scaffolding and erased.
-///
-/// `swap_ops` renders the pair in the opposite order: pair enumeration is
-/// unordered, so `wait ∥ posix_spawn` in the hand corpus matches a
-/// generated `posix_spawn ∥ wait` test.
-pub fn ext_signature(test: &ConcreteTest, swap_ops: bool) -> String {
-    let created = created_sockets(test);
-    let sock_ref = |s: SockId| {
-        if s < created {
-            format!("s{s}")
-        } else {
-            "bad".to_string()
-        }
-    };
-    let mut setup: Vec<String> = Vec::new();
-    for (core, op) in &test.setup {
-        match op {
-            SysOp::Socket { order } => setup.push(format!("socket:{order:?}")),
-            SysOp::Send { sock, .. } => setup.push(format!("send@c{core}:{}", sock_ref(*sock))),
-            SysOp::Spawn { .. } => setup.push("spawn".to_string()),
-            _ => {}
-        }
-    }
-    setup.sort();
-    let op_sig = |op: &SysOp| match op {
-        SysOp::Socket { order } => format!("socket:{order:?}"),
-        SysOp::Send { sock, .. } => format!("send:{}", sock_ref(*sock)),
-        SysOp::Recv { sock } => format!("recv:{}", sock_ref(*sock)),
-        SysOp::Fork { .. } => "fork".to_string(),
-        SysOp::Spawn { dup_fds, .. } => format!("spawn:{}", dup_fds.len()),
-        SysOp::Wait { child, .. } => {
-            if *child >= scr_core::BAD_CHILD_PID {
-                "wait:bad".to_string()
-            } else {
-                format!("wait:p{child}")
-            }
-        }
-        other => other.call_name().to_string(),
-    };
-    let (a, b) = if swap_ops {
-        (&test.op_b, &test.op_a)
-    } else {
-        (&test.op_a, &test.op_b)
-    };
-    format!("[{}] {} ∥ {}", setup.join(","), op_sig(a), op_sig(b))
-}
-
-/// Results and footprint of a sequential simulated run of an extension
-/// test.
-#[derive(Clone, Debug)]
-pub struct SimExtRun {
-    /// The pair's observable results, as (op_a, op_b).
-    pub results: (SysResult, SysResult),
-    /// Whether the traced pair was conflict-free.
-    pub conflict_free: bool,
-    /// The traced (core, label, kind) multiset, sorted.
-    pub footprint: Vec<(usize, String, AccessKind)>,
-}
-
-/// Runs an extension test on a fresh simulated sv6 kernel: setup untraced
-/// on its annotated cores, then the pair traced on cores 0 and 1, in the
-/// given order (`a_first` false replays B before A — the other
-/// linearization).
-pub fn run_ext_sim(mode: HostMode, cores: usize, test: &ConcreteTest, a_first: bool) -> SimExtRun {
-    let kernel = Sv6Kernel::on_lines(
-        Some(&SimMachine::new()),
-        cores.max(2),
-        Sv6Options::default(),
-        mode,
-    );
-    let machine = scr_kernel::api::KernelApi::machine(&kernel).clone();
-    for _ in 0..test.procs.max(2) {
-        kernel.new_process();
-    }
-    machine.stop_tracing();
-    for (core, op) in &test.setup {
-        machine.on_core(*core, || perform(&kernel, *core, op));
-    }
-    machine.clear_trace();
-    machine.start_tracing();
-    let results = if a_first {
-        let ra = machine.on_core(0, || perform(&kernel, 0, &test.op_a));
-        let rb = machine.on_core(1, || perform(&kernel, 1, &test.op_b));
-        (ra, rb)
-    } else {
-        let rb = machine.on_core(1, || perform(&kernel, 1, &test.op_b));
-        let ra = machine.on_core(0, || perform(&kernel, 0, &test.op_a));
-        (ra, rb)
-    };
-    machine.stop_tracing();
-    let mut footprint: Vec<_> = machine
-        .accesses()
-        .iter()
-        .map(|a| (a.core, machine.label_of(a.line), a.kind))
-        .collect();
-    footprint.sort();
-    SimExtRun {
-        results,
-        conflict_free: machine.conflict_report().is_conflict_free(),
-        footprint,
-    }
-}
-
-/// Results, footprint and leftovers of one traced host run of an extension
-/// test.
-#[derive(Clone, Debug)]
-pub struct HostExtRun {
-    /// The pair's observable results, as (op_a, op_b).
-    pub results: (SysResult, SysResult),
-    /// Whether the traced window was conflict-free.
-    pub conflict_free: bool,
-    /// Labels of lines shared between the two cores.
-    pub shared_labels: Vec<String>,
-    /// The traced (core, label, kind) multiset, sorted.
-    pub footprint: Vec<(usize, String, AccessKind)>,
-    /// Messages still queued on the test's sockets afterwards.
-    pub leftover: Vec<Vec<u8>>,
-    /// Accesses dropped by log overflow (0 in any healthy run).
-    pub dropped: usize,
-}
-
-/// Replays an extension test on an instrumented host kernel: setup
-/// untraced, then the pair inside a tracing window — concurrently on two
-/// real threads, or back to back when `concurrent` is false (the
-/// deterministic mode the footprint-parity tests use).
-pub fn run_ext_host(
-    mode: HostMode,
-    cores: usize,
-    test: &ConcreteTest,
-    concurrent: bool,
-) -> HostExtRun {
-    let sink = HostTraceSink::new(cores.max(2));
-    let kernel = host_kernel_with(cores, mode, Sv6Options::default(), Some(&sink));
-    let [a, b] = race(
-        &kernel,
-        test.procs,
-        &test.setup,
-        [&test.op_a, &test.op_b],
-        concurrent,
-        || sink.begin_window(),
-    );
-    let report = sink.end_window();
-    let mut footprint: Vec<_> = report
-        .accesses
-        .iter()
-        .map(|a| (a.core, sink.label_of(a.line), a.kind))
-        .collect();
-    footprint.sort();
-    let leftover = socket_ids(test)
-        .into_iter()
-        .flat_map(|s| kernel.socket_drain_untraced(s))
-        .collect();
-    HostExtRun {
-        results: (a, b),
-        conflict_free: report.is_conflict_free(),
-        shared_labels: report.conflicting_labels(),
-        footprint,
-        leftover,
-        dropped: report.dropped,
-    }
-}
-
-/// The aggregated verdict for one extension test across schedules.
-#[derive(Clone, Debug)]
-pub struct ExtOutcome {
-    /// The test's identifier.
-    pub test_id: String,
-    /// The test's call pair.
-    pub calls: (CallKind, CallKind),
-    /// Conflict-free on the simulated sv6 kernel (A-then-B trace).
-    pub sim_conflict_free: bool,
-    /// Conflict-free on the host sv6 kernel in every schedule.
-    pub host_conflict_free: bool,
-    /// Union of host conflicting labels over schedules.
-    pub host_shared_labels: Vec<String>,
-    /// Every host schedule's results matched a sequential simulated order.
-    pub linearizable: bool,
-    /// Every sent message was received or still queued, exactly once, in
-    /// every schedule.
-    pub conserved: bool,
-    /// Accesses dropped across schedules (0 in any healthy run).
-    pub dropped: usize,
-}
-
-/// Cross-checks one extension corpus on real threads (`schedules` replays
-/// per test) against the simulated sv6 kernel: conflict verdicts
-/// one-directionally, results by linearization, messages by conservation.
-pub fn run_ext_corpus(cores: usize, schedules: usize, corpus: &[ConcreteTest]) -> Vec<ExtOutcome> {
-    corpus
-        .iter()
-        .map(|test| {
-            let sim_ab = run_ext_sim(HostMode::Sv6, cores, test, true);
-            let sim_ba = run_ext_sim(HostMode::Sv6, cores, test, false);
-            let sent = sent_messages(test);
-            let mut outcome = ExtOutcome {
-                test_id: test.id.clone(),
-                calls: test.calls,
-                sim_conflict_free: sim_ab.conflict_free,
-                host_conflict_free: true,
-                host_shared_labels: Vec::new(),
-                linearizable: true,
-                conserved: true,
-                dropped: 0,
-            };
-            for _ in 0..schedules.max(1) {
-                let host = run_ext_host(HostMode::Sv6, cores, test, true);
-                outcome.host_conflict_free &= host.conflict_free;
-                outcome.host_shared_labels.extend(host.shared_labels);
-                outcome.linearizable &=
-                    host.results == sim_ab.results || host.results == sim_ba.results;
-                let mut seen: Vec<Vec<u8>> = [&host.results.0, &host.results.1]
-                    .into_iter()
-                    .filter_map(|r| match r {
-                        SysResult::Data(d) => Some(d.clone()),
-                        _ => None,
-                    })
-                    .chain(host.leftover.iter().cloned())
-                    .collect();
-                seen.sort();
-                outcome.conserved &= seen == sent;
-                outcome.dropped += host.dropped;
-            }
-            outcome.host_shared_labels.sort();
-            outcome.host_shared_labels.dedup();
-            outcome
-        })
-        .collect()
-}
-
-/// Runs the TESTGEN-generated extension corpus (budgeted to
-/// [`EXT_CORPUS_BUDGET`] tests, round-robined across pairs) on real
-/// threads and cross-checks it against the simulated sv6 kernel.
-pub fn run_ext_fig6(cores: usize, schedules: usize) -> Vec<ExtOutcome> {
-    let corpus = budget_corpus(&generated_ext_corpus().tests, EXT_CORPUS_BUDGET);
-    run_ext_corpus(cores, schedules, &corpus)
-}
-
-/// Failures of an extension cross-check run, one line each: unexplained
-/// sim-free→host-conflict divergences, non-linearizable results, broken
-/// conservation, or log overflow. Empty means the cross-check passed.
-pub fn ext_failures(outcomes: &[ExtOutcome]) -> Vec<String> {
-    let mut failures = Vec::new();
-    for o in outcomes {
-        if o.sim_conflict_free && !o.host_conflict_free {
-            failures.push(format!(
-                "{}: SIM-conflict-free but host conflicted on [{}]",
-                o.test_id,
-                o.host_shared_labels.join(", ")
-            ));
-        }
-        if !o.linearizable {
-            failures.push(format!(
-                "{}: host results match no sequential order",
-                o.test_id
-            ));
-        }
-        if !o.conserved {
-            failures.push(format!("{}: messages lost or duplicated", o.test_id));
-        }
-        if o.dropped > 0 {
-            failures.push(format!("{}: {} accesses dropped", o.test_id, o.dropped));
-        }
-    }
-    failures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scr_kernel::api::{OpenFlags, SysOp};
+    use scr_kernel::api::{OpenFlags, SocketOrder};
 
     fn manual_test(
         id: &str,
@@ -1160,125 +711,81 @@ mod tests {
         );
     }
 
-    #[test]
-    fn ext_corpus_ids_are_unique_and_pairs_are_linearizable_on_sim() {
-        let corpus = ext_corpus();
-        let ids: std::collections::BTreeSet<_> = corpus.iter().map(|t| t.id.as_str()).collect();
-        assert_eq!(ids.len(), corpus.len(), "duplicate test ids");
-        // Sanity: every corpus entry is SIM-commutative in its observable
-        // results up to pid fungibility — both sequential orders agree or
-        // are each other's pid swap (the linearization check's premise).
-        for test in &corpus {
-            let ab = run_ext_sim(HostMode::Sv6, 4, test, true);
-            let ba = run_ext_sim(HostMode::Sv6, 4, test, false);
-            let swapped = (ba.results.1.clone(), ba.results.0.clone());
-            assert!(
-                ab.results == ba.results || (ab.results.0, ab.results.1) == swapped,
-                "{}: orders disagree beyond fungible values",
-                test.id
-            );
-        }
+    /// The pair's outcomes on simulated sv6 and on sv6-host (two schedules).
+    fn sv6_verdicts(test: &ConcreteTest) -> (TestOutcome, HostTestOutcome) {
+        let sim = run_test(&Sv6Factory { cores: 4 }, test);
+        let host = run_test_host(HostMode::Sv6, 4, test, 2);
+        (sim, host)
     }
 
     #[test]
     fn unordered_send_recv_with_local_message_is_conflict_free_everywhere() {
-        let corpus = ext_corpus();
-        let test = corpus
-            .iter()
-            .find(|t| t.id == "ext_send_recv_unordered_local")
-            .unwrap();
-        let sim = run_ext_sim(HostMode::Sv6, 4, test, true);
-        assert!(sim.conflict_free, "sim must scale: {:?}", sim.footprint);
-        let host = run_ext_host(HostMode::Sv6, 4, test, true);
+        // §4's headline: with a message pending in the receiver's own
+        // queue, unordered send ∥ recv commutes and is conflict-free.
+        let send_recv = |order, preload_core| {
+            let send = |msg: &str| SysOp::Send {
+                sock: 0,
+                msg: msg.as_bytes().to_vec(),
+            };
+            ConcreteTest {
+                setup: vec![(0, SysOp::Socket { order }), (preload_core, send("pre"))],
+                ..manual_test(
+                    "send_recv",
+                    (CallKind::Send, CallKind::Recv),
+                    send("a0"),
+                    SysOp::Recv { sock: 0 },
+                )
+            }
+        };
+        let (sim, host) = sv6_verdicts(&send_recv(SocketOrder::Unordered, 1));
+        assert!(sim.conflict_free, "sim must scale: {:?}", sim.shared_labels);
         assert!(
             host.conflict_free,
             "host must scale, shared {:?}",
             host.shared_labels
         );
-        let ordered = corpus
-            .iter()
-            .find(|t| t.id == "ext_send_recv_ordered")
-            .unwrap();
-        let sim = run_ext_sim(HostMode::Sv6, 4, ordered, true);
+        assert!(host.conserved);
+        // POSIX ordering forces one queue: the same pair conflicts.
+        let (sim, host) = sv6_verdicts(&send_recv(SocketOrder::Ordered, 0));
         assert!(!sim.conflict_free, "ordered sockets must conflict");
-        let host = run_ext_host(HostMode::Sv6, 4, ordered, true);
         assert!(!host.conflict_free);
         assert!(
             host.shared_labels.iter().any(|l| l == "socket[0].queue"),
             "the shared ordered queue must be the conflict, got {:?}",
             host.shared_labels
         );
+        assert!(host.conserved);
     }
 
     #[test]
     fn spawn_scales_beside_open_where_forks_snapshot_conflicts() {
-        let corpus = ext_corpus();
-        let spawn = corpus.iter().find(|t| t.id == "ext_spawn_open").unwrap();
-        assert!(run_ext_sim(HostMode::Sv6, 4, spawn, true).conflict_free);
-        assert!(run_ext_host(HostMode::Sv6, 4, spawn, true).conflict_free);
-        let fork = corpus.iter().find(|t| t.id == "ext_fork_open").unwrap();
-        assert!(!run_ext_sim(HostMode::Sv6, 4, fork, true).conflict_free);
-        let host = run_ext_host(HostMode::Sv6, 4, fork, true);
+        // posix_spawn touches only the listed descriptor, so it stays
+        // conflict-free beside a lowest-FD open of a later slot, while
+        // fork's whole-table snapshot conflicts with it.
+        let beside_open = |op_a, call| ConcreteTest {
+            setup: vec![(0, create_op(0, "shared", false))],
+            ..manual_test(
+                "beside_open",
+                (call, CallKind::Open),
+                op_a,
+                create_op(0, "other", false),
+            )
+        };
+        let spawn = SysOp::Spawn {
+            pid: 0,
+            dup_fds: vec![0],
+        };
+        let (sim, host) = sv6_verdicts(&beside_open(spawn, CallKind::PosixSpawn));
+        assert!(sim.conflict_free, "{:?}", sim.shared_labels);
+        assert!(host.conflict_free, "{:?}", host.shared_labels);
+        let fork = SysOp::Fork { pid: 0 };
+        let (sim, host) = sv6_verdicts(&beside_open(fork, CallKind::Fork));
+        assert!(!sim.conflict_free);
         assert!(!host.conflict_free);
         assert!(
             host.shared_labels.iter().all(|l| l.contains("].fd[")),
             "fork ∥ open conflicts on descriptor slots, got {:?}",
             host.shared_labels
-        );
-    }
-
-    #[test]
-    fn ext_cross_check_passes_on_the_hand_corpus() {
-        let outcomes = run_ext_corpus(4, 2, &ext_corpus());
-        let failures = ext_failures(&outcomes);
-        assert!(failures.is_empty(), "{}", failures.join("\n"));
-    }
-
-    #[test]
-    fn generated_ext_cross_check_passes_and_covers_every_pair() {
-        let outcomes = run_ext_fig6(4, 2);
-        assert!(!outcomes.is_empty());
-        let failures = ext_failures(&outcomes);
-        assert!(failures.is_empty(), "{}", failures.join("\n"));
-        let covered: std::collections::BTreeSet<(&str, &str)> = outcomes
-            .iter()
-            .map(|o| (o.calls.0.name(), o.calls.1.name()))
-            .collect();
-        for (a, b) in ext_pair_calls() {
-            assert!(
-                covered.contains(&(a.name(), b.name())),
-                "no generated test ran for {} ∥ {}",
-                a.name(),
-                b.name()
-            );
-        }
-    }
-
-    #[test]
-    fn generated_corpus_covers_every_hand_enumerated_test() {
-        // The regression floor for replacing the hand corpus with the
-        // generated one: every hand-enumerated scenario must appear, up to
-        // isomorphism (fungible payloads/names/pids erased, socket
-        // discipline and queue topology kept), among the generated tests.
-        let generated: std::collections::BTreeSet<String> = generated_ext_corpus()
-            .tests
-            .iter()
-            .map(|t| ext_signature(t, false))
-            .collect();
-        let mut missing = Vec::new();
-        for hand in ext_corpus() {
-            let fwd = ext_signature(&hand, false);
-            let rev = ext_signature(&hand, true);
-            if !generated.contains(&fwd) && !generated.contains(&rev) {
-                missing.push(format!("{}: {}", hand.id, fwd));
-            }
-        }
-        assert!(
-            missing.is_empty(),
-            "hand tests with no generated counterpart (up to isomorphism):\n{}\n\
-             generated signatures:\n{}",
-            missing.join("\n"),
-            generated.into_iter().collect::<Vec<_>>().join("\n")
         );
     }
 
@@ -1324,6 +831,11 @@ mod tests {
             results.unexplained_divergences().is_empty(),
             "unexplained divergences:\n{}",
             results.describe_divergences()
+        );
+        assert!(
+            results.linearisation_violations.is_empty(),
+            "{}",
+            results.describe_violations()
         );
         // linux-host scales exactly where simulated Linux does.
         assert_eq!(

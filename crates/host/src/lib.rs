@@ -40,8 +40,6 @@
 //! * [`differential`] replays TESTGEN's `ConcreteTest`s on real threads and
 //!   cross-checks every return value against the simulated `Sv6Kernel`,
 //!   closing the loop between the symbolic pipeline and real execution;
-//!   the §4 extension corpus rides along with a linearization +
-//!   message-conservation cross-check, and
 //!   [`differential::differential_campaign`] over a
 //!   [`differential::ChaosReplayer`] replays the corpus through the
 //!   pipeline's fault layer.
@@ -49,7 +47,9 @@
 //!   around the concurrent pair and aggregates host-side Figure 6 heatmaps
 //!   (`sv6-host` / `linux-host`), cross-checking every conflict verdict
 //!   against the simulated heatmap (lowest-FD contention excepted, and
-//!   recorded explicitly).
+//!   recorded explicitly), every schedule's results by linearisation and
+//!   every datagram by conservation. The §4 socket and process calls
+//!   ([`fig6::ext_calls`]) are checked there like any other call.
 //!
 //! The host Figure 6 and the differential campaign do not sweep call pairs
 //! themselves: both are consumers of `scr_core::run_sweep`, the COMMUTER
@@ -63,16 +63,13 @@ pub mod pipeline;
 pub mod workloads;
 
 pub use differential::{
-    differential_campaign, ext_campaign, CampaignConfig, ChaosReplayer, DifferentialReport,
-    ExtCampaignReport, HostReplayer, PairOutcome,
+    differential_campaign, CampaignConfig, ChaosReplayer, DifferentialReport, HostReplayer,
+    PairOutcome,
 };
 pub use fig6::{
-    budget_corpus, build_ext_corpus, classify_divergence, created_sockets, ext_calls, ext_corpus,
-    ext_failures, ext_pair_calls, ext_signature, generated_ext_corpus, normalize_pipe_label,
-    replay_traced, run_ext_corpus, run_ext_fig6, run_ext_host, run_ext_sim, run_host_fig6,
-    run_test_host, run_test_host_with, sent_messages, socket_ids, ExtCorpus, ExtOutcome,
-    Fig6Divergence, HostExtRun, HostFig6Config, HostFig6Results, HostTestOutcome, SimExtRun,
-    EXT_CORPUS_BUDGET, EXT_MAX_ASSIGNMENTS_PER_CASE, LOWEST_FD_EXCEPTION,
+    classify_divergence, ext_calls, normalize_pipe_label, replay_traced, run_host_fig6,
+    run_test_host, run_test_host_with, Fig6Divergence, Fig6Violation, HostFig6Config,
+    HostFig6Results, HostTestOutcome, LOWEST_FD_EXCEPTION,
 };
 pub use harness::{available_threads, LoadHarness};
 pub use kernel::{host_kernel, host_kernel_with, HostKernel, HostMode};

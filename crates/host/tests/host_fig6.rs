@@ -3,29 +3,50 @@
 //! Two layers of evidence that the real-threads monitor reproduces the
 //! simulated heatmap:
 //!
-//! 1. **Instrumentation faithfulness** — replaying a generated test
-//!    *sequentially* on the instrumented `HostKernel` must record exactly
-//!    the (core, label, kind) access multiset the simulated `Sv6Kernel`
-//!    records for the same test. Sequential replay removes scheduling
-//!    nondeterminism, so any difference is an instrumentation bug.
+//! 1. **Instrumentation faithfulness** — replaying a test *sequentially*
+//!    on the instrumented `HostKernel` must record exactly the (core,
+//!    label, kind) access multiset the simulated kernel of the same policy
+//!    records for it: generated corpora, §4 socket and process calls
+//!    included, and hand-written single-operation probes. Sequential replay
+//!    removes scheduling nondeterminism, so any difference is an
+//!    instrumentation bug.
 //! 2. **Cross-check under real concurrency** — running the pipeline with
 //!    racing threads, every simulated-conflict-free test must stay
 //!    host-conflict-free; the only tolerated divergences are the documented
-//!    lowest-FD-allocation contention cases, asserted explicitly.
+//!    lowest-FD-allocation contention cases, asserted explicitly. Every
+//!    schedule's results must linearise against the simulated kernel and
+//!    every datagram must be conserved.
 
-use scr_core::{run_commuter, CommuterConfig, ConcreteTest, KernelFactory, Sv6Factory};
+use scr_core::{
+    run_commuter, CommuterConfig, ConcreteTest, KernelFactory, LinuxLikeFactory, Sv6Factory,
+};
 use scr_host::fig6::{normalize_pipe_label, replay_traced, run_host_fig6, HostFig6Config};
 use scr_host::kernel::HostMode;
-use scr_kernel::api::perform;
+use scr_kernel::api::{perform, OpenFlags, SocketOrder, SysOp};
 use scr_model::CallKind;
 use scr_mtrace::AccessKind;
 
-/// The (core, label, kind) multiset a test records on the simulated sv6
-/// kernel (setup untraced on core 0, the pair traced on cores 0 and 1 —
-/// the MTRACE driver's protocol).
-fn sim_footprint(test: &ConcreteTest, cores: usize) -> Vec<(usize, String, AccessKind)> {
-    let factory = Sv6Factory { cores };
-    let kernel = factory.build();
+/// A sorted (core, label, kind) access multiset, pipe ids normalised.
+type Footprint = Vec<(usize, String, AccessKind)>;
+
+/// The §4 extension calls.
+const EXTENSION_CALLS: [CallKind; 6] = [
+    CallKind::Socket,
+    CallKind::Send,
+    CallKind::Recv,
+    CallKind::Fork,
+    CallKind::PosixSpawn,
+    CallKind::Wait,
+];
+
+/// The footprint a test records on the simulated kernel of `mode`'s policy
+/// (setup untraced on its annotated cores, the pair traced on cores 0 and
+/// 1 — the MTRACE driver's protocol).
+fn sim_footprint(mode: HostMode, test: &ConcreteTest, cores: usize) -> Footprint {
+    let kernel = match mode {
+        HostMode::Sv6 => Sv6Factory { cores }.build(),
+        HostMode::Linuxlike => LinuxLikeFactory { cores }.build(),
+    };
     let machine = kernel.machine().clone();
     for _ in 0..test.procs.max(2) {
         kernel.new_process();
@@ -55,8 +76,8 @@ fn sim_footprint(test: &ConcreteTest, cores: usize) -> Vec<(usize, String, Acces
 }
 
 /// The same multiset recorded by a sequential traced replay on the host.
-fn host_footprint(test: &ConcreteTest, cores: usize) -> Vec<(usize, String, AccessKind)> {
-    let (sink, report, _) = replay_traced(HostMode::Sv6, cores, test, false);
+fn host_footprint(mode: HostMode, test: &ConcreteTest, cores: usize) -> Footprint {
+    let (_, sink, report, _) = replay_traced(mode, cores, test, false);
     assert_eq!(report.dropped, 0, "log overflow in {}", test.id);
     let mut out: Vec<_> = report
         .accesses
@@ -65,6 +86,15 @@ fn host_footprint(test: &ConcreteTest, cores: usize) -> Vec<(usize, String, Acce
         .collect();
     out.sort();
     out
+}
+
+fn assert_mirrors(mode: HostMode, test: &ConcreteTest) {
+    assert_eq!(
+        host_footprint(mode, test, 4),
+        sim_footprint(mode, test, 4),
+        "instrumented host footprint diverges from the simulator for {}",
+        test.id
+    );
 }
 
 /// Generates the corpus for a call set (the quick pipeline's bounds).
@@ -85,12 +115,7 @@ fn assert_faithful(calls: &[CallKind], max_assignments: usize) {
     assert!(!tests.is_empty(), "corpus for {calls:?} is empty");
     let stride = (tests.len() / 250).max(1);
     for test in tests.iter().step_by(stride) {
-        assert_eq!(
-            host_footprint(test, 4),
-            sim_footprint(test, 4),
-            "instrumented host footprint diverges from the simulator for {}",
-            test.id
-        );
+        assert_mirrors(HostMode::Sv6, test);
     }
 }
 
@@ -145,6 +170,162 @@ fn host_instrumentation_is_faithful_for_lseek() {
     assert_faithful(&[CallKind::Fstat, CallKind::Lseek, CallKind::Close], 12);
 }
 
+#[test]
+fn host_instrumentation_is_faithful_for_extension_operations() {
+    assert_faithful(&EXTENSION_CALLS, 12);
+}
+
+/// A single-op probe: pairs the op under test with a stat of a missing
+/// name, whose footprint (one read of a directory bucket) is identical and
+/// deterministic on both substrates.
+fn single(id: &str, setup: Vec<(usize, SysOp)>, op: SysOp) -> ConcreteTest {
+    ConcreteTest {
+        id: id.into(),
+        calls: (CallKind::Stat, CallKind::Stat),
+        setup,
+        op_a: op,
+        op_b: SysOp::StatPath {
+            pid: 1,
+            name: "no-such-name".into(),
+        },
+        procs: 2,
+    }
+}
+
+fn sock(order: SocketOrder) -> SysOp {
+    SysOp::Socket { order }
+}
+
+fn send(sockid: usize, msg: &str) -> SysOp {
+    SysOp::Send {
+        sock: sockid,
+        msg: msg.as_bytes().to_vec(),
+    }
+}
+
+fn open(pid: usize, name: &str) -> SysOp {
+    SysOp::Open {
+        pid,
+        name: name.into(),
+        flags: OpenFlags::create(),
+    }
+}
+
+#[test]
+fn socket_operations_mirror_the_simulated_footprint_per_op() {
+    for order in [SocketOrder::Ordered, SocketOrder::Unordered] {
+        let tag = format!("{order:?}").to_lowercase();
+        // send into an empty socket.
+        assert_mirrors(
+            HostMode::Sv6,
+            &single(&format!("send_{tag}"), vec![(0, sock(order))], send(0, "m")),
+        );
+        // recv of a pending message (preloaded from the receiving core, so
+        // the unordered flavour hits its local queue).
+        assert_mirrors(
+            HostMode::Sv6,
+            &single(
+                &format!("recv_hit_{tag}"),
+                vec![(0, sock(order)), (0, send(0, "m"))],
+                SysOp::Recv { sock: 0 },
+            ),
+        );
+        // recv of an empty socket (the unordered flavour scans every
+        // queue — reads of the remote lines, as in the simulated steal).
+        assert_mirrors(
+            HostMode::Sv6,
+            &single(
+                &format!("recv_empty_{tag}"),
+                vec![(0, sock(order))],
+                SysOp::Recv { sock: 0 },
+            ),
+        );
+    }
+    // The steal path: message pending only on core 1's queue, receiver on
+    // core 0 must cross over.
+    assert_mirrors(
+        HostMode::Sv6,
+        &single(
+            "recv_steal",
+            vec![(0, sock(SocketOrder::Unordered)), (1, send(0, "m"))],
+            SysOp::Recv { sock: 0 },
+        ),
+    );
+}
+
+#[test]
+fn fork_and_spawn_mirror_the_simulated_snapshot_footprints() {
+    // fork with a mixed descriptor table (two files and a pipe): the
+    // snapshot reads every slot and writes the occupied child slots —
+    // including the pipe endpoints, whose lines are shared cells.
+    let setup = vec![
+        (0, open(0, "a")),
+        (0, open(0, "b")),
+        (0, SysOp::Pipe { pid: 0 }),
+    ];
+    assert_mirrors(
+        HostMode::Sv6,
+        &single("fork_snapshot", setup.clone(), SysOp::Fork { pid: 0 }),
+    );
+    // posix_spawn touches exactly the listed descriptors.
+    assert_mirrors(
+        HostMode::Sv6,
+        &single(
+            "spawn_listed_fds",
+            setup.clone(),
+            SysOp::Spawn {
+                pid: 0,
+                dup_fds: vec![0, 2],
+            },
+        ),
+    );
+    // wait reaps a fork child's whole table — pipe endpoint counts are
+    // decremented, the deliberate §6.4 shared lines.
+    let mut wait_setup = setup;
+    wait_setup.push((0, SysOp::Fork { pid: 0 }));
+    assert_mirrors(
+        HostMode::Sv6,
+        &single(
+            "wait_reaps_fork_child",
+            wait_setup,
+            SysOp::Wait { pid: 0, child: 2 },
+        ),
+    );
+}
+
+#[test]
+fn linuxlike_socket_calls_are_ordered_and_mirror_the_simulated_baseline() {
+    // The Linux-like policy orders every datagram socket (§4: "most systems
+    // order all messages sent via a local Unix domain socket"), so an
+    // unordered socket is one shared queue there, and ordered *and*
+    // unordered socket pairs collapse on it. The host and the simulator run
+    // the same body under that policy, so they record the same lines.
+    for order in [SocketOrder::Ordered, SocketOrder::Unordered] {
+        let test = single(
+            &format!("linuxlike_send_{order:?}"),
+            vec![(0, sock(order))],
+            send(0, "m"),
+        );
+        let host = host_footprint(HostMode::Linuxlike, &test, 4);
+        let queue: Vec<&AccessKind> = host
+            .iter()
+            .filter(|(_, label, _)| label == "socket[0].queue")
+            .map(|(_, _, kind)| kind)
+            .collect();
+        assert!(
+            queue.contains(&&AccessKind::Write),
+            "{}: the one shared queue must be written, got {queue:?}",
+            test.id
+        );
+        assert_eq!(
+            host,
+            sim_footprint(HostMode::Linuxlike, &test, 4),
+            "{}",
+            test.id
+        );
+    }
+}
+
 /// The acceptance criterion: the concurrent cross-check reports zero
 /// unexplained divergences over a call set that deliberately includes the
 /// descriptor-allocating calls where lowest-FD contention can appear.
@@ -178,6 +359,11 @@ fn host_fig6_cross_check_has_no_unexplained_divergences() {
         "unexplained SIM↔host divergences:\n{}",
         results.describe_divergences()
     );
+    assert!(
+        results.linearisation_violations.is_empty() && results.conservation_violations.is_empty(),
+        "{}",
+        results.describe_violations()
+    );
     for divergence in &results.divergences {
         assert_eq!(divergence.exception, Some(scr_host::LOWEST_FD_EXCEPTION));
         assert!(
@@ -205,12 +391,19 @@ fn host_fig6_cross_check_has_no_unexplained_divergences() {
     }
 }
 
-/// The host Figure 6 sweeps exactly the pipeline's corpus, §4 extension
-/// pairs included: both specialise each pair's model with `pair_config`,
-/// without which `send ∥ recv` has no socket to act on and yields no test.
+/// The corpus fingerprint of [`EXTENSION_CALLS`] under
+/// `HostFig6Config::quick`'s bounds. It moves only when the model, ANALYZER
+/// or TESTGEN changes what the §4 pairs generate.
+const EXTENSION_CORPUS_FINGERPRINT: u64 = 0xf225_293f_0506_d266;
+
+/// The host Figure 6 sweeps exactly the pipeline's corpus on the §4
+/// extension pairs — both specialise each pair's model with `pair_config`,
+/// without which `send ∥ recv` has no socket to act on and yields no test —
+/// and every test's host results linearise against the simulated kernel of
+/// their policy and conserve every datagram, in every schedule.
 #[test]
 fn host_fig6_sweeps_the_pipeline_corpus_on_extension_pairs() {
-    let config = HostFig6Config::quick(&[CallKind::Send, CallKind::Recv]);
+    let config = HostFig6Config::quick(&EXTENSION_CALLS);
     let host = run_host_fig6(&config);
     let sim = run_commuter(
         &CommuterConfig {
@@ -223,7 +416,12 @@ fn host_fig6_sweeps_the_pipeline_corpus_on_extension_pairs() {
             cores: config.cores,
         }],
     );
-    assert!(!sim.tests.is_empty());
+    assert_eq!(
+        sim.corpus_fingerprint(),
+        EXTENSION_CORPUS_FINGERPRINT,
+        "the §4 corpus changed ({} tests)",
+        sim.tests.len()
+    );
     assert_eq!(host.tests_run, sim.tests.len());
     assert_eq!(host.sim_sv6.total_skipped(), sim.skipped);
     assert_eq!(host.sim_sv6.render(), sim.reports[0].render());
@@ -232,5 +430,10 @@ fn host_fig6_sweeps_the_pipeline_corpus_on_extension_pairs() {
         host.unexplained_divergences().is_empty(),
         "unexplained SIM↔host divergences:\n{}",
         host.describe_divergences()
+    );
+    assert!(
+        host.linearisation_violations.is_empty() && host.conservation_violations.is_empty(),
+        "{}",
+        host.describe_violations()
     );
 }

@@ -1,213 +1,19 @@
-//! Acceptance tests for the host mail-server parity PR: sockets,
+//! Acceptance tests for the host mail server: sockets,
 //! `fork`/`posix_spawn`/`wait` and the full §7.3 pipeline on real threads.
 //!
-//! Three layers of evidence, mirroring `host_fig6.rs`'s structure:
-//!
-//! 1. **Instrumentation faithfulness** — every new host socket/spawn/wait
-//!    operation, replayed *sequentially* on the instrumented `HostKernel`,
-//!    must record exactly the (core, label, kind) access multiset its
-//!    simulated counterpart records. Sequential replay removes scheduling
-//!    nondeterminism, so any difference is an instrumentation bug.
-//! 2. **Cross-check under real concurrency** — the §4 extension corpus
-//!    racing on real threads: SIM-conflict-free pairs stay conflict-free,
-//!    results linearize against the simulated kernel, and datagrams are
-//!    conserved exactly-once.
-//! 3. **End-to-end pipeline** — the mail server (enqueue → notification
-//!    socket → qman → spawn/wait → deliver) as communicating threads, in
-//!    both API configurations and both host modes, delivering every
-//!    message exactly once across repeated schedules.
+//! Errno parity for the socket calls, host regressions for descriptor
+//! reference counts, and the end-to-end pipeline — the mail server
+//! (enqueue → notification socket → qman → spawn/wait → deliver) as
+//! communicating threads, in both API configurations and both host modes,
+//! delivering every message exactly once across repeated schedules. The
+//! footprint parity and the concurrent cross-check of the same calls live
+//! in `host_fig6.rs`, with every other call's.
 
-use scr_core::ConcreteTest;
-use scr_host::fig6::{ext_corpus, ext_failures, run_ext_corpus, run_ext_host, run_ext_sim};
 use scr_host::kernel::{host_kernel, HostMode};
 use scr_host::workloads::mail_pipeline;
-use scr_kernel::api::{Errno, OpenFlags, SocketOrder, SysOp, SyscallApi};
+use scr_kernel::api::{Errno, OpenFlags, SocketOrder, SyscallApi};
 use scr_kernel::mail::{MailConfig, MailServer, NoMailObs};
 use scr_kernel::Sv6Kernel;
-use scr_model::CallKind;
-use scr_mtrace::AccessKind;
-
-/// A sorted (core, label, kind) access multiset.
-type Footprint = Vec<(usize, String, AccessKind)>;
-
-/// Sorted sequential footprints of a test on both substrates: the same
-/// body, so the same labels, pipe numbers included.
-fn footprints(test: &ConcreteTest) -> (Footprint, Footprint) {
-    let sim = run_ext_sim(HostMode::Sv6, 4, test, true).footprint;
-    let host_run = run_ext_host(HostMode::Sv6, 4, test, false);
-    assert_eq!(host_run.dropped, 0, "log overflow in {}", test.id);
-    (sim, host_run.footprint)
-}
-
-fn assert_mirrors(test: &ConcreteTest) {
-    let (sim, host) = footprints(test);
-    assert_eq!(
-        host, sim,
-        "instrumented host footprint diverges from the simulator for {}",
-        test.id
-    );
-}
-
-/// A single-op probe: pairs the op under test with a stat of a missing
-/// name, whose footprint (one read of a directory bucket) is identical and
-/// deterministic on both substrates.
-fn single(id: &str, setup: Vec<(usize, SysOp)>, op: SysOp, procs: usize) -> ConcreteTest {
-    ConcreteTest {
-        id: id.into(),
-        calls: (CallKind::Stat, CallKind::Stat),
-        setup,
-        op_a: op,
-        op_b: SysOp::StatPath {
-            pid: 1,
-            name: "no-such-name".into(),
-        },
-        procs,
-    }
-}
-
-fn sock(order: SocketOrder) -> SysOp {
-    SysOp::Socket { order }
-}
-
-fn send(sockid: usize, msg: &str) -> SysOp {
-    SysOp::Send {
-        sock: sockid,
-        msg: msg.as_bytes().to_vec(),
-    }
-}
-
-fn open(pid: usize, name: &str) -> SysOp {
-    SysOp::Open {
-        pid,
-        name: name.into(),
-        flags: OpenFlags::create(),
-    }
-}
-
-#[test]
-fn socket_operations_mirror_the_simulated_footprint_per_op() {
-    for order in [SocketOrder::Ordered, SocketOrder::Unordered] {
-        let tag = format!("{order:?}").to_lowercase();
-        // send into an empty socket.
-        assert_mirrors(&single(
-            &format!("send_{tag}"),
-            vec![(0, sock(order))],
-            send(0, "m"),
-            2,
-        ));
-        // recv of a pending message (preloaded from the receiving core, so
-        // the unordered flavour hits its local queue).
-        assert_mirrors(&single(
-            &format!("recv_hit_{tag}"),
-            vec![(0, sock(order)), (0, send(0, "m"))],
-            SysOp::Recv { sock: 0 },
-            2,
-        ));
-        // recv of an empty socket (the unordered flavour scans every
-        // queue — reads of the remote lines, as in the simulated steal).
-        assert_mirrors(&single(
-            &format!("recv_empty_{tag}"),
-            vec![(0, sock(order))],
-            SysOp::Recv { sock: 0 },
-            2,
-        ));
-    }
-    // The steal path: message pending only on core 1's queue, receiver on
-    // core 0 must cross over.
-    assert_mirrors(&single(
-        "recv_steal",
-        vec![(0, sock(SocketOrder::Unordered)), (1, send(0, "m"))],
-        SysOp::Recv { sock: 0 },
-        2,
-    ));
-}
-
-#[test]
-fn fork_and_spawn_mirror_the_simulated_snapshot_footprints() {
-    // fork with a mixed descriptor table (two files and a pipe): the
-    // snapshot reads every slot and writes the occupied child slots —
-    // including the pipe endpoints, whose lines are shared cells.
-    let setup = vec![
-        (0, open(0, "a")),
-        (0, open(0, "b")),
-        (0, SysOp::Pipe { pid: 0 }),
-    ];
-    assert_mirrors(&single(
-        "fork_snapshot",
-        setup.clone(),
-        SysOp::Fork { pid: 0 },
-        2,
-    ));
-    // posix_spawn touches exactly the listed descriptors.
-    assert_mirrors(&single(
-        "spawn_listed_fds",
-        setup.clone(),
-        SysOp::Spawn {
-            pid: 0,
-            dup_fds: vec![0, 2],
-        },
-        2,
-    ));
-    // wait reaps a fork child's whole table — pipe endpoint counts are
-    // decremented, the deliberate §6.4 shared lines.
-    let mut wait_setup = setup;
-    wait_setup.push((0, SysOp::Fork { pid: 0 }));
-    assert_mirrors(&single(
-        "wait_reaps_fork_child",
-        wait_setup,
-        SysOp::Wait { pid: 0, child: 2 },
-        2,
-    ));
-}
-
-#[test]
-fn linuxlike_socket_calls_are_ordered_and_mirror_the_simulated_baseline() {
-    // The Linux-like policy orders every datagram socket (§4: "most systems
-    // order all messages sent via a local Unix domain socket"), so an
-    // unordered socket is one shared queue there, and ordered *and*
-    // unordered socket pairs collapse on it. The host and the simulator run
-    // the same body under that policy, so they record the same lines.
-    for order in [SocketOrder::Ordered, SocketOrder::Unordered] {
-        let test = single(
-            &format!("linuxlike_send_{order:?}"),
-            vec![(0, sock(order))],
-            send(0, "m"),
-            2,
-        );
-        let host = run_ext_host(HostMode::Linuxlike, 4, &test, false);
-        assert_eq!(host.dropped, 0);
-        let queue: Vec<&AccessKind> = host
-            .footprint
-            .iter()
-            .filter(|(_, label, _)| label == "socket[0].queue")
-            .map(|(_, _, kind)| kind)
-            .collect();
-        assert!(
-            queue.contains(&&AccessKind::Write),
-            "{}: the one shared queue must be written, got {queue:?}",
-            test.id
-        );
-        let sim = run_ext_sim(HostMode::Linuxlike, 4, &test, true);
-        assert_eq!(host.footprint, sim.footprint, "{}", test.id);
-    }
-}
-
-#[test]
-fn ext_corpus_footprints_match_the_simulator_sequentially() {
-    for test in ext_corpus() {
-        assert_mirrors(&test);
-    }
-}
-
-#[test]
-fn ext_cross_check_under_real_concurrency_has_no_failures() {
-    // The hand corpus under extra schedules; the generated corpus's
-    // cross-check lives in the fig6 unit tests (its TESTGEN run is
-    // memoised per process, and this is a separate test binary).
-    let outcomes = run_ext_corpus(4, 3, &ext_corpus());
-    let failures = ext_failures(&outcomes);
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
-}
 
 #[test]
 fn socket_errnos_match_the_simulated_kernel() {
@@ -287,8 +93,8 @@ fn unordered_notification_socket_keeps_local_delivery_conflict_free() {
     // followed by the same core's qman step touches only that core's
     // socket queue under CommutativeApis — so the notification hot path
     // records no cross-core socket sharing when each core consumes its own
-    // queue. (The fig6 ext corpus asserts the per-pair version; this
-    // drives it through the real MailServer.)
+    // queue. (The host Figure 6 asserts the per-pair version; this drives
+    // it through the real MailServer.)
     let kernel = host_kernel(2, HostMode::Sv6);
     let client = kernel.new_process();
     let qman = kernel.new_process();

@@ -217,23 +217,6 @@ fn main() {
         failed = true;
     }
 
-    // The §4 extension corpus — sockets and fork/posix_spawn/wait live
-    // outside the symbolic model, so their hand-enumerated pairs are
-    // cross-checked here too: linearizable results, conserved datagrams,
-    // no SIM-free→host conflicts.
-    let ext = scalable_commutativity::host::ext_campaign(4, 2);
-    println!(
-        "extension corpus: {} socket/spawn tests × 2 schedules ({} replays)",
-        ext.outcomes.len(),
-        ext.replays_run
-    );
-    if !ext.all_agree() {
-        for failure in &ext.failures {
-            eprintln!("FAIL: extension corpus: {failure}");
-        }
-        failed = true;
-    }
-
     let path = baseline_path();
     if write_baseline {
         // A mismatch still fails the run: a baseline regenerated while the

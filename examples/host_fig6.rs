@@ -13,7 +13,13 @@
 //! every schedule, except the documented lowest-FD-allocation contention
 //! cases (the paper's §1 example), which are listed explicitly with their
 //! conflicting labels. Any other divergence, in either column, fails the
-//! run.
+//! run. So does any schedule whose host results match no sequential order
+//! of the pair on the simulated kernel of its policy (linearisation), or
+//! that loses or duplicates a datagram (conservation).
+//!
+//! The default run has two legs through the same pipeline: the quick call
+//! subset, then the §4 socket and process calls with `open`
+//! (`ext_calls`). `--all` sweeps all 24 calls, §4 calls included, in one.
 //!
 //! Beside each host heatmap it prints the conflict-heat table: the top-N
 //! hottest line labels by how many traced windows they conflicted in,
@@ -21,43 +27,28 @@
 //! produced the heatmap. `--metrics-out <path>` exports both heat tables
 //! (plus run metadata) as a JSON snapshot.
 //!
-//! Run with `cargo run --release --example host_fig6 [-- --all]`. The
-//! default call subset finishes quickly; `--all` sweeps all 24 calls.
+//! Run with `cargo run --release --example host_fig6 [-- --all]`.
 
-use scalable_commutativity::commuter::{CommuterConfig, Figure6Report};
+use scalable_commutativity::commuter::CommuterConfig;
 use scalable_commutativity::host::{
-    available_threads, ext_failures, run_ext_fig6, run_host_fig6, HostFig6Config,
+    available_threads, ext_calls, run_host_fig6, HostFig6Config, HostFig6Results,
+    LOWEST_FD_EXCEPTION,
 };
 use scalable_commutativity::hostmtrace::DEFAULT_LOG_CAPACITY;
 use scalable_commutativity::model::ALL_CALLS;
 use scalable_commutativity::obs::{metrics_out, Json, MetricsRegistry, RunMeta};
 
-fn main() {
-    let all = std::env::args().any(|a| a == "--all");
-    let config = if all {
-        HostFig6Config {
-            max_assignments_per_case: 96,
-            ..HostFig6Config::quick(ALL_CALLS.as_ref())
-        }
-    } else {
-        HostFig6Config::quick(&CommuterConfig::quick_call_set())
-    };
-    let threads = available_threads();
+/// Runs one leg, prints its tables and verdicts, and returns its results
+/// with whether any gate failed.
+fn run_leg(name: &str, config: &HostFig6Config) -> (HostFig6Results, bool) {
     println!(
-        "host figure 6: {} calls ({} pairs), {} schedules per test, {} hardware threads",
+        "{name}: {} calls ({} pairs), {} schedules per test",
         config.calls.len(),
         config.calls.len() * (config.calls.len() + 1) / 2,
         config.schedules_per_test,
-        threads
     );
-    if threads < 4 {
-        println!(
-            "note: {threads} hardware thread(s) < 4 — schedules interleave by preemption only; \
-             conflict verdicts are still exact (they depend on touched lines, not timing)"
-        );
-    }
     let started = std::time::Instant::now();
-    let results = run_host_fig6(&config);
+    let results = run_host_fig6(config);
     println!(
         "ran {} tests on 4 kernels in {:.1?} ({} dropped accesses, \
          fullest window {} of {} log slots per core)\n",
@@ -84,11 +75,13 @@ fn main() {
         results.heat_sv6.render_top("sv6-host hottest lines", 10)
     );
     println!(
-        "SIM↔host cross-check: {} divergences ({} explained by {}, {} unexplained)",
+        "SIM↔host cross-check: {} divergences ({} explained by {LOWEST_FD_EXCEPTION}, \
+         {} unexplained), {} linearisation and {} conservation violations",
         results.divergences.len(),
         results.explained_divergences().len(),
-        scalable_commutativity::host::LOWEST_FD_EXCEPTION,
-        results.unexplained_divergences().len()
+        results.unexplained_divergences().len(),
+        results.linearisation_violations.len(),
+        results.conservation_violations.len()
     );
     if !results.divergences.is_empty() {
         println!("{}", results.describe_divergences());
@@ -96,12 +89,17 @@ fn main() {
 
     let mut failed = false;
     if !results.unexplained_divergences().is_empty() {
-        eprintln!("FAIL: unexplained SIM↔host divergences (listed above)");
+        eprintln!("FAIL: {name}: unexplained SIM↔host divergences (listed above)");
+        failed = true;
+    }
+    let violations = results.describe_violations();
+    if !violations.is_empty() {
+        eprintln!("FAIL: {name}: host results the simulator cannot explain:\n{violations}");
         failed = true;
     }
     if results.dropped > 0 {
         eprintln!(
-            "FAIL: {} accesses dropped — raise the log capacity",
+            "FAIL: {name}: {} accesses dropped — raise the log capacity",
             results.dropped
         );
         failed = true;
@@ -110,8 +108,8 @@ fn main() {
     // fails here before it starts dropping accesses.
     if results.max_window_accesses > DEFAULT_LOG_CAPACITY / 4 {
         eprintln!(
-            "FAIL: a traced window recorded {} accesses on one core, over a quarter of \
-             the {DEFAULT_LOG_CAPACITY}-slot log",
+            "FAIL: {name}: a traced window recorded {} accesses on one core, over a quarter \
+             of the {DEFAULT_LOG_CAPACITY}-slot log",
             results.max_window_accesses
         );
         failed = true;
@@ -126,43 +124,56 @@ fn main() {
         let has_heat = heat.total_conflict_windows() > 0;
         if has_conflicts != has_heat {
             eprintln!(
-                "FAIL: {label} heatmap and heat table disagree \
+                "FAIL: {name}: {label} heatmap and heat table disagree \
                  (conflicting tests: {has_conflicts}, hot lines: {has_heat})"
             );
             failed = true;
         }
     }
-    // §4 extension leg: the TESTGEN-generated socket/process corpus,
-    // replayed on real threads and rendered as its own pair of heatmaps
-    // (simulated verdict vs host verdict) so the generated Figure 6 rows
-    // for the paper's proposed extensions land in the uploaded artifact.
-    let ext_started = std::time::Instant::now();
-    let ext_outcomes = run_ext_fig6(config.cores, config.schedules_per_test);
-    let mut ext_sim = Figure6Report::new("sv6 §4-extension corpus (simulated)");
-    let mut ext_host = Figure6Report::new("sv6-host §4-extension corpus (measured)");
-    for outcome in &ext_outcomes {
-        ext_sim.record(outcome.calls.0, outcome.calls.1, outcome.sim_conflict_free);
-        ext_host.record(outcome.calls.0, outcome.calls.1, outcome.host_conflict_free);
-    }
-    println!(
-        "\n§4 extension corpus: {} generated tests × {} schedules in {:.1?}\n",
-        ext_outcomes.len(),
-        config.schedules_per_test,
-        ext_started.elapsed()
-    );
-    println!("{ext_sim}\n");
-    println!("{ext_host}");
-    let ext_problems = ext_failures(&ext_outcomes);
-    if ext_problems.is_empty() {
-        println!("extension cross-check: all outcomes linearizable, conserved, SIM-consistent");
-    } else {
-        for problem in &ext_problems {
-            eprintln!("FAIL: extension corpus: {problem}");
+    (results, failed)
+}
+
+fn main() {
+    let all = std::env::args().any(|a| a == "--all");
+    let config = if all {
+        HostFig6Config {
+            max_assignments_per_case: 96,
+            ..HostFig6Config::quick(ALL_CALLS.as_ref())
         }
-        failed = true;
+    } else {
+        HostFig6Config::quick(&CommuterConfig::quick_call_set())
+    };
+    let threads = available_threads();
+    println!("host figure 6 on {threads} hardware threads");
+    if threads < 4 {
+        println!(
+            "note: {threads} hardware thread(s) < 4 — schedules interleave by preemption only; \
+             conflict verdicts are still exact (they depend on touched lines, not timing)"
+        );
+    }
+    let mut legs = vec![("figure 6", "cross_check", config)];
+    // The §4 leg: the socket and process calls with `open`, through the
+    // same pipeline. `--all` already sweeps every one of their pairs.
+    if !all {
+        legs.push((
+            "§4 extension calls",
+            "ext_cross_check",
+            HostFig6Config {
+                threads: 0,
+                ..HostFig6Config::quick(&ext_calls())
+            },
+        ));
+    }
+    let mut failed = false;
+    let mut summaries = Vec::new();
+    for (name, key, config) in &legs {
+        let (results, leg_failed) = run_leg(name, config);
+        failed |= leg_failed;
+        summaries.push((key, config, results));
     }
 
     if let Some(path) = metrics_out() {
+        let (_, config, main) = &summaries[0];
         let mut snapshot = MetricsRegistry::new(config.cores).snapshot();
         snapshot.meta = RunMeta::capture(
             "host_fig6",
@@ -172,43 +183,38 @@ fn main() {
                 "{} calls, {} schedules/test, {} tests",
                 config.calls.len(),
                 config.schedules_per_test,
-                results.tests_run
+                main.tests_run
             ),
         );
-        snapshot.extras.push((
-            "cross_check".to_string(),
-            Json::obj(vec![
-                ("tests_run", results.tests_run.into()),
-                ("dropped", results.dropped.into()),
-                ("divergences", results.divergences.len().into()),
-                ("explained", results.explained_divergences().len().into()),
-                (
-                    "unexplained",
-                    results.unexplained_divergences().len().into(),
-                ),
-            ]),
-        ));
-        snapshot.extras.push((
-            "ext_corpus".to_string(),
-            Json::obj(vec![
-                ("tests", ext_outcomes.len().into()),
-                ("failures", ext_problems.len().into()),
-                (
-                    "host_conflict_free",
-                    ext_outcomes
-                        .iter()
-                        .filter(|o| o.host_conflict_free)
-                        .count()
-                        .into(),
-                ),
-            ]),
-        ));
+        for (key, _, results) in &summaries {
+            snapshot.extras.push((
+                key.to_string(),
+                Json::obj(vec![
+                    ("tests_run", results.tests_run.into()),
+                    ("dropped", results.dropped.into()),
+                    ("divergences", results.divergences.len().into()),
+                    ("explained", results.explained_divergences().len().into()),
+                    (
+                        "unexplained",
+                        results.unexplained_divergences().len().into(),
+                    ),
+                    (
+                        "linearisation_violations",
+                        results.linearisation_violations.len().into(),
+                    ),
+                    (
+                        "conservation_violations",
+                        results.conservation_violations.len().into(),
+                    ),
+                ]),
+            ));
+        }
         snapshot
             .extras
-            .push(("heat_sv6_host".to_string(), results.heat_sv6.to_json()));
+            .push(("heat_sv6_host".to_string(), main.heat_sv6.to_json()));
         snapshot
             .extras
-            .push(("heat_linux_host".to_string(), results.heat_linux.to_json()));
+            .push(("heat_linux_host".to_string(), main.heat_linux.to_json()));
         snapshot.write(&path).expect("write metrics snapshot");
         println!("metrics snapshot written to {}", path.display());
     }

@@ -16,14 +16,10 @@
 //! stage spans as Chrome trace-event JSON (loadable in Perfetto or
 //! `chrome://tracing`).
 //!
-//! It then replays the §4 extension corpus (socket send/recv and
-//! spawn/fork/wait pairs) with racing threads and cross-checks it against
-//! the simulated sv6 kernel: SIM-conflict-free pairs must stay
-//! conflict-free on the host, results must linearize, and datagrams must
-//! be conserved.
+//! The §4 socket and process pairs are cross-checked against the
+//! simulated kernels by the `host_fig6` example, not here.
 //!
-//! Exits 1 on any lost or duplicated message, any footprint divergence, or
-//! any cross-check failure. Run with
+//! Exits 1 on any lost, duplicated or corrupt message. Run with
 //! `cargo run --release --example host_mail [-- --metrics-out mail.json --trace-out mail.trace.json]`.
 //!
 //! Pass `--perf-gate` for the name-path gate instead: the closed-loop
@@ -35,9 +31,9 @@
 //! (a directory that walks its entries costs four to seven times as much).
 
 use scalable_commutativity::host::workloads::{mail_pipeline_observed, mailbench, MailTelemetry};
-use scalable_commutativity::host::{available_threads, ext_campaign, HostMode};
+use scalable_commutativity::host::{available_threads, HostMode};
 use scalable_commutativity::kernel::mail::MailConfig;
-use scalable_commutativity::obs::{metrics_out, trace_out, Json, RunMeta, SyscallKind};
+use scalable_commutativity::obs::{metrics_out, trace_out, RunMeta, SyscallKind};
 
 /// Messages per thread of the perf gate's short and long runs (two threads).
 const GATE_MESSAGES: [u64; 2] = [1_000, 8_000];
@@ -168,21 +164,6 @@ fn main() {
         cores
     );
 
-    println!("\n§4 extension corpus cross-check (sockets, fork/posix_spawn/wait):");
-    let ext = ext_campaign(4, 3);
-    println!(
-        "  {} tests × 3 schedules = {} racing replays",
-        ext.outcomes.len(),
-        ext.replays_run
-    );
-    for failure in &ext.failures {
-        eprintln!("  FAIL: {failure}");
-        failed = true;
-    }
-    if ext.failures.is_empty() {
-        println!("  conflicts, linearizability and conservation all agree with the simulator");
-    }
-
     if let Some(path) = metrics_out() {
         let mut snapshot = telemetry.registry.snapshot();
         snapshot.meta = RunMeta::capture(
@@ -191,14 +172,6 @@ fn main() {
             cores,
             &format!("{enqueuers} enq + {qmans} qman, {messages} msgs/enq, both API families"),
         );
-        snapshot.extras.push((
-            "ext_campaign".to_string(),
-            Json::obj(vec![
-                ("tests", ext.outcomes.len().into()),
-                ("replays", ext.replays_run.into()),
-                ("failures", ext.failures.len().into()),
-            ]),
-        ));
         snapshot.write(&path).expect("write metrics snapshot");
         println!("metrics snapshot written to {}", path.display());
     }
