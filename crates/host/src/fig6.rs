@@ -35,6 +35,12 @@
 //!   created is received by the pair or still queued afterwards, exactly
 //!   once.
 //!
+//! As with divergences, one kind of linearisation violation is explained
+//! and listed rather than failed: on a test whose two simulated orders
+//! disagree on which call fails, the test does not commute at all, and its
+//! racing calls may interleave into results neither order gives
+//! ([`ORDER_DEPENDENT_EXCEPTION`]).
+//!
 //! The §4 calls ([`ext_calls`]) need no pipeline of their own: their pairs
 //! are generated by the same sweep and checked by the same step.
 //!
@@ -60,6 +66,15 @@ use scr_obs::HeatMap;
 /// descriptor-table contention (every conflicting line is a `proc[p].fd[f]`
 /// slot). See §1 of the paper: `O_ANYFD` removes exactly this contention.
 pub const LOWEST_FD_EXCEPTION: &str = "lowest-fd-allocation";
+
+/// The exception tag for linearisation violations on tests that do not
+/// commute on the simulated kernel itself: its two sequential orders of the
+/// pair disagree on which call fails. TESTGEN should not have materialised
+/// such a test, and on real threads its calls can interleave into results
+/// neither order gives — e.g. `open(f)` finding the name a racing
+/// `open(f, O_CREAT)` of the same process published, then taking the
+/// lowest descriptor before the creator took its own.
+pub const ORDER_DEPENDENT_EXCEPTION: &str = "order-dependent-test";
 
 /// Configuration of a host Figure 6 run.
 #[derive(Clone, Debug)]
@@ -308,6 +323,21 @@ pub struct Fig6Violation {
     pub calls: (CallKind, CallKind),
     /// Every schedule's host results.
     pub results: Vec<(SysResult, SysResult)>,
+    /// `Some(tag)` for a linearisation violation in the documented
+    /// exception list (currently only [`ORDER_DEPENDENT_EXCEPTION`]);
+    /// `None` means unexplained.
+    pub exception: Option<&'static str>,
+}
+
+/// Classifies a linearisation violation by the pair's simulated results in
+/// both orders: an exception only when the orders disagree on which call
+/// fails.
+pub fn classify_linearisation(
+    a_first: &(SysResult, SysResult),
+    b_first: &(SysResult, SysResult),
+) -> Option<&'static str> {
+    let succeeds = |(a, b): &(SysResult, SysResult)| (a.is_ok(), b.is_ok());
+    (succeeds(a_first) != succeeds(b_first)).then_some(ORDER_DEPENDENT_EXCEPTION)
 }
 
 /// One policy's verdicts on one test: the simulated run, the host runs,
@@ -316,23 +346,27 @@ struct PolicyVerdicts {
     sim: TestOutcome,
     host: HostTestOutcome,
     linearises: bool,
+    /// The simulated results of B then A, when a schedule needed them.
+    b_first: Option<(SysResult, SysResult)>,
 }
 
 /// Whether every schedule's host results equal the pair's results on
 /// `factory`'s simulated kernel in some sequential order: `sim` is the
-/// A-then-B run; B then A is run only when a schedule disagrees with it.
+/// A-then-B run; B then A is run, and returned, only when a schedule
+/// disagrees with it.
 fn linearises(
     factory: &dyn KernelFactory,
     test: &ConcreteTest,
     sim: &TestOutcome,
     host: &HostTestOutcome,
-) -> bool {
+) -> (bool, Option<(SysResult, SysResult)>) {
     let mut b_first = None;
-    host.results.iter().all(|results| {
+    let linearises = host.results.iter().all(|results| {
         *results == sim.results
             || *results
                 == *b_first.get_or_insert_with(|| run_test_order(factory, test, false).results)
-    })
+    });
+    (linearises, b_first)
 }
 
 /// The step [`run_host_fig6`] runs on each test: the sv6 policy, then the
@@ -406,6 +440,16 @@ impl HostFig6Results {
             .join("\n")
     }
 
+    /// Linearisation and conservation violations not covered by the
+    /// documented exception list.
+    pub fn unexplained_violations(&self) -> Vec<&Fig6Violation> {
+        self.linearisation_violations
+            .iter()
+            .chain(&self.conservation_violations)
+            .filter(|v| v.exception.is_none())
+            .collect()
+    }
+
     /// One line per linearisation or conservation violation.
     pub fn describe_violations(&self) -> String {
         let linearisation = self
@@ -420,12 +464,13 @@ impl HostFig6Results {
             .chain(conservation)
             .map(|(property, v)| {
                 format!(
-                    "{} on {} ({} ∥ {}): {property} broken, host results {:?}",
+                    "{} on {} ({} ∥ {}): {property} broken, host results {:?} [{}]",
                     v.test_id,
                     v.kernel,
                     v.calls.0.name(),
                     v.calls.1.name(),
-                    v.results
+                    v.results,
+                    v.exception.unwrap_or("UNEXPLAINED")
                 )
             })
             .collect::<Vec<_>>()
@@ -456,6 +501,7 @@ impl HostFig6Results {
                     sim,
                     host,
                     linearises,
+                    b_first,
                 } = verdicts;
                 self.dropped += host.dropped;
                 self.max_window_accesses = self.max_window_accesses.max(host.max_window_accesses);
@@ -473,9 +519,14 @@ impl HostFig6Results {
                     kernel,
                     calls: (a, b),
                     results: host.results.clone(),
+                    exception: None,
                 };
                 if !linearises {
-                    self.linearisation_violations.push(violation());
+                    let b_first = b_first.expect("a mismatch runs B then A");
+                    self.linearisation_violations.push(Fig6Violation {
+                        exception: classify_linearisation(&sim.results, &b_first),
+                        ..violation()
+                    });
                 }
                 if !host.conserved {
                     self.conservation_violations.push(violation());
@@ -544,11 +595,12 @@ pub fn run_host_fig6(config: &HostFig6Config) -> HostFig6Results {
                     config.schedules_per_test,
                     Some(heat),
                 );
-                let linearises = linearises(factory, test, &sim, &host);
+                let (linearises, b_first) = linearises(factory, test, &sim, &host);
                 PolicyVerdicts {
                     sim,
                     host,
                     linearises,
+                    b_first,
                 }
             })
         },
@@ -790,6 +842,26 @@ mod tests {
     }
 
     #[test]
+    fn linearisation_exception_requires_the_orders_to_disagree_on_failure() {
+        // open(f) ∥ open(f, O_CREAT) in one process: A fails in one order
+        // and succeeds in the other, so the test does not commute.
+        let enoent = (
+            SysResult::Err(scr_kernel::api::Errno::ENOENT),
+            SysResult::Value(0),
+        );
+        let opened = (SysResult::Value(1), SysResult::Value(0));
+        assert_eq!(
+            classify_linearisation(&enoent, &opened),
+            Some(ORDER_DEPENDENT_EXCEPTION)
+        );
+        // Two spawns racing for the next pid both succeed in either order:
+        // a host result neither order gives stays unexplained.
+        let pids = (SysResult::Value(2), SysResult::Value(3));
+        let swapped = (SysResult::Value(3), SysResult::Value(2));
+        assert_eq!(classify_linearisation(&pids, &swapped), None);
+    }
+
+    #[test]
     fn parallel_sweep_reproduces_the_sequential_sim_columns() {
         // The host columns race real threads and may legitimately differ
         // between runs; the generated corpus and the *simulated* columns
@@ -833,7 +905,7 @@ mod tests {
             results.describe_divergences()
         );
         assert!(
-            results.linearisation_violations.is_empty(),
+            results.unexplained_violations().is_empty(),
             "{}",
             results.describe_violations()
         );

@@ -67,9 +67,10 @@ pub use differential::{
     PairOutcome,
 };
 pub use fig6::{
-    classify_divergence, ext_calls, normalize_pipe_label, replay_traced, run_host_fig6,
-    run_test_host, run_test_host_with, Fig6Divergence, Fig6Violation, HostFig6Config,
-    HostFig6Results, HostTestOutcome, LOWEST_FD_EXCEPTION,
+    classify_divergence, classify_linearisation, ext_calls, normalize_pipe_label, replay_traced,
+    run_host_fig6, run_test_host, run_test_host_with, Fig6Divergence, Fig6Violation,
+    HostFig6Config, HostFig6Results, HostTestOutcome, LOWEST_FD_EXCEPTION,
+    ORDER_DEPENDENT_EXCEPTION,
 };
 pub use harness::{available_threads, LoadHarness};
 pub use kernel::{host_kernel, host_kernel_with, HostKernel, HostMode};

@@ -360,7 +360,7 @@ fn host_fig6_cross_check_has_no_unexplained_divergences() {
         results.describe_divergences()
     );
     assert!(
-        results.linearisation_violations.is_empty() && results.conservation_violations.is_empty(),
+        results.unexplained_violations().is_empty(),
         "{}",
         results.describe_violations()
     );
@@ -432,7 +432,7 @@ fn host_fig6_sweeps_the_pipeline_corpus_on_extension_pairs() {
         host.describe_divergences()
     );
     assert!(
-        host.linearisation_violations.is_empty() && host.conservation_violations.is_empty(),
+        host.unexplained_violations().is_empty(),
         "{}",
         host.describe_violations()
     );

@@ -15,7 +15,9 @@
 //! conflicting labels. Any other divergence, in either column, fails the
 //! run. So does any schedule whose host results match no sequential order
 //! of the pair on the simulated kernel of its policy (linearisation), or
-//! that loses or duplicates a datagram (conservation).
+//! that loses or duplicates a datagram (conservation) — except, listed
+//! explicitly, linearisation violations on tests whose two simulated
+//! orders disagree on which call fails (the test does not commute).
 //!
 //! The default run has two legs through the same pipeline: the quick call
 //! subset, then the §4 socket and process calls with `open`
@@ -76,15 +78,21 @@ fn run_leg(name: &str, config: &HostFig6Config) -> (HostFig6Results, bool) {
     );
     println!(
         "SIM↔host cross-check: {} divergences ({} explained by {LOWEST_FD_EXCEPTION}, \
-         {} unexplained), {} linearisation and {} conservation violations",
+         {} unexplained); {} linearisation and {} conservation violations \
+         ({} unexplained)",
         results.divergences.len(),
         results.explained_divergences().len(),
         results.unexplained_divergences().len(),
         results.linearisation_violations.len(),
-        results.conservation_violations.len()
+        results.conservation_violations.len(),
+        results.unexplained_violations().len()
     );
     if !results.divergences.is_empty() {
         println!("{}", results.describe_divergences());
+    }
+    let violations = results.describe_violations();
+    if !violations.is_empty() {
+        println!("{violations}");
     }
 
     let mut failed = false;
@@ -92,9 +100,10 @@ fn run_leg(name: &str, config: &HostFig6Config) -> (HostFig6Results, bool) {
         eprintln!("FAIL: {name}: unexplained SIM↔host divergences (listed above)");
         failed = true;
     }
-    let violations = results.describe_violations();
-    if !violations.is_empty() {
-        eprintln!("FAIL: {name}: host results the simulator cannot explain:\n{violations}");
+    if !results.unexplained_violations().is_empty() {
+        eprintln!(
+            "FAIL: {name}: unexplained linearisation or conservation violations (listed above)"
+        );
         failed = true;
     }
     if results.dropped > 0 {
@@ -205,6 +214,10 @@ fn main() {
                     (
                         "conservation_violations",
                         results.conservation_violations.len().into(),
+                    ),
+                    (
+                        "unexplained_violations",
+                        results.unexplained_violations().len().into(),
                     ),
                 ]),
             ));
