@@ -1,35 +1,38 @@
-//! # scr-bench — the Figure 7 sweeps and the benchmark binaries
+//! Figure 7: each panel's columns, swept over a core axis with either
+//! driver, and the tables the figure examples print.
 //!
-//! The Figure 7 workloads are defined once, in `scr_host::workloads`, with
-//! two drivers: `simulate` on the simulated machine and `on_threads` on
-//! real threads. This crate names each figure's columns — a sharing policy,
-//! a workload variant and a legend label — and sweeps them over a core
-//! count axis with either driver:
+//! The workloads are defined once, in [`crate::workloads`], with two
+//! drivers: [`simulate`] on the simulated machine and [`on_threads`] on
+//! real threads. This module names each panel's columns — a sharing
+//! policy, a workload variant and a legend label — and [`sweep`]s them:
 //!
 //! * [`stat_columns`] — Figure 7(a): n/2 cores `fstat` one file while n/2
 //!   cores `link`/`unlink` it, in three modes (plain `fstat` with a
 //!   Refcache link count, plain `fstat` with a single shared link count,
-//!   and `fstatx` without `st_nlink`).
-//! * [`open_columns`] — Figure 7(b): every core opens and closes a per-core
-//!   file, with lowest-FD versus `O_ANYFD` allocation.
-//! * [`mail_columns`] — Figure 7(c): the qmail-style mail server in its
-//!   regular-API and commutative-API configurations.
+//!   and `fstatx` without `st_nlink`). The same columns run on either
+//!   substrate.
+//! * [`open_columns`] and [`host_open_columns`] — Figure 7(b): every core
+//!   opens and closes a per-core file, with lowest-FD versus `O_ANYFD`
+//!   allocation.
+//! * [`mail_columns`] and [`host_mail_columns`] — Figure 7(c): the
+//!   qmail-style mail server in its regular-API and commutative-API
+//!   configurations.
 //!
 //! On the simulated machine every column runs the sv6 policy; the
-//! real-threads columns of [`hostbench`] pit it against the Linux-like
-//! policy. The `statbench`, `openbench` and `mailserver` examples print the
-//! simulated figures; the benchmark binaries under `benches/` print the
-//! real-threads Figure 7, both Figure 6 sweeps, the scalable primitives
-//! and the TESTGEN solver timings.
+//! real-threads columns pit it against the Linux-like policy. The
+//! `statbench`, `openbench` and `mailserver` examples print the simulated
+//! panels through [`simulated_figure`]; the `host_scaling` example prints
+//! the real-threads panels and the closed-loop latency table
+//! ([`mailbench_host_latency`]).
 
-pub mod hostbench;
-
-use scr_host::{simulate, HostMode, StatMode, Workload};
+use crate::harness::available_threads;
+use crate::kernel::HostMode;
+use crate::workloads::{on_threads, simulate, MailTelemetry, StatMode, Workload};
 use scr_kernel::mail::MailConfig;
 use scr_mtrace::ScalingPoint;
-use scr_obs::{metrics_out, Json, MetricsRegistry, RunMeta};
+use scr_obs::{metrics_out, HistogramSnapshot, Json, MetricsRegistry, RunMeta, DEFAULT_QUANTILES};
 
-/// The core counts swept by the Figure 7 figures (the paper's x-axis:
+/// The core counts swept by the simulated Figure 7 (the paper's x-axis:
 /// 1 core, then whole sockets of 10 up to 80).
 pub fn core_counts() -> Vec<usize> {
     vec![1, 10, 20, 30, 40, 50, 60, 70, 80]
@@ -43,6 +46,24 @@ pub fn quick_core_counts() -> Vec<usize> {
 /// Whether `SCR_BENCH_QUICK` asks for the reduced sweep.
 pub fn quick() -> bool {
     std::env::var("SCR_BENCH_QUICK").is_ok()
+}
+
+/// Thread counts for a real-threads sweep: 1, 2, 4, … up to the hardware
+/// limit (always at least two points so shape comparisons are possible).
+/// A measured point beyond the physical core count would show scheduler
+/// artefacts, not cache-coherence behaviour.
+pub fn host_thread_counts() -> Vec<usize> {
+    let max = available_threads();
+    let mut counts = vec![1];
+    let mut n = 2;
+    while n <= max {
+        counts.push(n);
+        n *= 2;
+    }
+    if counts.len() < 2 {
+        counts.push(2);
+    }
+    counts
 }
 
 /// One curve of a figure: the kernel's sharing policy, the workload
@@ -84,6 +105,38 @@ pub fn mail_columns() -> Vec<Column> {
     .into()
 }
 
+/// Figure 7(b) on real threads: sv6-like `O_ANYFD` against the linux-like
+/// kernel with lowest-FD allocation under its `file_lock`.
+pub fn host_open_columns() -> Vec<Column> {
+    [
+        (HostMode::Sv6, true, "O_ANYFD"),
+        (HostMode::Linuxlike, false, "lowest FD"),
+    ]
+    .map(|(mode, anyfd, fds)| {
+        (
+            mode,
+            Workload::Open { anyfd },
+            format!("{}, {fds}", mode.label()),
+        )
+    })
+    .into()
+}
+
+/// Figure 7(c) on real threads (enqueue → notification socket → qman →
+/// spawn/wait → deliver): commutative APIs on the sv6-like kernel against
+/// regular APIs on the linux-like kernel.
+pub fn host_mail_columns() -> Vec<Column> {
+    [
+        (HostMode::Sv6, MailConfig::CommutativeApis, "commutative"),
+        (HostMode::Linuxlike, MailConfig::RegularApis, "regular"),
+    ]
+    .map(|(mode, config, apis)| {
+        let label = format!("{}, {apis} APIs", mode.label());
+        (mode, Workload::Mail(config), label)
+    })
+    .into()
+}
+
 /// One benchmark series: a labelled curve of scaling points.
 #[derive(Clone, Debug)]
 pub struct Series {
@@ -94,9 +147,8 @@ pub struct Series {
 }
 
 /// Sweeps `columns` over `counts`: one series per column, one point per
-/// count, each from `driver(policy, workload, count)` —
-/// `scr_host::simulate` or `scr_host::on_threads` with the run length
-/// bound.
+/// count, each from `driver(policy, workload, count)` — [`simulate`] or
+/// [`on_threads`] with the run length bound.
 pub fn sweep(
     columns: &[Column],
     counts: &[usize],
@@ -190,14 +242,24 @@ pub fn series_json(series: &[Series]) -> Json {
     )
 }
 
-/// Formats a set of series as the text table printed by the benchmark
-/// binaries.
+/// Formats `series` as an aligned text table under `title`: one column per
+/// series, one row per core count of the first series.
 pub fn render_table(title: &str, series: &[Series]) -> String {
-    let pairs: Vec<(String, Vec<ScalingPoint>)> = series
-        .iter()
-        .map(|s| (s.name.clone(), s.points.clone()))
-        .collect();
-    scr_mtrace::scaling::format_series(title, &pairs)
+    let mut out = format!("{title}\n{:>6}", "cores");
+    for s in series {
+        out.push_str(&format!("  {:>22}", s.name));
+    }
+    out.push('\n');
+    let rows = series.first().map_or(&[][..], |s| &s.points);
+    for (i, point) in rows.iter().enumerate() {
+        out.push_str(&format!("{:>6}", point.cores));
+        for s in series {
+            let value = s.points.get(i).map_or(0.0, |p| p.ops_per_sec_per_core);
+            out.push_str(&format!("  {value:>22.0}"));
+        }
+        out.push('\n');
+    }
+    out
 }
 
 /// Asserts the qualitative "shape" claims the paper makes about a pair of
@@ -256,6 +318,57 @@ pub fn check_shape(scalable: &Series, collapsing: &Series, flat_ratio: f64) -> R
     Ok(())
 }
 
+/// One row of the closed-loop mail latency table: a configuration at a
+/// thread count, with its merged `mail.latency_ns` distribution.
+pub struct MailLatencyRow {
+    /// Configuration label (same legend as [`host_mail_columns`]).
+    pub name: String,
+    /// Worker threads in the run.
+    pub threads: usize,
+    /// Per-operation (enqueue → delivered) latency, ns.
+    pub latency: HistogramSnapshot,
+}
+
+/// mailbench with per-operation latency recording: each cell re-runs the
+/// workload with a [`MailTelemetry`] attached, so the same
+/// `mail.latency_ns` histogram the open-loop observatory records is filled
+/// by the closed-loop path — these are the service-time-ish numbers the
+/// open-loop sweep's intended-arrival latencies should be compared against.
+pub fn mailbench_host_latency(threads: &[usize], ops_per_thread: u64) -> Vec<MailLatencyRow> {
+    let mut rows = Vec::new();
+    for (mode, workload, name) in host_mail_columns() {
+        for &n in threads {
+            let telemetry = MailTelemetry::new(n);
+            on_threads(workload, mode, n, ops_per_thread, Some(&telemetry));
+            rows.push(MailLatencyRow {
+                name: name.clone(),
+                threads: n,
+                latency: telemetry.latency.merged(),
+            });
+        }
+    }
+    rows
+}
+
+/// Render the closed-loop latency rows with the default quantile columns
+/// (p50 / p90 / p99 / p99.9).
+pub fn render_latency_table(title: &str, rows: &[MailLatencyRow]) -> String {
+    let mut out = format!("{title}\n{:<30} {:>8}", "configuration", "threads");
+    for (label, _) in DEFAULT_QUANTILES {
+        let label = if label == "p999" { "p99.9" } else { label };
+        out.push_str(&format!(" {label:>10}"));
+    }
+    out.push('\n');
+    for row in rows {
+        out.push_str(&format!("{:<30} {:>8}", row.name, row.threads));
+        for (_, q) in DEFAULT_QUANTILES {
+            out.push_str(&format!(" {:>10.0}", row.latency.quantile(q)));
+        }
+        out.push('\n');
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,14 +410,15 @@ mod tests {
     }
 
     #[test]
-    fn render_table_includes_labels() {
+    fn render_table_has_a_header_and_one_row_per_core_count() {
         let series = vec![Series {
             name: "anyfd".into(),
-            points: vec![fake_point(1, 10.0)],
+            points: [1, 2, 4].map(|n| fake_point(n, 10.0)).into(),
         }];
         let table = render_table("openbench", &series);
         assert!(table.contains("openbench"));
         assert!(table.contains("anyfd"));
+        assert_eq!(table.lines().count(), 2 + 3);
     }
 
     #[test]
@@ -313,8 +427,8 @@ mod tests {
             stat_columns(),
             open_columns(),
             mail_columns(),
-            hostbench::open_columns(),
-            hostbench::mail_columns(),
+            host_open_columns(),
+            host_mail_columns(),
         ] {
             let labels: std::collections::BTreeSet<_> = columns.iter().map(|c| &c.2).collect();
             assert_eq!(labels.len(), columns.len(), "{columns:?}");
@@ -326,5 +440,27 @@ mod tests {
         assert_eq!(core_counts().first(), Some(&1));
         assert_eq!(core_counts().last(), Some(&80));
         assert!(quick_core_counts().len() < core_counts().len());
+    }
+
+    #[test]
+    fn host_thread_counts_start_at_one_and_grow() {
+        let counts = host_thread_counts();
+        assert_eq!(counts[0], 1);
+        assert!(counts.len() >= 2);
+        assert!(counts.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn latency_sweep_fills_a_distribution_per_cell() {
+        let threads = [1usize, 2];
+        let rows = mailbench_host_latency(&threads, 10);
+        assert_eq!(rows.len(), 2 * threads.len());
+        for row in &rows {
+            assert_eq!(row.latency.count, 10 * row.threads as u64);
+            assert!(row.latency.p50() <= row.latency.p999());
+        }
+        let table = render_latency_table("mail latency (ns)", &rows);
+        assert!(table.contains("p99.9"));
+        assert!(table.contains("sv6-like (striped), commutative APIs"));
     }
 }

@@ -29,6 +29,10 @@
 //!   machine and [`workloads::on_threads`] on real threads. `mailbench` is
 //!   the closed-loop mail capacity harness, `mail_pipeline` the saturating
 //!   front end of the pipeline engine below.
+//! * [`fig7`] names each Figure 7 panel's columns (policy, workload,
+//!   legend label), sweeps them over a core axis with either driver,
+//!   renders the tables and checks the flat-versus-collapsing shape; the
+//!   figure examples print through it.
 //! * [`pipeline`] is the one §7.3 pipeline engine: communicating
 //!   enqueue/qman threads over a message schedule, optionally behind
 //!   `scr_chaos`'s `FaultyKernel` — seeded transient errnos, delayed
@@ -57,6 +61,7 @@
 
 pub mod differential;
 pub mod fig6;
+pub mod fig7;
 pub mod harness;
 pub mod kernel;
 pub mod pipeline;

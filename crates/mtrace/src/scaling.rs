@@ -142,33 +142,6 @@ impl ThroughputModel {
     }
 }
 
-/// Formats a series of scaling points as an aligned text table (one row per
-/// core count), suitable for the benchmark harness output.
-pub fn format_series(title: &str, series: &[(String, Vec<ScalingPoint>)]) -> String {
-    let mut out = String::new();
-    out.push_str(title);
-    out.push('\n');
-    out.push_str(&format!("{:>6}", "cores"));
-    for (name, _) in series {
-        out.push_str(&format!("  {name:>22}"));
-    }
-    out.push('\n');
-    if let Some((_, first)) = series.first() {
-        for (i, point) in first.iter().enumerate() {
-            out.push_str(&format!("{:>6}", point.cores));
-            for (_, points) in series {
-                let value = points
-                    .get(i)
-                    .map(|pt| pt.ops_per_sec_per_core)
-                    .unwrap_or(0.0);
-                out.push_str(&format!("  {value:>22.0}"));
-            }
-            out.push('\n');
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,21 +222,6 @@ mod tests {
         let p4 = model.evaluate(&la, 4, rounds as u64);
         let p32 = model.evaluate(&lb, 32, rounds as u64);
         assert!(p32.ops_per_sec_per_core < p4.ops_per_sec_per_core);
-    }
-
-    #[test]
-    fn format_series_produces_one_row_per_core_count() {
-        let model = ThroughputModel::with_defaults();
-        let mut series = Vec::new();
-        let mut points = Vec::new();
-        for cores in [1usize, 2, 4] {
-            let (_m, log) = conflict_free_log(cores, 10);
-            points.push(model.evaluate(&log, cores, 10));
-        }
-        series.push(("anyfd".to_string(), points));
-        let text = format_series("openbench", &series);
-        assert!(text.contains("openbench"));
-        assert_eq!(text.lines().count(), 2 + 3);
     }
 
     #[test]

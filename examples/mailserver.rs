@@ -13,7 +13,7 @@
 //!
 //! Run with `cargo run --release --example mailserver`.
 
-use scalable_commutativity::bench::{mail_columns, quick, simulated_figure};
+use scalable_commutativity::host::fig7::{mail_columns, quick, simulated_figure};
 use scalable_commutativity::kernel::api::{OpenFlags, SyscallApi};
 use scalable_commutativity::kernel::mail::{MailConfig, MailServer, NoMailObs};
 use scalable_commutativity::kernel::Sv6Kernel;

@@ -12,7 +12,7 @@
 //!
 //! Run with `cargo run --release --example openbench`.
 
-use scalable_commutativity::bench::{open_columns, quick, simulated_figure};
+use scalable_commutativity::host::fig7::{open_columns, quick, simulated_figure};
 
 fn main() {
     let shape = simulated_figure(

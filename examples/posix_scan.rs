@@ -6,8 +6,7 @@
 //! were not conflict-free — the library equivalent of Figure 6.
 //!
 //! By default a representative subset of the file-system calls is scanned so
-//! the example finishes quickly; pass `--all` to scan all 24 calls (this is
-//! what the `fig6_conflict_freedom` bench does).
+//! the example finishes quickly; pass `--all` to scan all 24 calls.
 //!
 //! Every run also writes `BENCH_testgen.json` (override the path with
 //! `SCR_TESTGEN_JSON`): per-pair wall-clock split into the symbolic stages

@@ -13,7 +13,7 @@
 //!
 //! Run with `cargo run --release --example statbench`.
 
-use scalable_commutativity::bench::{quick, simulated_figure, stat_columns};
+use scalable_commutativity::host::fig7::{quick, simulated_figure, stat_columns};
 use scalable_commutativity::kernel::api::{KernelApi, OpenFlags, SyscallApi};
 use scalable_commutativity::kernel::Sv6Kernel;
 

@@ -7,21 +7,22 @@
 //! * [`spec`] — the §3 formalism (actions, histories, SIM commutativity, the
 //!   constructive proof machines).
 //! * [`symbolic`] — the symbolic execution engine and model finder.
-//! * [`model`] — the symbolic POSIX model (18 system calls).
+//! * [`model`] — the symbolic POSIX model (24 system calls: the paper's 18
+//!   from §6.1 and the six §4 socket and process calls).
 //! * [`mtrace`] — the simulated cache-coherent machine and scalability model.
 //! * [`scalable`] — Refcache, per-core allocators, radix arrays and other
 //!   scalable building blocks.
-//! * [`kernel`] — the sv6-style kernel, the Linux-like baseline and the mail
-//!   server application.
+//! * [`kernel`] — the one sv6-style kernel body, built under the sv6 or the
+//!   Linux-like sharing `Policy`, and the mail server application.
 //! * [`commuter`] — ANALYZER, TESTGEN and the MTRACE driver.
 //! * [`host`] — the real-threads execution backend: a thread-safe
-//!   `HostKernel`, the wall-clock load harness, and the differential runner
-//!   that cross-checks generated tests between simulation and real threads.
+//!   `HostKernel`, the wall-clock load harness, the differential runner
+//!   that cross-checks generated tests between simulation and real threads,
+//!   and the Figure 6 and Figure 7 sweeps over either substrate.
 //! * [`hostmtrace`] — the real-threads sharing monitor: per-thread access
-//!   logs, probes mirroring the simulated structures' footprints, and the
-//!   conflict reports behind the host-side Figure 6 heatmap.
-//! * [`bench`](mod@bench) — the Figure 7 columns and sweep over either driver, and
-//!   the benchmark binaries.
+//!   logs, a line substrate on which the same structures record the same
+//!   footprint as on the simulated machine, and the conflict reports behind
+//!   the host-side Figure 6 heatmap.
 //! * [`obs`] — the commutativity-aware telemetry layer: per-core metrics,
 //!   pipeline trace spans, conflict-heat reports and stamped JSON
 //!   snapshots.
@@ -32,7 +33,6 @@
 //!   seeded errno storms, bounded delivery delay, qman crash schedules,
 //!   and the retry layer that rides out exactly the injected faults.
 
-pub use scr_bench as bench;
 pub use scr_chaos as chaos;
 pub use scr_core as commuter;
 pub use scr_host as host;

@@ -8,7 +8,7 @@
 //! machine and `ThroughputModel` are deterministic, so a refactor of the
 //! workloads or their drivers must hold all three constants byte for byte.
 
-use scr_bench::{check_shape, mail_columns, open_columns, simulated, stat_columns, Series};
+use scr_host::fig7::{check_shape, mail_columns, open_columns, simulated, stat_columns, Series};
 use scr_symbolic::Fnv64;
 
 const CORES: [usize; 3] = [1, 8, 16];
