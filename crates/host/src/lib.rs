@@ -41,23 +41,22 @@
 //!   Its exactly-once ledger (and an fd leak check) must close under every
 //!   `ChaosPlan`. `mail_pipeline`, `scr_loadgen`'s open loop and the chaos
 //!   gate are its front ends.
-//! * [`differential`] replays TESTGEN's `ConcreteTest`s on real threads and
-//!   cross-checks every return value against the simulated `Sv6Kernel`,
-//!   closing the loop between the symbolic pipeline and real execution;
-//!   [`differential::differential_campaign`] over a
-//!   [`differential::ChaosReplayer`] replays the corpus through the
-//!   pipeline's fault layer.
-//! * [`fig6`] replays the same tests with a `scr-hostmtrace` tracing window
-//!   around the concurrent pair and aggregates host-side Figure 6 heatmaps
-//!   (`sv6-host` / `linux-host`), cross-checking every conflict verdict
+//! * [`differential`] holds the replay primitives `scr_core`'s
+//!   `differential_check` drives: [`differential::HostReplayer`] races a
+//!   `ConcreteTest`'s pair on real threads, and
+//!   [`differential::ChaosReplayer`] does so through the pipeline's fault
+//!   layer; both are checked against the simulated `Sv6Kernel`.
+//! * [`fig6`] replays every generated test with a `scr-hostmtrace` tracing
+//!   window around the concurrent pair and aggregates host-side Figure 6
+//!   heatmaps (`sv6-host` / `linux-host`), cross-checking every conflict verdict
 //!   against the simulated heatmap (lowest-FD contention excepted, and
 //!   recorded explicitly), every schedule's results by linearisation and
 //!   every datagram by conservation. The §4 socket and process calls
 //!   ([`fig6::ext_calls`]) are checked there like any other call.
 //!
-//! The host Figure 6 and the differential campaign do not sweep call pairs
-//! themselves: both are consumers of `scr_core::run_sweep`, the COMMUTER
-//! sweep engine `scr_core::run_commuter` also consumes.
+//! The host Figure 6 does not sweep call pairs itself: it is a consumer of
+//! `scr_core::run_sweep`, the COMMUTER sweep engine `scr_core::run_commuter`
+//! also consumes.
 
 pub mod differential;
 pub mod fig6;
@@ -67,10 +66,7 @@ pub mod kernel;
 pub mod pipeline;
 pub mod workloads;
 
-pub use differential::{
-    differential_campaign, CampaignConfig, ChaosReplayer, DifferentialReport, HostReplayer,
-    PairOutcome,
-};
+pub use differential::{ChaosReplayer, HostReplayer};
 pub use fig6::{
     classify_divergence, classify_linearisation, ext_calls, normalize_pipe_label, replay_traced,
     run_host_fig6, run_test_host, run_test_host_with, Fig6Divergence, Fig6Violation,

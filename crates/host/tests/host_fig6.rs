@@ -327,67 +327,73 @@ fn linuxlike_socket_calls_are_ordered_and_mirror_the_simulated_baseline() {
 }
 
 /// The acceptance criterion: the concurrent cross-check reports zero
-/// unexplained divergences over a call set that deliberately includes the
-/// descriptor-allocating calls where lowest-FD contention can appear.
+/// unexplained divergences over call groups that deliberately include the
+/// descriptor-allocating calls where lowest-FD contention can appear: a
+/// mixed group, then name, descriptor-and-memory and pipe operations, each
+/// at its own assignment bound.
 #[test]
 fn host_fig6_cross_check_has_no_unexplained_divergences() {
-    let config = HostFig6Config {
-        max_assignments_per_case: 8,
-        schedules_per_test: 2,
-        ..HostFig6Config::quick(&[
-            CallKind::Open,
-            CallKind::Stat,
-            CallKind::Close,
-            CallKind::Pipe,
-            CallKind::Read,
-        ])
-    };
-    let results = run_host_fig6(&config);
-    assert!(results.tests_run > 0);
-    assert_eq!(results.dropped, 0);
-    assert_eq!(
-        results.sim_sv6.total_tests(),
-        results.host_sv6.total_tests()
-    );
-    assert_eq!(
-        results.sim_sv6.total_tests(),
-        results.host_linux.total_tests()
-    );
-    // Every divergence must be in the explicit exception list.
-    assert!(
-        results.unexplained_divergences().is_empty(),
-        "unexplained SIM↔host divergences:\n{}",
-        results.describe_divergences()
-    );
-    assert!(
-        results.unexplained_violations().is_empty(),
-        "{}",
-        results.describe_violations()
-    );
-    for divergence in &results.divergences {
-        assert_eq!(divergence.exception, Some(scr_host::LOWEST_FD_EXCEPTION));
-        assert!(
-            !divergence.shared_labels.is_empty()
-                && divergence.shared_labels.iter().all(|l| l.contains("].fd[")),
-            "exception must name its fd-slot lines: {divergence:?}"
-        );
-    }
-    // And each host kernel must scale essentially as often as the simulated
-    // one of its policy (exactly as often, minus the listed exceptions).
-    for (kernel, sim, host) in [
-        ("sv6-host", &results.sim_sv6, &results.host_sv6),
-        ("linux-host", &results.sim_linux, &results.host_linux),
-    ] {
-        let diverged = results
-            .divergences
-            .iter()
-            .filter(|d| d.kernel == kernel)
-            .count();
+    use CallKind::*;
+    let groups: [(&[CallKind], usize); 4] = [
+        (&[Open, Stat, Close, Pipe, Read], 8),
+        (&[Open, Stat, Link, Unlink], 8),
+        (&[Fstat, Lseek, Pread, Pwrite, Memread, Memwrite], 8),
+        (&[Pipe, Read, Write, Close], 8),
+    ];
+    for (calls, max_assignments_per_case) in groups {
+        let config = HostFig6Config {
+            max_assignments_per_case,
+            schedules_per_test: 2,
+            ..HostFig6Config::quick(calls)
+        };
+        let results = run_host_fig6(&config);
+        assert!(results.tests_run > 0, "{calls:?}");
+        assert_eq!(results.dropped, 0, "{calls:?}");
         assert_eq!(
-            sim.total_conflict_free() - host.total_conflict_free(),
-            diverged,
-            "{kernel}"
+            results.sim_sv6.total_tests(),
+            results.host_sv6.total_tests()
         );
+        assert_eq!(
+            results.sim_sv6.total_tests(),
+            results.host_linux.total_tests()
+        );
+        // Every divergence must be in the explicit exception list.
+        assert!(
+            results.unexplained_divergences().is_empty(),
+            "unexplained SIM↔host divergences over {calls:?}:\n{}",
+            results.describe_divergences()
+        );
+        assert!(
+            results.unexplained_violations().is_empty(),
+            "{calls:?}: {}",
+            results.describe_violations()
+        );
+        for divergence in &results.divergences {
+            assert_eq!(divergence.exception, Some(scr_host::LOWEST_FD_EXCEPTION));
+            assert!(
+                !divergence.shared_labels.is_empty()
+                    && divergence.shared_labels.iter().all(|l| l.contains("].fd[")),
+                "exception must name its fd-slot lines: {divergence:?}"
+            );
+        }
+        // And each host kernel must scale essentially as often as the
+        // simulated one of its policy (exactly as often, minus the listed
+        // exceptions).
+        for (kernel, sim, host) in [
+            ("sv6-host", &results.sim_sv6, &results.host_sv6),
+            ("linux-host", &results.sim_linux, &results.host_linux),
+        ] {
+            let diverged = results
+                .divergences
+                .iter()
+                .filter(|d| d.kernel == kernel)
+                .count();
+            assert_eq!(
+                sim.total_conflict_free() - host.total_conflict_free(),
+                diverged,
+                "{kernel} over {calls:?}"
+            );
+        }
     }
 }
 

@@ -7,9 +7,7 @@
 //! structures do not get *better* — not a precise ratio.
 
 use scr_core::{analyze_pair, differential_check, generate_tests, PairShape, Sv6Factory};
-use scr_host::differential::{
-    differential_campaign, CampaignConfig, DifferentialReport, HostReplayer,
-};
+use scr_host::differential::HostReplayer;
 use scr_host::harness::LoadHarness;
 use scr_host::kernel::{host_kernel, HostMode};
 use scr_host::workloads::{self, on_threads, StatMode, Workload};
@@ -32,79 +30,6 @@ fn parallelism() -> usize {
 
 fn skip_timing_checks() -> bool {
     cfg!(miri) || parallelism() < 4
-}
-
-/// A single-schedule campaign over `calls`, `max_tests` replays spread
-/// round-robin across the pairs.
-fn sample_campaign(calls: &[CallKind], max_tests: usize) -> DifferentialReport {
-    differential_campaign(
-        &CampaignConfig::quick(calls, max_tests),
-        &HostReplayer::default(),
-        None,
-    )
-}
-
-#[test]
-fn differential_runner_agrees_on_name_operations() {
-    let report = sample_campaign(
-        &[
-            CallKind::Open,
-            CallKind::Stat,
-            CallKind::Link,
-            CallKind::Unlink,
-        ],
-        120,
-    );
-    assert!(
-        report.tests_run >= 20,
-        "expected a real sample, got {}",
-        report.tests_run
-    );
-    assert!(
-        report.all_agree(),
-        "simulated and host results diverged:\n{}",
-        report.describe_mismatches()
-    );
-}
-
-#[test]
-fn differential_runner_agrees_on_descriptor_and_vm_operations() {
-    let report = sample_campaign(
-        &[
-            CallKind::Fstat,
-            CallKind::Lseek,
-            CallKind::Pread,
-            CallKind::Pwrite,
-            CallKind::Memread,
-            CallKind::Memwrite,
-        ],
-        120,
-    );
-    assert!(report.tests_run > 0);
-    assert!(
-        report.all_agree(),
-        "simulated and host results diverged:\n{}",
-        report.describe_mismatches()
-    );
-}
-
-#[test]
-fn differential_runner_agrees_on_pipe_operations() {
-    let report = sample_campaign(
-        &[
-            CallKind::Pipe,
-            CallKind::Read,
-            CallKind::Write,
-            CallKind::Close,
-        ],
-        80,
-    );
-    assert!(report.tests_run > 0);
-    assert!(
-        report.all_agree(),
-        "simulated and host results diverged:\n{}",
-        report.describe_mismatches()
-    );
 }
 
 #[test]
@@ -171,38 +96,6 @@ fn read_read_half_closed_pipe_representatives_agree_with_the_host() {
         mismatches.is_empty(),
         "newly materialised representatives diverged:\n{mismatches:?}"
     );
-}
-
-#[test]
-fn scaled_campaign_over_pipe_calls_has_no_mismatches() {
-    // The scaled oracle: budget spread round-robin across all pairs,
-    // several schedules per test. Every pair with generated tests must be
-    // exercised and every replay must agree.
-    let config = CampaignConfig {
-        max_tests: 96,
-        schedules_per_test: 2,
-        ..CampaignConfig::new(&[
-            CallKind::Pipe,
-            CallKind::Read,
-            CallKind::Write,
-            CallKind::Close,
-        ])
-    };
-    let report = differential_campaign(&config, &HostReplayer::default(), None);
-    assert!(report.tests_run > 0);
-    assert_eq!(report.replays_run, report.tests_run * 2);
-    assert!(
-        report.all_agree(),
-        "simulated and host results diverged:\n{}",
-        report.describe_mismatches()
-    );
-    for pair in &report.pairs {
-        assert!(
-            pair.generated == 0 || pair.replayed > 0,
-            "budget starved pair {:?}",
-            pair.calls
-        );
-    }
 }
 
 #[test]

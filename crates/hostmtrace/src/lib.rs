@@ -1,7 +1,7 @@
 //! # scr-hostmtrace — a real-threads sharing monitor
 //!
-//! `scr-mtrace` observes sharing on a *simulated* machine: kernel state
-//! lives in `TracedCell`s and every access is appended to one global log.
+//! `scr-mtrace` observes sharing on a *simulated* machine: every access a
+//! structure records on its lines is appended to one global log.
 //! That design is inherently single-threaded. This crate is the equivalent
 //! monitor for *real* OS threads, so the Figure 6 conflict heatmap — the
 //! paper's central empirical artifact — can be reproduced on hardware, not

@@ -8,9 +8,9 @@
 //!
 //! This crate is the equivalent substrate for a library-level reproduction:
 //!
-//! * [`machine::SimMachine`] is a single-process simulated multicore. Kernel
-//!   state is stored in [`machine::TracedCell`]s, each occupying its own
-//!   (labelled) cache line unless explicitly co-located.
+//! * [`machine::SimMachine`] is a single-process simulated multicore: an
+//!   access log, a current-core register and a table of labelled cache
+//!   lines.
 //! * [`lines`] is the substrate every scalable structure records its
 //!   footprint through: lines allocated in named blocks, and the
 //!   read / write / read-modify-write / lock-word accesses made on them.
@@ -38,7 +38,7 @@ pub mod scaling;
 pub mod trace;
 
 pub use lines::{Block, LineNames, LineTable, Lines};
-pub use machine::{CoreId, LineId, SimMachine, TracedCell};
+pub use machine::{CoreId, LineId, SimMachine};
 pub use mesi::{CoherenceStats, MesiSimulator};
 pub use scaling::{ScalingParams, ScalingPoint, ThroughputModel};
 pub use trace::{Access, AccessKind, ConflictReport, SharedLine};

@@ -1,10 +1,10 @@
-//! The simulated machine and its traced memory cells.
+//! The simulated machine.
 //!
-//! A [`SimMachine`] owns an access log and a "current core" register. Kernel
-//! state is allocated as [`TracedCell`]s: each cell occupies one simulated
-//! cache line (unless explicitly co-located with another cell to model false
-//! sharing) and records a read or write access — attributed to the current
-//! core — every time it is touched while tracing is enabled.
+//! A [`SimMachine`] owns an access log, a "current core" register and the
+//! table of labelled cache lines. It is a [`Lines`] substrate: structures
+//! allocate their lines from it in named blocks and record a read or write
+//! access — attributed to the current core — every time they touch one
+//! while tracing is enabled.
 //!
 //! The machine is single-threaded by design: "running on core `c`" means
 //! setting the current-core register before executing the operation's code.
@@ -54,26 +54,6 @@ impl SimMachine {
     pub fn alloc_line(&self, label: impl Into<String>) -> LineId {
         let label = label.into();
         self.alloc_lines(1, move |_| label.clone())
-    }
-
-    /// Allocates a [`TracedCell`] on its own fresh cache line.
-    pub fn cell<T>(&self, label: impl Into<String>, value: T) -> TracedCell<T> {
-        let line = self.alloc_line(label);
-        TracedCell {
-            machine: self.clone(),
-            line,
-            value: Rc::new(RefCell::new(value)),
-        }
-    }
-
-    /// Allocates a [`TracedCell`] that shares the cache line of `other`
-    /// (models false sharing or deliberately packed structures).
-    pub fn cell_on_line<T, U>(&self, other: &TracedCell<U>, value: T) -> TracedCell<T> {
-        TracedCell {
-            machine: self.clone(),
-            line: other.line,
-            value: Rc::new(RefCell::new(value)),
-        }
     }
 
     /// The label attached to a line at allocation time.
@@ -148,8 +128,8 @@ impl SimMachine {
         analyze(&accesses, |line| self.label_of(line))
     }
 
-    /// Records an access (used by [`TracedCell`]; public so other crates can
-    /// build custom traced structures).
+    /// Records an access attributed to the current core, if tracing is
+    /// enabled.
     pub fn record(&self, line: LineId, kind: AccessKind) {
         let mut st = self.state.borrow_mut();
         if !st.tracing {
@@ -181,119 +161,37 @@ impl Lines for SimMachine {
     }
 }
 
-/// A value stored on a simulated cache line.
-///
-/// Reads and writes are recorded against the machine's current core while
-/// tracing is enabled. Cloning a cell produces another handle to the same
-/// storage and the same line.
-#[derive(Clone, Debug)]
-pub struct TracedCell<T> {
-    machine: SimMachine,
-    line: LineId,
-    value: Rc<RefCell<T>>,
-}
-
-impl<T> TracedCell<T> {
-    /// The cache line this cell lives on.
-    pub fn line(&self) -> LineId {
-        self.line
-    }
-
-    /// The machine this cell belongs to.
-    pub fn machine(&self) -> &SimMachine {
-        &self.machine
-    }
-
-    /// Reads the value through a closure (recorded as a read).
-    pub fn with<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        self.machine.record(self.line, AccessKind::Read);
-        f(&self.value.borrow())
-    }
-
-    /// Replaces the value (recorded as a write).
-    pub fn set(&self, value: T) {
-        self.machine.record(self.line, AccessKind::Write);
-        *self.value.borrow_mut() = value;
-    }
-
-    /// Mutates the value in place (recorded as a read and a write).
-    pub fn update<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        self.machine.record(self.line, AccessKind::Read);
-        self.machine.record(self.line, AccessKind::Write);
-        f(&mut self.value.borrow_mut())
-    }
-
-    /// Reads the value without recording an access. Intended for test setup
-    /// and assertions, not for code under measurement.
-    pub fn peek<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        f(&self.value.borrow())
-    }
-
-    /// Writes the value without recording an access. Intended for test setup.
-    pub fn poke(&self, value: T) {
-        *self.value.borrow_mut() = value;
-    }
-}
-
-impl<T: Clone> TracedCell<T> {
-    /// Reads and clones the value (recorded as a read).
-    pub fn get(&self) -> T {
-        self.machine.record(self.line, AccessKind::Read);
-        self.value.borrow().clone()
-    }
-}
-
-impl<T: Copy> TracedCell<T> {
-    /// Adds to a numeric cell and returns the new value (read + write).
-    pub fn fetch_update(&self, f: impl FnOnce(T) -> T) -> T {
-        self.machine.record(self.line, AccessKind::Read);
-        self.machine.record(self.line, AccessKind::Write);
-        let mut v = self.value.borrow_mut();
-        *v = f(*v);
-        *v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn cells_get_distinct_lines_and_labels() {
+    fn lines_get_distinct_ids_and_labels() {
         let m = SimMachine::new();
-        let a = m.cell("a", 1u32);
-        let b = m.cell("b", 2u32);
-        assert_ne!(a.line(), b.line());
-        assert_eq!(m.label_of(a.line()), "a");
-        assert_eq!(m.label_of(b.line()), "b");
-    }
-
-    #[test]
-    fn colocated_cells_share_a_line() {
-        let m = SimMachine::new();
-        let a = m.cell("struct.field0", 1u32);
-        let b = m.cell_on_line(&a, 2u64);
-        assert_eq!(a.line(), b.line());
+        let a = m.line("a");
+        let b = m.line("b");
+        assert_ne!(a.line(0), b.line(0));
+        assert_eq!(m.label_of(a.line(0)), "a");
+        assert_eq!(m.label_of(b.line(0)), "b");
     }
 
     #[test]
     fn tracing_disabled_records_nothing() {
         let m = SimMachine::new();
-        let a = m.cell("a", 0u32);
-        a.set(5);
-        assert_eq!(a.get(), 5);
+        let a = m.line("a");
+        a.write(0);
+        a.read(0);
         assert_eq!(m.access_count(), 0);
     }
 
     #[test]
     fn tracing_records_reads_and_writes_with_core() {
         let m = SimMachine::new();
-        let a = m.cell("a", 0u32);
+        let a = m.line("a");
         m.start_tracing();
         m.set_core(3);
-        a.set(5);
-        let v = a.get();
-        assert_eq!(v, 5);
+        a.write(0);
+        a.read(0);
         m.stop_tracing();
         let log = m.accesses();
         assert_eq!(log.len(), 2);
@@ -314,14 +212,10 @@ mod tests {
     #[test]
     fn conflict_report_detects_cross_core_write() {
         let m = SimMachine::new();
-        let shared = m.cell("file.refcount", 0u64);
+        let shared = m.line("file.refcount");
         m.start_tracing();
-        m.on_core(0, || {
-            shared.update(|v| *v += 1);
-        });
-        m.on_core(1, || {
-            shared.update(|v| *v += 1);
-        });
+        m.on_core(0, || shared.rmw(0));
+        m.on_core(1, || shared.rmw(0));
         let report = m.conflict_report();
         assert!(!report.is_conflict_free());
         assert_eq!(
@@ -333,60 +227,36 @@ mod tests {
     #[test]
     fn conflict_report_since_ignores_setup() {
         let m = SimMachine::new();
-        let shared = m.cell("dir.lock", 0u64);
+        let shared = m.line("dir.lock");
         m.start_tracing();
-        m.on_core(0, || shared.set(1));
-        m.on_core(1, || shared.set(2));
+        m.on_core(0, || shared.write(0));
+        m.on_core(1, || shared.write(0));
         let mark = m.access_count();
-        m.on_core(0, || {
-            let _ = shared.get();
-        });
+        m.on_core(0, || shared.read(0));
         let report = m.conflict_report_since(mark);
         assert!(report.is_conflict_free());
     }
 
     #[test]
-    fn per_core_cells_are_conflict_free() {
+    fn per_core_lines_are_conflict_free() {
         let m = SimMachine::new();
-        let cells: Vec<_> = (0..4)
-            .map(|c| m.cell(format!("percore[{c}]"), 0u64))
-            .collect();
+        let lines: Vec<_> = (0..4).map(|c| m.line(format!("percore[{c}]"))).collect();
         m.start_tracing();
-        for (core, cell) in cells.iter().enumerate() {
-            m.on_core(core, || {
-                cell.update(|v| *v += 1);
-            });
+        for (core, line) in lines.iter().enumerate() {
+            m.on_core(core, || line.rmw(0));
         }
         assert!(m.conflict_report().is_conflict_free());
     }
 
     #[test]
-    fn peek_and_poke_are_untraced() {
-        let m = SimMachine::new();
-        let a = m.cell("a", 1u32);
-        m.start_tracing();
-        a.poke(9);
-        assert_eq!(a.peek(|v| *v), 9);
-        assert_eq!(m.access_count(), 0);
-    }
-
-    #[test]
-    fn fetch_update_returns_new_value() {
-        let m = SimMachine::new();
-        let a = m.cell("ctr", 10i64);
-        assert_eq!(a.fetch_update(|v| v + 5), 15);
-        assert_eq!(a.get(), 15);
-    }
-
-    #[test]
     fn clear_trace_resets_log_but_keeps_allocations() {
         let m = SimMachine::new();
-        let a = m.cell("a", 0u32);
+        let a = m.line("a");
         m.start_tracing();
-        a.set(1);
+        a.write(0);
         assert_eq!(m.access_count(), 1);
         m.clear_trace();
         assert_eq!(m.access_count(), 0);
-        assert_eq!(m.label_of(a.line()), "a");
+        assert_eq!(m.label_of(a.line(0)), "a");
     }
 }

@@ -145,20 +145,19 @@ impl ThroughputModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lines::Lines;
     use crate::machine::SimMachine;
 
     /// Builds a log in which each core repeatedly writes its own line.
     fn conflict_free_log(cores: usize, rounds: usize) -> (SimMachine, Vec<Access>) {
         let m = SimMachine::new();
-        let cells: Vec<_> = (0..cores)
-            .map(|c| m.cell(format!("percore[{c}]"), 0u64))
+        let lines: Vec<_> = (0..cores)
+            .map(|c| m.line(format!("percore[{c}]")))
             .collect();
         m.start_tracing();
         for _ in 0..rounds {
-            for (core, cell) in cells.iter().enumerate() {
-                m.on_core(core, || {
-                    cell.update(|v| *v += 1);
-                });
+            for (core, line) in lines.iter().enumerate() {
+                m.on_core(core, || line.rmw(0));
             }
         }
         let log = m.accesses();
@@ -168,13 +167,11 @@ mod tests {
     /// Builds a log in which every core writes one shared line.
     fn contended_log(cores: usize, rounds: usize) -> (SimMachine, Vec<Access>) {
         let m = SimMachine::new();
-        let shared = m.cell("shared.counter", 0u64);
+        let shared = m.line("shared.counter");
         m.start_tracing();
         for _ in 0..rounds {
             for core in 0..cores {
-                m.on_core(core, || {
-                    shared.update(|v| *v += 1);
-                });
+                m.on_core(core, || shared.rmw(0));
             }
         }
         let log = m.accesses();

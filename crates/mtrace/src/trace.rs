@@ -1,13 +1,13 @@
 //! Access traces and conflict (shared-line) reports.
 //!
-//! While tracing is enabled, every read or write a [`TracedCell`] performs
-//! is appended to the machine's access log together with the core that
-//! performed it. A **shared line** is a cache line accessed by two or more
+//! While tracing is enabled, every read or write a structure records on one
+//! of the machine's [`Lines`] is appended to its access log together with
+//! the core that performed it. A **shared line** is a cache line accessed by two or more
 //! cores with at least one write — the cache-line analogue of the access
 //! conflict defined in §3.3, and exactly what MTRACE reports for a failed
 //! test case (§5.3).
 //!
-//! [`TracedCell`]: crate::machine::TracedCell
+//! [`Lines`]: crate::lines::Lines
 
 use crate::machine::{CoreId, LineId};
 use std::collections::{BTreeMap, BTreeSet};

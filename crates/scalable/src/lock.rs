@@ -65,9 +65,9 @@ mod tests {
     fn with_records_acquire_then_release_around_the_body() {
         let m = SimMachine::new();
         let lock = LockWord::new(Some(&m), "dir.lock");
-        let body = m.cell("dir.entries", 0u8);
+        let body = m.line("dir.entries");
         m.start_tracing();
-        assert_eq!(lock.with(|| body.get()), 0);
+        lock.with(|| body.read(0));
         let kinds: Vec<_> = m
             .accesses()
             .iter()

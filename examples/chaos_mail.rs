@@ -1,28 +1,33 @@
 //! The chaos smoke gate: deterministic fault injection against the §7.3
-//! mail pipeline, plus a fault-injected differential campaign.
+//! mail pipeline, plus a fault-injected differential check.
 //!
 //! Every canned [`ChaosPlan`] — fault-free baseline, errno storm, delayed
 //! delivery, scheduled qman crashes — runs the pipeline engine in both
 //! (host mode, API family) columns and must close the extended
 //! exactly-once ledger: each announced message lands exactly once in its
 //! mailbox or the dead-letter box, no descriptors leak past teardown, and
-//! shedding accounts for the rest of the offer. Then the TESTGEN-generated
-//! open/unlink/send/recv pairs replay on racing threads *through the same
+//! shedding accounts for the rest of the offer. Then every TESTGEN-generated
+//! open/unlink/send/recv test replays on racing threads *through the same
 //! fault layer* and must still linearize against the simulated kernel —
-//! injected transient errnos may cost retries, never results.
+//! injected transient errnos may cost retries, never results. As in
+//! `host_fig6`, a disagreement is explained only on a test whose two
+//! simulated orders disagree on which call fails.
 //!
 //! All plans are fixed-seed, so a CI failure replays bit-for-bit locally.
 //! The fault report lands in `CHAOS_mail.json` (override with
 //! `--out <path>`; the plan seeds with `--seed <n>`).
 //!
 //! Exits 1 naming the broken invariant: lost, duplicated, corrupt,
-//! leaked descriptors, an open ledger, or a campaign mismatch.
+//! leaked descriptors, an open ledger, or an unexplained disagreement.
 
 use scalable_commutativity::chaos::plan::ChaosPlan;
+use scalable_commutativity::commuter::{
+    differential_check, run_commuter, CommuterConfig, Sv6Factory,
+};
 use scalable_commutativity::host::workloads::MailTelemetry;
 use scalable_commutativity::host::{
-    differential_campaign, host_kernel, run_pipeline, saturating_schedule, CampaignConfig,
-    ChaosReplayer, HostMode, PipelineConfig,
+    classify_linearisation, host_kernel, run_pipeline, saturating_schedule, ChaosReplayer,
+    HostMode, PipelineConfig,
 };
 use scalable_commutativity::kernel::mail::{MailConfig, MailTopology};
 use scalable_commutativity::model::CallKind;
@@ -135,59 +140,65 @@ fn main() {
         }
     }
 
-    // The fault-injected differential campaign: the four faultable kinds
+    // The fault-injected differential check: the four faultable kinds
     // (open in the fs pairs, send/recv in the socket pairs, spawn in the
-    // replay scaffolding) under a storm, cross-checked against the
-    // simulated kernel.
-    println!("\nchaos differential campaign (open/unlink/send/recv under an errno storm):");
-    let config = CampaignConfig {
-        schedules_per_test: 2,
-        max_tests: 18,
-        ..CampaignConfig::new(&[
+    // replay scaffolding) under a storm, over the whole corpus,
+    // cross-checked against the simulated kernel.
+    println!("\nchaos differential check (open/unlink/send/recv under an errno storm):");
+    let tests = run_commuter(
+        &CommuterConfig::quick(&[
             CallKind::Open,
             CallKind::Unlink,
             CallKind::Send,
             CallKind::Recv,
-        ])
-    };
+        ]),
+        &[],
+    )
+    .tests;
     let replayer = ChaosReplayer {
         cores: 4,
         plan: ChaosPlan::errno_storm(seed ^ 3),
     };
-    let campaign = differential_campaign(&config, &replayer, None);
+    let outcomes = differential_check(&Sv6Factory { cores: 4 }, &replayer, &tests);
+    let disagreements: Vec<_> = outcomes.iter().filter(|o| !o.agree()).collect();
+    let unexplained: Vec<_> = disagreements
+        .iter()
+        .filter(|o| classify_linearisation(&o.simulated, &o.simulated_ba).is_none())
+        .collect();
     println!(
-        "  {} tests, {} racing replays: {}",
-        campaign.tests_run,
-        campaign.replays_run,
-        if campaign.all_agree() {
-            "every result linearizes".to_string()
-        } else {
-            campaign.describe_mismatches()
-        }
+        "  {} tests: {} disagreements ({} unexplained)",
+        tests.len(),
+        disagreements.len(),
+        unexplained.len()
     );
-    note(!campaign.all_agree(), "campaign mismatch");
+    for o in &unexplained {
+        println!(
+            "  {}: simulated {:?} / {:?} vs host {:?}",
+            o.test_id, o.simulated, o.simulated_ba, o.replayed
+        );
+    }
+    note(!unexplained.is_empty(), "unexplained disagreement");
 
     let meta = RunMeta::capture(
         "chaos_mail",
         "sv6+linuxlike",
         5,
         &format!(
-            "{} plans x {} modes, campaign {} tests x {} schedules, seed {seed:#x}",
+            "{} plans x {} modes, differential check {} tests, seed {seed:#x}",
             plans.len(),
             modes.len(),
-            campaign.tests_run,
-            config.schedules_per_test
+            tests.len()
         ),
     );
     let doc = Json::obj(vec![
         ("meta", meta.to_json()),
         ("runs", Json::Arr(run_json)),
         (
-            "campaign",
+            "differential",
             Json::obj(vec![
-                ("tests_run", campaign.tests_run.into()),
-                ("replays_run", campaign.replays_run.into()),
-                ("mismatches", campaign.mismatches.len().into()),
+                ("tests_run", tests.len().into()),
+                ("disagreements", disagreements.len().into()),
+                ("unexplained", unexplained.len().into()),
             ]),
         ),
     ])

@@ -19,9 +19,18 @@
 //! explicitly, linearisation violations on tests whose two simulated
 //! orders disagree on which call fails (the test does not commute).
 //!
-//! The default run has two legs through the same pipeline: the quick call
-//! subset, then the §4 socket and process calls with `open`
-//! (`ext_calls`). `--all` sweeps all 24 calls, §4 calls included, in one.
+//! The default run has three legs through the same pipeline: the quick
+//! call subset; the §4 socket and process calls with `open` (`ext_calls`);
+//! and the differential alphabet, 13 calls (name, descriptor, offset, pipe,
+//! socket and process operations) at 96 assignments per case. The last
+//! leg's TESTGEN skip-reason histogram is also gated against the committed
+//! `tests/differential_fuzz_baseline.txt`: a count above the baseline means
+//! previously constructible representatives are skipped again, and the
+//! baseline's `tests-run` is a floor on the leg's test count, so the gate
+//! cannot pass vacuously if generation collapses. After an intentional
+//! coverage change, `--write-baseline` regenerates the file; it refuses to
+//! while any other check fails. `--all` sweeps all 24 calls, §4 calls
+//! included, in one leg.
 //!
 //! Beside each host heatmap it prints the conflict-heat table: the top-N
 //! hottest line labels by how many traced windows they conflicted in,
@@ -31,14 +40,117 @@
 //!
 //! Run with `cargo run --release --example host_fig6 [-- --all]`.
 
-use scalable_commutativity::commuter::CommuterConfig;
+use scalable_commutativity::commuter::{CommuterConfig, SkipReason};
 use scalable_commutativity::host::{
     available_threads, ext_calls, run_host_fig6, HostFig6Config, HostFig6Results,
     LOWEST_FD_EXCEPTION,
 };
 use scalable_commutativity::hostmtrace::DEFAULT_LOG_CAPACITY;
-use scalable_commutativity::model::ALL_CALLS;
+use scalable_commutativity::model::{CallKind, ALL_CALLS};
 use scalable_commutativity::obs::{metrics_out, Json, MetricsRegistry, RunMeta};
+use std::collections::BTreeMap;
+use std::path::PathBuf;
+
+/// The metrics key of the differential alphabet leg, whose skip histogram
+/// is gated against the committed baseline.
+const ALPHABET_KEY: &str = "alphabet_cross_check";
+
+fn baseline_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/differential_fuzz_baseline.txt")
+}
+
+/// The differential alphabet: name, descriptor, offset and pipe calls, and
+/// the six §4 calls, whose pairs flow through the same ANALYZER → TESTGEN
+/// → replay route as the file-system calls.
+fn alphabet_calls() -> Vec<CallKind> {
+    vec![
+        CallKind::Stat,
+        CallKind::Unlink,
+        CallKind::Pipe,
+        CallKind::Read,
+        CallKind::Write,
+        CallKind::Lseek,
+        CallKind::Close,
+        CallKind::Socket,
+        CallKind::Send,
+        CallKind::Recv,
+        CallKind::Fork,
+        CallKind::PosixSpawn,
+        CallKind::Wait,
+    ]
+}
+
+/// Compares the alphabet leg's skip histogram and test count against the
+/// committed baseline and returns whether the gate failed.
+fn baseline_regressed(results: &HostFig6Results) -> bool {
+    let path = baseline_path();
+    let text = match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(err) => {
+            eprintln!("FAIL: cannot read baseline {}: {err}", path.display());
+            return true;
+        }
+    };
+    let mut baseline: BTreeMap<SkipReason, usize> = BTreeMap::new();
+    let mut min_tests_run = 0usize;
+    for line in text.lines() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let mut parts = line.split_whitespace();
+        let key = parts.next().unwrap_or_default();
+        let count: usize = parts
+            .next()
+            .and_then(|c| c.parse().ok())
+            .unwrap_or_else(|| panic!("malformed baseline line: {line}"));
+        if key == "tests-run" {
+            min_tests_run = count;
+            continue;
+        }
+        let reason = SkipReason::parse(key)
+            .unwrap_or_else(|| panic!("unknown skip reason in baseline: {line}"));
+        baseline.insert(reason, count);
+    }
+    let skips = results.sim_sv6.skip_histogram();
+    println!("skip reasons: {skips:?}");
+    let mut failed = false;
+    if results.tests_run < min_tests_run {
+        eprintln!(
+            "FAIL: test generation collapsed: ran {} tests, baseline requires {min_tests_run}",
+            results.tests_run
+        );
+        failed = true;
+    }
+    for reason in SkipReason::ALL {
+        let now = skips.get(&reason).copied().unwrap_or(0);
+        let allowed = baseline.get(&reason).copied().unwrap_or(0);
+        if now > allowed {
+            eprintln!("FAIL: skip-reason regression: {reason} is {now}, baseline allows {allowed}");
+            failed = true;
+        } else if now < allowed {
+            println!(
+                "note: {reason} improved to {now} (baseline {allowed}); consider --write-baseline"
+            );
+        }
+    }
+    failed
+}
+
+/// Writes the alphabet leg's test count and skip histogram as the new
+/// baseline.
+fn write_baseline(results: &HostFig6Results) {
+    let mut out = String::from(
+        "# host_fig6 differential-alphabet skip-reason baseline (regenerate with --write-baseline)\n",
+    );
+    out.push_str(&format!("tests-run {}\n", results.tests_run));
+    for (reason, count) in &results.sim_sv6.skip_histogram() {
+        out.push_str(&format!("{reason} {count}\n"));
+    }
+    let path = baseline_path();
+    std::fs::write(&path, out).expect("write baseline");
+    println!("baseline written to {}", path.display());
+}
 
 /// Runs one leg, prints its tables and verdicts, and returns its results
 /// with whether any gate failed.
@@ -144,6 +256,7 @@ fn run_leg(name: &str, config: &HostFig6Config) -> (HostFig6Results, bool) {
 
 fn main() {
     let all = std::env::args().any(|a| a == "--all");
+    let write = std::env::args().any(|a| a == "--write-baseline");
     let config = if all {
         HostFig6Config {
             max_assignments_per_case: 96,
@@ -161,8 +274,9 @@ fn main() {
         );
     }
     let mut legs = vec![("figure 6", "cross_check", config)];
-    // The §4 leg: the socket and process calls with `open`, through the
-    // same pipeline. `--all` already sweeps every one of their pairs.
+    // The §4 socket and process calls with `open`, then the differential
+    // alphabet, through the same pipeline. `--all` already sweeps every one
+    // of their pairs.
     if !all {
         legs.push((
             "§4 extension calls",
@@ -172,13 +286,38 @@ fn main() {
                 ..HostFig6Config::quick(&ext_calls())
             },
         ));
+        legs.push((
+            "differential alphabet",
+            ALPHABET_KEY,
+            HostFig6Config {
+                max_assignments_per_case: 96,
+                threads: 0,
+                ..HostFig6Config::quick(&alphabet_calls())
+            },
+        ));
     }
     let mut failed = false;
     let mut summaries = Vec::new();
     for (name, key, config) in &legs {
         let (results, leg_failed) = run_leg(name, config);
         failed |= leg_failed;
+        if *key == ALPHABET_KEY && !write {
+            failed |= baseline_regressed(&results);
+        }
         summaries.push((key, config, results));
+    }
+    if write {
+        // A baseline regenerated while a check fails would launder a real
+        // bug into "expected".
+        let alphabet = summaries.iter().find(|(key, ..)| **key == ALPHABET_KEY);
+        match alphabet {
+            Some((_, _, results)) if !failed => write_baseline(results),
+            Some(_) => eprintln!("FAIL: a check failed; the baseline is not rewritten"),
+            None => {
+                eprintln!("FAIL: --all has no differential alphabet leg to write a baseline from");
+                failed = true;
+            }
+        }
     }
 
     if let Some(path) = metrics_out() {

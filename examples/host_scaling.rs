@@ -1,23 +1,18 @@
-//! Figure 7 on real threads, and the differential check: the
-//! hardware-validation leg of the paper (§7) in one run.
+//! Figure 7 on real threads: the hardware-validation leg of the paper (§7).
 //!
-//! 1. Sweeps the three Figure 7 workloads (`scr_host::workloads`) over
-//!    1, 2, 4, … OS threads up to the hardware limit and prints one table
-//!    per panel: statbench in its three stat modes on the sv6-like kernel,
-//!    and openbench and the mail server with the sv6-like kernel's
-//!    commutative variant against the linux-like kernel's (lowest FD under
-//!    `file_lock`, the directory's `i_mutex`, shared counts). Each table is
-//!    followed by the share of single-thread per-core throughput every
-//!    curve keeps, then the closed-loop mail latency table.
-//! 2. Replays a sample of TESTGEN's generated commutative tests on real
-//!    threads and cross-checks every return value against the simulated
-//!    sv6 kernel — the differential link between the symbolic pipeline and
-//!    real execution. Exits 1 on any mismatch.
+//! Sweeps the three Figure 7 workloads (`scr_host::workloads`) over 1, 2,
+//! 4, … OS threads up to the hardware limit and prints one table per panel:
+//! statbench in its three stat modes on the sv6-like kernel, and openbench
+//! and the mail server with the sv6-like kernel's commutative variant
+//! against the linux-like kernel's (lowest FD under `file_lock`, the
+//! directory's `i_mutex`, shared counts). Each table is followed by the
+//! share of single-thread per-core throughput every curve keeps, then the
+//! closed-loop mail latency table. The generated tests of these calls are
+//! replayed on real threads by `host_fig6`.
 //!
 //! `SCR_BENCH_QUICK=1` runs 2 000 file-system and 500 mail operations per
 //! thread instead of 20 000 and 4 000. `--metrics-out <path>` exports the
-//! three panels and the campaign's structured event stream (per-pair pools,
-//! seeds, summary) as a stamped JSON snapshot.
+//! three panels as a stamped JSON snapshot.
 //!
 //! Run with `cargo run --release --example host_scaling`.
 
@@ -26,9 +21,7 @@ use scalable_commutativity::host::fig7::{
     render_latency_table, render_table, series_json, stat_columns, sweep,
 };
 use scalable_commutativity::host::{available_threads, on_threads};
-use scalable_commutativity::host::{differential_campaign, CampaignConfig, HostReplayer};
-use scalable_commutativity::model::CallKind;
-use scalable_commutativity::obs::{metrics_out, EventLog, Json, MetricsRegistry, RunMeta};
+use scalable_commutativity::obs::{metrics_out, MetricsRegistry, RunMeta};
 
 fn main() {
     let (fs_ops, mail_ops) = if quick() {
@@ -90,63 +83,18 @@ fn main() {
         )
     );
 
-    println!("differential campaign: replaying generated commutative tests on real threads…");
-    let events = EventLog::new();
-    let report = differential_campaign(
-        &CampaignConfig {
-            max_tests: 200,
-            schedules_per_test: 2,
-            ..CampaignConfig::new(&[
-                CallKind::Open,
-                CallKind::Stat,
-                CallKind::Link,
-                CallKind::Unlink,
-                CallKind::Rename,
-            ])
-        },
-        &HostReplayer::default(),
-        Some(&events),
-    );
-    println!(
-        "  {} tests replayed ({} replays, budget spread over {} pairs), {} simulated-vs-host mismatches",
-        report.tests_run,
-        report.replays_run,
-        report.pairs.iter().filter(|p| p.replayed > 0).count(),
-        report.mismatches.len()
-    );
-    if !report.skip_reasons.is_empty() {
-        println!(
-            "  unconstructible representatives skipped: {:?}",
-            report.skip_reasons
-        );
-    }
     if let Some(path) = metrics_out() {
         let mut snapshot = MetricsRegistry::new(available_threads().max(1)).snapshot();
         snapshot.meta = RunMeta::capture(
             "host_scaling",
             "sv6-host+linux-host",
             *threads.last().unwrap_or(&1),
-            &format!(
-                "threads {threads:?}, {fs_ops} fs ops, {mail_ops} mail ops, campaign 200 tests"
-            ),
+            &format!("threads {threads:?}, {fs_ops} fs ops, {mail_ops} mail ops"),
         );
         for (key, series) in &panels {
             snapshot.extras.push((key.to_string(), series_json(series)));
         }
-        snapshot.extras.push((
-            "campaign".to_string(),
-            Json::obj(vec![
-                ("tests_run", report.tests_run.into()),
-                ("replays_run", report.replays_run.into()),
-                ("mismatches", report.mismatches.len().into()),
-            ]),
-        ));
-        snapshot.events = events.records();
         snapshot.write(&path).expect("write metrics snapshot");
         println!("metrics snapshot written to {}", path.display());
-    }
-    if !report.all_agree() {
-        println!("{}", report.describe_mismatches());
-        std::process::exit(1);
     }
 }

@@ -1,18 +1,18 @@
-//! Shape check for the differential-fuzz skip baseline.
+//! Shape check for the differential-alphabet skip baseline.
 //!
 //! `tests/differential_fuzz_baseline.txt` is the committed skip-reason
-//! histogram for the fixed-seed gate (`examples/differential_fuzz.rs`,
-//! seed `0xC0DE_D1FF`, 13-call alphabet: the seven file-system calls plus
-//! the six §4 extension calls). The gate fails when a reason's count rises
-//! above the baseline — previously-constructible representatives being
-//! skipped again. This test pins the baseline's *shape* so a regeneration
-//! that silently drops a reason class (or resurrects one that should be
-//! impossible) is caught at `cargo test` time, and documents why each
-//! committed count is what it is:
+//! histogram for the differential alphabet leg of `examples/host_fig6.rs`
+//! (13-call alphabet: the seven file-system calls plus the six §4
+//! extension calls, 96 assignments per case). The gate fails when a
+//! reason's count rises above the baseline — previously-constructible
+//! representatives being skipped again. This test pins the baseline's
+//! *shape* so a regeneration that silently drops a reason class (or
+//! resurrects one that should be impossible) is caught at `cargo test`
+//! time, and documents why each committed count is what it is:
 //!
-//! * `tests-run 120` — the campaign's replay budget, spread round-robin
-//!   over all 91 unordered pairs; a lower bound, so the gate cannot pass
-//!   vacuously if generation collapses.
+//! * `tests-run 2971` — the leg's test floor: every test of the alphabet's
+//!   corpus, all 91 unordered pairs, replays under both policies; a lower
+//!   bound, so the gate cannot pass vacuously if generation collapses.
 //! * `fd-table-full 145` — TESTGEN cases where the traced call must
 //!   allocate a descriptor but the model's 2-slot-per-process table is
 //!   full (the model's EMFILE paths; the concrete kernels' tables are
