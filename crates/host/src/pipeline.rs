@@ -1,15 +1,17 @@
 //! The §7.3 mail pipeline engine: mail-enqueue and mail-qman threads that
 //! talk only through the kernel, driven by one thread loop whatever the run
 //! is for. A run is a message schedule × a fault plan × an observer, and
-//! three front ends choose them:
+//! two front ends choose them:
 //!
 //! * [`crate::workloads::mail_pipeline_observed`]: a saturating schedule
 //!   (every message due at once), no faults, optional telemetry;
 //! * `scr_loadgen`'s open loop: a fixed-rate or Poisson schedule, its
-//!   `ChaosPlan`, and a per-delivery hook that records latency from each
-//!   message's intended arrival;
-//! * the chaos gate (`examples/chaos_mail.rs`): every canned [`ChaosPlan`]
-//!   with the bounded retry budget, telemetry on.
+//!   `ChaosPlan` with the never-give-up retry budget, and a per-delivery
+//!   hook that records latency from each message's intended arrival.
+//!
+//! The `host_mail` example calls the engine directly as well: every canned
+//! [`ChaosPlan`] on a saturating schedule with the bounded retry budget,
+//! and the same plan through the open loop.
 //!
 //! The schedule names every message up front. Message `i` is due `due_ns`
 //! after the run's epoch (the instant the workers pass their start

@@ -5,15 +5,18 @@
 //! reference counts, and the end-to-end pipeline — the mail server
 //! (enqueue → notification socket → qman → spawn/wait → deliver) as
 //! communicating threads, in both API configurations and both host modes,
-//! delivering every message exactly once across repeated schedules. The
+//! delivering every message exactly once across repeated schedules, and
+//! filing each engine thread's accesses under its topology core. The
 //! footprint parity and the concurrent cross-check of the same calls live
 //! in `host_fig6.rs`, with every other call's.
 
-use scr_host::kernel::{host_kernel, HostMode};
+use scr_host::kernel::{host_kernel, host_kernel_with, HostMode};
 use scr_host::workloads::mail_pipeline;
+use scr_host::{run_pipeline, saturating_schedule, PipelineConfig};
+use scr_hostmtrace::HostTraceSink;
 use scr_kernel::api::{Errno, OpenFlags, SocketOrder, SyscallApi};
-use scr_kernel::mail::{MailConfig, MailServer, NoMailObs};
-use scr_kernel::Sv6Kernel;
+use scr_kernel::mail::{MailConfig, MailServer, MailTopology, NoMailObs};
+use scr_kernel::{Sv6Kernel, Sv6Options};
 
 #[test]
 fn socket_errnos_match_the_simulated_kernel() {
@@ -84,6 +87,38 @@ fn mail_pipeline_delivers_exactly_once_across_repeated_schedules() {
                 );
             }
         }
+    }
+}
+
+#[test]
+fn pipeline_threads_record_under_their_topology_cores() {
+    // Regression: every engine thread runs under `on_core` of its topology
+    // core, so an enqueuer's send and a qman's recv on one notification
+    // shard are two cores' accesses to that shard's queue line. With every
+    // access filed under one core no shard could ever conflict.
+    let cfg = PipelineConfig::new(MailConfig::CommutativeApis, MailTopology::new(2, 2));
+    let sink = HostTraceSink::with_capacity(cfg.cores(), 1 << 17);
+    let kernel = host_kernel_with(
+        cfg.cores(),
+        HostMode::Sv6,
+        Sv6Options::default(),
+        Some(&sink),
+    );
+    sink.begin_window();
+    let report = run_pipeline(
+        &kernel,
+        &cfg,
+        &saturating_schedule(2, 120),
+        None,
+        |_, _, _| {},
+    );
+    let window = sink.end_window();
+    assert!(report.exactly_once(), "{report:?}");
+    assert_eq!(window.dropped, 0, "the window overflowed its logs");
+    let conflicting = window.conflicting_labels();
+    for shard in 0..2 {
+        let label = format!("socket[{shard}].queue[{shard}]");
+        assert!(conflicting.contains(&label), "{label}: {conflicting:?}");
     }
 }
 

@@ -23,23 +23,22 @@
 //!   sharded notification sockets, and the per-delivery hook measures
 //!   latency *from the intended arrival*, via a timestamp stamped into the
 //!   message body.
-//! * [`sweep`] — the (pairs, rate, skew) × (sv6-host, linux-host) sweep,
-//!   an instrumented conflict-heat pass per cell, and the
-//!   `BENCH_mail.json` document `examples/mail_loadgen.rs` writes.
+//!
+//! Its callers are the benchmark's `mail_*` workloads, which read the
+//! open-loop latency at two offered rates, and the `host_mail` gate, which
+//! checks the exactly-once ledger of an open-loop run under every canned
+//! fault plan.
 //!
 //! [`MailServer`]: scr_kernel::mail::MailServer
 
 pub mod openloop;
 pub mod rng;
 pub mod schedule;
-pub mod sweep;
 pub mod zipf;
 
 pub use openloop::{
-    parse_stamp, parse_stamp_index, run_open_loop, run_open_loop_on, LoadConfig, LoadReport,
-    ShardStats,
+    parse_stamp, parse_stamp_index, run_open_loop, LoadConfig, LoadReport, ShardStats,
 };
 pub use rng::Rng64;
 pub use schedule::{arrival_offsets, Arrival};
-pub use sweep::{bench_json, render_table, run_sweep, BenchCell, ShardHeat, SweepSpec};
 pub use zipf::ZipfSampler;

@@ -32,12 +32,12 @@ use crate::rng::Rng64;
 use crate::schedule::{arrival_offsets, Arrival};
 use crate::zipf::ZipfSampler;
 use scr_chaos::plan::ChaosPlan;
-use scr_host::kernel::{host_kernel, HostKernel, HostMode};
+use scr_host::kernel::{host_kernel, HostMode};
 pub use scr_host::pipeline::{parse_stamp, parse_stamp_index};
 use scr_host::pipeline::{run_pipeline, PipelineConfig};
 use scr_kernel::mail::{Delivered, MailConfig, MailTopology};
 use scr_kernel::retry::RetryPolicy;
-use scr_obs::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+use scr_obs::{Counter, Histogram, HistogramSnapshot, MetricsRegistry};
 
 /// One open-loop cell: what to offer the pipeline and how to shape it.
 #[derive(Clone, Debug)]
@@ -65,7 +65,7 @@ pub struct LoadConfig {
     /// the service rate below the offered rate and then checks the recorded
     /// latency grows with the backlog.
     pub qman_stall_ns: u64,
-    /// Fault-injection plan. [`ChaosPlan::none()`] (the default cells) runs
+    /// Fault-injection plan. [`ChaosPlan::none()`] (the benchmark's runs) runs
     /// the kernel bare; an enabled plan wraps it in the engine's
     /// fault-and-retry layers, so every injected errno and delivery hold
     /// shows up as open-loop latency, and every scheduled qman crash as a
@@ -90,22 +90,6 @@ impl LoadConfig {
             qman_stall_ns: 0,
             chaos: ChaosPlan::none(),
         }
-    }
-
-    /// One-line cell description for tables and `RunMeta.config`.
-    pub fn describe(&self) -> String {
-        format!(
-            "{}x{} pipeline, {} shard(s), {} msgs @ {:.0}/s {}, {} mailboxes zipf s={}, seed {}",
-            self.topology.enqueuers,
-            self.topology.qmans,
-            self.topology.notify_shards,
-            self.messages,
-            self.rate_per_sec,
-            self.arrival.name(),
-            self.mailboxes,
-            self.zipf_s,
-            self.seed
-        )
     }
 }
 
@@ -159,10 +143,6 @@ pub struct LoadReport {
     pub latency: HistogramSnapshot,
     /// Per-shard traffic and latency.
     pub shards: Vec<ShardStats>,
-    /// The hook's metrics (`mail.latency_ns` and `mail.delivered`, the
-    /// names the closed-loop `MailTelemetry` path uses, plus the per-shard
-    /// slices), for artifact export.
-    pub snapshot: MetricsSnapshot,
 }
 
 impl LoadReport {
@@ -190,17 +170,8 @@ fn pipeline_config(config: &LoadConfig) -> PipelineConfig {
 
 /// Run one open-loop cell on a fresh kernel built from `config.mode`.
 pub fn run_open_loop(config: &LoadConfig) -> LoadReport {
-    let kernel = host_kernel(pipeline_config(config).cores(), config.mode);
-    run_open_loop_on(&kernel, config)
-}
-
-/// Run one open-loop cell against an existing kernel (the conflict-heat
-/// pass hands in an instrumented one; timed cells use [`run_open_loop`]).
-///
-/// The kernel must have at least `config.topology.cores()` cores, plus one
-/// for the supervisor when `config.chaos` schedules qman crashes.
-pub fn run_open_loop_on(kernel: &HostKernel, config: &LoadConfig) -> LoadReport {
     let cfg = pipeline_config(config);
+    let kernel = host_kernel(cfg.cores(), config.mode);
     let shards = config.topology.notify_shards;
 
     // The whole schedule is decided here, before any worker exists:
@@ -229,7 +200,7 @@ pub fn run_open_loop_on(kernel: &HostKernel, config: &LoadConfig) -> LoadReport 
         .collect();
 
     let ledger = run_pipeline(
-        kernel,
+        &kernel,
         &cfg,
         &schedule,
         None,
@@ -265,7 +236,6 @@ pub fn run_open_loop_on(kernel: &HostKernel, config: &LoadConfig) -> LoadReport 
                 latency: shard_latency[s].merged(),
             })
             .collect(),
-        snapshot: registry.snapshot(),
     }
 }
 

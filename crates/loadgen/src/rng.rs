@@ -43,12 +43,6 @@ impl Rng64 {
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// A uniform index in `[0, n)`.
-    pub fn next_index(&mut self, n: usize) -> usize {
-        debug_assert!(n > 0);
-        (self.next_u64() % n as u64) as usize
-    }
 }
 
 #[cfg(test)]

@@ -20,16 +20,6 @@ pub enum Arrival {
     Poisson,
 }
 
-impl Arrival {
-    /// Short name used in artifacts and tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Arrival::FixedRate => "fixed",
-            Arrival::Poisson => "poisson",
-        }
-    }
-}
-
 /// The intended-arrival offsets (ns from epoch) for `count` messages at
 /// `rate_per_sec`, drawn deterministically from `seed`.
 ///

@@ -3,8 +3,8 @@
 //! Three claims are load-bearing enough to pin:
 //!
 //! 1. **Determinism** — the zipfian sampler and the arrival schedules are
-//!    pure functions of their seed, byte for byte, so a `BENCH_mail.json`
-//!    cell can be reproduced from its recorded parameters.
+//!    pure functions of their seed, byte for byte, so an open-loop run
+//!    can be reproduced from its recorded parameters.
 //! 2. **Shape** — the sampler actually is zipfian (monotone rank-frequency
 //!    matching the analytic mass) and degenerates to uniform at `s = 0`.
 //! 3. **No coordinated omission** — when the pipeline is deliberately

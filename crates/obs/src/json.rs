@@ -77,9 +77,9 @@ impl Json {
 
 impl Json {
     /// Parse a JSON document (the inverse of [`Json::render`], accepting
-    /// anything standard). Built for reading artifacts back — the
-    /// `BENCH_mail.json` document in the sweep tests, a Chrome trace export
-    /// in the benchmark's span attribution — so it favours clear errors
+    /// anything standard). Built for reading artifacts back — a metrics
+    /// snapshot in the tests, a Chrome trace export in the benchmark's span
+    /// attribution — so it favours clear errors
     /// over speed.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {

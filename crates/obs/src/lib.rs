@@ -23,9 +23,6 @@
 //! * [`heat`] — [`HeatMap`]: folds `hostmtrace` conflict windows into
 //!   per-line access/conflict totals and renders the top-N hottest-lines
 //!   table shown beside the Figure 6 heatmaps.
-//! * [`events`] — [`EventLog`]: timestamped structured progress events
-//!   (sweep pairs, soak rounds, cache-hit rates) for the snapshot's
-//!   `events` section.
 //! * [`meta`] — [`RunMeta`]: git revision, mode, core count and config
 //!   stamped into every artifact.
 //! * [`json`], [`cli`] — the dependency-free JSON builder and the shared
@@ -38,7 +35,6 @@
 //! [`SyscallApi`]: scr_kernel::api::SyscallApi
 
 pub mod cli;
-pub mod events;
 pub mod heat;
 pub mod json;
 pub mod meta;
@@ -47,13 +43,12 @@ pub mod syscall;
 pub mod trace;
 
 pub use cli::{arg_value, metrics_out, trace_out};
-pub use events::EventLog;
 pub use heat::{HeatEntry, HeatMap};
 pub use json::Json;
 pub use meta::{git_rev, RunMeta};
 pub use metrics::{
-    Counter, CounterSnapshot, EventRecord, Histogram, HistogramSnapshot, MetricsRegistry,
-    MetricsSnapshot, DEFAULT_QUANTILES, HIST_BUCKETS,
+    Counter, CounterSnapshot, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
+    DEFAULT_QUANTILES, HIST_BUCKETS,
 };
 pub use syscall::{ObservedKernel, SyscallKind, SyscallRecorder, ALL_ERRNOS};
 pub use trace::{SpanGuard, SpanName, TraceLog};

@@ -180,7 +180,6 @@ impl MetricsRegistry {
             counters,
             histograms,
             extras: Vec::new(),
-            events: Vec::new(),
         }
     }
 }
@@ -356,26 +355,13 @@ impl HistogramSnapshot {
     }
 }
 
-/// The quantile list every table and JSON export renders by default. The
-/// tail entry (p99.9) is what the open-loop load generator's
-/// coordinated-omission-safe latency curves key on.
+/// The quantile list every table and JSON export renders by default.
 pub const DEFAULT_QUANTILES: [(&str, f64); 4] =
     [("p50", 0.50), ("p90", 0.90), ("p99", 0.99), ("p999", 0.999)];
 
-/// A single timestamped event (see [`crate::events::EventLog`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventRecord {
-    /// Nanoseconds since the owning log's epoch.
-    pub at_ns: u64,
-    /// Event kind, e.g. `"soak-round"` or `"pair-done"`.
-    pub kind: String,
-    /// Kind-specific payload, kept ordered for stable JSON.
-    pub fields: Vec<(String, Json)>,
-}
-
-/// Everything one run exports: metadata, merged metrics, free-form extras
-/// and the event stream. Shares its JSON schema with the `BENCH_*.json`
-/// artifacts (a top-level `meta` object plus named sections).
+/// Everything one run exports: metadata, merged metrics and free-form
+/// extras. Shares its JSON schema with the `BENCH_*.json` artifacts (a
+/// top-level `meta` object plus named sections).
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
     pub meta: RunMeta,
@@ -383,7 +369,6 @@ pub struct MetricsSnapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Example-specific extra sections, appended to the document root.
     pub extras: Vec<(String, Json)>,
-    pub events: Vec<EventRecord>,
 }
 
 impl MetricsSnapshot {
@@ -440,19 +425,6 @@ impl MetricsSnapshot {
         for (name, value) in &self.extras {
             root.push((name.clone(), value.clone()));
         }
-        let events: Vec<Json> = self
-            .events
-            .iter()
-            .map(|event| {
-                let mut pairs: Vec<(String, Json)> = vec![
-                    ("at_ns".to_string(), event.at_ns.into()),
-                    ("kind".to_string(), Json::Str(event.kind.clone())),
-                ];
-                pairs.extend(event.fields.iter().cloned());
-                Json::Obj(pairs)
-            })
-            .collect();
-        root.push(("events".to_string(), Json::Arr(events)));
         Json::Obj(root).render()
     }
 
@@ -489,9 +461,6 @@ impl MetricsSnapshot {
                 row.push_str(&format!(" {:>10}\n", h.max));
                 out.push_str(&row);
             }
-        }
-        if !self.events.is_empty() {
-            out.push_str(&format!("events: {}\n", self.events.len()));
         }
         out
     }

@@ -1,25 +1,46 @@
-//! The §7.3 mail server on real threads: the CI smoke gate.
+//! The §7.3 mail server on real threads: the one mail gate.
 //!
-//! Runs the full pipeline — mail-enqueue threads spooling messages and
-//! announcing them on the notification socket, mail-qman threads receiving,
-//! spawning a delivery helper per message (`fork` under RegularApis,
-//! `posix_spawn` under CommutativeApis), waiting for it and cleaning the
-//! spool — in **both** API configurations on **both** host kernel modes,
-//! and verifies every message was delivered exactly once by reading the
-//! mailbox files back.
+//! One matrix over the pipeline engine (`run_pipeline`): mail-enqueue
+//! threads spooling messages and announcing them on the notification
+//! sockets, mail-qman threads receiving, spawning a delivery helper per
+//! message (`fork` under RegularApis, `posix_spawn` under CommutativeApis),
+//! waiting for it and cleaning the spool. The rows are the four canned
+//! [`ChaosPlan`]s — fault-free, errno storm, delayed delivery, scheduled
+//! qman crashes — and the columns both host kernel modes × both API
+//! families. Every cell offers 200 messages on each of two schedules:
 //!
-//! Every run is observed by `scr-obs`: per-core, cache-padded syscall
-//! counters and latency histograms (so observing the pipeline cannot
-//! introduce the shared line the pipeline avoids), a trace span per
-//! pipeline stage, and EAGAIN/yield backoff counters. `--metrics-out
-//! <path>` writes the merged JSON snapshot; `--trace-out <path>` writes the
-//! stage spans as Chrome trace-event JSON (loadable in Perfetto or
-//! `chrome://tracing`).
+//! * **saturating** — every message due at once, the bounded retry
+//!   budget. The run must close the exactly-once ledger
+//!   (`MailPipelineReport::accounted`): each message lands once in its
+//!   mailbox or the dead-letter box, and nothing is lost, duplicated,
+//!   corrupt or leaked.
+//! * **open loop** — `run_open_loop` at a fixed 20 000 messages/s with the
+//!   never-give-up retry budget: every message must reach its own mailbox
+//!   exactly once, none dead-lettered.
 //!
-//! The §4 socket and process pairs are cross-checked against the
-//! simulated kernels by the `host_fig6` example, not here.
+//! The topology is 2 enqueuers × 2 qmans. The crash plan gets one qman
+//! slot: every shard drains through slot 0, so the scheduled deaths of its
+//! first three incarnations all fire regardless of shard hashing.
 //!
-//! Exits 1 on any lost, duplicated or corrupt message. Run with
+//! Then every TESTGEN-generated open/unlink/send/recv test replays on
+//! racing threads *through the same fault layer* under an errno storm and
+//! must still linearize against the simulated kernel — injected transient
+//! errnos may cost retries, never results. As in `host_fig6`, a
+//! disagreement is explained only on a test whose two simulated orders
+//! disagree on which call fails. Every seed is fixed, so a failure replays
+//! bit-for-bit.
+//!
+//! The fault-free saturating runs are observed by `scr-obs`: per-core,
+//! cache-padded syscall counters and latency histograms (so observing the
+//! pipeline cannot introduce the shared line the pipeline avoids), a trace
+//! span per pipeline stage, and EAGAIN/yield backoff counters.
+//! `--metrics-out <path>` writes the merged JSON snapshot, with the ledger
+//! rows and the differential summary as its `ledger` and `differential`
+//! sections; `--trace-out <path>` writes the stage spans as Chrome
+//! trace-event JSON (loadable in Perfetto or `chrome://tracing`).
+//!
+//! Exits 1 naming each failing cell and how it failed, or an unexplained
+//! disagreement. Run with
 //! `cargo run --release --example host_mail [-- --metrics-out mail.json --trace-out mail.trace.json]`.
 //!
 //! Pass `--perf-gate` for the name-path gate instead: the closed-loop
@@ -30,10 +51,19 @@
 //! message of the long run costs more than twice a message of the short one
 //! (a directory that walks its entries costs four to seven times as much).
 
-use scalable_commutativity::host::workloads::{mail_pipeline_observed, mailbench, MailTelemetry};
-use scalable_commutativity::host::{available_threads, HostMode};
-use scalable_commutativity::kernel::mail::MailConfig;
-use scalable_commutativity::obs::{metrics_out, trace_out, RunMeta, SyscallKind};
+use scalable_commutativity::chaos::plan::ChaosPlan;
+use scalable_commutativity::commuter::{
+    differential_check, run_commuter, CommuterConfig, Sv6Factory,
+};
+use scalable_commutativity::host::workloads::{mailbench, MailTelemetry};
+use scalable_commutativity::host::{
+    available_threads, classify_linearisation, host_kernel, run_pipeline, saturating_schedule,
+    ChaosReplayer, HostMode, PipelineConfig,
+};
+use scalable_commutativity::kernel::mail::{MailConfig, MailTopology};
+use scalable_commutativity::loadgen::{run_open_loop, LoadConfig};
+use scalable_commutativity::model::CallKind;
+use scalable_commutativity::obs::{metrics_out, trace_out, Json, RunMeta, SyscallKind};
 
 /// Messages per thread of the perf gate's short and long runs (two threads).
 const GATE_MESSAGES: [u64; 2] = [1_000, 8_000];
@@ -75,46 +105,147 @@ fn perf_gate() {
     println!("host mail perf gate passed");
 }
 
-fn main() {
-    if std::env::args().any(|a| a == "--perf-gate") {
-        return perf_gate();
-    }
-    let threads = available_threads();
-    let (enqueuers, qmans, messages) = (2, 2, 100);
-    let cores = enqueuers + qmans;
-    println!(
-        "host mail pipeline: {enqueuers} enqueuer + {qmans} qman threads, \
-         {messages} messages/enqueuer, {threads} hardware thread(s)"
-    );
-    // One telemetry bundle across all four configurations: the counters
-    // aggregate the whole gate, which is what the CI artifact wants.
-    let telemetry = MailTelemetry::new(cores);
-    let mut failed = false;
-    for mode in [HostMode::Sv6, HostMode::Linuxlike] {
-        for config in [MailConfig::CommutativeApis, MailConfig::RegularApis] {
-            let report =
-                mail_pipeline_observed(mode, config, enqueuers, qmans, messages, Some(&telemetry));
-            let verdict = if report.exactly_once() { "ok" } else { "FAIL" };
-            println!(
-                "  {:<24} {:<16} delivered {}/{} (dup {}, lost {}, corrupt {}) … {verdict}",
-                mode.label(),
-                format!("{config:?}"),
-                report.delivered,
-                report.enqueued,
-                report.duplicates,
-                report.lost,
-                report.corrupt,
-            );
-            if !report.exactly_once() {
-                failed = true;
-            }
-        }
-    }
+/// The seed of every fault plan in the matrix and of the differential
+/// leg's errno storm.
+const SEED: u64 = 0xC4A0_5EED;
 
-    // The per-syscall view of the pipeline: counts, per-core shards, tail
-    // latency. The recv decomposition is the retry-tail invariant the
-    // host_obs test proves: every qman_step is one recv, delivered or EAGAIN.
-    println!("\nper-syscall telemetry (all four configurations pooled):");
+/// Messages every run offers.
+const MESSAGES: usize = 200;
+
+/// The matrix's columns: both host modes × both API families.
+const COLUMNS: [(HostMode, MailConfig); 4] = [
+    (HostMode::Sv6, MailConfig::CommutativeApis),
+    (HostMode::Sv6, MailConfig::RegularApis),
+    (HostMode::Linuxlike, MailConfig::CommutativeApis),
+    (HostMode::Linuxlike, MailConfig::RegularApis),
+];
+
+/// One run's ledger: the counts the table prints, what failed, and the
+/// schedule-specific fields of its JSON row.
+struct Row {
+    delivered: usize,
+    dead_lettered: usize,
+    crashes: usize,
+    restarts: usize,
+    injected_faults: u64,
+    delayed_polls: u64,
+    failures: Vec<&'static str>,
+    fields: Vec<(&'static str, Json)>,
+}
+
+/// The saturating run: the whole offer due at once, the engine's bounded
+/// retry budget, and the extended ledger (dead letters allowed, losses
+/// not). A faulted run gets telemetry of its own for its chaos counters;
+/// the fault-free runs pool theirs in `pooled`.
+fn saturating(
+    mode: HostMode,
+    mail: MailConfig,
+    topology: MailTopology,
+    plan: &ChaosPlan,
+    pooled: &MailTelemetry,
+) -> Row {
+    let cfg = PipelineConfig {
+        plan: plan.clone(),
+        ..PipelineConfig::new(mail, topology)
+    };
+    let own = plan.enabled().then(|| MailTelemetry::new(cfg.cores()));
+    let telemetry = own.as_ref().unwrap_or(pooled);
+    let kernel = host_kernel(cfg.cores(), mode);
+    let schedule = saturating_schedule(topology.enqueuers, MESSAGES);
+    let report = run_pipeline(&kernel, &cfg, &schedule, Some(telemetry), |_, _, _| {});
+    let (chaos_retries, backoff_sleeps) = own.as_ref().map_or((0, 0), |t| {
+        (
+            t.registry.counter("chaos.retries").total(),
+            t.registry
+                .histogram("chaos.backoff_sleep_ns")
+                .merged()
+                .count,
+        )
+    });
+    let failures = [
+        (report.lost > 0, "lost"),
+        (report.duplicates > 0, "duplicated"),
+        (report.corrupt > 0, "corrupt"),
+        (report.leaked_fds > 0, "leaked descriptors"),
+        (!report.accounted(), "ledger does not balance"),
+    ];
+    Row {
+        delivered: report.delivered,
+        dead_lettered: report.dead_lettered,
+        crashes: report.crashes,
+        restarts: report.restarts,
+        injected_faults: report.injected_faults,
+        delayed_polls: report.delayed_polls,
+        failures: failures
+            .into_iter()
+            .filter_map(|(bad, shape)| bad.then_some(shape))
+            .collect(),
+        fields: vec![
+            ("offered", report.offered.into()),
+            ("enqueued", report.enqueued.into()),
+            ("shed", report.shed.into()),
+            ("lost", report.lost.into()),
+            ("duplicates", report.duplicates.into()),
+            ("corrupt", report.corrupt.into()),
+            ("redriven", report.redriven.into()),
+            ("orphans_reaped", report.orphans_reaped.into()),
+            ("chaos_retries", chaos_retries.into()),
+            ("backoff_sleeps", backoff_sleeps.into()),
+            ("leaked_fds", report.leaked_fds.into()),
+        ],
+    }
+}
+
+/// The open-loop run: fixed-rate arrivals, persistent retries, and the
+/// strict ledger — every offered message in its own mailbox exactly once.
+fn open_loop(mode: HostMode, mail: MailConfig, topology: MailTopology, plan: &ChaosPlan) -> Row {
+    let report = run_open_loop(&LoadConfig {
+        mode,
+        mail,
+        topology,
+        messages: MESSAGES,
+        rate_per_sec: 20_000.0,
+        chaos: plan.clone(),
+        ..LoadConfig::smoke()
+    });
+    let failures = [
+        (report.lost > 0, "lost"),
+        (report.duplicates > 0, "duplicated"),
+        (report.dead_lettered > 0, "dead-lettered"),
+        (report.delivered != MESSAGES as u64, "delivered != offered"),
+    ];
+    Row {
+        delivered: report.delivered as usize,
+        dead_lettered: report.dead_lettered as usize,
+        crashes: report.crashes as usize,
+        restarts: report.restarts as usize,
+        injected_faults: report.injected_faults,
+        delayed_polls: report.delayed_polls,
+        failures: failures
+            .into_iter()
+            .filter_map(|(bad, shape)| bad.then_some(shape))
+            .collect(),
+        fields: vec![
+            ("offered", MESSAGES.into()),
+            ("enqueued", report.enqueued.into()),
+            ("lost", report.lost.into()),
+            ("duplicates", report.duplicates.into()),
+        ],
+    }
+}
+
+fn mode_label(mode: HostMode) -> &'static str {
+    match mode {
+        HostMode::Sv6 => "sv6-host",
+        HostMode::Linuxlike => "linux-host",
+    }
+}
+
+/// The per-syscall view of the pooled runs: counts, per-core shards, tail
+/// latency. The recv decomposition is the retry-tail invariant the
+/// host_obs test proves: every qman_step is one recv, delivered or EAGAIN.
+fn print_syscalls(telemetry: &MailTelemetry, cores: usize) {
+    println!("\nper-syscall telemetry (the four fault-free saturating runs pooled):");
     println!(
         "  {:<12} {:>8} {:>12} {:>12}  per-core",
         "call", "calls", "p50 ns", "p99 ns"
@@ -163,26 +294,177 @@ fn main() {
         telemetry.trace.len(),
         cores
     );
+}
+
+fn main() {
+    if std::env::args().any(|a| a == "--perf-gate") {
+        return perf_gate();
+    }
+    let plans = [
+        ("fault-free", ChaosPlan::none()),
+        ("errno-storm", ChaosPlan::errno_storm(SEED)),
+        ("delayed-delivery", ChaosPlan::delayed_delivery(SEED ^ 1)),
+        ("qman-crash", ChaosPlan::qman_crash(SEED ^ 2)),
+    ];
+    let cores = 4;
+    println!(
+        "host mail matrix: {} plan(s) x {} (mode, API) column(s) x 2 schedules, \
+         {MESSAGES} messages per run, seed {SEED:#x}, {} hardware thread(s)",
+        plans.len(),
+        COLUMNS.len(),
+        available_threads()
+    );
+    println!(
+        "  {:<16} {:<10} {:<15} {:<10} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6}  verdict",
+        "plan", "mode", "api", "schedule", "deliv", "dead", "crash", "rstrt", "faults", "delays"
+    );
+
+    // One telemetry bundle across the fault-free saturating runs: the
+    // counters aggregate the whole column set, which is what the CI
+    // artifact wants.
+    let pooled = MailTelemetry::new(cores);
+    let mut rows: Vec<Json> = Vec::new();
+    let mut failed: Vec<String> = Vec::new();
+    for (plan_name, plan) in &plans {
+        let qmans = if plan.crashes.is_empty() { 2 } else { 1 };
+        let topology = MailTopology::new(2, qmans);
+        for (mode, mail) in COLUMNS {
+            for (schedule, row) in [
+                (
+                    "saturating",
+                    saturating(mode, mail, topology, plan, &pooled),
+                ),
+                ("open-loop", open_loop(mode, mail, topology, plan)),
+            ] {
+                let api = format!("{mail:?}");
+                let shape = row.failures.join(" + ");
+                let verdict = if shape.is_empty() {
+                    "ok".to_string()
+                } else {
+                    format!("FAIL ({shape})")
+                };
+                println!(
+                    "  {:<16} {:<10} {:<15} {:<10} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6}  {verdict}",
+                    plan_name,
+                    mode_label(mode),
+                    api,
+                    schedule,
+                    row.delivered,
+                    row.dead_lettered,
+                    row.crashes,
+                    row.restarts,
+                    row.injected_faults,
+                    row.delayed_polls,
+                );
+                if !shape.is_empty() {
+                    failed.push(format!(
+                        "{plan_name}/{}/{api}/{schedule}: {shape}",
+                        mode_label(mode)
+                    ));
+                }
+                let mut fields: Vec<(&str, Json)> = vec![
+                    ("plan", (*plan_name).into()),
+                    ("mode", mode_label(mode).into()),
+                    ("api", api.as_str().into()),
+                    ("schedule", schedule.into()),
+                    ("delivered", row.delivered.into()),
+                    ("dead_lettered", row.dead_lettered.into()),
+                    ("crashes", row.crashes.into()),
+                    ("restarts", row.restarts.into()),
+                    ("injected_faults", row.injected_faults.into()),
+                    ("delayed_polls", row.delayed_polls.into()),
+                ];
+                fields.extend(row.fields);
+                fields.push(("ok", Json::Bool(shape.is_empty())));
+                rows.push(Json::obj(fields));
+            }
+        }
+    }
+    print_syscalls(&pooled, cores);
+
+    // The fault-injected differential check: the four faultable kinds
+    // (open in the fs pairs, send/recv in the socket pairs, spawn in the
+    // replay scaffolding) under a storm, over the whole corpus,
+    // cross-checked against the simulated kernel.
+    println!("\nchaos differential check (open/unlink/send/recv under an errno storm):");
+    let tests = run_commuter(
+        &CommuterConfig::quick(&[
+            CallKind::Open,
+            CallKind::Unlink,
+            CallKind::Send,
+            CallKind::Recv,
+        ]),
+        &[],
+    )
+    .tests;
+    let replayer = ChaosReplayer {
+        cores: 4,
+        plan: ChaosPlan::errno_storm(SEED ^ 3),
+    };
+    let outcomes = differential_check(&Sv6Factory { cores: 4 }, &replayer, &tests);
+    let disagreements: Vec<_> = outcomes.iter().filter(|o| !o.agree()).collect();
+    let unexplained: Vec<_> = disagreements
+        .iter()
+        .filter(|o| classify_linearisation(&o.simulated, &o.simulated_ba).is_none())
+        .collect();
+    println!(
+        "  {} tests: {} disagreements ({} unexplained)",
+        tests.len(),
+        disagreements.len(),
+        unexplained.len()
+    );
+    for o in &unexplained {
+        println!(
+            "  {}: simulated {:?} / {:?} vs host {:?}",
+            o.test_id, o.simulated, o.simulated_ba, o.replayed
+        );
+    }
+    if !unexplained.is_empty() {
+        failed.push(format!(
+            "differential: {} unexplained disagreement(s)",
+            unexplained.len()
+        ));
+    }
 
     if let Some(path) = metrics_out() {
-        let mut snapshot = telemetry.registry.snapshot();
+        let mut snapshot = pooled.registry.snapshot();
         snapshot.meta = RunMeta::capture(
             "host_mail",
             "sv6+linuxlike",
             cores,
-            &format!("{enqueuers} enq + {qmans} qman, {messages} msgs/enq, both API families"),
+            &format!(
+                "{} plans x {} columns x 2 schedules, {MESSAGES} msgs/run, \
+                 differential check {} tests, seed {SEED:#x}",
+                plans.len(),
+                COLUMNS.len(),
+                tests.len()
+            ),
         );
+        snapshot
+            .extras
+            .push(("ledger".to_string(), Json::Arr(rows)));
+        snapshot.extras.push((
+            "differential".to_string(),
+            Json::obj(vec![
+                ("tests_run", tests.len().into()),
+                ("disagreements", disagreements.len().into()),
+                ("unexplained", unexplained.len().into()),
+            ]),
+        ));
         snapshot.write(&path).expect("write metrics snapshot");
         println!("metrics snapshot written to {}", path.display());
     }
     if let Some(path) = trace_out() {
-        telemetry.trace.write_chrome(&path).expect("write trace");
+        pooled.trace.write_chrome(&path).expect("write trace");
         println!("chrome trace written to {}", path.display());
     }
 
-    if failed {
-        eprintln!("host mail smoke gate FAILED");
+    if !failed.is_empty() {
+        for failure in &failed {
+            eprintln!("FAIL {failure}");
+        }
+        eprintln!("host mail gate FAILED");
         std::process::exit(1);
     }
-    println!("host mail smoke gate passed");
+    println!("host mail gate passed");
 }

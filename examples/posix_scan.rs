@@ -18,9 +18,9 @@
 //! across PRs.
 //!
 //! The sweep itself narrates progress: each pair's completion is recorded
-//! as a structured event carrying the per-pair skip-histogram delta and the
-//! solver-cache hit/miss delta. `--metrics-out <path>` exports the event
-//! stream (and the timing summary) as a JSON snapshot.
+//! as a row carrying the per-pair skip-histogram delta and the solver-cache
+//! hit/miss delta. `--metrics-out <path>` exports those rows (as `pairs`)
+//! and the timing summary (as `sweep`) in a JSON snapshot.
 //!
 //! Pass `--perf-gate` for the performance smoke gate: the scan is
 //! restricted to the `{open, lseek, write, send, recv}` call set and the
@@ -52,7 +52,7 @@ use scalable_commutativity::commuter::{
     LinuxLikeFactory, Sv6Factory, SweepEvent,
 };
 use scalable_commutativity::model::CallKind;
-use scalable_commutativity::obs::{metrics_out, EventLog, Json, MetricsRegistry, RunMeta};
+use scalable_commutativity::obs::{metrics_out, Json, MetricsRegistry, RunMeta};
 
 /// Default wall-clock ceiling for the `--perf-gate` mode, in seconds.
 const DEFAULT_GATE_SECONDS: f64 = 30.0;
@@ -183,7 +183,7 @@ fn main() {
     );
     let sv6 = Sv6Factory { cores: 4 };
     let linux = LinuxLikeFactory { cores: 4 };
-    let events = EventLog::new();
+    let mut pairs: Vec<Json> = Vec::new();
     let started = std::time::Instant::now();
     let results = run_commuter_with_progress(&config, &[&linux, &sv6], |event| {
         if let SweepEvent::PairDone {
@@ -220,32 +220,29 @@ fn main() {
                 .iter()
                 .map(|(reason, count)| (format!("{reason:?}"), (*count).into()))
                 .collect();
-            events.emit_kv(
-                "pair-done",
-                vec![
-                    ("index", index.into()),
-                    ("total", total.into()),
-                    ("a", timing.calls.0.name().into()),
-                    ("b", timing.calls.1.name().into()),
-                    ("solve_seconds", timing.solve_seconds.into()),
-                    ("run_seconds", timing.run_seconds.into()),
-                    ("tests", timing.tests.into()),
-                    ("skipped", timing.skipped.into()),
-                    ("paths_explored", timing.paths_explored.into()),
-                    ("feasibility_queries", timing.feasibility_queries.into()),
-                    ("leaves_skipped", timing.leaves_skipped.into()),
-                    ("feasible_leaves", timing.feasible_leaves.into()),
-                    ("zero_test_cases", timing.zero_test_cases.into()),
-                    ("zero_test_seconds", timing.zero_test_seconds.into()),
-                    ("skip_delta", Json::Obj(skips)),
-                    ("solution_hits", cache_delta.solution_hits.into()),
-                    ("solution_misses", cache_delta.solution_misses.into()),
-                    ("completion_hits", cache_delta.completion_hits.into()),
-                    ("completion_misses", cache_delta.completion_misses.into()),
-                    ("evictions", cache_delta.evictions.into()),
-                    ("repairs_decided", cache_delta.repairs_decided.into()),
-                ],
-            );
+            pairs.push(Json::obj(vec![
+                ("index", index.into()),
+                ("total", total.into()),
+                ("a", timing.calls.0.name().into()),
+                ("b", timing.calls.1.name().into()),
+                ("solve_seconds", timing.solve_seconds.into()),
+                ("run_seconds", timing.run_seconds.into()),
+                ("tests", timing.tests.into()),
+                ("skipped", timing.skipped.into()),
+                ("paths_explored", timing.paths_explored.into()),
+                ("feasibility_queries", timing.feasibility_queries.into()),
+                ("leaves_skipped", timing.leaves_skipped.into()),
+                ("feasible_leaves", timing.feasible_leaves.into()),
+                ("zero_test_cases", timing.zero_test_cases.into()),
+                ("zero_test_seconds", timing.zero_test_seconds.into()),
+                ("skip_delta", Json::Obj(skips)),
+                ("solution_hits", cache_delta.solution_hits.into()),
+                ("solution_misses", cache_delta.solution_misses.into()),
+                ("completion_hits", cache_delta.completion_hits.into()),
+                ("completion_misses", cache_delta.completion_misses.into()),
+                ("evictions", cache_delta.evictions.into()),
+                ("repairs_decided", cache_delta.repairs_decided.into()),
+            ]));
         }
     });
     let total_seconds = started.elapsed().as_secs_f64();
@@ -297,7 +294,9 @@ fn main() {
                 ("skipped", results.skipped.into()),
             ]),
         ));
-        snapshot.events = events.records();
+        snapshot
+            .extras
+            .push(("pairs".to_string(), Json::Arr(pairs)));
         snapshot.write(&path).expect("write metrics snapshot");
         println!("metrics snapshot written to {}", path.display());
     }

@@ -26,9 +26,9 @@
 //! * [`obs`] — the commutativity-aware telemetry layer: per-core metrics,
 //!   pipeline trace spans, conflict-heat reports and stamped JSON
 //!   snapshots.
-//! * [`loadgen`] — the open-loop mail load observatory: arrival-rate
-//!   schedules, zipfian mailbox popularity, coordinated-omission-safe
-//!   latency, and the `BENCH_mail.json` sweep.
+//! * [`loadgen`] — the open-loop mail load generator: arrival-rate
+//!   schedules, zipfian mailbox popularity and coordinated-omission-safe
+//!   latency over the mail pipeline engine.
 //! * [`chaos`] — deterministic fault injection at the syscall boundary:
 //!   seeded errno storms, bounded delivery delay, qman crash schedules,
 //!   and the retry layer that rides out exactly the injected faults.
