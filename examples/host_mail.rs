@@ -13,14 +13,17 @@
 //!   budget. The run must close the exactly-once ledger
 //!   (`MailPipelineReport::accounted`): each message lands once in its
 //!   mailbox or the dead-letter box, and nothing is lost, duplicated,
-//!   corrupt or leaked.
+//!   corrupt or leaked. A fault-free run may not dead-letter either
+//!   (`MailPipelineReport::exactly_once`).
 //! * **open loop** — `run_open_loop` at a fixed 20 000 messages/s with the
 //!   never-give-up retry budget: every message must reach its own mailbox
 //!   exactly once, none dead-lettered.
 //!
 //! The topology is 2 enqueuers × 2 qmans. The crash plan gets one qman
 //! slot: every shard drains through slot 0, so the scheduled deaths of its
-//! first three incarnations all fire regardless of shard hashing.
+//! first three incarnations all fire regardless of shard hashing. On both
+//! schedules a run must count as many crashes and restarts as its plan
+//! schedules: 3 and 3 under the crash plan, 0 and 0 under the others.
 //!
 //! Then every TESTGEN-generated open/unlink/send/recv test replays on
 //! racing threads *through the same fault layer* under an errno storm and
@@ -134,9 +137,11 @@ struct Row {
 }
 
 /// The saturating run: the whole offer due at once, the engine's bounded
-/// retry budget, and the extended ledger (dead letters allowed, losses
-/// not). A faulted run gets telemetry of its own for its chaos counters;
-/// the fault-free runs pool theirs in `pooled`.
+/// retry budget, and the extended ledger (dead letters allowed under a
+/// fault plan, losses never; a fault-free run must be exactly once). Every
+/// scheduled crash must fire and its qman restart. A faulted run gets
+/// telemetry of its own for its chaos counters; the fault-free runs pool
+/// theirs in `pooled`.
 fn saturating(
     mode: HostMode,
     mail: MailConfig,
@@ -168,6 +173,15 @@ fn saturating(
         (report.corrupt > 0, "corrupt"),
         (report.leaked_fds > 0, "leaked descriptors"),
         (!report.accounted(), "ledger does not balance"),
+        (
+            !plan.enabled() && !report.exactly_once(),
+            "fault-free run not exactly once",
+        ),
+        (report.crashes != plan.crashes.len(), "crashes != scheduled"),
+        (
+            report.restarts != plan.crashes.len(),
+            "restarts != scheduled",
+        ),
     ];
     Row {
         delivered: report.delivered,
@@ -197,7 +211,8 @@ fn saturating(
 }
 
 /// The open-loop run: fixed-rate arrivals, persistent retries, and the
-/// strict ledger — every offered message in its own mailbox exactly once.
+/// strict ledger — every offered message in its own mailbox exactly once,
+/// and every scheduled crash fired and restarted.
 fn open_loop(mode: HostMode, mail: MailConfig, topology: MailTopology, plan: &ChaosPlan) -> Row {
     let report = run_open_loop(&LoadConfig {
         mode,
@@ -213,6 +228,14 @@ fn open_loop(mode: HostMode, mail: MailConfig, topology: MailTopology, plan: &Ch
         (report.duplicates > 0, "duplicated"),
         (report.dead_lettered > 0, "dead-lettered"),
         (report.delivered != MESSAGES as u64, "delivered != offered"),
+        (
+            report.crashes != plan.crashes.len() as u64,
+            "crashes != scheduled",
+        ),
+        (
+            report.restarts != plan.crashes.len() as u64,
+            "restarts != scheduled",
+        ),
     ];
     Row {
         delivered: report.delivered as usize,
