@@ -88,6 +88,25 @@ pub fn default_domains() -> Domains {
 /// recognised by TESTGEN's relevance filter and by `build_op`.
 pub(crate) const ARG_TAGS: [&str; 3] = ["argA", "argB", "argC"];
 
+/// Every order of `n` calls, each listing call indices as executed, in
+/// lexicographic order: the identity first. The analyzer compares a unit's
+/// orders against the first; the driver replays them to decide whether
+/// observed results linearise.
+pub fn orders(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for first in 0..n {
+        for rest in orders(n - 1) {
+            let mut order = vec![first];
+            order.extend(rest.into_iter().map(|i| if i < first { i } else { i + 1 }));
+            out.push(order);
+        }
+    }
+    out
+}
+
 /// What the paths of one analysis unit (a pair or triple shape) have in
 /// common, built once: the unconstrained state, the calls with their
 /// argument variables, every assumption, and the execution orders to
@@ -97,8 +116,8 @@ pub(crate) struct AnalysisUnit {
     state: SymState,
     calls: Vec<SymCall>,
     assumptions: Vec<SymBool>,
-    /// Each order lists call indices as executed; the others must agree
-    /// with `orders[0]`.
+    /// Every order of the calls ([`orders`]); the others must agree with
+    /// `orders[0]`, the identity.
     orders: Vec<Vec<usize>>,
     /// `tags[order][call]` names the oracle variables of that execution, so
     /// the specification's nondeterministic choices may differ between
@@ -131,13 +150,14 @@ impl PathRun {
 }
 
 impl AnalysisUnit {
-    /// Builds the unit's base. `tag(order, call)` names an execution.
+    /// Builds the unit's base over every order of `calls`. `tag(order,
+    /// call)` names an execution.
     pub(crate) fn new(
         cfg: &ModelConfig,
         calls: &[(CallKind, &ArgSlots)],
-        orders: &[&[usize]],
         tag: impl Fn(usize, usize) -> String,
     ) -> Self {
+        let orders = orders(calls.len());
         let ctx = SymContext::new();
         let (state, mut assumptions) = SymState::unconstrained(&ctx, *cfg);
         let calls: Vec<SymCall> = calls
@@ -156,7 +176,7 @@ impl AnalysisUnit {
                 .collect(),
             calls,
             assumptions,
-            orders: orders.iter().map(|order| order.to_vec()).collect(),
+            orders,
         }
     }
 
@@ -231,7 +251,6 @@ pub fn analyze_pair(shape: &PairShape, cfg: &ModelConfig) -> PairAnalysis {
             (shape.calls.0, &shape.slots_a),
             (shape.calls.1, &shape.slots_b),
         ],
-        &[&[0, 1], &[1, 0]],
         |order, call| format!("{}.{}", ["ab", "ba"][order], ["a", "b"][call]),
     );
     let leaves = explore(|path| {
@@ -320,6 +339,22 @@ mod tests {
             },
             tag: "test".into(),
         }
+    }
+
+    #[test]
+    fn orders_list_every_permutation_lexicographically() {
+        assert_eq!(orders(2), [[0, 1], [1, 0]]);
+        assert_eq!(
+            orders(3),
+            [
+                [0, 1, 2],
+                [0, 2, 1],
+                [1, 0, 2],
+                [1, 2, 0],
+                [2, 0, 1],
+                [2, 1, 0],
+            ]
+        );
     }
 
     #[test]

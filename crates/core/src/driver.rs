@@ -7,13 +7,18 @@
 //! least one write. Here the kernels are libraries running over the
 //! simulated machine of `scr-mtrace`, so the driver simply:
 //!
-//! 1. builds a fresh kernel and two processes,
+//! 1. builds a fresh kernel and the test's processes,
 //! 2. replays the test's setup operations with tracing disabled,
-//! 3. enables tracing and runs the two commutative operations on cores 0
-//!    and 1, and
+//! 3. enables tracing and runs the test's commutative operations, `ops[i]`
+//!    on core `i`, in the order asked for (the identity by default), and
 //! 4. reports the shared cache lines (with their allocation labels, which
 //!    play the role of MTRACE's DWARF-derived type names).
+//!
+//! A pair and a triple are the same [`ConcreteTest`] with two or three
+//! operations, so one driver and one linearisation check ([`linearise`])
+//! serve both.
 
+use crate::analyzer::orders;
 use crate::testgen::ConcreteTest;
 use scr_kernel::api::{perform, KernelApi, SysResult};
 use scr_kernel::Sv6Kernel;
@@ -73,9 +78,10 @@ impl KernelFactory for LinuxLikeFactory {
 pub trait ConcreteReplayer {
     /// A short name for reports ("host-sv6", …).
     fn name(&self) -> &'static str;
-    /// Builds a fresh instance, replays the test's setup, runs the two
-    /// operations, and returns their observable results.
-    fn replay(&self, test: &ConcreteTest) -> (SysResult, SysResult);
+    /// Builds a fresh instance, replays the test's setup, runs the
+    /// operations, and returns their observable results, `results[i]`
+    /// from `ops[i]`.
+    fn replay(&self, test: &ConcreteTest) -> Vec<SysResult>;
 }
 
 /// The outcome of cross-checking one test between a simulated kernel and a
@@ -84,24 +90,17 @@ pub trait ConcreteReplayer {
 pub struct DifferentialOutcome {
     /// The test's identifier.
     pub test_id: String,
-    /// Results from the simulated kernel running op_a before op_b.
-    pub simulated: (SysResult, SysResult),
-    /// Results from the simulated kernel running op_b before op_a. For
-    /// most commutative pairs this equals `simulated`; extension pairs
-    /// whose operations race over shared queues or a shared pid allocator
-    /// (send ∥ recv with a steal, fork ∥ fork) produce order-dependent but
-    /// SIM-equivalent results, so the replayed race must merely match
-    /// *some* linearisation.
-    pub simulated_ba: (SysResult, SysResult),
-    /// Results from the replayer (op_a, op_b).
-    pub replayed: (SysResult, SysResult),
+    /// The replayer's results, `replayed[i]` from `ops[i]`.
+    pub replayed: Vec<SysResult>,
+    /// The replay checked against the simulated kernel's orders.
+    pub linearisation: Linearisation,
 }
 
 impl DifferentialOutcome {
     /// Did the replayer observe the results of some sequential order of
-    /// the pair on the simulated kernel?
+    /// the test's operations on the simulated kernel?
     pub fn agree(&self) -> bool {
-        self.replayed == self.simulated || self.replayed == self.simulated_ba
+        self.linearisation.linearises
     }
 }
 
@@ -116,17 +115,60 @@ pub fn differential_check(
     tests
         .iter()
         .map(|test| {
-            let simulated = run_test_order(factory, test, true).results;
-            let simulated_ba = run_test_order(factory, test, false).results;
+            let identity = run_test(factory, test).results;
             let replayed = replayer.replay(test);
+            let linearisation = linearise(factory, test, identity, std::slice::from_ref(&replayed));
             DifferentialOutcome {
                 test_id: test.id.clone(),
-                simulated,
-                simulated_ba,
                 replayed,
+                linearisation,
             }
         })
         .collect()
+}
+
+/// What [`linearise`] found.
+#[derive(Clone, Debug)]
+pub struct Linearisation {
+    /// Whether every observed result vector equals the simulated results
+    /// of some order of the test's operations.
+    pub linearises: bool,
+    /// The simulated results of each order the check ran, in [`orders`]
+    /// order: the identity first, and every order when `linearises` is
+    /// false. `simulated[k][i]` is what `ops[i]` returned.
+    pub simulated: Vec<Vec<SysResult>>,
+}
+
+/// The one linearisation check: does each of `observed` (one result vector
+/// per run, `[i]` from `ops[i]`) equal the results of some sequential order
+/// of the test's operations on `factory`'s simulated kernel? `identity` is
+/// the identity order's results, as [`run_test`] returns them; the other
+/// orders run only when a result vector matches none run so far.
+///
+/// Extension pairs whose operations race over shared queues or a shared
+/// pid allocator (`send ∥ recv` with a steal, `fork ∥ fork`) return
+/// order-dependent but SIM-equivalent results, so a racing replay need only
+/// match *some* order.
+pub fn linearise(
+    factory: &dyn KernelFactory,
+    test: &ConcreteTest,
+    identity: Vec<SysResult>,
+    observed: &[Vec<SysResult>],
+) -> Linearisation {
+    let orders = orders(test.ops.len());
+    let mut simulated = vec![identity];
+    let linearises = observed.iter().all(|results| {
+        (0..orders.len()).any(|k| {
+            if k == simulated.len() {
+                simulated.push(run_test_order(factory, test, &orders[k]).results);
+            }
+            simulated[k] == *results
+        })
+    });
+    Linearisation {
+        linearises,
+        simulated,
+    }
 }
 
 /// The outcome of running one test against one kernel.
@@ -134,33 +176,32 @@ pub fn differential_check(
 pub struct TestOutcome {
     /// The test's identifier.
     pub test_id: String,
-    /// Whether the two operations were conflict-free.
+    /// Whether the operations were conflict-free.
     pub conflict_free: bool,
-    /// Labels of the cache lines shared between the two cores.
+    /// Labels of the cache lines shared between the cores.
     pub shared_labels: Vec<String>,
     /// Whether every setup operation succeeded (failed setup usually means
     /// the test exercises an error path, which is fine, but it is recorded
     /// for diagnostics).
     pub setup_ok: bool,
-    /// The results the two operations returned.
-    pub results: (SysResult, SysResult),
+    /// The results the operations returned; `results[i]` belongs to
+    /// `ops[i]` whatever the order was.
+    pub results: Vec<SysResult>,
 }
 
-/// Runs one generated test against a kernel built by `factory`.
+/// Runs one generated test against a kernel built by `factory`, in the
+/// identity order. The factory must configure a core per operation.
 pub fn run_test(factory: &dyn KernelFactory, test: &ConcreteTest) -> TestOutcome {
-    run_test_order(factory, test, true)
+    let identity: Vec<usize> = (0..test.ops.len()).collect();
+    run_test_order(factory, test, &identity)
 }
 
-/// [`run_test`] with an explicit linearisation: `a_first` selects which of
-/// the two traced operations runs first. Extension pairs whose operations
-/// race over shared queues (e.g. `send ∥ recv` with a steal) can return
-/// order-dependent results even when SIM-commutative; comparing a replay
-/// against both linearisations keeps the differential check sound for
-/// them.
+/// [`run_test`] with an explicit order: `order[k]` names the operation that
+/// runs k-th; operation `i` always runs on core `i`.
 pub fn run_test_order(
     factory: &dyn KernelFactory,
     test: &ConcreteTest,
-    a_first: bool,
+    order: &[usize],
 ) -> TestOutcome {
     let kernel = factory.build();
     let machine = kernel.machine().clone();
@@ -176,18 +217,14 @@ pub fn run_test_order(
         let result = machine.on_core(*core, || perform(kernel.as_ref(), *core, op));
         setup_ok &= result.is_ok();
     }
-    // The commutative pair runs traced, on different cores.
+    // The commutative operations run traced, each on its own core.
     machine.clear_trace();
     machine.start_tracing();
-    let (res_a, res_b) = if a_first {
-        let res_a = machine.on_core(0, || perform(kernel.as_ref(), 0, &test.op_a));
-        let res_b = machine.on_core(1, || perform(kernel.as_ref(), 1, &test.op_b));
-        (res_a, res_b)
-    } else {
-        let res_b = machine.on_core(1, || perform(kernel.as_ref(), 1, &test.op_b));
-        let res_a = machine.on_core(0, || perform(kernel.as_ref(), 0, &test.op_a));
-        (res_a, res_b)
-    };
+    let mut results = vec![None; test.ops.len()];
+    for &core in order {
+        let op = &test.ops[core];
+        results[core] = Some(machine.on_core(core, || perform(kernel.as_ref(), core, op)));
+    }
     machine.stop_tracing();
     let report = machine.conflict_report();
     TestOutcome {
@@ -195,7 +232,10 @@ pub fn run_test_order(
         conflict_free: report.is_conflict_free(),
         shared_labels: report.conflicting_labels(),
         setup_ok,
-        results: (res_a, res_b),
+        results: results
+            .into_iter()
+            .map(|result| result.expect("every operation ran"))
+            .collect(),
     }
 }
 
@@ -209,15 +249,14 @@ mod tests {
         id: &str,
         calls: (CallKind, CallKind),
         setup: Vec<SysOp>,
-        op_a: SysOp,
-        op_b: SysOp,
+        a: SysOp,
+        b: SysOp,
     ) -> ConcreteTest {
         ConcreteTest {
             id: id.into(),
-            calls,
+            calls: vec![calls.0, calls.1],
             setup: setup.into_iter().map(|op| (0, op)).collect(),
-            op_a,
-            op_b,
+            ops: vec![a, b],
             procs: 2,
         }
     }

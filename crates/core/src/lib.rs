@@ -7,13 +7,17 @@
 //!   operations, the precise conditions on arguments and state under which
 //!   the pair SIM-commutes.
 //! * **TESTGEN** ([`testgen`]) turns each satisfiable commutativity
-//!   condition into concrete test cases — setup operations plus the two
-//!   commutative operations — aiming for *conflict coverage*: one test per
-//!   isomorphism class of satisfying assignments.
+//!   condition into concrete test cases — a [`ConcreteTest`]: setup
+//!   operations plus one commutative operation per call, two for a pair
+//!   and three for a triple ([`triples`]) — aiming for *conflict
+//!   coverage*: one test per isomorphism class of satisfying assignments.
 //! * **MTRACE** ([`driver`]) runs each test case against a real
 //!   implementation (`scr-kernel` over the simulated machine of
-//!   `scr-mtrace`) and reports the cache lines shared between the two
-//!   operations, i.e. the violations of the commutativity rule.
+//!   `scr-mtrace`), operation `i` on core `i`, and reports the cache lines
+//!   shared between the operations, i.e. the violations of the
+//!   commutativity rule. The same driver decides whether results observed
+//!   elsewhere (the real-threads host kernel) match some sequential order
+//!   ([`linearise`]).
 //!
 //! [`report`] aggregates the per-pair outcomes into the Figure 6 heatmap
 //! and summary statistics, and [`pipeline`] wires the four stages together
@@ -28,10 +32,10 @@ pub mod sweep;
 pub mod testgen;
 pub mod triples;
 
-pub use analyzer::{analyze_pair, CommutativeCase, PairAnalysis};
+pub use analyzer::{analyze_pair, orders, CommutativeCase, PairAnalysis};
 pub use driver::{
-    differential_check, run_test, run_test_order, ConcreteReplayer, DifferentialOutcome,
-    KernelFactory, LinuxLikeFactory, Sv6Factory, TestOutcome,
+    differential_check, linearise, run_test, run_test_order, ConcreteReplayer, DifferentialOutcome,
+    KernelFactory, Linearisation, LinuxLikeFactory, Sv6Factory, TestOutcome,
 };
 pub use pipeline::{
     run_commuter, run_commuter_with_progress, run_sweep, CommuterConfig, CommuterResults,
@@ -46,8 +50,7 @@ pub use testgen::{
     BAD_SOCK_ID, CHILD_BASE_PID,
 };
 pub use triples::{
-    analyze_triple, enumerate_triple_shapes, generate_triple_tests, run_triple_order,
-    run_triple_test, triple_config, triple_family_sweep, ConcreteTripleTest, GeneratedTripleTests,
-    TripleAnalysis, TripleFamily, TripleFamilyReport, TripleOutcome, TripleRow, TripleShape,
-    TRIPLE_FAMILIES, TRIPLE_ORDERS,
+    analyze_triple, enumerate_triple_shapes, generate_triple_tests, triple_config,
+    triple_family_sweep, TripleAnalysis, TripleFamily, TripleFamilyReport, TripleRow, TripleShape,
+    TRIPLE_FAMILIES,
 };

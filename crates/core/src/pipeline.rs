@@ -253,8 +253,10 @@ impl CommuterResults {
         self.reports.iter().find(|r| r.kernel == kernel)
     }
 
-    /// A structural fingerprint of the generated corpus: every test's id,
-    /// setup script and operations, hashed in corpus order. The sweep's
+    /// A content fingerprint of the generated corpus: every test's id,
+    /// calls, setup script, operations and process count, hashed in corpus
+    /// order. It reads the fields' values, not their names, so renaming a
+    /// field of [`ConcreteTest`] leaves it unchanged. The sweep's
     /// determinism contract makes this value independent of the worker
     /// thread count; `posix_scan` records it in `BENCH_testgen.json` so CI
     /// can diff the corpora of a single-thread and a multi-thread leg
@@ -262,7 +264,11 @@ impl CommuterResults {
     pub fn corpus_fingerprint(&self) -> u64 {
         let mut h = scr_symbolic::Fnv64::default();
         for test in &self.tests {
-            h.bytes(format!("{test:?}").as_bytes());
+            h.bytes(test.id.as_bytes());
+            h.bytes(format!("{:?}", test.calls).as_bytes());
+            h.bytes(format!("{:?}", test.setup).as_bytes());
+            h.bytes(format!("{:?}", test.ops).as_bytes());
+            h.word(test.procs as u64);
         }
         h.finish()
     }
@@ -629,7 +635,7 @@ mod tests {
         let fingerprint = |r: &CommuterResults| -> Vec<String> {
             r.tests
                 .iter()
-                .map(|t| format!("{} {:?} {:?} {:?}", t.id, t.setup, t.op_a, t.op_b))
+                .map(|t| format!("{} {:?} {:?}", t.id, t.setup, t.ops))
                 .collect()
         };
         assert_eq!(fingerprint(&sequential), fingerprint(&parallel));

@@ -492,12 +492,9 @@ fn fnv_str(h: &mut Fnv64, s: &str) {
 /// Fingerprint of the shape (calls and slot assignments) plus the model
 /// bounds — everything besides the assignment that decides a
 /// [`materialize`] verdict and the repair loop's vary targets.
-fn shape_cfg_fingerprint(shape: &PairShape, cfg: &ModelConfig) -> u64 {
+fn shape_cfg_fingerprint(calls: &[CallSpec<'_>], cfg: &ModelConfig) -> u64 {
     let mut h = Fnv64::default();
-    for (kind, slots) in [
-        (shape.calls.0, &shape.slots_a),
-        (shape.calls.1, &shape.slots_b),
-    ] {
+    for CallSpec { kind, slots, .. } in calls {
         fnv_str(&mut h, kind.name());
         h.word(slots.proc as u64);
         h.word(slots.core as u64);
@@ -578,7 +575,7 @@ impl<'a> LazyCaseSolver<'a> {
 /// Enumerates up to `limit` solutions of a case condition through the
 /// sharded global cache. A stored enumeration with a higher limit serves
 /// the prefix; one that exhausted the solution space serves any limit.
-pub(crate) fn cached_all_solutions(
+fn cached_all_solutions(
     solver: &mut LazyCaseSolver<'_>,
     condition_fp: u128,
     domains: &Domains,
@@ -603,17 +600,16 @@ pub(crate) fn cached_all_solutions(
 pub struct ConcreteTest {
     /// Unique identifier (pair, shape tag, case and assignment indices).
     pub id: String,
-    /// The pair of calls under test.
-    pub calls: (CallKind, CallKind),
+    /// The calls under test, one per operation (two for a pair, three for
+    /// a triple).
+    pub calls: Vec<CallKind>,
     /// Operations that build the initial state (run untraced), each
     /// annotated with the core it must run on. Almost everything runs on
     /// core 0; pre-loading an unordered socket's per-core queues requires
     /// `send`s from the owning core.
     pub setup: Vec<(usize, SysOp)>,
-    /// The first commutative operation (runs on core 0).
-    pub op_a: SysOp,
-    /// The second commutative operation (runs on core 1).
-    pub op_b: SysOp,
+    /// The commutative operations; `ops[i]` runs on core `i`.
+    pub ops: Vec<SysOp>,
     /// Number of processes the test uses (1 or 2).
     pub procs: usize,
 }
@@ -686,7 +682,8 @@ pub fn generate_tests(
     max_per_case: usize,
 ) -> GeneratedTests {
     generate_tests_with(
-        shape,
+        &pair_calls(shape),
+        &shape.tag,
         cases,
         cfg,
         names,
@@ -695,11 +692,14 @@ pub fn generate_tests(
     )
 }
 
-/// [`generate_tests`] with the repair loop as a parameter, so the tests can
-/// hand every rejected representative to the unguarded reference search
-/// as well.
-fn generate_tests_with(
-    shape: &PairShape,
+/// TESTGEN for one analysed shape of any number of calls (`calls`, in slot
+/// order, tagged `tag`), with the repair loop as a parameter: pairs repair
+/// through [`resolve_constructible`], triples do not repair at all, and
+/// the tests hand every rejected representative to the unguarded
+/// reference search as well.
+pub(crate) fn generate_tests_with(
+    calls: &[CallSpec<'_>],
+    tag: &str,
     cases: &[CommutativeCase],
     cfg: &ModelConfig,
     names: &[String],
@@ -708,6 +708,8 @@ fn generate_tests_with(
 ) -> GeneratedTests {
     let domains = default_domains();
     let mut out = GeneratedTests::default();
+    let call_names: Vec<&str> = calls.iter().map(|spec| spec.kind.name()).collect();
+    let call_names = call_names.join("_");
     for (case_idx, case) in cases.iter().enumerate() {
         let case_started = Instant::now();
         let tests_before = out.tests.len();
@@ -726,7 +728,7 @@ fn generate_tests_with(
         // to a pipe endpoint and varying only the counts (and the end's
         // direction) reaches the constructible combinations directly; the
         // signature dedup below keeps whichever classes are new.
-        if (shape.calls.0.uses_children() || shape.calls.1.uses_children()) && cfg.children > 0 {
+        if calls.iter().any(|spec| spec.kind.uses_children()) && cfg.children > 0 {
             solutions.extend(child_endpoint_witnesses(&mut solver, case, cfg, &domains));
         }
         // Conflict coverage: deduplicate by isomorphism signature over the
@@ -741,16 +743,9 @@ fn generate_tests_with(
             if !seen.insert(sig) {
                 continue;
             }
-            let id = format!(
-                "{}_{}_{}_case{}_{}",
-                shape.calls.0.name(),
-                shape.calls.1.name(),
-                shape.tag,
-                case_idx,
-                rep_idx
-            );
+            let id = format!("{call_names}_{tag}_case{case_idx}_{rep_idx}");
             rep_idx += 1;
-            match materialize(shape, case, &assignment, cfg, names, &relevant, &id) {
+            match materialize(calls, case, &assignment, cfg, names, &relevant, &id) {
                 Ok(test) => out.tests.push(test),
                 Err(first_reason) => {
                     // Representative selection: the first witness is not
@@ -759,7 +754,7 @@ fn generate_tests_with(
                     // the same isomorphism signature) may be. Re-solve
                     // before giving the case up.
                     let rejected = Rejected {
-                        shape,
+                        calls,
                         case,
                         witness: &assignment,
                         cfg,
@@ -849,8 +844,8 @@ fn child_endpoint_witnesses(
 
 /// A representative whose first witness [`materialize`] rejected, with
 /// everything the repair loop reads to hunt for another completion of it.
-struct Rejected<'a> {
-    shape: &'a PairShape,
+pub(crate) struct Rejected<'a> {
+    calls: &'a [CallSpec<'a>],
     case: &'a CommutativeCase,
     witness: &'a Assignment,
     cfg: &'a ModelConfig,
@@ -897,7 +892,7 @@ fn resolve_constructible(
 
 /// The table check that the pinned values alone fail, if any.
 ///
-/// [`materialize_calls`] runs the table checks on every completion, and
+/// [`materialize`] runs the table checks on every completion, and
 /// every completion agrees with `pinned`. When the pins already leave too
 /// few free slots for an allocating call, every completion fails that check
 /// or one before it, so the repair loop's answer is `None` and searching
@@ -918,9 +913,9 @@ fn decided_rejection(rejected: &Rejected<'_>, pinned: &Assignment) -> Option<Ski
         // As `Solved` reads it: a variable the case lacks is false.
         None => Some(false),
     };
-    let calls = pair_calls(rejected.shape);
     TABLE_REASONS.into_iter().find(|&reason| {
-        calls
+        rejected
+            .calls
             .iter()
             .any(|spec| table_full(reason, spec, rejected.cfg, &flag))
     })
@@ -948,7 +943,7 @@ fn search_completion(
     solver: &mut LazyCaseSolver<'_>,
 ) -> Option<ConcreteTest> {
     let Rejected {
-        shape,
+        calls,
         case,
         cfg,
         names,
@@ -962,11 +957,11 @@ fn search_completion(
     // can tell first-witness tests from re-solved completions.
     let resolved_id = format!("{id}r");
     let build =
-        |alt: &Assignment| materialize(shape, case, alt, cfg, names, relevant, &resolved_id);
+        |alt: &Assignment| materialize(calls, case, alt, cfg, names, relevant, &resolved_id);
     let key = CompletionKey {
         case: case_fingerprint(case),
         variables: vars_fingerprint(&case.variables),
-        shape: shape_cfg_fingerprint(shape, cfg),
+        shape: shape_cfg_fingerprint(calls, cfg),
         pinned: pinned.iter().collect(),
         reason: first_reason,
     };
@@ -994,7 +989,7 @@ fn search_completion(
         // Only unpinned targets can vary. With none left the round has
         // nothing to steer toward and stops; that is a budget choice, not
         // a proof — `decided_rejection` is the proof, for the table checks.
-        let vary: Vec<Var> = vary_targets(reason, shape, case, cfg)
+        let vary: Vec<Var> = vary_targets(reason, calls, case, cfg)
             .into_iter()
             .filter(|v| pinned.get(v.id).is_none())
             .collect();
@@ -1034,7 +1029,7 @@ fn search_completion(
 /// order (first entries are cycled through soonest by the re-solver).
 fn vary_targets(
     reason: SkipReason,
-    shape: &PairShape,
+    calls: &[CallSpec<'_>],
     case: &CommutativeCase,
     cfg: &ModelConfig,
 ) -> Vec<Var> {
@@ -1066,10 +1061,7 @@ fn vary_targets(
             // allocate can unblock the rejection; another process's slots
             // are irrelevant background state.
             let mut procs: BTreeSet<usize> = BTreeSet::new();
-            for (kind, slots) in [
-                (shape.calls.0, &shape.slots_a),
-                (shape.calls.1, &shape.slots_b),
-            ] {
+            for CallSpec { kind, slots, .. } in calls {
                 if matches!(kind, CallKind::Open | CallKind::Pipe) {
                     procs.insert(slots.proc);
                 }
@@ -1147,7 +1139,7 @@ fn vary_targets(
 /// decisions or equality obligations actually constrain, plus the calls'
 /// argument variables. Everything else (unconstrained background state) is
 /// irrelevant to which code paths and access patterns a test exercises.
-pub(crate) fn relevant_vars(case: &CommutativeCase) -> Vec<Var> {
+fn relevant_vars(case: &CommutativeCase) -> Vec<Var> {
     let mut relevant: BTreeMap<VarId, Var> = BTreeMap::new();
     for c in &case.path_condition {
         relevant.extend(scr_symbolic::Expr::free_vars(c));
@@ -1165,7 +1157,7 @@ pub(crate) fn relevant_vars(case: &CommutativeCase) -> Vec<Var> {
 /// Variables whose values only matter up to equality (inode indices and
 /// content fingerprints — including socket message payloads, which are
 /// fungible identities), grouped for the isomorphism signature.
-pub(crate) fn isomorphism_groups(vars: &[Var]) -> Vec<Vec<VarId>> {
+fn isomorphism_groups(vars: &[Var]) -> Vec<Vec<VarId>> {
     let mut ino_group = Vec::new();
     let mut content_group = Vec::new();
     for var in vars {
@@ -1187,7 +1179,7 @@ pub(crate) fn isomorphism_groups(vars: &[Var]) -> Vec<Vec<VarId>> {
 /// variables (nondeterministic inode/socket-slot/child-slot/message
 /// choices) are excluded: which free slot or queued message the
 /// specification picked is not part of the access pattern a test exercises.
-pub(crate) fn exact_vars(vars: &[Var]) -> Vec<VarId> {
+fn exact_vars(vars: &[Var]) -> Vec<VarId> {
     vars.iter()
         .filter(|v| {
             let name = v.name.as_ref();
@@ -1392,36 +1384,6 @@ fn pair_calls(shape: &PairShape) -> [CallSpec<'_>; 2] {
     ]
 }
 
-/// Builds the setup script and the two operations for one assignment,
-/// or the structured reason no faithful construction exists for it.
-fn materialize(
-    shape: &PairShape,
-    case: &CommutativeCase,
-    assignment: &Assignment,
-    cfg: &ModelConfig,
-    names: &[String],
-    relevant: &[Var],
-    id: &str,
-) -> Result<ConcreteTest, SkipReason> {
-    let (setup, mut ops, procs) =
-        materialize_calls(&pair_calls(shape), case, assignment, cfg, names, relevant)?;
-    let op_b = ops.pop().expect("two calls materialized");
-    let op_a = ops.pop().expect("two calls materialized");
-    Ok(ConcreteTest {
-        id: id.to_string(),
-        calls: shape.calls,
-        setup,
-        op_a,
-        op_b,
-        procs,
-    })
-}
-
-/// What [`materialize_calls`] produces on success: the per-core setup
-/// script, one concrete operation per requested call (in call order), and
-/// the number of processes the test uses.
-pub(crate) type MaterializedCalls = (Vec<(usize, SysOp)>, Vec<SysOp>, usize);
-
 /// The reasons [`table_full`] checks.
 const TABLE_REASONS: [SkipReason; 3] = [
     SkipReason::FdTableFull,
@@ -1429,7 +1391,7 @@ const TABLE_REASONS: [SkipReason; 3] = [
     SkipReason::ChildTableFull,
 ];
 
-/// One table check of [`materialize_calls`]: does `spec` allocate from a
+/// One table check of [`materialize`]: does `spec` allocate from a
 /// table with no room left? The kernels' tables are larger than the
 /// model's, so such an exhaustion path (EMFILE, ENOSPC, EAGAIN) is
 /// model-only. `open` needs one descriptor slot and `pipe` two;
@@ -1475,20 +1437,19 @@ fn table_full(
     }
 }
 
-/// Builds the setup script and the concrete operations (one per entry of
-/// `calls`, in slot order) for one assignment, or the structured reason no
-/// faithful construction exists for it. Shared between the pair
-/// materialiser above and the triple materialiser in [`crate::triples`];
-/// the call count only widens the exhaustion checks, so the two-call path
-/// produces byte-identical tests to the historical pair-only code.
-pub(crate) fn materialize_calls(
+/// Builds the test `id` for one assignment — the setup script and one
+/// concrete operation per entry of `calls`, in slot order — or the
+/// structured reason no faithful construction exists for it. Pairs and
+/// triples share it; the call count only widens the exhaustion checks.
+fn materialize(
     calls: &[CallSpec<'_>],
     case: &CommutativeCase,
     assignment: &Assignment,
     cfg: &ModelConfig,
     names: &[String],
     relevant: &[Var],
-) -> Result<MaterializedCalls, SkipReason> {
+    id: &str,
+) -> Result<ConcreteTest, SkipReason> {
     let solved = Solved::new(&case.variables, assignment);
     let known = |name: &str| Some(solved.bool(name));
     let mut setup: Vec<(usize, SysOp)> = Vec::new();
@@ -1992,7 +1953,13 @@ pub(crate) fn materialize_calls(
         })
         .collect();
 
-    Ok((setup, ops, used_procs))
+    Ok(ConcreteTest {
+        id: id.to_string(),
+        calls: calls.iter().map(|spec| spec.kind).collect(),
+        setup,
+        ops,
+        procs: used_procs,
+    })
 }
 
 /// Builds the concrete [`SysOp`] for one side of the pair. `sock_ids` and
@@ -2217,8 +2184,8 @@ mod tests {
             >= 2));
         // Operations target different names.
         for test in &generated.tests {
-            if let (SysOp::StatPath { name: a, .. }, SysOp::StatPath { name: b, .. }) =
-                (&test.op_a, &test.op_b)
+            if let [SysOp::StatPath { name: a, .. }, SysOp::StatPath { name: b, .. }] =
+                test.ops.as_slice()
             {
                 assert_ne!(a, b);
             } else {
@@ -2247,8 +2214,10 @@ mod tests {
         let generated = generate_tests(&shape, &analysis.cases, &cfg, &default_names(), 64);
         assert!(!generated.tests.is_empty());
         for test in &generated.tests {
-            assert!(matches!(test.op_a, SysOp::Unlink { .. }));
-            assert!(matches!(test.op_b, SysOp::Unlink { .. }));
+            assert!(matches!(
+                test.ops[..],
+                [SysOp::Unlink { .. }, SysOp::Unlink { .. }]
+            ));
         }
     }
 
@@ -2264,7 +2233,7 @@ mod tests {
         let generated = generate_tests(&shape, &analysis.cases, &cfg, &default_names(), 64);
         assert!(!generated.tests.is_empty());
         for test in &generated.tests {
-            assert!(matches!(test.op_a, SysOp::Rename { .. }));
+            assert!(matches!(test.ops[0], SysOp::Rename { .. }));
         }
     }
 
@@ -2314,11 +2283,11 @@ mod tests {
         assert!(
             pipe_backed
                 .iter()
-                .any(|t| matches!(&t.op_a, SysOp::Read { len: 1, .. })),
+                .any(|t| matches!(&t.ops[0], SysOp::Read { len: 1, .. })),
             "at least one representative must read the pipe itself"
         );
         for test in &pipe_backed {
-            if let SysOp::Read { len, .. } = &test.op_a {
+            if let SysOp::Read { len, .. } = &test.ops[0] {
                 assert!(*len == 1 || *len == PAGE_SIZE, "{}", test.id);
             }
         }
@@ -2426,7 +2395,7 @@ mod tests {
         generated
             .tests
             .iter()
-            .map(|t| format!("{} {:?} {:?} {:?}", t.id, t.setup, t.op_a, t.op_b))
+            .map(|t| format!("{} {:?} {:?}", t.id, t.setup, t.ops))
             .collect()
     }
 
@@ -2517,13 +2486,20 @@ mod tests {
         let names = default_names();
         let outcome = |test: &Option<ConcreteTest>| {
             test.as_ref()
-                .map(|t| format!("{} {:?} {:?} {:?}", t.id, t.setup, t.op_a, t.op_b))
+                .map(|t| format!("{} {:?} {:?}", t.id, t.setup, t.ops))
         };
         let mut corpora = Vec::new();
         for shape in crate::shapes::enumerate_shapes(a, b, cfg) {
             let cases = analyze_pair(&shape, cfg).cases;
-            let guarded =
-                generate_tests_with(&shape, &cases, cfg, &names, 96, |rejected, solver| {
+            let calls = pair_calls(&shape);
+            let guarded = generate_tests_with(
+                &calls,
+                &shape.tag,
+                &cases,
+                cfg,
+                &names,
+                96,
+                |rejected, solver| {
                     let pinned = rejected.pinned();
                     let reference = search_completion(rejected, &pinned, solver);
                     if let Some(reason) = decided_rejection(rejected, &pinned) {
@@ -2532,11 +2508,17 @@ mod tests {
                     let ours = resolve_constructible(rejected, solver);
                     assert_eq!(outcome(&ours), outcome(&reference), "{}", rejected.id);
                     ours
-                });
-            let unguarded =
-                generate_tests_with(&shape, &cases, cfg, &names, 96, |rejected, solver| {
-                    search_completion(rejected, &rejected.pinned(), solver)
-                });
+                },
+            );
+            let unguarded = generate_tests_with(
+                &calls,
+                &shape.tag,
+                &cases,
+                cfg,
+                &names,
+                96,
+                |rejected, solver| search_completion(rejected, &rejected.pinned(), solver),
+            );
             assert_eq!(
                 corpus_fingerprints(&guarded),
                 corpus_fingerprints(&unguarded),
@@ -2794,8 +2776,11 @@ mod tests {
             let analysis = analyze_pair(&shape, &cfg);
             let generated = generate_tests(&shape, &analysis.cases, &cfg, &default_names(), 64);
             for test in &generated.tests {
-                assert!(matches!(test.op_a, SysOp::Send { .. }), "{}", test.id);
-                assert!(matches!(test.op_b, SysOp::Recv { .. }), "{}", test.id);
+                assert!(
+                    matches!(test.ops[..], [SysOp::Send { .. }, SysOp::Recv { .. }]),
+                    "{}",
+                    test.id
+                );
                 // Setup sends must target a socket that setup created.
                 let created = test
                     .setup
@@ -2853,7 +2838,7 @@ mod tests {
                         _ => {}
                     }
                 }
-                if let SysOp::Wait { child, .. } = &test.op_a {
+                if let SysOp::Wait { child, .. } = &test.ops[0] {
                     bad_pid_case |= *child == BAD_CHILD_PID;
                     if *child != BAD_CHILD_PID {
                         let spawns = test

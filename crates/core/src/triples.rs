@@ -15,26 +15,21 @@
 //! from the path condition prefix before their subtrees are scheduled, and
 //! hard path/decision budgets bound the worst case (`truncated` records a
 //! cut). The per-unit base state and the classification of the explored
-//! leaves are the pair analyzer's own (`AnalysisUnit`): the six-order
-//! agreement is built for feasible leaves only. Generation reuses the pair
-//! materialiser through `materialize_calls` — no repair loop: a triple
-//! whose first witness is unconstructible is counted as skipped (see
-//! ROADMAP residue).
-
-use std::collections::BTreeSet;
+//! leaves are the pair analyzer's own (`AnalysisUnit`, over
+//! `crate::analyzer::orders(3)`): the six-order agreement is built for
+//! feasible leaves only. Generation is the pair generator without its
+//! repair loop: a triple whose first witness is unconstructible is counted
+//! as skipped (see ROADMAP residue). A triple test is a [`ConcreteTest`]
+//! with three operations, so the driver's `run_test`, `run_test_order` and
+//! `linearise` and the host replays run it exactly as they run a pair.
 
 use crate::analyzer::{default_domains, AnalysisUnit, CommutativeCase, ARG_TAGS};
-use crate::driver::KernelFactory;
 use crate::shapes::{first_op_assignments, second_op_assignments};
 use crate::sweep::claim_in_order;
-use crate::testgen::{
-    cached_all_solutions, exact_vars, isomorphism_groups, materialize_calls, relevant_vars,
-    CallSpec, LazyCaseSolver, SkipHistogram,
-};
-use scr_kernel::api::{perform, SysOp, SysResult};
+use crate::testgen::{generate_tests_with, CallSpec, ConcreteTest, GeneratedTests, SkipHistogram};
 use scr_model::calls::ArgSlots;
 use scr_model::{CallKind, ModelConfig};
-use scr_symbolic::{explore_pruned, satisfiable, signature, Expr};
+use scr_symbolic::{explore_pruned, satisfiable};
 
 /// Leaf budget for one triple shape's exploration: six orders of three
 /// calls branch far more than a pair, and the budget turns a pathological
@@ -44,18 +39,6 @@ pub const TRIPLE_PATH_BUDGET: usize = 512;
 /// Per-path branch-decision budget (pairs fix 64; 18 executions need
 /// more).
 pub const TRIPLE_DECISION_BUDGET: usize = 192;
-
-/// The six orders of three calls; index 0 is the base order the other five
-/// are compared against. Public so host replays can linearize a racing
-/// triple against every sequential order.
-pub const TRIPLE_ORDERS: [[usize; 3]; 6] = [
-    [0, 1, 2],
-    [0, 2, 1],
-    [1, 0, 2],
-    [1, 2, 0],
-    [2, 0, 1],
-    [2, 1, 0],
-];
 
 /// A fully-resolved shape for a triple of operations: which name and
 /// descriptor slots each argument refers to (the triple families touch no
@@ -176,11 +159,9 @@ pub struct TripleAnalysis {
 pub fn analyze_triple(shape: &TripleShape, cfg: &ModelConfig) -> TripleAnalysis {
     let domains = default_domains();
     let kinds = [shape.calls.0, shape.calls.1, shape.calls.2];
-    let orders = TRIPLE_ORDERS.each_ref().map(|order| order.as_slice());
     let unit = AnalysisUnit::new(
         cfg,
         &[0, 1, 2].map(|i| (kinds[i], &shape.slots[i])),
-        &orders,
         |order, call| format!("o{order}.c{call}"),
     );
     let outcome = explore_pruned(
@@ -210,160 +191,35 @@ pub fn analyze_triple(shape: &TripleShape, cfg: &ModelConfig) -> TripleAnalysis 
     }
 }
 
-/// A concrete, runnable triple test.
-#[derive(Clone, Debug)]
-pub struct ConcreteTripleTest {
-    /// Unique identifier (triple, shape tag, case and assignment indices).
-    pub id: String,
-    /// The triple of calls under test.
-    pub calls: (CallKind, CallKind, CallKind),
-    /// Setup operations (run untraced), each annotated with its core.
-    pub setup: Vec<(usize, SysOp)>,
-    /// The three operations; `ops[i]` runs on core `i`.
-    pub ops: [SysOp; 3],
-    /// Number of processes the test uses (always 1 for current families).
-    pub procs: usize,
-}
-
-/// The outcome of materialising one triple shape's cases.
-#[derive(Clone, Debug, Default)]
-pub struct GeneratedTripleTests {
-    /// Successfully materialised tests.
-    pub tests: Vec<ConcreteTripleTest>,
-    /// Representatives with no faithful construction (triples have no
-    /// repair loop yet; the first failure reason is final).
-    pub skipped: usize,
-    /// Why each skipped representative was skipped.
-    pub skip_reasons: SkipHistogram,
-}
-
-/// TESTGEN for triples: enumerates case witnesses through the shared
-/// sharded solver cache, deduplicates by isomorphism signature over the
-/// relevant variables and materialises each representative through the
-/// generalised pair materialiser.
+/// TESTGEN for triples: the pair's generator over three calls —
+/// witnesses through the shared sharded solver cache, deduplicated by
+/// isomorphism signature over the relevant variables, each representative
+/// materialised — without the repair loop, so a triple whose first
+/// witness is unconstructible is skipped for its first failure reason.
 pub fn generate_triple_tests(
     shape: &TripleShape,
     cases: &[CommutativeCase],
     cfg: &ModelConfig,
     names: &[String],
     max_per_case: usize,
-) -> GeneratedTripleTests {
-    let domains = default_domains();
-    let mut out = GeneratedTripleTests::default();
-    for (case_idx, case) in cases.iter().enumerate() {
-        let condition_fp = Expr::dag_fingerprint(&case.condition);
-        let mut solver = LazyCaseSolver::new(&case.condition);
-        let solutions = cached_all_solutions(&mut solver, condition_fp, &domains, max_per_case);
-        let relevant = relevant_vars(case);
-        let groups = isomorphism_groups(&relevant);
-        let exact = exact_vars(&relevant);
-        let mut seen = BTreeSet::new();
-        let mut rep_idx = 0;
-        for assignment in solutions {
-            let sig = signature(&assignment, &groups, &exact);
-            if !seen.insert(sig) {
-                continue;
-            }
-            let id = format!(
-                "{}_{}_{}_{}_case{}_{}",
-                shape.calls.0.name(),
-                shape.calls.1.name(),
-                shape.calls.2.name(),
-                shape.tag,
-                case_idx,
-                rep_idx
-            );
-            rep_idx += 1;
-            let kinds = [shape.calls.0, shape.calls.1, shape.calls.2];
-            let specs: Vec<CallSpec<'_>> = (0..3)
-                .map(|i| CallSpec {
-                    kind: kinds[i],
-                    slots: &shape.slots[i],
-                    tag: ARG_TAGS[i],
-                })
-                .collect();
-            match materialize_calls(&specs, case, &assignment, cfg, names, &relevant) {
-                Ok((setup, ops, procs)) => {
-                    let mut ops = ops.into_iter();
-                    let ops = [
-                        ops.next().expect("three ops"),
-                        ops.next().expect("three ops"),
-                        ops.next().expect("three ops"),
-                    ];
-                    out.tests.push(ConcreteTripleTest {
-                        id,
-                        calls: shape.calls,
-                        setup,
-                        ops,
-                        procs,
-                    });
-                }
-                Err(reason) => {
-                    out.skipped += 1;
-                    *out.skip_reasons.entry(reason).or_default() += 1;
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The outcome of replaying one triple test on a simulated kernel.
-#[derive(Clone, Debug)]
-pub struct TripleOutcome {
-    /// The test's identifier.
-    pub test_id: String,
-    /// Whether the three operations were pairwise conflict-free.
-    pub conflict_free: bool,
-    /// Labels of the cache lines shared between the cores.
-    pub shared_labels: Vec<String>,
-    /// Whether every setup operation succeeded.
-    pub setup_ok: bool,
-    /// Per-call results; `results[i]` belongs to `ops[i]` whatever the
-    /// linearisation order was.
-    pub results: [SysResult; 3],
-}
-
-/// Runs a triple test in the base order `[0, 1, 2]`. The factory must
-/// configure at least three cores.
-pub fn run_triple_test(factory: &dyn KernelFactory, test: &ConcreteTripleTest) -> TripleOutcome {
-    run_triple_order(factory, test, TRIPLE_ORDERS[0])
-}
-
-/// [`run_triple_test`] with an explicit linearisation: `order[k]` names
-/// the call that runs k-th; call `i` always executes on core `i`.
-pub fn run_triple_order(
-    factory: &dyn KernelFactory,
-    test: &ConcreteTripleTest,
-    order: [usize; 3],
-) -> TripleOutcome {
-    let kernel = factory.build();
-    let machine = kernel.machine().clone();
-    for _ in 0..test.procs.max(2) {
-        kernel.new_process();
-    }
-    machine.stop_tracing();
-    let mut setup_ok = true;
-    for (core, op) in &test.setup {
-        let result = machine.on_core(*core, || perform(kernel.as_ref(), *core, op));
-        setup_ok &= result.is_ok();
-    }
-    machine.clear_trace();
-    machine.start_tracing();
-    let mut results: [Option<SysResult>; 3] = [None, None, None];
-    for &ci in &order {
-        let r = machine.on_core(ci, || perform(kernel.as_ref(), ci, &test.ops[ci]));
-        results[ci] = Some(r);
-    }
-    machine.stop_tracing();
-    let report = machine.conflict_report();
-    TripleOutcome {
-        test_id: test.id.clone(),
-        conflict_free: report.is_conflict_free(),
-        shared_labels: report.conflicting_labels(),
-        setup_ok,
-        results: results.map(|r| r.expect("every call ran")),
-    }
+) -> GeneratedTests {
+    let kinds = [shape.calls.0, shape.calls.1, shape.calls.2];
+    let calls: Vec<CallSpec<'_>> = (0..3)
+        .map(|i| CallSpec {
+            kind: kinds[i],
+            slots: &shape.slots[i],
+            tag: ARG_TAGS[i],
+        })
+        .collect();
+    generate_tests_with(
+        &calls,
+        &shape.tag,
+        cases,
+        cfg,
+        names,
+        max_per_case,
+        |_, _| None,
+    )
 }
 
 /// A family of calls coupled through shared kernel state, swept as every
@@ -409,7 +265,7 @@ pub struct TripleRow {
     /// Feasible non-commutative paths across all shapes.
     pub non_commutative_paths: usize,
     /// Concrete tests materialised for the commutative cases.
-    pub tests: Vec<ConcreteTripleTest>,
+    pub tests: Vec<ConcreteTest>,
     /// Representatives with no faithful construction.
     pub skipped: usize,
     /// Why each skipped representative was skipped.
@@ -529,7 +385,7 @@ pub fn triple_family_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::Sv6Factory;
+    use crate::driver::{run_test, run_test_order, Sv6Factory};
 
     fn names() -> Vec<String> {
         (0..4).map(|i| format!("f{i}")).collect()
@@ -607,12 +463,12 @@ mod tests {
         assert!(!generated.tests.is_empty());
         let factory = Sv6Factory { cores: 3 };
         for test in &generated.tests {
-            let base = run_triple_test(&factory, test);
+            let base = run_test(&factory, test);
             assert!(base.setup_ok, "setup must replay cleanly: {}", test.id);
             // A SIM-commutative triple's results are order-independent on
             // the (sequential-per-order) simulated kernel.
             for order in [[2, 1, 0], [1, 0, 2]] {
-                let other = run_triple_order(&factory, test, order);
+                let other = run_test_order(&factory, test, &order);
                 assert_eq!(base.results, other.results, "order-dependent: {}", test.id);
             }
         }

@@ -1,5 +1,5 @@
-//! TESTGEN's concrete tests replayed on real threads, one result pair per
-//! test.
+//! TESTGEN's concrete tests replayed on real threads, one result vector
+//! per test.
 //!
 //! The commutativity rule's empirical leg rests on the claim that the
 //! simulated kernels faithfully represent what a real implementation would
@@ -7,28 +7,28 @@
 //! test, in every schedule, under both policies, with footprints. This
 //! module holds the smaller replay primitives that still have callers:
 //!
-//! * [`HostReplayer`] and [`ChaosReplayer`] implement
-//!   `scr_core::ConcreteReplayer`, so `scr_core::differential_check` can
-//!   compare a test's racing results (the pair on two real OS threads,
-//!   [`race`]) against the simulated `Sv6Kernel`'s two sequential orders.
-//!   Because the operations *commute*, the host's results must equal the
-//!   simulated kernel's for some order of the pair, whatever schedule the
-//!   hardware picks. [`ChaosReplayer`] replays through the pipeline's
-//!   fault layer, so the same check asserts the retry contract.
-//! * [`replay_triple_host`] and [`triple_linearizes`] are the same check
-//!   for three racing calls.
+//! [`HostReplayer`] and [`ChaosReplayer`] implement
+//! `scr_core::ConcreteReplayer`, so `scr_core::differential_check` can
+//! compare a test's racing results (its operations on one real OS thread
+//! each, [`race`]) against the simulated `Sv6Kernel`'s sequential orders
+//! through `scr_core::linearise`. Because the operations *commute*, the
+//! host's results must equal the simulated kernel's for some order,
+//! whatever schedule the hardware picks. [`ChaosReplayer`] replays through
+//! the pipeline's fault layer, so the same check asserts the retry
+//! contract. Pairs and triples replay alike; a triple's traced runs on
+//! both policies go through [`crate::fig6::run_test_host`].
 
 use crate::harness::race;
 use crate::kernel::{host_kernel, HostMode};
 use scr_chaos::kernel::{FaultyKernel, ReliableKernel};
 use scr_chaos::plan::ChaosPlan;
-use scr_core::{ConcreteReplayer, ConcreteTest, Sv6Factory};
+use scr_core::{ConcreteReplayer, ConcreteTest};
 use scr_kernel::api::SysResult;
 use scr_kernel::retry::RetryPolicy;
 
 /// Replays generated tests on a fresh
 /// [`HostKernel`](crate::kernel::HostKernel) per test, running the
-/// commutative pair on two real threads.
+/// commutative operations on one real thread each.
 #[derive(Clone, Copy, Debug)]
 pub struct HostReplayer {
     /// Cores (thread slots) each fresh kernel is configured with.
@@ -46,55 +46,19 @@ impl ConcreteReplayer for HostReplayer {
         "host-sv6"
     }
 
-    fn replay(&self, test: &ConcreteTest) -> (SysResult, SysResult) {
-        let kernel = host_kernel(self.cores.max(2), HostMode::Sv6);
-        let [a, b] = race(
-            &kernel,
-            test.procs,
-            &test.setup,
-            [&test.op_a, &test.op_b],
-            true,
-            || {},
-        );
-        (a, b)
+    fn replay(&self, test: &ConcreteTest) -> Vec<SysResult> {
+        let kernel = host_kernel(self.cores.max(test.ops.len()), HostMode::Sv6);
+        race(&kernel, test.procs, &test.setup, &test.ops, true, || {})
     }
 }
 
-/// Replays a generated triple test on a fresh host kernel: the setup runs
-/// sequentially, then the three operations race on three real OS threads
-/// released by one barrier. Returns the per-call results (`results[i]`
-/// belongs to `ops[i]` whatever interleaving the hardware picked).
-pub fn replay_triple_host(test: &scr_core::ConcreteTripleTest, cores: usize) -> [SysResult; 3] {
-    let kernel = host_kernel(cores.max(3), HostMode::Sv6);
-    race(
-        &kernel,
-        test.procs,
-        &test.setup,
-        test.ops.each_ref(),
-        true,
-        || {},
-    )
-}
-
-/// Checks a racing host replay against the simulated kernel: the result
-/// triple must match at least one of the six sequential linearisations.
-/// For a SIM-commutative triple all six orders agree, so any scheduling
-/// the hardware picks must reproduce exactly that result vector — a
-/// mismatch is a genuine host↔model divergence, not a benign reordering.
-pub fn triple_linearizes(test: &scr_core::ConcreteTripleTest, host: &[SysResult; 3]) -> bool {
-    let factory = Sv6Factory { cores: 3 };
-    scr_core::TRIPLE_ORDERS
-        .iter()
-        .any(|&order| scr_core::run_triple_order(&factory, test, order).results == *host)
-}
-
 /// A [`HostReplayer`] with a fault-injecting kernel stack: every test's
-/// setup and racing pair run through `ReliableKernel → FaultyKernel →
+/// setup and racing operations run through `ReliableKernel → FaultyKernel →
 /// HostKernel`, with a *never-give-up* retry policy. Because injected
 /// failures have no side effects and the reliable layer retries exactly
 /// them, the stack is observationally the raw host kernel — so replays
 /// under an errno storm must still linearize against the simulated
-/// kernel's two sequential orders. A mismatch means an injected fault
+/// kernel's sequential orders. A mismatch means an injected fault
 /// leaked through the retry contract (or a genuine divergence).
 #[derive(Clone, Debug)]
 pub struct ChaosReplayer {
@@ -111,28 +75,23 @@ impl ConcreteReplayer for ChaosReplayer {
         "host-sv6-chaos"
     }
 
-    fn replay(&self, test: &ConcreteTest) -> (SysResult, SysResult) {
-        let cores = self.cores.max(2);
+    fn replay(&self, test: &ConcreteTest) -> Vec<SysResult> {
+        let cores = self.cores.max(test.ops.len());
         let kernel = host_kernel(cores, HostMode::Sv6);
         let faulty = FaultyKernel::new(&kernel, self.plan.clone(), cores);
         let reliable = ReliableKernel::new(&faulty, RetryPolicy::spin().with_seed(self.plan.seed));
-        let [a, b] = race(
-            &reliable,
-            test.procs,
-            &test.setup,
-            [&test.op_a, &test.op_b],
-            true,
-            || {},
-        );
-        (a, b)
+        race(&reliable, test.procs, &test.setup, &test.ops, true, || {})
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fig6::classify_linearisation;
-    use scr_core::{differential_check, run_commuter, CommuterConfig, DifferentialOutcome};
+    use crate::fig6::{classify_linearisation, run_test_host};
+    use scr_core::{
+        differential_check, linearise, run_commuter, run_test, CommuterConfig, DifferentialOutcome,
+        KernelFactory, LinuxLikeFactory, Sv6Factory,
+    };
     use scr_kernel::api::{OpenFlags, SysOp};
     use scr_model::CallKind;
 
@@ -150,8 +109,8 @@ mod tests {
     }
 
     /// Checks every test through `replayer` and returns the disagreements
-    /// `host_fig6` does not explain: all but those on tests whose two
-    /// simulated orders disagree on which call fails.
+    /// `host_fig6` does not explain: all but those on tests whose simulated
+    /// orders disagree on which call fails.
     fn unexplained(
         replayer: &dyn ConcreteReplayer,
         tests: &[ConcreteTest],
@@ -159,9 +118,7 @@ mod tests {
         assert!(!tests.is_empty(), "empty corpus");
         differential_check(&Sv6Factory { cores: 4 }, replayer, tests)
             .into_iter()
-            .filter(|o| {
-                !o.agree() && classify_linearisation(&o.simulated, &o.simulated_ba).is_none()
-            })
+            .filter(|o| !o.agree() && classify_linearisation(&o.linearisation.simulated).is_none())
             .collect()
     }
 
@@ -169,18 +126,20 @@ mod tests {
     fn manual_commutative_pair_agrees() {
         let test = ConcreteTest {
             id: "manual_create_different".into(),
-            calls: (CallKind::Open, CallKind::Open),
+            calls: vec![CallKind::Open, CallKind::Open],
             setup: vec![],
-            op_a: SysOp::Open {
-                pid: 0,
-                name: "alpha".into(),
-                flags: OpenFlags::create(),
-            },
-            op_b: SysOp::Open {
-                pid: 1,
-                name: "bravo".into(),
-                flags: OpenFlags::create(),
-            },
+            ops: vec![
+                SysOp::Open {
+                    pid: 0,
+                    name: "alpha".into(),
+                    flags: OpenFlags::create(),
+                },
+                SysOp::Open {
+                    pid: 1,
+                    name: "bravo".into(),
+                    flags: OpenFlags::create(),
+                },
+            ],
             procs: 2,
         };
         let outcomes = differential_check(
@@ -229,6 +188,10 @@ mod tests {
         };
         assert_eq!(replayed(&plain), replayed(&faulty));
     }
+
+    /// Triples replay like pairs: traced, on real threads, under both
+    /// policies, every schedule checked by the one linearisation check
+    /// against the simulated kernel of its policy.
     #[test]
     fn generated_triples_linearize_on_real_threads() {
         use scr_core::{
@@ -245,13 +208,24 @@ mod tests {
         let analysis = analyze_triple(same_fd, &cfg);
         let generated = generate_triple_tests(same_fd, &analysis.cases, &cfg, &names, 2);
         assert!(!generated.tests.is_empty(), "triple corpus must exist");
+        let policies: [(HostMode, &dyn KernelFactory); 2] = [
+            (HostMode::Sv6, &Sv6Factory { cores: 4 }),
+            (HostMode::Linuxlike, &LinuxLikeFactory { cores: 4 }),
+        ];
         for test in generated.tests.iter().take(8) {
-            let host = replay_triple_host(test, 4);
-            assert!(
-                triple_linearizes(test, &host),
-                "host triple replay of {} matches no sequential order: {host:?}",
-                test.id
-            );
+            assert_eq!(test.ops.len(), 3);
+            for (mode, factory) in policies {
+                let host = run_test_host(mode, 4, test, 2);
+                assert_eq!(host.dropped, 0, "{mode:?} log overflow in {}", test.id);
+                assert!(host.conserved, "{mode:?} lost a datagram in {}", test.id);
+                let identity = run_test(factory, test).results;
+                assert!(
+                    linearise(factory, test, identity, &host.results).linearises,
+                    "{mode:?} host triple replay of {} matches no sequential order: {:?}",
+                    test.id,
+                    host.results
+                );
+            }
         }
     }
 }

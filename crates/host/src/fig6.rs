@@ -26,17 +26,19 @@
 //! Two more properties are checked in every schedule of every test, under
 //! both policies, and recorded next to the divergences:
 //!
-//! * **linearisation** — the host's result pair equals the result pair of
-//!   the simulated kernel of the same policy running the two calls in some
-//!   sequential order. Several commutative pairs commute only up to
-//!   fungible values (two spawns race for the next pid; unordered receives
-//!   race for equivalent messages), so B-then-A counts as well as A-then-B;
+//! * **linearisation** — the host's results equal the results of the
+//!   simulated kernel of the same policy running the calls in some
+//!   sequential order (`scr_core::linearise`, the one check every
+//!   real-threads replay shares). Several commutative pairs commute only
+//!   up to fungible values (two spawns race for the next pid; unordered
+//!   receives race for equivalent messages), so B-then-A counts as well as
+//!   A-then-B;
 //! * **datagram conservation** — every message sent to a socket the setup
 //!   created is received by the pair or still queued afterwards, exactly
 //!   once.
 //!
 //! As with divergences, one kind of linearisation violation is explained
-//! and listed rather than failed: on a test whose two simulated orders
+//! and listed rather than failed: on a test whose simulated orders
 //! disagree on which call fails, the test does not commute at all, and its
 //! racing calls may interleave into results neither order gives
 //! ([`ORDER_DEPENDENT_EXCEPTION`]).
@@ -53,8 +55,8 @@
 use crate::harness::race;
 use crate::kernel::{host_kernel_with, HostKernel, HostMode};
 use scr_core::{
-    run_sweep, run_test, run_test_order, CommuterConfig, ConcreteTest, Figure6Report,
-    KernelFactory, LinuxLikeFactory, Sv6Factory, Swept, SweptUnit, TestOutcome,
+    linearise, run_sweep, run_test, CommuterConfig, ConcreteTest, Figure6Report, KernelFactory,
+    Linearisation, LinuxLikeFactory, Sv6Factory, Swept, SweptUnit, TestOutcome,
 };
 use scr_hostmtrace::{HostConflictReport, HostTraceSink};
 use scr_kernel::api::{SysOp, SysResult};
@@ -68,8 +70,8 @@ use scr_obs::HeatMap;
 pub const LOWEST_FD_EXCEPTION: &str = "lowest-fd-allocation";
 
 /// The exception tag for linearisation violations on tests that do not
-/// commute on the simulated kernel itself: its two sequential orders of the
-/// pair disagree on which call fails. TESTGEN should not have materialised
+/// commute on the simulated kernel itself: its sequential orders disagree on
+/// which call fails. TESTGEN should not have materialised
 /// such a test, and on real threads its calls can interleave into results
 /// neither order gives — e.g. `open(f)` finding the name a racing
 /// `open(f, O_CREAT)` of the same process published, then taking the
@@ -124,12 +126,13 @@ pub struct HostTestOutcome {
     pub test_id: String,
     /// Whether every schedule's traced window was conflict-free.
     pub conflict_free: bool,
-    /// Labels of the lines shared between the two threads.
+    /// Labels of the lines shared between the threads.
     pub shared_labels: Vec<String>,
-    /// The results the two operations returned, one pair per schedule.
-    pub results: Vec<(SysResult, SysResult)>,
+    /// The results the operations returned, one vector per schedule;
+    /// `results[s][i]` is what `ops[i]` returned in schedule `s`.
+    pub results: Vec<Vec<SysResult>>,
     /// Whether every schedule conserved datagrams: each message sent to a
-    /// socket the setup created was received by the pair or is still
+    /// socket the setup created was received by the operations or is still
     /// queued, exactly once.
     pub conserved: bool,
     /// Accesses dropped by log overflow (0 in any healthy run).
@@ -139,12 +142,13 @@ pub struct HostTestOutcome {
     pub max_window_accesses: usize,
 }
 
-/// Replays one test on an instrumented kernel: setup untraced, then the
-/// commutative pair inside a tracing window — on two real threads when
-/// `concurrent`, or back to back on the calling thread otherwise (the
-/// deterministic mode used to validate instrumentation faithfulness).
-/// Returns the kernel and the sink too, so callers can inspect what the
-/// pair left behind and resolve every access's label.
+/// Replays one test on an instrumented kernel with a core per operation (at
+/// least `cores`): setup untraced, then the commutative operations inside a
+/// tracing window — on one real thread each when `concurrent`, or back to
+/// back on the calling thread otherwise (the deterministic mode used to
+/// validate instrumentation faithfulness). Returns the kernel and the sink
+/// too, so callers can inspect what the operations left behind and resolve
+/// every access's label.
 pub fn replay_traced(
     mode: HostMode,
     cores: usize,
@@ -154,29 +158,30 @@ pub fn replay_traced(
     HostKernel,
     std::sync::Arc<HostTraceSink>,
     HostConflictReport,
-    (SysResult, SysResult),
+    Vec<SysResult>,
 ) {
-    let sink = HostTraceSink::new(cores.max(2));
+    let cores = cores.max(test.ops.len()).max(2);
+    let sink = HostTraceSink::new(cores);
     let kernel = host_kernel_with(cores, mode, Sv6Options::default(), Some(&sink));
-    let [a, b] = race(
+    let results = race(
         &kernel,
         test.procs,
         &test.setup,
-        [&test.op_a, &test.op_b],
+        &test.ops,
         concurrent,
         || sink.begin_window(),
     );
     let report = sink.end_window();
-    (kernel, sink, report, (a, b))
+    (kernel, sink, report, results)
 }
 
 /// Whether one replay of `test` conserved datagrams: the messages it sent
-/// to sockets its setup created equal, as multisets, the messages its pair
-/// received plus those still queued on `kernel`. Sends to a socket that
+/// to sockets its setup created equal, as multisets, the messages its
+/// operations received plus those still queued on `kernel`. Sends to a socket that
 /// does not exist fail and queue nothing; generated setups never receive.
 /// Drains the test's sockets; a test whose setup creates none conserves
 /// trivially.
-fn conserves(kernel: &HostKernel, test: &ConcreteTest, results: &(SysResult, SysResult)) -> bool {
+fn conserves(kernel: &HostKernel, test: &ConcreteTest, results: &[SysResult]) -> bool {
     // Both substrates number sockets densely from 0.
     let sockets = test
         .setup
@@ -190,14 +195,16 @@ fn conserves(kernel: &HostKernel, test: &ConcreteTest, results: &(SysResult, Sys
         .setup
         .iter()
         .map(|(_, op)| op)
-        .chain([&test.op_a, &test.op_b])
+        .chain(&test.ops)
         .filter_map(|op| match op {
             SysOp::Send { sock, msg } if *sock < sockets => Some(msg.clone()),
             _ => None,
         })
         .collect();
-    let mut seen: Vec<Vec<u8>> = [(&test.op_a, &results.0), (&test.op_b, &results.1)]
-        .into_iter()
+    let mut seen: Vec<Vec<u8>> = test
+        .ops
+        .iter()
+        .zip(results)
         .filter_map(|(op, result)| match (op, result) {
             (SysOp::Recv { .. }, SysResult::Data(msg)) => Some(msg.clone()),
             _ => None,
@@ -322,51 +329,30 @@ pub struct Fig6Violation {
     /// Its call pair.
     pub calls: (CallKind, CallKind),
     /// Every schedule's host results.
-    pub results: Vec<(SysResult, SysResult)>,
+    pub results: Vec<Vec<SysResult>>,
     /// `Some(tag)` for a linearisation violation in the documented
     /// exception list (currently only [`ORDER_DEPENDENT_EXCEPTION`]);
     /// `None` means unexplained.
     pub exception: Option<&'static str>,
 }
 
-/// Classifies a linearisation violation by the pair's simulated results in
-/// both orders: an exception only when the orders disagree on which call
-/// fails.
-pub fn classify_linearisation(
-    a_first: &(SysResult, SysResult),
-    b_first: &(SysResult, SysResult),
-) -> Option<&'static str> {
-    let succeeds = |(a, b): &(SysResult, SysResult)| (a.is_ok(), b.is_ok());
-    (succeeds(a_first) != succeeds(b_first)).then_some(ORDER_DEPENDENT_EXCEPTION)
+/// Classifies a linearisation violation by the test's simulated results in
+/// every order (`Linearisation::simulated` of a failed check): an exception
+/// only when the orders disagree on which calls fail.
+pub fn classify_linearisation(simulated: &[Vec<SysResult>]) -> Option<&'static str> {
+    let succeeds = |results: &[SysResult]| results.iter().map(SysResult::is_ok).collect::<Vec<_>>();
+    simulated
+        .windows(2)
+        .any(|pair| succeeds(&pair[0]) != succeeds(&pair[1]))
+        .then_some(ORDER_DEPENDENT_EXCEPTION)
 }
 
 /// One policy's verdicts on one test: the simulated run, the host runs,
-/// and whether every host schedule linearises against the simulated kernel.
+/// and the host schedules checked against the simulated kernel.
 struct PolicyVerdicts {
     sim: TestOutcome,
     host: HostTestOutcome,
-    linearises: bool,
-    /// The simulated results of B then A, when a schedule needed them.
-    b_first: Option<(SysResult, SysResult)>,
-}
-
-/// Whether every schedule's host results equal the pair's results on
-/// `factory`'s simulated kernel in some sequential order: `sim` is the
-/// A-then-B run; B then A is run, and returned, only when a schedule
-/// disagrees with it.
-fn linearises(
-    factory: &dyn KernelFactory,
-    test: &ConcreteTest,
-    sim: &TestOutcome,
-    host: &HostTestOutcome,
-) -> (bool, Option<(SysResult, SysResult)>) {
-    let mut b_first = None;
-    let linearises = host.results.iter().all(|results| {
-        *results == sim.results
-            || *results
-                == *b_first.get_or_insert_with(|| run_test_order(factory, test, false).results)
-    });
-    (linearises, b_first)
+    linearisation: Linearisation,
 }
 
 /// The step [`run_host_fig6`] runs on each test: the sv6 policy, then the
@@ -500,8 +486,7 @@ impl HostFig6Results {
                 let PolicyVerdicts {
                     sim,
                     host,
-                    linearises,
-                    b_first,
+                    linearisation,
                 } = verdicts;
                 self.dropped += host.dropped;
                 self.max_window_accesses = self.max_window_accesses.max(host.max_window_accesses);
@@ -521,10 +506,9 @@ impl HostFig6Results {
                     results: host.results.clone(),
                     exception: None,
                 };
-                if !linearises {
-                    let b_first = b_first.expect("a mismatch runs B then A");
+                if !linearisation.linearises {
                     self.linearisation_violations.push(Fig6Violation {
-                        exception: classify_linearisation(&sim.results, &b_first),
+                        exception: classify_linearisation(&linearisation.simulated),
                         ..violation()
                     });
                 }
@@ -595,12 +579,11 @@ pub fn run_host_fig6(config: &HostFig6Config) -> HostFig6Results {
                     config.schedules_per_test,
                     Some(heat),
                 );
-                let (linearises, b_first) = linearises(factory, test, &sim, &host);
+                let linearisation = linearise(factory, test, sim.results.clone(), &host.results);
                 PolicyVerdicts {
                     sim,
                     host,
-                    linearises,
-                    b_first,
+                    linearisation,
                 }
             })
         },
@@ -637,18 +620,12 @@ mod tests {
     use super::*;
     use scr_kernel::api::{OpenFlags, SocketOrder};
 
-    fn manual_test(
-        id: &str,
-        calls: (CallKind, CallKind),
-        op_a: SysOp,
-        op_b: SysOp,
-    ) -> ConcreteTest {
+    fn manual_test(id: &str, calls: (CallKind, CallKind), a: SysOp, b: SysOp) -> ConcreteTest {
         ConcreteTest {
             id: id.into(),
-            calls,
+            calls: vec![calls.0, calls.1],
             setup: vec![],
-            op_a,
-            op_b,
+            ops: vec![a, b],
             procs: 2,
         }
     }
@@ -814,12 +791,12 @@ mod tests {
         // posix_spawn touches only the listed descriptor, so it stays
         // conflict-free beside a lowest-FD open of a later slot, while
         // fork's whole-table snapshot conflicts with it.
-        let beside_open = |op_a, call| ConcreteTest {
+        let beside_open = |op, call| ConcreteTest {
             setup: vec![(0, create_op(0, "shared", false))],
             ..manual_test(
                 "beside_open",
                 (call, CallKind::Open),
-                op_a,
+                op,
                 create_op(0, "other", false),
             )
         };
@@ -845,20 +822,20 @@ mod tests {
     fn linearisation_exception_requires_the_orders_to_disagree_on_failure() {
         // open(f) ∥ open(f, O_CREAT) in one process: A fails in one order
         // and succeeds in the other, so the test does not commute.
-        let enoent = (
+        let enoent = vec![
             SysResult::Err(scr_kernel::api::Errno::ENOENT),
             SysResult::Value(0),
-        );
-        let opened = (SysResult::Value(1), SysResult::Value(0));
+        ];
+        let opened = vec![SysResult::Value(1), SysResult::Value(0)];
         assert_eq!(
-            classify_linearisation(&enoent, &opened),
+            classify_linearisation(&[enoent, opened]),
             Some(ORDER_DEPENDENT_EXCEPTION)
         );
         // Two spawns racing for the next pid both succeed in either order:
         // a host result neither order gives stays unexplained.
-        let pids = (SysResult::Value(2), SysResult::Value(3));
-        let swapped = (SysResult::Value(3), SysResult::Value(2));
-        assert_eq!(classify_linearisation(&pids, &swapped), None);
+        let pids = vec![SysResult::Value(2), SysResult::Value(3)];
+        let swapped = vec![SysResult::Value(3), SysResult::Value(2)];
+        assert_eq!(classify_linearisation(&[pids, swapped]), None);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! "slowest core" convention the simulated model uses.
 //!
 //! [`race`] is the one replay protocol every real-threads check shares:
-//! setup in order, then a test's operations racing on cores `0..N`.
+//! setup in order, then a test's operations — two for a pair, three for a
+//! triple — racing on cores `0..ops.len()`.
 
 use scr_hostmtrace::on_core;
 use scr_kernel::api::{perform, SysOp, SysResult, SyscallApi};
@@ -82,18 +83,19 @@ impl LoadHarness {
 /// `Layer` stack over one. Creates `procs` processes (at least two), runs
 /// `setup` in order with each op on its annotated core, calls
 /// `before_race` (where a tracing window opens), then runs `ops[i]` on
-/// core `i`: on N threads released by one barrier when `concurrent`, back
-/// to back on the calling thread otherwise. Every op runs inside
-/// [`on_core`], so probes attribute it to its core. `results[i]` belongs
-/// to `ops[i]`, whatever interleaving the hardware picked.
-pub fn race<K, const N: usize>(
+/// core `i`: on one thread per op, released by one barrier, when
+/// `concurrent`, back to back on the calling thread otherwise. Every op
+/// runs inside [`on_core`], so probes attribute it to its core.
+/// `results[i]` belongs to `ops[i]`, whatever interleaving the hardware
+/// picked. Pairs and triples race alike; the kernel needs a core per op.
+pub fn race<K>(
     kernel: &K,
     procs: usize,
     setup: &[(CoreId, SysOp)],
-    ops: [&SysOp; N],
+    ops: &[SysOp],
     concurrent: bool,
     before_race: impl FnOnce(),
-) -> [SysResult; N]
+) -> Vec<SysResult>
 where
     K: SyscallApi + Sync + ?Sized,
 {
@@ -105,19 +107,29 @@ where
     }
     before_race();
     if !concurrent {
-        return std::array::from_fn(|core| on_core(core, || perform(kernel, core, ops[core])));
+        return ops
+            .iter()
+            .enumerate()
+            .map(|(core, op)| on_core(core, || perform(kernel, core, op)))
+            .collect();
     }
-    let barrier = Barrier::new(N);
+    let barrier = Barrier::new(ops.len());
     let barrier = &barrier;
     std::thread::scope(|scope| {
-        let threads: [_; N] = std::array::from_fn(|core| {
-            let op = ops[core];
-            scope.spawn(move || {
-                barrier.wait();
-                on_core(core, || perform(kernel, core, op))
+        let threads: Vec<_> = ops
+            .iter()
+            .enumerate()
+            .map(|(core, op)| {
+                scope.spawn(move || {
+                    barrier.wait();
+                    on_core(core, || perform(kernel, core, op))
+                })
             })
-        });
-        threads.map(|thread| thread.join().expect("racing op thread"))
+            .collect();
+        threads
+            .into_iter()
+            .map(|thread| thread.join().expect("racing op thread"))
+            .collect()
     })
 }
 

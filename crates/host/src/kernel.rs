@@ -325,11 +325,11 @@ mod tests {
             src: src.into(),
             dst: "b".into(),
         };
-        let (rename_a, rename_c) = (rename("a"), rename("c"));
+        let renames = [rename("a"), rename("c")];
         for round in 0..200 {
             let mode = [HostMode::Sv6, HostMode::Linuxlike][round % 2];
             let k = host_kernel(4, mode);
-            let results = crate::harness::race(&k, 1, &setup, [&rename_a, &rename_c], true, || {});
+            let results = crate::harness::race(&k, 1, &setup, &renames, true, || {});
             assert_eq!(results, [SysResult::Unit, SysResult::Unit], "round {round}");
             assert_eq!(k.stat(0, pid, "a"), Err(Errno::ENOENT), "round {round}");
             assert_eq!(k.stat(0, pid, "c"), Err(Errno::ENOENT), "round {round}");

@@ -43,7 +43,7 @@
 //!   gate are its front ends.
 //! * [`differential`] holds the replay primitives `scr_core`'s
 //!   `differential_check` drives: [`differential::HostReplayer`] races a
-//!   `ConcreteTest`'s pair on real threads, and
+//!   `ConcreteTest`'s operations on real threads, and
 //!   [`differential::ChaosReplayer`] does so through the pipeline's fault
 //!   layer; both are checked against the simulated `Sv6Kernel`.
 //! * [`fig6`] replays every generated test with a `scr-hostmtrace` tracing

@@ -40,8 +40,8 @@ const EXTENSION_CALLS: [CallKind; 6] = [
 ];
 
 /// The footprint a test records on the simulated kernel of `mode`'s policy
-/// (setup untraced on its annotated cores, the pair traced on cores 0 and
-/// 1 — the MTRACE driver's protocol).
+/// (setup untraced on its annotated cores, operation `i` traced on core `i`
+/// — the MTRACE driver's protocol).
 fn sim_footprint(mode: HostMode, test: &ConcreteTest, cores: usize) -> Footprint {
     let kernel = match mode {
         HostMode::Sv6 => Sv6Factory { cores }.build(),
@@ -57,8 +57,9 @@ fn sim_footprint(mode: HostMode, test: &ConcreteTest, cores: usize) -> Footprint
     }
     machine.clear_trace();
     machine.start_tracing();
-    machine.on_core(0, || perform(kernel.as_ref(), 0, &test.op_a));
-    machine.on_core(1, || perform(kernel.as_ref(), 1, &test.op_b));
+    for (core, op) in test.ops.iter().enumerate() {
+        machine.on_core(core, || perform(kernel.as_ref(), core, op));
+    }
     machine.stop_tracing();
     let mut out: Vec<_> = machine
         .accesses()
@@ -181,13 +182,15 @@ fn host_instrumentation_is_faithful_for_extension_operations() {
 fn single(id: &str, setup: Vec<(usize, SysOp)>, op: SysOp) -> ConcreteTest {
     ConcreteTest {
         id: id.into(),
-        calls: (CallKind::Stat, CallKind::Stat),
+        calls: vec![CallKind::Stat, CallKind::Stat],
         setup,
-        op_a: op,
-        op_b: SysOp::StatPath {
-            pid: 1,
-            name: "no-such-name".into(),
-        },
+        ops: vec![
+            op,
+            SysOp::StatPath {
+                pid: 1,
+                name: "no-such-name".into(),
+            },
+        ],
         procs: 2,
     }
 }

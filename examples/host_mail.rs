@@ -428,7 +428,7 @@ fn main() {
     let disagreements: Vec<_> = outcomes.iter().filter(|o| !o.agree()).collect();
     let unexplained: Vec<_> = disagreements
         .iter()
-        .filter(|o| classify_linearisation(&o.simulated, &o.simulated_ba).is_none())
+        .filter(|o| classify_linearisation(&o.linearisation.simulated).is_none())
         .collect();
     println!(
         "  {} tests: {} disagreements ({} unexplained)",
@@ -438,8 +438,8 @@ fn main() {
     );
     for o in &unexplained {
         println!(
-            "  {}: simulated {:?} / {:?} vs host {:?}",
-            o.test_id, o.simulated, o.simulated_ba, o.replayed
+            "  {}: simulated {:?} vs host {:?}",
+            o.test_id, o.linearisation.simulated, o.replayed
         );
     }
     if !unexplained.is_empty() {

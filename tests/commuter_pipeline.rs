@@ -59,9 +59,9 @@ fn generated_tests_exercise_the_calls_they_claim_to() {
     let results = run_commuter(&config, &[&sv6]);
     assert!(!results.tests.is_empty());
     for test in &results.tests {
-        let kind_of = |op: &SysOp| op.call_name();
-        assert_eq!(kind_of(&test.op_a), test.calls.0.name());
-        assert_eq!(kind_of(&test.op_b), test.calls.1.name());
+        let ops: Vec<&str> = test.ops.iter().map(SysOp::call_name).collect();
+        let calls: Vec<&str> = test.calls.iter().map(|call| call.name()).collect();
+        assert_eq!(ops, calls);
     }
 }
 

@@ -33,7 +33,7 @@
 //! says why.
 
 use scalable_commutativity::commuter::{
-    run_commuter, run_test, run_test_order, CommuterConfig, ConcreteTest, KernelFactory,
+    orders, run_commuter, run_test, run_test_order, CommuterConfig, ConcreteTest, KernelFactory,
     LinuxLikeFactory, Sv6Factory,
 };
 use scalable_commutativity::host::normalize_pipe_label;
@@ -145,7 +145,7 @@ fn generate_corpus() -> Vec<ConcreteTest> {
     tests
 }
 
-/// The corpus, each test replayed with its setup and its pair traced.
+/// The corpus, each test replayed with its setup and its operations traced.
 fn corpus(factory: &dyn KernelFactory, tests: &[ConcreteTest]) -> (u64, u64) {
     let mut folds = Folds::default();
     for test in tests {
@@ -158,8 +158,9 @@ fn corpus(factory: &dyn KernelFactory, tests: &[ConcreteTest]) -> (u64, u64) {
         for (core, op) in &test.setup {
             machine.on_core(*core, || perform(kernel.as_ref(), *core, op));
         }
-        machine.on_core(0, || perform(kernel.as_ref(), 0, &test.op_a));
-        machine.on_core(1, || perform(kernel.as_ref(), 1, &test.op_b));
+        for (core, op) in test.ops.iter().enumerate() {
+            machine.on_core(core, || perform(kernel.as_ref(), core, op));
+        }
         folds.add(&machine);
     }
     folds.finish()
@@ -444,7 +445,7 @@ const EXPECTED_MULTISET: [&str; 11] = [
 ];
 
 /// How many corpus tests the two simulated kernels answer differently: the
-/// tests where, with the pair in the same order (either order), sv6 and
+/// tests where, with the operations in the same order (any order), sv6 and
 /// the Linux-like baseline return different results. Before the baseline
 /// became a policy of the sv6 body it was 42, every one of them a pair
 /// with a `stat`.
@@ -460,9 +461,9 @@ fn simulated_kernels_disagree_on_results_no_more_than_the_census() {
     let disagreeing: Vec<&str> = corpus_tests()
         .iter()
         .filter(|test| {
-            [true, false].into_iter().any(|a_first| {
-                run_test_order(&sv6, test, a_first).results
-                    != run_test_order(&linux, test, a_first).results
+            orders(test.ops.len()).iter().any(|order| {
+                run_test_order(&sv6, test, order).results
+                    != run_test_order(&linux, test, order).results
             })
         })
         .map(|test| test.id.as_str())

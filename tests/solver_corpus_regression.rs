@@ -120,10 +120,7 @@ fn generated_corpus_is_deterministic_across_cache_states() {
             let analysis = analyze_pair(&shape, &cfg);
             let generated = generate_tests(&shape, &analysis.cases, &cfg, &names, 48);
             for test in &generated.tests {
-                fingerprints.push(format!(
-                    "{} {:?} {:?} {:?}",
-                    test.id, test.setup, test.op_a, test.op_b
-                ));
+                fingerprints.push(format!("{} {:?} {:?}", test.id, test.setup, test.ops));
             }
             fingerprints.push(format!("skips {:?}", generated.skip_reasons));
         }

@@ -12,12 +12,12 @@
 //! `SCR_TRIPLE_BASELINE_WRITE=1 cargo test --test triple_commutativity`.
 //!
 //! A replay budget (`tests-run`) of generated triples also executes on
-//! the simulated sv6 kernel in three linearisations each, pinning the
-//! SIM-commutativity claim the sweep makes: a commutative triple's
-//! results must not depend on the order.
+//! the simulated sv6 kernel in all six orders each, pinning the
+//! SIM-commutativity claim the sweep makes: a commutative triple's setup
+//! must succeed and its results must not depend on the order.
 
 use scalable_commutativity::commuter::{
-    run_triple_order, run_triple_test, triple_config, triple_family_sweep, Sv6Factory,
+    orders, run_test, run_test_order, triple_config, triple_family_sweep, Sv6Factory,
     TripleFamilyReport, TRIPLE_FAMILIES,
 };
 
@@ -84,8 +84,9 @@ fn triple_sweep_matches_the_committed_baseline() {
     );
 
     // Replay a budget of generated triples on the simulated kernel in
-    // three linearisations: SIM-commutative results are order-independent.
+    // every order: SIM-commutative results are order-independent.
     let factory = Sv6Factory { cores: 3 };
+    let orders = orders(3);
     let mut replayed = 0;
     'outer: for report in &reports {
         for row in &report.rows {
@@ -93,13 +94,14 @@ fn triple_sweep_matches_the_committed_baseline() {
                 if replayed >= REPLAY_BUDGET {
                     break 'outer;
                 }
-                let base = run_triple_test(&factory, test);
+                let base = run_test(&factory, test);
                 assert!(base.setup_ok, "setup must replay cleanly: {}", test.id);
-                for order in [[2, 1, 0], [1, 2, 0]] {
-                    let other = run_triple_order(&factory, test, order);
+                for order in &orders[1..] {
+                    let other = run_test_order(&factory, test, order);
+                    assert!(other.setup_ok, "setup failed in {order:?}: {}", test.id);
                     assert_eq!(
                         base.results, other.results,
-                        "order-dependent results for {}",
+                        "order-dependent results for {} in {order:?}",
                         test.id
                     );
                 }
