@@ -403,7 +403,7 @@ fn host_fig6_cross_check_has_no_unexplained_divergences() {
 /// The corpus fingerprint of [`EXTENSION_CALLS`] under
 /// `HostFig6Config::quick`'s bounds. It moves only when the model, ANALYZER
 /// or TESTGEN changes what the §4 pairs generate.
-const EXTENSION_CORPUS_FINGERPRINT: u64 = 0xf225_293f_0506_d266;
+const EXTENSION_CORPUS_FINGERPRINT: u64 = 0xb176_91a9_8c73_5ddd;
 
 /// The host Figure 6 sweeps exactly the pipeline's corpus on the §4
 /// extension pairs — both specialise each pair's model with `pair_config`,
