@@ -598,7 +598,7 @@ fn cached_all_solutions(
 /// A concrete, runnable test case.
 #[derive(Clone, Debug)]
 pub struct ConcreteTest {
-    /// Unique identifier (pair, shape tag, case and assignment indices).
+    /// Unique identifier (calls, shape tag, case and assignment indices).
     pub id: String,
     /// The calls under test, one per operation (two for a pair, three for
     /// a triple).
@@ -614,7 +614,7 @@ pub struct ConcreteTest {
     pub procs: usize,
 }
 
-/// The outcome of materialising one pair shape.
+/// The outcome of materialising one shape.
 #[derive(Clone, Debug, Default)]
 pub struct GeneratedTests {
     /// Successfully materialised tests.
@@ -1962,7 +1962,7 @@ fn materialize(
     })
 }
 
-/// Builds the concrete [`SysOp`] for one side of the pair. `sock_ids` and
+/// Builds the concrete [`SysOp`] for one call of the test. `sock_ids` and
 /// `child_pids` map existing model slots to the concrete ids the setup
 /// script created; slots absent from the maps (nonexistent socket,
 /// unoccupied child) translate to reserved ids nothing can allocate, so
