@@ -8,11 +8,11 @@
 //! simulated machine of `scr-mtrace`, so the driver simply:
 //!
 //! 1. builds a fresh kernel and the test's processes,
-//! 2. replays the test's setup operations with tracing disabled,
-//! 3. enables tracing and runs the test's commutative operations, `ops[i]`
+//! 2. replays the test's setup operations outside any trace window,
+//! 3. opens a window and runs the test's commutative operations, `ops[i]`
 //!    on core `i`, in the order asked for (the identity by default), and
-//! 4. reports the shared cache lines (with their allocation labels, which
-//!    play the role of MTRACE's DWARF-derived type names).
+//! 4. reports the window's shared cache lines (with their allocation
+//!    labels, which play the role of MTRACE's DWARF-derived type names).
 //!
 //! A pair and a triple are the same [`ConcreteTest`] with two or three
 //! operations, so one driver and one linearisation check ([`linearise`])
@@ -20,15 +20,17 @@
 
 use crate::analyzer::orders;
 use crate::testgen::ConcreteTest;
-use scr_kernel::api::{perform, KernelApi, SysResult};
+use scr_kernel::api::{perform, SysResult, SyscallApi};
 use scr_kernel::Sv6Kernel;
+use scr_mtrace::{on_core, Lines};
 
 /// Builds fresh kernel instances for test runs.
 pub trait KernelFactory: Sync {
     /// A short name for reports ("Linux", "sv6", …).
     fn name(&self) -> &'static str;
-    /// Builds a fresh kernel on a fresh simulated machine.
-    fn build(&self) -> Box<dyn KernelApi>;
+    /// Builds a fresh kernel on a fresh simulated machine, which
+    /// [`Sv6Kernel::lines`] returns.
+    fn build(&self) -> Sv6Kernel;
 }
 
 /// Factory for the sv6/ScaleFS kernel.
@@ -43,8 +45,8 @@ impl KernelFactory for Sv6Factory {
         "sv6"
     }
 
-    fn build(&self) -> Box<dyn KernelApi> {
-        Box::new(Sv6Kernel::new(self.cores.max(2)))
+    fn build(&self) -> Sv6Kernel {
+        Sv6Kernel::new(self.cores.max(2))
     }
 }
 
@@ -61,8 +63,8 @@ impl KernelFactory for LinuxLikeFactory {
         "Linux"
     }
 
-    fn build(&self) -> Box<dyn KernelApi> {
-        Box::new(Sv6Kernel::linuxlike(self.cores.max(2)))
+    fn build(&self) -> Sv6Kernel {
+        Sv6Kernel::linuxlike(self.cores.max(2))
     }
 }
 
@@ -204,29 +206,27 @@ pub fn run_test_order(
     order: &[usize],
 ) -> TestOutcome {
     let kernel = factory.build();
-    let machine = kernel.machine().clone();
+    let machine = kernel.lines().expect("a simulated kernel has a machine");
     // Both kernels number processes densely from zero.
     for _ in 0..test.procs.max(2) {
         kernel.new_process();
     }
-    // Setup runs untraced, each op on its annotated core (socket-queue
-    // preloads must come from the owning core; everything else uses 0).
-    machine.stop_tracing();
+    // Setup runs before the window opens, each op on its annotated core
+    // (socket-queue preloads must come from the owning core; everything
+    // else uses 0).
     let mut setup_ok = true;
     for (core, op) in &test.setup {
-        let result = machine.on_core(*core, || perform(kernel.as_ref(), *core, op));
+        let result = on_core(*core, || perform(&kernel, *core, op));
         setup_ok &= result.is_ok();
     }
-    // The commutative operations run traced, each on its own core.
-    machine.clear_trace();
-    machine.start_tracing();
+    // The commutative operations run in the window, each on its own core.
+    machine.begin_window();
     let mut results = vec![None; test.ops.len()];
     for &core in order {
         let op = &test.ops[core];
-        results[core] = Some(machine.on_core(core, || perform(kernel.as_ref(), core, op)));
+        results[core] = Some(on_core(core, || perform(&kernel, core, op)));
     }
-    machine.stop_tracing();
-    let report = machine.conflict_report();
+    let report = machine.end_window();
     TestOutcome {
         test_id: test.id.clone(),
         conflict_free: report.is_conflict_free(),

@@ -3,9 +3,10 @@
 //! The simulated pipeline (`scr_core::run_commuter`) runs every generated
 //! test on the simulated kernels and reports which commutative pairs share
 //! cache lines. This module replays the same tests on the real-threads
-//! [`HostKernel`] with a `scr-hostmtrace` tracing window around the
-//! concurrent pair, producing [`Figure6Report`]s labelled `sv6-host` and
-//! `linux-host` — and cross-checks them against the simulated heatmap.
+//! [`HostKernel`] with a trace window of a `scr_mtrace::HostTraceSink`
+//! around the concurrent pair, producing [`Figure6Report`]s labelled
+//! `sv6-host` and `linux-host` — and cross-checks them against the
+//! simulated heatmap.
 //!
 //! [`HostKernel`]: crate::kernel::HostKernel
 //!
@@ -58,10 +59,10 @@ use scr_core::{
     linearise, run_sweep, run_test, CommuterConfig, ConcreteTest, Figure6Report, KernelFactory,
     Linearisation, LinuxLikeFactory, Sv6Factory, Swept, SweptUnit, TestOutcome,
 };
-use scr_hostmtrace::{HostConflictReport, HostTraceSink};
 use scr_kernel::api::{SysOp, SysResult};
 use scr_kernel::Sv6Options;
 use scr_model::{CallKind, ModelConfig};
+use scr_mtrace::{HostTraceSink, Lines, TraceWindow};
 use scr_obs::HeatMap;
 
 /// The exception tag for divergences fully explained by lowest-FD
@@ -157,7 +158,7 @@ pub fn replay_traced(
 ) -> (
     HostKernel,
     std::sync::Arc<HostTraceSink>,
-    HostConflictReport,
+    TraceWindow,
     Vec<SysResult>,
 ) {
     let cores = cores.max(test.ops.len()).max(2);
@@ -382,7 +383,7 @@ pub struct HostFig6Results {
     /// Accesses dropped across every traced window (0 in a healthy run).
     pub dropped: usize,
     /// The most accesses one core recorded in any traced window, against
-    /// `scr_hostmtrace::DEFAULT_LOG_CAPACITY` slots per core.
+    /// `scr_mtrace::DEFAULT_LOG_CAPACITY` slots per core.
     pub max_window_accesses: usize,
     /// Per-line access/conflict heat over every sv6-host traced window.
     pub heat_sv6: HeatMap,

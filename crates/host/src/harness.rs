@@ -11,9 +11,8 @@
 //! setup in order, then a test's operations — two for a pair, three for a
 //! triple — racing on cores `0..ops.len()`.
 
-use scr_hostmtrace::on_core;
 use scr_kernel::api::{perform, SysOp, SysResult, SyscallApi};
-use scr_mtrace::{CoreId, ScalingPoint};
+use scr_mtrace::{on_core, CoreId, ScalingPoint};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;

@@ -21,8 +21,8 @@
 //! kernel of the same policy records. What the host adds is only what is
 //! host-only: at least two thread slots, and the instrumented constructor.
 
-use scr_hostmtrace::HostTraceSink;
 use scr_kernel::sv6::{Sv6Kernel, Sv6Options};
+use scr_mtrace::HostTraceSink;
 use std::sync::Arc;
 
 pub use scr_kernel::sv6::FDS_PER_CORE;

@@ -46,8 +46,8 @@
 //!   `ConcreteTest`'s operations on real threads, and
 //!   [`differential::ChaosReplayer`] does so through the pipeline's fault
 //!   layer; both are checked against the simulated `Sv6Kernel`.
-//! * [`fig6`] replays every generated test with a `scr-hostmtrace` tracing
-//!   window around the concurrent pair and aggregates host-side Figure 6
+//! * [`fig6`] replays every generated test with a trace window of a
+//!   `scr_mtrace::HostTraceSink` around the concurrent pair and aggregates host-side Figure 6
 //!   heatmaps (`sv6-host` / `linux-host`), cross-checking every conflict verdict
 //!   against the simulated heatmap (lowest-FD contention excepted, and
 //!   recorded explicitly), every schedule's results by linearisation and

@@ -42,7 +42,7 @@
 //! topology's reaps the dead incarnation's orphaned helper, re-drives or
 //! finishes its in-flight envelope and restarts the slot.
 //!
-//! Every engine thread runs under `scr_hostmtrace::on_core` of its
+//! Every engine thread runs under `scr_mtrace::on_core` of its
 //! topology core (the supervisor on the core after the topology's), so an
 //! instrumented kernel files each access under the core that made it.
 //!
@@ -59,13 +59,12 @@ use crate::kernel::HostKernel;
 use crate::workloads::MailTelemetry;
 use scr_chaos::kernel::{ChaosTelemetry, FaultyKernel, ReliableKernel};
 use scr_chaos::plan::{ChaosPlan, CrashPhase};
-use scr_hostmtrace::on_core;
 use scr_kernel::api::{OpenFlags, Pid, SyscallApi};
 use scr_kernel::mail::{
     Delivered, Envelope, MailConfig, MailServer, MailStageObserver, MailTopology, NoMailObs,
 };
 use scr_kernel::retry::{Backoff, RetryPolicy};
-use scr_mtrace::CoreId;
+use scr_mtrace::{on_core, CoreId, Lines};
 use scr_obs::ObservedKernel;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};

@@ -27,7 +27,9 @@ use scr_kernel::api::{Errno, Fd, OpenFlags, Pid, StatMask, SyscallApi};
 use scr_kernel::mail::{MailConfig, MailServer, MailStage, MailStageObserver, MailTopology};
 use scr_kernel::retry::{Backoff, RetryPolicy};
 use scr_kernel::sv6::{Sv6Kernel, Sv6Options};
-use scr_mtrace::{CoreId, ScalingParams, ScalingPoint, SimMachine, ThroughputModel};
+use scr_mtrace::{
+    on_core, CoreId, Lines, ScalingParams, ScalingPoint, SimMachine, ThroughputModel,
+};
 use scr_obs::{
     Counter, Histogram, MetricsRegistry, ObservedKernel, SpanName, SyscallRecorder, TraceLog,
 };
@@ -303,22 +305,21 @@ impl<K: SyscallApi + ?Sized> Prepared<'_, K> {
 }
 
 /// Runs `workload` on the simulated machine: `rounds` rounds, each core's
-/// operation in turn under `SimMachine::on_core`, on a kernel of `mode`
-/// with at least two cores. Derives ops/sec/core from the traced accesses
-/// with [`ThroughputModel`].
+/// operation in turn under [`on_core`], on a kernel of `mode` with at
+/// least two cores. Derives ops/sec/core from the traced accesses with
+/// [`ThroughputModel`].
 pub fn simulate(workload: Workload, mode: HostMode, cores: usize, rounds: u64) -> ScalingPoint {
     let machine = SimMachine::new();
     let kernel = Sv6Kernel::on_lines(Some(&machine), cores.max(2), workload.options(), mode);
     let prepared = workload.setup(&kernel, cores);
-    machine.clear_trace();
-    machine.start_tracing();
+    machine.begin_window();
     for op in 0..rounds {
         for core in 0..cores {
-            machine.on_core(core, || prepared.op(core, op, None));
+            on_core(core, || prepared.op(core, op, None));
         }
     }
-    machine.stop_tracing();
-    ThroughputModel::new(ScalingParams::default()).evaluate(&machine.accesses(), cores, rounds)
+    let accesses = machine.end_window().accesses;
+    ThroughputModel::new(ScalingParams::default()).evaluate(&accesses, cores, rounds)
 }
 
 /// Operations between a thread's epoch passes. Only the thread driver runs

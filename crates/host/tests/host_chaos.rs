@@ -1,6 +1,6 @@
 //! Integration tests for the chaos layer riding on the host kernel:
 //! fault injection is deterministic per plan, a disabled fault layer is
-//! invisible to the hostmtrace probes (the chaos twin of the
+//! invisible to the trace sink's probes (the chaos twin of the
 //! metrics-parity test in `host_obs.rs`), the reliable surface retries
 //! exactly the injected faults, and the chaos telemetry ledger of the
 //! pipeline engine adds up.
@@ -11,11 +11,11 @@ use scr_host::workloads::MailTelemetry;
 use scr_host::{
     host_kernel, host_kernel_with, run_pipeline, saturating_schedule, HostMode, PipelineConfig,
 };
-use scr_hostmtrace::{on_core, HostTraceSink, WindowHeat};
 use scr_kernel::api::{Errno, OpenFlags, StatMask, SyscallApi};
 use scr_kernel::mail::{MailConfig, MailTopology};
 use scr_kernel::retry::RetryPolicy;
 use scr_kernel::Sv6Options;
+use scr_mtrace::{on_core, HostTraceSink, Lines, TraceWindow};
 
 /// Runs a fixed single-threaded sequence of faultable calls under `plan`
 /// and returns the observable outcome pattern plus the injection count.
@@ -51,7 +51,7 @@ fn fault_injection_is_deterministic_per_plan() {
 
 /// The deterministic syscall sequence of `host_obs.rs`'s parity test,
 /// optionally behind a `FaultyKernel` carrying the *disabled* plan.
-fn traced_heat(through_chaos: bool) -> WindowHeat {
+fn traced_window(through_chaos: bool) -> TraceWindow {
     let sink = HostTraceSink::new(2);
     let kernel = host_kernel_with(2, HostMode::Sv6, Sv6Options::default(), Some(&sink));
     let pid = kernel.new_process();
@@ -65,17 +65,16 @@ fn traced_heat(through_chaos: bool) -> WindowHeat {
     on_core(1, || api.link(1, pid, "parity", "parity-b")).unwrap();
     on_core(0, || api.fstatx(0, pid, fd, StatMask::all_but_nlink())).unwrap();
     on_core(1, || api.unlink(1, pid, "parity-b")).unwrap();
-    let report = sink.end_window();
-    report.window_heat(|line| sink.label_of(line))
+    sink.end_window()
 }
 
 /// Probe parity: a `FaultyKernel` carrying the disabled plan must leave
 /// the traced footprint byte-for-byte identical — enabling the chaos
 /// layer without a plan cannot manufacture (or hide) a conflict.
 #[test]
-fn disabled_chaos_layer_changes_no_hostmtrace_footprint() {
-    let raw = traced_heat(false);
-    let chaos = traced_heat(true);
+fn disabled_chaos_layer_changes_no_traced_footprint() {
+    let raw = traced_window(false);
+    let chaos = traced_window(true);
     assert!(!raw.accesses.is_empty(), "window traced no accesses");
     assert_eq!(raw, chaos);
 }

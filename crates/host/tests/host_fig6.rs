@@ -22,9 +22,9 @@ use scr_core::{
 };
 use scr_host::fig6::{normalize_pipe_label, replay_traced, run_host_fig6, HostFig6Config};
 use scr_host::kernel::HostMode;
-use scr_kernel::api::{perform, OpenFlags, SocketOrder, SysOp};
+use scr_kernel::api::{perform, OpenFlags, SocketOrder, SysOp, SyscallApi};
 use scr_model::CallKind;
-use scr_mtrace::AccessKind;
+use scr_mtrace::{on_core, AccessKind, Lines};
 
 /// A sorted (core, label, kind) access multiset, pipe ids normalised.
 type Footprint = Vec<(usize, String, AccessKind)>;
@@ -47,22 +47,20 @@ fn sim_footprint(mode: HostMode, test: &ConcreteTest, cores: usize) -> Footprint
         HostMode::Sv6 => Sv6Factory { cores }.build(),
         HostMode::Linuxlike => LinuxLikeFactory { cores }.build(),
     };
-    let machine = kernel.machine().clone();
+    let machine = kernel.lines().unwrap();
     for _ in 0..test.procs.max(2) {
         kernel.new_process();
     }
-    machine.stop_tracing();
     for (core, op) in &test.setup {
-        machine.on_core(*core, || perform(kernel.as_ref(), *core, op));
+        on_core(*core, || perform(&kernel, *core, op));
     }
-    machine.clear_trace();
-    machine.start_tracing();
+    machine.begin_window();
     for (core, op) in test.ops.iter().enumerate() {
-        machine.on_core(core, || perform(kernel.as_ref(), core, op));
+        on_core(core, || perform(&kernel, core, op));
     }
-    machine.stop_tracing();
     let mut out: Vec<_> = machine
-        .accesses()
+        .end_window()
+        .accesses
         .iter()
         .map(|a| {
             (

@@ -11,11 +11,11 @@ use scr_host::differential::HostReplayer;
 use scr_host::harness::LoadHarness;
 use scr_host::kernel::{host_kernel, HostMode};
 use scr_host::workloads::{self, on_threads, StatMode, Workload};
-use scr_hostmtrace::HostTraceSink;
 use scr_kernel::api::SyscallApi;
 use scr_kernel::mail::MailConfig;
 use scr_model::calls::ArgSlots;
 use scr_model::{CallKind, ModelConfig};
+use scr_mtrace::HostTraceSink;
 use scr_scalable::{PerCoreCounter, SharedCounter};
 use std::sync::Arc;
 

@@ -13,10 +13,10 @@
 use scr_host::kernel::{host_kernel, host_kernel_with, HostMode};
 use scr_host::workloads::mail_pipeline;
 use scr_host::{run_pipeline, saturating_schedule, PipelineConfig};
-use scr_hostmtrace::HostTraceSink;
 use scr_kernel::api::{Errno, OpenFlags, SocketOrder, SyscallApi};
 use scr_kernel::mail::{MailConfig, MailServer, MailTopology, NoMailObs};
 use scr_kernel::{Sv6Kernel, Sv6Options};
+use scr_mtrace::{HostTraceSink, Lines};
 
 #[test]
 fn socket_errnos_match_the_simulated_kernel() {

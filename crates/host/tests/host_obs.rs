@@ -1,15 +1,15 @@
 //! Integration tests for the telemetry layer riding on the host kernel:
 //! exactly-once accounting through the mail pipeline, the retry-tail
 //! invariant, Chrome trace sanity, probe parity (observing syscalls must
-//! not change the hostmtrace footprint), and heat-table/heatmap agreement.
+//! not change the traced footprint), and heat-table/heatmap agreement.
 
 use scr_host::workloads::{mail_pipeline_observed, MailTelemetry};
 use scr_host::{host_kernel_with, run_host_fig6, HostFig6Config, HostMode};
-use scr_hostmtrace::{on_core, HostTraceSink, WindowHeat};
 use scr_kernel::api::{OpenFlags, StatMask, SyscallApi};
 use scr_kernel::mail::MailConfig;
 use scr_kernel::Sv6Options;
 use scr_model::CallKind;
+use scr_mtrace::{on_core, HostTraceSink, Lines, TraceWindow};
 use scr_obs::{MetricsRegistry, ObservedKernel, SyscallKind, SyscallRecorder};
 
 /// The mail pipeline, observed: every message is delivered exactly once,
@@ -85,9 +85,8 @@ fn observed_pipeline_accounts_for_every_recv_and_span() {
 
 /// Runs a fixed deterministic syscall sequence inside a tracing window,
 /// optionally through [`ObservedKernel`] with an *enabled* registry, and
-/// returns the window's per-line digest plus how many syscalls the
-/// recorder saw.
-fn traced_heat(observe: bool) -> (WindowHeat, u64) {
+/// returns the window plus how many syscalls the recorder saw.
+fn traced_window(observe: bool) -> (TraceWindow, u64) {
     let sink = HostTraceSink::new(2);
     let kernel = host_kernel_with(2, HostMode::Sv6, Sv6Options::default(), Some(&sink));
     let pid = kernel.new_process();
@@ -103,14 +102,13 @@ fn traced_heat(observe: bool) -> (WindowHeat, u64) {
     on_core(1, || api.link(1, pid, "parity", "parity-b")).unwrap();
     on_core(0, || api.fstatx(0, pid, fd, StatMask::all_but_nlink())).unwrap();
     on_core(1, || api.unlink(1, pid, "parity-b")).unwrap();
-    let report = sink.end_window();
+    let window = sink.end_window();
 
-    let heat = report.window_heat(|line| sink.label_of(line));
     let observed_calls = SyscallKind::ALL
         .iter()
         .map(|&kind| recorder.count_of(kind))
         .sum();
-    (heat, observed_calls)
+    (window, observed_calls)
 }
 
 /// Probe parity: wrapping the instrumented kernel in the recorder — with
@@ -118,16 +116,16 @@ fn traced_heat(observe: bool) -> (WindowHeat, u64) {
 /// identical. The recorder's counters live outside the traced lines, so
 /// observation cannot manufacture (or hide) a conflict.
 #[test]
-fn enabling_metrics_changes_no_hostmtrace_footprint() {
-    let (raw_heat, raw_seen) = traced_heat(false);
-    let (observed_heat, observed_seen) = traced_heat(true);
+fn enabling_metrics_changes_no_traced_footprint() {
+    let (raw_window, raw_seen) = traced_window(false);
+    let (observed_window, observed_seen) = traced_window(true);
     assert_eq!(raw_seen, 0, "raw run must not touch the recorder");
     assert_eq!(observed_seen, 4, "recorder missed observed syscalls");
     assert!(
-        !observed_heat.accesses.is_empty(),
+        !observed_window.accesses.is_empty(),
         "window traced no accesses"
     );
-    assert_eq!(raw_heat, observed_heat);
+    assert_eq!(raw_window, observed_window);
 }
 
 /// The Figure 6 heat tables agree with the heatmaps they annotate on a

@@ -10,9 +10,9 @@
 //! allocation per line.
 
 use scr_host::kernel::{host_kernel_with, HostKernel, HostMode, FDS_PER_CORE};
-use scr_hostmtrace::{HostTraceSink, LineId};
 use scr_kernel::api::{MmapBacking, OpenFlags, Prot, SocketOrder, SyscallApi};
 use scr_kernel::Sv6Options;
+use scr_mtrace::{HostTraceSink, LineId, Lines};
 use std::sync::Arc;
 
 const CORES: usize = 4;

@@ -1,12 +1,12 @@
-//! The kernel interface: types, error codes, the [`SyscallApi`] /
-//! [`KernelApi`] traits, and a reified system-call representation
-//! ([`SysOp`]) used by generated test cases.
+//! The kernel interface: types, error codes, the [`SyscallApi`] trait, and
+//! a reified system-call representation ([`SysOp`]) used by generated test
+//! cases.
 //!
 //! [`SyscallApi`] is the substrate-neutral system-call surface — the
 //! simulated kernels *and* `scr-host`'s real-threads kernel implement it,
-//! so applications like the §7.3 mail server run on either. [`KernelApi`]
-//! extends it with access to the simulated machine, which only the traced
-//! implementations can offer.
+//! so applications like the §7.3 mail server run on either. A kernel's
+//! line substrate, where its accesses are traced, is reached through
+//! `Sv6Kernel::lines`.
 //!
 //! Wrappers that observe, inject faults or retry are [`Layer`]s: each
 //! writes one `around` hook, and one blanket impl forwards the whole
@@ -24,7 +24,7 @@
 //! Every call names the *core* it runs on (so the simulated machine can
 //! attribute memory accesses) and the *process* it runs in.
 
-use scr_mtrace::{CoreId, SimMachine};
+use scr_mtrace::CoreId;
 use scr_scalable::SocketError;
 use std::fmt;
 
@@ -341,16 +341,6 @@ pub trait SyscallApi {
     fn recv(&self, core: CoreId, sock: SockId) -> KResult<Vec<u8>>;
 }
 
-/// A [`SyscallApi`] implementation living on the simulated machine of
-/// `scr-mtrace`, whose traced cells are what the MTRACE driver inspects.
-/// The real-threads host kernel implements only [`SyscallApi`]; everything
-/// that needs conflict *tracing* (rather than just execution) asks for a
-/// `KernelApi`.
-pub trait KernelApi: SyscallApi {
-    /// The simulated machine this kernel's state lives on.
-    fn machine(&self) -> &SimMachine;
-}
-
 /// Every hooked [`SyscallApi`] call, including the §4 extensions (all but
 /// `new_process`, which names no core). The discriminant is the call's
 /// index in [`SyscallKind::ALL`], so per-call tables index by `kind as
@@ -633,7 +623,7 @@ impl<L: Layer> SyscallApi for L {
 
 /// A reified system-call invocation, as emitted by TESTGEN.
 ///
-/// Each variant mirrors one `KernelApi` method; string and numeric arguments
+/// Each variant mirrors one [`SyscallApi`] method; string and numeric arguments
 /// are concrete values chosen by the test generator.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SysOp {

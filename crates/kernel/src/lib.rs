@@ -8,7 +8,6 @@
 //!   commutativity-friendly variants §4 proposes (`fstatx`, `O_ANYFD`,
 //!   unordered datagram sockets, `posix_spawn`/`wait`), and a reified
 //!   [`api::SysOp`] so generated test cases can drive any implementation.
-//!   [`api::KernelApi`] extends it with the simulated machine handle.
 //!   [`api::Layer`] is how a wrapper (telemetry, fault injection, retry)
 //!   gets the whole surface from one `around` hook.
 //! * [`sv6`] is the one kernel body: ScaleFS + RadixVM-style (§6.3) hash
@@ -29,7 +28,7 @@
 //!   datagram sockets, ordered and unordered (§4 "permit weak ordering"),
 //!   from `scr_scalable::SocketTable`.
 //! * [`mail`] is the qmail-style mail server application of §7.3, written
-//!   against [`api::KernelApi`] so it can run over either kernel and with
+//!   against [`api::SyscallApi`] so it can run over either kernel and with
 //!   either the regular or the commutative API set.
 
 pub mod api;
@@ -40,8 +39,8 @@ pub mod retry;
 pub mod sv6;
 
 pub use api::{
-    Errno, Fd, Ino, KResult, KernelApi, Layer, OpenFlags, Pid, Prot, Stat, StatMask, SysOp,
-    SysResult, SyscallApi, SyscallKind, Whence, PAGE_SIZE,
+    Errno, Fd, Ino, KResult, Layer, OpenFlags, Pid, Prot, Stat, StatMask, SysOp, SysResult,
+    SyscallApi, SyscallKind, Whence, PAGE_SIZE,
 };
 pub use policy::Policy;
 pub use retry::{is_transient, Backoff, RetryPolicy};

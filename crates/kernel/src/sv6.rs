@@ -56,8 +56,8 @@
 //! pipe descriptors conflicts with other pipe operations.
 
 use crate::api::{
-    Errno, Fd, Ino, KResult, KernelApi, MmapBacking, OpenFlags, Pid, Prot, SockId, SocketOrder,
-    Stat, StatMask, SyscallApi, Whence, PAGE_SIZE,
+    Errno, Fd, Ino, KResult, MmapBacking, OpenFlags, Pid, Prot, SockId, SocketOrder, Stat,
+    StatMask, SyscallApi, Whence, PAGE_SIZE,
 };
 use crate::policy::{LinuxDir, LinuxProc};
 use crate::proc_table::ProcTable;
@@ -709,14 +709,6 @@ fn adjust_refs<L: Lines + Clone>(file: &OpenFile<L>, delta: i64) {
     count.fetch_add(delta, Ordering::AcqRel);
 }
 
-impl KernelApi for Sv6Kernel {
-    fn machine(&self) -> &SimMachine {
-        self.lines
-            .as_ref()
-            .expect("a simulated kernel records on its machine")
-    }
-}
-
 impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
     /// Creates a new process, returning its pid (dense from zero). The
     /// append-only table makes this lock-free.
@@ -1325,6 +1317,7 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scr_mtrace::on_core;
 
     fn kernel_with_proc() -> (Sv6Kernel, Pid) {
         let k = Sv6Kernel::new(4);
@@ -1354,15 +1347,15 @@ mod tests {
         let (k, pid) = kernel_with_proc();
         let pid2 = k.new_process();
         let names = distinct_names(&k, 2);
-        let m = k.machine().clone();
-        m.start_tracing();
-        m.on_core(0, || {
+        let m = k.lines().unwrap();
+        m.begin_window();
+        on_core(0, || {
             k.open(0, pid, &names[0], OpenFlags::create()).unwrap();
         });
-        m.on_core(1, || {
+        on_core(1, || {
             k.open(1, pid2, &names[1], OpenFlags::create()).unwrap();
         });
-        let report = m.conflict_report();
+        let report = m.end_window();
         assert!(report.is_conflict_free(), "got conflicts: {report}");
     }
 
@@ -1370,47 +1363,47 @@ mod tests {
     fn two_fstats_on_same_fd_are_conflict_free() {
         let (k, pid) = kernel_with_proc();
         let fd = k.open(0, pid, "f", OpenFlags::create()).unwrap();
-        let m = k.machine().clone();
-        m.start_tracing();
-        m.on_core(0, || {
+        let m = k.lines().unwrap();
+        m.begin_window();
+        on_core(0, || {
             k.fstat(0, pid, fd).unwrap();
         });
-        m.on_core(1, || {
+        on_core(1, || {
             k.fstat(1, pid, fd).unwrap();
         });
-        assert!(m.conflict_report().is_conflict_free());
+        assert!(m.end_window().is_conflict_free());
     }
 
     #[test]
     fn fstatx_without_nlink_is_conflict_free_with_link() {
         let (k, pid) = kernel_with_proc();
         let fd = k.open(0, pid, "f", OpenFlags::create()).unwrap();
-        let m = k.machine().clone();
-        m.start_tracing();
-        m.on_core(0, || {
+        let m = k.lines().unwrap();
+        m.begin_window();
+        on_core(0, || {
             k.fstatx(0, pid, fd, StatMask::all_but_nlink()).unwrap();
         });
-        m.on_core(1, || {
+        on_core(1, || {
             k.link(1, pid, "f", "f-link").unwrap();
         });
-        assert!(m.conflict_report().is_conflict_free());
+        assert!(m.end_window().is_conflict_free());
     }
 
     #[test]
     fn fstat_with_nlink_conflicts_with_link() {
         let (k, pid) = kernel_with_proc();
         let fd = k.open(0, pid, "f", OpenFlags::create()).unwrap();
-        let m = k.machine().clone();
-        m.start_tracing();
-        m.on_core(0, || {
+        let m = k.lines().unwrap();
+        m.begin_window();
+        on_core(0, || {
             k.fstat(0, pid, fd).unwrap();
         });
-        m.on_core(1, || {
+        on_core(1, || {
             k.link(1, pid, "f", "f-link").unwrap();
         });
         // fstat returns st_nlink, so it does not commute with link and the
         // implementation is allowed (expected) to conflict.
-        assert!(!m.conflict_report().is_conflict_free());
+        assert!(!m.end_window().is_conflict_free());
     }
 
     #[test]
@@ -1420,15 +1413,15 @@ mod tests {
         let (base, gone, extra) = (&names[0], &names[1], &names[2]);
         k.open(0, pid, base, OpenFlags::create()).unwrap();
         k.link(0, pid, base, gone).unwrap();
-        let m = k.machine().clone();
-        m.start_tracing();
-        m.on_core(0, || {
+        let m = k.lines().unwrap();
+        m.begin_window();
+        on_core(0, || {
             k.link(0, pid, base, extra).unwrap();
         });
-        m.on_core(1, || {
+        on_core(1, || {
             k.unlink(1, pid, gone).unwrap();
         });
-        let report = m.conflict_report();
+        let report = m.end_window();
         assert!(report.is_conflict_free(), "got conflicts: {report}");
     }
 
@@ -1437,33 +1430,33 @@ mod tests {
         let k = Sv6Kernel::new(4);
         let p1 = k.new_process();
         let p2 = k.new_process();
-        let m = k.machine().clone();
-        m.start_tracing();
-        m.on_core(0, || {
+        let m = k.lines().unwrap();
+        m.begin_window();
+        on_core(0, || {
             k.mmap(0, p1, None, 4, Prot::rw(), MmapBacking::Anon)
                 .unwrap();
         });
-        m.on_core(1, || {
+        on_core(1, || {
             k.mmap(1, p2, None, 4, Prot::rw(), MmapBacking::Anon)
                 .unwrap();
         });
-        assert!(m.conflict_report().is_conflict_free());
+        assert!(m.end_window().is_conflict_free());
     }
 
     #[test]
     fn disjoint_mmaps_in_same_process_are_conflict_free() {
         let (k, pid) = kernel_with_proc();
-        let m = k.machine().clone();
-        m.start_tracing();
-        m.on_core(0, || {
+        let m = k.lines().unwrap();
+        m.begin_window();
+        on_core(0, || {
             k.mmap(0, pid, None, 2, Prot::rw(), MmapBacking::Anon)
                 .unwrap();
         });
-        m.on_core(1, || {
+        on_core(1, || {
             k.mmap(1, pid, None, 2, Prot::rw(), MmapBacking::Anon)
                 .unwrap();
         });
-        assert!(m.conflict_report().is_conflict_free());
+        assert!(m.end_window().is_conflict_free());
     }
 
     #[test]
@@ -1471,16 +1464,16 @@ mod tests {
         // §6.4: idempotent updates (two mmaps at the same fixed address) are
         // deliberately left non-scalable.
         let (k, pid) = kernel_with_proc();
-        let m = k.machine().clone();
-        m.start_tracing();
+        let m = k.lines().unwrap();
+        m.begin_window();
         for core in 0..2 {
-            m.on_core(core, || {
+            on_core(core, || {
                 let fixed = Some(32 * PAGE_SIZE);
                 k.mmap(core, pid, fixed, 1, Prot::rw(), MmapBacking::Anon)
                     .unwrap();
             });
         }
-        assert!(!m.conflict_report().is_conflict_free());
+        assert!(!m.end_window().is_conflict_free());
     }
 
     #[test]
@@ -1489,15 +1482,15 @@ mod tests {
         let addr = k
             .mmap(0, pid, None, 2, Prot::rw(), MmapBacking::Anon)
             .unwrap();
-        let m = k.machine().clone();
-        m.start_tracing();
-        m.on_core(0, || {
+        let m = k.lines().unwrap();
+        m.begin_window();
+        on_core(0, || {
             k.memwrite(0, pid, addr, 1).unwrap();
         });
-        m.on_core(1, || {
+        on_core(1, || {
             k.memwrite(1, pid, addr + PAGE_SIZE, 2).unwrap();
         });
-        assert!(m.conflict_report().is_conflict_free());
+        assert!(m.end_window().is_conflict_free());
     }
 
     #[test]
@@ -1506,39 +1499,38 @@ mod tests {
         let fd = k.open(0, pid, "big", OpenFlags::create()).unwrap();
         k.pwrite(0, pid, fd, b"a", 0).unwrap();
         k.pwrite(0, pid, fd, b"b", PAGE_SIZE).unwrap();
-        let m = k.machine().clone();
-        m.start_tracing();
-        m.on_core(0, || {
+        let m = k.lines().unwrap();
+        m.begin_window();
+        on_core(0, || {
             k.pwrite(0, pid, fd, b"X", 0).unwrap();
         });
-        m.on_core(1, || {
+        on_core(1, || {
             k.pwrite(1, pid, fd, b"Y", PAGE_SIZE).unwrap();
         });
-        assert!(m.conflict_report().is_conflict_free());
+        assert!(m.end_window().is_conflict_free());
     }
 
     #[test]
     fn pipe_closes_conflict_as_documented() {
         // §6.4: a pipe end's reference count is one shared count.
         let (k, pid) = kernel_with_proc();
-        let m = k.machine().clone();
-        m.start_tracing();
+        let m = k.lines().unwrap();
         // Closing the two different ends of one pipe touches the two
         // counts, each on its own line: conflict-free.
         let (r, w) = k.pipe(0, pid).unwrap();
-        let mark = m.access_count();
-        m.on_core(0, || k.close(0, pid, r).unwrap());
-        m.on_core(1, || k.close(1, pid, w).unwrap());
-        let report = m.conflict_report_since(mark);
+        m.begin_window();
+        on_core(0, || k.close(0, pid, r).unwrap());
+        on_core(1, || k.close(1, pid, w).unwrap());
+        let report = m.end_window();
         assert!(report.is_conflict_free(), "got conflicts: {report}");
         // A fork-duplicated read end closed in the parent and in the
         // child: both drop a reference on the one readers count.
         let (r, _w) = k.pipe(0, pid).unwrap();
         let child = k.fork(0, pid).unwrap();
-        let mark = m.access_count();
-        m.on_core(0, || k.close(0, pid, r).unwrap());
-        m.on_core(1, || k.close(1, child, r).unwrap());
-        let labels = m.conflict_report_since(mark).conflicting_labels();
+        m.begin_window();
+        on_core(0, || k.close(0, pid, r).unwrap());
+        on_core(1, || k.close(1, child, r).unwrap());
+        let labels = m.end_window().conflicting_labels();
         assert_eq!(labels, ["pipe[0:1].readers"]);
     }
 
@@ -1566,15 +1558,15 @@ mod tests {
         k.new_process();
         k.new_process();
         let state = setup(&k);
-        let m = k.machine().clone();
-        m.start_tracing();
-        m.on_core(0, || {
+        let m = k.lines().unwrap();
+        m.begin_window();
+        on_core(0, || {
             a(&k, &state);
         });
-        m.on_core(1, || {
+        on_core(1, || {
             b(&k, &state);
         });
-        m.conflict_report().conflicting_labels()
+        m.end_window().conflicting_labels()
     }
 
     fn create(k: &Sv6Kernel, core: CoreId, pid: Pid, name: &str) -> Fd {

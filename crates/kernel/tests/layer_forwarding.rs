@@ -8,11 +8,11 @@
 //! `new_process`.
 
 use scr_kernel::api::{
-    perform, KResult, KernelApi, Layer, MmapBacking, OpenFlags, Prot, SocketOrder, StatMask, SysOp,
+    perform, KResult, Layer, MmapBacking, OpenFlags, Prot, SocketOrder, StatMask, SysOp,
     SyscallApi, SyscallKind, Whence, PAGE_SIZE,
 };
 use scr_kernel::Sv6Kernel;
-use scr_mtrace::{AccessKind, CoreId, SimMachine};
+use scr_mtrace::{on_core, AccessKind, CoreId, Lines};
 use std::cell::RefCell;
 
 /// Records every hooked call, then runs it once.
@@ -78,30 +78,28 @@ fn script() -> Vec<(CoreId, SysOp, bool)> {
     ]
 }
 
-/// The traced access log as `(core, label, kind)`.
-fn trace(machine: &SimMachine) -> Vec<(CoreId, String, AccessKind)> {
-    machine
-        .accesses()
-        .into_iter()
-        .map(|a| (a.core, machine.label_of(a.line), a.kind))
+/// The kernel's traced window as `(core, label, kind)`.
+fn trace(kernel: &Sv6Kernel) -> Vec<(CoreId, String, AccessKind)> {
+    let machine = kernel.lines().unwrap();
+    let window = machine.end_window();
+    let log = window.accesses.into_iter();
+    log.map(|a| (a.core, machine.label_of(a.line), a.kind))
         .collect()
 }
 
-fn check<K: KernelApi>(kernel: K, twin: K) {
+fn check(kernel: Sv6Kernel, twin: Sv6Kernel) {
     let layered = Counting {
         inner: &kernel,
         calls: RefCell::new(Vec::new()),
     };
     assert_eq!(layered.new_process(), twin.new_process());
-    kernel.machine().start_tracing();
-    twin.machine().start_tracing();
+    kernel.lines().unwrap().begin_window();
+    twin.lines().unwrap().begin_window();
 
     let mut hooks = Vec::new();
     for (step, (core, op, succeeds)) in script().into_iter().enumerate() {
-        let got = kernel
-            .machine()
-            .on_core(core, || perform(&layered, core, &op));
-        let want = twin.machine().on_core(core, || perform(&twin, core, &op));
+        let got = on_core(core, || perform(&layered, core, &op));
+        let want = on_core(core, || perform(&twin, core, &op));
         assert_eq!(got, want, "step {step}: {op:?}");
         assert_eq!(want.is_ok(), succeeds, "step {step}: {op:?} gave {want:?}");
         hooks.push((core, op.kind()));
@@ -112,13 +110,8 @@ fn check<K: KernelApi>(kernel: K, twin: K) {
     let fd = twin.open(0, 0, "f", OpenFlags::create()).unwrap();
     assert_eq!(layered.open(0, 0, "f", OpenFlags::create()), Ok(fd));
     let mask = StatMask::all_but_nlink();
-    let got = kernel
-        .machine()
-        .on_core(1, || layered.fstatx(1, 0, fd, mask));
-    assert_eq!(
-        got,
-        twin.machine().on_core(1, || twin.fstatx(1, 0, fd, mask))
-    );
+    let got = on_core(1, || layered.fstatx(1, 0, fd, mask));
+    assert_eq!(got, on_core(1, || twin.fstatx(1, 0, fd, mask)));
     assert!(got.is_ok());
     hooks.extend([(0, SyscallKind::Open), (1, SyscallKind::Fstatx)]);
 
@@ -130,7 +123,7 @@ fn check<K: KernelApi>(kernel: K, twin: K) {
             "{kind:?} not covered"
         );
     }
-    let (got, want) = (trace(kernel.machine()), trace(twin.machine()));
+    let (got, want) = (trace(&kernel), trace(&twin));
     assert!(!want.is_empty());
     assert_eq!(got, want, "the layer changed the traced footprint");
 }

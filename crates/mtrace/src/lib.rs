@@ -1,4 +1,4 @@
-//! # scr-mtrace — a simulated cache-coherent shared-memory machine
+//! # scr-mtrace — MTRACE for a simulated machine and for real threads
 //!
 //! The paper's MTRACE (§5.3) runs the operating system under a modified qemu
 //! and logs every memory access each core makes while a generated test case
@@ -6,20 +6,23 @@
 //! by more than one core with at least one write — the access conflicts that
 //! limit scalability on MESI-like machines.
 //!
-//! This crate is the equivalent substrate for a library-level reproduction:
+//! This crate is that monitor for a library-level reproduction, on two
+//! substrates that share one vocabulary:
 //!
-//! * [`machine::SimMachine`] is a single-process simulated multicore: an
-//!   access log, a current-core register and a table of labelled cache
-//!   lines.
 //! * [`lines`] is the substrate every scalable structure records its
-//!   footprint through: lines allocated in named blocks, and the
-//!   read / write / read-modify-write / lock-word accesses made on them.
-//!   [`machine::SimMachine`] implements it, and so does the real-threads
-//!   sink of `scr-hostmtrace`, so each structure is written once.
-//! * [`trace`] records per-core reads and writes while tracing is enabled
-//!   and reports **shared lines** — lines touched by two or more cores where
-//!   at least one access is a write (the conflict definition of §3.3 mapped
-//!   onto cache lines).
+//!   footprint through: lines allocated in named blocks, the read / write /
+//!   read-modify-write / lock-word accesses made on them, and the three
+//!   calls that trace them — `begin_window`, `end_window` and `untraced`.
+//! * [`machine::SimMachine`] is a single-process simulated multicore: one
+//!   global access log and a table of labelled cache lines.
+//! * [`sink::HostTraceSink`] is the same monitor for real OS threads:
+//!   per-core lock-free logs behind an epoch-windowed gate.
+//! * [`trace`] holds the thread-local core register both substrates
+//!   attribute accesses to ([`on_core`], [`current_core`]), the
+//!   [`TraceWindow`] both hand over when a window closes, and the analysis
+//!   that reports **shared lines** — lines touched by two or more cores
+//!   where at least one access is a write (the conflict definition of §3.3
+//!   mapped onto cache lines).
 //! * [`mesi`] replays an access log through a MESI coherence model and
 //!   counts the cross-core transfers each access causes.
 //! * [`scaling`] turns coherence traffic into the ops/sec/core curves used
@@ -27,18 +30,22 @@
 //!   cores are added, while a single contended line serialises ownership
 //!   transfers and collapses per-core throughput.
 //!
-//! The machine is deliberately single-threaded: "cores" are a labelling of
-//! which logical CPU performed an access, which is all that conflict
-//! detection and the coherence model need.
+//! On the simulated machine "cores" are a labelling of which logical CPU
+//! performed an access, which is all that conflict detection and the
+//! coherence model need; on real threads each core is a thread.
 
 pub mod lines;
 pub mod machine;
 pub mod mesi;
 pub mod scaling;
+pub mod sink;
 pub mod trace;
 
 pub use lines::{Block, LineNames, LineTable, Lines};
 pub use machine::{CoreId, LineId, SimMachine};
 pub use mesi::{CoherenceStats, MesiSimulator};
 pub use scaling::{ScalingParams, ScalingPoint, ThroughputModel};
-pub use trace::{Access, AccessKind, ConflictReport, SharedLine};
+pub use sink::{AccessLog, HostTraceSink, DEFAULT_LOG_CAPACITY};
+pub use trace::{
+    current_core, on_core, Access, AccessKind, ConflictReport, SharedLine, TraceWindow,
+};

@@ -4,17 +4,21 @@
 //! Every scalable structure keeps its data in ordinary memory and records
 //! its *footprint* — which logical cache line each operation reads or
 //! writes — through a [`Lines`] implementation. The simulated machine
-//! implements it, and so does the real-threads sink of `scr-hostmtrace`, so
-//! one structure type serves both: the same operation records the same
-//! (core, label, kind) sequence on either.
+//! implements it, and so does the real-threads [`HostTraceSink`], so one
+//! structure type serves both: the same operation records the same (core,
+//! label, kind) sequence on either, and either is traced through the same
+//! three calls — [`Lines::begin_window`], [`Lines::end_window`] and
+//! [`Lines::untraced`].
 //!
 //! Lines are handed out in contiguous [`Block`]s, one per structure or per
 //! index range of one (a directory's buckets, a counter's per-core shards).
 //! A block keeps one naming function instead of a label per line, and
 //! [`LineTable::label_of`] formats a label only when a report asks for one.
+//!
+//! [`HostTraceSink`]: crate::HostTraceSink
 
 use crate::machine::LineId;
-use crate::trace::AccessKind;
+use crate::trace::{AccessKind, TraceWindow};
 use std::fmt;
 use std::sync::Arc;
 
@@ -82,8 +86,9 @@ impl fmt::Debug for LineTable {
 
 /// Somewhere a structure's lines live and its accesses are recorded: the
 /// simulated machine, or a real-threads trace sink. Allocation never
-/// records an access; recording attributes the access to the substrate's
-/// current core. A structure holds a cloneable handle to its substrate (a
+/// records an access; recording attributes the access to the calling
+/// thread's [`crate::current_core`], and logs it only while a window is
+/// open. A structure holds a cloneable handle to its substrate (a
 /// [`crate::SimMachine`], or an `Arc` of a sink).
 pub trait Lines {
     /// Allocates `len` consecutive lines, line `first + i` named
@@ -94,8 +99,24 @@ pub trait Lines {
         names: impl Fn(usize) -> String + Send + Sync + 'static,
     ) -> LineId;
 
-    /// Records one access to `line`.
+    /// Records one access to `line`, if a window is open.
     fn record(&self, line: LineId, kind: AccessKind);
+
+    /// The label of a line: its block's name for it, or `line#N` for an id
+    /// no block holds.
+    fn label_of(&self, line: LineId) -> String;
+
+    /// Opens a trace window: forgets what earlier windows logged and logs
+    /// every access from now on.
+    fn begin_window(&self);
+
+    /// Closes the window and hands over what it logged, analysed. On real
+    /// threads the caller must have joined the traced threads first.
+    fn end_window(&self) -> TraceWindow;
+
+    /// Runs `f` without logging its accesses; an open window stays open
+    /// and keeps what it logged so far.
+    fn untraced<R>(&self, f: impl FnOnce() -> R) -> R;
 
     /// Allocates a block of `len` lines named by `names`.
     fn block(
@@ -162,6 +183,22 @@ impl<T: Lines + ?Sized> Lines for Arc<T> {
 
     fn record(&self, line: LineId, kind: AccessKind) {
         (**self).record(line, kind);
+    }
+
+    fn label_of(&self, line: LineId) -> String {
+        (**self).label_of(line)
+    }
+
+    fn begin_window(&self) {
+        (**self).begin_window();
+    }
+
+    fn end_window(&self) -> TraceWindow {
+        (**self).end_window()
+    }
+
+    fn untraced<R>(&self, f: impl FnOnce() -> R) -> R {
+        (**self).untraced(f)
     }
 }
 
@@ -246,13 +283,14 @@ mod tests {
         let block = m.block(4, |i| {
             format!("d.bucket[{}].{}", i / 2, ["lock", "entries"][i % 2])
         });
-        m.start_tracing();
+        m.begin_window();
         block.acquire(2);
         block.read(3);
         block.rmw(3);
         block.release(2);
         let trace: Vec<_> = m
-            .accesses()
+            .end_window()
+            .accesses
             .iter()
             .map(|a| (m.label_of(a.line), a.kind))
             .collect();

@@ -147,44 +147,43 @@ mod tests {
     use super::*;
     use crate::lines::Lines;
     use crate::machine::SimMachine;
+    use crate::on_core;
 
     /// Builds a log in which each core repeatedly writes its own line.
-    fn conflict_free_log(cores: usize, rounds: usize) -> (SimMachine, Vec<Access>) {
+    fn conflict_free_log(cores: usize, rounds: usize) -> Vec<Access> {
         let m = SimMachine::new();
         let lines: Vec<_> = (0..cores)
             .map(|c| m.line(format!("percore[{c}]")))
             .collect();
-        m.start_tracing();
+        m.begin_window();
         for _ in 0..rounds {
             for (core, line) in lines.iter().enumerate() {
-                m.on_core(core, || line.rmw(0));
+                on_core(core, || line.rmw(0));
             }
         }
-        let log = m.accesses();
-        (m, log)
+        m.end_window().accesses
     }
 
     /// Builds a log in which every core writes one shared line.
-    fn contended_log(cores: usize, rounds: usize) -> (SimMachine, Vec<Access>) {
+    fn contended_log(cores: usize, rounds: usize) -> Vec<Access> {
         let m = SimMachine::new();
         let shared = m.line("shared.counter");
-        m.start_tracing();
+        m.begin_window();
         for _ in 0..rounds {
             for core in 0..cores {
-                m.on_core(core, || shared.rmw(0));
+                on_core(core, || shared.rmw(0));
             }
         }
-        let log = m.accesses();
-        (m, log)
+        m.end_window().accesses
     }
 
     #[test]
     fn conflict_free_workload_scales_flat() {
         let model = ThroughputModel::with_defaults();
         let rounds = 200;
-        let (_m1, log1) = conflict_free_log(1, rounds);
+        let log1 = conflict_free_log(1, rounds);
         let p1 = model.evaluate(&log1, 1, rounds as u64);
-        let (_m2, log2) = conflict_free_log(16, rounds);
+        let log2 = conflict_free_log(16, rounds);
         let p16 = model.evaluate(&log2, 16, rounds as u64);
         // Per-core throughput at 16 cores within 10% of single-core.
         let ratio = p16.ops_per_sec_per_core / p1.ops_per_sec_per_core;
@@ -198,9 +197,9 @@ mod tests {
     fn contended_workload_collapses() {
         let model = ThroughputModel::with_defaults();
         let rounds = 200;
-        let (_m1, log1) = contended_log(1, rounds);
+        let log1 = contended_log(1, rounds);
         let p1 = model.evaluate(&log1, 1, rounds as u64);
-        let (_m2, log2) = contended_log(16, rounds);
+        let log2 = contended_log(16, rounds);
         let p16 = model.evaluate(&log2, 16, rounds as u64);
         let ratio = p16.ops_per_sec_per_core / p1.ops_per_sec_per_core;
         assert!(
@@ -214,8 +213,8 @@ mod tests {
     fn contended_workload_gets_worse_with_more_cores() {
         let model = ThroughputModel::with_defaults();
         let rounds = 100;
-        let (_ma, la) = contended_log(4, rounds);
-        let (_mb, lb) = contended_log(32, rounds);
+        let la = contended_log(4, rounds);
+        let lb = contended_log(32, rounds);
         let p4 = model.evaluate(&la, 4, rounds as u64);
         let p32 = model.evaluate(&lb, 32, rounds as u64);
         assert!(p32.ops_per_sec_per_core < p4.ops_per_sec_per_core);
@@ -224,7 +223,7 @@ mod tests {
     #[test]
     fn elapsed_time_is_positive_for_nonempty_workload() {
         let model = ThroughputModel::with_defaults();
-        let (_m, log) = contended_log(2, 5);
+        let log = contended_log(2, 5);
         let p = model.evaluate(&log, 2, 5);
         assert!(p.elapsed_seconds > 0.0);
         assert_eq!(p.total_ops, 10);

@@ -1,17 +1,44 @@
-//! Access traces and conflict (shared-line) reports.
+//! The core register, access traces, trace windows and conflict
+//! (shared-line) reports.
 //!
-//! While tracing is enabled, every read or write a structure records on one
-//! of the machine's [`Lines`] is appended to its access log together with
-//! the core that performed it. A **shared line** is a cache line accessed by two or more
-//! cores with at least one write — the cache-line analogue of the access
-//! conflict defined in §3.3, and exactly what MTRACE reports for a failed
-//! test case (§5.3).
+//! While a window is open, every read or write a structure records on one
+//! of a substrate's [`Lines`] is logged together with the core that
+//! performed it: the calling thread's core register, set with [`on_core`].
+//! Closing the window hands over a [`TraceWindow`]. A **shared line** is a
+//! cache line accessed by two or more cores with at least one write — the
+//! cache-line analogue of the access conflict defined in §3.3, and exactly
+//! what MTRACE reports for a failed test case (§5.3).
 //!
 //! [`Lines`]: crate::lines::Lines
 
 use crate::machine::{CoreId, LineId};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+
+thread_local! {
+    /// The core the calling thread's accesses are attributed to.
+    static CURRENT_CORE: Cell<CoreId> = const { Cell::new(0) };
+}
+
+/// Runs `f` with the calling thread's core register set to `core`,
+/// restoring the previous value afterwards. Both substrates attribute an
+/// access to this register, so "running on core `c`" means the same on the
+/// simulated machine (one thread playing every core in turn) and on real
+/// threads (one thread per core).
+pub fn on_core<R>(core: CoreId, f: impl FnOnce() -> R) -> R {
+    CURRENT_CORE.with(|c| {
+        let prev = c.replace(core);
+        let out = f();
+        c.set(prev);
+        out
+    })
+}
+
+/// The core the calling thread's accesses are currently attributed to.
+pub fn current_core() -> CoreId {
+    CURRENT_CORE.with(Cell::get)
+}
 
 /// Whether an access was a read or a write.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -25,7 +52,7 @@ pub enum AccessKind {
 /// One recorded memory access.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Access {
-    /// Global sequence number (position in the machine's log).
+    /// Position in its window's log.
     pub seq: u64,
     /// Which simulated core performed the access.
     pub core: CoreId,
@@ -120,6 +147,66 @@ impl fmt::Display for ConflictReport {
             }
             Ok(())
         }
+    }
+}
+
+/// One closed trace window, as either substrate's `end_window` hands it
+/// over: the accesses recorded while it was open, their conflict report,
+/// and the appends a full log dropped (always 0 on the simulated machine).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TraceWindow {
+    /// Shared (conflicting) lines among `accesses`.
+    pub report: ConflictReport,
+    /// The recorded accesses: in global order on the simulated machine,
+    /// core by core from a trace sink.
+    pub accesses: Vec<Access>,
+    /// Appends that overflowed a log's capacity. A non-zero count means the
+    /// window may have missed conflicts, so it is never conflict-free.
+    pub dropped: usize,
+}
+
+impl TraceWindow {
+    /// Analyses `accesses` into a window, naming shared lines by `label`.
+    pub fn new(accesses: Vec<Access>, dropped: usize, label: impl Fn(LineId) -> String) -> Self {
+        TraceWindow {
+            report: analyze(&accesses, label),
+            accesses,
+            dropped,
+        }
+    }
+
+    /// Conflict-free means no shared lines *and* no dropped accesses.
+    pub fn is_conflict_free(&self) -> bool {
+        self.dropped == 0 && self.report.is_conflict_free()
+    }
+
+    /// Labels of the conflicting lines (deduplicated, sorted).
+    pub fn conflicting_labels(&self) -> Vec<String> {
+        self.report.conflicting_labels()
+    }
+
+    /// The most accesses one core recorded in this window: how much of a
+    /// sink log's capacity the window used (appends past it are in
+    /// `dropped`).
+    pub fn max_core_accesses(&self) -> usize {
+        let mut per_core: BTreeMap<CoreId, usize> = BTreeMap::new();
+        for access in &self.accesses {
+            *per_core.entry(access.core).or_default() += 1;
+        }
+        per_core.into_values().max().unwrap_or(0)
+    }
+}
+
+impl fmt::Display for TraceWindow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.dropped > 0 {
+            writeln!(
+                f,
+                "WARNING: {} accesses dropped (log overflow)",
+                self.dropped
+            )?;
+        }
+        write!(f, "{}", self.report)
     }
 }
 
@@ -261,5 +348,13 @@ mod tests {
         assert!(text.contains("d_lock"));
         let free = analyze(&[], |_| String::new());
         assert!(format!("{free}").contains("conflict-free"));
+    }
+
+    #[test]
+    fn on_core_restores_previous_core() {
+        assert_eq!(current_core(), 0);
+        let inner = on_core(5, || on_core(2, current_core));
+        assert_eq!(inner, 2);
+        assert_eq!(current_core(), 0);
     }
 }

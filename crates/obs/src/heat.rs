@@ -1,4 +1,4 @@
-//! Conflict-heat accumulation over `hostmtrace` probe streams.
+//! Conflict-heat accumulation over traced windows.
 //!
 //! Each traced replay window yields a set of labelled line accesses and the
 //! subset of lines that actually conflicted (written by one thread, touched
@@ -10,6 +10,7 @@
 //! `crates/host/tests/host_obs.rs`).
 
 use crate::json::Json;
+use scr_mtrace::{AccessKind, LineId, TraceWindow};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -81,19 +82,36 @@ impl HeatMap {
         }
     }
 
-    /// Folds one traced window straight from a
-    /// [`HostConflictReport`](scr_hostmtrace::HostConflictReport):
-    /// `label_of` maps each [`LineId`](scr_mtrace::LineId) to the label to
-    /// accumulate under (typically the sink's `label_of`, composed with a
-    /// normalizer). Runs after the window has ended, so it adds nothing to
-    /// the traced footprint.
-    pub fn fold_report(
-        &self,
-        report: &scr_hostmtrace::HostConflictReport,
-        label_of: impl Fn(scr_mtrace::LineId) -> String,
-    ) {
-        let digest = report.window_heat(label_of);
-        self.fold_window(digest.accesses, &digest.conflicting);
+    /// Folds one closed [`TraceWindow`]: per-label read and write counts,
+    /// and the labels of its shared lines. `label_of` maps each [`LineId`]
+    /// to the label to accumulate under (typically the substrate's
+    /// `label_of`, composed with a normalizer; the Figure 6 runner strips
+    /// per-instance suffixes so heat aggregates per structure). Runs after
+    /// the window has ended, so it adds nothing to the traced footprint.
+    pub fn fold_report(&self, window: &TraceWindow, label_of: impl Fn(LineId) -> String) {
+        let mut per_line: BTreeMap<(LineId, AccessKind), u64> = BTreeMap::new();
+        for access in &window.accesses {
+            *per_line.entry((access.line, access.kind)).or_default() += 1;
+        }
+        let mut accesses: BTreeMap<(String, bool), u64> = BTreeMap::new();
+        for ((line, kind), count) in per_line {
+            *accesses
+                .entry((label_of(line), kind == AccessKind::Write))
+                .or_default() += count;
+        }
+        let mut conflicting: Vec<String> = window
+            .report
+            .shared_lines
+            .iter()
+            .map(|shared| label_of(shared.line))
+            .collect();
+        conflicting.sort();
+        conflicting.dedup();
+        let rows = accesses.into_iter();
+        self.fold_window(
+            rows.map(|((label, is_write), count)| (label, is_write, count)),
+            &conflicting,
+        );
     }
 
     /// Number of distinct labels seen.
@@ -217,29 +235,33 @@ mod tests {
 
     #[test]
     fn fold_report_bridges_a_traced_window() {
-        use scr_hostmtrace::{on_core, AccessKind, HostTraceSink};
+        use scr_mtrace::{on_core, HostTraceSink, Lines};
         let sink = HostTraceSink::new(2);
-        let line = sink.alloc_line("fd-bitmap");
+        let hot = sink.line("fd-bitmap");
+        let cold = sink.line("inode.len");
         sink.begin_window();
         std::thread::scope(|s| {
             for core in 0..2 {
-                let sink = &sink;
+                let (hot, cold) = (&hot, &cold);
                 s.spawn(move || {
                     on_core(core, || {
-                        sink.record(line, AccessKind::Read);
-                        sink.record(line, AccessKind::Write);
+                        hot.rmw(0);
+                        cold.read(0);
                     })
                 });
             }
         });
-        let report = sink.end_window();
+        let window = sink.end_window();
         let heat = HeatMap::new();
-        heat.fold_report(&report, |line| sink.label_of(line));
+        heat.fold_report(&window, |line| sink.label_of(line));
         let entry = heat.entry("fd-bitmap").unwrap();
         assert_eq!(entry.reads, 2);
         assert_eq!(entry.writes, 2);
         assert_eq!(entry.windows, 1);
         assert_eq!(entry.conflict_windows, 1);
+        let entry = heat.entry("inode.len").unwrap();
+        assert_eq!((entry.reads, entry.writes), (2, 0));
+        assert_eq!((entry.windows, entry.conflict_windows), (1, 0));
     }
 
     #[test]

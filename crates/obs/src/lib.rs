@@ -20,7 +20,7 @@
 //!   calls and reified `perform` dispatch through it are recorded alike.
 //! * [`trace`] — [`TraceLog`]: per-core span buffers for the mail pipeline
 //!   stages, exported in Chrome trace-event JSON (loads into Perfetto).
-//! * [`heat`] — [`HeatMap`]: folds `hostmtrace` conflict windows into
+//! * [`heat`] — [`HeatMap`]: folds `scr_mtrace` trace windows into
 //!   per-line access/conflict totals and renders the top-N hottest-lines
 //!   table shown beside the Figure 6 heatmaps.
 //! * [`meta`] — [`RunMeta`]: git revision, mode, core count and config

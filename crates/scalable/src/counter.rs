@@ -91,29 +91,36 @@ impl<L: Lines + Clone> PerCoreCounter<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scr_mtrace::SimMachine;
+    use scr_mtrace::{on_core, HostTraceSink, SimMachine};
     use std::sync::Arc;
 
     #[test]
     fn concurrent_adds_are_conflict_free_and_exact_reads_conflict() {
-        let m = SimMachine::new();
-        let ctr = PerCoreCounter::new(Some(&m), "nlink", 8);
-        m.start_tracing();
-        for core in 0..8 {
-            m.on_core(core, || ctr.add(core, 1));
-        }
-        assert!(m.conflict_report().is_conflict_free());
-        m.on_core(1, || assert_eq!(ctr.read(), 8));
-        assert!(!m.conflict_report().is_conflict_free());
+        // One window of adds on every core, then an exact read on core 1
+        // when `read`.
+        let window = |read: bool| {
+            let m = SimMachine::new();
+            let ctr = PerCoreCounter::new(Some(&m), "nlink", 8);
+            m.begin_window();
+            for core in 0..8 {
+                on_core(core, || ctr.add(core, 1));
+            }
+            if read {
+                on_core(1, || assert_eq!(ctr.read(), 8));
+            }
+            m.end_window()
+        };
+        assert!(window(false).is_conflict_free());
+        assert!(!window(true).is_conflict_free());
     }
 
     #[test]
     fn shard_count_wraps_core_ids() {
         let m = SimMachine::new();
         let ctr = PerCoreCounter::new(Some(&m), "c", 2);
-        m.start_tracing();
+        m.begin_window();
         ctr.add(5, 10); // core 5 maps to shard 1
-        assert_eq!(m.label_of(m.accesses()[0].line), "c.shard[1]");
+        assert_eq!(m.label_of(m.end_window().accesses[0].line), "c.shard[1]");
         assert_eq!(ctr.read(), 10);
     }
 
@@ -121,16 +128,16 @@ mod tests {
     fn shared_updates_from_two_cores_conflict() {
         let m = SimMachine::new();
         let ctr = SharedCounter::new(Some(&m), "file.refcount");
-        m.start_tracing();
-        m.on_core(0, || ctr.add(1));
-        m.on_core(1, || ctr.add(-1));
+        m.begin_window();
+        on_core(0, || ctr.add(1));
+        on_core(1, || ctr.add(-1));
         assert_eq!(ctr.read(), 0);
-        assert_eq!(m.conflict_report().conflicting_labels(), ["file.refcount"]);
+        assert_eq!(m.end_window().conflicting_labels(), ["file.refcount"]);
     }
 
     #[test]
     fn counters_are_thread_safe() {
-        type Host = Arc<scr_hostmtrace::HostTraceSink>;
+        type Host = Arc<HostTraceSink>;
         let shared: SharedCounter<Host> = SharedCounter::new(None, "shared");
         let percore: PerCoreCounter<Host> = PerCoreCounter::new(None, "percore", 4);
         std::thread::scope(|s| {

@@ -68,18 +68,18 @@ impl<T, L: Lines + Clone> DeferQueue<T, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scr_mtrace::SimMachine;
+    use scr_mtrace::{on_core, SimMachine};
 
     #[test]
     fn defers_are_conflict_free_and_a_drain_returns_its_cores_items() {
         let m = SimMachine::new();
         let dq: DeferQueue<u64, SimMachine> = DeferQueue::new(Some(&m), "inodes", 4);
         dq.defer(5, 201);
-        m.start_tracing();
+        m.begin_window();
         for core in 0..4 {
-            m.on_core(core, || dq.defer(core, 100 + core as u64));
+            on_core(core, || dq.defer(core, 100 + core as u64));
         }
-        assert!(m.conflict_report().is_conflict_free());
+        assert!(m.end_window().is_conflict_free());
         assert_eq!(dq.drain(1), [201, 101]);
         assert_eq!(dq.drain(1), Vec::<u64>::new());
         assert_eq!(dq.drain(3), [103]);

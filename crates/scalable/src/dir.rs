@@ -266,7 +266,7 @@ impl<V: Clone, L: Lines + Clone> LockedPair<'_, V, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scr_mtrace::SimMachine;
+    use scr_mtrace::{on_core, SimMachine};
 
     fn dir(m: &SimMachine, buckets: usize) -> HashDir<u64, SimMachine> {
         HashDir::new(Some(m), "shared_dir", buckets)
@@ -296,20 +296,20 @@ mod tests {
         let m = SimMachine::new();
         let d = dir(&m, 64);
         let (a, b) = two_names_in_distinct_buckets(&d);
-        m.start_tracing();
-        m.on_core(0, || assert!(d.insert_if_absent(&a, 1)));
-        m.on_core(1, || assert!(d.insert_if_absent(&b, 2)));
-        assert!(m.conflict_report().is_conflict_free());
+        m.begin_window();
+        on_core(0, || assert!(d.insert_if_absent(&a, 1)));
+        on_core(1, || assert!(d.insert_if_absent(&b, 2)));
+        assert!(m.end_window().is_conflict_free());
     }
 
     #[test]
     fn creates_of_same_name_conflict() {
         let m = SimMachine::new();
         let d = dir(&m, 64);
-        m.start_tracing();
-        m.on_core(0, || d.insert_if_absent("same", 1));
-        m.on_core(1, || d.insert_if_absent("same", 2));
-        assert!(!m.conflict_report().is_conflict_free());
+        m.begin_window();
+        on_core(0, || d.insert_if_absent("same", 1));
+        on_core(1, || d.insert_if_absent("same", 2));
+        assert!(!m.end_window().is_conflict_free());
     }
 
     #[test]
@@ -321,11 +321,10 @@ mod tests {
             d.insert_if_absent("b", 2);
         }
         let trace = |f: &dyn Fn()| {
-            m.clear_trace();
-            m.start_tracing();
+            m.begin_window();
             f();
-            m.stop_tracing();
-            m.accesses()
+            m.end_window()
+                .accesses
                 .iter()
                 .map(|a| (m.label_of(a.line), a.kind))
                 .collect::<Vec<_>>()
@@ -352,10 +351,10 @@ mod tests {
         let m = SimMachine::new();
         let d = dir(&m, 64);
         d.insert_if_absent("x", 1);
-        m.start_tracing();
-        m.on_core(0, || assert_eq!(d.get("x"), Some(1)));
-        m.on_core(1, || assert!(!d.insert_if_absent("x", 9)));
-        m.on_core(2, || assert_eq!(d.remove("missing"), None));
-        assert!(m.conflict_report().is_conflict_free());
+        m.begin_window();
+        on_core(0, || assert_eq!(d.get("x"), Some(1)));
+        on_core(1, || assert!(!d.insert_if_absent("x", 9)));
+        on_core(2, || assert_eq!(d.remove("missing"), None));
+        assert!(m.end_window().is_conflict_free());
     }
 }

@@ -51,21 +51,21 @@ impl<L: Lines + Clone> InodeAllocator<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scr_mtrace::SimMachine;
+    use scr_mtrace::{on_core, SimMachine};
 
     #[test]
     fn numbers_are_unique_and_allocation_is_conflict_free_across_cores() {
         let m = SimMachine::new();
         let alloc = InodeAllocator::new(Some(&m), "scalefs", 4);
         assert_eq!(alloc.alloc(0), 1 << 8);
-        m.start_tracing();
+        m.begin_window();
         let mut seen = std::collections::BTreeSet::new();
         for core in 0..4 {
             for _ in 0..10 {
-                assert!(m.on_core(core, || seen.insert(alloc.alloc(core))));
+                assert!(on_core(core, || seen.insert(alloc.alloc(core))));
             }
         }
         assert_eq!(seen.len(), 40);
-        assert!(m.conflict_report().is_conflict_free());
+        assert!(m.end_window().is_conflict_free());
     }
 }

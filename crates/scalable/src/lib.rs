@@ -15,7 +15,7 @@
 //! * on the simulated machine ([`scr_mtrace::SimMachine`]), where the
 //!   conflict detector and the MESI model read the footprint — the
 //!   simulated sv6 and Linux-like kernels of `scr-kernel`;
-//! * on a real-threads trace sink (`Arc<scr_hostmtrace::HostTraceSink>`),
+//! * on a real-threads trace sink (`Arc<`[`scr_mtrace::HostTraceSink`]`>`),
 //!   where the host Figure 6 reads it — the same sv6 kernel body, run
 //!   from OS threads as `scr-host`'s instrumented `HostKernel`;
 //! * or on nothing (`None`), the uninstrumented `HostKernel`'s choice,

@@ -59,17 +59,18 @@ impl<L: Lines + Clone> LockWord<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scr_mtrace::{AccessKind, SimMachine};
+    use scr_mtrace::{on_core, AccessKind, SimMachine};
 
     #[test]
     fn with_records_acquire_then_release_around_the_body() {
         let m = SimMachine::new();
         let lock = LockWord::new(Some(&m), "dir.lock");
         let body = m.line("dir.entries");
-        m.start_tracing();
+        m.begin_window();
         lock.with(|| body.read(0));
         let kinds: Vec<_> = m
-            .accesses()
+            .end_window()
+            .accesses
             .iter()
             .map(|a| (m.label_of(a.line), a.kind))
             .collect();
@@ -89,10 +90,10 @@ mod tests {
     fn contended_lock_is_a_conflict() {
         let m = SimMachine::new();
         let lock = LockWord::new(Some(&m), "parent_dir.lock");
-        m.start_tracing();
-        m.on_core(0, || lock.with(|| ()));
-        m.on_core(1, || drop(lock.hold()));
-        let report = m.conflict_report();
+        m.begin_window();
+        on_core(0, || lock.with(|| ()));
+        on_core(1, || drop(lock.hold()));
+        let report = m.end_window();
         assert_eq!(report.conflicting_labels(), ["parent_dir.lock"]);
     }
 
@@ -101,9 +102,9 @@ mod tests {
         let m = SimMachine::new();
         let a = LockWord::new(Some(&m), "bucket[0].lock");
         let b = LockWord::new(Some(&m), "bucket[1].lock");
-        m.start_tracing();
-        m.on_core(0, || a.with(|| ()));
-        m.on_core(1, || b.with(|| ()));
-        assert!(m.conflict_report().is_conflict_free());
+        m.begin_window();
+        on_core(0, || a.with(|| ()));
+        on_core(1, || b.with(|| ()));
+        assert!(m.end_window().is_conflict_free());
     }
 }

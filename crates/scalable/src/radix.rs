@@ -237,23 +237,25 @@ impl<T, L: Lines + Clone, G: DerefMut<Target = BTreeMap<usize, T>>> RadixGuard<'
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scr_mtrace::{AccessKind::Read, AccessKind::Write, SimMachine};
+    use scr_mtrace::{on_core, AccessKind::Read, AccessKind::Write, SimMachine};
 
     fn array(m: &SimMachine, label: &str) -> RadixArray<u64, SimMachine> {
         RadixArray::new(Some(m), label)
     }
 
+    /// The open window's footprint; a fresh window follows it.
     fn trace(m: &SimMachine) -> Vec<(String, scr_mtrace::AccessKind)> {
-        let log = m.accesses();
-        m.clear_trace();
-        log.iter().map(|a| (m.label_of(a.line), a.kind)).collect()
+        let window = m.end_window();
+        m.begin_window();
+        let log = window.accesses.iter();
+        log.map(|a| (m.label_of(a.line), a.kind)).collect()
     }
 
     #[test]
     fn set_get_take_roundtrip_and_footprint() {
         let m = SimMachine::new();
         let arr = array(&m, "f.pages");
-        m.start_tracing();
+        m.begin_window();
         assert_eq!(arr.get(130), None);
         assert_eq!(trace(&m), [("f.pages.interior[2]".into(), Read)]);
         arr.set(0, 500);
@@ -289,25 +291,32 @@ mod tests {
         let arr = array(&m, "pages");
         arr.set(3, 0);
         arr.set(11, 0);
-        m.start_tracing();
-        m.on_core(0, || arr.set(3, 33));
-        m.on_core(1, || arr.set(11, 44));
-        m.on_core(2, || arr.set(200, 55));
-        assert!(m.conflict_report().is_conflict_free());
+        m.begin_window();
+        on_core(0, || arr.set(3, 33));
+        on_core(1, || arr.set(11, 44));
+        on_core(2, || arr.set(200, 55));
+        assert!(m.end_window().is_conflict_free());
     }
 
     #[test]
     fn writes_to_same_index_conflict_and_reads_of_others_do_not() {
-        let m = SimMachine::new();
-        let arr = array(&m, "pages");
-        arr.set(1, 0);
-        arr.set(10, 0);
-        m.start_tracing();
-        m.on_core(0, || arr.get(1));
-        m.on_core(1, || arr.set(10, 1));
-        assert!(m.conflict_report().is_conflict_free());
-        m.on_core(0, || arr.set(10, 2));
-        assert!(!m.conflict_report().is_conflict_free());
+        // A read of index 1 and a write of index 10, then, when `rewrite`,
+        // a second write of index 10 from the reading core.
+        let window = |rewrite: bool| {
+            let m = SimMachine::new();
+            let arr = array(&m, "pages");
+            arr.set(1, 0);
+            arr.set(10, 0);
+            m.begin_window();
+            on_core(0, || arr.get(1));
+            on_core(1, || arr.set(10, 1));
+            if rewrite {
+                on_core(0, || arr.set(10, 2));
+            }
+            m.end_window()
+        };
+        assert!(window(false).is_conflict_free());
+        assert!(!window(true).is_conflict_free());
     }
 
     #[test]
@@ -315,7 +324,7 @@ mod tests {
         let m = SimMachine::new();
         let arr = array(&m, "as");
         arr.set(5, 1);
-        m.start_tracing();
+        m.begin_window();
         arr.get(5);
         arr.set(5, 2);
         arr.get(6);

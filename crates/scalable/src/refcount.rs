@@ -204,7 +204,7 @@ impl<L: Lines + Clone> LinkCounter<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scr_mtrace::SimMachine;
+    use scr_mtrace::{on_core, SimMachine};
 
     #[test]
     fn inc_dec_and_flush_reconcile() {
@@ -223,40 +223,50 @@ mod tests {
     fn concurrent_inc_dec_are_conflict_free() {
         let m = SimMachine::new();
         let rc = Refcache::new(Some(&m), "inode.nlink", 8, 1);
-        m.start_tracing();
+        m.begin_window();
         for core in 0..8 {
-            m.on_core(core, || {
+            on_core(core, || {
                 rc.inc(core);
                 rc.dec(core);
             });
         }
-        assert!(m.conflict_report().is_conflict_free());
+        assert!(m.end_window().is_conflict_free());
     }
 
     #[test]
     fn exact_read_conflicts_with_updates_and_reconciled_read_does_not() {
-        let m = SimMachine::new();
-        let rc = Refcache::new(Some(&m), "inode.nlink", 4, 1);
-        m.start_tracing();
-        m.on_core(0, || rc.inc(0));
-        let mark = m.access_count();
-        m.on_core(1, || rc.read_reconciled());
-        assert!(m.conflict_report().is_conflict_free());
-        m.on_core(1, || rc.read_exact());
-        assert!(!m.conflict_report().is_conflict_free());
-        assert!(m.conflict_report_since(mark).is_conflict_free());
+        // An increment on core 0, in the window when `traced_inc`, then a
+        // reconciled read on core 1 and, when `exact`, an exact one.
+        let window = |traced_inc: bool, exact: bool| {
+            let m = SimMachine::new();
+            let rc = Refcache::new(Some(&m), "inode.nlink", 4, 1);
+            m.begin_window();
+            if traced_inc {
+                on_core(0, || rc.inc(0));
+            } else {
+                m.untraced(|| on_core(0, || rc.inc(0)));
+            }
+            on_core(1, || rc.read_reconciled());
+            if exact {
+                on_core(1, || rc.read_exact());
+            }
+            m.end_window()
+        };
+        assert!(window(true, false).is_conflict_free());
+        assert!(!window(true, true).is_conflict_free());
+        assert!(window(false, true).is_conflict_free());
     }
 
     #[test]
     fn shared_link_count_is_one_line() {
         let m = SimMachine::new();
         let count = LinkCounter::new(Some(&m), "inode[1].nlink", 4, true);
-        m.start_tracing();
-        m.on_core(0, || count.inc(0));
-        m.on_core(1, || count.dec(1));
+        m.begin_window();
+        on_core(0, || count.inc(0));
+        on_core(1, || count.dec(1));
         assert_eq!(count.reconcile(), 0);
         assert_eq!(
-            m.conflict_report().conflicting_labels(),
+            m.end_window().conflicting_labels(),
             ["inode[1].nlink.shared"]
         );
     }

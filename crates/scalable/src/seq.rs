@@ -89,32 +89,39 @@ impl<L: Lines + Clone> SeqLock<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scr_mtrace::SimMachine;
+    use scr_mtrace::{on_core, SimMachine};
 
     #[test]
     fn readers_are_conflict_free_and_a_writer_conflicts() {
-        let m = SimMachine::new();
-        let sl = SeqLock::new(Some(&m), "inode.size", 1);
-        m.start_tracing();
-        m.on_core(0, || assert_eq!(sl.read(), 1));
-        m.on_core(1, || assert_eq!(sl.read(), 1));
-        assert!(m.conflict_report().is_conflict_free());
-        m.on_core(2, || sl.write(|v| v + 1));
+        // Reads on cores 0 and 1, then, when `write`, a write on core 2.
+        let window = |write: bool| {
+            let m = SimMachine::new();
+            let sl = SeqLock::new(Some(&m), "inode.size", 1);
+            m.begin_window();
+            on_core(0, || assert_eq!(sl.read(), 1));
+            on_core(1, || assert_eq!(sl.read(), 1));
+            if write {
+                on_core(2, || sl.write(|v| v + 1));
+                assert_eq!(sl.peek(), 2);
+            }
+            m.end_window()
+        };
+        assert!(window(false).is_conflict_free());
         assert_eq!(
-            m.conflict_report().conflicting_labels(),
+            window(true).conflicting_labels(),
             ["inode.size.data", "inode.size.seq"]
         );
-        assert_eq!(sl.peek(), 2);
     }
 
     #[test]
     fn fetch_max_writes_only_when_it_grows_the_value() {
         let m = SimMachine::new();
         let sl = SeqLock::new(Some(&m), "inode.size", 3);
-        m.start_tracing();
+        m.begin_window();
         assert_eq!(sl.fetch_max(2), 3);
-        assert_eq!(m.access_count(), 3);
+        assert_eq!(m.end_window().accesses.len(), 3);
+        m.begin_window();
         assert_eq!(sl.fetch_max(5), 3);
-        assert_eq!((m.access_count(), sl.peek()), (12, 5));
+        assert_eq!((m.end_window().accesses.len(), sl.peek()), (9, 5));
     }
 }

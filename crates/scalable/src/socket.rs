@@ -196,8 +196,7 @@ impl<L: Lines + Clone> SocketTable<L> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scr_hostmtrace::HostTraceSink;
-    use scr_mtrace::SimMachine;
+    use scr_mtrace::{on_core, HostTraceSink, SimMachine};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     type HostTable = SocketTable<Arc<HostTraceSink>>;
@@ -221,32 +220,36 @@ mod tests {
 
     #[test]
     fn unordered_local_send_recv_are_conflict_free_and_ordered_ones_conflict() {
-        let m = SimMachine::new();
-        let table = SocketTable::new(Some(&m), 2);
-        let (ordered, unordered) = (
-            table.create(SocketOrder::Ordered),
-            table.create(SocketOrder::Unordered),
-        );
-        // Pre-load each core's queue so a local recv succeeds without
-        // stealing.
-        for core in 0..2 {
-            table.send(core, unordered, b"m").unwrap();
-            table.send(core, ordered, b"m").unwrap();
-        }
-        m.start_tracing();
-        for core in 0..2 {
-            m.on_core(core, || {
-                table.send(core, unordered, b"x").unwrap();
-                table.recv(core, unordered).unwrap();
-            });
-        }
-        assert!(m.conflict_report().is_conflict_free());
-        m.on_core(0, || table.send(0, ordered, b"z").unwrap());
-        m.on_core(1, || table.recv(1, ordered).unwrap());
-        assert_eq!(
-            m.conflict_report().conflicting_labels(),
-            ["socket[0].queue"]
-        );
+        // A local send and recv on each core's unordered queue, then, when
+        // `ordered_too`, a send and a recv on the ordered socket.
+        let window = |ordered_too: bool| {
+            let m = SimMachine::new();
+            let table = SocketTable::new(Some(&m), 2);
+            let (ordered, unordered) = (
+                table.create(SocketOrder::Ordered),
+                table.create(SocketOrder::Unordered),
+            );
+            // Pre-load each core's queue so a local recv succeeds without
+            // stealing.
+            for core in 0..2 {
+                table.send(core, unordered, b"m").unwrap();
+                table.send(core, ordered, b"m").unwrap();
+            }
+            m.begin_window();
+            for core in 0..2 {
+                on_core(core, || {
+                    table.send(core, unordered, b"x").unwrap();
+                    table.recv(core, unordered).unwrap();
+                });
+            }
+            if ordered_too {
+                on_core(0, || table.send(0, ordered, b"z").unwrap());
+                on_core(1, || table.recv(1, ordered).unwrap());
+            }
+            m.end_window()
+        };
+        assert!(window(false).is_conflict_free());
+        assert_eq!(window(true).conflicting_labels(), ["socket[0].queue"]);
     }
 
     /// xorshift64*: seeds are printed in assertions so failures reproduce.

@@ -10,8 +10,8 @@
 //! and `mail/user{m}/new-{core}-{seq}` — because that is the population whose
 //! members share FNV-1a's low bits inside one stripe.
 
-use scr_hostmtrace::{on_core, HostTraceSink};
 use scr_mtrace::AccessKind::{self, Read, Write};
+use scr_mtrace::{on_core, HostTraceSink, Lines};
 use scr_scalable::HashDir;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -3,7 +3,7 @@
 //! change the *sharing*, not the semantics).
 
 use proptest::prelude::*;
-use scr_mtrace::SimMachine;
+use scr_mtrace::{on_core, Lines, SimMachine};
 use scr_scalable::{HashDir, PerCoreCounter, RadixArray, Refcache};
 use std::collections::BTreeMap;
 
@@ -129,15 +129,14 @@ proptest! {
         // conflict-free.
         let machine = SimMachine::new();
         let rc = Refcache::new(Some(&machine), "count", 4, 0);
-        machine.start_tracing();
+        machine.begin_window();
         for (core, delta) in updates {
-            machine.on_core(core, || {
+            on_core(core, || {
                 for _ in 0..delta {
                     rc.inc(core);
                 }
             });
         }
-        machine.stop_tracing();
-        prop_assert!(machine.conflict_report().is_conflict_free());
+        prop_assert!(machine.end_window().is_conflict_free());
     }
 }

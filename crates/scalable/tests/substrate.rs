@@ -2,12 +2,13 @@
 //! substrates: the simulated machine and a real-threads trace sink.
 //!
 //! Each structure is written once and records its footprint through
-//! `scr_mtrace::Lines`, so the two substrates must see the same thing: the
-//! same (label, kind) sequence on every core, and the same label for every
-//! line id — the `line#N` fallback past the last line included.
+//! `scr_mtrace::Lines`, and both substrates are driven through the same
+//! core register and the same window calls, so the two must see the same
+//! thing: the same (label, kind) sequence on every core, the same conflict
+//! report, and the same label for every line id — the `line#N` fallback
+//! past the last line included.
 
-use scr_hostmtrace::{on_core, HostTraceSink};
-use scr_mtrace::{AccessKind, LineId, Lines, SimMachine};
+use scr_mtrace::{on_core, AccessKind, HostTraceSink, LineId, Lines, SimMachine, TraceWindow};
 use scr_scalable::{
     DeferQueue, HashDir, InodeAllocator, LinkCounter, LockWord, PerCoreCounter, RadixArray,
     Refcache, SeqLock, SharedCounter, SocketOrder, SocketTable,
@@ -16,9 +17,10 @@ use std::sync::Arc;
 
 const CORES: usize = 4;
 
-/// Builds every structure on `lines` and runs the sequence, each step on
-/// the core `run` is given.
-fn exercise<L: Lines + Clone>(lines: &L, run: &dyn Fn(usize, &dyn Fn())) {
+/// Builds every structure on `lines` and runs the sequence in one trace
+/// window, each step on the core `run` is given.
+fn exercise<L: Lines + Clone>(lines: &L) -> TraceWindow {
+    let run = |core, f: &dyn Fn()| on_core(core, f);
     let l = Some(lines);
     let dir = HashDir::new(l, "dir", 8);
     let refs = Refcache::new(l, "inode[1].nlink", CORES, 1);
@@ -32,6 +34,7 @@ fn exercise<L: Lines + Clone>(lines: &L, run: &dyn Fn(usize, &dyn Fn())) {
     let shared = SharedCounter::new(l, "file.refcount");
     let i_mutex = LockWord::new(l, "root.i_mutex");
 
+    lines.begin_window();
     run(0, &|| {
         dir.insert_if_absent("a", 1);
         dir.insert_if_absent("a", 2);
@@ -104,6 +107,7 @@ fn exercise<L: Lines + Clone>(lines: &L, run: &dyn Fn(usize, &dyn Fn())) {
         sockets.recv(3, unordered).unwrap();
         sockets.recv(3, unordered).unwrap_err();
     });
+    lines.end_window()
 }
 
 /// Per core, the (label, kind) sequence of a log.
@@ -120,19 +124,19 @@ fn per_core(accesses: &[scr_mtrace::Access], label_of: impl Fn(LineId) -> String
 #[test]
 fn both_substrates_record_the_same_footprint_under_the_same_labels() {
     let m = SimMachine::new();
-    m.start_tracing();
-    exercise(&m, &|core, f| m.on_core(core, f));
-    let sim = per_core(&m.accesses(), |line| m.label_of(line));
-
+    let sim_window = exercise(&m);
     let sink = HostTraceSink::new(CORES);
-    sink.begin_window();
-    exercise(&sink, &|core, f| on_core(core, f));
-    let report = sink.end_window();
-    assert_eq!(report.dropped, 0);
-    let host = per_core(&report.accesses, |line| sink.label_of(line));
+    let host_window = exercise(&sink);
+    assert_eq!((sim_window.dropped, host_window.dropped), (0, 0));
 
+    let sim = per_core(&sim_window.accesses, |line| m.label_of(line));
+    let host = per_core(&host_window.accesses, |line| sink.label_of(line));
     assert!(sim.iter().all(|log| !log.is_empty()), "{sim:?}");
     assert_eq!(host, sim);
+    // The same shared lines under the same labels, the same lines touched
+    // and the same accesses examined.
+    assert!(!sim_window.is_conflict_free(), "{}", sim_window.report);
+    assert_eq!(host_window.report, sim_window.report);
     let lines = sink.line_count();
     assert!(lines > 2 * 8 + 64 * 3, "{lines} lines");
     let labels = |label_of: &dyn Fn(LineId) -> String| -> Vec<String> {

@@ -3,7 +3,7 @@
 //!
 //! Replays every generated test on the real-threads `HostKernel` — the one
 //! kernel body under its sv6 and its Linux-like sharing policy — with a
-//! `scr-hostmtrace` tracing window around the concurrent pair, and prints
+//! trace window of a `HostTraceSink` around the concurrent pair, and prints
 //! four heatmaps: the simulated `Linux`/`sv6` tables next to the measured
 //! `linux-host`/`sv6-host` ones.
 //!
@@ -34,8 +34,8 @@
 //!
 //! Beside each host heatmap it prints the conflict-heat table: the top-N
 //! hottest line labels by how many traced windows they conflicted in,
-//! accumulated by `scr-obs` from the same `hostmtrace` probe stream that
-//! produced the heatmap. `--metrics-out <path>` exports both heat tables
+//! accumulated by `scr-obs` from the same trace windows that produced the
+//! heatmap. `--metrics-out <path>` exports both heat tables
 //! (plus run metadata) as a JSON snapshot.
 //!
 //! Run with `cargo run --release --example host_fig6 [-- --all]`.
@@ -45,8 +45,8 @@ use scalable_commutativity::host::{
     available_threads, ext_calls, run_host_fig6, HostFig6Config, HostFig6Results,
     LOWEST_FD_EXCEPTION,
 };
-use scalable_commutativity::hostmtrace::DEFAULT_LOG_CAPACITY;
 use scalable_commutativity::model::{CallKind, ALL_CALLS};
+use scalable_commutativity::mtrace::DEFAULT_LOG_CAPACITY;
 use scalable_commutativity::obs::{metrics_out, Json, MetricsRegistry, RunMeta};
 use std::collections::BTreeMap;
 use std::path::PathBuf;

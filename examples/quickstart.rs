@@ -13,8 +13,9 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use scalable_commutativity::kernel::api::{KernelApi, OpenFlags, SyscallApi};
+use scalable_commutativity::kernel::api::{OpenFlags, SyscallApi};
 use scalable_commutativity::kernel::Sv6Kernel;
+use scalable_commutativity::mtrace::{on_core, Lines};
 use scalable_commutativity::spec::commutativity::op_level_reorderings;
 use scalable_commutativity::spec::conflict::find_conflicts;
 use scalable_commutativity::spec::construction::{
@@ -67,19 +68,19 @@ fn main() {
     let kernel = Sv6Kernel::new(4);
     let pid_a = kernel.new_process();
     let pid_b = kernel.new_process();
-    let m = kernel.machine().clone();
-    m.start_tracing();
-    m.on_core(0, || {
+    let m = kernel.lines().expect("a simulated kernel has a machine");
+    m.begin_window();
+    on_core(0, || {
         kernel
             .open(0, pid_a, "alpha", OpenFlags::create())
             .expect("create alpha");
     });
-    m.on_core(1, || {
+    on_core(1, || {
         kernel
             .open(1, pid_b, "bravo", OpenFlags::create())
             .expect("create bravo");
     });
-    let report = m.conflict_report();
+    let report = m.end_window();
     println!("\ncreating two different files on two cores (sv6/ScaleFS):");
     println!("  conflict-free = {}", report.is_conflict_free());
     println!(

@@ -14,8 +14,9 @@
 //! Run with `cargo run --release --example statbench`.
 
 use scalable_commutativity::host::fig7::{quick, simulated_figure, stat_columns};
-use scalable_commutativity::kernel::api::{KernelApi, OpenFlags, SyscallApi};
+use scalable_commutativity::kernel::api::{OpenFlags, SyscallApi};
 use scalable_commutativity::kernel::Sv6Kernel;
+use scalable_commutativity::mtrace::{on_core, Lines};
 
 fn main() {
     let shape = simulated_figure(
@@ -29,20 +30,20 @@ fn main() {
 
     // Show *why*: one traced round of fstat vs link on two cores.
     let kernel = Sv6Kernel::new(2);
-    let machine = kernel.machine().clone();
+    let machine = kernel.lines().expect("a simulated kernel has a machine");
     let pid = kernel.new_process();
     let fd = kernel
         .open(0, pid, "statfile", OpenFlags::create())
         .unwrap();
-    machine.start_tracing();
-    machine.on_core(0, || {
+    machine.begin_window();
+    on_core(0, || {
         kernel.fstat(0, pid, fd).unwrap();
     });
-    machine.on_core(1, || {
+    on_core(1, || {
         kernel.link(1, pid, "statfile", "extra").unwrap();
     });
     println!("\nconflict report for fstat || link on the same file:");
-    println!("{}", machine.conflict_report());
+    println!("{}", machine.end_window());
     println!("fstat must read the link count that link is updating — they do not commute,");
     println!("so no implementation can make this pair conflict-free (§4, §7.2).");
     if shape.is_err() {

@@ -9,7 +9,11 @@
 //! * [`symbolic`] — the symbolic execution engine and model finder.
 //! * [`model`] — the symbolic POSIX model (24 system calls: the paper's 18
 //!   from §6.1 and the six §4 socket and process calls).
-//! * [`mtrace`] — the simulated cache-coherent machine and scalability model.
+//! * [`mtrace`] — MTRACE on two substrates with one vocabulary: the
+//!   simulated cache-coherent machine and the real-threads trace sink, on
+//!   which the same structures record the same footprint through one core
+//!   register and one trace window; the conflict reports behind both
+//!   Figure 6 heatmaps; and the MESI scalability model.
 //! * [`scalable`] — Refcache, per-core allocators, radix arrays and other
 //!   scalable building blocks.
 //! * [`kernel`] — the one sv6-style kernel body, built under the sv6 or the
@@ -19,10 +23,6 @@
 //!   `HostKernel`, the wall-clock load harness, the differential runner
 //!   that cross-checks generated tests between simulation and real threads,
 //!   and the Figure 6 and Figure 7 sweeps over either substrate.
-//! * [`hostmtrace`] — the real-threads sharing monitor: per-thread access
-//!   logs, a line substrate on which the same structures record the same
-//!   footprint as on the simulated machine, and the conflict reports behind
-//!   the host-side Figure 6 heatmap.
 //! * [`obs`] — the commutativity-aware telemetry layer: per-core metrics,
 //!   pipeline trace spans, conflict-heat reports and stamped JSON
 //!   snapshots.
@@ -36,7 +36,6 @@
 pub use scr_chaos as chaos;
 pub use scr_core as commuter;
 pub use scr_host as host;
-pub use scr_hostmtrace as hostmtrace;
 pub use scr_kernel as kernel;
 pub use scr_loadgen as loadgen;
 pub use scr_model as model;

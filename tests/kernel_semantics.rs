@@ -5,17 +5,15 @@
 //! direct.
 
 use scalable_commutativity::kernel::api::{
-    Errno, KernelApi, MmapBacking, OpenFlags, Prot, Whence, PAGE_SIZE,
+    Errno, MmapBacking, OpenFlags, Prot, SyscallApi, Whence, PAGE_SIZE,
 };
 use scalable_commutativity::kernel::Sv6Kernel;
+use scalable_commutativity::mtrace::{on_core, Lines};
 
-fn kernels() -> Vec<(&'static str, Box<dyn KernelApi>)> {
+fn kernels() -> Vec<(&'static str, Sv6Kernel)> {
     vec![
-        ("sv6", Box::new(Sv6Kernel::new(4)) as Box<dyn KernelApi>),
-        (
-            "linux",
-            Box::new(Sv6Kernel::linuxlike(4)) as Box<dyn KernelApi>,
-        ),
+        ("sv6", Sv6Kernel::new(4)),
+        ("linux", Sv6Kernel::linuxlike(4)),
     ]
 }
 
@@ -197,21 +195,20 @@ fn scalability_differs_even_when_semantics_agree() {
     // allocation makes the returned descriptors order-dependent.)
     let sv6 = Sv6Kernel::new(4);
     let linux = Sv6Kernel::linuxlike(4);
-    let outcomes: Vec<bool> = [&sv6 as &dyn KernelApi, &linux as &dyn KernelApi]
+    let outcomes: Vec<bool> = [&sv6, &linux]
         .iter()
         .map(|k| {
             let pid_a = k.new_process();
             let pid_b = k.new_process();
-            let m = k.machine().clone();
-            m.start_tracing();
-            m.on_core(0, || {
+            let m = k.lines().unwrap();
+            m.begin_window();
+            on_core(0, || {
                 k.open(0, pid_a, "left", OpenFlags::create()).unwrap();
             });
-            m.on_core(1, || {
+            on_core(1, || {
                 k.open(1, pid_b, "right", OpenFlags::create()).unwrap();
             });
-            m.stop_tracing();
-            m.conflict_report().is_conflict_free()
+            m.end_window().is_conflict_free()
         })
         .collect();
     assert!(outcomes[0], "sv6 must be conflict-free");

@@ -38,24 +38,23 @@ use scalable_commutativity::commuter::{
 };
 use scalable_commutativity::host::normalize_pipe_label;
 use scalable_commutativity::kernel::api::{
-    perform, KernelApi, MmapBacking, OpenFlags, Prot, SocketOrder, StatMask, SyscallApi, Whence,
-    PAGE_SIZE,
+    perform, MmapBacking, OpenFlags, Prot, SocketOrder, StatMask, SyscallApi, Whence, PAGE_SIZE,
 };
 use scalable_commutativity::kernel::mail::{MailConfig, MailServer, NoMailObs};
 use scalable_commutativity::kernel::{Sv6Kernel, Sv6Options};
 use scalable_commutativity::model::CallKind;
-use scalable_commutativity::mtrace::{AccessKind, LineId, SimMachine};
+use scalable_commutativity::mtrace::{on_core, Access, AccessKind, LineId, Lines, SimMachine};
 use scalable_commutativity::symbolic::Fnv64;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
 const CORES: usize = 4;
 
-/// Folds a machine's whole access log into `h`: core, label, kind and the
-/// line's first-appearance number of every access, in log order.
-fn fold_log(h: &mut Fnv64, machine: &SimMachine) {
+/// Folds a window's access log into `h`: core, label, kind and the line's
+/// first-appearance number of every access, in log order.
+fn fold_log(h: &mut Fnv64, machine: &SimMachine, log: &[Access]) {
     let mut lines: HashMap<LineId, (u64, String)> = HashMap::new();
-    for access in machine.accesses() {
+    for access in log {
         let next = lines.len() as u64;
         let (ordinal, label) = lines
             .entry(access.line)
@@ -72,18 +71,17 @@ fn fold_log(h: &mut Fnv64, machine: &SimMachine) {
     h.word(u64::MAX);
 }
 
-/// Folds a machine's access log into `h` as the sorted multiset of (core,
+/// Folds a window's access log into `h` as the sorted multiset of (core,
 /// label with pipe ids masked, kind).
-fn fold_multiset(h: &mut Fnv64, machine: &SimMachine) {
+fn fold_multiset(h: &mut Fnv64, machine: &SimMachine, log: &[Access]) {
     let mut labels: HashMap<LineId, String> = HashMap::new();
     let mut accesses: Vec<(usize, &str, bool)> = Vec::new();
-    let log = machine.accesses();
-    for access in &log {
+    for access in log {
         labels
             .entry(access.line)
             .or_insert_with(|| normalize_pipe_label(&machine.label_of(access.line)));
     }
-    for access in &log {
+    for access in log {
         let write = access.kind == AccessKind::Write;
         accesses.push((access.core, &labels[&access.line], write));
     }
@@ -105,9 +103,11 @@ struct Folds {
 }
 
 impl Folds {
+    /// Closes `machine`'s window and folds what it logged.
     fn add(&mut self, machine: &SimMachine) {
-        fold_log(&mut self.log, machine);
-        fold_multiset(&mut self.multiset, machine);
+        let log = machine.end_window().accesses;
+        fold_log(&mut self.log, machine, &log);
+        fold_multiset(&mut self.multiset, machine, &log);
     }
 
     fn of(machine: &SimMachine) -> (u64, u64) {
@@ -150,18 +150,18 @@ fn corpus(factory: &dyn KernelFactory, tests: &[ConcreteTest]) -> (u64, u64) {
     let mut folds = Folds::default();
     for test in tests {
         let kernel = factory.build();
-        let machine = kernel.machine().clone();
-        machine.start_tracing();
+        let machine = kernel.lines().unwrap();
+        machine.begin_window();
         for _ in 0..test.procs.max(2) {
             kernel.new_process();
         }
         for (core, op) in &test.setup {
-            machine.on_core(*core, || perform(kernel.as_ref(), *core, op));
+            on_core(*core, || perform(&kernel, *core, op));
         }
         for (core, op) in test.ops.iter().enumerate() {
-            machine.on_core(core, || perform(kernel.as_ref(), core, op));
+            on_core(core, || perform(&kernel, core, op));
         }
-        folds.add(&machine);
+        folds.add(machine);
     }
     folds.finish()
 }
@@ -180,105 +180,99 @@ fn verdicts(factory: &dyn KernelFactory, tests: &[ConcreteTest]) -> u64 {
 }
 
 /// Runs `f` on `core`, its result unused.
-fn on<R>(m: &SimMachine, core: usize, f: impl FnOnce(usize) -> R) {
-    m.on_core(core, || f(core));
+fn on<R>(core: usize, f: impl FnOnce(usize) -> R) {
+    on_core(core, || f(core));
 }
 
 /// A fixed script over every structure, each call on its own core.
 fn script(factory: &dyn KernelFactory) -> (u64, u64) {
-    let k = factory.build();
-    let k = k.as_ref();
-    let m = k.machine().clone();
-    m.start_tracing();
+    let k = &factory.build();
+    let m = k.lines().unwrap();
+    m.begin_window();
     let p0 = k.new_process();
     let p1 = k.new_process();
     let fd = |r: Result<u32, _>| r.unwrap_or(u32::MAX);
-    let a = fd(m.on_core(0, || k.open(0, p0, "a", OpenFlags::create())));
-    let b = fd(m.on_core(1, || k.open(1, p1, "b", OpenFlags::create().with_anyfd())));
-    on(&m, 0, |c| k.write(c, p0, a, b"hello"));
-    on(&m, 1, |c| k.pwrite(c, p0, a, b"second page", PAGE_SIZE));
-    on(&m, 2, |c| k.pread(c, p0, a, 5, 0));
-    on(&m, 3, |c| k.lseek(c, p0, a, 1, Whence::Set));
-    on(&m, 3, |c| k.read(c, p0, a, 3));
-    on(&m, 0, |c| k.lseek(c, p0, a, 0, Whence::End));
-    on(&m, 1, |c| k.fstat(c, p0, a));
-    on(&m, 2, |c| k.fstatx(c, p0, a, StatMask::all_but_nlink()));
-    on(&m, 3, |c| k.stat(c, p1, "a"));
-    on(&m, 1, |c| k.link(c, p0, "a", "a2"));
-    on(&m, 2, |c| k.link(c, p0, "a", "a2"));
-    on(&m, 2, |c| k.rename(c, p0, "a2", "a3"));
-    on(&m, 3, |c| k.link(c, p0, "a", "c"));
-    on(&m, 0, |c| k.rename(c, p0, "a", "c"));
-    on(&m, 1, |c| k.rename(c, p1, "a3", "b"));
-    on(&m, 2, |c| k.unlink(c, p1, "c"));
-    on(&m, 3, |c| k.unlink(c, p1, "missing"));
+    let a = fd(on_core(0, || k.open(0, p0, "a", OpenFlags::create())));
+    let b = fd(on_core(1, || {
+        k.open(1, p1, "b", OpenFlags::create().with_anyfd())
+    }));
+    on(0, |c| k.write(c, p0, a, b"hello"));
+    on(1, |c| k.pwrite(c, p0, a, b"second page", PAGE_SIZE));
+    on(2, |c| k.pread(c, p0, a, 5, 0));
+    on(3, |c| k.lseek(c, p0, a, 1, Whence::Set));
+    on(3, |c| k.read(c, p0, a, 3));
+    on(0, |c| k.lseek(c, p0, a, 0, Whence::End));
+    on(1, |c| k.fstat(c, p0, a));
+    on(2, |c| k.fstatx(c, p0, a, StatMask::all_but_nlink()));
+    on(3, |c| k.stat(c, p1, "a"));
+    on(1, |c| k.link(c, p0, "a", "a2"));
+    on(2, |c| k.link(c, p0, "a", "a2"));
+    on(2, |c| k.rename(c, p0, "a2", "a3"));
+    on(3, |c| k.link(c, p0, "a", "c"));
+    on(0, |c| k.rename(c, p0, "a", "c"));
+    on(1, |c| k.rename(c, p1, "a3", "b"));
+    on(2, |c| k.unlink(c, p1, "c"));
+    on(3, |c| k.unlink(c, p1, "missing"));
     let trunc = OpenFlags {
         truncate: true,
         ..OpenFlags::create()
     };
-    on(&m, 0, |c| k.open(c, p0, "b", trunc));
-    on(&m, 1, |c| k.fstat(c, p1, b));
-    let anon = m
-        .on_core(0, || k.mmap(0, p0, None, 2, Prot::rw(), MmapBacking::Anon))
-        .unwrap_or(0);
-    on(&m, 1, |c| k.memwrite(c, p0, anon, 7));
-    on(&m, 2, |c| k.memread(c, p0, anon + PAGE_SIZE));
-    on(&m, 3, |c| k.mprotect(c, p0, anon, 1, Prot::ro()));
-    on(&m, 0, |c| k.memwrite(c, p0, anon, 8));
-    on(&m, 1, |c| k.munmap(c, p0, anon, 2));
-    let mapped = m
-        .on_core(2, || {
-            k.mmap(
-                2,
-                p1,
-                Some(32 * PAGE_SIZE),
-                1,
-                Prot::rw(),
-                MmapBacking::File(b),
-            )
-        })
-        .unwrap_or(0);
-    on(&m, 3, |c| k.memwrite(c, p1, mapped, b'Q'));
-    on(&m, 0, |c| k.memread(c, p1, mapped));
-    let (r, w) = m
-        .on_core(1, || k.pipe(1, p0))
-        .unwrap_or((u32::MAX, u32::MAX));
-    on(&m, 2, |c| k.write(c, p0, w, b"x"));
-    on(&m, 3, |c| k.read(c, p0, r, 4));
-    on(&m, 0, |c| k.read(c, p0, r, 4));
-    let child = m.on_core(1, || k.fork(1, p0)).unwrap_or(usize::MAX);
-    on(&m, 2, |c| k.close(c, child, a));
-    on(&m, 3, |c| k.wait(c, p0, child));
-    let spawned = m
-        .on_core(0, || k.posix_spawn(0, p0, &[w]))
-        .unwrap_or(usize::MAX);
-    on(&m, 1, |c| k.wait(c, p0, spawned));
-    on(&m, 2, |c| k.close(c, p0, r));
-    on(&m, 3, |c| k.write(c, p0, w, b"y"));
+    on(0, |c| k.open(c, p0, "b", trunc));
+    on(1, |c| k.fstat(c, p1, b));
+    let anon = on_core(0, || k.mmap(0, p0, None, 2, Prot::rw(), MmapBacking::Anon)).unwrap_or(0);
+    on(1, |c| k.memwrite(c, p0, anon, 7));
+    on(2, |c| k.memread(c, p0, anon + PAGE_SIZE));
+    on(3, |c| k.mprotect(c, p0, anon, 1, Prot::ro()));
+    on(0, |c| k.memwrite(c, p0, anon, 8));
+    on(1, |c| k.munmap(c, p0, anon, 2));
+    let mapped = on_core(2, || {
+        k.mmap(
+            2,
+            p1,
+            Some(32 * PAGE_SIZE),
+            1,
+            Prot::rw(),
+            MmapBacking::File(b),
+        )
+    })
+    .unwrap_or(0);
+    on(3, |c| k.memwrite(c, p1, mapped, b'Q'));
+    on(0, |c| k.memread(c, p1, mapped));
+    let (r, w) = on_core(1, || k.pipe(1, p0)).unwrap_or((u32::MAX, u32::MAX));
+    on(2, |c| k.write(c, p0, w, b"x"));
+    on(3, |c| k.read(c, p0, r, 4));
+    on(0, |c| k.read(c, p0, r, 4));
+    let child = on_core(1, || k.fork(1, p0)).unwrap_or(usize::MAX);
+    on(2, |c| k.close(c, child, a));
+    on(3, |c| k.wait(c, p0, child));
+    let spawned = on_core(0, || k.posix_spawn(0, p0, &[w])).unwrap_or(usize::MAX);
+    on(1, |c| k.wait(c, p0, spawned));
+    on(2, |c| k.close(c, p0, r));
+    on(3, |c| k.write(c, p0, w, b"y"));
     for order in [SocketOrder::Ordered, SocketOrder::Unordered] {
-        let s = m.on_core(0, || k.socket(0, order)).unwrap_or(usize::MAX);
-        on(&m, 0, |c| k.send(c, s, b"m0"));
-        on(&m, 1, |c| k.send(c, s, b"m1"));
-        on(&m, 1, |c| k.recv(c, s));
-        on(&m, 3, |c| k.recv(c, s));
-        on(&m, 2, |c| k.recv(c, s));
+        let s = on_core(0, || k.socket(0, order)).unwrap_or(usize::MAX);
+        on(0, |c| k.send(c, s, b"m0"));
+        on(1, |c| k.send(c, s, b"m1"));
+        on(1, |c| k.recv(c, s));
+        on(3, |c| k.recv(c, s));
+        on(2, |c| k.recv(c, s));
     }
-    Folds::of(&m)
+    Folds::of(m)
 }
 
 /// statbench: half the cores `fstat` (or `fstatx`) one file while the other
 /// half link and unlink it.
 fn statbench(shared_link_counts: bool, fstatx: bool) -> (u64, u64) {
     let kernel = Sv6Kernel::with_options(CORES, Sv6Options { shared_link_counts });
-    let m = kernel.machine().clone();
-    m.start_tracing();
+    let m = kernel.lines().unwrap();
+    m.begin_window();
     let pid = kernel.new_process();
     let fd = kernel
         .open(0, pid, "statfile", OpenFlags::create())
         .unwrap();
     for round in 0..3 {
         for core in 0..CORES {
-            m.on_core(core, || {
+            on_core(core, || {
                 if core < CORES / 2 {
                     if fstatx {
                         kernel
@@ -295,14 +289,14 @@ fn statbench(shared_link_counts: bool, fstatx: bool) -> (u64, u64) {
             });
         }
     }
-    Folds::of(&m)
+    Folds::of(m)
 }
 
 /// openbench: every core opens and closes its own file.
 fn openbench(anyfd: bool) -> (u64, u64) {
     let kernel = Sv6Kernel::new(CORES);
-    let m = kernel.machine().clone();
-    m.start_tracing();
+    let m = kernel.lines().unwrap();
+    m.begin_window();
     let pid = kernel.new_process();
     for core in 0..CORES {
         let fd = kernel
@@ -312,7 +306,7 @@ fn openbench(anyfd: bool) -> (u64, u64) {
     }
     for _ in 0..3 {
         for core in 0..CORES {
-            m.on_core(core, || {
+            on_core(core, || {
                 let flags = if anyfd {
                     OpenFlags::plain().with_anyfd()
                 } else {
@@ -325,20 +319,20 @@ fn openbench(anyfd: bool) -> (u64, u64) {
             });
         }
     }
-    Folds::of(&m)
+    Folds::of(m)
 }
 
 /// mailbench: every core enqueues a message and runs one queue-manager step.
 fn mailbench(config: MailConfig) -> (u64, u64) {
     let kernel = Sv6Kernel::new(CORES);
-    let m = kernel.machine().clone();
-    m.start_tracing();
+    let m = kernel.lines().unwrap();
+    m.begin_window();
     let client = kernel.new_process();
     let qman = kernel.new_process();
     let server = MailServer::new(&kernel, config, CORES).unwrap();
     for round in 0..2 {
         for core in 0..CORES {
-            m.on_core(core, || {
+            on_core(core, || {
                 let body = format!("message {round} from core {core}");
                 server
                     .enqueue(
@@ -353,7 +347,7 @@ fn mailbench(config: MailConfig) -> (u64, u64) {
             });
         }
     }
-    Folds::of(&m)
+    Folds::of(m)
 }
 
 #[test]
