@@ -48,7 +48,8 @@ pub fn host_kernel(cores: usize, mode: HostMode) -> HostKernel {
 /// same logical-line footprint its simulated counterpart records, so
 /// traced windows can be cross-checked against the simulated heatmap.
 /// Threads share core slots modulo the kernel's cores, of which there are
-/// at least two.
+/// at least two; the sink does not wrap, so it needs a log for every core
+/// that records while a window is open.
 pub fn host_kernel_with(
     cores: usize,
     mode: HostMode,

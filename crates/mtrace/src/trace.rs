@@ -212,7 +212,7 @@ impl fmt::Display for TraceWindow {
 
 /// Analyses a window of the access log: groups accesses by line and reports
 /// the lines accessed by two or more cores with at least one write.
-pub fn analyze(accesses: &[Access], label: impl Fn(LineId) -> String) -> ConflictReport {
+fn analyze(accesses: &[Access], label: impl Fn(LineId) -> String) -> ConflictReport {
     #[derive(Default)]
     struct PerLine {
         readers: BTreeSet<CoreId>,
