@@ -4,25 +4,30 @@
 //! The paper's MTRACE boots the kernel under a modified qemu, runs each test
 //! case's operations on different virtual cores while logging every memory
 //! access, and reports cache lines accessed by more than one core with at
-//! least one write. Here the kernels are libraries running over the
-//! simulated machine of `scr-mtrace`, so the driver simply:
+//! least one write. Here the kernels are libraries, and [`replay`] is that
+//! protocol, written once for every substrate and schedule:
 //!
-//! 1. builds a fresh kernel and the test's processes,
-//! 2. replays the test's setup operations outside any trace window,
-//! 3. opens a window and runs the test's commutative operations, `ops[i]`
-//!    on core `i`, in the order asked for (the identity by default), and
-//! 4. reports the window's shared cache lines (with their allocation
-//!    labels, which play the role of MTRACE's DWARF-derived type names).
+//! 1. it creates the test's processes,
+//! 2. replays the test's setup on its annotated cores, outside any window,
+//! 3. opens a window on the kernel's line substrate, if it has one,
+//! 4. runs `ops[i]` on core `i` under a [`Schedule`] — [`InOrder`] on the
+//!    calling thread, or [`Race`], one real thread per operation — and
+//! 5. closes the window, whose shared lines carry their allocation labels
+//!    (the role of MTRACE's DWARF-derived type names).
 //!
-//! A pair and a triple are the same [`ConcreteTest`] with two or three
-//! operations, so one driver and one linearisation check ([`linearise`])
-//! serve both.
+//! The simulated machine is single-threaded, so only [`InOrder`] runs on it;
+//! the real-threads host kernel takes either. [`run_test`] replays a test on
+//! a simulated kernel built by a [`KernelFactory`]; [`linearise`] checks
+//! results observed elsewhere against the simulated kernel's orders. A pair
+//! and a triple are the same [`ConcreteTest`] with two or three operations,
+//! so one replay and one linearisation check serve both.
 
 use crate::analyzer::orders;
 use crate::testgen::ConcreteTest;
-use scr_kernel::api::{perform, SysResult, SyscallApi};
+use scr_kernel::api::{perform, SysOp, SysResult, SyscallApi};
 use scr_kernel::Sv6Kernel;
-use scr_mtrace::{on_core, Lines};
+use scr_mtrace::{on_core, Lines, TraceWindow};
+use std::sync::Barrier;
 
 /// Builds fresh kernel instances for test runs.
 pub trait KernelFactory: Sync {
@@ -162,7 +167,7 @@ pub fn linearise(
     let linearises = observed.iter().all(|results| {
         (0..orders.len()).any(|k| {
             if k == simulated.len() {
-                simulated.push(run_test_order(factory, test, &orders[k]).results);
+                simulated.push(replay_on(factory, test, &orders[k]).results);
             }
             simulated[k] == *results
         })
@@ -195,47 +200,146 @@ pub struct TestOutcome {
 /// identity order. The factory must configure a core per operation.
 pub fn run_test(factory: &dyn KernelFactory, test: &ConcreteTest) -> TestOutcome {
     let identity: Vec<usize> = (0..test.ops.len()).collect();
-    run_test_order(factory, test, &identity)
+    let Replay {
+        setup_ok,
+        window,
+        results,
+    } = replay_on(factory, test, &identity);
+    let window = window.expect("a simulated kernel has a machine");
+    TestOutcome {
+        test_id: test.id.clone(),
+        conflict_free: window.is_conflict_free(),
+        shared_labels: window.conflicting_labels(),
+        setup_ok,
+        results,
+    }
 }
 
-/// [`run_test`] with an explicit order: `order[k]` names the operation that
-/// runs k-th; operation `i` always runs on core `i`.
-pub fn run_test_order(
-    factory: &dyn KernelFactory,
-    test: &ConcreteTest,
-    order: &[usize],
-) -> TestOutcome {
+/// Replays `test` on a fresh kernel from `factory`, `order[k]` k-th, traced.
+fn replay_on(factory: &dyn KernelFactory, test: &ConcreteTest, order: &[usize]) -> Replay {
     let kernel = factory.build();
-    let machine = kernel.lines().expect("a simulated kernel has a machine");
-    // Both kernels number processes densely from zero.
+    replay(&kernel, kernel.lines(), test, InOrder(order))
+}
+
+/// What one [`replay`] of a test observed.
+#[derive(Clone, Debug)]
+pub struct Replay {
+    /// Whether every setup operation succeeded (a failed setup usually
+    /// means the test exercises an error path).
+    pub setup_ok: bool,
+    /// The window around the operations, when the replay had lines to
+    /// trace on.
+    pub window: Option<TraceWindow>,
+    /// `results[i]` is what `ops[i]` returned, whatever the schedule.
+    pub results: Vec<SysResult>,
+}
+
+/// How [`replay`] runs a test's operations: `ops[i]` on core `i`, inside
+/// [`on_core`], so probes attribute each to its core.
+pub trait Schedule<K: ?Sized> {
+    /// Runs `ops` on `kernel`; `[i]` of the result is what `ops[i]`
+    /// returned.
+    fn run(&self, kernel: &K, ops: &[SysOp]) -> Vec<SysResult>;
+}
+
+/// The operations one after another on the calling thread, `ops[order[k]]`
+/// k-th: the simulated machine's schedule, and the deterministic one on
+/// real threads.
+#[derive(Clone, Copy, Debug)]
+pub struct InOrder<'a>(pub &'a [usize]);
+
+impl<K: SyscallApi + ?Sized> Schedule<K> for InOrder<'_> {
+    fn run(&self, kernel: &K, ops: &[SysOp]) -> Vec<SysResult> {
+        let mut results = vec![None; ops.len()];
+        for &core in self.0 {
+            results[core] = Some(on_core(core, || perform(kernel, core, &ops[core])));
+        }
+        results
+            .into_iter()
+            .map(|result| result.expect("every operation ran"))
+            .collect()
+    }
+}
+
+/// One OS thread per operation, all released by one barrier: the hardware
+/// picks the interleaving. The threads share the kernel, so it must be
+/// `Sync`; a simulated kernel, whose machine is single-threaded, cannot
+/// race:
+///
+/// ```compile_fail
+/// use scr_core::{replay, ConcreteTest, Race};
+/// let test = ConcreteTest { id: "t".into(), calls: vec![], setup: vec![], ops: vec![], procs: 2 };
+/// let kernel = scr_kernel::Sv6Kernel::new(2);
+/// replay(&kernel, kernel.lines(), &test, Race);
+/// ```
+#[derive(Clone, Copy, Debug)]
+pub struct Race;
+
+impl<K: SyscallApi + Sync + ?Sized> Schedule<K> for Race {
+    fn run(&self, kernel: &K, ops: &[SysOp]) -> Vec<SysResult> {
+        let barrier = Barrier::new(ops.len());
+        let barrier = &barrier;
+        std::thread::scope(|scope| {
+            let threads: Vec<_> = ops
+                .iter()
+                .enumerate()
+                .map(|(core, op)| {
+                    scope.spawn(move || {
+                        barrier.wait();
+                        on_core(core, || perform(kernel, core, op))
+                    })
+                })
+                .collect();
+            threads
+                .into_iter()
+                .map(|thread| thread.join().expect("racing op thread"))
+                .collect()
+        })
+    }
+}
+
+/// The one MTRACE replay (§5.3), on any [`SyscallApi`] stack over any line
+/// substrate: creates `test.procs` processes (at least two), runs the setup
+/// with each operation on its annotated core, opens a window on `lines` if
+/// given, runs the operations under `schedule`, and closes the window.
+/// Callers pass the kernel body's own `lines()`; the kernel needs a core
+/// per operation.
+///
+/// ```
+/// use scr_core::{replay, ConcreteTest, InOrder};
+/// let test = ConcreteTest { id: "t".into(), calls: vec![], setup: vec![], ops: vec![], procs: 2 };
+/// let kernel = scr_kernel::Sv6Kernel::new(2);
+/// let replay = replay(&kernel, kernel.lines(), &test, InOrder(&[]));
+/// assert!(replay.setup_ok && replay.window.unwrap().is_conflict_free());
+/// ```
+pub fn replay<K, L>(
+    kernel: &K,
+    lines: Option<&L>,
+    test: &ConcreteTest,
+    schedule: impl Schedule<K>,
+) -> Replay
+where
+    K: SyscallApi + ?Sized,
+    L: Lines,
+{
+    // Both substrates number processes densely from zero.
     for _ in 0..test.procs.max(2) {
         kernel.new_process();
     }
-    // Setup runs before the window opens, each op on its annotated core
-    // (socket-queue preloads must come from the owning core; everything
-    // else uses 0).
+    // Socket-queue preloads must come from the owning core; everything
+    // else uses 0.
     let mut setup_ok = true;
     for (core, op) in &test.setup {
-        let result = on_core(*core, || perform(&kernel, *core, op));
-        setup_ok &= result.is_ok();
+        setup_ok &= on_core(*core, || perform(kernel, *core, op)).is_ok();
     }
-    // The commutative operations run in the window, each on its own core.
-    machine.begin_window();
-    let mut results = vec![None; test.ops.len()];
-    for &core in order {
-        let op = &test.ops[core];
-        results[core] = Some(on_core(core, || perform(&kernel, core, op)));
+    if let Some(lines) = lines {
+        lines.begin_window();
     }
-    let report = machine.end_window();
-    TestOutcome {
-        test_id: test.id.clone(),
-        conflict_free: report.is_conflict_free(),
-        shared_labels: report.conflicting_labels(),
+    let results = schedule.run(kernel, &test.ops);
+    Replay {
         setup_ok,
-        results: results
-            .into_iter()
-            .map(|result| result.expect("every operation ran"))
-            .collect(),
+        window: lines.map(|lines| lines.end_window()),
+        results,
     }
 }
 

@@ -13,11 +13,12 @@
 //!   coverage*: one test per isomorphism class of satisfying assignments.
 //! * **MTRACE** ([`driver`]) runs each test case against a real
 //!   implementation (`scr-kernel` over the simulated machine of
-//!   `scr-mtrace`), operation `i` on core `i`, and reports the cache lines
-//!   shared between the operations, i.e. the violations of the
-//!   commutativity rule. The same driver decides whether results observed
-//!   elsewhere (the real-threads host kernel) match some sequential order
-//!   ([`linearise`]).
+//!   `scr-mtrace`, or over real threads), operation `i` on core `i`, and
+//!   reports the cache lines shared between the operations, i.e. the
+//!   violations of the commutativity rule. One function, [`replay`], does
+//!   that on every substrate and schedule. The same driver decides whether
+//!   results observed elsewhere (the real-threads host kernel) match some
+//!   sequential order ([`linearise`]).
 //!
 //! [`report`] aggregates the per-pair outcomes into the Figure 6 heatmap
 //! and summary statistics, and [`pipeline`] wires the four stages together
@@ -34,8 +35,9 @@ pub mod triples;
 
 pub use analyzer::{analyze_pair, orders, CommutativeCase, PairAnalysis};
 pub use driver::{
-    differential_check, linearise, run_test, run_test_order, ConcreteReplayer, DifferentialOutcome,
-    KernelFactory, Linearisation, LinuxLikeFactory, Sv6Factory, TestOutcome,
+    differential_check, linearise, replay, run_test, ConcreteReplayer, DifferentialOutcome,
+    InOrder, KernelFactory, Linearisation, LinuxLikeFactory, Race, Replay, Schedule, Sv6Factory,
+    TestOutcome,
 };
 pub use pipeline::{
     run_commuter, run_commuter_with_progress, run_sweep, CommuterConfig, CommuterResults,

@@ -20,7 +20,7 @@
 //! feasible leaves only. Generation is the pair generator without its
 //! repair loop: a triple whose first witness is unconstructible is counted
 //! as skipped (see ROADMAP residue). A triple test is a [`ConcreteTest`]
-//! with three operations, so the driver's `run_test`, `run_test_order` and
+//! with three operations, so the driver's `replay`, `run_test` and
 //! `linearise` and the host replays run it exactly as they run a pair.
 
 use crate::analyzer::{default_domains, AnalysisUnit, CommutativeCase, ARG_TAGS};
@@ -385,7 +385,7 @@ pub fn triple_family_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::{run_test, run_test_order, Sv6Factory};
+    use crate::driver::{replay, run_test, InOrder, KernelFactory, Sv6Factory};
 
     fn names() -> Vec<String> {
         (0..4).map(|i| format!("f{i}")).collect()
@@ -468,7 +468,8 @@ mod tests {
             // A SIM-commutative triple's results are order-independent on
             // the (sequential-per-order) simulated kernel.
             for order in [[2, 1, 0], [1, 0, 2]] {
-                let other = run_test_order(&factory, test, &order);
+                let kernel = factory.build();
+                let other = replay(&kernel, kernel.lines(), test, InOrder(&order));
                 assert_eq!(base.results, other.results, "order-dependent: {}", test.id);
             }
         }

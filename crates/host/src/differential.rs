@@ -1,28 +1,25 @@
-//! TESTGEN's concrete tests replayed on real threads, one result vector
-//! per test.
+//! TESTGEN's concrete tests raced on real threads, one result vector per
+//! test.
 //!
 //! The commutativity rule's empirical leg rests on the claim that the
 //! simulated kernels faithfully represent what a real implementation would
 //! do. The host Figure 6 ([`crate::fig6`]) checks that over every generated
 //! test, in every schedule, under both policies, with footprints. This
-//! module holds the smaller replay primitives that still have callers:
-//!
-//! [`HostReplayer`] and [`ChaosReplayer`] implement
-//! `scr_core::ConcreteReplayer`, so `scr_core::differential_check` can
-//! compare a test's racing results (its operations on one real OS thread
-//! each, [`race`]) against the simulated `Sv6Kernel`'s sequential orders
-//! through `scr_core::linearise`. Because the operations *commute*, the
-//! host's results must equal the simulated kernel's for some order,
-//! whatever schedule the hardware picks. [`ChaosReplayer`] replays through
-//! the pipeline's fault layer, so the same check asserts the retry
-//! contract. Pairs and triples replay alike; a triple's traced runs on
-//! both policies go through [`crate::fig6::run_test_host`].
+//! module holds the two untraced replayers `scr_core::differential_check`
+//! drives: each builds a fresh host kernel per test and runs it through
+//! `scr_core::replay` under `scr_core::Race`, one real OS thread per
+//! operation, and `differential_check` compares the results against the
+//! simulated `Sv6Kernel`'s sequential orders through `scr_core::linearise`.
+//! Because the operations *commute*, the host's results must equal the
+//! simulated kernel's for some order, whatever schedule the hardware picks.
+//! [`HostReplayer`] races on the plain kernel; [`ChaosReplayer`] races
+//! through the pipeline's fault layer, so the same check asserts the retry
+//! contract.
 
-use crate::harness::race;
 use crate::kernel::{host_kernel, HostMode};
 use scr_chaos::kernel::{FaultyKernel, ReliableKernel};
 use scr_chaos::plan::ChaosPlan;
-use scr_core::{ConcreteReplayer, ConcreteTest};
+use scr_core::{replay, ConcreteReplayer, ConcreteTest, Race};
 use scr_kernel::api::SysResult;
 use scr_kernel::retry::RetryPolicy;
 
@@ -48,7 +45,7 @@ impl ConcreteReplayer for HostReplayer {
 
     fn replay(&self, test: &ConcreteTest) -> Vec<SysResult> {
         let kernel = host_kernel(self.cores.max(test.ops.len()), HostMode::Sv6);
-        race(&kernel, test.procs, &test.setup, &test.ops, true, || {})
+        replay(&kernel, kernel.lines(), test, Race).results
     }
 }
 
@@ -80,7 +77,7 @@ impl ConcreteReplayer for ChaosReplayer {
         let kernel = host_kernel(cores, HostMode::Sv6);
         let faulty = FaultyKernel::new(&kernel, self.plan.clone(), cores);
         let reliable = ReliableKernel::new(&faulty, RetryPolicy::spin().with_seed(self.plan.seed));
-        race(&reliable, test.procs, &test.setup, &test.ops, true, || {})
+        replay(&reliable, kernel.lines(), test, Race).results
     }
 }
 

@@ -3,10 +3,10 @@
 //! The simulated pipeline (`scr_core::run_commuter`) runs every generated
 //! test on the simulated kernels and reports which commutative pairs share
 //! cache lines. This module replays the same tests on the real-threads
-//! [`HostKernel`] with a trace window of a `scr_mtrace::HostTraceSink`
-//! around the concurrent pair, producing [`Figure6Report`]s labelled
-//! `sv6-host` and `linux-host` — and cross-checks them against the
-//! simulated heatmap.
+//! [`HostKernel`] through the one MTRACE replay, `scr_core::replay`, under
+//! `scr_core::Race`, with a `scr_mtrace::HostTraceSink` as the kernel's
+//! line substrate, producing [`Figure6Report`]s labelled `sv6-host` and
+//! `linux-host` — and cross-checks them against the simulated heatmap.
 //!
 //! [`HostKernel`]: crate::kernel::HostKernel
 //!
@@ -15,14 +15,11 @@
 //! conflict-free on the host kernel of the same policy too, in **every**
 //! schedule the hardware picks — simulated sv6 against `sv6-host`,
 //! simulated Linux-like against `linux-host`. Both sides run the one kernel
-//! body, so they record the same lines. The only tolerated exceptions are
-//! the documented lowest-FD-allocation contention cases (the paper's §1
-//! example: POSIX's "lowest available descriptor" rule makes
-//! otherwise-commutative calls contend on the descriptor table). Such
-//! divergences are classified by their conflicting labels and recorded
-//! explicitly in [`HostFig6Results::divergences`] with the
-//! [`LOWEST_FD_EXCEPTION`] tag — never waived silently; anything else is an
-//! unexplained divergence and fails the acceptance test.
+//! body, so they record the same lines, and every divergence is recorded in
+//! [`HostFig6Results::divergences`] and fails the acceptance test. (The
+//! paper's §1 lowest-FD contention is no exception: the simulated kernel
+//! models the descriptor scan with the same per-slot lines, so it conflicts
+//! on both substrates.)
 //!
 //! Two more properties are checked in every schedule of every test, under
 //! both policies, and recorded next to the divergences:
@@ -38,11 +35,10 @@
 //!   created is received by the pair or still queued afterwards, exactly
 //!   once.
 //!
-//! As with divergences, one kind of linearisation violation is explained
-//! and listed rather than failed: on a test whose simulated orders
-//! disagree on which call fails, the test does not commute at all, and its
-//! racing calls may interleave into results neither order gives
-//! ([`ORDER_DEPENDENT_EXCEPTION`]).
+//! One kind of linearisation violation is explained and listed rather than
+//! failed: on a test whose simulated orders disagree on which call fails,
+//! the test does not commute at all, and its racing calls may interleave
+//! into results neither order gives ([`ORDER_DEPENDENT_EXCEPTION`]).
 //!
 //! The §4 calls ([`ext_calls`]) need no pipeline of their own: their pairs
 //! are generated by the same sweep and checked by the same step.
@@ -53,22 +49,17 @@
 //! on the four kernels on the worker that generated it, and the consumer
 //! keeps the verdicts and drops the tests.
 
-use crate::harness::race;
 use crate::kernel::{host_kernel_with, HostKernel, HostMode};
 use scr_core::{
-    linearise, run_sweep, run_test, CommuterConfig, ConcreteTest, Figure6Report, KernelFactory,
-    Linearisation, LinuxLikeFactory, Sv6Factory, Swept, SweptUnit, TestOutcome,
+    linearise, replay, run_sweep, run_test, CommuterConfig, ConcreteTest, Figure6Report,
+    KernelFactory, Linearisation, LinuxLikeFactory, Race, Replay, Sv6Factory, Swept, SweptUnit,
+    TestOutcome,
 };
 use scr_kernel::api::{SysOp, SysResult};
 use scr_kernel::Sv6Options;
 use scr_model::{CallKind, ModelConfig};
-use scr_mtrace::{HostTraceSink, Lines, TraceWindow};
+use scr_mtrace::{HostTraceSink, Lines};
 use scr_obs::HeatMap;
-
-/// The exception tag for divergences fully explained by lowest-FD
-/// descriptor-table contention (every conflicting line is a `proc[p].fd[f]`
-/// slot). See §1 of the paper: `O_ANYFD` removes exactly this contention.
-pub const LOWEST_FD_EXCEPTION: &str = "lowest-fd-allocation";
 
 /// The exception tag for linearisation violations on tests that do not
 /// commute on the simulated kernel itself: its sequential orders disagree on
@@ -143,39 +134,6 @@ pub struct HostTestOutcome {
     pub max_window_accesses: usize,
 }
 
-/// Replays one test on an instrumented kernel with a core per operation (at
-/// least `cores`): setup untraced, then the commutative operations inside a
-/// tracing window — on one real thread each when `concurrent`, or back to
-/// back on the calling thread otherwise (the deterministic mode used to
-/// validate instrumentation faithfulness). Returns the kernel and the sink
-/// too, so callers can inspect what the operations left behind and resolve
-/// every access's label.
-pub fn replay_traced(
-    mode: HostMode,
-    cores: usize,
-    test: &ConcreteTest,
-    concurrent: bool,
-) -> (
-    HostKernel,
-    std::sync::Arc<HostTraceSink>,
-    TraceWindow,
-    Vec<SysResult>,
-) {
-    let cores = cores.max(test.ops.len()).max(2);
-    let sink = HostTraceSink::new(cores);
-    let kernel = host_kernel_with(cores, mode, Sv6Options::default(), Some(&sink));
-    let results = race(
-        &kernel,
-        test.procs,
-        &test.setup,
-        &test.ops,
-        concurrent,
-        || sink.begin_window(),
-    );
-    let report = sink.end_window();
-    (kernel, sink, report, results)
-}
-
 /// Whether one replay of `test` conserved datagrams: the messages it sent
 /// to sockets its setup created equal, as multisets, the messages its
 /// operations received plus those still queued on `kernel`. Sends to a socket that
@@ -232,10 +190,11 @@ pub fn normalize_pipe_label(label: &str) -> String {
     label.to_string()
 }
 
-/// Runs one test on real threads under `schedules` schedules; the outcome
-/// is conflict-free (and conserving) only if every schedule was, the shared
-/// labels are the union over schedules, and every schedule's results are
-/// kept.
+/// Runs one test on real threads under `schedules` racing schedules, each
+/// on a fresh instrumented kernel with a core per operation (at least
+/// `cores`), traced around the operations. The outcome is conflict-free
+/// (and conserving) only if every schedule was, the shared labels are the
+/// union over schedules, and every schedule's results are kept.
 pub fn run_test_host(
     mode: HostMode,
     cores: usize,
@@ -263,8 +222,16 @@ pub fn run_test_host_with(
     let mut dropped = 0;
     let mut max_window_accesses = 0;
     let mut results = Vec::new();
+    let cores = cores.max(test.ops.len()).max(2);
     for _ in 0..schedules.max(1) {
-        let (kernel, sink, report, res) = replay_traced(mode, cores, test, true);
+        let sink = HostTraceSink::new(cores);
+        let kernel = host_kernel_with(cores, mode, Sv6Options::default(), Some(&sink));
+        let Replay {
+            window,
+            results: res,
+            ..
+        } = replay(&kernel, kernel.lines(), test, Race);
+        let report = window.expect("an instrumented kernel traces");
         if let Some(heat) = heat {
             heat.fold_report(&report, |line| normalize_pipe_label(&sink.label_of(line)));
         }
@@ -300,23 +267,6 @@ pub struct Fig6Divergence {
     pub calls: (CallKind, CallKind),
     /// The lines the host conflicted on.
     pub shared_labels: Vec<String>,
-    /// `Some(tag)` when the divergence is in the documented exception list
-    /// (currently only [`LOWEST_FD_EXCEPTION`]); `None` means unexplained.
-    pub exception: Option<&'static str>,
-}
-
-/// Classifies a divergence by its conflicting labels: an exception only
-/// when *every* shared line is a descriptor-table slot (`proc[p].fd[f]`).
-pub fn classify_divergence(shared_labels: &[String]) -> Option<&'static str> {
-    if !shared_labels.is_empty() && shared_labels.iter().all(|l| is_fd_slot_label(l)) {
-        Some(LOWEST_FD_EXCEPTION)
-    } else {
-        None
-    }
-}
-
-fn is_fd_slot_label(label: &str) -> bool {
-    label.starts_with("proc[") && label.contains("].fd[")
 }
 
 /// A test whose host runs broke linearisation or datagram conservation in
@@ -369,8 +319,8 @@ pub struct HostFig6Results {
     /// The host heatmaps.
     pub host_sv6: Figure6Report,
     pub host_linux: Figure6Report,
-    /// Every sim-free→host-conflict divergence, in either policy,
-    /// classified.
+    /// Every sim-free→host-conflict divergence, in either policy (none in a
+    /// healthy run).
     pub divergences: Vec<Fig6Divergence>,
     /// Every test, in either policy, whose host results matched no
     /// sequential order on the simulated kernel (none in a healthy run).
@@ -392,20 +342,9 @@ pub struct HostFig6Results {
 }
 
 impl HostFig6Results {
-    /// Divergences not covered by the documented exception list.
+    /// Every divergence: none is explained, so each fails the cross-check.
     pub fn unexplained_divergences(&self) -> Vec<&Fig6Divergence> {
-        self.divergences
-            .iter()
-            .filter(|d| d.exception.is_none())
-            .collect()
-    }
-
-    /// Divergences covered by the exception list.
-    pub fn explained_divergences(&self) -> Vec<&Fig6Divergence> {
-        self.divergences
-            .iter()
-            .filter(|d| d.exception.is_some())
-            .collect()
+        self.divergences.iter().collect()
     }
 
     /// One line per divergence, for diagnostics and reports.
@@ -414,13 +353,12 @@ impl HostFig6Results {
             .iter()
             .map(|d| {
                 format!(
-                    "{} on {} ({} ∥ {}): {} [{}]",
+                    "{} on {} ({} ∥ {}): {}",
                     d.test_id,
                     d.kernel,
                     d.calls.0.name(),
                     d.calls.1.name(),
-                    d.shared_labels.join(", "),
-                    d.exception.unwrap_or("UNEXPLAINED")
+                    d.shared_labels.join(", ")
                 )
             })
             .collect::<Vec<_>>()
@@ -464,17 +402,12 @@ impl HostFig6Results {
             .join("\n")
     }
 
-    /// Records one swept unit's skips, four verdicts per test, its
-    /// divergences and its violations. The unit's tests are dropped here.
+    /// Records one swept unit's skips (in the simulated reports, which
+    /// print them), four verdicts per test, its divergences and its
+    /// violations. The unit's tests are dropped here.
     fn absorb(&mut self, unit: SweptUnit<Fig6Verdicts>) {
         let (a, b) = unit.calls;
-        let reports = [
-            &mut self.sim_sv6,
-            &mut self.sim_linux,
-            &mut self.host_sv6,
-            &mut self.host_linux,
-        ];
-        for report in reports {
+        for report in [&mut self.sim_sv6, &mut self.sim_linux] {
             report.record_skips(a, b, &unit.skip_reasons);
         }
         for [sv6, linux] in unit.results {
@@ -496,7 +429,6 @@ impl HostFig6Results {
                         test_id: host.test_id.clone(),
                         kernel,
                         calls: (a, b),
-                        exception: classify_divergence(&host.shared_labels),
                         shared_labels: host.shared_labels.clone(),
                     });
                 }
@@ -707,10 +639,6 @@ mod tests {
             "only fd slots may conflict, got {:?}",
             outcome.shared_labels
         );
-        assert_eq!(
-            classify_divergence(&outcome.shared_labels),
-            Some(LOWEST_FD_EXCEPTION)
-        );
         let anyfd = manual_test(
             "host_anyfd",
             (CallKind::Open, CallKind::Open),
@@ -722,22 +650,6 @@ mod tests {
             outcome.conflict_free,
             "O_ANYFD must remove the contention, got {:?}",
             outcome.shared_labels
-        );
-    }
-
-    #[test]
-    fn classification_requires_every_label_to_be_an_fd_slot() {
-        assert_eq!(classify_divergence(&[]), None);
-        assert_eq!(
-            classify_divergence(&["proc[0].fd[3]".to_string()]),
-            Some(LOWEST_FD_EXCEPTION)
-        );
-        assert_eq!(
-            classify_divergence(&[
-                "proc[0].fd[3]".to_string(),
-                "scalefs.root.bucket[9].entries".to_string()
-            ]),
-            None
         );
     }
 

@@ -1,18 +1,14 @@
-//! Real OS threads released by one barrier: the load harness and the test
-//! race.
+//! The load harness: real OS threads released by one barrier, timed.
 //!
 //! Where `scr_mtrace::ThroughputModel` *derives* ops/sec/core from a traced
-//! access log, the harness *measures* it: each participating thread is
-//! handed its core number, runs the per-core closure `rounds` times, and
-//! the slowest thread's wall-clock time defines the point — the same
-//! "slowest core" convention the simulated model uses.
-//!
-//! [`race`] is the one replay protocol every real-threads check shares:
-//! setup in order, then a test's operations — two for a pair, three for a
-//! triple — racing on cores `0..ops.len()`.
+//! access log, [`LoadHarness`] *measures* it: each participating thread is
+//! handed its core number, runs the per-core closure `ops_per_thread`
+//! times, and the slowest thread's wall-clock time defines the point — the
+//! same "slowest core" convention the simulated model uses. (A generated
+//! test races on real threads through `scr_core::replay` under
+//! `scr_core::Race`.)
 
-use scr_kernel::api::{perform, SysOp, SysResult, SyscallApi};
-use scr_mtrace::{on_core, CoreId, ScalingPoint};
+use scr_mtrace::ScalingPoint;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
@@ -78,64 +74,9 @@ impl LoadHarness {
     }
 }
 
-/// Replays a test on `kernel` — a plain or instrumented `HostKernel`, or a
-/// `Layer` stack over one. Creates `procs` processes (at least two), runs
-/// `setup` in order with each op on its annotated core, calls
-/// `before_race` (where a tracing window opens), then runs `ops[i]` on
-/// core `i`: on one thread per op, released by one barrier, when
-/// `concurrent`, back to back on the calling thread otherwise. Every op
-/// runs inside [`on_core`], so probes attribute it to its core.
-/// `results[i]` belongs to `ops[i]`, whatever interleaving the hardware
-/// picked. Pairs and triples race alike; the kernel needs a core per op.
-pub fn race<K>(
-    kernel: &K,
-    procs: usize,
-    setup: &[(CoreId, SysOp)],
-    ops: &[SysOp],
-    concurrent: bool,
-    before_race: impl FnOnce(),
-) -> Vec<SysResult>
-where
-    K: SyscallApi + Sync + ?Sized,
-{
-    for _ in 0..procs.max(2) {
-        kernel.new_process();
-    }
-    for (core, op) in setup {
-        on_core(*core, || perform(kernel, *core, op));
-    }
-    before_race();
-    if !concurrent {
-        return ops
-            .iter()
-            .enumerate()
-            .map(|(core, op)| on_core(core, || perform(kernel, core, op)))
-            .collect();
-    }
-    let barrier = Barrier::new(ops.len());
-    let barrier = &barrier;
-    std::thread::scope(|scope| {
-        let threads: Vec<_> = ops
-            .iter()
-            .enumerate()
-            .map(|(core, op)| {
-                scope.spawn(move || {
-                    barrier.wait();
-                    on_core(core, || perform(kernel, core, op))
-                })
-            })
-            .collect();
-        threads
-            .into_iter()
-            .map(|thread| thread.join().expect("racing op thread"))
-            .collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn available_threads_is_positive() {

@@ -303,35 +303,45 @@ mod tests {
         // and nlink == 1. A non-atomic check-then-act can miss the
         // same-inode fast path on both sides and leak a link count.
         let pid = 0;
-        let setup = [
-            (
-                0,
-                SysOp::Open {
-                    pid,
-                    name: "a".into(),
-                    flags: OpenFlags::create(),
-                },
-            ),
-            (
-                0,
-                SysOp::Link {
-                    pid,
-                    old: "a".into(),
-                    new: "c".into(),
-                },
-            ),
-        ];
         let rename = |src: &str| SysOp::Rename {
             pid,
             src: src.into(),
             dst: "b".into(),
         };
-        let renames = [rename("a"), rename("c")];
+        let test = scr_core::ConcreteTest {
+            id: "renames_sharing_a_destination".into(),
+            calls: vec![scr_model::CallKind::Rename; 2],
+            setup: vec![
+                (
+                    0,
+                    SysOp::Open {
+                        pid,
+                        name: "a".into(),
+                        flags: OpenFlags::create(),
+                    },
+                ),
+                (
+                    0,
+                    SysOp::Link {
+                        pid,
+                        old: "a".into(),
+                        new: "c".into(),
+                    },
+                ),
+            ],
+            ops: vec![rename("a"), rename("c")],
+            procs: 1,
+        };
         for round in 0..200 {
             let mode = [HostMode::Sv6, HostMode::Linuxlike][round % 2];
             let k = host_kernel(4, mode);
-            let results = crate::harness::race(&k, 1, &setup, &renames, true, || {});
-            assert_eq!(results, [SysResult::Unit, SysResult::Unit], "round {round}");
+            let replay = scr_core::replay(&k, k.lines(), &test, scr_core::Race);
+            assert!(replay.setup_ok, "round {round}");
+            assert_eq!(
+                replay.results,
+                [SysResult::Unit, SysResult::Unit],
+                "round {round}"
+            );
             assert_eq!(k.stat(0, pid, "a"), Err(Errno::ENOENT), "round {round}");
             assert_eq!(k.stat(0, pid, "c"), Err(Errno::ENOENT), "round {round}");
             let st = k.stat(0, pid, "b").unwrap();

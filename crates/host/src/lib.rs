@@ -18,10 +18,10 @@
 //!   directory's `i_mutex`, dentry and `struct file` reference counts,
 //!   `file_lock`, `mmap_sem`, one inode counter and shared link counts.
 //! * [`harness::LoadHarness`] spawns N OS threads, partitions work per
-//!   thread ("core"), and measures real operations per second per core.
-//!   [`harness::race`] is the one replay protocol of every real-threads
-//!   check: a test's setup in order, then its operations racing on cores
-//!   `0..N` behind one barrier, on a plain, instrumented or layered kernel.
+//!   thread ("core"), and measures real operations per second per core. A
+//!   generated test races on real threads through `scr_core::replay` under
+//!   `scr_core::Race`, the one replay every substrate shares, on a plain,
+//!   instrumented or layered kernel.
 //! * [`workloads`] defines each Figure-7 workload once — statbench,
 //!   openbench and the §7.3 mail server (driven through the real
 //!   `scr_kernel::mail::MailServer`) — as a setup plus one core's
@@ -41,17 +41,17 @@
 //!   Its exactly-once ledger (and an fd leak check) must close under every
 //!   `ChaosPlan`. `mail_pipeline`, `scr_loadgen`'s open loop and the chaos
 //!   gate are its front ends.
-//! * [`differential`] holds the replay primitives `scr_core`'s
+//! * [`differential`] holds the two replayers `scr_core`'s
 //!   `differential_check` drives: [`differential::HostReplayer`] races a
 //!   `ConcreteTest`'s operations on real threads, and
 //!   [`differential::ChaosReplayer`] does so through the pipeline's fault
 //!   layer; both are checked against the simulated `Sv6Kernel`.
 //! * [`fig6`] replays every generated test with a trace window of a
-//!   `scr_mtrace::HostTraceSink` around the concurrent pair and aggregates host-side Figure 6
-//!   heatmaps (`sv6-host` / `linux-host`), cross-checking every conflict verdict
-//!   against the simulated heatmap (lowest-FD contention excepted, and
-//!   recorded explicitly), every schedule's results by linearisation and
-//!   every datagram by conservation. The §4 socket and process calls
+//!   `scr_mtrace::HostTraceSink` around the racing operations and
+//!   aggregates host-side Figure 6 heatmaps (`sv6-host` / `linux-host`),
+//!   cross-checking every conflict verdict against the simulated heatmap
+//!   (any divergence fails), every schedule's results by linearisation
+//!   and every datagram by conservation. The §4 socket and process calls
 //!   ([`fig6::ext_calls`]) are checked there like any other call.
 //!
 //! The host Figure 6 does not sweep call pairs itself: it is a consumer of
@@ -68,10 +68,9 @@ pub mod workloads;
 
 pub use differential::{ChaosReplayer, HostReplayer};
 pub use fig6::{
-    classify_divergence, classify_linearisation, ext_calls, normalize_pipe_label, replay_traced,
-    run_host_fig6, run_test_host, run_test_host_with, Fig6Divergence, Fig6Violation,
-    HostFig6Config, HostFig6Results, HostTestOutcome, LOWEST_FD_EXCEPTION,
-    ORDER_DEPENDENT_EXCEPTION,
+    classify_linearisation, ext_calls, normalize_pipe_label, run_host_fig6, run_test_host,
+    run_test_host_with, Fig6Divergence, Fig6Violation, HostFig6Config, HostFig6Results,
+    HostTestOutcome, ORDER_DEPENDENT_EXCEPTION,
 };
 pub use harness::{available_threads, LoadHarness};
 pub use kernel::{host_kernel, host_kernel_with, HostKernel, HostMode};

@@ -4,30 +4,35 @@
 //! simulated heatmap:
 //!
 //! 1. **Instrumentation faithfulness** — replaying a test *sequentially*
-//!    on the instrumented `HostKernel` must record exactly the (core,
-//!    label, kind) access multiset the simulated kernel of the same policy
-//!    records for it: generated corpora, §4 socket and process calls
-//!    included, and hand-written single-operation probes. Sequential replay
-//!    removes scheduling nondeterminism, so any difference is an
+//!    on the instrumented `HostKernel` must return exactly the results and
+//!    record exactly the (core, label, kind) access multiset the simulated
+//!    kernel of the same policy returns and records for it: generated
+//!    corpora, §4 socket and process calls included, and hand-written
+//!    single-operation probes. Both sides run the one replay,
+//!    `scr_core::replay` under `InOrder`, so any difference is an
 //!    instrumentation bug.
 //! 2. **Cross-check under real concurrency** — running the pipeline with
 //!    racing threads, every simulated-conflict-free test must stay
-//!    host-conflict-free; the only tolerated divergences are the documented
-//!    lowest-FD-allocation contention cases, asserted explicitly. Every
-//!    schedule's results must linearise against the simulated kernel and
-//!    every datagram must be conserved.
+//!    host-conflict-free, with no exception. Every schedule's results must
+//!    linearise against the simulated kernel and every datagram must be
+//!    conserved.
 
 use scr_core::{
-    run_commuter, CommuterConfig, ConcreteTest, KernelFactory, LinuxLikeFactory, Sv6Factory,
+    replay, run_commuter, CommuterConfig, ConcreteTest, InOrder, KernelFactory, LinuxLikeFactory,
+    Replay, Sv6Factory,
 };
-use scr_host::fig6::{normalize_pipe_label, replay_traced, run_host_fig6, HostFig6Config};
-use scr_host::kernel::HostMode;
-use scr_kernel::api::{perform, OpenFlags, SocketOrder, SysOp, SyscallApi};
+use scr_host::fig6::{normalize_pipe_label, run_host_fig6, HostFig6Config};
+use scr_host::kernel::{host_kernel_with, HostMode};
+use scr_kernel::api::{OpenFlags, SocketOrder, SysOp};
+use scr_kernel::{Sv6Kernel, Sv6Options};
 use scr_model::CallKind;
-use scr_mtrace::{on_core, AccessKind, Lines};
+use scr_mtrace::{AccessKind, HostTraceSink, Lines};
 
 /// A sorted (core, label, kind) access multiset, pipe ids normalised.
 type Footprint = Vec<(usize, String, AccessKind)>;
+
+/// Cores every kernel here is configured with.
+const CORES: usize = 4;
 
 /// The §4 extension calls.
 const EXTENSION_CALLS: [CallKind; 6] = [
@@ -39,61 +44,50 @@ const EXTENSION_CALLS: [CallKind; 6] = [
     CallKind::Wait,
 ];
 
-/// The footprint a test records on the simulated kernel of `mode`'s policy
-/// (setup untraced on its annotated cores, operation `i` traced on core `i`
-/// — the MTRACE driver's protocol).
-fn sim_footprint(mode: HostMode, test: &ConcreteTest, cores: usize) -> Footprint {
-    let kernel = match mode {
-        HostMode::Sv6 => Sv6Factory { cores }.build(),
-        HostMode::Linuxlike => LinuxLikeFactory { cores }.build(),
-    };
-    let machine = kernel.lines().unwrap();
-    for _ in 0..test.procs.max(2) {
-        kernel.new_process();
-    }
-    for (core, op) in &test.setup {
-        on_core(*core, || perform(&kernel, *core, op));
-    }
-    machine.begin_window();
-    for (core, op) in test.ops.iter().enumerate() {
-        on_core(core, || perform(&kernel, core, op));
-    }
-    let mut out: Vec<_> = machine
-        .end_window()
+/// A sequential replay of `test` on a traced kernel of either substrate,
+/// with its window's footprint.
+fn footprint<L: Lines + Clone>(kernel: &Sv6Kernel<L>, test: &ConcreteTest) -> (Footprint, Replay) {
+    let lines = kernel.lines().expect("a traced kernel");
+    let identity: Vec<usize> = (0..test.ops.len()).collect();
+    let mut replay = replay(kernel, Some(lines), test, InOrder(&identity));
+    let window = replay.window.take().expect("a traced window");
+    assert_eq!(window.dropped, 0, "log overflow in {}", test.id);
+    let mut out: Footprint = window
         .accesses
         .iter()
         .map(|a| {
             (
                 a.core,
-                normalize_pipe_label(&machine.label_of(a.line)),
+                normalize_pipe_label(&lines.label_of(a.line)),
                 a.kind,
             )
         })
         .collect();
     out.sort();
-    out
+    (out, replay)
 }
 
-/// The same multiset recorded by a sequential traced replay on the host.
-fn host_footprint(mode: HostMode, test: &ConcreteTest, cores: usize) -> Footprint {
-    let (_, sink, report, _) = replay_traced(mode, cores, test, false);
-    assert_eq!(report.dropped, 0, "log overflow in {}", test.id);
-    let mut out: Vec<_> = report
-        .accesses
-        .iter()
-        .map(|a| (a.core, normalize_pipe_label(&sink.label_of(a.line)), a.kind))
-        .collect();
-    out.sort();
-    out
-}
-
-fn assert_mirrors(mode: HostMode, test: &ConcreteTest) {
+/// Replays `test` sequentially on the simulated kernel of `mode`'s policy
+/// and on the instrumented host kernel of `mode`, asserts that both record
+/// the same footprint and return the same setup verdict and results, and
+/// returns that footprint.
+fn assert_mirrors(mode: HostMode, test: &ConcreteTest) -> Footprint {
+    let sim = match mode {
+        HostMode::Sv6 => Sv6Factory { cores: CORES }.build(),
+        HostMode::Linuxlike => LinuxLikeFactory { cores: CORES }.build(),
+    };
+    let (sim, sim_replay) = footprint(&sim, test);
+    let sink = HostTraceSink::new(CORES);
+    let host = host_kernel_with(CORES, mode, Sv6Options::default(), Some(&sink));
+    let (host, host_replay) = footprint(&host, test);
     assert_eq!(
-        host_footprint(mode, test, 4),
-        sim_footprint(mode, test, 4),
+        host, sim,
         "instrumented host footprint diverges from the simulator for {}",
         test.id
     );
+    assert_eq!(host_replay.setup_ok, sim_replay.setup_ok, "{}", test.id);
+    assert_eq!(host_replay.results, sim_replay.results, "{}", test.id);
+    host
 }
 
 /// Generates the corpus for a call set (the quick pipeline's bounds).
@@ -307,7 +301,7 @@ fn linuxlike_socket_calls_are_ordered_and_mirror_the_simulated_baseline() {
             vec![(0, sock(order))],
             send(0, "m"),
         );
-        let host = host_footprint(HostMode::Linuxlike, &test, 4);
+        let host = assert_mirrors(HostMode::Linuxlike, &test);
         let queue: Vec<&AccessKind> = host
             .iter()
             .filter(|(_, label, _)| label == "socket[0].queue")
@@ -318,17 +312,11 @@ fn linuxlike_socket_calls_are_ordered_and_mirror_the_simulated_baseline() {
             "{}: the one shared queue must be written, got {queue:?}",
             test.id
         );
-        assert_eq!(
-            host,
-            sim_footprint(HostMode::Linuxlike, &test, 4),
-            "{}",
-            test.id
-        );
     }
 }
 
 /// The acceptance criterion: the concurrent cross-check reports zero
-/// unexplained divergences over call groups that deliberately include the
+/// divergences over call groups that deliberately include the
 /// descriptor-allocating calls where lowest-FD contention can appear: a
 /// mixed group, then name, descriptor-and-memory and pipe operations, each
 /// at its own assignment bound.
@@ -358,10 +346,10 @@ fn host_fig6_cross_check_has_no_unexplained_divergences() {
             results.sim_sv6.total_tests(),
             results.host_linux.total_tests()
         );
-        // Every divergence must be in the explicit exception list.
+        // No divergence is explained, so there must be none.
         assert!(
-            results.unexplained_divergences().is_empty(),
-            "unexplained SIM↔host divergences over {calls:?}:\n{}",
+            results.divergences.is_empty(),
+            "SIM↔host divergences over {calls:?}:\n{}",
             results.describe_divergences()
         );
         assert!(
@@ -369,17 +357,8 @@ fn host_fig6_cross_check_has_no_unexplained_divergences() {
             "{calls:?}: {}",
             results.describe_violations()
         );
-        for divergence in &results.divergences {
-            assert_eq!(divergence.exception, Some(scr_host::LOWEST_FD_EXCEPTION));
-            assert!(
-                !divergence.shared_labels.is_empty()
-                    && divergence.shared_labels.iter().all(|l| l.contains("].fd[")),
-                "exception must name its fd-slot lines: {divergence:?}"
-            );
-        }
-        // And each host kernel must scale essentially as often as the
-        // simulated one of its policy (exactly as often, minus the listed
-        // exceptions).
+        // And each host kernel scales exactly as often as the simulated one
+        // of its policy: it conflicts nowhere the simulator does not.
         for (kernel, sim, host) in [
             ("sv6-host", &results.sim_sv6, &results.host_sv6),
             ("linux-host", &results.sim_linux, &results.host_linux),

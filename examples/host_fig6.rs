@@ -10,14 +10,15 @@
 //! The cross-check then verifies the monitor against the simulator, per
 //! test and per policy: every test that was conflict-free on a simulated
 //! kernel must be conflict-free on the host kernel of the same policy in
-//! every schedule, except the documented lowest-FD-allocation contention
-//! cases (the paper's §1 example), which are listed explicitly with their
-//! conflicting labels. Any other divergence, in either column, fails the
-//! run. So does any schedule whose host results match no sequential order
-//! of the pair on the simulated kernel of its policy (linearisation), or
-//! that loses or duplicates a datagram (conservation) — except, listed
-//! explicitly, linearisation violations on tests whose two simulated
-//! orders disagree on which call fails (the test does not commute).
+//! every schedule. Any divergence, in either column, is listed with its
+//! conflicting labels and fails the run. So does any schedule whose host
+//! results match no sequential order of the pair on the simulated kernel
+//! of its policy (linearisation), or that loses or duplicates a datagram
+//! (conservation) — except, listed explicitly, linearisation violations on
+//! tests whose two simulated orders disagree on which call fails (the test
+//! does not commute). Both kernels of a column run each test through the
+//! one replay, `scr_core::replay`: the simulated one in order, the host
+//! one racing.
 //!
 //! The default run has three legs through the same pipeline: the quick
 //! call subset; the §4 socket and process calls with `open` (`ext_calls`);
@@ -43,7 +44,6 @@
 use scalable_commutativity::commuter::{CommuterConfig, SkipReason};
 use scalable_commutativity::host::{
     available_threads, ext_calls, run_host_fig6, HostFig6Config, HostFig6Results,
-    LOWEST_FD_EXCEPTION,
 };
 use scalable_commutativity::model::{CallKind, ALL_CALLS};
 use scalable_commutativity::mtrace::DEFAULT_LOG_CAPACITY;
@@ -189,12 +189,9 @@ fn run_leg(name: &str, config: &HostFig6Config) -> (HostFig6Results, bool) {
         results.heat_sv6.render_top("sv6-host hottest lines", 10)
     );
     println!(
-        "SIM↔host cross-check: {} divergences ({} explained by {LOWEST_FD_EXCEPTION}, \
-         {} unexplained); {} linearisation and {} conservation violations \
-         ({} unexplained)",
+        "SIM↔host cross-check: {} divergences; {} linearisation and {} conservation \
+         violations ({} unexplained)",
         results.divergences.len(),
-        results.explained_divergences().len(),
-        results.unexplained_divergences().len(),
         results.linearisation_violations.len(),
         results.conservation_violations.len(),
         results.unexplained_violations().len()
@@ -208,8 +205,8 @@ fn run_leg(name: &str, config: &HostFig6Config) -> (HostFig6Results, bool) {
     }
 
     let mut failed = false;
-    if !results.unexplained_divergences().is_empty() {
-        eprintln!("FAIL: {name}: unexplained SIM↔host divergences (listed above)");
+    if !results.divergences.is_empty() {
+        eprintln!("FAIL: {name}: SIM↔host divergences (listed above)");
         failed = true;
     }
     if !results.unexplained_violations().is_empty() {
@@ -341,11 +338,6 @@ fn main() {
                     ("tests_run", results.tests_run.into()),
                     ("dropped", results.dropped.into()),
                     ("divergences", results.divergences.len().into()),
-                    ("explained", results.explained_divergences().len().into()),
-                    (
-                        "unexplained",
-                        results.unexplained_divergences().len().into(),
-                    ),
                     (
                         "linearisation_violations",
                         results.linearisation_violations.len().into(),

@@ -33,12 +33,13 @@
 //! says why.
 
 use scalable_commutativity::commuter::{
-    orders, run_commuter, run_test, run_test_order, CommuterConfig, ConcreteTest, KernelFactory,
+    orders, replay, run_commuter, run_test, CommuterConfig, ConcreteTest, InOrder, KernelFactory,
     LinuxLikeFactory, Sv6Factory,
 };
 use scalable_commutativity::host::normalize_pipe_label;
 use scalable_commutativity::kernel::api::{
-    perform, MmapBacking, OpenFlags, Prot, SocketOrder, StatMask, SyscallApi, Whence, PAGE_SIZE,
+    perform, MmapBacking, OpenFlags, Prot, SocketOrder, StatMask, SysResult, SyscallApi, Whence,
+    PAGE_SIZE,
 };
 use scalable_commutativity::kernel::mail::{MailConfig, MailServer, NoMailObs};
 use scalable_commutativity::kernel::{Sv6Kernel, Sv6Options};
@@ -450,15 +451,22 @@ const RESULT_CENSUS: usize = 0;
 /// when it does.
 #[test]
 fn simulated_kernels_disagree_on_results_no_more_than_the_census() {
+    fn results(
+        factory: &dyn KernelFactory,
+        test: &ConcreteTest,
+        order: &[usize],
+    ) -> Vec<SysResult> {
+        let kernel = factory.build();
+        replay(&kernel, kernel.lines(), test, InOrder(order)).results
+    }
     let sv6 = Sv6Factory { cores: CORES };
     let linux = LinuxLikeFactory { cores: CORES };
     let disagreeing: Vec<&str> = corpus_tests()
         .iter()
         .filter(|test| {
-            orders(test.ops.len()).iter().any(|order| {
-                run_test_order(&sv6, test, order).results
-                    != run_test_order(&linux, test, order).results
-            })
+            orders(test.ops.len())
+                .iter()
+                .any(|order| results(&sv6, test, order) != results(&linux, test, order))
         })
         .map(|test| test.id.as_str())
         .collect();

@@ -17,8 +17,8 @@
 //! must succeed and its results must not depend on the order.
 
 use scalable_commutativity::commuter::{
-    orders, run_test, run_test_order, triple_config, triple_family_sweep, Sv6Factory,
-    TripleFamilyReport, TRIPLE_FAMILIES,
+    orders, replay, run_test, triple_config, triple_family_sweep, InOrder, KernelFactory,
+    Sv6Factory, TripleFamilyReport, TRIPLE_FAMILIES,
 };
 
 const REPLAY_BUDGET: usize = 24;
@@ -97,7 +97,8 @@ fn triple_sweep_matches_the_committed_baseline() {
                 let base = run_test(&factory, test);
                 assert!(base.setup_ok, "setup must replay cleanly: {}", test.id);
                 for order in &orders[1..] {
-                    let other = run_test_order(&factory, test, order);
+                    let kernel = factory.build();
+                    let other = replay(&kernel, kernel.lines(), test, InOrder(order));
                     assert!(other.setup_ok, "setup failed in {order:?}: {}", test.id);
                     assert_eq!(
                         base.results, other.results,
