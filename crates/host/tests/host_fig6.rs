@@ -321,7 +321,7 @@ fn linuxlike_socket_calls_are_ordered_and_mirror_the_simulated_baseline() {
 /// mixed group, then name, descriptor-and-memory and pipe operations, each
 /// at its own assignment bound.
 #[test]
-fn host_fig6_cross_check_has_no_unexplained_divergences() {
+fn host_fig6_cross_check_has_no_divergences() {
     use CallKind::*;
     let groups: [(&[CallKind], usize); 4] = [
         (&[Open, Stat, Close, Pipe, Read], 8),

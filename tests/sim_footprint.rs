@@ -38,8 +38,7 @@ use scalable_commutativity::commuter::{
 };
 use scalable_commutativity::host::normalize_pipe_label;
 use scalable_commutativity::kernel::api::{
-    perform, MmapBacking, OpenFlags, Prot, SocketOrder, StatMask, SysResult, SyscallApi, Whence,
-    PAGE_SIZE,
+    MmapBacking, OpenFlags, Prot, SocketOrder, StatMask, SysResult, SyscallApi, Whence, PAGE_SIZE,
 };
 use scalable_commutativity::kernel::mail::{MailConfig, MailServer, NoMailObs};
 use scalable_commutativity::kernel::{Sv6Kernel, Sv6Options};
@@ -150,18 +149,11 @@ fn generate_corpus() -> Vec<ConcreteTest> {
 fn corpus(factory: &dyn KernelFactory, tests: &[ConcreteTest]) -> (u64, u64) {
     let mut folds = Folds::default();
     for test in tests {
+        let identity: Vec<usize> = (0..test.ops.len()).collect();
         let kernel = factory.build();
         let machine = kernel.lines().unwrap();
         machine.begin_window();
-        for _ in 0..test.procs.max(2) {
-            kernel.new_process();
-        }
-        for (core, op) in &test.setup {
-            on_core(*core, || perform(&kernel, *core, op));
-        }
-        for (core, op) in test.ops.iter().enumerate() {
-            on_core(core, || perform(&kernel, core, op));
-        }
+        replay(&kernel, None::<&SimMachine>, test, InOrder(&identity));
         folds.add(machine);
     }
     folds.finish()
