@@ -350,6 +350,41 @@ mod tests {
     }
 
     #[test]
+    fn racing_waits_list_a_child_for_reuse_once() {
+        // wait(child) || wait(child): both waits succeed, but only one may
+        // list the child for reuse. Listed on both cores, one pid would be
+        // handed to a spawn on each.
+        let wait = SysOp::Wait { pid: 0, child: 2 };
+        let test = scr_core::ConcreteTest {
+            id: "waits_for_one_child".into(),
+            calls: vec![scr_model::CallKind::Wait; 2],
+            setup: vec![(
+                0,
+                SysOp::Spawn {
+                    pid: 0,
+                    dup_fds: vec![],
+                },
+            )],
+            ops: vec![wait.clone(), wait],
+            procs: 2,
+        };
+        for round in 0..100 {
+            let mode = [HostMode::Sv6, HostMode::Linuxlike][round % 2];
+            let k = host_kernel(2, mode);
+            let replay = scr_core::replay(&k, k.lines(), &test, scr_core::Race);
+            assert!(replay.setup_ok, "round {round}");
+            assert_eq!(
+                replay.results,
+                [SysResult::Unit, SysResult::Unit],
+                "round {round}"
+            );
+            let first = k.posix_spawn(0, 0, &[]).unwrap();
+            let second = k.posix_spawn(1, 0, &[]).unwrap();
+            assert_ne!(first, second, "round {round}: one pid handed out twice");
+        }
+    }
+
+    #[test]
     fn concurrent_creates_from_many_threads_are_safe() {
         for mode in [HostMode::Sv6, HostMode::Linuxlike] {
             let k = host_kernel(4, mode);

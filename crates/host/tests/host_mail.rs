@@ -91,6 +91,28 @@ fn mail_pipeline_delivers_exactly_once_across_repeated_schedules() {
 }
 
 #[test]
+fn a_pipelines_process_count_stays_bounded() {
+    // Each qman reaps its helper on its own core, and the next spawn there
+    // takes the reaped pid again: 2 000 deliveries need pids for the
+    // client, the qman and one helper per qman core, not one per message.
+    let topology = MailTopology::new(1, 1);
+    for mode in [HostMode::Sv6, HostMode::Linuxlike] {
+        for config in [MailConfig::CommutativeApis, MailConfig::RegularApis] {
+            let cfg = PipelineConfig::new(config, topology);
+            let kernel = host_kernel(cfg.cores(), mode);
+            let schedule = saturating_schedule(topology.enqueuers, 2_000);
+            let report = run_pipeline(&kernel, &cfg, &schedule, None, |_, _, _| {});
+            assert!(report.exactly_once(), "{mode:?}/{config:?}: {report:?}");
+            assert!(
+                kernel.process_count() <= 2 + topology.qmans,
+                "{mode:?}/{config:?}: {} pids",
+                kernel.process_count()
+            );
+        }
+    }
+}
+
+#[test]
 fn pipeline_threads_record_under_their_topology_cores() {
     // Regression: every engine thread runs under `on_core` of its topology
     // core, so an enqueuer's send and a qman's recv on one notification

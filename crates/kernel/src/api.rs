@@ -329,8 +329,9 @@ pub trait SyscallApi {
     fn posix_spawn(&self, core: CoreId, pid: Pid, dup_fds: &[Fd]) -> KResult<Pid>;
     /// Reaps a finished child process: closes every descriptor the child
     /// still holds (releasing pipe endpoints) and empties its table. The
-    /// `wait` half of the spawn/wait protocol — the child's pid stays
-    /// valid but refers to an empty (zombie-reaped) process afterwards.
+    /// `wait` half of the spawn/wait protocol — afterwards the child's pid
+    /// refers to an empty process, until a later `fork` or `posix_spawn`
+    /// may hand the pid out again.
     fn wait(&self, core: CoreId, pid: Pid, child: Pid) -> KResult<()>;
     /// Creates a Unix-domain datagram socket with the given ordering
     /// guarantee.

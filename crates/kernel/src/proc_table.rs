@@ -4,7 +4,9 @@
 //! `posix_spawn` is that process creation should commute with everything
 //! that does not observe the new pid, so on real threads the table must not
 //! introduce a writer lock that every concurrent syscall's pid lookup would
-//! bounce on.
+//! bounce on. The table itself never frees an entry: the kernel reuses a
+//! reaped process by handing its pid out again from a per-core list, so
+//! the table grows only when a core has no reaped process to hand out.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -12,9 +14,10 @@ use std::sync::OnceLock;
 /// Segment size of a [`ProcTable`] (slots per lazily allocated chunk).
 const PROC_SEG_SIZE: usize = 512;
 /// Maximum number of segments, bounding the table at 2 097 152 processes.
-/// The mail workload spawns one short-lived helper per delivered message
-/// and pids are never reused, so the bound must absorb a full wide
-/// benchmark sweep; exceeding it is a panic, not UB.
+/// Reaped processes that never mapped memory are reused, so the mail
+/// workload needs a pid per live helper, not per message; the bound is
+/// for processes that are never reaped or that mapped memory, which keep
+/// their entries. Exceeding it is a panic, not UB.
 const PROC_SEGMENTS: usize = 4096;
 
 /// One lazily allocated chunk of a [`ProcTable`].
@@ -24,8 +27,7 @@ type ProcSegment<T> = Box<[OnceLock<T>]>;
 /// of a lazily
 /// allocated segment; `push_with` claims a dense pid with one `fetch_add`
 /// and publishes the entry with a release store. Entries are never removed
-/// ("zombie-reaped" processes keep their pid, with an emptied descriptor
-/// table).
+/// or replaced; a reused pid keeps its entry.
 #[derive(Debug)]
 pub(crate) struct ProcTable<T> {
     segments: Box<[OnceLock<ProcSegment<T>>]>,

@@ -70,7 +70,7 @@ use scr_scalable::{
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Deref;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
 pub use crate::policy::Policy;
@@ -205,9 +205,16 @@ struct Process<L> {
     fd_chunks: Box<[OnceLock<FdChunk<L>>]>,
     /// Address space (`proc[p].as`), keyed by virtual page number.
     vm_pages: RadixArray<MappedPage<L>, L>,
-    /// Per-core mmap bump allocators, lazily allocated like the slots
-    /// (helper processes never map memory).
-    next_vpn: Box<[OnceLock<CachePadded<AtomicU64>>]>,
+    /// Per-core mmap bump allocators, allocated together by the process's
+    /// first `mmap` (helper processes never map memory). Unallocated means
+    /// the address space was never touched, which makes a reaped process
+    /// recyclable.
+    next_vpn: OnceLock<Box<[CachePadded<AtomicU64>]>>,
+    /// Set by the `wait` that puts the process on a reaped list, cleared
+    /// when a spawn takes it off again (untraced), so a second `wait`
+    /// cannot list it twice. The spawn's `Release` clear pairs with the
+    /// `Acquire` of a later `wait`'s swap, which then lists it again.
+    reaped: AtomicBool,
     /// One line per descriptor slot (`proc[p].fd[f]`), when traced. The
     /// block names no line until a report asks, so a traced process costs
     /// O(1) whatever its table size.
@@ -242,17 +249,26 @@ impl<L> Process<L> {
         Some(&self.fd_chunks.get(fd / FDS_PER_CORE)?.get()?[fd % FDS_PER_CORE])
     }
 
-    /// `shard`'s mmap bump allocator, allocated on first use at the start
-    /// of that core's region.
-    fn next_vpn(&self, shard: usize) -> &AtomicU64 {
-        self.next_vpn[shard].get_or_init(|| {
-            CachePadded::new(AtomicU64::new(1 + shard as u64 * VPN_REGION_PER_CORE))
+    /// The per-core mmap bump allocators, each starting at its core's
+    /// region, allocated on first use.
+    fn next_vpn(&self, cores: usize) -> &[CachePadded<AtomicU64>] {
+        self.next_vpn.get_or_init(|| {
+            (0..cores as u64)
+                .map(|shard| CachePadded::new(AtomicU64::new(1 + shard * VPN_REGION_PER_CORE)))
+                .collect()
         })
+    }
+
+    /// Whether the process ever called `mmap` (untraced).
+    fn mapped(&self) -> bool {
+        self.next_vpn.get().is_some()
     }
 }
 
 /// One cache-padded shard of the inode table.
 type InodeShard<L> = CachePadded<RwLock<BTreeMap<Ino, Arc<Inode<L>>>>>;
+/// One core's list of reaped pids, cache-padded like an inode shard.
+type ReapedList = CachePadded<Mutex<Vec<Pid>>>;
 
 /// The kernel body (ScaleFS + RadixVM analogue) over the line substrate
 /// `L` — the simulated machine by default — under either sharing
@@ -268,10 +284,16 @@ pub struct Sv6Kernel<L = SimMachine> {
     inode_alloc: InodeAllocator<L>,
     /// Process table: lock-free and append-only. Entries are borrowed for
     /// the kernel's lifetime, never cloned, so a pid lookup writes no
-    /// shared line. (`Arc` only because glibc packs it better than the
-    /// 16-byte-smaller `Box`, which measured +2 % peak RSS on the
-    /// 100 000-process host mail workload.)
-    procs: ProcTable<Arc<Process<L>>>,
+    /// shared line. A reaped process's entry is handed out again through
+    /// `reaped`, so the table grows with the processes alive at once (and
+    /// the reaped ones that mapped memory), not with every process ever
+    /// created.
+    procs: ProcTable<Box<Process<L>>>,
+    /// Per-core lists of reaped pids that `fork` and `posix_spawn` on that
+    /// core hand out again (§6.3 per-core allocation), so spawn and wait
+    /// stay conflict-free. Untraced like the table, and allocated by the
+    /// first reap, so building a kernel allocates nothing for them.
+    reaped: OnceLock<Box<[ReapedList]>>,
     /// Datagram sockets (§4 / §7.3): ordered or per-core unordered queues.
     sockets: SocketTable<L>,
     /// Per-core lists of inodes whose last link may be gone, drained by the
@@ -328,6 +350,7 @@ impl<L: Lines + Clone> Sv6Kernel<L> {
             // Linux numbers inodes from one counter.
             inode_alloc: InodeAllocator::new(lines, "scalefs", if linux { 1 } else { cores }),
             procs: ProcTable::new(),
+            reaped: OnceLock::new(),
             sockets: SocketTable::new(lines, cores),
             defer: DeferQueue::new(lines, "scalefs.inode_gc", cores),
             next_pipe_id: AtomicU64::new(0),
@@ -397,8 +420,11 @@ impl<L: Lines + Clone> Sv6Kernel<L> {
         self.root.bucket_of(name)
     }
 
-    /// Number of processes ever created (pids are dense and never reused,
-    /// so this is also one past the highest valid pid).
+    /// Number of pids handed out, which is one past the highest valid pid
+    /// (pids are dense). A reaped process's pid is handed out again by the
+    /// next `fork` or `posix_spawn` on the reaping core, so this counts
+    /// the live processes, the reaped ones waiting on a core's list and
+    /// the reaped ones that mapped memory, which are never reused.
     pub fn process_count(&self) -> usize {
         self.procs.len()
     }
@@ -427,7 +453,40 @@ impl<L: Lines + Clone> Sv6Kernel<L> {
     }
 
     fn proc(&self, pid: Pid) -> KResult<&Process<L>> {
-        self.procs.get(pid).map(Arc::as_ref).ok_or(Errno::EINVAL)
+        self.procs.get(pid).map(Box::as_ref).ok_or(Errno::EINVAL)
+    }
+
+    /// `core`'s list of reaped pids, allocating every core's list on the
+    /// first reap.
+    fn reaped_on(&self, core: CoreId) -> &Mutex<Vec<Pid>> {
+        let lists = self.reaped.get_or_init(|| {
+            (0..self.cores)
+                .map(|_| CachePadded::new(Mutex::new(Vec::new())))
+                .collect()
+        });
+        &lists[core % self.cores]
+    }
+
+    /// A child process for a `fork` or `posix_spawn` on `core`: the last
+    /// process reaped on `core` when there is one, else a fresh one. A
+    /// listed process has no descriptors and never mapped memory, so only
+    /// its pid tells it from a fresh one.
+    fn child_process(&self, core: CoreId) -> Pid {
+        let listed = self
+            .reaped
+            .get()
+            .and_then(|lists| lists[core % self.cores].lock().pop());
+        match listed {
+            Some(pid) => {
+                self.procs
+                    .get(pid)
+                    .expect("listed pid")
+                    .reaped
+                    .store(false, Ordering::Release);
+                pid
+            }
+            None => self.new_process(),
+        }
     }
 
     fn inode_shard(&self, ino: Ino) -> &RwLock<BTreeMap<Ino, Arc<Inode<L>>>> {
@@ -710,14 +769,15 @@ fn adjust_refs<L: Lines + Clone>(file: &OpenFile<L>, delta: i64) {
 }
 
 impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
-    /// Creates a new process, returning its pid (dense from zero). The
+    /// Creates a new process, returning a fresh pid (dense from zero). The
     /// append-only table makes this lock-free.
     fn new_process(&self) -> Pid {
         self.procs.push_with(|pid| {
             let lines = self.lines.as_ref();
-            Arc::new(Process {
+            Box::new(Process {
                 fd_chunks: (0..self.cores).map(|_| OnceLock::new()).collect(),
-                next_vpn: (0..self.cores).map(|_| OnceLock::new()).collect(),
+                next_vpn: OnceLock::new(),
+                reaped: AtomicBool::new(false),
                 fd_lines: lines.map(|lines| {
                     lines.block(self.cores * FDS_PER_CORE, move |fd| {
                         format!("proc[{pid}].fd[{fd}]")
@@ -1099,6 +1159,9 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
             return Err(Errno::EINVAL);
         }
         let proc_ = self.proc(pid)?;
+        // Every mmap allocates the bump allocators, hinted or not, so a
+        // process without them never touched its address space.
+        let next_vpn = proc_.next_vpn(self.cores);
         let base_vpn = match addr_hint {
             Some(addr) => Self::vpn_of(addr)?,
             None => {
@@ -1107,7 +1170,7 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
                 if let Some(p) = &proc_.vpn_lines {
                     p.rmw(shard);
                 }
-                proc_.next_vpn(shard).fetch_add(pages, Ordering::Relaxed)
+                next_vpn[shard].fetch_add(pages, Ordering::Relaxed)
             }
         };
         let file_ino = match backing {
@@ -1212,9 +1275,9 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
         }
     }
 
-    fn fork(&self, _core: CoreId, pid: Pid) -> KResult<Pid> {
+    fn fork(&self, core: CoreId, pid: Pid) -> KResult<Pid> {
         let parent = self.proc(pid)?;
-        let child_pid = self.new_process();
+        let child_pid = self.child_process(core);
         let child = self.proc(child_pid)?;
         // fork snapshots the whole descriptor table: it must read every
         // parent slot, which is what makes it commute with almost nothing.
@@ -1271,7 +1334,7 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
             self.release_fds(self.proc(child_pid)?, |fd| !keep(fd));
             return Ok(child_pid);
         }
-        let child_pid = self.new_process();
+        let child_pid = self.child_process(core);
         let child = self.proc(child_pid)?;
         // posix_spawn builds the child image directly: only the explicitly
         // listed descriptors are touched.
@@ -1286,10 +1349,17 @@ impl<L: Lines + Clone> SyscallApi for Sv6Kernel<L> {
     }
 
     /// Reaps a finished child, releasing all its descriptors. Reaping
-    /// stays O(open descriptors), not O(table size). The pid stays valid
-    /// and refers to an empty process afterwards.
-    fn wait(&self, _core: CoreId, _pid: Pid, child: Pid) -> KResult<()> {
-        self.release_fds(self.proc(child)?, |_| true);
+    /// stays O(open descriptors), not O(table size). A child that never
+    /// mapped memory then goes on `core`'s reaped list, once however often
+    /// it is waited for, and the next `fork` or `posix_spawn` on `core`
+    /// hands its pid out again; one that did map memory keeps its pid as
+    /// an empty process.
+    fn wait(&self, core: CoreId, _pid: Pid, child: Pid) -> KResult<()> {
+        let proc_ = self.proc(child)?;
+        self.release_fds(proc_, |_| true);
+        if !proc_.mapped() && !proc_.reaped.swap(true, Ordering::AcqRel) {
+            self.reaped_on(core).lock().push(child);
+        }
         Ok(())
     }
 
@@ -1536,12 +1606,77 @@ mod tests {
 
     #[test]
     fn per_object_state_stays_small_over_a_shared_substrate() {
-        // The host mail workload creates a process per message and inodes
-        // by the thousand; `Arc<SimMachine>` is one pointer, like the
-        // host's `Arc<HostTraceSink>`.
+        // The host mail workload creates inodes by the thousand, and every
+        // process that maps memory keeps its entry; `Arc<SimMachine>` is
+        // one pointer, like the host's `Arc<HostTraceSink>`.
         type Shared = Arc<SimMachine>;
         assert!(std::mem::size_of::<Inode<Shared>>() <= 128);
-        assert!(std::mem::size_of::<Process<Shared>>() <= 144);
+        assert!(std::mem::size_of::<Process<Shared>>() <= 152);
+    }
+
+    // --- reaped processes are handed out again ---------------------------
+
+    /// Runs `check` on a fresh 4-core kernel of each policy with one
+    /// parent process.
+    fn on_both_policies(check: impl Fn(&Sv6Kernel, Pid)) {
+        for k in [Sv6Kernel::new(4), Sv6Kernel::linuxlike(4)] {
+            let parent = k.new_process();
+            check(&k, parent);
+        }
+    }
+
+    #[test]
+    fn spawn_and_wait_cycles_reuse_one_pid() {
+        on_both_policies(|k, parent| {
+            let fd = k.open(0, parent, "msg", OpenFlags::create()).unwrap();
+            for _ in 0..10_000 {
+                let child = k.posix_spawn(0, parent, &[fd]).unwrap();
+                k.wait(0, parent, child).unwrap();
+            }
+            assert!(k.process_count() <= 3, "{} pids", k.process_count());
+        });
+    }
+
+    #[test]
+    fn a_recycled_child_looks_fresh() {
+        on_both_policies(|k, parent| {
+            let fd = k.open(0, parent, "msg", OpenFlags::create()).unwrap();
+            let child = k.posix_spawn(0, parent, &[fd]).unwrap();
+            assert!(k.fstat(0, child, fd).is_ok());
+            k.wait(0, parent, child).unwrap();
+            let again = k.posix_spawn(0, parent, &[]).unwrap();
+            assert_eq!(again, child, "the reaped pid is handed out again");
+            assert_eq!(k.fstat(0, again, fd), Err(Errno::EBADF));
+            assert_eq!(k.open_fd_count(again), Ok(0));
+            let fresh = k.new_process();
+            let map = |pid| k.mmap(1, pid, None, 1, Prot::rw(), MmapBacking::Anon);
+            assert_eq!(map(again), map(fresh));
+        });
+    }
+
+    #[test]
+    fn a_child_waited_for_twice_is_handed_out_once() {
+        on_both_policies(|k, parent| {
+            let child = k.posix_spawn(0, parent, &[]).unwrap();
+            k.wait(0, parent, child).unwrap();
+            k.wait(0, parent, child).unwrap();
+            let first = k.posix_spawn(0, parent, &[]).unwrap();
+            let second = k.fork(0, parent).unwrap();
+            assert_ne!(first, second);
+        });
+    }
+
+    #[test]
+    fn a_child_that_mapped_memory_is_never_handed_out_again() {
+        on_both_policies(|k, parent| {
+            for hint in [None, Some(32 * PAGE_SIZE)] {
+                let child = k.posix_spawn(0, parent, &[]).unwrap();
+                k.mmap(0, child, hint, 1, Prot::rw(), MmapBacking::Anon)
+                    .unwrap();
+                k.wait(0, parent, child).unwrap();
+                assert_ne!(k.posix_spawn(0, parent, &[]).unwrap(), child);
+            }
+        });
     }
 
     // --- the Linux-like policy's §6.2 conflict sources --------------------
