@@ -35,7 +35,6 @@ use std::time::Instant;
 /// Obs counters and histograms for the chaos layer, pre-registered flat
 /// (same discipline as `SyscallRecorder`).
 pub struct ChaosTelemetry {
-    registry: Arc<MetricsRegistry>,
     /// Injected transient errnos, per faultable call.
     injected: [Counter; 4],
     /// Delivery holds started on `recv`.
@@ -67,13 +66,7 @@ impl ChaosTelemetry {
             retries: registry.counter("chaos.retries"),
             backoff_ns: registry.histogram("chaos.backoff_sleep_ns"),
             recovery_ns: registry.histogram("chaos.recovery_ns"),
-            registry: registry.clone(),
         })
-    }
-
-    /// Whether the backing registry is recording.
-    pub fn is_enabled(&self) -> bool {
-        self.registry.is_enabled()
     }
 
     /// The injected-fault counter for `kind`.
@@ -161,11 +154,6 @@ impl<'k, K: SyscallApi + ?Sized> FaultyKernel<'k, K> {
         self
     }
 
-    /// The plan in force.
-    pub fn plan(&self) -> &ChaosPlan {
-        &self.plan
-    }
-
     /// Whether `core`'s most recent faultable call failed by injection
     /// (false after any call that reached the inner kernel). Meaningful
     /// only under the one-thread-per-core discipline.
@@ -176,21 +164,17 @@ impl<'k, K: SyscallApi + ?Sized> FaultyKernel<'k, K> {
     fn count_injected(&self, core: CoreId, kind: FaultKind) {
         self.injected_count.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = &self.telemetry {
-            if t.is_enabled() {
-                t.injected(kind).inc(core);
-            }
+            t.injected(kind).inc(core);
         }
     }
 
     fn count_delay_poll(&self, core: CoreId, fresh_hold: bool) {
         self.delayed_polls.fetch_add(1, Ordering::Relaxed);
         if let Some(t) = &self.telemetry {
-            if t.is_enabled() {
-                if fresh_hold {
-                    t.delay_holds.inc(core);
-                }
-                t.delay_polls.inc(core);
+            if fresh_hold {
+                t.delay_holds.inc(core);
             }
+            t.delay_polls.inc(core);
         }
     }
 
@@ -269,11 +253,6 @@ impl<'f, 'k, K: SyscallApi + ?Sized> ReliableKernel<'f, 'k, K> {
     pub fn new(faulty: &'f FaultyKernel<'k, K>, policy: RetryPolicy) -> Self {
         ReliableKernel { faulty, policy }
     }
-
-    /// The fault layer underneath.
-    pub fn faulty(&self) -> &'f FaultyKernel<'k, K> {
-        self.faulty
-    }
 }
 
 impl<'k, K: SyscallApi + ?Sized> Layer for ReliableKernel<'_, 'k, K> {
@@ -297,7 +276,7 @@ impl<'k, K: SyscallApi + ?Sized> Layer for ReliableKernel<'_, 'k, K> {
         if result.is_ok() || !self.faulty.was_injected(core) {
             return result;
         }
-        let telemetry = self.faulty.telemetry.as_deref().filter(|t| t.is_enabled());
+        let telemetry = self.faulty.telemetry.as_deref();
         let started = telemetry.map(|_| Instant::now());
         let mut backoff = Backoff::new(self.policy, core as u64);
         loop {

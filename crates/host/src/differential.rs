@@ -5,16 +5,14 @@
 //! simulated kernels faithfully represent what a real implementation would
 //! do. The host Figure 6 ([`crate::fig6`]) checks that over every generated
 //! test, in every schedule, under both policies, with footprints. This
-//! module holds the two untraced replayers `scr_core::differential_check`
-//! drives: each builds a fresh host kernel per test and runs it through
-//! `scr_core::replay` under `scr_core::Race`, one real OS thread per
+//! module holds the untraced replayer `scr_core::differential_check`
+//! drives: [`HostReplayer`] builds a fresh host kernel per test and runs it
+//! through `scr_core::replay` under `scr_core::Race`, one real OS thread per
 //! operation, and `differential_check` compares the results against the
 //! simulated `Sv6Kernel`'s sequential orders through `scr_core::linearise`.
 //! Because the operations *commute*, the host's results must equal the
-//! simulated kernel's for some order, whatever schedule the hardware picks.
-//! [`HostReplayer`] races on the plain kernel; [`ChaosReplayer`] races
-//! through the pipeline's fault layer, so the same check asserts the retry
-//! contract.
+//! simulated kernel's for some order, whatever schedule the hardware picks,
+//! and whatever faults the replayer's [`ChaosPlan`] injects.
 
 use crate::kernel::{host_kernel, HostMode};
 use scr_chaos::kernel::{FaultyKernel, ReliableKernel};
@@ -26,39 +24,16 @@ use scr_kernel::retry::RetryPolicy;
 /// Replays generated tests on a fresh
 /// [`HostKernel`](crate::kernel::HostKernel) per test, running the
 /// commutative operations on one real thread each.
-#[derive(Clone, Copy, Debug)]
-pub struct HostReplayer {
-    /// Cores (thread slots) each fresh kernel is configured with.
-    pub cores: usize,
-}
-
-impl Default for HostReplayer {
-    fn default() -> Self {
-        HostReplayer { cores: 4 }
-    }
-}
-
-impl ConcreteReplayer for HostReplayer {
-    fn name(&self) -> &'static str {
-        "host-sv6"
-    }
-
-    fn replay(&self, test: &ConcreteTest) -> Vec<SysResult> {
-        let kernel = host_kernel(self.cores.max(test.ops.len()), HostMode::Sv6);
-        replay(&kernel, kernel.lines(), test, Race).results
-    }
-}
-
-/// A [`HostReplayer`] with a fault-injecting kernel stack: every test's
-/// setup and racing operations run through `ReliableKernel → FaultyKernel →
-/// HostKernel`, with a *never-give-up* retry policy. Because injected
-/// failures have no side effects and the reliable layer retries exactly
-/// them, the stack is observationally the raw host kernel — so replays
-/// under an errno storm must still linearize against the simulated
-/// kernel's sequential orders. A mismatch means an injected fault
-/// leaked through the retry contract (or a genuine divergence).
+///
+/// Every test's setup and racing operations run through `ReliableKernel →
+/// FaultyKernel → HostKernel` under [`HostReplayer::plan`] ([`ChaosPlan::none`]
+/// by default), with a *never-give-up* retry policy. Injected failures have
+/// no side effects and the reliable layer retries exactly them, so the
+/// stack is observationally the raw host kernel: a mismatch under an errno
+/// storm means an injected fault leaked through the retry contract (or a
+/// genuine divergence).
 #[derive(Clone, Debug)]
-pub struct ChaosReplayer {
+pub struct HostReplayer {
     /// Cores (thread slots) each fresh kernel is configured with.
     pub cores: usize,
     /// The fault plan each replay runs under (crash schedules are
@@ -67,9 +42,18 @@ pub struct ChaosReplayer {
     pub plan: ChaosPlan,
 }
 
-impl ConcreteReplayer for ChaosReplayer {
+impl Default for HostReplayer {
+    fn default() -> Self {
+        HostReplayer {
+            cores: 4,
+            plan: ChaosPlan::none(),
+        }
+    }
+}
+
+impl ConcreteReplayer for HostReplayer {
     fn name(&self) -> &'static str {
-        "host-sv6-chaos"
+        "host-sv6"
     }
 
     fn replay(&self, test: &ConcreteTest) -> Vec<SysResult> {
@@ -92,8 +76,8 @@ mod tests {
     use scr_kernel::api::{OpenFlags, SysOp};
     use scr_model::CallKind;
 
-    fn chaos(plan: ChaosPlan) -> ChaosReplayer {
-        ChaosReplayer { cores: 4, plan }
+    fn chaos(plan: ChaosPlan) -> HostReplayer {
+        HostReplayer { cores: 4, plan }
     }
 
     /// The corpus of `calls` at `max_assignments` per case.
@@ -172,18 +156,22 @@ mod tests {
         assert!(bad.is_empty(), "{bad:?}");
     }
 
+    /// With no faults planned, the layered stack returns what the bare
+    /// host kernel returns.
     #[test]
-    fn chaos_replayer_with_disabled_plan_matches_host_replayer() {
+    fn default_replayer_matches_the_bare_host_kernel() {
         let tests = corpus(&[CallKind::Stat, CallKind::Unlink], 8);
-        let plain = differential_check(&Sv6Factory { cores: 4 }, &HostReplayer::default(), &tests);
-        let faulty =
-            differential_check(&Sv6Factory { cores: 4 }, &chaos(ChaosPlan::none()), &tests);
-        assert!(plain.iter().all(DifferentialOutcome::agree), "{plain:?}");
-        assert!(faulty.iter().all(DifferentialOutcome::agree), "{faulty:?}");
-        let replayed = |o: &[DifferentialOutcome]| -> Vec<_> {
-            o.iter().map(|o| o.replayed.clone()).collect()
-        };
-        assert_eq!(replayed(&plain), replayed(&faulty));
+        let layered =
+            differential_check(&Sv6Factory { cores: 4 }, &HostReplayer::default(), &tests);
+        assert!(
+            layered.iter().all(DifferentialOutcome::agree),
+            "{layered:?}"
+        );
+        for (test, outcome) in tests.iter().zip(&layered) {
+            let kernel = host_kernel(4.max(test.ops.len()), HostMode::Sv6);
+            let bare = replay(&kernel, kernel.lines(), test, Race).results;
+            assert_eq!(bare, outcome.replayed, "{}", test.id);
+        }
     }
 
     /// Triples replay like pairs: traced, on real threads, under both

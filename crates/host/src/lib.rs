@@ -41,11 +41,11 @@
 //!   Its exactly-once ledger (and an fd leak check) must close under every
 //!   `ChaosPlan`. `mail_pipeline`, `scr_loadgen`'s open loop and the chaos
 //!   gate are its front ends.
-//! * [`differential`] holds the two replayers `scr_core`'s
+//! * [`differential`] holds the replayer `scr_core`'s
 //!   `differential_check` drives: [`differential::HostReplayer`] races a
-//!   `ConcreteTest`'s operations on real threads, and
-//!   [`differential::ChaosReplayer`] does so through the pipeline's fault
-//!   layer; both are checked against the simulated `Sv6Kernel`.
+//!   `ConcreteTest`'s operations on real threads through the pipeline's
+//!   fault layer under a `ChaosPlan` (none by default), checked against
+//!   the simulated `Sv6Kernel`.
 //! * [`fig6`] replays every generated test with a trace window of a
 //!   `scr_mtrace::HostTraceSink` around the racing operations and
 //!   aggregates host-side Figure 6 heatmaps (`sv6-host` / `linux-host`),
@@ -66,7 +66,7 @@ pub mod kernel;
 pub mod pipeline;
 pub mod workloads;
 
-pub use differential::{ChaosReplayer, HostReplayer};
+pub use differential::HostReplayer;
 pub use fig6::{
     classify_linearisation, ext_calls, normalize_pipe_label, run_host_fig6, run_test_host,
     run_test_host_with, Fig6Divergence, Fig6Violation, HostFig6Config, HostFig6Results,

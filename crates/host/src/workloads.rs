@@ -76,14 +76,9 @@ pub struct MailTelemetry {
 impl MailTelemetry {
     /// A fresh registry + trace log sized for `cores`.
     pub fn new(cores: usize) -> MailTelemetry {
-        MailTelemetry::over(MetricsRegistry::new(cores))
-    }
-
-    /// Telemetry over an existing registry (so an example can mix mail
-    /// counters with its own sections in one snapshot).
-    pub fn over(registry: Arc<MetricsRegistry>) -> MailTelemetry {
+        let registry = MetricsRegistry::new(cores);
         let syscalls = SyscallRecorder::new(&registry);
-        let trace = TraceLog::new(registry.cores());
+        let trace = TraceLog::new(cores);
         let stage_names =
             MailStage::ALL.map(|stage| trace.intern(&format!("mail.{}", stage.name())));
         MailTelemetry {
@@ -101,10 +96,6 @@ impl MailTelemetry {
 }
 
 impl MailStageObserver for MailTelemetry {
-    fn stage_enabled(&self) -> bool {
-        self.trace.is_enabled()
-    }
-
     fn observe_stage(&self, core: CoreId, stage: MailStage, started: Instant, ended: Instant) {
         self.trace
             .record(core, self.stage_names[stage as usize], started, ended);

@@ -84,8 +84,8 @@ fn observed_pipeline_accounts_for_every_recv_and_span() {
 }
 
 /// Runs a fixed deterministic syscall sequence inside a tracing window,
-/// optionally through [`ObservedKernel`] with an *enabled* registry, and
-/// returns the window plus how many syscalls the recorder saw.
+/// optionally through [`ObservedKernel`], and returns the window plus how
+/// many syscalls the recorder saw.
 fn traced_window(observe: bool) -> (TraceWindow, u64) {
     let sink = HostTraceSink::new(2);
     let kernel = host_kernel_with(2, HostMode::Sv6, Sv6Options::default(), Some(&sink));
@@ -111,10 +111,10 @@ fn traced_window(observe: bool) -> (TraceWindow, u64) {
     (window, observed_calls)
 }
 
-/// Probe parity: wrapping the instrumented kernel in the recorder — with
-/// metrics *enabled* — must leave the traced footprint byte-for-byte
-/// identical. The recorder's counters live outside the traced lines, so
-/// observation cannot manufacture (or hide) a conflict.
+/// Probe parity: wrapping the instrumented kernel in the recorder must
+/// leave the traced footprint byte-for-byte identical. The recorder's
+/// counters live outside the traced lines, so observation cannot
+/// manufacture (or hide) a conflict.
 #[test]
 fn enabling_metrics_changes_no_traced_footprint() {
     let (raw_window, raw_seen) = traced_window(false);

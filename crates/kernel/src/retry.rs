@@ -98,12 +98,6 @@ impl RetryPolicy {
         self
     }
 
-    /// Sets the total-delay deadline.
-    pub fn with_deadline_ns(mut self, deadline_ns: u64) -> Self {
-        self.deadline_ns = deadline_ns;
-        self
-    }
-
     /// Sets the retry-count bound.
     pub fn with_max_retries(mut self, max_retries: u32) -> Self {
         self.max_retries = max_retries;

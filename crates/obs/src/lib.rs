@@ -28,9 +28,9 @@
 //! * [`json`], [`cli`] — the dependency-free JSON builder and the shared
 //!   `--metrics-out` / `--trace-out` flag helpers.
 //!
-//! When a registry is disabled ([`MetricsRegistry::set_enabled`]), every
-//! handle's update path is one relaxed load and a branch; the
-//! `obs_overhead` example gates this in CI against a committed ceiling.
+//! There is no runtime off switch: a run that should not be observed holds
+//! no registry, and the callers that take telemetry take it as an `Option`
+//! that such a run leaves `None`.
 //!
 //! [`SyscallApi`]: scr_kernel::api::SyscallApi
 
@@ -51,4 +51,4 @@ pub use metrics::{
     DEFAULT_QUANTILES, HIST_BUCKETS,
 };
 pub use syscall::{ObservedKernel, SyscallKind, SyscallRecorder, ALL_ERRNOS};
-pub use trace::{SpanGuard, SpanName, TraceLog};
+pub use trace::{SpanName, TraceLog};

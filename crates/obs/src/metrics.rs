@@ -6,17 +6,12 @@
 //! a workload can never introduce the shared line whose absence the workload
 //! is trying to demonstrate. Reads (snapshots, totals, quantiles) walk all
 //! slots and merge; they are expected to run outside the measured window.
-//!
-//! When the registry is disabled, every handle's hot path is a single relaxed
-//! load and a predictable branch — cheap enough to leave compiled into
-//! `perform`-level dispatch (see the `obs_overhead` example, which gates this
-//! in CI).
 
 use crate::json::Json;
 use crate::meta::RunMeta;
 use crossbeam::utils::CachePadded;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of log₂ buckets in a [`Histogram`]. Bucket 0 holds zeros; bucket
@@ -87,47 +82,22 @@ impl HistCells {
 /// A named registry of per-core counters and histograms.
 ///
 /// Handles ([`Counter`], [`Histogram`]) are registered once — registration
-/// takes a lock — and then updated lock-free from any core. The shared
-/// `enabled` gate turns every handle of the registry on or off at once;
-/// handles pre-resolve everything else, so the disabled hot path never
-/// touches the registry again.
+/// takes a lock — and then updated lock-free from any core. Handles
+/// pre-resolve their cells, so an update never touches the registry again.
 pub struct MetricsRegistry {
     cores: usize,
-    enabled: Arc<AtomicBool>,
     counters: Mutex<BTreeMap<String, Arc<CounterCells>>>,
     histograms: Mutex<BTreeMap<String, Arc<HistCells>>>,
 }
 
 impl MetricsRegistry {
-    /// A registry with one padded slot per core, enabled.
+    /// A registry with one padded slot per core.
     pub fn new(cores: usize) -> Arc<MetricsRegistry> {
         Arc::new(MetricsRegistry {
             cores: cores.max(1),
-            enabled: Arc::new(AtomicBool::new(true)),
             counters: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
         })
-    }
-
-    /// A registry whose handles all start disabled (a single relaxed load
-    /// per update attempt). Useful for overhead measurement.
-    pub fn disabled(cores: usize) -> Arc<MetricsRegistry> {
-        let registry = MetricsRegistry::new(cores);
-        registry.set_enabled(false);
-        registry
-    }
-
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Flip every handle of this registry on or off.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// Register (or re-resolve) the counter `name`. Handles with the same
@@ -139,10 +109,7 @@ impl MetricsRegistry {
                 .or_insert_with(|| Arc::new(CounterCells::new(self.cores)))
                 .clone()
         };
-        Counter {
-            enabled: self.enabled.clone(),
-            cells,
-        }
+        Counter { cells }
     }
 
     /// Register (or re-resolve) the histogram `name`.
@@ -153,10 +120,7 @@ impl MetricsRegistry {
                 .or_insert_with(|| Arc::new(HistCells::new(self.cores)))
                 .clone()
         };
-        Histogram {
-            enabled: self.enabled.clone(),
-            cells,
-        }
+        Histogram { cells }
     }
 
     /// Merge every metric across cores into an immutable snapshot.
@@ -187,18 +151,14 @@ impl MetricsRegistry {
 /// A per-core counter handle. Cloning shares the cells.
 #[derive(Clone)]
 pub struct Counter {
-    enabled: Arc<AtomicBool>,
     cells: Arc<CounterCells>,
 }
 
 impl Counter {
-    /// Add `n` from `core`. One relaxed load when disabled; one relaxed
-    /// `fetch_add` on the core's own padded line when enabled.
+    /// Add `n` from `core`: one relaxed `fetch_add` on the core's own
+    /// padded line.
     #[inline]
     pub fn add(&self, core: usize, n: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let slots = &self.cells.slots;
         slots[core % slots.len()].fetch_add(n, Ordering::Relaxed);
     }
@@ -231,18 +191,14 @@ impl Counter {
 /// A per-core log-bucketed histogram handle. Cloning shares the cells.
 #[derive(Clone)]
 pub struct Histogram {
-    enabled: Arc<AtomicBool>,
     cells: Arc<HistCells>,
 }
 
 impl Histogram {
     /// Record one sample from `core`: four relaxed RMWs, all on the core's
-    /// own padded slot. One relaxed load when disabled.
+    /// own padded slot.
     #[inline]
     pub fn record(&self, core: usize, value: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let slots = &self.cells.slots;
         let slot = &slots[core % slots.len()];
         slot.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
@@ -504,20 +460,6 @@ mod tests {
         assert_eq!(counter.per_core(), vec![5, 8, 0, 0]);
         // A re-resolved handle shares the cells.
         assert_eq!(registry.counter("ops").total(), 13);
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let registry = MetricsRegistry::disabled(2);
-        let counter = registry.counter("ops");
-        let hist = registry.histogram("lat");
-        counter.inc(0);
-        hist.record(0, 42);
-        assert_eq!(counter.total(), 0);
-        assert_eq!(hist.merged().count, 0);
-        registry.set_enabled(true);
-        counter.inc(0);
-        assert_eq!(counter.total(), 1);
     }
 
     #[test]

@@ -45,7 +45,6 @@ struct CallMetrics {
 /// Metric names: `syscall.<call>.calls`, `syscall.<call>.latency_ns`,
 /// `syscall.<call>.errno.<ERRNO>`.
 pub struct SyscallRecorder {
-    registry: Arc<MetricsRegistry>,
     calls: Box<[CallMetrics]>,
 }
 
@@ -66,16 +65,7 @@ impl SyscallRecorder {
                 }
             })
             .collect();
-        Arc::new(SyscallRecorder {
-            registry: registry.clone(),
-            calls,
-        })
-    }
-
-    /// Shares the owning registry's enabled gate.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.registry.is_enabled()
+        Arc::new(SyscallRecorder { calls })
     }
 
     /// Record one completed call from `core`.
@@ -110,9 +100,9 @@ impl SyscallRecorder {
     }
 }
 
-/// The [`Layer`] that times every call into a [`SyscallRecorder`]. When
-/// the recorder's registry is disabled each call costs one relaxed load on
-/// top of the inner kernel — no clock reads.
+/// The [`Layer`] that times every call into a [`SyscallRecorder`]: two
+/// clock reads per call, then the recorder's per-core updates. A run that
+/// should not be observed does not wrap its kernel in one.
 pub struct ObservedKernel<'k, K: SyscallApi + ?Sized> {
     inner: &'k K,
     recorder: Arc<SyscallRecorder>,
@@ -143,9 +133,6 @@ impl<K: SyscallApi + ?Sized> Layer for ObservedKernel<'_, K> {
         kind: SyscallKind,
         call: impl Fn() -> KResult<T>,
     ) -> KResult<T> {
-        if !self.recorder.is_enabled() {
-            return call();
-        }
         let started = Instant::now();
         let result = call();
         let nanos = started.elapsed().as_nanos() as u64;
@@ -185,12 +172,5 @@ mod tests {
         assert_eq!(snapshot.counters["syscall.open.calls"].total, 2);
         assert_eq!(snapshot.counters["syscall.recv.errno.EAGAIN"].total, 1);
         assert_eq!(snapshot.histograms["syscall.open.latency_ns"].count, 2);
-    }
-
-    #[test]
-    fn disabled_registry_silences_the_recorder_gate() {
-        let registry = MetricsRegistry::disabled(1);
-        let recorder = SyscallRecorder::new(&registry);
-        assert!(!recorder.is_enabled());
     }
 }

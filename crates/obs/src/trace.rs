@@ -3,9 +3,8 @@
 //! Spans follow the same sharding discipline as the metrics: each core
 //! appends finished spans to its own `CachePadded` buffer, so tracing the
 //! mail pipeline does not serialize its stages on a shared log. Span names
-//! are interned up front (registration takes a lock once); the hot path is
-//! one relaxed load (the enabled gate), two `Instant` reads, and a push to
-//! the core-local buffer.
+//! are interned up front (registration takes a lock once); recording a span
+//! is a push to the core-local buffer.
 //!
 //! [`TraceLog::to_chrome_json`] renders the buffers in the Chrome
 //! trace-event format — complete (`"ph":"X"`) events with microsecond
@@ -15,7 +14,6 @@
 use crate::json::escape_into;
 use crossbeam::utils::CachePadded;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -33,7 +31,6 @@ struct SpanEvent {
 /// A per-core buffer of completed spans.
 pub struct TraceLog {
     epoch: Instant,
-    enabled: AtomicBool,
     names: Mutex<Vec<String>>,
     cores: Box<[CachePadded<Mutex<Vec<SpanEvent>>>]>,
 }
@@ -42,20 +39,11 @@ impl TraceLog {
     pub fn new(cores: usize) -> Arc<TraceLog> {
         Arc::new(TraceLog {
             epoch: Instant::now(),
-            enabled: AtomicBool::new(true),
             names: Mutex::new(Vec::new()),
             cores: (0..cores.max(1))
                 .map(|_| CachePadded::new(Mutex::new(Vec::new())))
                 .collect(),
         })
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// Intern `name`, returning a copyable id for the record path. Interning
@@ -77,9 +65,6 @@ impl TraceLog {
     /// Record a completed span on `core` from `started` to `ended`.
     #[inline]
     pub fn record(&self, core: usize, name: SpanName, started: Instant, ended: Instant) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         let start_ns = started.saturating_duration_since(self.epoch).as_nanos() as u64;
         let dur_ns = ended.saturating_duration_since(started).as_nanos() as u64;
         let slot = &self.cores[core % self.cores.len()];
@@ -88,18 +73,6 @@ impl TraceLog {
             start_ns,
             dur_ns,
         });
-    }
-
-    /// Start a span now; it records itself on drop (or on [`SpanGuard::end`]).
-    #[inline]
-    pub fn span(&self, core: usize, name: SpanName) -> SpanGuard<'_> {
-        SpanGuard {
-            log: self,
-            core,
-            name,
-            started: Instant::now(),
-            armed: self.is_enabled(),
-        }
     }
 
     /// Total spans recorded so far across all cores.
@@ -167,36 +140,6 @@ impl TraceLog {
     }
 }
 
-/// RAII span: created by [`TraceLog::span`], records on drop.
-pub struct SpanGuard<'a> {
-    log: &'a TraceLog,
-    core: usize,
-    name: SpanName,
-    started: Instant,
-    armed: bool,
-}
-
-impl SpanGuard<'_> {
-    /// Finish the span now instead of at end of scope.
-    pub fn end(mut self) {
-        self.finish();
-    }
-
-    fn finish(&mut self) {
-        if self.armed {
-            self.armed = false;
-            self.log
-                .record(self.core, self.name, self.started, Instant::now());
-        }
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.finish();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,26 +162,5 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"tid\":1"));
         assert!(json.ends_with("}"));
-    }
-
-    #[test]
-    fn disabled_log_records_nothing() {
-        let log = TraceLog::new(1);
-        log.set_enabled(false);
-        let name = log.intern("x");
-        {
-            let _guard = log.span(0, name);
-        }
-        log.record(0, name, Instant::now(), Instant::now());
-        assert!(log.is_empty());
-    }
-
-    #[test]
-    fn guard_records_once() {
-        let log = TraceLog::new(1);
-        let name = log.intern("stage");
-        let guard = log.span(0, name);
-        guard.end();
-        assert_eq!(log.count_of(name), 1);
     }
 }

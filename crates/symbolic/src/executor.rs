@@ -97,12 +97,6 @@ impl PathCtx {
         &self.path
     }
 
-    /// Only the constraints that came from branch decisions (excluding
-    /// assumptions).
-    pub fn branch_condition(&self) -> &[ExprRef] {
-        &self.branches
-    }
-
     fn into_result<T>(self, value: T) -> PathResult<T> {
         PathResult {
             condition: self.path,
@@ -412,7 +406,7 @@ mod tests {
     }
 
     #[test]
-    fn branch_conditions_depend_on_data() {
+    fn path_conditions_partition_the_domain() {
         // Model: return |x| (absolute value) over a symbolic int; exploring
         // yields two paths whose conditions partition the domain.
         let ctx = SymContext::new();

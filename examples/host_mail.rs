@@ -61,7 +61,7 @@ use scalable_commutativity::commuter::{
 use scalable_commutativity::host::workloads::{mailbench, MailTelemetry};
 use scalable_commutativity::host::{
     available_threads, classify_linearisation, host_kernel, run_pipeline, saturating_schedule,
-    ChaosReplayer, HostMode, PipelineConfig,
+    HostMode, HostReplayer, PipelineConfig,
 };
 use scalable_commutativity::kernel::mail::{MailConfig, MailTopology};
 use scalable_commutativity::loadgen::{run_open_loop, LoadConfig};
@@ -420,7 +420,7 @@ fn main() {
         &[],
     )
     .tests;
-    let replayer = ChaosReplayer {
+    let replayer = HostReplayer {
         cores: 4,
         plan: ChaosPlan::errno_storm(SEED ^ 3),
     };
