@@ -46,6 +46,25 @@
 //! topology core (the supervisor on the core after the topology's), so an
 //! instrumented kernel files each access under the core that made it.
 //!
+//! Waiting costs no CPU on either side, as §7.3's mail-qman blocks on its
+//! notification socket:
+//!
+//! * **The doorbell.** Each qman slot holds the `Thread` handle of its
+//!   current incarnation, stored before its first poll. Whoever puts a
+//!   notification on a shard rings the shard's qman ([`Thread::unpark`]):
+//!   the enqueuer after `enqueue` returns and the supervisor after a
+//!   re-drive; the settle that completes the run rings every slot. A qman
+//!   whose round over its shards came up empty parks until it is rung, or
+//!   for a 1 ms backstop at most. The ring carries no data — a qman learns
+//!   of a message only through `recv` — and a ring that comes before the
+//!   park makes the park return at once, so a lost ring can only make the
+//!   run slower, never lose a message.
+//! * **The precise release.** An enqueuer sets its thread's timer slack to
+//!   1 ns, then sleeps to each due time in at most two steps, a long sleep
+//!   that ends ~100 µs early and a short one that ends ~10 µs early, and
+//!   yields through the last 15 µs at most. How late each release still was
+//!   is [`MailPipelineReport::release_lag`].
+//!
 //! The accounting contract: after the threads join, every accounted
 //! mailbox file is read back through the *raw* kernel, outside any open
 //! tracing window, and keyed by its
@@ -63,13 +82,13 @@ use scr_kernel::api::{OpenFlags, Pid, SyscallApi};
 use scr_kernel::mail::{
     Delivered, Envelope, MailConfig, MailServer, MailStageObserver, MailTopology, NoMailObs,
 };
-use scr_kernel::retry::{Backoff, RetryPolicy};
+use scr_kernel::retry::RetryPolicy;
 use scr_mtrace::{on_core, CoreId, Lines};
-use scr_obs::ObservedKernel;
+use scr_obs::{Histogram, HistogramSnapshot, MetricsRegistry, ObservedKernel};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Barrier, Mutex, OnceLock};
-use std::thread::Scope;
+use std::thread::{Scope, Thread};
 use std::time::{Duration, Instant};
 
 /// What a run does besides its schedule: the API family, the topology, the
@@ -188,12 +207,16 @@ pub struct MailPipelineReport {
     /// `recv` polls eaten by delivery holds.
     pub delayed_polls: u64,
     /// Qman polling rounds that found every owned shard empty; each is
-    /// followed by one backoff wait.
+    /// followed by one park.
     pub eagain_retries: u64,
     /// Descriptors still open in any process table after teardown.
     pub leaked_fds: usize,
     /// From the epoch to the last message accounted, before the read-back.
     pub elapsed: Duration,
+    /// How late the enqueuers released each message: nanoseconds from its
+    /// due time to the moment its enqueuer stopped waiting for it. A late
+    /// generator shows here, a slow pipeline only in delivery latency.
+    pub release_lag: HistogramSnapshot,
 }
 
 impl MailPipelineReport {
@@ -364,25 +387,69 @@ where
     }
 }
 
-/// Sleep (coarse) then yield (fine) until `due_ns` after `epoch`. Never
-/// spins without yielding, so an oversubscribed host keeps making progress.
-fn wait_until(epoch: Instant, due_ns: u64) {
-    loop {
-        let now = epoch.elapsed().as_nanos() as u64;
-        if now >= due_ns {
-            return;
-        }
-        let gap = due_ns - now;
-        if gap > 500_000 {
-            // Leave the last ~200µs to the yield loop: sleep overshoot
-            // would delay the *release*, not the schedule, and the latency
-            // clock charges any release delay to the system — keep it small.
-            std::thread::sleep(Duration::from_nanos(gap - 200_000));
-        } else {
-            std::thread::yield_now();
+/// How long an idle qman stays parked when nobody rings it. Only a lost
+/// ring waits this long: a message otherwise wakes its qman at once, ~6 µs
+/// at p50 and 20 µs at p99 from `unpark` to running on the 2-vCPU
+/// reference box. At 1 ms an idle qman wakes a thousand times a second for
+/// one empty `recv` each, well under 1 % of a core.
+const PARK_BACKSTOP: Duration = Duration::from_millis(1);
+
+/// The long sleep of [`wait_until`] ends this early. With 1 ns of timer
+/// slack a 900 µs sleep overshot by 22 µs at p50 and 84 µs at p99 on the
+/// reference box (56–70 µs at p50 under the default 50 µs slack).
+const LONG_MARGIN_NS: u64 = 100_000;
+
+/// The short sleep of [`wait_until`] ends this early: a sleep of 5–100 µs
+/// overshot by 6 µs at p50 and 8 µs at p90 with 1 ns of slack.
+const SHORT_MARGIN_NS: u64 = 10_000;
+
+/// [`wait_until`] yields, rather than sleeps, through at most this much of
+/// the gap. The shortest short sleep is then 5 µs; a shorter one would
+/// overshoot (~6 µs at p50) by more than it sleeps.
+const YIELD_WINDOW_NS: u64 = 15_000;
+
+/// Waits until `due_ns` after `epoch` and returns how many nanoseconds
+/// late it returned. Sleeps in at most two steps, ending
+/// [`LONG_MARGIN_NS`] and then [`SHORT_MARGIN_NS`] before the due time,
+/// and yields through the rest; it re-reads the clock before returning, so
+/// it never returns early.
+fn wait_until(epoch: Instant, due_ns: u64) -> u64 {
+    let now = || epoch.elapsed().as_nanos() as u64;
+    for margin in [LONG_MARGIN_NS, SHORT_MARGIN_NS] {
+        let left = due_ns.saturating_sub(now());
+        if left > margin.max(YIELD_WINDOW_NS) {
+            std::thread::sleep(Duration::from_nanos(left - margin));
         }
     }
+    loop {
+        let at = now();
+        if at >= due_ns {
+            return at - due_ns;
+        }
+        std::thread::yield_now();
+    }
 }
+
+/// Asks for this thread's sleeps to end within 1 ns of their deadline
+/// rather than the default 50 µs timer slack, which stretched every
+/// release of [`wait_until`] by ~57 µs. A failure leaves the default
+/// slack: releases get later, not wrong.
+#[cfg(target_os = "linux")]
+#[allow(unsafe_code)]
+fn precise_timer_slack() {
+    use std::ffi::{c_int, c_ulong};
+    const PR_SET_TIMERSLACK: c_int = 29;
+    extern "C" {
+        fn prctl(option: c_int, ...) -> c_int;
+    }
+    // SAFETY: `prctl(PR_SET_TIMERSLACK, ns)` reads one `unsigned long` by
+    // value, which is the type passed, and touches no memory of this
+    // process; it changes only the calling thread's timer slack.
+    let _ = unsafe { prctl(PR_SET_TIMERSLACK, 1 as c_ulong) };
+}
+
+#[cfg(not(target_os = "linux"))]
+fn precise_timer_slack() {}
 
 /// The one way a ledger list's lock fails: a pipeline thread panicked
 /// while holding it.
@@ -445,6 +512,7 @@ impl<H: Fn(CoreId, &Delivered, u64) + Sync> Job<'_, H> {
         let server = MailServer::with_topology(bounded, self.cfg.mail, topology, self.cfg.cores())
             .expect("socket creation is unfaultable");
         let (wrecks, supervisor_rx) = mpsc::channel();
+        let release_lag = MetricsRegistry::new(topology.cores()).histogram("mail.release_lag_ns");
         let run = Run {
             job: self,
             safe: server.view(persistent),
@@ -465,6 +533,8 @@ impl<H: Fn(CoreId, &Delivered, u64) + Sync> Job<'_, H> {
             delivered: Mutex::new(Vec::new()),
             dead_lettered: Mutex::new(Vec::new()),
             wrecks,
+            doorbells: (0..topology.qmans).map(|_| Mutex::new(None)).collect(),
+            release_lag,
         };
         std::thread::scope(|scope| {
             let run = &run;
@@ -490,6 +560,7 @@ impl<H: Fn(CoreId, &Delivered, u64) + Sync> Job<'_, H> {
                 orphans_reaped: run.orphans.into_inner(),
                 eagain_retries: run.eagain_retries.into_inner(),
                 elapsed: Duration::from_nanos(run.last_ns.into_inner()),
+                release_lag: run.release_lag.merged(),
                 ..MailPipelineReport::default()
             },
         }
@@ -542,6 +613,11 @@ struct Run<'a, B: SyscallApi + ?Sized, P: SyscallApi + ?Sized, O, H> {
     delivered: Mutex<Vec<String>>,
     dead_lettered: Mutex<Vec<String>>,
     wrecks: Sender<QmanWreck>,
+    /// Per qman slot, its current incarnation's thread, to unpark when its
+    /// shards get work.
+    doorbells: Vec<Mutex<Option<Thread>>>,
+    /// Nanoseconds from each message's due time to its release.
+    release_lag: Histogram,
 }
 
 impl<B, P, O, H> Run<'_, B, P, O, H>
@@ -571,19 +647,39 @@ where
 
     fn settle(&self, at_ns: u64) {
         self.last_ns.fetch_max(at_ns, Ordering::Relaxed);
-        self.settled.fetch_add(1, Ordering::Release);
+        self.count_settled();
+    }
+
+    /// Counts one more message settled. The one that completes the run
+    /// rings every qman, so none sleeps out its backstop before it sees
+    /// that the run is over.
+    fn count_settled(&self) {
+        if self.settled.fetch_add(1, Ordering::Release) + 1 == self.job.schedule.len() {
+            (0..self.job.cfg.topology.qmans).for_each(|q| self.ring(q));
+        }
+    }
+
+    /// Wakes qman slot `q` if it is parked; if it is not, its next park
+    /// returns at once. Every caller has already put the work on the
+    /// slot's shard, so a qman that stores its handle after this reads
+    /// finds that work on its first poll.
+    fn ring(&self, q: usize) {
+        if let Some(qman) = &*self.doorbells[q].lock().expect(POISONED) {
+            qman.unpark();
+        }
     }
 
     /// mail-enqueue `e`: releases messages `e`, `e + enqueuers`, … of the
     /// schedule at their due times.
     fn enqueuer(&self, e: usize) {
+        precise_timer_slack();
         let epoch = self.begin();
         let job = self.job;
         let topology = job.cfg.topology;
         let core = topology.enqueuer_core(e);
         let mine = job.schedule.iter().enumerate().skip(e);
         for (i, (due, mailbox)) in mine.step_by(topology.enqueuers) {
-            wait_until(epoch, *due);
+            self.release_lag.record(core, wait_until(epoch, *due));
             if self.sheds(i) {
                 continue;
             }
@@ -591,6 +687,7 @@ where
             self.safe
                 .enqueue(core, job.client, mailbox, body.as_bytes(), self.stages)
                 .expect("enqueue never gives up");
+            self.ring(topology.qman_of_shard(topology.shard_of(mailbox)));
             if let Some(t) = job.telemetry {
                 t.enqueued.inc(core);
             }
@@ -611,7 +708,7 @@ where
             return false;
         }
         self.shed.lock().expect(POISONED).push(i);
-        self.settled.fetch_add(1, Ordering::Release);
+        self.count_settled();
         true
     }
 
@@ -636,16 +733,14 @@ where
     }
 
     /// The qman loop: polls the slot's shards until the run is done, or
-    /// returns the wreck where the plan kills this incarnation.
+    /// returns the wreck where the plan kills this incarnation. Parks after
+    /// every empty round until it is rung.
     fn serve(&self, q: usize, generation: u32, idle_rounds: &mut u64) -> Option<QmanWreck> {
         let cfg = self.job.cfg;
         let core = cfg.topology.qman_core(q);
         let crash = cfg.plan.crash_for(q, generation);
         let mut steps: u64 = 0;
-        let mut idle = Backoff::new(
-            RetryPolicy::spin().with_seed(cfg.plan.seed ^ 2),
-            ((q as u64) << 32) | u64::from(generation),
-        );
+        *self.doorbells[q].lock().expect(POISONED) = Some(std::thread::current());
         'run: loop {
             if self.done() {
                 return None;
@@ -670,17 +765,15 @@ where
                     });
                 }
                 steps += 1;
-                idle.reset();
                 continue 'run;
             }
-            // Every owned shard came up empty: back off instead of
-            // hammering the sockets.
+            // Every owned shard came up empty: sleep until a ring.
             *idle_rounds += 1;
             if let Some(t) = self.job.telemetry {
                 t.eagain_retries.inc(core);
                 t.yield_spins.inc(core);
             }
-            idle.wait();
+            std::thread::park_timeout(PARK_BACKSTOP);
         }
     }
 
@@ -831,6 +924,7 @@ where
         self.persistent
             .send(core, self.safe.shard_socket(shard), env_name.as_bytes())
             .expect("re-drive send never gives up");
+        self.ring(self.job.cfg.topology.qman_of_shard(shard));
         self.redriven.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -855,6 +949,20 @@ mod tests {
         let enqueuers = cfg.topology.enqueuers;
         let schedule = saturating_schedule(enqueuers, enqueuers * per_enqueuer);
         run_pipeline(&kernel, cfg, &schedule, None, |_, _, _| {})
+    }
+
+    #[test]
+    fn wait_until_never_returns_before_the_due_time() {
+        for gap_ns in [0, 5_000, 50_000, 300_000, 2_000_000] {
+            let epoch = Instant::now();
+            let late = wait_until(epoch, gap_ns);
+            let waited = epoch.elapsed().as_nanos() as u64;
+            assert!(
+                waited >= gap_ns,
+                "gap {gap_ns} ns: returned after {waited} ns"
+            );
+            assert!(late <= waited - gap_ns, "gap {gap_ns} ns: lag {late} ns");
+        }
     }
 
     #[test]

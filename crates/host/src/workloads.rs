@@ -59,9 +59,11 @@ pub struct MailTelemetry {
     /// `qman_step` of [`Workload::Mail`], an empty round over a pipeline qman's
     /// shards.
     pub eagain_retries: Counter,
-    /// Backoff waits (yields or short sleeps, per the shared
-    /// [`RetryPolicy`]) taken on an empty queue — exactly one per counted
-    /// `EAGAIN` retry.
+    /// Waits taken on an empty queue — exactly one per counted `EAGAIN`
+    /// retry. In [`mailbench`] each is a backoff step of the shared
+    /// [`RetryPolicy`] (a yield or a short sleep); in the pipeline engine
+    /// each is one park until an enqueue rings the qman (1 ms backstop).
+    /// The name predates the park.
     pub yield_spins: Counter,
     /// End-to-end message latency in ns, under the same histogram name
     /// (`mail.latency_ns`) the open-loop load generator records, so

@@ -1,13 +1,19 @@
 //! Shared retry/backoff policy for transient syscall failures.
 //!
-//! Three copies of the same bare `yield_now()` EAGAIN loop used to live in
-//! mailbench, the mail pipeline, and the open-loop qman; on an
-//! oversubscribed single-core runner each burned whole scheduler quanta
-//! spinning. [`RetryPolicy`] centralises the discipline: a few pure yields
-//! first (the common case — the peer is one reschedule away), then
-//! exponential sleeps with seeded jitter up to a ceiling, bounded by a
-//! retry count and a total-delay deadline so a message that cannot make
-//! progress is handed to the dead-letter path instead of wedging a thread.
+//! [`RetryPolicy`] is the one discipline for re-issuing a call that failed
+//! transiently: a few pure yields first (the common case — the peer is one
+//! reschedule away), then exponential sleeps with seeded jitter up to a
+//! ceiling, bounded by a retry count and a total-delay deadline so a
+//! message that cannot make progress is handed to the dead-letter path
+//! instead of wedging a thread. `scr_chaos`'s `ReliableKernel` retries
+//! injected faults with it, and the closed-loop `mailbench` qman backs off
+//! with it on an empty queue.
+//!
+//! Waiting for *work* is not a retry: the pipeline engine's idle qman in
+//! `scr_host::pipeline` parks until an enqueuer rings it. Walking this
+//! ladder instead, with its 16 yields and 2–100 µs sleeps (each stretched
+//! by the default 50 µs timer slack), polls an empty socket ~20 times per
+//! message at a steady 1–2 kHz.
 //!
 //! Everything is deterministic per `(policy.seed, stream)`: the jitter
 //! draws come from a SplitMix64 finalizer over the attempt index, never
@@ -66,7 +72,11 @@ pub struct RetryPolicy {
 impl RetryPolicy {
     /// Never gives up: the replacement for the old bare yield loops. The
     /// outer loop still owns termination (delivery counts, run deadline);
-    /// this just stops a starved poll from spinning a core.
+    /// this just stops a starved poll from spinning a core. It is the
+    /// never-give-up budget of `ReliableKernel` and the closed-loop
+    /// `mailbench` qman's empty-queue backoff. The pipeline engine's qman,
+    /// open loop included, does not wait for work with it: it parks until
+    /// an enqueue rings it.
     pub fn spin() -> Self {
         RetryPolicy {
             max_retries: u32::MAX,

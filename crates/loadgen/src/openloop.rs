@@ -12,7 +12,13 @@
 //!
 //! This module is a front end: it builds the schedule (due time and
 //! zipf-sampled mailbox per message) and records latency and per-shard
-//! histograms in the engine's per-delivery hook. The intended-arrival
+//! histograms in the engine's per-delivery hook. The engine also reports
+//! how late its enqueuers released each message
+//! ([`LoadReport::release_lag`]), which tells a late generator from a slow
+//! pipeline. Neither side of the pipeline spins while it waits: the
+//! enqueuers sleep to each due time, and an idle qman parks until an
+//! enqueue rings it (see [`scr_host::pipeline`]), so a run's CPU time is
+//! the mail work and not the waiting. The intended-arrival
 //! timestamp rides *inside the message body* ([`stamp`]), so it crosses
 //! the pipeline the same way the payload does and the hook computes
 //! end-to-end latency from [`Delivered::body`] at zero extra syscall cost.
@@ -133,7 +139,8 @@ pub struct LoadReport {
     pub crashes: u64,
     /// Qman incarnations the supervisor restarted after those deaths.
     pub restarts: u64,
-    /// Empty-queue polling rounds on the qman side.
+    /// Empty-queue polling rounds on the qman side; each ends in one park
+    /// until the next enqueue rings the qman.
     pub eagain_retries: u64,
     /// Wall time from epoch to last delivery, seconds.
     pub elapsed_seconds: f64,
@@ -141,6 +148,10 @@ pub struct LoadReport {
     pub offered_rate: f64,
     /// End-to-end latency in ns, measured from intended arrival.
     pub latency: HistogramSnapshot,
+    /// How late the generator ran: ns from each message's intended arrival
+    /// to its release by the enqueuer. Latency that this does not explain
+    /// was spent in the pipeline.
+    pub release_lag: HistogramSnapshot,
     /// Per-shard traffic and latency.
     pub shards: Vec<ShardStats>,
 }
@@ -228,6 +239,7 @@ pub fn run_open_loop(config: &LoadConfig) -> LoadReport {
         elapsed_seconds: ledger.elapsed.as_secs_f64(),
         offered_rate: config.rate_per_sec,
         latency: latency.merged(),
+        release_lag: ledger.release_lag,
         shards: (0..shards)
             .map(|s| ShardStats {
                 shard: s,

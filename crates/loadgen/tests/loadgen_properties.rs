@@ -148,6 +148,33 @@ fn open_loop_latency_includes_queueing_delay_when_stalled() {
     assert!(unstalled.latency.p50() < report.latency.p50() / 4.0);
 }
 
+/// An idle qman sleeps until an enqueue rings it instead of polling: at
+/// 2 kHz (a 500 µs gap, ~30 times a delivery's work) a qman that parks
+/// until its doorbell polls about once a message that it finds nothing,
+/// where a backoff ladder of yields and short sleeps polled 15–24 times.
+/// The bound is one-sided with a 3× margin over the parked qman's ~1.
+#[test]
+fn idle_qman_waits_for_its_doorbell_instead_of_polling() {
+    let config = LoadConfig {
+        topology: MailTopology::single(),
+        messages: 400,
+        rate_per_sec: 2_000.0,
+        arrival: Arrival::FixedRate,
+        ..LoadConfig::smoke()
+    };
+    let report = run_open_loop(&config);
+    assert_eq!(report.delivered, 400, "{report:?}");
+    assert_eq!(report.lost + report.duplicates + report.dead_lettered, 0);
+    assert_eq!(report.latency.count, 400, "one latency sample per delivery");
+    assert_eq!(report.release_lag.count, 400, "one release per message");
+    assert!(
+        report.eagain_retries <= 3 * report.delivered,
+        "{} empty polls for {} messages",
+        report.eagain_retries,
+        report.delivered
+    );
+}
+
 /// A skewed sharded run concentrates traffic: with strong zipf over a 2×2
 /// pipeline the hottest shard carries strictly more than a fair share.
 /// Deterministic (the mailbox sequence is seeded), so no self-skip needed —

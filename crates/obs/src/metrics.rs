@@ -241,8 +241,9 @@ pub struct CounterSnapshot {
     pub per_core: Vec<u64>,
 }
 
-/// A merged histogram distribution with quantile estimation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A merged histogram distribution with quantile estimation. The default
+/// is the empty distribution, whose quantiles read 0.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     pub count: u64,
     pub sum: u64,

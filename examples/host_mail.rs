@@ -17,7 +17,9 @@
 //!   (`MailPipelineReport::exactly_once`).
 //! * **open loop** — `run_open_loop` at a fixed 20 000 messages/s with the
 //!   never-give-up retry budget: every message must reach its own mailbox
-//!   exactly once, none dead-lettered.
+//!   exactly once, none dead-lettered. Its row also prints the release
+//!   lag's p50 and p99 (µs from each message's due time to its release),
+//!   which tells a late generator from a slow pipeline.
 //!
 //! The topology is 2 enqueuers × 2 qmans. The crash plan gets one qman
 //! slot: every shard drains through slot 0, so the scheduled deaths of its
@@ -132,6 +134,9 @@ struct Row {
     restarts: usize,
     injected_faults: u64,
     delayed_polls: u64,
+    /// p50 and p99 µs from a message's due time to its release; printed
+    /// for the open-loop runs, where the due times are spread out.
+    release_lag_us: Option<(f64, f64)>,
     failures: Vec<&'static str>,
     fields: Vec<(&'static str, Json)>,
 }
@@ -190,6 +195,7 @@ fn saturating(
         restarts: report.restarts,
         injected_faults: report.injected_faults,
         delayed_polls: report.delayed_polls,
+        release_lag_us: None,
         failures: failures
             .into_iter()
             .filter_map(|(bad, shape)| bad.then_some(shape))
@@ -223,6 +229,10 @@ fn open_loop(mode: HostMode, mail: MailConfig, topology: MailTopology, plan: &Ch
         chaos: plan.clone(),
         ..LoadConfig::smoke()
     });
+    let lag_us = (
+        report.release_lag.p50() / 1e3,
+        report.release_lag.p99() / 1e3,
+    );
     let failures = [
         (report.lost > 0, "lost"),
         (report.duplicates > 0, "duplicated"),
@@ -244,6 +254,7 @@ fn open_loop(mode: HostMode, mail: MailConfig, topology: MailTopology, plan: &Ch
         restarts: report.restarts as usize,
         injected_faults: report.injected_faults,
         delayed_polls: report.delayed_polls,
+        release_lag_us: Some(lag_us),
         failures: failures
             .into_iter()
             .filter_map(|(bad, shape)| bad.then_some(shape))
@@ -253,6 +264,8 @@ fn open_loop(mode: HostMode, mail: MailConfig, topology: MailTopology, plan: &Ch
             ("enqueued", report.enqueued.into()),
             ("lost", report.lost.into()),
             ("duplicates", report.duplicates.into()),
+            ("release_lag_p50_us", lag_us.0.into()),
+            ("release_lag_p99_us", lag_us.1.into()),
         ],
     }
 }
@@ -338,8 +351,18 @@ fn main() {
         available_threads()
     );
     println!(
-        "  {:<16} {:<10} {:<15} {:<10} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6}  verdict",
-        "plan", "mode", "api", "schedule", "deliv", "dead", "crash", "rstrt", "faults", "delays"
+        "  {:<16} {:<10} {:<15} {:<10} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6} {:>13}  verdict",
+        "plan",
+        "mode",
+        "api",
+        "schedule",
+        "deliv",
+        "dead",
+        "crash",
+        "rstrt",
+        "faults",
+        "delays",
+        "lag p50/p99"
     );
 
     // One telemetry bundle across the fault-free saturating runs: the
@@ -366,8 +389,11 @@ fn main() {
                 } else {
                     format!("FAIL ({shape})")
                 };
+                let lag = row.release_lag_us.map_or("-".to_string(), |(p50, p99)| {
+                    format!("{p50:.1}/{p99:.0} µs")
+                });
                 println!(
-                    "  {:<16} {:<10} {:<15} {:<10} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6}  {verdict}",
+                    "  {:<16} {:<10} {:<15} {:<10} {:>5} {:>5} {:>5} {:>5} {:>6} {:>6} {lag:>13}  {verdict}",
                     plan_name,
                     mode_label(mode),
                     api,
