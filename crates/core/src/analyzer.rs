@@ -27,18 +27,25 @@
 //!   refutation per dead decision prefix, none for the leaves under it;
 //! * the result/state-equality obligations, by far the largest
 //!   expressions, are built for feasible leaves only, by replaying the
-//!   leaf's decisions.
+//!   leaf's decisions;
+//! * every query of the unit goes to one incremental [`CaseSolver`], which
+//!   compiles only what a query does not share with the one before: the
+//!   unit's assumptions open every condition and are compiled once, a
+//!   bisection probe is a cut of the leaf just asked about, and a leaf's
+//!   classification query is its condition plus the obligations.
 //!
 //! Every leaf is still enumerated and counted, so `paths_explored` and the
 //! classification are exactly those of one solver query per leaf (the
-//! tests keep that rule as reference code and compare).
+//! tests keep that rule as reference code and compare). The leaves are
+//! streamed: each is decided and, when feasible, classified as it arrives,
+//! and none is kept past its own classification.
 
 use crate::shapes::PairShape;
 use scr_model::calls::{execute, ArgSlots, SymCall, SymRet};
 use scr_model::{CallKind, ModelConfig, SymState};
 use scr_symbolic::{
-    explore, replay, satisfiable, Domains, Expr, ExprRef, PathCtx, PathResult, RefutedPrefixMemo,
-    SymBool, SymContext, Var,
+    explore_each, replay, CaseSolver, Domains, Expr, ExprRef, PathCtx, PathResult,
+    RefutedPrefixMemo, SymBool, SymContext, Var,
 };
 
 /// One commutative case: a feasible path of the pair on which both orders
@@ -75,6 +82,12 @@ pub struct PairAnalysis {
     /// Feasible paths; each cost one more query, over its commutativity
     /// condition (`cases.len() + non_commutative_paths`).
     pub feasible_leaves: usize,
+    /// Flattened constraints the unit's solver was asked about, summed
+    /// over every query (feasibility, probes and classification).
+    pub constraints_queried: usize,
+    /// The part of `constraints_queried` the solver compiled; the rest it
+    /// kept from the query before, whose prefix the query shared.
+    pub constraints_compiled: usize,
 }
 
 /// The integer candidate domain used throughout the analysis. Values 0–4
@@ -207,39 +220,32 @@ impl AnalysisUnit {
         PathRun { ctx, orders }
     }
 
-    /// Classifies the leaves an explorer returned for [`AnalysisUnit::run`],
-    /// in the order it returned them, into the commutative cases and the
-    /// number of feasible paths that do not commute. `feasible` decides
-    /// whether a leaf's path condition is satisfiable; the equality
-    /// obligations are built, by replaying the leaf, only when it is.
+    /// Classifies one feasible leaf an explorer produced for
+    /// [`AnalysisUnit::run`]: its commutative case, or `None` when no
+    /// choice of values makes the orders agree on it. The equality
+    /// obligations are built here, by replaying the leaf, and the query on
+    /// them extends the leaf's own condition, so `solver` (the unit's,
+    /// which has just decided that condition) compiles only the
+    /// obligations.
     pub(crate) fn classify(
         &self,
-        leaves: Vec<PathResult<()>>,
+        leaf: PathResult<()>,
+        solver: &mut CaseSolver,
         domains: &Domains,
-        mut feasible: impl FnMut(&PathResult<()>) -> bool,
-    ) -> (Vec<CommutativeCase>, usize) {
-        let mut cases = Vec::new();
-        let mut non_commutative_paths = 0;
-        for leaf in leaves {
-            if !feasible(&leaf) {
-                continue;
-            }
-            let run = replay(&leaf.decisions, |path| self.run(path));
-            let commute = run.commute();
-            let mut condition = leaf.condition;
-            condition.push(commute.expr().clone());
-            if satisfiable(&condition, domains) {
-                cases.push(CommutativeCase {
-                    condition,
-                    path_condition: leaf.branches,
-                    variables: run.ctx.variables(),
-                    commute_expr: commute.expr().clone(),
-                });
-            } else {
-                non_commutative_paths += 1;
-            }
-        }
-        (cases, non_commutative_paths)
+    ) -> Option<CommutativeCase> {
+        let run = replay(&leaf.decisions, |path| self.run(path));
+        let commute = run.commute();
+        let mut condition = leaf.condition;
+        condition.push(commute.expr().clone());
+        solver
+            .retarget(&condition)
+            .satisfiable(domains)
+            .then(|| CommutativeCase {
+                condition,
+                path_condition: leaf.branches,
+                variables: run.ctx.variables(),
+                commute_expr: commute.expr().clone(),
+            })
     }
 }
 
@@ -253,17 +259,31 @@ pub fn analyze_pair(shape: &PairShape, cfg: &ModelConfig) -> PairAnalysis {
         ],
         |order, call| format!("{}.{}", ["ab", "ba"][order], ["a", "b"][call]),
     );
-    let leaves = explore(|path| {
-        unit.run(path);
-    });
-    let paths_explored = leaves.len();
     // Satisfiability only: no witness is ever used, so the solver's fast
     // MRV-ordered decision procedure applies.
     let domains = default_domains();
+    let mut solver = CaseSolver::default();
     let mut memo = RefutedPrefixMemo::new();
-    let (cases, non_commutative_paths) = unit.classify(leaves, &domains, |leaf| {
-        memo.is_feasible(leaf, |condition| satisfiable(condition, &domains))
-    });
+    let mut cases = Vec::new();
+    let mut paths_explored = 0;
+    let mut non_commutative_paths = 0;
+    explore_each(
+        |path| {
+            unit.run(path);
+        },
+        |leaf| {
+            paths_explored += 1;
+            if !memo.is_feasible(&leaf, |condition| {
+                solver.retarget(condition).satisfiable(&domains)
+            }) {
+                return;
+            }
+            match unit.classify(leaf, &mut solver, &domains) {
+                Some(case) => cases.push(case),
+                None => non_commutative_paths += 1,
+            }
+        },
+    );
     PairAnalysis {
         shape: shape.clone(),
         cases,
@@ -272,6 +292,8 @@ pub fn analyze_pair(shape: &PairShape, cfg: &ModelConfig) -> PairAnalysis {
         feasibility_queries: memo.queries,
         leaves_skipped: memo.skipped,
         feasible_leaves: memo.feasible,
+        constraints_queried: solver.constraints_queried(),
+        constraints_compiled: solver.constraints_compiled(),
     }
 }
 
@@ -311,6 +333,7 @@ mod tests {
     use super::*;
     use crate::shapes::enumerate_shapes;
     use scr_model::pair_config;
+    use scr_symbolic::{explore, satisfiable};
 
     fn small_cfg() -> ModelConfig {
         ModelConfig {
@@ -530,6 +553,8 @@ mod tests {
             non_commutative_paths,
             feasibility_queries: paths_explored,
             leaves_skipped: 0,
+            constraints_queried: 0,
+            constraints_compiled: 0,
         }
     }
 
@@ -595,6 +620,12 @@ mod tests {
             analysis.paths_explored
         );
         assert!(analysis.feasibility_queries < analysis.paths_explored / 2);
+        assert!(
+            analysis.constraints_compiled < analysis.constraints_queried / 4,
+            "the unit's assumptions open every query and are compiled once: {} of {} compiled",
+            analysis.constraints_compiled,
+            analysis.constraints_queried
+        );
     }
 
     #[test]

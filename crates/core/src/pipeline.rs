@@ -141,6 +141,12 @@ pub struct PairTiming {
     pub leaves_skipped: usize,
     /// Feasible paths, each of which cost one commutativity query.
     pub feasible_leaves: usize,
+    /// Flattened constraints the analyzer's solver queries named
+    /// ([`crate::PairAnalysis::constraints_queried`], summed).
+    pub constraints_queried: usize,
+    /// The part of them it compiled rather than kept from the query before
+    /// ([`crate::PairAnalysis::constraints_compiled`], summed).
+    pub constraints_compiled: usize,
     /// Commutative cases that yielded no test
     /// ([`crate::GeneratedTests::zero_test_cases`], summed).
     pub zero_test_cases: usize,
@@ -160,6 +166,8 @@ impl PairTiming {
             feasibility_queries: 0,
             leaves_skipped: 0,
             feasible_leaves: 0,
+            constraints_queried: 0,
+            constraints_compiled: 0,
             zero_test_cases: 0,
             zero_test_seconds: 0.0,
         }
@@ -174,6 +182,8 @@ impl PairTiming {
         self.feasibility_queries += unit.feasibility_queries;
         self.leaves_skipped += unit.leaves_skipped;
         self.feasible_leaves += unit.feasible_leaves;
+        self.constraints_queried += unit.constraints_queried;
+        self.constraints_compiled += unit.constraints_compiled;
         self.zero_test_cases += unit.zero_test_cases;
         self.zero_test_seconds += unit.zero_test_seconds;
     }
@@ -418,6 +428,8 @@ fn run_unit<R>(
             feasibility_queries: analysis.feasibility_queries,
             leaves_skipped: analysis.leaves_skipped,
             feasible_leaves: analysis.feasible_leaves,
+            constraints_queried: analysis.constraints_queried,
+            constraints_compiled: analysis.constraints_compiled,
             zero_test_cases: generated.zero_test_cases,
             zero_test_seconds: generated.zero_test_seconds,
         },

@@ -29,7 +29,7 @@ use crate::sweep::claim_in_order;
 use crate::testgen::{generate_tests_with, CallSpec, ConcreteTest, GeneratedTests, SkipHistogram};
 use scr_model::calls::ArgSlots;
 use scr_model::{CallKind, ModelConfig};
-use scr_symbolic::{explore_pruned, satisfiable};
+use scr_symbolic::{explore_pruned, CaseSolver};
 
 /// Leaf budget for one triple shape's exploration: six orders of three
 /// calls branch far more than a pair, and the budget turns a pathological
@@ -164,11 +164,14 @@ pub fn analyze_triple(shape: &TripleShape, cfg: &ModelConfig) -> TripleAnalysis 
         &[0, 1, 2].map(|i| (kinds[i], &shape.slots[i])),
         |order, call| format!("o{order}.c{call}"),
     );
+    // One incremental solver for the unit: the pruning probes extend the
+    // run they follow, and every query opens with the unit's assumptions.
+    let mut solver = CaseSolver::default();
     let outcome = explore_pruned(
         |path| {
             unit.run(path);
         },
-        |condition| satisfiable(condition, &domains),
+        |condition| solver.retarget(condition).satisfiable(&domains),
         TRIPLE_PATH_BUDGET,
         TRIPLE_DECISION_BUDGET,
     );
@@ -179,9 +182,20 @@ pub fn analyze_triple(shape: &TripleShape, cfg: &ModelConfig) -> TripleAnalysis 
     // feasibility here: the pruned explorer never schedules a subtree
     // under a refuted prefix, so no two leaves share one and a
     // `RefutedPrefixMemo` would bisect for prefixes nobody else is under.
-    let (cases, non_commutative_paths) = unit.classify(outcome.results, &domains, |leaf| {
-        satisfiable(&leaf.condition, &domains)
-    });
+    // The query goes to the unit's solver, which keeps the assumptions
+    // compiled, and the leaf's classification query then compiles only the
+    // agreement conjunction.
+    let mut cases = Vec::new();
+    let mut non_commutative_paths = 0;
+    for leaf in outcome.results {
+        if !solver.retarget(&leaf.condition).satisfiable(&domains) {
+            continue;
+        }
+        match unit.classify(leaf, &mut solver, &domains) {
+            Some(case) => cases.push(case),
+            None => non_commutative_paths += 1,
+        }
+    }
     TripleAnalysis {
         shape: shape.clone(),
         cases,

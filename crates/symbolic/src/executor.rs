@@ -8,16 +8,18 @@
 //! (§5.1, §2.4).
 //!
 //! Branches whose condition folds to a constant do not fork. Who decides
-//! feasibility depends on the entry point: [`explore`] enumerates every
-//! leaf, satisfiable or not, and leaves the verdict to the caller, which
-//! walks the leaves in the order returned through a [`RefutedPrefixMemo`]
-//! so that the solver refutes each dead decision prefix once instead of
-//! once per leaf under it; [`explore_pruned`] additionally asks a caller's
-//! oracle before scheduling a branch alternative and never visits a
-//! refuted subtree. [`replay`] re-runs one recorded leaf, for work a
+//! feasibility depends on the entry point: [`explore_each`] enumerates
+//! every leaf, satisfiable or not, and hands each to the caller as its run
+//! ends; the caller walks them through a [`RefutedPrefixMemo`] so that the
+//! solver refutes each dead decision prefix once instead of once per leaf
+//! under it, and keeps only what it needs of the live ones. [`explore`] is
+//! the same walk collected into a `Vec`. [`explore_pruned`] additionally
+//! asks a caller's oracle before scheduling a branch alternative and never
+//! visits a refuted subtree; it builds an alternative's flipped constraint
+//! only when it asks. [`replay`] re-runs one recorded leaf, for work a
 //! caller wants done only on the leaves that turned out feasible.
 
-use crate::expr::ExprRef;
+use crate::expr::{Expr, ExprRef};
 use crate::types::SymBool;
 
 /// Hard limit on decisions along one path (guards against runaway models).
@@ -31,9 +33,6 @@ pub struct PathCtx {
     cursor: usize,
     path: Vec<ExprRef>,
     branches: Vec<ExprRef>,
-    /// Per decision: the constraint of the *untaken* polarity, so the
-    /// explorer can test an alternative's feasibility before scheduling it.
-    alt_constraints: Vec<ExprRef>,
     /// Per decision: `path.len()` just before its constraint was pushed
     /// (the alternative's condition is that prefix plus the flipped
     /// constraint).
@@ -48,7 +47,6 @@ impl PathCtx {
             cursor: 0,
             path: Vec::new(),
             branches: Vec::new(),
-            alt_constraints: Vec::new(),
             cond_len_at: Vec::new(),
             max_decisions,
         }
@@ -72,13 +70,12 @@ impl PathCtx {
             true
         };
         self.cursor += 1;
-        let (constraint, alt) = if decision {
-            (cond.expr().clone(), cond.not().expr().clone())
+        let constraint = if decision {
+            cond.expr().clone()
         } else {
-            (cond.not().expr().clone(), cond.expr().clone())
+            cond.not().expr().clone()
         };
         self.cond_len_at.push(self.path.len());
-        self.alt_constraints.push(alt);
         self.path.push(constraint.clone());
         self.branches.push(constraint);
         decision
@@ -145,12 +142,17 @@ impl<T> PathResult<T> {
 /// `f` is re-run once per decision vector; it must be deterministic apart
 /// from its use of [`PathCtx::branch`].
 pub fn explore<T>(f: impl FnMut(&mut PathCtx) -> T) -> Vec<PathResult<T>> {
-    let outcome = explore_loop(f, |_, _| true, MAX_PATHS, MAX_DECISIONS_PER_PATH);
-    assert!(
-        !outcome.truncated,
-        "path explosion: more than {MAX_PATHS} paths"
-    );
-    outcome.results
+    let mut results = Vec::new();
+    explore_each(f, |leaf| results.push(leaf));
+    results
+}
+
+/// [`explore`] without the collection: each leaf goes to `visit` as soon as
+/// its run ends, in the same depth-first order, so a caller that decides a
+/// leaf's fate on arrival keeps only the leaves it wants.
+pub fn explore_each<T>(f: impl FnMut(&mut PathCtx) -> T, visit: impl FnMut(PathResult<T>)) {
+    let truncated = explore_loop(f, |_, _| true, visit, MAX_PATHS, MAX_DECISIONS_PER_PATH);
+    assert!(!truncated, "path explosion: more than {MAX_PATHS} paths");
 }
 
 /// The outcome of a bounded exploration: the paths reached within budget,
@@ -184,34 +186,39 @@ pub fn explore_pruned<T>(
     max_paths: usize,
     max_decisions: usize,
 ) -> ExploreOutcome<T> {
-    explore_loop(
+    let mut results = Vec::new();
+    let truncated = explore_loop(
         f,
         |ctx, flip| {
             let mut condition: Vec<ExprRef> = ctx.path[..ctx.cond_len_at[flip]].to_vec();
-            condition.push(ctx.alt_constraints[flip].clone());
+            // A decision first met on this run was taken `true`, so its
+            // alternative is the negation of the constraint it recorded.
+            condition.push(Expr::not(&ctx.branches[flip]));
             feasible(&condition)
         },
+        |leaf| results.push(leaf),
         max_paths,
         max_decisions,
-    )
+    );
+    ExploreOutcome { results, truncated }
 }
 
-/// The worklist loop behind both explorers. `schedule(ctx, flip)` says
-/// whether the `false` alternative of decision `flip`, first met on the run
-/// `ctx` just finished, gets explored.
+/// The worklist loop behind every explorer: hands each leaf to `visit` and
+/// returns whether `max_paths` cut the exploration short.
+/// `schedule(ctx, flip)` says whether the `false` alternative of decision
+/// `flip`, first met on the run `ctx` just finished, gets explored.
 fn explore_loop<T>(
     mut f: impl FnMut(&mut PathCtx) -> T,
     mut schedule: impl FnMut(&PathCtx, usize) -> bool,
+    mut visit: impl FnMut(PathResult<T>),
     max_paths: usize,
     max_decisions: usize,
-) -> ExploreOutcome<T> {
-    let mut results = Vec::new();
+) -> bool {
     let mut worklist: Vec<Vec<bool>> = vec![Vec::new()];
-    let mut truncated = false;
+    let mut paths = 0;
     while let Some(prefix) = worklist.pop() {
-        if results.len() >= max_paths {
-            truncated = true;
-            break;
+        if paths >= max_paths {
+            return true;
         }
         let prefix_len = prefix.len();
         let mut ctx = PathCtx::new(prefix, max_decisions);
@@ -226,9 +233,10 @@ fn explore_loop<T>(
             alternative.push(false);
             worklist.push(alternative);
         }
-        results.push(ctx.into_result(value));
+        paths += 1;
+        visit(ctx.into_result(value));
     }
-    ExploreOutcome { results, truncated }
+    false
 }
 
 /// Re-runs `f` along the decision vector of a leaf an explorer returned and

@@ -23,11 +23,12 @@
 //!   [`SymContext`] variable factory.
 //! * [`executor`] — replay-based path exploration: model code calls
 //!   [`executor::PathCtx::branch`] and the engine re-runs the closure once
-//!   per decision vector, collecting a path condition per leaf;
-//!   [`RefutedPrefixMemo`] then decides the leaves' feasibility with one
-//!   solver refutation per dead decision prefix.
+//!   per decision vector, handing on a path condition per leaf;
+//!   [`RefutedPrefixMemo`] decides the leaves' feasibility as they arrive,
+//!   with one solver refutation per dead decision prefix.
 //! * [`solver`] — an indexed, propagating finite-domain model finder:
-//!   constraints compile once into a DAG arena ([`CaseSolver`]) with a
+//!   constraints compile once into a DAG arena ([`CaseSolver`]; a query
+//!   that shares a prefix with the last one compiles only the rest) with a
 //!   variable→constraint watch index, incremental decided-status caching,
 //!   forward checking and conflict-directed backjumping; satisfiability
 //!   checks use dynamic MRV ordering while enumeration keeps the canonical
@@ -47,7 +48,8 @@ pub mod solver;
 pub mod types;
 
 pub use executor::{
-    explore, explore_pruned, replay, ExploreOutcome, PathCtx, PathResult, RefutedPrefixMemo,
+    explore, explore_each, explore_pruned, replay, ExploreOutcome, PathCtx, PathResult,
+    RefutedPrefixMemo,
 };
 pub use expr::{Expr, ExprRef, Sort, Var, VarId};
 pub use fnv::Fnv64;

@@ -22,7 +22,12 @@
 //!   is compiled once into a node arena with shared subtrees deduplicated
 //!   by pointer identity. Evaluation stamps a per-node memo, so each
 //!   reachable DAG node is computed at most once per evaluation no matter
-//!   how often it is shared.
+//!   how often it is shared. Compilation is incremental, as Z3's is across
+//!   queries: [`CaseSolver::retarget`] keeps the compiled prefix of
+//!   constraints the next query shares pointer for pointer and compiles
+//!   only the rest, so the analyzer compiles each analysis unit's
+//!   assumptions once rather than once per query. [`CaseSolver::new`] is
+//!   `retarget` on an empty solver, the one compile path.
 //! * **Watch indexing** — a variable → constraints index built once per
 //!   compilation; assigning a variable re-examines only the constraints
 //!   that mention it.
@@ -53,6 +58,7 @@
 
 use crate::expr::{Expr, ExprRef, Sort, Var, VarId};
 use std::collections::{BTreeMap, HashMap};
+use std::rc::Rc;
 
 /// A concrete value assigned to a variable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -402,7 +408,7 @@ const SAT_MODE: usize = usize::MAX;
 
 /// One node of the compiled expression arena. Children are arena indices;
 /// n-ary conjunction/disjunction children live in the shared `kids` pool.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Node {
     ConstBool(bool),
     ConstInt(i64),
@@ -420,15 +426,36 @@ enum Node {
     Ite(u32, u32, u32),
 }
 
+/// Where one constraint's compilation began: the lengths of the arena, the
+/// child pool and the interned variables just before it. Truncating to a
+/// constraint's mark forgets that constraint and every later one.
+#[derive(Clone, Copy, Debug)]
+struct Mark {
+    nodes: usize,
+    kids: usize,
+    vars: usize,
+}
+
 /// A set of constraints compiled once and reusable across many solver
 /// queries (different domains, pins and variable orderings). TESTGEN builds
 /// one per commutative case so its solve-and-repair loop shares the
 /// flattening, interning and compilation work between the initial
 /// enumeration and every re-solve round.
+///
+/// It is also incremental: [`CaseSolver::retarget`] moves it to a new
+/// constraint set and compiles only the part that does not start with the
+/// constraints it already holds, pointer for pointer. The analyzer keeps
+/// one per analysis unit, whose queries all begin with the unit's
+/// assumptions and whose bisection probes and classification query extend
+/// or cut the leaf they follow.
 #[derive(Clone, Debug)]
 pub struct CaseSolver {
-    /// The flattened constraints (kept for the naive fallback and tests).
+    /// The flattened constraints. Holding them keeps every expression the
+    /// pointer memo names alive, so no memo key's address can be freed and
+    /// handed to another expression while the key is in the memo.
     flat: Vec<ExprRef>,
+    /// Per constraint: where its compilation began.
+    marks: Vec<Mark>,
     /// Interned variables (first-encounter order); a variable's dense
     /// index is its position here.
     vars: Vec<Var>,
@@ -438,96 +465,225 @@ pub struct CaseSolver {
     /// compiled once and referenced by index, so the arena has the size of
     /// the expression *DAG*, not its tree expansion.
     nodes: Vec<Node>,
+    /// Per node: the expression it was compiled from, its key in `memo`.
+    keys: Vec<*const Expr>,
+    /// Expression → node, by pointer identity.
+    memo: PtrMemo,
     /// Child pool for n-ary nodes.
     kids: Vec<u32>,
     /// Per constraint: root node index.
     roots: Vec<u32>,
     /// Per constraint: the dense indices of the variables it mentions.
     cvars: Vec<Vec<u32>>,
-    /// Per dense variable: the constraints that mention it (the watch
-    /// index). Assigning a variable re-examines only these.
+    /// Per dense variable: the constraints that mention it, in increasing
+    /// order (the watch index). Assigning a variable re-examines only
+    /// these.
     watch: Vec<Vec<u32>>,
+    /// Per node: the variable-list walk that last visited it.
+    seen: Vec<u64>,
+    /// The latest variable-list walk.
+    walk: u64,
+    /// Flattened constraints asked about, summed over every query.
+    queried: usize,
+    /// Flattened constraints compiled, summed over every query.
+    compiled: usize,
 }
 
-impl CaseSolver {
-    /// Flattens, interns and compiles `constraints`. One pass over the
-    /// expression DAG: variables are interned (dense index = first
-    /// encounter) while nodes are compiled, and per-constraint variable
-    /// lists come from a stamped walk of the compiled arena rather than a
-    /// second tree traversal.
-    pub fn new(constraints: &[ExprRef]) -> Self {
-        let flat = flatten_constraints(constraints);
-        // Pre-size for the model's typical conditions (~10³ DAG nodes):
-        // growth rehashes of the pointer memo would otherwise dominate
-        // compilation, which runs once per analyzed path.
+impl Default for CaseSolver {
+    /// A solver holding no constraints, pre-sized for the model's typical
+    /// conditions (~10³ DAG nodes): growth rehashes of the pointer memo
+    /// would otherwise dominate compilation.
+    fn default() -> Self {
         let mut memo = PtrMemo::default();
         memo.reserve(4096);
-        let mut compiler = Compiler {
+        CaseSolver {
+            flat: Vec::new(),
+            marks: Vec::new(),
             vars: Vec::new(),
             dense_of: BTreeMap::new(),
             nodes: Vec::with_capacity(4096),
-            kids: Vec::with_capacity(512),
+            keys: Vec::with_capacity(4096),
             memo,
+            kids: Vec::with_capacity(512),
+            roots: Vec::new(),
+            cvars: Vec::new(),
+            watch: Vec::new(),
+            seen: Vec::new(),
+            walk: 0,
+            queried: 0,
+            compiled: 0,
+        }
+    }
+}
+
+impl CaseSolver {
+    /// Flattens, interns and compiles `constraints`: [`CaseSolver::retarget`]
+    /// on an empty solver.
+    pub fn new(constraints: &[ExprRef]) -> Self {
+        let mut solver = CaseSolver::default();
+        solver.retarget(constraints);
+        solver
+    }
+
+    /// Makes `constraints` the solver's constraint set. The longest prefix
+    /// of their flattening that is pointer-identical to the current set
+    /// keeps its compilation; everything after it is forgotten and the rest
+    /// is compiled. The result is the solver [`CaseSolver::new`] builds from
+    /// `constraints`, node for node, so every answer is unchanged.
+    pub fn retarget(&mut self, constraints: &[ExprRef]) -> &mut Self {
+        let incoming = flatten_constraints(constraints);
+        let keep = self
+            .flat
+            .iter()
+            .zip(&incoming)
+            .take_while(|(held, new)| Rc::ptr_eq(held, new))
+            .count();
+        self.truncate(keep);
+        self.queried += incoming.len();
+        self.compiled += incoming.len() - keep;
+        for constraint in incoming.into_iter().skip(keep) {
+            self.push_constraint(constraint);
+        }
+        self
+    }
+
+    /// Flattened constraints asked about by every query so far, whether
+    /// compiled or kept.
+    pub fn constraints_queried(&self) -> usize {
+        self.queried
+    }
+
+    /// Flattened constraints compiled by every query so far.
+    pub fn constraints_compiled(&self) -> usize {
+        self.compiled
+    }
+
+    /// Forgets every constraint from the `keep`th on.
+    fn truncate(&mut self, keep: usize) {
+        let Some(&mark) = self.marks.get(keep) else {
+            return;
         };
-        let roots: Vec<u32> = flat.iter().map(|c| compiler.compile(c)).collect();
-        let Compiler {
-            vars,
-            dense_of,
-            nodes,
-            kids,
-            ..
-        } = compiler;
-        // Per-constraint variable lists (stamped arena walk — shared nodes
-        // visited once per constraint) and the watch index.
-        let mut cvars: Vec<Vec<u32>> = Vec::with_capacity(roots.len());
-        let mut watch = vec![Vec::new(); vars.len()];
-        let mut stamp = vec![0u32; nodes.len()];
-        let mut stack: Vec<u32> = Vec::new();
-        for (ci, &root) in roots.iter().enumerate() {
-            let current = ci as u32 + 1;
-            let mut dense: Vec<u32> = Vec::new();
-            stack.push(root);
-            while let Some(n) = stack.pop() {
-                let ni = n as usize;
-                if stamp[ni] == current {
-                    continue;
-                }
-                stamp[ni] = current;
-                match nodes[ni] {
-                    Node::ConstBool(_) | Node::ConstInt(_) => {}
-                    Node::Var(v) => dense.push(v),
-                    Node::Not(a) => stack.push(a),
-                    Node::And(start, end) | Node::Or(start, end) => {
-                        stack.extend_from_slice(&kids[start as usize..end as usize]);
-                    }
-                    Node::Eq(a, b) | Node::Lt(a, b) | Node::Add(a, b) | Node::Sub(a, b) => {
-                        stack.push(a);
-                        stack.push(b);
-                    }
-                    Node::Ite(c, t, e) => {
-                        stack.push(c);
-                        stack.push(t);
-                        stack.push(e);
-                    }
+        // The memo first: its keys point into the expressions `flat` is
+        // about to release.
+        for key in self.keys.drain(mark.nodes..) {
+            self.memo.remove(&key);
+        }
+        self.nodes.truncate(mark.nodes);
+        self.kids.truncate(mark.kids);
+        for var in self.vars.drain(mark.vars..) {
+            self.dense_of.remove(&var.id);
+        }
+        self.watch.truncate(mark.vars);
+        // Each watch list ends with the latest constraints that mention its
+        // variable, so popping them latest first removes exactly theirs.
+        for c in (keep..self.flat.len()).rev() {
+            for &v in &self.cvars[c] {
+                if let Some(list) = self.watch.get_mut(v as usize) {
+                    list.pop();
                 }
             }
-            dense.sort_unstable();
-            dense.dedup();
-            for &v in &dense {
-                watch[v as usize].push(ci as u32);
+        }
+        self.flat.truncate(keep);
+        self.marks.truncate(keep);
+        self.roots.truncate(keep);
+        self.cvars.truncate(keep);
+    }
+
+    /// Compiles one flattened constraint after the ones held, with its
+    /// variable list (a stamped arena walk, shared nodes visited once) and
+    /// its watch entries.
+    fn push_constraint(&mut self, constraint: ExprRef) {
+        self.marks.push(Mark {
+            nodes: self.nodes.len(),
+            kids: self.kids.len(),
+            vars: self.vars.len(),
+        });
+        let root = self.compile(&constraint);
+        self.seen.resize(self.seen.len().max(self.nodes.len()), 0);
+        self.walk += 1;
+        let mut dense: Vec<u32> = Vec::new();
+        let mut stack = vec![root];
+        while let Some(n) = stack.pop() {
+            let ni = n as usize;
+            if self.seen[ni] == self.walk {
+                continue;
             }
-            cvars.push(dense);
+            self.seen[ni] = self.walk;
+            match self.nodes[ni] {
+                Node::ConstBool(_) | Node::ConstInt(_) => {}
+                Node::Var(v) => dense.push(v),
+                Node::Not(a) => stack.push(a),
+                Node::And(start, end) | Node::Or(start, end) => {
+                    stack.extend_from_slice(&self.kids[start as usize..end as usize]);
+                }
+                Node::Eq(a, b) | Node::Lt(a, b) | Node::Add(a, b) | Node::Sub(a, b) => {
+                    stack.push(a);
+                    stack.push(b);
+                }
+                Node::Ite(c, t, e) => {
+                    stack.push(c);
+                    stack.push(t);
+                    stack.push(e);
+                }
+            }
         }
-        CaseSolver {
-            flat,
-            vars,
-            dense_of,
-            nodes,
-            kids,
-            roots,
-            cvars,
-            watch,
+        dense.sort_unstable();
+        dense.dedup();
+        let ci = self.roots.len() as u32;
+        self.watch.resize(self.vars.len(), Vec::new());
+        for &v in &dense {
+            self.watch[v as usize].push(ci);
         }
+        self.cvars.push(dense);
+        self.roots.push(root);
+        self.flat.push(constraint);
+    }
+
+    fn intern(&mut self, var: &Var) -> u32 {
+        if let Some(&dense) = self.dense_of.get(&var.id) {
+            return dense;
+        }
+        let dense = self.vars.len() as u32;
+        self.vars.push(var.clone());
+        self.dense_of.insert(var.id, dense);
+        dense
+    }
+
+    /// Compiles an expression DAG into the arena, deduplicating shared
+    /// subtrees by `Rc` pointer identity and interning variables to dense
+    /// indices (first encounter order) on the fly.
+    fn compile(&mut self, expr: &ExprRef) -> u32 {
+        let key = Rc::as_ptr(expr);
+        if let Some(&idx) = self.memo.get(&key) {
+            return idx;
+        }
+        let node = match &**expr {
+            Expr::ConstBool(b) => Node::ConstBool(*b),
+            Expr::ConstInt(v) => Node::ConstInt(*v),
+            Expr::Var(v) => Node::Var(self.intern(v)),
+            Expr::Not(a) => Node::Not(self.compile(a)),
+            Expr::And(parts) | Expr::Or(parts) => {
+                let compiled: Vec<u32> = parts.iter().map(|p| self.compile(p)).collect();
+                let start = self.kids.len() as u32;
+                self.kids.extend(compiled);
+                let end = self.kids.len() as u32;
+                if matches!(&**expr, Expr::And(_)) {
+                    Node::And(start, end)
+                } else {
+                    Node::Or(start, end)
+                }
+            }
+            Expr::Eq(a, b) => Node::Eq(self.compile(a), self.compile(b)),
+            Expr::Lt(a, b) => Node::Lt(self.compile(a), self.compile(b)),
+            Expr::Add(a, b) => Node::Add(self.compile(a), self.compile(b)),
+            Expr::Sub(a, b) => Node::Sub(self.compile(a), self.compile(b)),
+            Expr::Ite(c, t, e) => Node::Ite(self.compile(c), self.compile(t), self.compile(e)),
+        };
+        let idx = self.nodes.len() as u32;
+        self.nodes.push(node);
+        self.keys.push(key);
+        self.memo.insert(key, idx);
+        idx
     }
 
     /// The interned variables (first-encounter order).
@@ -632,61 +788,6 @@ impl std::hash::Hasher for PtrHasher {
 }
 
 type PtrMemo = HashMap<*const Expr, u32, std::hash::BuildHasherDefault<PtrHasher>>;
-
-/// Compiles expression DAGs into the node arena, deduplicating shared
-/// subtrees by `Rc` pointer identity and interning variables to dense
-/// indices (first encounter order) on the fly.
-struct Compiler {
-    vars: Vec<Var>,
-    dense_of: BTreeMap<VarId, u32>,
-    nodes: Vec<Node>,
-    kids: Vec<u32>,
-    memo: PtrMemo,
-}
-
-impl Compiler {
-    fn intern(&mut self, var: &Var) -> u32 {
-        if let Some(&dense) = self.dense_of.get(&var.id) {
-            return dense;
-        }
-        let dense = self.vars.len() as u32;
-        self.vars.push(var.clone());
-        self.dense_of.insert(var.id, dense);
-        dense
-    }
-
-    fn compile(&mut self, expr: &ExprRef) -> u32 {
-        if let Some(&idx) = self.memo.get(&std::rc::Rc::as_ptr(expr)) {
-            return idx;
-        }
-        let node = match &**expr {
-            Expr::ConstBool(b) => Node::ConstBool(*b),
-            Expr::ConstInt(v) => Node::ConstInt(*v),
-            Expr::Var(v) => Node::Var(self.intern(v)),
-            Expr::Not(a) => Node::Not(self.compile(a)),
-            Expr::And(parts) | Expr::Or(parts) => {
-                let compiled: Vec<u32> = parts.iter().map(|p| self.compile(p)).collect();
-                let start = self.kids.len() as u32;
-                self.kids.extend(compiled);
-                let end = self.kids.len() as u32;
-                if matches!(&**expr, Expr::And(_)) {
-                    Node::And(start, end)
-                } else {
-                    Node::Or(start, end)
-                }
-            }
-            Expr::Eq(a, b) => Node::Eq(self.compile(a), self.compile(b)),
-            Expr::Lt(a, b) => Node::Lt(self.compile(a), self.compile(b)),
-            Expr::Add(a, b) => Node::Add(self.compile(a), self.compile(b)),
-            Expr::Sub(a, b) => Node::Sub(self.compile(a), self.compile(b)),
-            Expr::Ite(c, t, e) => Node::Ite(self.compile(c), self.compile(t), self.compile(e)),
-        };
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(node);
-        self.memo.insert(std::rc::Rc::as_ptr(expr), idx);
-        idx
-    }
-}
 
 /// Per-evaluation memo: each arena node is computed at most once per
 /// evaluation (the `stamp` marks which evaluation a cached value belongs
@@ -1793,6 +1894,64 @@ mod tests {
         assert_eq!(
             all_solutions(&constraints, &domains, 1000),
             naive::all_solutions(&constraints, &domains, 1000)
+        );
+    }
+
+    /// Every compiled structure of two solvers, compared node for node.
+    fn assert_same_compilation(got: &CaseSolver, want: &CaseSolver) {
+        assert_eq!(got.nodes, want.nodes, "arena");
+        assert_eq!(got.kids, want.kids, "child pool");
+        assert_eq!(got.vars, want.vars, "interned variables");
+        assert_eq!(got.dense_of, want.dense_of, "dense indices");
+        assert_eq!(got.roots, want.roots, "roots");
+        assert_eq!(got.cvars, want.cvars, "per-constraint variables");
+        assert_eq!(got.watch, want.watch, "watch index");
+        assert_eq!(got.memo.len(), want.memo.len(), "pointer memo");
+        for (key, idx) in &want.memo {
+            assert_eq!(got.memo.get(key), Some(idx), "pointer memo");
+        }
+    }
+
+    #[test]
+    fn retarget_compiles_what_new_compiles() {
+        let ctx = SymContext::new();
+        let c = ctx.bool_var("c");
+        let x = ctx.int_var("x");
+        let y = ctx.int_var("y");
+        let z = ctx.int_var("z");
+        let shared = SymInt::ite(&c, &x.add(&y), &x.sub(&y));
+        let base = vec![
+            shared.eq(&SymInt::from_i64(2)).0,
+            x.lt(&y).and(&c.not()).0,
+            shared.add(&x).gt(&SymInt::from_i64(1)).0,
+        ];
+        // A detour past the shared prefix: a new variable, a new shared
+        // subtree and a conjunction that flattens into two constraints.
+        let mut detour = base[..2].to_vec();
+        detour.push(z.eq(&shared).and(&z.lt(&SymInt::from_i64(3))).0);
+        detour.push(z.add(&y).eq(&x).0);
+        let mut solver = CaseSolver::new(&detour);
+        solver.retarget(&base);
+        assert_same_compilation(&solver, &CaseSolver::new(&base));
+        // `base` flattens into four constraints, three of them kept.
+        assert_eq!(solver.flat.len(), 4);
+        assert_eq!(solver.constraints_queried(), 6 + 4);
+        assert_eq!(solver.constraints_compiled(), 6 + 1);
+        // Extending, cutting and emptying land where a fresh compile does.
+        let mut longer = base.clone();
+        longer.push(z.gt(&shared).0);
+        solver.retarget(&longer);
+        assert_same_compilation(&solver, &CaseSolver::new(&longer));
+        solver.retarget(&base[..1]);
+        assert_same_compilation(&solver, &CaseSolver::new(&base[..1]));
+        solver.retarget(&[]);
+        assert_same_compilation(&solver, &CaseSolver::new(&[]));
+        solver.retarget(&longer);
+        assert_same_compilation(&solver, &CaseSolver::new(&longer));
+        let domains = Domains::default();
+        assert_eq!(
+            solver.all_solutions(&domains, 1000),
+            naive::all_solutions(&longer, &domains, 1000)
         );
     }
 }

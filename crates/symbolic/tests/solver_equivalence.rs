@@ -12,8 +12,8 @@
 
 use scr_symbolic::solver::naive;
 use scr_symbolic::{
-    all_solutions, satisfiable, solve_with_preference, Assignment, CaseSolver, Domains, SymBool,
-    SymContext, SymInt, Value, Var,
+    all_solutions, satisfiable, solve_with_preference, Assignment, CaseSolver, Domains, ExprRef,
+    SymBool, SymContext, SymInt, Value, Var,
 };
 
 /// A small deterministic PRNG (xorshift64*), so failures reproduce from the
@@ -42,13 +42,19 @@ impl Rng {
 /// Builds a random constraint set over a few booleans and small integers,
 /// exercising every expression node kind (including shared subtrees via
 /// reuse of previously built expressions).
-fn random_constraints(ctx: &SymContext, rng: &mut Rng) -> Vec<scr_symbolic::ExprRef> {
+fn random_constraints(ctx: &SymContext, rng: &mut Rng) -> Vec<ExprRef> {
     let bools: Vec<SymBool> = (0..3).map(|i| ctx.bool_var(&format!("b{i}"))).collect();
     let ints: Vec<SymInt> = (0..4).map(|i| ctx.int_var(&format!("x{i}"))).collect();
+    random_constraints_over(&bools, &ints, rng)
+}
+
+/// [`random_constraints`] over variables the caller made, so many sets can
+/// share them.
+fn random_constraints_over(bools: &[SymBool], ints: &[SymInt], rng: &mut Rng) -> Vec<ExprRef> {
     // A pool of reusable subexpressions: later picks alias earlier ones,
     // building genuine DAGs (the compiled engine's memoization paths).
-    let mut int_pool: Vec<SymInt> = ints.clone();
-    let mut bool_pool: Vec<SymBool> = bools.clone();
+    let mut int_pool: Vec<SymInt> = ints.to_vec();
+    let mut bool_pool: Vec<SymBool> = bools.to_vec();
     for _ in 0..rng.below(6) + 2 {
         let a = int_pool[rng.below(int_pool.len())].clone();
         let b = int_pool[rng.below(int_pool.len())].clone();
@@ -203,4 +209,56 @@ fn pinning_to_out_of_domain_values_matches_naive() {
     let slow = naive::solve_with_preference(&constraints, &domains, &pinned, &[], 8);
     assert_eq!(fast, slow);
     assert!(fast.iter().all(|s| s.int(1) == 9));
+}
+
+#[test]
+fn retargeted_solver_answers_as_a_fresh_one() {
+    // One solver moved through a long sequence of queries, the analyzer's
+    // pattern: a query extends the last one by a random suffix, cuts it
+    // back to a random depth, or starts over from expressions built anew
+    // after every old one was dropped, so freed addresses can come back
+    // under different expressions. Every answer must be the one-shot
+    // solver's and the naive oracle's.
+    let mut disagreements = Vec::new();
+    for seed in 1..=60u64 {
+        let mut rng = Rng::new(seed.wrapping_mul(0x94D049BB133111EB));
+        let ctx = SymContext::new();
+        let bools: Vec<SymBool> = (0..3).map(|i| ctx.bool_var(&format!("b{i}"))).collect();
+        let ints: Vec<SymInt> = (0..4).map(|i| ctx.int_var(&format!("x{i}"))).collect();
+        let domains = Domains::new(vec![0, 1, 2]);
+        let mut solver = CaseSolver::default();
+        let mut query: Vec<ExprRef> = Vec::new();
+        for step in 0..40 {
+            match rng.below(8) {
+                0..=3 => query.extend(random_constraints_over(&bools, &ints, &mut rng)),
+                4..=5 => query.truncate(rng.below(query.len() + 1)),
+                6 => {
+                    query.clear();
+                    solver.retarget(&[]);
+                    query.extend(random_constraints_over(&bools, &ints, &mut rng));
+                }
+                _ => {
+                    // Drop the query while the solver still holds it, then
+                    // build its replacement.
+                    query.clear();
+                    query.extend(random_constraints_over(&bools, &ints, &mut rng));
+                }
+            }
+            let got = solver.retarget(&query).satisfiable(&domains);
+            let fresh = satisfiable(&query, &domains);
+            let oracle = naive::solve(&query, &domains).is_some();
+            if got != fresh || got != oracle {
+                disagreements.push(format!(
+                    "seed {seed} step {step}: retargeted {got}, fresh {fresh}, naive {oracle} \
+                     ({} constraints)",
+                    query.len()
+                ));
+            }
+            if solver.all_solutions(&domains, 8) != naive::all_solutions(&query, &domains, 8) {
+                disagreements.push(format!("seed {seed} step {step}: solution sequence"));
+            }
+        }
+        assert!(solver.constraints_compiled() <= solver.constraints_queried());
+    }
+    assert!(disagreements.is_empty(), "{}", disagreements.join("\n"));
 }

@@ -99,7 +99,8 @@ fn write_timing_json(
         out.push_str(&format!(
             "    {{\"a\": \"{}\", \"b\": \"{}\", \"threads\": {}, \"solve_seconds\": {:.4}, \
              \"run_seconds\": {:.4}, \"tests\": {}, \"skipped\": {}, \"paths_explored\": {}, \
-             \"feasibility_queries\": {}, \"leaves_skipped\": {}, \"feasible_leaves\": {}, \
+             \"feasibility_queries\": {}, \"constraints_queried\": {}, \
+             \"constraints_compiled\": {}, \"leaves_skipped\": {}, \"feasible_leaves\": {}, \
              \"zero_test_cases\": {}, \"zero_test_seconds\": {:.4}}}{}\n",
             timing.calls.0.name(),
             timing.calls.1.name(),
@@ -110,6 +111,8 @@ fn write_timing_json(
             timing.skipped,
             timing.paths_explored,
             timing.feasibility_queries,
+            timing.constraints_queried,
+            timing.constraints_compiled,
             timing.leaves_skipped,
             timing.feasible_leaves,
             timing.zero_test_cases,
@@ -231,6 +234,8 @@ fn main() {
                 ("skipped", timing.skipped.into()),
                 ("paths_explored", timing.paths_explored.into()),
                 ("feasibility_queries", timing.feasibility_queries.into()),
+                ("constraints_queried", timing.constraints_queried.into()),
+                ("constraints_compiled", timing.constraints_compiled.into()),
                 ("leaves_skipped", timing.leaves_skipped.into()),
                 ("feasible_leaves", timing.feasible_leaves.into()),
                 ("zero_test_cases", timing.zero_test_cases.into()),
