@@ -47,9 +47,8 @@ pub use report::{Figure6Report, PairCell};
 pub use shapes::{enumerate_shapes, PairShape};
 pub use sweep::{claim_in_order, effective_threads};
 pub use testgen::{
-    generate_tests, solver_cache_clear, solver_cache_stats, solver_cache_thread_stats,
-    ConcreteTest, GeneratedTests, SkipHistogram, SkipReason, SolverCacheStats, BAD_CHILD_PID,
-    BAD_SOCK_ID, CHILD_BASE_PID,
+    generate_tests, solver_cache_clear, solver_cache_stats, ConcreteTest, GeneratedTests,
+    SkipHistogram, SkipReason, SolverCacheStats, BAD_CHILD_PID, BAD_SOCK_ID, CHILD_BASE_PID,
 };
 pub use triples::{
     analyze_triple, enumerate_triple_shapes, generate_triple_tests, triple_config,

@@ -18,10 +18,7 @@ use crate::driver::{run_test, KernelFactory};
 use crate::report::Figure6Report;
 use crate::shapes::{enumerate_shapes, PairShape};
 use crate::sweep::{claim_in_order, effective_threads};
-use crate::testgen::{
-    generate_tests, solver_cache_thread_stats, ConcreteTest, GeneratedTests, SkipHistogram,
-    SolverCacheStats,
-};
+use crate::testgen::{generate_tests, ConcreteTest, GeneratedTests, SkipHistogram};
 use scr_kernel::Sv6Kernel;
 use scr_model::{pair_config, CallKind, ModelConfig, ALL_CALLS};
 use std::time::Instant;
@@ -152,6 +149,12 @@ pub struct PairTiming {
     pub zero_test_cases: usize,
     /// TESTGEN seconds spent on those cases.
     pub zero_test_seconds: f64,
+    /// Rejected representatives given up without a search
+    /// ([`crate::GeneratedTests::repairs_decided`], summed).
+    pub repairs_decided: usize,
+    /// Rejected representatives searched for a completion
+    /// ([`crate::GeneratedTests::repair_searches`], summed).
+    pub repair_searches: usize,
 }
 
 impl PairTiming {
@@ -170,6 +173,8 @@ impl PairTiming {
             constraints_compiled: 0,
             zero_test_cases: 0,
             zero_test_seconds: 0.0,
+            repairs_decided: 0,
+            repair_searches: 0,
         }
     }
 
@@ -186,6 +191,8 @@ impl PairTiming {
         self.constraints_compiled += unit.constraints_compiled;
         self.zero_test_cases += unit.zero_test_cases;
         self.zero_test_seconds += unit.zero_test_seconds;
+        self.repairs_decided += unit.repairs_decided;
+        self.repair_searches += unit.repair_searches;
     }
 }
 
@@ -217,24 +224,7 @@ pub enum SweepEvent<'a> {
         timing: &'a PairTiming,
         /// Skip-reason counts contributed by this pair alone.
         skip_delta: SkipHistogram,
-        /// Solver-cache activity during this pair alone (summed from the
-        /// per-thread attribution deltas of the workers that ran the
-        /// pair's units, so the delta is exact at any thread count).
-        cache_delta: SolverCacheStats,
     },
-}
-
-fn cache_delta(after: SolverCacheStats, before: SolverCacheStats) -> SolverCacheStats {
-    SolverCacheStats {
-        solution_hits: after.solution_hits.saturating_sub(before.solution_hits),
-        solution_misses: after.solution_misses.saturating_sub(before.solution_misses),
-        completion_hits: after.completion_hits.saturating_sub(before.completion_hits),
-        completion_misses: after
-            .completion_misses
-            .saturating_sub(before.completion_misses),
-        evictions: after.evictions.saturating_sub(before.evictions),
-        repairs_decided: after.repairs_decided.saturating_sub(before.repairs_decided),
-    }
 }
 
 /// Results of a pipeline run.
@@ -390,9 +380,6 @@ struct UnitOutcome<R> {
     swept: SweptUnit<R>,
     /// The unit's share of its pair's accounting.
     timing: PairTiming,
-    /// Solver-cache activity attributed to this unit (the claiming worker's
-    /// thread-delta — exact even while other workers share the cache).
-    cache: SolverCacheStats,
 }
 
 fn run_unit<R>(
@@ -400,7 +387,6 @@ fn run_unit<R>(
     config: &CommuterConfig,
     step: &impl Fn(&ConcreteTest) -> R,
 ) -> UnitOutcome<R> {
-    let cache_before = solver_cache_thread_stats();
     let solve_started = Instant::now();
     let analysis = analyze_pair(&unit.shape, &unit.model);
     let generated = if analysis.cases.is_empty() {
@@ -432,8 +418,9 @@ fn run_unit<R>(
             constraints_compiled: analysis.constraints_compiled,
             zero_test_cases: generated.zero_test_cases,
             zero_test_seconds: generated.zero_test_seconds,
+            repairs_decided: generated.repairs_decided,
+            repair_searches: generated.repair_searches,
         },
-        cache: cache_delta(solver_cache_thread_stats(), cache_before),
         swept: SweptUnit {
             calls: unit.shape.calls,
             tests: generated.tests,
@@ -445,17 +432,6 @@ fn run_unit<R>(
     }
 }
 
-fn cache_sum(a: SolverCacheStats, b: SolverCacheStats) -> SolverCacheStats {
-    SolverCacheStats {
-        solution_hits: a.solution_hits + b.solution_hits,
-        solution_misses: a.solution_misses + b.solution_misses,
-        completion_hits: a.completion_hits + b.completion_hits,
-        completion_misses: a.completion_misses + b.completion_misses,
-        evictions: a.evictions + b.evictions,
-        repairs_decided: a.repairs_decided + b.repairs_decided,
-    }
-}
-
 /// The in-order side of a sweep: the pair under aggregation and its
 /// accounting so far.
 struct PairCursor<'p> {
@@ -463,7 +439,6 @@ struct PairCursor<'p> {
     index: usize,
     timing: PairTiming,
     skip_delta: SkipHistogram,
-    cache: SolverCacheStats,
 }
 
 impl PairCursor<'_> {
@@ -476,7 +451,6 @@ impl PairCursor<'_> {
             total,
             timing: &self.timing,
             skip_delta: std::mem::take(&mut self.skip_delta),
-            cache_delta: std::mem::take(&mut self.cache),
         }));
         self.index += 1;
         if let Some(&calls) = self.pairs.get(self.index) {
@@ -542,7 +516,6 @@ where
         index: 0,
         timing: PairTiming::empty(first),
         skip_delta: SkipHistogram::new(),
-        cache: SolverCacheStats::default(),
     };
     claim_in_order(
         &units,
@@ -554,7 +527,6 @@ where
                 cursor.finish(&mut consume);
             }
             cursor.timing.add(&outcome.timing);
-            cursor.cache = cache_sum(cursor.cache, outcome.cache);
             for (reason, count) in &outcome.swept.skip_reasons {
                 *cursor.skip_delta.entry(*reason).or_default() += count;
             }
@@ -606,16 +578,9 @@ mod tests {
                 total,
                 timing,
                 skip_delta,
-                cache_delta,
             } => {
-                // Cache activity happened during the pair (hits or misses).
-                let activity = cache_delta.solution_hits
-                    + cache_delta.solution_misses
-                    + cache_delta.completion_hits
-                    + cache_delta.completion_misses;
                 done.push((index, total, timing.tests, skip_delta));
                 assert!(timing.solve_seconds >= 0.0);
-                let _ = activity;
             }
         });
         // 2 calls → 3 unordered pairs, one started+done event each, in order.

@@ -7,9 +7,8 @@
 //! consumes every outcome **in unit order**, regardless of completion
 //! order. Aggregation therefore observes exactly the sequence a
 //! single-threaded sweep would produce, which is what keeps corpora and
-//! reports byte-identical across thread counts (the solver cache the
-//! workers share is transparent, so even cache hits replay cold results
-//! byte-for-byte).
+//! reports byte-identical across thread counts (workers share no solver
+//! state, so a unit's outcome does not depend on which worker ran it).
 //!
 //! Symbolic expressions are `Rc`-based and must not cross threads; a unit
 //! runs analysis, generation and replay entirely on one worker and returns

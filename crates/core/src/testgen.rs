@@ -32,28 +32,20 @@
 //! skip carries a structured [`SkipReason`] so coverage loss stays visible
 //! instead of vanishing into a bare counter.
 //!
-//! Solving is organised for reuse: each case compiles one
-//! [`CaseSolver`] shared between the initial enumeration and every round
-//! of the repair loop, and both the enumerated solutions and the repair
-//! outcomes are memoized in a process-global sharded cache behind
-//! structural DAG fingerprints (see the solver-memoization section below),
-//! so repeated sweeps over the same shapes — the host Figure 6 pipeline,
-//! differential campaign rounds, parallel sweep workers — replay previous
-//! solves byte-for-byte instead of re-searching.
+//! Each case compiles one [`CaseSolver`] from its own condition, shared
+//! between the initial enumeration and every round of the repair loop.
+//! Nothing outlives the call: the tests a case yields depend only on the
+//! case, the model bounds and the name table.
 
 use crate::analyzer::{default_domains, CommutativeCase};
 use crate::shapes::PairShape;
-use parking_lot::Mutex;
 use scr_kernel::api::{
     Fd, MmapBacking, OpenFlags, Pid, Prot, SockId, SocketOrder, SysOp, Whence, PAGE_SIZE,
 };
 use scr_model::{CallKind, ModelConfig, SOCKET_CORES};
-use scr_symbolic::{signature, Assignment, CaseSolver, Domains, Expr, Fnv64, Value, Var, VarId};
-use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use scr_symbolic::{signature, Assignment, CaseSolver, Domains, Value, Var, VarId};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Base virtual page used for fixed-address mappings in generated tests.
@@ -170,430 +162,36 @@ impl fmt::Display for SkipReason {
 /// Per-reason counts of skipped representatives.
 pub type SkipHistogram = BTreeMap<SkipReason, usize>;
 
-// --- solver memoization --------------------------------------------------
+// --- the benchmark's solver-cache imports --------------------------------
 //
-// The pipeline solves the same conditions repeatedly: the simulated run and
-// the host Figure 6 run analyse the same shapes, and differential campaigns
-// regenerate corpora per round. Both caches below are *transparent* — keys
-// capture every input of the deterministic computation they memoize
-// (structural DAG fingerprints include variable ids), so a hit replays
-// exactly what a cold solve would produce and the generated corpus is
-// byte-for-byte identical either way. Expressions are `Rc`-based and never
-// cross threads; only fingerprints and concrete `Assignment`s (plain value
-// data) enter the cache, so the cache itself is a process-global sharded
-// map: sweep workers on different threads share warm entries instead of
-// each paying a cold solve.
+// TESTGEN keeps no solver cache. The three names below exist only because
+// `benchmark/` imports them; they go with ROADMAP item 17.
 
-/// Total entry cap per cache layer (solutions and completions each),
-/// spread across the shards. Beyond a shard's slice of the cap, insertion
-/// evicts the coldest resident entry (second-chance order) rather than
-/// refusing new keys — a long sweep keeps its working set warm instead of
-/// silently degrading to cold solves.
-const SOLVER_CACHE_CAP: usize = 8192;
-
-/// Shard count; keys route by their structural fingerprint, so contention
-/// between sweep workers is spread uniformly.
-const SOLVER_CACHE_SHARDS: usize = 16;
-
-/// Counters exposed for tests and diagnostics.
+/// The counters of a solver cache TESTGEN no longer has; every field reads
+/// 0. Kept only for the benchmark's import, until ROADMAP item 17.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverCacheStats {
-    /// Solution-enumeration queries served from the cache.
+    /// Always 0.
     pub solution_hits: usize,
-    /// Solution-enumeration queries that ran the solver.
+    /// Always 0.
     pub solution_misses: usize,
-    /// Repair-loop (re-solve) outcomes served from the cache.
+    /// Always 0.
     pub completion_hits: usize,
-    /// Repair-loop outcomes that ran the solve-and-repair search.
+    /// Always 0.
     pub completion_misses: usize,
-    /// Resident entries displaced to admit new ones once a shard reached
-    /// its slice of `SOLVER_CACHE_CAP`.
+    /// Always 0.
     pub evictions: usize,
-    /// Rejected representatives given up without a search (or a cache
-    /// lookup): their pinned values alone fail a table check.
-    pub repairs_decided: usize,
 }
 
-impl SolverCacheStats {
-    fn merge(&mut self, other: &SolverCacheStats) {
-        self.solution_hits += other.solution_hits;
-        self.solution_misses += other.solution_misses;
-        self.completion_hits += other.completion_hits;
-        self.completion_misses += other.completion_misses;
-        self.evictions += other.evictions;
-        self.repairs_decided += other.repairs_decided;
-    }
-}
-
-/// Key of a memoized repair-loop outcome: the full semantic input of
-/// [`search_completion`] minus the test identifier (which only labels
-/// the rebuilt test) and the name table (constructibility never depends on
-/// concrete file names).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct CompletionKey {
-    /// DAG fingerprint over condition ∥ path condition ∥ commute
-    /// expression.
-    case: u128,
-    /// Fingerprint of the case's variable list (ids, names, sorts).
-    variables: u64,
-    /// Fingerprint of the shape (calls, slots) and model bounds.
-    shape: u64,
-    /// The pinned assignment, in variable-id order.
-    pinned: Vec<(VarId, Value)>,
-    /// The first observed rejection, which seeds the vary-target rounds.
-    reason: SkipReason,
-}
-
-/// A cached value plus its second-chance reference bit.
-struct CacheEntry<T> {
-    value: T,
-    hot: bool,
-}
-
-/// Inserts `value` under `key`, evicting cold residents (second-chance /
-/// clock order over `ring`) once the shard holds `cap` entries. Re-inserts
-/// of a resident key replace its value in place without growing the ring.
-/// Returns the number of entries evicted.
-fn admit<K: Clone + Eq + std::hash::Hash, T>(
-    map: &mut HashMap<K, CacheEntry<T>>,
-    ring: &mut VecDeque<K>,
-    cap: usize,
-    key: K,
-    value: T,
-) -> usize {
-    if let Some(entry) = map.get_mut(&key) {
-        entry.value = value;
-        entry.hot = true;
-        return 0;
-    }
-    let mut evicted = 0;
-    while map.len() >= cap {
-        // Each pop either clears a hot bit or evicts, so this terminates
-        // within two passes over the ring.
-        let Some(victim) = ring.pop_front() else {
-            break;
-        };
-        match map.get_mut(&victim) {
-            Some(entry) if entry.hot => {
-                entry.hot = false;
-                ring.push_back(victim);
-            }
-            Some(_) => {
-                map.remove(&victim);
-                evicted += 1;
-            }
-            None => {}
-        }
-    }
-    ring.push_back(key.clone());
-    map.insert(key, CacheEntry { value, hot: false });
-    evicted
-}
-
-/// The stored value of a solutions-cache entry: the limit the enumeration
-/// was requested with, plus the solutions found under it.
-type SolutionEntry = CacheEntry<(usize, Vec<Assignment>)>;
-
-#[derive(Default)]
-struct CacheShard {
-    /// (condition fp, domains fp) → (requested limit, solutions). A stored
-    /// enumeration serves any request for the same or a shorter prefix
-    /// (enumeration order is deterministic), and any request at all once
-    /// the enumeration is known exhausted.
-    solutions: HashMap<(u128, u64), SolutionEntry>,
-    solution_ring: VecDeque<(u128, u64)>,
-    /// Memoized repair-loop outcomes: the constructible completion found,
-    /// or `None` when the bounded search gave the representative up.
-    completions: HashMap<CompletionKey, CacheEntry<Option<Assignment>>>,
-    completion_ring: VecDeque<CompletionKey>,
-    stats: SolverCacheStats,
-}
-
-/// The process-global sharded solver cache. Values are plain concrete data
-/// (fingerprints, `Assignment`s), so sharing them across sweep threads is
-/// sound; a per-shard mutex keeps each access short and uncontended.
-struct ShardedSolverCache {
-    shards: Vec<Mutex<CacheShard>>,
-    /// Per-shard entry cap (per layer).
-    shard_cap: usize,
-    /// [`SolverCacheStats::repairs_decided`]: a decided repair has no key,
-    /// so no shard sees it.
-    repairs_decided: AtomicUsize,
-}
-
-impl ShardedSolverCache {
-    fn new(total_cap: usize, shard_count: usize) -> Self {
-        let shard_count = shard_count.max(1);
-        ShardedSolverCache {
-            shards: (0..shard_count).map(|_| Mutex::default()).collect(),
-            shard_cap: (total_cap / shard_count).max(4),
-            repairs_decided: AtomicUsize::new(0),
-        }
-    }
-
-    fn shard(&self, route: u64) -> &Mutex<CacheShard> {
-        &self.shards[(route as usize) % self.shards.len()]
-    }
-
-    fn solution_route(key: &(u128, u64)) -> u64 {
-        (key.0 as u64) ^ ((key.0 >> 64) as u64) ^ key.1
-    }
-
-    fn completion_route(key: &CompletionKey) -> u64 {
-        (key.case as u64) ^ ((key.case >> 64) as u64) ^ key.variables ^ key.shape
-    }
-
-    /// Serves a solution enumeration from the cache, marking the entry hot.
-    fn lookup_solution(&self, key: &(u128, u64), limit: usize) -> Option<Vec<Assignment>> {
-        let mut shard = self.shard(Self::solution_route(key)).lock();
-        let served = match shard.solutions.get_mut(key) {
-            Some(entry) => {
-                let (stored_limit, sols) = &entry.value;
-                if limit <= *stored_limit || sols.len() < *stored_limit {
-                    entry.hot = true;
-                    Some(sols.iter().take(limit).cloned().collect::<Vec<_>>())
-                } else {
-                    None
-                }
-            }
-            None => None,
-        };
-        if served.is_some() {
-            shard.stats.solution_hits += 1;
-        } else {
-            shard.stats.solution_misses += 1;
-        }
-        served
-    }
-
-    /// Stores a solution enumeration; returns entries evicted to admit it.
-    fn store_solution(&self, key: (u128, u64), limit: usize, sols: Vec<Assignment>) -> usize {
-        let shard = &mut *self.shard(Self::solution_route(&key)).lock();
-        let evicted = admit(
-            &mut shard.solutions,
-            &mut shard.solution_ring,
-            self.shard_cap,
-            key,
-            (limit, sols),
-        );
-        shard.stats.evictions += evicted;
-        evicted
-    }
-
-    fn lookup_completion(&self, key: &CompletionKey) -> Option<Option<Assignment>> {
-        let mut shard = self.shard(Self::completion_route(key)).lock();
-        let hit = match shard.completions.get_mut(key) {
-            Some(entry) => {
-                entry.hot = true;
-                Some(entry.value.clone())
-            }
-            None => None,
-        };
-        if hit.is_some() {
-            shard.stats.completion_hits += 1;
-        } else {
-            shard.stats.completion_misses += 1;
-        }
-        hit
-    }
-
-    fn store_completion(&self, key: CompletionKey, outcome: Option<Assignment>) -> usize {
-        let shard = &mut *self.shard(Self::completion_route(&key)).lock();
-        let evicted = admit(
-            &mut shard.completions,
-            &mut shard.completion_ring,
-            self.shard_cap,
-            key,
-            outcome,
-        );
-        shard.stats.evictions += evicted;
-        evicted
-    }
-
-    /// Sum of every shard's counters.
-    fn merged_stats(&self) -> SolverCacheStats {
-        let mut total = SolverCacheStats {
-            repairs_decided: self.repairs_decided.load(Ordering::Relaxed),
-            ..SolverCacheStats::default()
-        };
-        for shard in &self.shards {
-            total.merge(&shard.lock().stats);
-        }
-        total
-    }
-
-    /// Clears every shard atomically: all shard locks are held before the
-    /// first entry is dropped, so no concurrent worker can observe (or
-    /// repopulate) a half-cleared cache.
-    fn clear_all(&self) {
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
-        for guard in &mut guards {
-            **guard = CacheShard::default();
-        }
-        self.repairs_decided.store(0, Ordering::Relaxed);
-    }
-}
-
-fn global_cache() -> &'static ShardedSolverCache {
-    static CACHE: OnceLock<ShardedSolverCache> = OnceLock::new();
-    CACHE.get_or_init(|| ShardedSolverCache::new(SOLVER_CACHE_CAP, SOLVER_CACHE_SHARDS))
-}
-
-thread_local! {
-    /// This thread's share of the global counters. Sweep workers run whole
-    /// work units, so per-pair cache deltas are attributed per thread here
-    /// while the shards above keep the process-wide truth.
-    static THREAD_CACHE_STATS: Cell<SolverCacheStats> = const { Cell::new(SolverCacheStats {
-        solution_hits: 0,
-        solution_misses: 0,
-        completion_hits: 0,
-        completion_misses: 0,
-        evictions: 0,
-        repairs_decided: 0,
-    }) };
-}
-
-fn bump_thread_stats(f: impl FnOnce(&mut SolverCacheStats)) {
-    THREAD_CACHE_STATS.with(|c| {
-        let mut stats = c.get();
-        f(&mut stats);
-        c.set(stats);
-    });
-}
-
-/// Process-wide cache counters, merged across shards.
+/// Returns [`SolverCacheStats::default`]. Kept only for the benchmark's
+/// import, until ROADMAP item 17.
 pub fn solver_cache_stats() -> SolverCacheStats {
-    global_cache().merged_stats()
+    SolverCacheStats::default()
 }
 
-/// Cache counters attributed to queries issued *by the calling thread*.
-/// Sweep workers use deltas of these for per-pair `PairDone` events: a work
-/// unit runs entirely on one thread, so the delta is exact even while other
-/// workers hit the same shards.
-pub fn solver_cache_thread_stats() -> SolverCacheStats {
-    THREAD_CACHE_STATS.with(|c| c.get())
-}
-
-/// Drops every shard's memoized solutions and counters atomically (all
-/// shard locks held across the clear), and zeroes the calling thread's
-/// attribution counters.
-pub fn solver_cache_clear() {
-    global_cache().clear_all();
-    THREAD_CACHE_STATS.with(|c| c.set(SolverCacheStats::default()));
-}
-
-/// Folds a string and a terminator, so adjacent strings cannot run
-/// together.
-fn fnv_str(h: &mut Fnv64, s: &str) {
-    h.bytes(s.as_bytes());
-    h.word(0xff);
-}
-
-/// Fingerprint of the shape (calls and slot assignments) plus the model
-/// bounds — everything besides the assignment that decides a
-/// [`materialize`] verdict and the repair loop's vary targets.
-fn shape_cfg_fingerprint(calls: &[CallSpec<'_>], cfg: &ModelConfig) -> u64 {
-    let mut h = Fnv64::default();
-    for CallSpec { kind, slots, .. } in calls {
-        fnv_str(&mut h, kind.name());
-        h.word(slots.proc as u64);
-        h.word(slots.core as u64);
-        for group in [
-            &slots.names,
-            &slots.fds,
-            &slots.vm_pages,
-            &slots.socks,
-            &slots.children,
-        ] {
-            h.word(group.len() as u64);
-            for &s in group.iter() {
-                h.word(s as u64);
-            }
-        }
-    }
-    for bound in [
-        cfg.names,
-        cfg.inodes,
-        cfg.procs,
-        cfg.fds_per_proc,
-        cfg.file_pages,
-        cfg.vm_pages,
-        cfg.sockets,
-        cfg.queue_cap,
-        cfg.children,
-    ] {
-        h.word(bound as u64);
-    }
-    h.finish()
-}
-
-/// Fingerprint of a variable list (ids, names and sorts).
-fn vars_fingerprint(vars: &[Var]) -> u64 {
-    let mut h = Fnv64::default();
-    for var in vars {
-        h.word(var.id as u64);
-        h.word(matches!(var.sort, scr_symbolic::Sort::Int) as u64);
-        fnv_str(&mut h, var.name.as_ref());
-    }
-    h.finish()
-}
-
-/// Structural fingerprint of everything [`resolve_constructible`] reads
-/// from a case (condition, path condition, commute expression).
-fn case_fingerprint(case: &CommutativeCase) -> u128 {
-    let exprs: Vec<scr_symbolic::ExprRef> = case
-        .condition
-        .iter()
-        .chain(case.path_condition.iter())
-        .chain(std::iter::once(&case.commute_expr))
-        .cloned()
-        .collect();
-    Expr::dag_fingerprint(&exprs)
-}
-
-/// A per-case compiled solver, built on first use: a case whose
-/// enumeration is served entirely from the cache never pays compilation.
-pub(crate) struct LazyCaseSolver<'a> {
-    condition: &'a [scr_symbolic::ExprRef],
-    solver: Option<CaseSolver>,
-}
-
-impl<'a> LazyCaseSolver<'a> {
-    pub(crate) fn new(condition: &'a [scr_symbolic::ExprRef]) -> Self {
-        LazyCaseSolver {
-            condition,
-            solver: None,
-        }
-    }
-
-    fn get(&mut self) -> &CaseSolver {
-        self.solver
-            .get_or_insert_with(|| CaseSolver::new(self.condition))
-    }
-}
-
-/// Enumerates up to `limit` solutions of a case condition through the
-/// sharded global cache. A stored enumeration with a higher limit serves
-/// the prefix; one that exhausted the solution space serves any limit.
-fn cached_all_solutions(
-    solver: &mut LazyCaseSolver<'_>,
-    condition_fp: u128,
-    domains: &Domains,
-    limit: usize,
-) -> Vec<Assignment> {
-    let key = (condition_fp, domains.fingerprint());
-    if let Some(solutions) = global_cache().lookup_solution(&key, limit) {
-        bump_thread_stats(|s| s.solution_hits += 1);
-        return solutions;
-    }
-    bump_thread_stats(|s| s.solution_misses += 1);
-    let solutions = solver.get().all_solutions(domains, limit);
-    let evicted = global_cache().store_solution(key, limit, solutions.clone());
-    if evicted > 0 {
-        bump_thread_stats(|s| s.evictions += evicted);
-    }
-    solutions
-}
+/// Does nothing: there is no cache to clear. Kept only for the benchmark's
+/// import, until ROADMAP item 17.
+pub fn solver_cache_clear() {}
 
 /// A concrete, runnable test case.
 #[derive(Clone, Debug)]
@@ -632,6 +230,23 @@ pub struct GeneratedTests {
     pub zero_test_cases: usize,
     /// Seconds spent on the cases counted in `zero_test_cases`.
     pub zero_test_seconds: f64,
+    /// Rejected representatives the repair loop gave up without a search:
+    /// their pinned values alone fail a table check.
+    pub repairs_decided: usize,
+    /// Rejected representatives the repair loop searched a completion for.
+    /// With `repairs_decided` it sums to `skipped + resolved` for a pair.
+    pub repair_searches: usize,
+}
+
+/// What the repair loop did with one rejected representative.
+pub(crate) enum Repair {
+    /// No repair was tried (triples skip a representative for its first
+    /// failure).
+    Untried,
+    /// The pinned values alone decide that no completion is constructible.
+    Decided,
+    /// The bounded search ran and found this test, or none.
+    Searched(Option<ConcreteTest>),
 }
 
 /// A lookup table from variable names to solved values.
@@ -704,7 +319,7 @@ pub(crate) fn generate_tests_with(
     cfg: &ModelConfig,
     names: &[String],
     max_per_case: usize,
-    mut repair: impl FnMut(&Rejected<'_>, &mut LazyCaseSolver<'_>) -> Option<ConcreteTest>,
+    mut repair: impl FnMut(&Rejected<'_>, &CaseSolver) -> Repair,
 ) -> GeneratedTests {
     let domains = default_domains();
     let mut out = GeneratedTests::default();
@@ -716,9 +331,8 @@ pub(crate) fn generate_tests_with(
         // One compiled solver per case: the enumeration below and every
         // re-solve round of the repair loop share the flattening, variable
         // interning and constraint compilation.
-        let condition_fp = Expr::dag_fingerprint(&case.condition);
-        let mut solver = LazyCaseSolver::new(&case.condition);
-        let mut solutions = cached_all_solutions(&mut solver, condition_fp, &domains, max_per_case);
+        let solver = CaseSolver::new(&case.condition);
+        let mut solutions = solver.all_solutions(&domains, max_per_case);
         // Child-endpoint enrichment (§4 process pairs): the static
         // enumeration varies recently-created variables fastest, so within
         // the per-case cap the pipe endpoint counts stay frozen at their
@@ -729,7 +343,7 @@ pub(crate) fn generate_tests_with(
         // direction) reaches the constructible combinations directly; the
         // signature dedup below keeps whichever classes are new.
         if calls.iter().any(|spec| spec.kind.uses_children()) && cfg.children > 0 {
-            solutions.extend(child_endpoint_witnesses(&mut solver, case, cfg, &domains));
+            solutions.extend(child_endpoint_witnesses(&solver, case, cfg, &domains));
         }
         // Conflict coverage: deduplicate by isomorphism signature over the
         // variables the pair actually depends on.
@@ -764,7 +378,18 @@ pub(crate) fn generate_tests_with(
                         id: &id,
                         first_reason,
                     };
-                    match repair(&rejected, &mut solver) {
+                    let repaired = match repair(&rejected, &solver) {
+                        Repair::Untried => None,
+                        Repair::Decided => {
+                            out.repairs_decided += 1;
+                            None
+                        }
+                        Repair::Searched(test) => {
+                            out.repair_searches += 1;
+                            test
+                        }
+                    };
+                    match repaired {
                         Some(test) => {
                             out.resolved += 1;
                             out.tests.push(test);
@@ -794,7 +419,7 @@ pub(crate) fn generate_tests_with(
 /// the pinned flags (e.g. a `wait` EINVAL path over that child) simply
 /// yield no solutions.
 fn child_endpoint_witnesses(
-    solver: &mut LazyCaseSolver<'_>,
+    solver: &CaseSolver,
     case: &CommutativeCase,
     cfg: &ModelConfig,
     domains: &Domains,
@@ -832,11 +457,7 @@ fn child_endpoint_witnesses(
             .iter()
             .filter_map(|n| by_name.get(n.as_str()).map(|v| (*v).clone()))
             .collect();
-            out.extend(
-                solver
-                    .get()
-                    .solve_with_preference(domains, &pinned, &vary, ENRICH_LIMIT),
-            );
+            out.extend(solver.solve_with_preference(domains, &pinned, &vary, ENRICH_LIMIT));
         }
     }
     out
@@ -875,19 +496,12 @@ impl Rejected<'_> {
 
 /// Hunts for a constructible completion of a rejected representative,
 /// unless its pinned values already decide that none exists.
-fn resolve_constructible(
-    rejected: &Rejected<'_>,
-    solver: &mut LazyCaseSolver<'_>,
-) -> Option<ConcreteTest> {
+fn resolve_constructible(rejected: &Rejected<'_>, solver: &CaseSolver) -> Repair {
     let pinned = rejected.pinned();
     if decided_rejection(rejected, &pinned).is_some() {
-        bump_thread_stats(|s| s.repairs_decided += 1);
-        global_cache()
-            .repairs_decided
-            .fetch_add(1, Ordering::Relaxed);
-        return None;
+        return Repair::Decided;
     }
-    search_completion(rejected, &pinned, solver)
+    Repair::Searched(search_completion(rejected, &pinned, solver))
 }
 
 /// The table check that the pinned values alone fail, if any.
@@ -926,21 +540,10 @@ fn decided_rejection(rejected: &Rejected<'_>, pinned: &Assignment) -> Option<Ski
 /// The variables the observed [`SkipReason`] implicates are varied first;
 /// if every completion of one round fails with a different reason, that
 /// reason's variables are tried next.
-///
-/// The outcome is memoized per isomorphism class: the cache key is the
-/// structural fingerprint of the case plus the pinned values — which are
-/// exactly what the class's signature is computed from — so a later run
-/// over the same shape (the host Figure 6 pipeline, a differential
-/// campaign round) seeds from the previously solved completion instead of
-/// re-searching, and a previously hopeless class is given up immediately.
-/// A cache hit re-materializes the stored completion under the caller's
-/// current name table and identifier; it cannot leak state across pairs
-/// because the fingerprint covers the whole condition, variable list and
-/// shape.
 fn search_completion(
     rejected: &Rejected<'_>,
     pinned: &Assignment,
-    solver: &mut LazyCaseSolver<'_>,
+    solver: &CaseSolver,
 ) -> Option<ConcreteTest> {
     let Rejected {
         calls,
@@ -958,31 +561,9 @@ fn search_completion(
     let resolved_id = format!("{id}r");
     let build =
         |alt: &Assignment| materialize(calls, case, alt, cfg, names, relevant, &resolved_id);
-    let key = CompletionKey {
-        case: case_fingerprint(case),
-        variables: vars_fingerprint(&case.variables),
-        shape: shape_cfg_fingerprint(calls, cfg),
-        pinned: pinned.iter().collect(),
-        reason: first_reason,
-    };
-    let cached = global_cache().lookup_completion(&key);
-    if cached.is_some() {
-        bump_thread_stats(|s| s.completion_hits += 1);
-    } else {
-        bump_thread_stats(|s| s.completion_misses += 1);
-    }
-    if let Some(outcome) = cached {
-        // Replay: the search is deterministic in the key, so the cached
-        // completion is exactly what a cold solve would find (or `None` if
-        // it would exhaust its budget). Materialization depends on the
-        // name table, so it is re-run; its verdict does not, so a cached
-        // completion cannot fail it.
-        return outcome.and_then(|alt| build(&alt).ok());
-    }
     let mut tried: BTreeSet<SkipReason> = BTreeSet::new();
     let mut reason = first_reason;
-    let mut found: Option<(Assignment, ConcreteTest)> = None;
-    'rounds: for _round in 0..3 {
+    for _round in 0..3 {
         if !tried.insert(reason) {
             break;
         }
@@ -997,15 +578,9 @@ fn search_completion(
             break;
         }
         let mut next_reason = None;
-        for alt in solver
-            .get()
-            .solve_with_preference(domains, pinned, &vary, RESOLVE_LIMIT)
-        {
+        for alt in solver.solve_with_preference(domains, pinned, &vary, RESOLVE_LIMIT) {
             match build(&alt) {
-                Ok(test) => {
-                    found = Some((alt, test));
-                    break 'rounds;
-                }
+                Ok(test) => return Some(test),
                 Err(r) => {
                     if next_reason.is_none() && !tried.contains(&r) {
                         next_reason = Some(r);
@@ -1018,11 +593,7 @@ fn search_completion(
             None => break,
         };
     }
-    let evicted = global_cache().store_completion(key, found.as_ref().map(|(alt, _)| alt.clone()));
-    if evicted > 0 {
-        bump_thread_stats(|s| s.evictions += evicted);
-    }
-    found.map(|(_, test)| test)
+    None
 }
 
 /// The variables worth varying to escape a given rejection, in preference
@@ -2399,79 +1970,6 @@ mod tests {
             .collect()
     }
 
-    /// The pipe-backed Read ∥ Read shape: its corpus exercises the repair
-    /// loop (resolved > 0), which is what populates the completion cache.
-    fn repairing_shape() -> PairShape {
-        PairShape {
-            calls: (CallKind::Read, CallKind::Read),
-            slots_a: ArgSlots {
-                proc: 0,
-                fds: vec![0],
-                ..Default::default()
-            },
-            slots_b: ArgSlots {
-                proc: 0,
-                fds: vec![0],
-                ..Default::default()
-            },
-            tag: "samefd".into(),
-        }
-    }
-
-    /// Serializes the tests that clear the process-global cache or assert
-    /// on hit/miss behaviour: `cargo test` runs this module's tests on
-    /// concurrent threads within one process, so an unguarded clear could
-    /// wipe another cache test's entries mid-run.
-    fn cache_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn completion_cache_hits_reproduce_the_cold_corpus() {
-        // A warm second run must (a) actually hit the completion cache and
-        // (b) yield byte-identical tests — in particular, every rescued
-        // representative's completion is in the same isomorphism class as
-        // the cold solve's (it is the *same* completion). Cache keys cover
-        // the model bounds, so a bound combination no other test uses keeps
-        // this test's entries private even though the cache is shared by
-        // every concurrently-running test; stats are asserted through the
-        // calling thread's attribution counters for the same reason.
-        let _guard = cache_lock();
-        let cfg = ModelConfig {
-            vm_pages: 1,
-            ..small_cfg()
-        };
-        let shape = repairing_shape();
-        let analysis = analyze_pair(&shape, &cfg);
-        let before = solver_cache_thread_stats();
-        let cold = generate_tests(&shape, &analysis.cases, &cfg, &default_names(), 128);
-        assert!(cold.resolved > 0, "shape must exercise the repair loop");
-        let after_cold = solver_cache_thread_stats();
-        assert!(after_cold.completion_misses > before.completion_misses);
-        assert_eq!(
-            after_cold.completion_hits, before.completion_hits,
-            "cold run must not hit completions (keys are private to this test)"
-        );
-        let warm = generate_tests(&shape, &analysis.cases, &cfg, &default_names(), 128);
-        let after_warm = solver_cache_thread_stats();
-        assert!(
-            after_warm.completion_hits - after_cold.completion_hits >= cold.resolved,
-            "warm run must hit the completion cache (stats {after_warm:?})"
-        );
-        assert!(
-            after_warm.solution_hits > after_cold.solution_hits,
-            "enumeration must hit too"
-        );
-        assert_eq!(
-            after_warm.completion_misses, after_cold.completion_misses,
-            "warm run must add no completion misses"
-        );
-        assert_eq!(corpus_fingerprints(&cold), corpus_fingerprints(&warm));
-        assert_eq!(cold.skip_reasons, warm.skip_reasons);
-        assert_eq!(cold.resolved, warm.resolved);
-    }
-
     /// Generates the corpus of every `a ∥ b` shape twice: once through the
     /// guarded repair loop, comparing each rejected representative's
     /// outcome with the unguarded reference search, and once through the
@@ -2484,9 +1982,8 @@ mod tests {
         decided: &mut SkipHistogram,
     ) -> Vec<GeneratedTests> {
         let names = default_names();
-        let outcome = |test: &Option<ConcreteTest>| {
-            test.as_ref()
-                .map(|t| format!("{} {:?} {:?}", t.id, t.setup, t.ops))
+        let outcome = |test: Option<&ConcreteTest>| {
+            test.map(|t| format!("{} {:?} {:?}", t.id, t.setup, t.ops))
         };
         let mut corpora = Vec::new();
         for shape in crate::shapes::enumerate_shapes(a, b, cfg) {
@@ -2506,7 +2003,16 @@ mod tests {
                         *decided.entry(reason).or_default() += 1;
                     }
                     let ours = resolve_constructible(rejected, solver);
-                    assert_eq!(outcome(&ours), outcome(&reference), "{}", rejected.id);
+                    let test = match &ours {
+                        Repair::Searched(test) => test.as_ref(),
+                        _ => None,
+                    };
+                    assert_eq!(
+                        outcome(test),
+                        outcome(reference.as_ref()),
+                        "{}",
+                        rejected.id
+                    );
                     ours
                 },
             );
@@ -2517,7 +2023,9 @@ mod tests {
                 cfg,
                 &names,
                 96,
-                |rejected, solver| search_completion(rejected, &rejected.pinned(), solver),
+                |rejected, solver| {
+                    Repair::Searched(search_completion(rejected, &rejected.pinned(), solver))
+                },
             );
             assert_eq!(
                 corpus_fingerprints(&guarded),
@@ -2531,6 +2039,12 @@ mod tests {
                 shape.tag
             );
             assert_eq!(guarded.resolved, unguarded.resolved, "{}", shape.tag);
+            assert_eq!(
+                guarded.repairs_decided + guarded.repair_searches,
+                unguarded.repair_searches,
+                "{}",
+                shape.tag
+            );
             corpora.push(guarded);
         }
         corpora
@@ -2576,190 +2090,6 @@ mod tests {
         );
         assert!(read_read.is_empty(), "{read_read:?}");
         assert!(corpora.iter().any(|g| g.resolved > 0));
-    }
-
-    #[test]
-    fn solver_cache_evicts_past_cap_and_still_admits_new_keys() {
-        // Regression for the saturation bug: the old admission policy
-        // (`len() < CAP || contains_key(&key)`) refused every new key once
-        // a cache filled, silently degrading the rest of a long sweep to
-        // cold solves. The sharded cache must evict instead.
-        let cache = ShardedSolverCache::new(8, 2);
-        let sols = vec![Assignment::new()];
-        for i in 0..64u64 {
-            cache.store_solution((i as u128, 0), 1, sols.clone());
-        }
-        let stats = cache.merged_stats();
-        assert!(stats.evictions > 0, "inserting past the cap must evict");
-        // A brand-new key admitted after saturation must hit on re-query.
-        cache.store_solution((999, 0), 1, sols.clone());
-        assert!(
-            cache.lookup_solution(&(999, 0), 1).is_some(),
-            "new keys must still be admitted once the cache is full"
-        );
-    }
-
-    #[test]
-    fn solver_cache_second_chance_protects_hot_entries() {
-        // Clock eviction: a recently-hit entry survives an insert that
-        // displaces a cold one.
-        let cache = ShardedSolverCache::new(4, 1);
-        let sols = vec![Assignment::new()];
-        for i in 0..4u64 {
-            cache.store_solution((i as u128, 0), 1, sols.clone());
-        }
-        assert!(cache.lookup_solution(&(0, 0), 1).is_some()); // mark hot
-        cache.store_solution((4, 0), 1, sols.clone());
-        assert!(
-            cache.lookup_solution(&(0, 0), 1).is_some(),
-            "the hot entry must get a second chance"
-        );
-        assert!(
-            cache.lookup_solution(&(1, 0), 1).is_none(),
-            "the coldest entry is the one evicted"
-        );
-    }
-
-    #[test]
-    fn clear_zeroes_every_shard_after_multithreaded_population() {
-        // `clear_all` holds every shard lock before dropping anything, so a
-        // clear is atomic: afterwards no shard retains entries or counters,
-        // no matter which thread populated it.
-        let cache = ShardedSolverCache::new(64, 4);
-        std::thread::scope(|s| {
-            for t in 0..4u64 {
-                let cache = &cache;
-                s.spawn(move || {
-                    for i in 0..8u64 {
-                        let key = ((t * 100 + i) as u128, t);
-                        cache.store_solution(key, 1, vec![Assignment::new()]);
-                        assert!(cache.lookup_solution(&key, 1).is_some());
-                    }
-                });
-            }
-        });
-        assert!(cache.merged_stats().solution_hits >= 32);
-        cache.clear_all();
-        assert_eq!(
-            cache.merged_stats(),
-            SolverCacheStats::default(),
-            "clear must zero every shard's counters"
-        );
-        for t in 0..4u64 {
-            for i in 0..8u64 {
-                assert!(
-                    cache
-                        .lookup_solution(&((t * 100 + i) as u128, t), 1)
-                        .is_none(),
-                    "clear must drop every shard's entries"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn global_clear_wipes_entries_populated_by_other_threads() {
-        // The old thread-local cache's `solver_cache_clear` only cleared
-        // the calling thread; the global cache must wipe what *other*
-        // threads populated too.
-        let _guard = cache_lock();
-        let cfg = ModelConfig {
-            names: 3,
-            ..small_cfg()
-        };
-        let shape = repairing_shape();
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                let shape = shape.clone();
-                s.spawn(move || {
-                    let analysis = analyze_pair(&shape, &cfg);
-                    let before = solver_cache_thread_stats();
-                    let generated =
-                        generate_tests(&shape, &analysis.cases, &cfg, &default_names(), 64);
-                    assert!(!generated.tests.is_empty());
-                    let after = solver_cache_thread_stats();
-                    assert!(
-                        after.solution_hits + after.solution_misses
-                            > before.solution_hits + before.solution_misses,
-                        "workers must route queries through the shared cache"
-                    );
-                });
-            }
-        });
-        solver_cache_clear();
-        assert_eq!(
-            solver_cache_thread_stats(),
-            SolverCacheStats::default(),
-            "clear must reset the calling thread's attribution counters"
-        );
-        // The entries the workers shared are gone: regenerating on this
-        // thread records fresh completion misses and zero completion hits
-        // (this test's model bounds keep its keys private).
-        let analysis = analyze_pair(&shape, &cfg);
-        let before = solver_cache_thread_stats();
-        let regenerated = generate_tests(&shape, &analysis.cases, &cfg, &default_names(), 64);
-        let after = solver_cache_thread_stats();
-        assert!(regenerated.resolved > 0);
-        assert!(after.completion_misses > before.completion_misses);
-        assert_eq!(
-            after.completion_hits, before.completion_hits,
-            "cleared entries must not serve hits"
-        );
-    }
-
-    #[test]
-    fn completion_cache_does_not_leak_across_pairs() {
-        // Warming the cache with one pair must leave another pair's corpus
-        // exactly as a cold solve produces it: the cache key covers the
-        // whole condition, variable list and shape, so assignments cannot
-        // bleed between pairs.
-        let _guard = cache_lock();
-        let cfg = small_cfg();
-        let read_read = repairing_shape();
-        let read_analysis = analyze_pair(&read_read, &cfg);
-        let write_shape = PairShape {
-            calls: (CallKind::Read, CallKind::Write),
-            slots_a: ArgSlots {
-                proc: 0,
-                fds: vec![0],
-                ..Default::default()
-            },
-            slots_b: ArgSlots {
-                proc: 0,
-                fds: vec![1],
-                ..Default::default()
-            },
-            tag: "pipe".into(),
-        };
-        let write_analysis = analyze_pair(&write_shape, &cfg);
-        solver_cache_clear();
-        let cold = generate_tests(
-            &write_shape,
-            &write_analysis.cases,
-            &cfg,
-            &default_names(),
-            128,
-        );
-        solver_cache_clear();
-        let _warm_other = generate_tests(
-            &read_read,
-            &read_analysis.cases,
-            &cfg,
-            &default_names(),
-            128,
-        );
-        let after_other = generate_tests(
-            &write_shape,
-            &write_analysis.cases,
-            &cfg,
-            &default_names(),
-            128,
-        );
-        assert_eq!(
-            corpus_fingerprints(&cold),
-            corpus_fingerprints(&after_other)
-        );
-        assert_eq!(cold.skip_reasons, after_other.skip_reasons);
     }
 
     #[test]

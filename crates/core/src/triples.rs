@@ -26,7 +26,9 @@
 use crate::analyzer::{default_domains, AnalysisUnit, CommutativeCase, ARG_TAGS};
 use crate::shapes::{first_op_assignments, second_op_assignments};
 use crate::sweep::claim_in_order;
-use crate::testgen::{generate_tests_with, CallSpec, ConcreteTest, GeneratedTests, SkipHistogram};
+use crate::testgen::{
+    generate_tests_with, CallSpec, ConcreteTest, GeneratedTests, Repair, SkipHistogram,
+};
 use scr_model::calls::ArgSlots;
 use scr_model::{CallKind, ModelConfig};
 use scr_symbolic::{explore_pruned, CaseSolver};
@@ -205,9 +207,9 @@ pub fn analyze_triple(shape: &TripleShape, cfg: &ModelConfig) -> TripleAnalysis 
     }
 }
 
-/// TESTGEN for triples: the pair's generator over three calls —
-/// witnesses through the shared sharded solver cache, deduplicated by
-/// isomorphism signature over the relevant variables, each representative
+/// TESTGEN for triples: the pair's generator over three calls — each
+/// case's witnesses from its own solver, deduplicated by isomorphism
+/// signature over the relevant variables, each representative
 /// materialised — without the repair loop, so a triple whose first
 /// witness is unconstructible is skipped for its first failure reason.
 pub fn generate_triple_tests(
@@ -232,7 +234,7 @@ pub fn generate_triple_tests(
         cfg,
         names,
         max_per_case,
-        |_, _| None,
+        |_, _| Repair::Untried,
     )
 }
 

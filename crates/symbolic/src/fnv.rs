@@ -2,8 +2,8 @@
 
 /// A 64-bit FNV-1a state, starting at the offset basis (`default`). It is
 /// word-wise: each input word is xor-folded whole, so byte input hashes
-/// one byte per step. Solver domains, TESTGEN cache keys and the corpus
-/// fingerprint all hash through it.
+/// one byte per step. Directory bucket placement, the corpus fingerprint
+/// and the footprint pins all hash through it.
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv64(u64);
 

@@ -202,27 +202,6 @@ impl Domains {
         self.per_var.insert(var, candidates);
     }
 
-    /// A stable structural fingerprint of the candidate lists. TESTGEN
-    /// keys its cross-run solution caches on this (two domains with equal
-    /// fingerprints enumerate identically).
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = crate::Fnv64::default();
-        let value_bits = |v: &Value| match v {
-            Value::Bool(b) => 0x1_0000_0000u64 | *b as u64,
-            Value::Int(i) => 0x2_0000_0000u64 ^ *i as u64,
-        };
-        for v in &self.default_ints {
-            h.word(value_bits(v));
-        }
-        for (var, candidates) in &self.per_var {
-            h.word(0x3_0000_0000 | *var as u64);
-            for v in candidates {
-                h.word(value_bits(v));
-            }
-        }
-        h.finish()
-    }
-
     /// The candidate values for a variable, in enumeration order. Borrowed:
     /// the search interrogates domains at every node, and the previous
     /// `Vec` return cloned the candidate list each time.

@@ -18,13 +18,18 @@
 //! across PRs.
 //!
 //! The sweep itself narrates progress: each pair's completion is recorded
-//! as a row carrying the per-pair skip-histogram delta and the solver-cache
-//! hit/miss delta. `--metrics-out <path>` exports those rows (as `pairs`)
-//! and the timing summary (as `sweep`) in a JSON snapshot.
+//! as a row carrying the per-pair skip-histogram delta and how many
+//! rejected representatives the repair loop decided without a search and
+//! how many it searched. `--metrics-out <path>` exports those rows (as
+//! `pairs`) and the timing summary (as `sweep`) in a JSON snapshot. The
+//! process's peak resident set (`VmHWM`) is printed and recorded as
+//! `peak_rss_mb`.
 //!
 //! Pass `--perf-gate` for the performance smoke gate: the scan is
 //! restricted to the `{open, lseek, write, send, recv}` call set and the
-//! run fails unless three pairs stay under their wall-clock ceilings — the
+//! run fails when its peak resident set exceeds a fixed 32 MB (where
+//! `/proc/self/status` cannot be read, the gate prints `unmeasured`), or
+//! unless three pairs stay under their wall-clock ceilings — the
 //! offset-arithmetic-heavy `lseek ∥ write` pair, the historical TESTGEN hot
 //! spot that took *minutes* before the indexed solver
 //! (`SCR_TESTGEN_GATE_SECONDS`, default 30; generous on purpose — the dev
@@ -48,8 +53,8 @@
 
 use scalable_commutativity::commuter::sweep::effective_threads;
 use scalable_commutativity::commuter::{
-    run_commuter_with_progress, solver_cache_stats, CommuterConfig, CommuterResults,
-    LinuxLikeFactory, Sv6Factory, SweepEvent,
+    run_commuter_with_progress, CommuterConfig, CommuterResults, LinuxLikeFactory, Sv6Factory,
+    SweepEvent,
 };
 use scalable_commutativity::model::CallKind;
 use scalable_commutativity::obs::{metrics_out, Json, MetricsRegistry, RunMeta};
@@ -69,15 +74,31 @@ const DEFAULT_EXT_GATE_SECONDS: f64 = 60.0;
 /// analyzer's refuted-prefix memo.
 const OPEN_OPEN_GATE_SECONDS: f64 = 15.0;
 
+/// Ceiling on the `--perf-gate` run's peak resident set, in MB: four times
+/// the 7.8 MB it reads when TESTGEN keeps nothing between calls. A memo or
+/// corpus copy that outlives its unit pushes it over (the solver cache
+/// TESTGEN once kept read 70 MB here).
+const PEAK_RSS_GATE_MB: f64 = 32.0;
+
+/// The process's peak resident set (`VmHWM` in `/proc/self/status`), in
+/// MB, or `None` where that file cannot be read.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 fn write_timing_json(
     results: &CommuterResults,
     meta: &RunMeta,
     total_seconds: f64,
     threads: usize,
+    peak_rss: Option<f64>,
 ) {
     let path =
         std::env::var("SCR_TESTGEN_JSON").unwrap_or_else(|_| "BENCH_testgen.json".to_string());
-    let cache = solver_cache_stats();
+    let repairs_decided: usize = results.pair_timings.iter().map(|t| t.repairs_decided).sum();
     let mut out = String::from("{\n");
     out.push_str(&format!("  \"meta\": {},\n", meta.to_json().render()));
     out.push_str(&format!("  \"mode\": \"{}\",\n", meta.mode));
@@ -89,11 +110,9 @@ fn write_timing_json(
         "  \"corpus_fingerprint\": \"{:016x}\",\n",
         results.corpus_fingerprint()
     ));
-    out.push_str(&format!("  \"cache_evictions\": {},\n", cache.evictions));
-    out.push_str(&format!(
-        "  \"repairs_decided\": {},\n",
-        cache.repairs_decided
-    ));
+    out.push_str(&format!("  \"repairs_decided\": {repairs_decided},\n"));
+    let peak_rss = peak_rss.map_or("null".to_string(), |mb| format!("{mb:.1}"));
+    out.push_str(&format!("  \"peak_rss_mb\": {peak_rss},\n"));
     out.push_str("  \"pairs\": [\n");
     for (i, timing) in results.pair_timings.iter().enumerate() {
         out.push_str(&format!(
@@ -101,7 +120,8 @@ fn write_timing_json(
              \"run_seconds\": {:.4}, \"tests\": {}, \"skipped\": {}, \"paths_explored\": {}, \
              \"feasibility_queries\": {}, \"constraints_queried\": {}, \
              \"constraints_compiled\": {}, \"leaves_skipped\": {}, \"feasible_leaves\": {}, \
-             \"zero_test_cases\": {}, \"zero_test_seconds\": {:.4}}}{}\n",
+             \"zero_test_cases\": {}, \"zero_test_seconds\": {:.4}, \"repairs_decided\": {}, \
+             \"repair_searches\": {}}}{}\n",
             timing.calls.0.name(),
             timing.calls.1.name(),
             threads,
@@ -117,6 +137,8 @@ fn write_timing_json(
             timing.feasible_leaves,
             timing.zero_test_cases,
             timing.zero_test_seconds,
+            timing.repairs_decided,
+            timing.repair_searches,
             if i + 1 < results.pair_timings.len() {
                 ","
             } else {
@@ -194,13 +216,12 @@ fn main() {
             total,
             timing,
             skip_delta,
-            cache_delta,
         } = event
         {
             println!(
                 "  [{:>3}/{}] {} ∥ {}: {} tests, {} skipped, solve {:.2}s, replay {:.2}s, \
-                 cache {}h/{}m, {} paths ({} feasible, {} under a refuted prefix, {} queries), \
-                 {} zero-test cases ({:.2}s), {} repairs decided",
+                 {} paths ({} feasible, {} under a refuted prefix, {} queries), \
+                 {} zero-test cases ({:.2}s), {} repairs decided, {} searched",
                 index + 1,
                 total,
                 timing.calls.0.name(),
@@ -209,15 +230,14 @@ fn main() {
                 timing.skipped,
                 timing.solve_seconds,
                 timing.run_seconds,
-                cache_delta.solution_hits + cache_delta.completion_hits,
-                cache_delta.solution_misses + cache_delta.completion_misses,
                 timing.paths_explored,
                 timing.feasible_leaves,
                 timing.leaves_skipped,
                 timing.feasibility_queries,
                 timing.zero_test_cases,
                 timing.zero_test_seconds,
-                cache_delta.repairs_decided,
+                timing.repairs_decided,
+                timing.repair_searches,
             );
             let skips: Vec<(String, Json)> = skip_delta
                 .iter()
@@ -241,12 +261,8 @@ fn main() {
                 ("zero_test_cases", timing.zero_test_cases.into()),
                 ("zero_test_seconds", timing.zero_test_seconds.into()),
                 ("skip_delta", Json::Obj(skips)),
-                ("solution_hits", cache_delta.solution_hits.into()),
-                ("solution_misses", cache_delta.solution_misses.into()),
-                ("completion_hits", cache_delta.completion_hits.into()),
-                ("completion_misses", cache_delta.completion_misses.into()),
-                ("evictions", cache_delta.evictions.into()),
-                ("repairs_decided", cache_delta.repairs_decided.into()),
+                ("repairs_decided", timing.repairs_decided.into()),
+                ("repair_searches", timing.repair_searches.into()),
             ]));
         }
     });
@@ -285,7 +301,12 @@ fn main() {
             workers
         ),
     );
-    write_timing_json(&results, &meta, total_seconds, workers);
+    let peak_rss = peak_rss_mb();
+    match peak_rss {
+        Some(mb) => println!("peak RSS {mb:.1} MB"),
+        None => println!("peak RSS unmeasured (/proc/self/status unreadable)"),
+    }
+    write_timing_json(&results, &meta, total_seconds, workers, peak_rss);
     if let Some(path) = metrics_out() {
         let mut snapshot = MetricsRegistry::new(4).snapshot();
         snapshot.meta = meta.clone();
@@ -342,6 +363,18 @@ fn main() {
                 );
                 failed = true;
             }
+        }
+        match peak_rss {
+            Some(mb) => {
+                println!("perf gate: peak RSS {mb:.1} MB (ceiling {PEAK_RSS_GATE_MB:.0} MB)");
+                if mb > PEAK_RSS_GATE_MB {
+                    eprintln!(
+                        "FAIL: peak RSS {mb:.1} MB exceeds the {PEAK_RSS_GATE_MB:.0} MB ceiling"
+                    );
+                    failed = true;
+                }
+            }
+            None => println!("perf gate: peak RSS unmeasured"),
         }
         if failed {
             std::process::exit(1);

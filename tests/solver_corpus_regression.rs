@@ -11,12 +11,14 @@
 //! that on live `analyze_pair` output, including a reduced-bounds
 //! `lseek ∥ write` (the offset-arithmetic-heavy hot spot; at full bounds
 //! the naive engine needs minutes, which is the reason the indexed engine
-//! exists). The last test pins how many repairs the benchmark's
-//! `sweep_open` sweep decides without a search.
+//! exists). The last two tests pin how many repairs the benchmark's
+//! `sweep_open` sweep decides without a search, and check that every
+//! rejected representative is counted exactly once, as decided or
+//! searched, at any worker count.
 
 use scalable_commutativity::commuter::{
-    analyze_pair, enumerate_shapes, generate_tests, run_commuter_with_progress, solver_cache_clear,
-    CommuterConfig, SweepEvent,
+    analyze_pair, enumerate_shapes, generate_tests, run_commuter_with_progress, run_sweep,
+    CommuterConfig, SweepEvent, Swept,
 };
 use scalable_commutativity::model::{CallKind, ModelConfig};
 use scalable_commutativity::symbolic::solver::naive;
@@ -94,10 +96,11 @@ fn offset_arithmetic_pairs_enumerate_identically() {
 }
 
 #[test]
-fn generated_corpus_is_deterministic_across_cache_states() {
-    // The memoization layer must be transparent: a generation served from
-    // a cold solver and one served from the warm caches yield the same
-    // corpus, test for test.
+fn generation_keeps_no_hidden_process_state() {
+    // TESTGEN is a function of its inputs: a second generation in the same
+    // process, after the first has run, yields the same corpus, test for
+    // test. State that outlived a call (a memo, a counter steering the
+    // search) would show here.
     let cfg = ModelConfig {
         names: 4,
         inodes: 2,
@@ -111,10 +114,7 @@ fn generated_corpus_is_deterministic_across_cache_states() {
     };
     let names: Vec<String> = (0..4).map(|i| format!("f{i}")).collect();
     let mut all_runs = Vec::new();
-    for round in 0..2 {
-        if round == 0 {
-            solver_cache_clear();
-        }
+    for _ in 0..2 {
         let mut fingerprints = Vec::new();
         for shape in enumerate_shapes(CallKind::Lseek, CallKind::Write, &cfg) {
             let analysis = analyze_pair(&shape, &cfg);
@@ -128,7 +128,7 @@ fn generated_corpus_is_deterministic_across_cache_states() {
     }
     assert_eq!(
         all_runs[0], all_runs[1],
-        "warm-cache corpus must equal the cold corpus"
+        "the second generation must equal the first"
     );
 }
 
@@ -137,8 +137,8 @@ fn sweep_open_repairs_are_decided_without_a_search() {
     // The benchmark's `sweep_open` sweep. Its EMFILE representatives pin
     // the one descriptor slot open, so the repair loop gives each up
     // without a search; only the representatives a completion might
-    // rescue reach the completion cache. A regression that searches the
-    // decided ones again shows up as completion misses.
+    // rescue are searched. A regression that searches the decided ones
+    // again shows up as more searches.
     let quick = CommuterConfig::quick(&[CallKind::Open]);
     let config = CommuterConfig {
         model: ModelConfig {
@@ -148,24 +148,83 @@ fn sweep_open_repairs_are_decided_without_a_search() {
         threads: 1,
         ..quick
     };
-    solver_cache_clear();
-    let mut cache = None;
-    let results = run_commuter_with_progress(&config, &[], |event| {
-        if let SweepEvent::PairDone { cache_delta, .. } = event {
-            cache = Some(cache_delta);
-        }
-    });
-    let cache = cache.expect("one pair");
+    let results = run_commuter_with_progress(&config, &[], |_| {});
+    let [timing] = &results.pair_timings[..] else {
+        panic!("one pair, got {}", results.pair_timings.len());
+    };
     assert_eq!(
         (results.tests.len(), results.skipped, results.resolved),
         (246, 536, 40)
     );
     // Every skipped representative's pins fill the descriptor table, and
     // every search rescues its representative.
-    assert_eq!(cache.repairs_decided, 536, "{cache:?}");
     assert_eq!(
-        (cache.completion_misses, cache.completion_hits),
-        (40, 0),
-        "{cache:?}"
+        (timing.repairs_decided, timing.repair_searches),
+        (536, 40),
+        "{timing:?}"
     );
+}
+
+/// Per pair: (calls, repairs decided, repair searches, skipped, resolved),
+/// the last two summed over the pair's units.
+type RepairRow = ((CallKind, CallKind), usize, usize, usize, usize);
+
+fn repair_rows(calls: &[CallKind], threads: usize) -> Vec<RepairRow> {
+    let config = CommuterConfig {
+        threads,
+        ..CommuterConfig::quick(calls)
+    };
+    let mut rows = Vec::new();
+    let (mut skipped, mut resolved) = (0, 0);
+    run_sweep(
+        &config,
+        |_| (),
+        |swept| match swept {
+            Swept::Unit(unit) => {
+                skipped += unit.skipped;
+                resolved += unit.resolved;
+            }
+            Swept::Event(SweepEvent::PairDone { timing, .. }) => {
+                assert_eq!(timing.skipped, skipped, "{timing:?}");
+                rows.push((
+                    timing.calls,
+                    timing.repairs_decided,
+                    timing.repair_searches,
+                    std::mem::take(&mut skipped),
+                    std::mem::take(&mut resolved),
+                ));
+            }
+            Swept::Event(_) => {}
+        },
+    );
+    rows
+}
+
+#[test]
+fn every_rejected_representative_is_decided_or_searched() {
+    // `open ∥ open` decides its EMFILE representatives and `pipe ∥ pipe`
+    // searches its layout ones, so both counters move. Every rejected
+    // representative is repaired exactly once, so per pair the two
+    // counters sum to the representatives that were skipped or rescued,
+    // and the counts are the same at any worker count.
+    let calls = [CallKind::Open, CallKind::Pipe];
+    let rows = repair_rows(&calls, 1);
+    for &(calls, decided, searches, skipped, resolved) in &rows {
+        assert_eq!(
+            decided + searches,
+            skipped + resolved,
+            "{} ∥ {}: {decided} decided + {searches} searched",
+            calls.0.name(),
+            calls.1.name()
+        );
+    }
+    assert!(
+        rows.iter().any(|row| row.1 > 0),
+        "nothing decided: {rows:?}"
+    );
+    assert!(
+        rows.iter().any(|row| row.2 > 0),
+        "nothing searched: {rows:?}"
+    );
+    assert_eq!(rows, repair_rows(&calls, 2));
 }

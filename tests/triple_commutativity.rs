@@ -5,7 +5,7 @@
 //! per-triple counts and compares them line-for-line against the
 //! committed baseline `tests/triple_commutativity_baseline.txt`. The
 //! sweep is deterministic by construction (in-order aggregation over
-//! claiming workers plus a transparent solver cache), so the rendering is
+//! claiming workers that share no solver state), so the rendering is
 //! byte-identical for every thread count — any diff is a semantic change
 //! to the analyzer, the shape enumeration or the materialiser, and must
 //! be reviewed by regenerating the baseline with
